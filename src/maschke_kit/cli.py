@@ -20,6 +20,7 @@ from .finalg import InvalidPresentationError
 from .structfile import (
     FORMAT_VERSION,
     StructureFileError,
+    check_presentation,
     field_to_json,
     kind_of,
     parse_structure_file,
@@ -210,83 +211,46 @@ def _run_coseparability(presentation, kind, report):
     return report["feasible"]
 
 
-def _maschke_weakhopf(presentation, report):
-    f = presentation.field
-    rep = weakhopf.maschke_report(presentation)
-    report["integrals"] = {
-        f"{side}/{variant}": rep.integral_flags[(side, variant)]
-        for side in weakhopf.SIDES for variant in weakhopf.VARIANTS}
-    report["cointegrals"] = {
-        f"{side}/{variant}": rep.cointegral_flags[(side, variant)]
-        for side in weakhopf.SIDES for variant in weakhopf.VARIANTS}
-    report["separability"] = rep.separability is not None
-    report["coseparability"] = rep.coseparability is not None
-    witnesses = {}
-    for key, sol in rep.integrals.items():
-        witnesses["integral %s/%s" % key] = \
-            None if sol is None else _vec_out(f, sol.element)
-    for key, sol in rep.cointegrals.items():
-        witnesses["cointegral %s/%s" % key] = \
-            None if sol is None else _vec_out(f, sol.functional)
-    report["witnesses"] = witnesses
-    report["verdict"] = "pass" if rep.verdict else "fail"
-    return rep.verdict
+MASCHKE_SOLVERS = {"weakhopf": weakhopf.maschke_report,
+                   "algebroid": hopfalgd.maschke_report,
+                   "hopfcat": hopfcat.maschke_report}
 
 
-def _maschke_algebroid(presentation, report):
+def _run_maschke(presentation, kind, report):
+    if kind not in MASCHKE_SOLVERS:
+        raise StructureFileError(f"maschke does not apply to kind {kind!r}")
     if presentation.antipode is None:
         raise StructureFileError(
             "maschke requires an antipode; the equivalence is only claimed "
             "for Hopf monoids")
-    ints = {s: hopfalgd.solve_integral_hgd(presentation, s) is not None
-            for s in ("left", "right")}
-    coints = {s: hopfalgd.solve_cointegral_hgd(presentation, s) is not None
-              for s in ("left", "right")}
-    sep = hopfalgd.solve_separability_hgd(presentation) is not None
-    cosep = hopfalgd.solve_coseparability_hgd(presentation) is not None
-    report["integrals"] = ints
-    report["cointegrals"] = coints
-    report["separability"] = sep
-    report["coseparability"] = cosep
-    verdict = len({ints["left"], ints["right"], sep}) == 1 and \
-        len({coints["left"], coints["right"], cosep}) == 1
-    report["verdict"] = "pass" if verdict else "fail"
-    return verdict
-
-
-def _maschke_hopfcat(presentation, report):
-    if presentation.antipode is None:
-        raise StructureFileError(
-            "maschke requires an antipode family; the equivalence is only "
-            "claimed for Hopf monoids")
-    ints = {s: hopfcat.solve_integral_family(presentation, s) is not None
-            for s in ("left", "right")}
-    sep = hopfcat.solve_separability_family(presentation) is not None
-    retr = {s: hopfcat.solve_retraction_family(presentation, s) is not None
-            for s in ("left", "right")}
-    cosep = hopfcat.check_hom_coseparability(presentation).all_coseparable
-    report["integral_families"] = ints
-    report["separability_family"] = sep
-    report["retraction_families"] = retr
-    report["hom_coseparability"] = cosep
-    verdict = len({ints["left"], ints["right"], sep}) == 1 and \
-        len({retr["left"], retr["right"], cosep}) == 1
-    report["verdict"] = "pass" if verdict else "fail"
-    return verdict
-
-
-def _run_maschke(presentation, kind, report):
-    if kind == "weakhopf":
-        if presentation.antipode is None:
-            raise StructureFileError(
-                "maschke requires an antipode; the equivalence is only claimed "
-                "for Hopf monoids")
-        return _maschke_weakhopf(presentation, report)
-    if kind == "algebroid":
-        return _maschke_algebroid(presentation, report)
+    rep = MASCHKE_SOLVERS[kind](presentation)
     if kind == "hopfcat":
-        return _maschke_hopfcat(presentation, report)
-    raise StructureFileError(f"maschke does not apply to kind {kind!r}")
+        report["integral_families"] = rep.integral_flags
+        report["separability_family"] = rep.separability is not None
+        report["retraction_families"] = rep.cointegral_flags
+        report["hom_coseparability"] = rep.coseparability is not None
+    else:
+        report["integrals"] = {_key(k): v for k, v in rep.integral_flags.items()}
+        report["cointegrals"] = {_key(k): v for k, v in rep.cointegral_flags.items()}
+        report["separability"] = rep.separability is not None
+        report["coseparability"] = rep.coseparability is not None
+    if kind == "weakhopf":
+        f = presentation.field
+        witnesses = {}
+        for key, sol in rep.integrals.items():
+            witnesses["integral %s/%s" % key] = \
+                None if sol is None else _vec_out(f, sol.element)
+        for key, sol in rep.cointegrals.items():
+            witnesses["cointegral %s/%s" % key] = \
+                None if sol is None else _vec_out(f, sol.functional)
+        report["witnesses"] = witnesses
+    report["verdict"] = "pass" if rep.verdict else "fail"
+    return rep.verdict
+
+
+def _key(key):
+    """Report key of a solver: "left", or "left/primed" for weak Hopf variants."""
+    return key if isinstance(key, str) else "/".join(key)
 
 
 GENERATORS = {
@@ -458,22 +422,10 @@ def _run_validate(args, report) -> int:
         report["failures"] = [str(exc)]
         _emit_report(report, args)
         return EXIT_INVALID
-    kind = kind_of(presentation)
-    report["kind"] = kind
-    failures, warnings = [], []
-    if kind == "weakhopf":
-        rep = weakhopf.check_weak_bialgebra(presentation)
-        if rep.ok() and presentation.antipode is not None:
-            rep = rep.merged(weakhopf.check_antipode(presentation))
-        failures = [f.render() for f in rep.failures]
-        warnings = [w.render() for w in rep.warnings]
-    elif kind == "algebroid":
-        failures = [f.render()
-                    for f in hopfalgd.check_hopf_algebroid(presentation).failures]
-    elif kind == "hopfcat":
-        failures = [f.render()
-                    for f in hopfcat.check_hopf_category(presentation).failures]
-    # group/groupoid/commalgebra constructors already verified their axioms
+    report["kind"] = kind_of(presentation)
+    rep = check_presentation(presentation)
+    failures = [f.render() for f in rep.failures]
+    warnings = [w.render() for w in rep.warnings]
     report["valid"] = not failures
     report["failures"] = failures
     report["warnings"] = warnings

@@ -16,7 +16,7 @@ Conventions, fixed globally:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 # Dense carriers are meant for desk scale; one flat coordinate axis may not
@@ -142,7 +142,10 @@ class FieldSpec:
         """Text encoding: "a/b" or "a" over Q, decimal digits over GF(p)."""
         if not isinstance(text, str):
             raise TypeError(f"scalar token must be text, got {text!r}")
-        return self.coerce(text.strip())
+        try:
+            return self.coerce(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"scalar token {text!r} has a zero denominator") from None
 
     def format_scalar(self, value) -> str:
         return str(self.coerce(value))
@@ -419,32 +422,6 @@ class Tensor3:
 # echelon forms, subspaces, quotients
 
 
-def rref(m: Matrix) -> tuple:
-    """Reduced row echelon form and pivot columns, exact arithmetic."""
-    f = m.field
-    sub, mul, inv = f.sub, f.mul, f.inv
-    rows = m.to_rows()
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        s = inv(rows[r][c])
-        rows[r] = [mul(s, x) for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                t = rows[i][c]
-                rows[i] = [sub(x, mul(t, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Matrix.from_rows(f, rows) if nr else m, tuple(pivots)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace given by a reduced-row-echelon basis."""
@@ -472,14 +449,14 @@ class Subspace:
 
     @staticmethod
     def from_rows(field: FieldSpec, ambient_dim: int, rows) -> "Subspace":
-        rows = [r for r in rows]
-        if not rows:
-            return Subspace(ambient_dim, Matrix.zeros(field, 0, ambient_dim))
-        red, pivots = rref(Matrix.from_rows(field, rows))
-        keep = [list(red.row(i)) for i in range(len(pivots))]
-        if not keep:
-            return Subspace(ambient_dim, Matrix.zeros(field, 0, ambient_dim))
-        return Subspace(ambient_dim, Matrix.from_rows(field, keep))
+        """Echelon basis of the span of dense rows."""
+        sparse = []
+        for r in rows:
+            if len(r) != ambient_dim:
+                raise ValueError("row length must equal ambient_dim")
+            coords = (field.coerce(x) for x in r)
+            sparse.append({j: v for j, v in enumerate(coords) if v != 0})
+        return _row_space(field, ambient_dim, sparse)
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -533,18 +510,7 @@ def membership(vec, s: Subspace) -> bool:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m.v = 0} as an echelon-basis subspace."""
-    red, pivots = rref(m)
-    f = m.field
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    rows = []
-    for fc in free:
-        v = [f.zero()] * m.cols
-        v[fc] = f.one()
-        for i, p in enumerate(pivots):
-            v[p] = f.neg(red.at(i, fc))
-        rows.append(v)
-    return Subspace.from_rows(f, m.cols, rows)
+    return solve_affine(m, zero_vec(m.field, m.rows)).homogeneous
 
 
 @dataclass(frozen=True)
@@ -739,64 +705,28 @@ class ConstraintSystem:
         for c, (_, rhs) in pivots.items():
             x[c] = rhs
         particular = tuple(x)
-        free = [c for c in range(self.nvars) if c not in pivots]
-        kern_rows = []
-        for fc in free:
-            v = {fc: one}
-            for c, (row, _) in pivots.items():
-                coef = row.get(fc)
-                if coef is not None:
-                    v[c] = f.neg(coef)
-            kern_rows.append(v)
-        homogeneous = self._echelonize(kern_rows)
+        # one null-space vector per free column; pivot rows hold free columns only
+        kern_rows = {fc: {fc: one} for fc in range(self.nvars) if fc not in pivots}
+        for c, (row, _) in pivots.items():
+            for fc, coef in row.items():
+                kern_rows[fc][c] = f.neg(coef)
+        homogeneous = _row_space(f, self.nvars, kern_rows.values())
         if not self.satisfied_by(particular):
             raise ArithmeticError("eliminator produced an unverified solution")
         return AffineSolution(particular, homogeneous)
 
-    def _echelonize(self, sparse_rows) -> Subspace:
-        """Canonical echelon basis from sparse row dicts (homogeneous)."""
-        f = self.field
-        sub, mul, inv = f.sub, f.mul, f.inv
-        pivots: dict = {}
-        for row0 in sparse_rows:
-            row = dict(row0)
-            while row:
-                c = min(row)
-                hit = pivots.get(c)
-                if hit is None:
-                    s = inv(row.pop(c))
-                    pivots[c] = {k: mul(s, v) for k, v in row.items()}
-                    break
-                t = row.pop(c)
-                for k, v in hit.items():
-                    nv = sub(row.get(k, 0), mul(t, v))
-                    if nv == 0:
-                        row.pop(k, None)
-                    else:
-                        row[k] = nv
-        for c in sorted(pivots, reverse=True):
-            row = pivots[c]
-            for k in sorted(list(row)):
-                hit = pivots.get(k)
-                if hit is None:
-                    continue
-                t = row.pop(k)
-                for k2, v in hit.items():
-                    nv = sub(row.get(k2, 0), mul(t, v))
-                    if nv == 0:
-                        row.pop(k2, None)
-                    else:
-                        row[k2] = nv
-            pivots[c] = row
-        zero, one = f.zero(), f.one()
-        rows = []
-        for c in sorted(pivots):
-            v = [zero] * self.nvars
-            v[c] = one
-            for k, val in pivots[c].items():
-                v[k] = val
-            rows.append(v)
-        if not rows:
-            return Subspace.zero(f, self.nvars)
-        basis = Matrix(f, len(rows), self.nvars, tuple(x for r in rows for x in r))
-        return Subspace(self.nvars, basis)
+
+def _row_space(field: FieldSpec, dim: int, sparse_rows) -> Subspace:
+    """Canonical echelon basis of the span of sparse rows of field scalars."""
+    system = ConstraintSystem(field, dim)
+    zero, one = field.zero(), field.one()
+    system.rows = [(row, zero) for row in sparse_rows]
+    pivots = system._eliminate()
+    entries = []
+    for c in sorted(pivots):
+        v = [zero] * dim
+        v[c] = one
+        for k, val in pivots[c][0].items():
+            v[k] = val
+        entries.extend(v)
+    return Subspace(dim, Matrix(field, len(pivots), dim, tuple(entries)))

@@ -13,7 +13,8 @@ the comultiplication of ``e_i``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import dataclass
 
 from .exactlin import (
     ConstraintSystem,
@@ -65,6 +66,25 @@ class InvalidPresentationError(ValueError):
     def __init__(self, report: AxiomReport, what: str = "presentation"):
         self.report = report
         super().__init__(f"invalid {what}:\n{report.render()}")
+
+
+def _once(fn):
+    """Compute fn(presentation) once and store it on the presentation.
+
+    Presentations are frozen, so a stored result never goes stale.  An
+    exception is not stored: a failing computation raises on every call.
+    Results must be immutable, since every caller gets the same object.
+    """
+    key = "_once_" + fn.__name__
+
+    @functools.wraps(fn)
+    def stored(presentation):
+        memo = presentation.__dict__
+        if key not in memo:
+            object.__setattr__(presentation, key, fn(presentation))
+        return memo[key]
+
+    return stored
 
 
 def _auto_labels(dim: int) -> tuple:
@@ -210,6 +230,7 @@ class CoalgebraPresentation:
 # axiom checks
 
 
+@_once
 def check_algebra(a: AlgebraPresentation) -> AxiomReport:
     """Associativity on all basis triples plus two-sided unitality."""
     n = a.dim
@@ -235,6 +256,7 @@ def check_algebra(a: AlgebraPresentation) -> AxiomReport:
     return AxiomReport(tuple(failures))
 
 
+@_once
 def check_coalgebra(c: CoalgebraPresentation) -> AxiomReport:
     """Coassociativity on all basis elements plus two-sided counitality."""
     n = c.dim
@@ -375,7 +397,8 @@ def solve_separability(a: AlgebraPresentation):
     n = a.dim
     section = Matrix(a.field, n * n, n, tuple(sol.particular))
     element = section.apply(a.unit)
-    assert a.mult_matrix().apply(element) == a.unit
+    if a.mult_matrix().apply(element) != a.unit:
+        raise ArithmeticError("separability element does not multiply to the unit")
     return SeparabilitySection(section, element)
 
 
@@ -449,5 +472,42 @@ def solve_coseparability(c: CoalgebraPresentation):
         return None
     n = c.dim
     retraction = Matrix(c.field, n, n * n, tuple(sol.particular))
-    assert retraction @ c.comult_matrix() == Matrix.identity(c.field, n)
+    if retraction @ c.comult_matrix() != Matrix.identity(c.field, n):
+        raise ArithmeticError("coseparability map is not a retraction of delta")
     return CoseparabilityRetraction(retraction)
+
+
+@dataclass(frozen=True)
+class MaschkeReport:
+    """Solver results of one Hopf monoid, and the two family verdicts.
+
+    ``integrals`` and ``cointegrals`` map a variant key to a solution or
+    None; ``separability`` and ``coseparability`` are a witness or None.
+    The verdict holds when the integral family agrees with separability and
+    the cointegral family agrees with coseparability.
+    """
+
+    integrals: dict
+    cointegrals: dict
+    separability: object
+    coseparability: object
+
+    @property
+    def integral_flags(self) -> dict:
+        return {k: v is not None for k, v in self.integrals.items()}
+
+    @property
+    def cointegral_flags(self) -> dict:
+        return {k: v is not None for k, v in self.cointegrals.items()}
+
+    @property
+    def verdict(self) -> bool:
+        ints = set(self.integral_flags.values()) | {self.separability is not None}
+        coints = set(self.cointegral_flags.values()) | {self.coseparability is not None}
+        return len(ints) == 1 and len(coints) == 1
+
+
+def _require_antipode(presentation):
+    if presentation.antipode is None:
+        raise ValueError("the equivalence is only claimed for Hopf monoids; "
+                         "an antipode is required")

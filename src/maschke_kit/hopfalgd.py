@@ -31,6 +31,9 @@ from .finalg import (
     AxiomFailure,
     AxiomReport,
     InvalidPresentationError,
+    MaschkeReport,
+    _once,
+    _require_antipode,
     check_algebra,
 )
 
@@ -102,6 +105,7 @@ def _base_images(h: HopfAlgebroidPresentation):
     return ([h.src.col(x) for x in range(dr)], [h.tgt.col(x) for x in range(dr)])
 
 
+@_once
 def circ_relations(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of t(x)e_j (x) e_k - e_j (x) s(x)e_k over base and total bases."""
     f = h.field
@@ -126,6 +130,7 @@ def circ_relations(h: HopfAlgebroidPresentation) -> Subspace:
     return Subspace.from_rows(f, n * n, rows)
 
 
+@_once
 def bullet_relations(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of (s(x)t(y)e_j) (x) e_k - e_j (x) (s(x)t(y)e_k)."""
     f = h.field
@@ -162,6 +167,7 @@ def tensor_over_R(h: HopfAlgebroidPresentation, product: str = CIRC) -> Quotient
     return quotient_space(h.total.dim ** 2, rel)
 
 
+@_once
 def ideal_subspace(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of (s(x) - t(x)) e_k over base and total bases."""
     f = h.field
@@ -178,6 +184,7 @@ def ideal_subspace(h: HopfAlgebroidPresentation) -> Subspace:
     return Subspace.from_rows(f, n, rows)
 
 
+@_once
 def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
     """All defining identities; comultiplication laws after projection."""
     failures = []
@@ -751,3 +758,14 @@ def solve_coseparability_hgd(h: HopfAlgebroidPresentation):
         return None
     return HgdCoseparabilityRetraction(q, Matrix(h.field, h.total.dim, q.dim,
                                                  tuple(sol.particular)))
+
+
+def maschke_report(h: HopfAlgebroidPresentation) -> MaschkeReport:
+    """Every solver, keyed by side, and the two equivalence verdicts."""
+    _require_antipode(h)
+    return MaschkeReport(
+        {side: solve_integral_hgd(h, side) for side in ("left", "right")},
+        {side: solve_cointegral_hgd(h, side) for side in ("left", "right")},
+        solve_separability_hgd(h),
+        solve_coseparability_hgd(h),
+    )

@@ -18,6 +18,9 @@ from .finalg import (
     AxiomReport,
     CoalgebraPresentation,
     InvalidPresentationError,
+    MaschkeReport,
+    _once,
+    _require_antipode,
     check_coalgebra,
     solve_coseparability,
 )
@@ -73,6 +76,7 @@ class HopfCategoryPresentation:
         return [(x, y) for x in range(self.n_objects) for y in range(self.n_objects)]
 
 
+@_once
 def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
     """Enriched category axioms, comonoid-morphism laws, antipode family."""
     failures = []
@@ -420,3 +424,16 @@ def solve_separability_family(h: HopfCategoryPresentation):
         table[(x, v, y)] = Matrix(f, rows, cols,
                                   tuple(sol.particular[start: start + rows * cols]))
     return SeparabilityFamily(table)
+
+
+def maschke_report(h: HopfCategoryPresentation) -> MaschkeReport:
+    """Integral and retraction families by side, the separability family and
+    per-hom coseparability (kept only when every hom is coseparable)."""
+    _require_antipode(h)
+    cosep = check_hom_coseparability(h)
+    return MaschkeReport(
+        {side: solve_integral_family(h, side) for side in ("left", "right")},
+        {side: solve_retraction_family(h, side) for side in ("left", "right")},
+        solve_separability_family(h),
+        cosep if cosep.all_coseparable else None,
+    )

@@ -12,11 +12,7 @@ import json
 
 from .examples import GroupPresentation, GroupoidPresentation
 from .exactlin import FieldSpec, Matrix, Tensor3
-from .finalg import (
-    AlgebraPresentation,
-    CoalgebraPresentation,
-    InvalidPresentationError,
-)
+from .finalg import AlgebraPresentation, AxiomReport, CoalgebraPresentation
 from .hopfalgd import CommAlgebraPresentation, HopfAlgebroidPresentation, \
     check_hopf_algebroid
 from .hopfcat import HopfCategoryPresentation, check_hopf_category
@@ -396,6 +392,22 @@ def serialize_structure(presentation) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def check_presentation(presentation) -> AxiomReport:
+    """Every axiom check that applies to the presentation's kind."""
+    kind = kind_of(presentation)
+    if kind == "weakhopf":
+        report = check_weak_bialgebra(presentation)
+        if report.ok() and presentation.antipode is not None:
+            report = report.merged(check_antipode(presentation))
+        return report
+    if kind == "algebroid":
+        return check_hopf_algebroid(presentation)
+    if kind == "hopfcat":
+        return check_hopf_category(presentation)
+    # group/groupoid/commalgebra constructors already verified their axioms
+    return AxiomReport()
+
+
 def parse_structure_text(text: str):
     """Parse and eagerly validate; returns the presentation of the declared kind."""
     try:
@@ -410,35 +422,11 @@ def parse_structure_text(text: str):
     kind = _get(doc, "kind", "$", str)
     if kind not in KINDS:
         _fail("$.kind", f"unknown kind {kind!r}")
-    payload = _get(doc, "payload", "$", dict)
-    field = None
-    if kind not in ("group", "groupoid"):
-        field = field_from_json(_get(doc, "field", "$", dict))
-    if kind == "weakhopf":
-        w = _weakhopf_parse(field, payload, "$.payload")
-        report = check_weak_bialgebra(w)
-        if report.ok() and w.antipode is not None:
-            report = report.merged(check_antipode(w))
-        if not report.ok():
-            raise StructureFileError("axiom failure:\n" + report.render())
-        return w
-    if kind == "algebroid":
-        h = _algebroid_parse(field, payload, "$.payload")
-        report = check_hopf_algebroid(h)
-        if not report.ok():
-            raise StructureFileError("axiom failure:\n" + report.render())
-        return h
-    if kind == "hopfcat":
-        h = _hopfcat_parse(field, payload, "$.payload")
-        report = check_hopf_category(h)
-        if not report.ok():
-            raise StructureFileError("axiom failure:\n" + report.render())
-        return h
-    if kind == "group":
-        return _group_parse(payload, "$.payload")
-    if kind == "groupoid":
-        return _groupoid_parse(payload, "$.payload")
-    return _commalgebra_parse(field, payload, "$.payload")
+    presentation = _parse_doc(doc)
+    report = check_presentation(presentation)
+    if not report.ok():
+        raise StructureFileError("axiom failure:\n" + report.render())
+    return presentation
 
 
 def parse_structure_file(path):
@@ -453,7 +441,10 @@ def parse_structure_file(path):
 
 def parse_structure_text_unvalidated(text: str):
     """Parse without running axiom validators (shape checks only)."""
-    doc = json.loads(text)
+    return _parse_doc(json.loads(text))
+
+
+def _parse_doc(doc):
     kind = _get(doc, "kind", "$", str)
     payload = _get(doc, "payload", "$", dict)
     field = None

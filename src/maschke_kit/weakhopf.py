@@ -35,6 +35,9 @@ from .finalg import (
     AxiomReport,
     CoalgebraPresentation,
     InvalidPresentationError,
+    MaschkeReport,
+    _once,
+    _require_antipode,
     check_algebra,
     check_coalgebra,
     solve_coseparability,
@@ -127,6 +130,20 @@ def _sparse_products(alg: AlgebraPresentation):
     return prod
 
 
+@_once
+def _counit_pairing(w: WeakHopfPresentation) -> tuple:
+    """eps2[i][j] = eps(e_i e_j)."""
+    f = w.field
+    n = w.dim
+    eps = w.coalgebra.counit
+    eps2 = [[f.zero()] * n for _ in range(n)]
+    for i, j, k, t in w.algebra.mult.nonzeros():
+        if eps[k] != 0:
+            eps2[i][j] = f.add(eps2[i][j], f.mul(t, eps[k]))
+    return tuple(tuple(row) for row in eps2)
+
+
+@_once
 def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     """Component axioms plus the three weakened compatibility diagrams."""
     report = check_algebra(w.algebra).merged(check_coalgebra(w.coalgebra))
@@ -191,14 +208,7 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
         failures.append(AxiomFailure("weak unit (twisted)", ()))
 
     # weak counit: eps(fgh) = sum eps(f g1) eps(g2 h) = sum eps(f g2) eps(g1 h)
-    eps2 = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k, t in prod[i][j]:
-                if coa.counit[k] != 0:
-                    acc = add(acc, mul(t, coa.counit[k]))
-            eps2[i][j] = acc
+    eps2 = _counit_pairing(w)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -224,24 +234,32 @@ def _require_weak_bialgebra(w: WeakHopfPresentation):
         raise InvalidPresentationError(report, "weak bialgebra")
 
 
+@_once
 def projections(w: WeakHopfPresentation) -> ProjectionMaps:
-    """The four idempotent composites built from mult, unit, comult, counit."""
+    """The four idempotents, as sums over Delta(1) = 1_1 (x) 1_2.
+
+    piR(h) = 1_1 eps(h 1_2), piR_bar(h) = 1_1 eps(1_2 h),
+    piL(h) = eps(1_1 h) 1_2, piL_bar(h) = eps(h 1_1) 1_2.
+    """
     f = w.field
     n = w.dim
-    eye = Matrix.identity(f, n)
-    mu = w.algebra.mult_matrix()
-    nu = w.algebra.unit_matrix()
-    delta = w.coalgebra.comult_matrix()
-    eps = w.coalgebra.counit_matrix()
-    mu_op = mu @ flip_matrix(f, n, n)
-    piR = kron(eye, eps) @ kron(eye, mu_op) @ kron(delta, eye) @ kron(nu, eye)
-    piR_bar = kron(eye, eps) @ kron(eye, mu) @ kron(delta, eye) @ kron(nu, eye)
-    piL = kron(eps, eye) @ kron(mu_op, eye) @ kron(eye, delta) @ kron(eye, nu)
-    piL_bar = kron(eps, eye) @ kron(mu, eye) @ kron(eye, delta) @ kron(eye, nu)
-    maps = ProjectionMaps(piR, piR_bar, piL, piL_bar)
+    add, mul = f.add, f.mul
+    eps2 = _counit_pairing(w)
+    piR, piR_bar, piL, piL_bar = ([f.zero()] * (n * n) for _ in range(4))
+    for ab, c in enumerate(w.coalgebra.comult_vec(w.algebra.unit)):
+        if c == 0:
+            continue
+        a, b = divmod(ab, n)
+        for h in range(n):
+            piR[a * n + h] = add(piR[a * n + h], mul(c, eps2[h][b]))
+            piR_bar[a * n + h] = add(piR_bar[a * n + h], mul(c, eps2[b][h]))
+            piL[b * n + h] = add(piL[b * n + h], mul(c, eps2[a][h]))
+            piL_bar[b * n + h] = add(piL_bar[b * n + h], mul(c, eps2[h][a]))
+    maps = ProjectionMaps(*(Matrix(f, n, n, tuple(e))
+                            for e in (piR, piR_bar, piL, piL_bar)))
     for name in ("piR", "piR_bar", "piL", "piL_bar"):
         m = getattr(maps, name)
-        if m @ m != m:
+        if any(m.apply(m.col(j)) != m.col(j) for j in range(n)):
             raise StructureDefectError(f"{name} is not idempotent")
     return maps
 
@@ -250,6 +268,7 @@ def _image(field, m: Matrix) -> Subspace:
     return Subspace.from_rows(field, m.rows, [m.col(j) for j in range(m.cols)])
 
 
+@_once
 def base_algebra(w: WeakHopfPresentation) -> BaseAlgebraInfo:
     """Image of piR with its induced multiplication and Frobenius data.
 
@@ -336,8 +355,9 @@ def base_algebra(w: WeakHopfPresentation) -> BaseAlgebraInfo:
     return BaseAlgebraInfo(base, induced, tuple(fe), eps)
 
 
+@_once
 def check_antipode(w: WeakHopfPresentation) -> AxiomReport:
-    """The two defining composition diagrams; anti-homomorphy as warnings."""
+    """The three defining antipode axioms; anti-homomorphy as warnings."""
     if w.antipode is None:
         raise ValueError("presentation has no antipode")
     _require_weak_bialgebra(w)
@@ -350,17 +370,19 @@ def check_antipode(w: WeakHopfPresentation) -> AxiomReport:
     mu = alg.mult_matrix()
     delta = w.coalgebra.comult_matrix()
     failures = []
-    warnings = []
     left = mu @ kron(eye, s) @ delta
-    if left != maps.piL:
-        cols = [j for j in range(n) if left.col(j) != maps.piL.col(j)]
-        failures.append(AxiomFailure("antipode left diagram", tuple(cols)))
     right = mu @ kron(s, eye) @ delta
-    if right != maps.piR:
-        cols = [j for j in range(n) if right.col(j) != maps.piR.col(j)]
-        failures.append(AxiomFailure("antipode right diagram", tuple(cols)))
+    # with (Delta (x) 1) Delta: S(h1) h2 S(h3) = right(h1) S(h2)
+    third = mu @ kron(right, s) @ delta
+    for law, got, want in (("antipode left diagram", left, maps.piL),
+                           ("antipode right diagram", right, maps.piR),
+                           ("antipode S(h1) h2 S(h3) = S(h)", third, s)):
+        cols = tuple(j for j in range(n) if got.col(j) != want.col(j))
+        if cols:
+            failures.append(AxiomFailure(law, cols))
     # consequences of the definition, reported but not fatal
     basis = [unit_vec(f, n, i) for i in range(n)]
+    warnings = []
     for i in range(n):
         for j in range(n):
             lhs = s.apply(alg.mult_vec(basis[i], basis[j]))
@@ -605,35 +627,9 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class MaschkeReport:
-    """Joint feasibility flags and the two family-equivalence verdicts."""
-
-    integrals: dict
-    cointegrals: dict
-    separability: object
-    coseparability: object
-
-    @property
-    def integral_flags(self) -> dict:
-        return {k: v is not None for k, v in self.integrals.items()}
-
-    @property
-    def cointegral_flags(self) -> dict:
-        return {k: v is not None for k, v in self.cointegrals.items()}
-
-    @property
-    def verdict(self) -> bool:
-        ints = set(self.integral_flags.values()) | {self.separability is not None}
-        coints = set(self.cointegral_flags.values()) | {self.coseparability is not None}
-        return len(ints) == 1 and len(coints) == 1
-
-
 def maschke_report(w: WeakHopfPresentation) -> MaschkeReport:
     """Run every solver and assert the two equivalence families."""
-    if w.antipode is None:
-        raise ValueError("the equivalence is only claimed for weak Hopf algebras; "
-                         "an antipode is required")
+    _require_antipode(w)
     report = check_antipode(w)   # also validates the weak bialgebra
     if not report.ok():
         raise InvalidPresentationError(report, "weak Hopf algebra")

@@ -138,6 +138,18 @@ class TestCommands:
         doc = json.loads((tmp_path / "v.json").read_text())
         assert doc["valid"] is False and doc["failures"]
 
+    def test_zero_denominator_scalar_exits_three(self, tmp_path):
+        path = gen(tmp_path, "s3.json", "group-algebra", "--group", "S3",
+                   "--field", "Q")
+        doc = json.loads(path.read_text())
+        doc["payload"]["unit"][0] = "1/0"
+        path.write_text(json.dumps(doc))
+        text = run(tmp_path, "validate", "--structure", str(path), expect=3)
+        report = json.loads(text)
+        assert report["valid"] is False
+        assert "zero denominator" in report["failures"][0]
+        assert main(["integrals", "--structure", str(path), "--side", "left"]) == 3
+
     def test_validate_ok(self, tmp_path):
         path = gen(tmp_path, "pg.json", "groupoid-algebra", "--groupoid",
                    "pair:2", "--field", "Q")

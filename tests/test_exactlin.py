@@ -16,7 +16,6 @@ from maschke_kit.exactlin import (
     kron,
     membership,
     quotient_space,
-    rref,
     solve_affine,
     unit_vec,
     zero_vec,
@@ -28,6 +27,57 @@ F3 = FieldSpec.gf(3)
 F5 = FieldSpec.gf(5)
 
 FIELDS = [QQ, F2, F3, F5, FieldSpec.gf(7)]
+
+
+def rref(m: Matrix) -> tuple:
+    """Dense reduced row echelon form and pivot columns: an oracle written
+    apart from the package's sparse eliminator."""
+    f = m.field
+    sub, mul, inv = f.sub, f.mul, f.inv
+    rows = m.to_rows()
+    nr, nc = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        s = inv(rows[r][c])
+        rows[r] = [mul(s, x) for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                t = rows[i][c]
+                rows[i] = [sub(x, mul(t, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Matrix.from_rows(f, rows) if nr else m, tuple(pivots)
+
+
+def dense_solve(m: Matrix, b):
+    """(particular, homogeneous basis) of m.x = b from dense rref, or None.
+
+    The particular solution sets free variables to zero; the homogeneous
+    basis is the rref of the null-space vectors, one per free column.
+    """
+    f = m.field
+    red, piv = rref(Matrix.from_rows(f, [list(m.row(i)) + [b[i]] for i in range(m.rows)]))
+    if m.cols in piv:
+        return None
+    x = [f.zero()] * m.cols
+    for i, p in enumerate(piv):
+        x[p] = red.at(i, m.cols)
+    kern = []
+    for fc in (c for c in range(m.cols) if c not in piv):
+        v = [f.zero()] * m.cols
+        v[fc] = f.one()
+        for i, p in enumerate(piv):
+            v[p] = f.neg(red.at(i, fc))
+        kern.append(v)
+    basis = rref(Matrix.from_rows(f, kern))[0] if kern else Matrix.zeros(f, 0, m.cols)
+    return tuple(x), basis
 
 
 def brute_force_solutions(field, m, b):
@@ -315,12 +365,12 @@ class TestConstraintSystem:
     def test_matches_dense_solver(self):
         m = Matrix.from_rows(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         b = (1, 2, 0)
-        dense = solve_affine(m, b)
+        particular, basis = dense_solve(m, b)
         sys = ConstraintSystem(QQ, 3)
         sys.add_matrix_rows(m, b)
         sparse = sys.solve()
-        assert dense.particular == sparse.particular
-        assert dense.homogeneous.basis == sparse.homogeneous.basis
+        assert particular == sparse.particular
+        assert basis == sparse.homogeneous.basis
 
     def test_infeasible_detection(self):
         sys = ConstraintSystem(F3, 2)
@@ -354,15 +404,15 @@ class TestConstraintSystem:
         b = data.draw(st.lists(st.integers(-hi, hi), min_size=nr, max_size=nr))
         m = Matrix.from_rows(field, rows)
         b = tuple(field.coerce(x) for x in b)
-        dense = solve_affine(m, b)
+        dense = dense_solve(m, b)
         sys = ConstraintSystem(field, nc)
         sys.add_matrix_rows(m, b)
         sparse = sys.solve()
         if dense is None:
             assert sparse is None
         else:
-            assert sparse.particular == dense.particular
-            assert sparse.homogeneous.basis == dense.homogeneous.basis
+            assert sparse.particular == dense[0]
+            assert sparse.homogeneous.basis == dense[1]
 
 
 class TestSubspace:
@@ -382,6 +432,8 @@ class TestSubspace:
             Subspace(2, Matrix.from_rows(QQ, [[2, 0]]))
         with pytest.raises(ValueError):
             Subspace(2, Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+        with pytest.raises(ValueError):
+            Subspace.from_rows(QQ, 2, [[1, 0], [0, 0, 1]])
 
 
 def test_unit_vec():

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import maschke_kit
 from maschke_kit.exactlin import FieldSpec, Matrix, kron
 from maschke_kit.finalg import (
     AlgebraPresentation,
@@ -203,3 +207,32 @@ class TestEnumerationOracle:
         assert sol is not None
         assert len(hits) == 2 ** sol.homogeneous.dim
         assert tuple(sol.particular) in hits
+
+
+UNVERIFIED_SOLVE = """
+from maschke_kit import finalg
+from maschke_kit.exactlin import ConstraintSystem, FieldSpec
+from maschke_kit.examples import cyclic_group, group_algebra
+
+assert False, "assert statements must be stripped in this run"
+w = group_algebra(cyclic_group(2), FieldSpec.rationals())
+# systems without rows: the zero map solves them, but is no section/retraction
+finalg.separability_system = lambda a: ConstraintSystem(a.field, a.dim ** 3)
+finalg.coseparability_system = lambda c: ConstraintSystem(c.field, c.dim ** 3)
+for solve, arg in ((finalg.solve_separability, w.algebra),
+                   (finalg.solve_coseparability, w.coalgebra)):
+    try:
+        solve(arg)
+        print("unverified result returned")
+    except ArithmeticError:
+        print("ArithmeticError")
+"""
+
+
+def test_unverified_solutions_raise_under_optimization():
+    src = os.path.dirname(os.path.dirname(maschke_kit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-O", "-c", UNVERIFIED_SOLVE],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["ArithmeticError", "ArithmeticError"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from maschke_kit.exactlin import FieldSpec, Matrix, membership, unit_vec, vec_sub
+from maschke_kit.finalg import InvalidPresentationError
 from maschke_kit.examples import (
     cyclic_group,
     dual_group_algebra,
@@ -16,10 +17,12 @@ from maschke_kit.hopfalgd import (
     BULLET,
     CIRC,
     HopfAlgebroidPresentation,
+    bullet_relations,
     check_hopf_algebroid,
     circ_relations,
     ideal_subspace,
     integral_system_hgd,
+    maschke_report,
     solve_cointegral_hgd,
     solve_coseparability_hgd,
     solve_integral_hgd,
@@ -67,6 +70,21 @@ class TestValidation:
         for field in (QQ, F3):
             w = group_algebra(cyclic_group(2), field)
             assert check_hopf_algebroid(hopf_algebra_as_algebroid(w)).ok()
+
+    def test_validation_and_relations_are_stored(self):
+        h = pair_hopf_algebroid(dual_number_algebra(QQ))
+        for fn in (check_hopf_algebroid, circ_relations, bullet_relations,
+                   ideal_subspace):
+            assert fn(h) is fn(h)
+
+    def test_invalid_presentation_raises_on_every_call(self):
+        h = pair_hopf_algebroid(dual_number_algebra(QQ))
+        broken = HopfAlgebroidPresentation(
+            h.base, h.total, h.src, h.tgt, h.comult_lift, h.counit,
+            Matrix.identity(QQ, h.total.dim))
+        for _ in range(2):
+            with pytest.raises(InvalidPresentationError):
+                solve_integral_hgd(broken, "left")
 
     def test_mutated_counit_reported(self):
         h = pair_hopf_algebroid(split_pair_algebra(QQ))
@@ -283,3 +301,19 @@ class TestLiftIndependence:
                 solve_cointegral_hgd(perturbed, "right") is not None,
                 solve_coseparability_hgd(perturbed) is not None,
             ) == baseline
+
+
+class TestMaschkeReport:
+    def test_pair_algebroids_pass(self):
+        for field in (QQ, F2):
+            for mk in BASES:
+                rep = maschke_report(pair_hopf_algebroid(mk(field)))
+                assert rep.verdict
+                assert set(rep.integral_flags) == {"left", "right"}
+
+    def test_requires_antipode(self):
+        h = pair_hopf_algebroid(split_pair_algebra(QQ))
+        bare = HopfAlgebroidPresentation(h.base, h.total, h.src, h.tgt,
+                                         h.comult_lift, h.counit, None)
+        with pytest.raises(ValueError, match="antipode"):
+            maschke_report(bare)

@@ -10,12 +10,17 @@ from maschke_kit.examples import (
     one_object_groupoid,
     pair_groupoid,
 )
-from maschke_kit.finalg import solve_coseparability, solve_separability
+from maschke_kit.finalg import (
+    InvalidPresentationError,
+    solve_coseparability,
+    solve_separability,
+)
 from maschke_kit.hopfcat import (
     HopfCategoryPresentation,
     check_hom_coseparability,
     check_hopf_category,
     integral_family_system,
+    maschke_report,
     retraction_system,
     solve_integral_family,
     solve_retraction_family,
@@ -58,6 +63,16 @@ class TestCheck:
         bad = HopfCategoryPresentation(h.objects, h.homs, h.comps, units, h.antipode)
         report = check_hopf_category(bad)
         assert any(f.law == "unit counit" for f in report.failures)
+
+    def test_validation_is_stored_and_failure_raises_every_call(self):
+        h = hopf_category_from_groupoid(pair_groupoid(2), QQ)
+        assert check_hopf_category(h) is check_hopf_category(h)
+        units = dict(h.units)
+        units[0] = tuple(QQ.mul(QQ.coerce(2), c) for c in units[0])
+        bad = HopfCategoryPresentation(h.objects, h.homs, h.comps, units, h.antipode)
+        for _ in range(2):
+            with pytest.raises(InvalidPresentationError):
+                solve_integral_family(bad, "left")
 
     def test_empty_category_vacuously_valid(self):
         empty = HopfCategoryPresentation((), {}, {}, {}, None)
@@ -176,3 +191,19 @@ class TestOneObjectAgreement:
                     (solve_separability(w.algebra) is not None)
                 assert check_hom_coseparability(h).all_coseparable == \
                     (solve_coseparability(w.coalgebra) is not None)
+
+
+class TestMaschkeReport:
+    def test_verdicts_over_corpus(self):
+        for h in category_corpus():
+            rep = maschke_report(h)
+            assert rep.verdict
+            assert rep.integral_flags["left"] == (rep.separability is not None)
+            assert rep.cointegral_flags["left"] == \
+                check_hom_coseparability(h).all_coseparable
+
+    def test_requires_antipode(self):
+        h = hopf_category_from_groupoid(pair_groupoid(2), QQ)
+        bare = HopfCategoryPresentation(h.objects, h.homs, h.comps, h.units, None)
+        with pytest.raises(ValueError, match="antipode"):
+            maschke_report(bare)

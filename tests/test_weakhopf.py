@@ -2,13 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from maschke_kit.exactlin import FieldSpec, Matrix, unit_vec, zero_vec
+from maschke_kit.exactlin import FieldSpec, Matrix, flip_matrix, kron, unit_vec, zero_vec
 from maschke_kit.examples import (
+    connected_groupoid,
     cyclic_group,
+    disjoint_union,
     dual_group_algebra,
     group_algebra,
     groupoid_algebra,
+    klein_four_group,
+    mutate,
+    one_object_groupoid,
     pair_groupoid,
+    symmetric_group_s3,
 )
 from maschke_kit.finalg import CoalgebraPresentation, InvalidPresentationError
 from maschke_kit.weakhopf import (
@@ -49,6 +55,43 @@ def sweedler_piR(w, j):
             scal = f.add(scal, f.mul(cv, coa.counit[m]))
         out[a] = f.add(out[a], f.mul(c, scal))
     return tuple(out)
+
+
+def kron_chain_projections(w):
+    """piR, piR_bar, piL, piL_bar as composites of the dense structure maps."""
+    f, n = w.field, w.dim
+    eye = Matrix.identity(f, n)
+    mu = w.algebra.mult_matrix()
+    nu = w.algebra.unit_matrix()
+    delta = w.coalgebra.comult_matrix()
+    eps = w.coalgebra.counit_matrix()
+    mu_op = mu @ flip_matrix(f, n, n)
+    return (kron(eye, eps) @ kron(eye, mu_op) @ kron(delta, eye) @ kron(nu, eye),
+            kron(eye, eps) @ kron(eye, mu) @ kron(delta, eye) @ kron(nu, eye),
+            kron(eps, eye) @ kron(mu_op, eye) @ kron(eye, delta) @ kron(eye, nu),
+            kron(eps, eye) @ kron(mu, eye) @ kron(eye, delta) @ kron(eye, nu))
+
+
+def weak_hopf_corpus():
+    """The criterion-04 corpus (72 cases) and the valid mutants among seeds
+    0..59 of QC2 and of the pair:2 groupoid algebra over Q."""
+    groups = [cyclic_group(n) for n in (2, 3, 4, 5, 6)] + \
+        [klein_four_group(), symmetric_group_s3()]
+    groupoids = [pair_groupoid(2),
+                 disjoint_union(one_object_groupoid(cyclic_group(2)),
+                                one_object_groupoid(cyclic_group(2))),
+                 connected_groupoid(cyclic_group(2), 2),
+                 pair_groupoid(3)]
+    for field in (QQ, F2, F3, F5):
+        yield from (group_algebra(g, field) for g in groups)
+        yield from (dual_group_algebra(g, field) for g in groups)
+        yield from (groupoid_algebra(gd, field) for gd in groupoids)
+    for base in (group_algebra(cyclic_group(2), QQ),
+                 groupoid_algebra(pair_groupoid(2), QQ)):
+        for seed in range(60):
+            m = mutate(base, seed)
+            if check_weak_bialgebra(m).ok():
+                yield m
 
 
 class TestCheckWeakBialgebra:
@@ -115,6 +158,15 @@ class TestProjections:
         eye = Matrix.identity(QQ, 1)
         assert maps.piR == maps.piR_bar == maps.piL == maps.piL_bar == eye
 
+    def test_matches_kron_chains_on_corpus(self):
+        count = 0
+        for w in weak_hopf_corpus():
+            maps = projections(w)
+            assert (maps.piR, maps.piR_bar, maps.piL, maps.piL_bar) == \
+                kron_chain_projections(w)
+            count += 1
+        assert count > 72
+
     def test_matches_sweedler_formula(self):
         for w in (group_algebra(cyclic_group(4), F5),
                   dual_group_algebra(cyclic_group(3), QQ),
@@ -167,10 +219,38 @@ class TestCheckAntipode:
         report = check_antipode(bad)
         assert any(f.law.startswith("antipode") for f in report.failures)
 
+    def test_third_axiom_mutant_rejected_with_witness(self):
+        # antipode entry (2, 2) set to 1: both composite diagrams still hold
+        m = mutate(groupoid_algebra(pair_groupoid(2), QQ), 1290)
+        assert check_weak_bialgebra(m).ok()
+        report = check_antipode(m)
+        assert [f.law for f in report.failures] == ["antipode S(h1) h2 S(h3) = S(h)"]
+        assert report.failures[0].witness == (2,)
+
     def test_missing_antipode_raises(self):
         w = group_algebra(cyclic_group(2), QQ)
         with pytest.raises(ValueError):
             check_antipode(WeakHopfPresentation(w.algebra, w.coalgebra, None))
+
+
+class TestOncePerPresentation:
+    def test_validation_and_derived_maps_are_stored(self):
+        w = groupoid_algebra(pair_groupoid(2), QQ)
+        for fn in (check_weak_bialgebra, check_antipode, projections, base_algebra):
+            assert fn(w) is fn(w)
+
+    def test_invalid_presentation_raises_on_every_call(self):
+        w = group_algebra(cyclic_group(2), QQ)
+        bad = WeakHopfPresentation(
+            w.algebra,
+            CoalgebraPresentation(w.field, w.dim, w.coalgebra.comult, (1, 0)),
+            w.antipode)
+        for _ in range(2):
+            with pytest.raises(InvalidPresentationError):
+                solve_integral(bad, "left")
+            with pytest.raises(InvalidPresentationError):
+                base_algebra(bad)
+        assert check_weak_bialgebra(bad) is check_weak_bialgebra(bad)
 
 
 class TestIntegrals:

@@ -25,6 +25,19 @@ MAX_AXIS = 4096
 
 _MAX_PRIME = 2**31
 
+# A scalar token may carry at most this many digits and a decimal exponent of
+# at most this size: Fraction("1e999999999") would build 10**999999999.
+MAX_SCALAR_DIGITS = 4000
+
+
+def _bounded_token(text: str) -> str:
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    if sum(ch.isdigit() for ch in text) > MAX_SCALAR_DIGITS or \
+            (exponent.isdecimal() and int(exponent) > MAX_SCALAR_DIGITS):
+        raise ValueError(f"scalar token {text[:40]!r} exceeds {MAX_SCALAR_DIGITS} "
+                         "digits or exponent")
+    return text
+
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for n < 3_215_031_751 (covers 2**31)."""
@@ -88,12 +101,12 @@ class FieldSpec:
 
     def coerce(self, x):
         """Canonical scalar from an int, Fraction or text token."""
+        if isinstance(x, str):
+            x = Fraction(_bounded_token(x))
         if self.characteristic == 0:
             if isinstance(x, bool):
                 raise TypeError("bool is not a scalar")
             if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-            if isinstance(x, str):
                 return Fraction(x)
             raise TypeError(f"cannot coerce {x!r} into Q")
         p = self.characteristic
@@ -105,8 +118,6 @@ class FieldSpec:
             if x.denominator % p == 0:
                 raise ValueError(f"denominator of {x} vanishes mod {p}")
             return x.numerator * pow(x.denominator, -1, p) % p
-        if isinstance(x, str):
-            return self.coerce(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into GF({p})")
 
     def add(self, a, b):

@@ -102,6 +102,17 @@ def dihedral_group(n: int) -> GroupPresentation:
     return GroupPresentation.from_table(table)
 
 
+# Largest order of a group or groupoid built from its name.  Its algebra has
+# order^3 structure constants, so the order is checked before any table exists.
+MAX_GENERATED_ORDER = 64
+
+
+def _check_order(order: int, name: str):
+    if order > MAX_GENERATED_ORDER:
+        raise ValueError(f"{name!r} has order {order}, above the limit "
+                         f"of {MAX_GENERATED_ORDER}")
+
+
 def group_by_name(name: str) -> GroupPresentation:
     """Names: C<n>, K4/V4, S3, D<n> (dihedral of order 2n)."""
     name = name.strip().upper()
@@ -110,8 +121,10 @@ def group_by_name(name: str) -> GroupPresentation:
     if name == "S3":
         return symmetric_group_s3()
     if name.startswith("C") and name[1:].isdigit():
+        _check_order(int(name[1:]), name)
         return cyclic_group(int(name[1:]))
     if name.startswith("D") and name[1:].isdigit():
+        _check_order(2 * int(name[1:]), name)
         return dihedral_group(int(name[1:]))
     raise ValueError(f"unknown group name {name!r}")
 
@@ -247,16 +260,21 @@ def groupoid_by_name(name: str) -> GroupoidPresentation:
     name = name.strip()
     kind, _, rest = name.partition(":")
     if kind == "pair":
-        return pair_groupoid(int(rest))
+        n = int(rest)
+        _check_order(n * n, name)
+        return pair_groupoid(n)
     if kind == "one":
         return one_object_groupoid(group_by_name(rest))
     if kind == "sum":
         left, _, right = rest.partition(",")
-        return disjoint_union(one_object_groupoid(group_by_name(left)),
-                              one_object_groupoid(group_by_name(right)))
+        left, right = group_by_name(left), group_by_name(right)
+        _check_order(left.order + right.order, name)
+        return disjoint_union(one_object_groupoid(left), one_object_groupoid(right))
     if kind == "conn":
         gname, _, n = rest.partition(":")
-        return connected_groupoid(group_by_name(gname), int(n))
+        g, n = group_by_name(gname), int(n)
+        _check_order(g.order * n * n, name)
+        return connected_groupoid(g, n)
     raise ValueError(f"unknown groupoid name {name!r}")
 
 

@@ -4,7 +4,8 @@ Presentations carry the multiplication/comultiplication tensors and the
 unit/counit vectors relative to a chosen basis.  Axiom checkers report every
 failed identity with a basis witness; the two feasibility solvers look for a
 bimodule section of the multiplication (separability) and a bicomodule
-retraction of the comultiplication (coseparability) by exact linear algebra.
+retraction of the comultiplication (coseparability) by exact linear algebra,
+through the separability element and the coseparability functional.
 
 Tensor index convention: ``mult[i][j][k]`` is the coefficient of ``e_k`` in
 ``e_i * e_j``; ``comult[i][j][k]`` is the coefficient of ``e_j (x) e_k`` in
@@ -23,7 +24,6 @@ from .exactlin import (
     Tensor3,
     unit_vec,
     vec_is_zero,
-    zero_vec,
 )
 
 
@@ -322,66 +322,33 @@ class CoseparabilityRetraction:
         return self.map.rows
 
 
-def separability_system(a: AlgebraPresentation) -> ConstraintSystem:
-    """Constraint rows for a bimodule section of the multiplication.
+def _add_to(row: dict, var: int, value, f: FieldSpec):
+    row[var] = f.add(row.get(var, f.zero()), value)
 
-    Unknowns: section entries N[(k,l), j], variable index (k*n+l)*n + j.
-    Rows: mu . N = id plus the two bimodule squares quantified over all basis
-    pairs and output components.
+
+def separability_system(a: AlgebraPresentation) -> ConstraintSystem:
+    """Constraint rows for a separability element e of the algebra.
+
+    Unknowns: the coefficients of e = sum e[k,l] b_k (x) b_l, variable index
+    k*n + l.  Rows: mu(e) = 1, and g e = e g in A (x) A for every basis
+    element g.  A bimodule section N of the multiplication is fixed by
+    e = N(1), and every solution e gives the section N(x) = x e, so the
+    solutions correspond one to one with the sections.
     """
     f = a.field
     n = a.dim
-    one = f.one()
-    sys = ConstraintSystem(f, n ** 3)
-    nz = a.mult.nonzeros()
-    # mu . N = id
-    for j in range(n):
-        rows = [dict() for _ in range(n)]
-        for i, l, k, t in nz:
-            var = (i * n + l) * n + j
-            row = rows[k]
-            row[var] = f.add(row.get(var, f.zero()), t)
-        for m in range(n):
-            sys.add_row(rows[m], one if m == j else f.zero())
-    by_first = [[] for _ in range(n)]
-    by_second = [[] for _ in range(n)]
-    for i, j, k, t in nz:
-        by_first[i].append((j, k, t))
-        by_second[j].append((i, k, t))
-    prods = [[[(k, t) for (jj, k, t) in by_first[i] if jj == j] for j in range(n)]
-             for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            # left square: (mu (x) 1)(1 (x) N) e_i(x)e_j = N(e_i e_j)
-            rows = {}
-            for k, m, t in by_first[i]:
-                for l in range(n):
-                    var = (k * n + l) * n + j
-                    row = rows.setdefault((m, l), {})
-                    row[var] = f.add(row.get(var, f.zero()), t)
-            for q, t in prods[i][j]:
-                for m in range(n):
-                    for l in range(n):
-                        var = (m * n + l) * n + q
-                        row = rows.setdefault((m, l), {})
-                        row[var] = f.sub(row.get(var, f.zero()), t)
-            for row in rows.values():
-                sys.add_row(row, f.zero())
-            # right square: (1 (x) mu)(N (x) 1) e_i(x)e_j = N(e_i e_j)
-            rows = {}
-            for l, m, t in by_second[j]:
-                for k in range(n):
-                    var = (k * n + l) * n + i
-                    row = rows.setdefault((k, m), {})
-                    row[var] = f.add(row.get(var, f.zero()), t)
-            for q, t in prods[i][j]:
-                for k in range(n):
-                    for m in range(n):
-                        var = (k * n + m) * n + q
-                        row = rows.setdefault((k, m), {})
-                        row[var] = f.sub(row.get(var, f.zero()), t)
-            for row in rows.values():
-                sys.add_row(row, f.zero())
+    unit_rows = [dict() for _ in range(n)]
+    rows = {}    # (g, output index of g e - e g) -> row
+    for i, j, m, t in a.mult.nonzeros():
+        _add_to(unit_rows[m], i * n + j, t, f)
+        for x in range(n):
+            _add_to(rows.setdefault((i, m * n + x), {}), j * n + x, t, f)
+            _add_to(rows.setdefault((j, x * n + m), {}), x * n + i, f.neg(t), f)
+    sys = ConstraintSystem(f, n * n)
+    for m in range(n):
+        sys.add_row(unit_rows[m], a.unit[m])
+    for row in rows.values():
+        sys.add_row(row, f.zero())
     return sys
 
 
@@ -390,74 +357,55 @@ def solve_separability(a: AlgebraPresentation):
     report = check_algebra(a)
     if not report.ok():
         raise InvalidPresentationError(report, "algebra")
-    sys = separability_system(a)
-    sol = sys.solve()
+    sol = separability_system(a).solve()
     if sol is None:
         return None
-    n = a.dim
-    section = Matrix(a.field, n * n, n, tuple(sol.particular))
-    element = section.apply(a.unit)
-    if a.mult_matrix().apply(element) != a.unit:
+    f, n, e = a.field, a.dim, sol.particular
+    if a.mult_matrix().apply(e) != a.unit:
         raise ArithmeticError("separability element does not multiply to the unit")
-    return SeparabilitySection(section, element)
+    # g e and e g for every basis element g, at row (k, l) and column g
+    left = [f.zero()] * (n ** 3)
+    right = [f.zero()] * (n ** 3)
+    for i, j, m, t in a.mult.nonzeros():
+        for x in range(n):
+            c = e[j * n + x]
+            if c != 0:
+                idx = (m * n + x) * n + i
+                left[idx] = f.add(left[idx], f.mul(c, t))
+            c = e[x * n + i]
+            if c != 0:
+                idx = (x * n + m) * n + j
+                right[idx] = f.add(right[idx], f.mul(c, t))
+    if left != right:
+        raise ArithmeticError("separability element does not commute with the basis")
+    # the section x -> x e
+    return SeparabilitySection(Matrix(f, n * n, n, tuple(left)), e)
 
 
 def coseparability_system(c: CoalgebraPresentation) -> ConstraintSystem:
-    """Constraint rows for a bicomodule retraction of the comultiplication.
+    """Constraint rows for a coseparability functional sigma: C (x) C -> k.
 
-    Unknowns: retraction entries P[m, (i,j)], variable index m*n^2 + i*n + j.
-    Rows: P . delta = id plus the two bicomodule squares.
+    Unknowns: sigma[p, q] = sigma(b_p (x) b_q), variable index p*n + q.
+    Rows: sigma . delta = eps, and c1 sigma(c2 (x) d) = sigma(c (x) d1) d2
+    for all basis elements c, d.  A bicomodule retraction P of the
+    comultiplication is fixed by sigma = eps . P, and every solution sigma
+    gives the retraction P(c (x) d) = c1 sigma(c2 (x) d) (Larson, 1973), so
+    the solutions correspond one to one with the retractions.
     """
     f = c.field
     n = c.dim
-    one = f.one()
-    sys = ConstraintSystem(f, n ** 3)
-    nz = c.comult.nonzeros()
-    # P . delta = id
+    counit_rows = [dict() for _ in range(n)]
+    rows = {}    # (c, d, output index) -> row of c1 sigma(c2 (x) d) - sigma(c (x) d1) d2
+    for i, p, q, t in c.comult.nonzeros():
+        _add_to(counit_rows[i], p * n + q, t, f)
+        for x in range(n):
+            _add_to(rows.setdefault((i, x, p), {}), q * n + x, t, f)
+            _add_to(rows.setdefault((x, i, q), {}), x * n + p, f.neg(t), f)
+    sys = ConstraintSystem(f, n * n)
     for i in range(n):
-        rows = [dict() for _ in range(n)]
-        for i0, j, k, t in nz:
-            if i0 != i:
-                continue
-            for m in range(n):
-                var = m * n * n + j * n + k
-                row = rows[m]
-                row[var] = f.add(row.get(var, f.zero()), t)
-        for m in range(n):
-            sys.add_row(rows[m], one if m == i else f.zero())
-    by_source = [[] for _ in range(n)]
-    for i, j, k, t in nz:
-        by_source[i].append((j, k, t))
-    for i in range(n):
-        for j in range(n):
-            # left square: (1 (x) P)(delta (x) 1) = delta . P on e_i (x) e_j
-            rows = {}
-            for a_, b, t in by_source[i]:
-                for m in range(n):
-                    var = m * n * n + b * n + j
-                    row = rows.setdefault((a_, m), {})
-                    row[var] = f.add(row.get(var, f.zero()), t)
-            for q in range(n):
-                var_base = q * n * n + i * n + j
-                for a_, b, t in by_source[q]:
-                    row = rows.setdefault((a_, b), {})
-                    row[var_base] = f.sub(row.get(var_base, f.zero()), t)
-            for row in rows.values():
-                sys.add_row(row, f.zero())
-            # right square: (P (x) 1)(1 (x) delta) = delta . P on e_i (x) e_j
-            rows = {}
-            for a_, b, t in by_source[j]:
-                for m in range(n):
-                    var = m * n * n + i * n + a_
-                    row = rows.setdefault((m, b), {})
-                    row[var] = f.add(row.get(var, f.zero()), t)
-            for q in range(n):
-                var_base = q * n * n + i * n + j
-                for a_, b, t in by_source[q]:
-                    row = rows.setdefault((a_, b), {})
-                    row[var_base] = f.sub(row.get(var_base, f.zero()), t)
-            for row in rows.values():
-                sys.add_row(row, f.zero())
+        sys.add_row(counit_rows[i], c.counit[i])
+    for row in rows.values():
+        sys.add_row(row, f.zero())
     return sys
 
 
@@ -466,13 +414,29 @@ def solve_coseparability(c: CoalgebraPresentation):
     report = check_coalgebra(c)
     if not report.ok():
         raise InvalidPresentationError(report, "coalgebra")
-    sys = coseparability_system(c)
-    sol = sys.solve()
+    sol = coseparability_system(c).solve()
     if sol is None:
         return None
-    n = c.dim
-    retraction = Matrix(c.field, n, n * n, tuple(sol.particular))
-    if retraction @ c.comult_matrix() != Matrix.identity(c.field, n):
+    f, n, sigma = c.field, c.dim, sol.particular
+    # c1 sigma(c2 (x) d) and sigma(c (x) d1) d2, at row m and column (c, d)
+    left = [f.zero()] * (n ** 3)
+    right = [f.zero()] * (n ** 3)
+    for i, p, q, t in c.comult.nonzeros():
+        for x in range(n):
+            s = sigma[q * n + x]
+            if s != 0:
+                idx = p * n * n + i * n + x
+                left[idx] = f.add(left[idx], f.mul(t, s))
+            s = sigma[x * n + p]
+            if s != 0:
+                idx = q * n * n + x * n + i
+                right[idx] = f.add(right[idx], f.mul(s, t))
+    if left != right:
+        raise ArithmeticError("coseparability functional is not balanced "
+                              "over the comultiplication")
+    # the retraction c (x) d -> c1 sigma(c2 (x) d)
+    retraction = Matrix(f, n, n * n, tuple(left))
+    if retraction @ c.comult_matrix() != Matrix.identity(f, n):
         raise ArithmeticError("coseparability map is not a retraction of delta")
     return CoseparabilityRetraction(retraction)
 

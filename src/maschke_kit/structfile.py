@@ -410,19 +410,7 @@ def check_presentation(presentation) -> AxiomReport:
 
 def parse_structure_text(text: str):
     """Parse and eagerly validate; returns the presentation of the declared kind."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructureFileError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        _fail("$", "top level must be an object")
-    version = _get(doc, "format_version", "$", str)
-    if version != FORMAT_VERSION:
-        _fail("$.format_version", f"unsupported version {version!r}")
-    kind = _get(doc, "kind", "$", str)
-    if kind not in KINDS:
-        _fail("$.kind", f"unknown kind {kind!r}")
-    presentation = _parse_doc(doc)
+    presentation = parse_structure_text_unvalidated(text)
     report = check_presentation(presentation)
     if not report.ok():
         raise StructureFileError("axiom failure:\n" + report.render())
@@ -440,12 +428,23 @@ def parse_structure_file(path):
 
 
 def parse_structure_text_unvalidated(text: str):
-    """Parse without running axiom validators (shape checks only)."""
-    return _parse_doc(json.loads(text))
+    """Parse without running axiom validators (version, kind and shape checks)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StructureFileError(f"not valid JSON: {exc}") from exc
+    return _parse_doc(doc)
 
 
 def _parse_doc(doc):
+    if not isinstance(doc, dict):
+        _fail("$", "top level must be an object")
+    version = _get(doc, "format_version", "$", str)
+    if version != FORMAT_VERSION:
+        _fail("$.format_version", f"unsupported version {version!r}")
     kind = _get(doc, "kind", "$", str)
+    if kind not in KINDS:
+        _fail("$.kind", f"unknown kind {kind!r}")
     payload = _get(doc, "payload", "$", dict)
     field = None
     if kind not in ("group", "groupoid"):

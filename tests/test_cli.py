@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import maschke_kit
 from maschke_kit.cli import main
 from maschke_kit.examples import (
     cyclic_group,
@@ -34,6 +38,31 @@ def gen(tmp_path, name, *argv):
     path = tmp_path / name
     assert main(["generate", *argv, "--out", str(path)]) == 0
     return path
+
+
+CAPPED_MAIN = """
+import json, resource, sys, time
+limit = 256 << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from maschke_kit.cli import main
+for argv in json.loads(sys.argv[1]):
+    t0 = time.monotonic()
+    code = main(argv)
+    print(code, time.monotonic() - t0)
+"""
+
+
+def run_capped(*argvs):
+    """Exit code and seconds of each CLI call, in a child process whose
+    address space is limited to 256 MB, so a runaway allocation fails fast."""
+    src = os.path.dirname(os.path.dirname(maschke_kit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", CAPPED_MAIN, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    results = [(int(code), float(secs)) for code, secs in
+               (line.split() for line in run.stdout.splitlines())]
+    return results, run.stderr
 
 
 class TestRoundTrip:
@@ -149,6 +178,53 @@ class TestCommands:
         assert report["valid"] is False
         assert "zero denominator" in report["failures"][0]
         assert main(["integrals", "--structure", str(path), "--side", "left"]) == 3
+
+    def test_validate_checks_version_and_kind(self, tmp_path, capsys):
+        path = gen(tmp_path, "kxk.json", "commalgebra", "--base", "kxk",
+                   "--field", "Q")
+        for key, value, message in (
+                ("format_version", "maschke-kit/0", "unsupported version"),
+                ("kind", "nonsense", "unknown kind")):
+            doc = json.loads(path.read_text())
+            doc[key] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            report = json.loads(run(tmp_path, "validate", "--structure",
+                                    str(bad), expect=3))
+            assert report["valid"] is False
+            assert message in report["failures"][0]
+            capsys.readouterr()
+            assert main(["separability", "--structure", str(bad)]) == 3
+            assert capsys.readouterr().err == \
+                f"invalid input: {report['failures'][0]}\n"
+
+    def test_huge_exponent_scalar_exits_three(self, tmp_path):
+        path = gen(tmp_path, "s3.json", "group-algebra", "--group", "S3",
+                   "--field", "Q")
+        doc = json.loads(path.read_text())
+        doc["payload"]["unit"][0] = "1e999999999"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        [(code, secs)], _ = run_capped(
+            ["validate", "--structure", str(path), "--out", str(out)])
+        assert code == 3 and secs < 1.0
+        report = json.loads(out.read_text())
+        assert "exponent" in report["failures"][0]
+
+    def test_huge_generator_order_exits_four(self, tmp_path):
+        out = str(tmp_path / "never.json")
+        argvs = [["generate", "group-algebra", "--group", "C1000000000",
+                  "--field", "Q", "--out", out],
+                 ["generate", "group", "--group", "D1000000000", "--out", out],
+                 ["generate", "groupoid-algebra", "--groupoid", "pair:1000000",
+                  "--field", "Q", "--out", out],
+                 ["generate", "hopf-category", "--groupoid", "conn:C2:1000000",
+                  "--field", "Q", "--out", out]]
+        results, err = run_capped(*argvs)
+        assert [code for code, _ in results] == [4] * len(argvs)
+        assert all(secs < 1.0 for _, secs in results)
+        assert err.count("above the limit") == len(argvs)
+        assert not os.path.exists(out)
 
     def test_validate_ok(self, tmp_path):
         path = gen(tmp_path, "pg.json", "groupoid-algebra", "--groupoid",

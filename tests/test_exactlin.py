@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maschke_kit.exactlin import (
+    MAX_SCALAR_DIGITS,
     AffineSolution,
     ConstraintSystem,
     FieldSpec,
@@ -114,6 +115,17 @@ class TestFieldSpec:
     def test_denominator_vanishing_mod_p(self):
         with pytest.raises(ValueError):
             F2.coerce(Fraction(1, 2))
+
+    def test_scalar_token_size_is_capped(self):
+        cap = MAX_SCALAR_DIGITS
+        for field in (QQ, F5):
+            assert field.parse_scalar(f"1e{cap}") == field.coerce(10 ** cap)
+            assert field.parse_scalar("9" * cap) == field.coerce(int("9" * cap))
+            for token in (f"1e{cap + 1}", f"1E-{cap + 1}", "9" * (cap + 1),
+                          "1/" + "7" * (cap + 1)):
+                with pytest.raises(ValueError, match=str(cap)):
+                    field.parse_scalar(token)
+        assert QQ.parse_scalar(f"1e-{cap}") == Fraction(1, 10 ** cap)
 
 
 class TestMatrix:

@@ -2,6 +2,7 @@ import pytest
 
 from maschke_kit.exactlin import FieldSpec
 from maschke_kit.examples import (
+    MAX_GENERATED_ORDER,
     GroupPresentation,
     connected_groupoid,
     cyclic_group,
@@ -74,6 +75,17 @@ class TestGroupoids:
         assert groupoid_by_name("one:C3").n_morphisms == 3
         assert groupoid_by_name("sum:C2,C2").n_morphisms == 4
         assert groupoid_by_name("conn:C2:2").n_morphisms == 8
+
+    def test_order_cap(self):
+        cap = MAX_GENERATED_ORDER
+        assert group_by_name(f"C{cap}").order == cap
+        assert groupoid_by_name("pair:8").n_morphisms == cap
+        for name in (f"C{cap + 1}", f"D{cap // 2 + 1}"):
+            with pytest.raises(ValueError, match="above the limit"):
+                group_by_name(name)
+        for name in ("pair:9", "conn:C2:6", f"sum:C{cap},C1", f"one:C{cap + 1}"):
+            with pytest.raises(ValueError, match="above the limit"):
+                groupoid_by_name(name)
 
 
 class TestGeneratorsAreValid:

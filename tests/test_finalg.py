@@ -6,7 +6,20 @@ from fractions import Fraction
 import pytest
 
 import maschke_kit
-from maschke_kit.exactlin import FieldSpec, Matrix, kron
+from maschke_kit import finalg
+from maschke_kit.examples import (
+    cyclic_group,
+    disjoint_union,
+    dual_group_algebra,
+    group_algebra,
+    groupoid_algebra,
+    klein_four_group,
+    mutate,
+    one_object_groupoid,
+    pair_groupoid,
+    symmetric_group_s3,
+)
+from maschke_kit.exactlin import ConstraintSystem, FieldSpec, Matrix, kron
 from maschke_kit.finalg import (
     AlgebraPresentation,
     CoalgebraPresentation,
@@ -46,6 +59,135 @@ def dual_cyclic_coalgebra(field, n):
               for i in range(n)]
     counit = tuple(1 if i == 0 else 0 for i in range(n))
     return CoalgebraPresentation.make(field, comult, counit)
+
+
+# ---------------------------------------------------------------------------
+# n^3 oracles: the section and retraction systems that the n^2 systems of
+# finalg replace
+
+
+def section_system(a: AlgebraPresentation) -> ConstraintSystem:
+    """Oracle: constraint rows for a bimodule section N of the multiplication,
+    with the section's n^3 entries as unknowns.
+
+    Unknowns: section entries N[(k,l), j], variable index (k*n+l)*n + j.
+    Rows: mu . N = id plus the two bimodule squares quantified over all basis
+    pairs and output components.
+    """
+    f = a.field
+    n = a.dim
+    one = f.one()
+    sys = ConstraintSystem(f, n ** 3)
+    nz = a.mult.nonzeros()
+    # mu . N = id
+    for j in range(n):
+        rows = [dict() for _ in range(n)]
+        for i, l, k, t in nz:
+            var = (i * n + l) * n + j
+            row = rows[k]
+            row[var] = f.add(row.get(var, f.zero()), t)
+        for m in range(n):
+            sys.add_row(rows[m], one if m == j else f.zero())
+    by_first = [[] for _ in range(n)]
+    by_second = [[] for _ in range(n)]
+    for i, j, k, t in nz:
+        by_first[i].append((j, k, t))
+        by_second[j].append((i, k, t))
+    prods = [[[(k, t) for (jj, k, t) in by_first[i] if jj == j] for j in range(n)]
+             for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            # left square: (mu (x) 1)(1 (x) N) e_i(x)e_j = N(e_i e_j)
+            rows = {}
+            for k, m, t in by_first[i]:
+                for l in range(n):
+                    var = (k * n + l) * n + j
+                    row = rows.setdefault((m, l), {})
+                    row[var] = f.add(row.get(var, f.zero()), t)
+            for q, t in prods[i][j]:
+                for m in range(n):
+                    for l in range(n):
+                        var = (m * n + l) * n + q
+                        row = rows.setdefault((m, l), {})
+                        row[var] = f.sub(row.get(var, f.zero()), t)
+            for row in rows.values():
+                sys.add_row(row, f.zero())
+            # right square: (1 (x) mu)(N (x) 1) e_i(x)e_j = N(e_i e_j)
+            rows = {}
+            for l, m, t in by_second[j]:
+                for k in range(n):
+                    var = (k * n + l) * n + i
+                    row = rows.setdefault((k, m), {})
+                    row[var] = f.add(row.get(var, f.zero()), t)
+            for q, t in prods[i][j]:
+                for k in range(n):
+                    for m in range(n):
+                        var = (k * n + m) * n + q
+                        row = rows.setdefault((k, m), {})
+                        row[var] = f.sub(row.get(var, f.zero()), t)
+            for row in rows.values():
+                sys.add_row(row, f.zero())
+    return sys
+
+
+def retraction_system(c: CoalgebraPresentation) -> ConstraintSystem:
+    """Oracle: constraint rows for a bicomodule retraction P of the
+    comultiplication, with the retraction's n^3 entries as unknowns.
+
+    Unknowns: retraction entries P[m, (i,j)], variable index m*n^2 + i*n + j.
+    Rows: P . delta = id plus the two bicomodule squares.
+    """
+    f = c.field
+    n = c.dim
+    one = f.one()
+    sys = ConstraintSystem(f, n ** 3)
+    nz = c.comult.nonzeros()
+    # P . delta = id
+    for i in range(n):
+        rows = [dict() for _ in range(n)]
+        for i0, j, k, t in nz:
+            if i0 != i:
+                continue
+            for m in range(n):
+                var = m * n * n + j * n + k
+                row = rows[m]
+                row[var] = f.add(row.get(var, f.zero()), t)
+        for m in range(n):
+            sys.add_row(rows[m], one if m == i else f.zero())
+    by_source = [[] for _ in range(n)]
+    for i, j, k, t in nz:
+        by_source[i].append((j, k, t))
+    for i in range(n):
+        for j in range(n):
+            # left square: (1 (x) P)(delta (x) 1) = delta . P on e_i (x) e_j
+            rows = {}
+            for a_, b, t in by_source[i]:
+                for m in range(n):
+                    var = m * n * n + b * n + j
+                    row = rows.setdefault((a_, m), {})
+                    row[var] = f.add(row.get(var, f.zero()), t)
+            for q in range(n):
+                var_base = q * n * n + i * n + j
+                for a_, b, t in by_source[q]:
+                    row = rows.setdefault((a_, b), {})
+                    row[var_base] = f.sub(row.get(var_base, f.zero()), t)
+            for row in rows.values():
+                sys.add_row(row, f.zero())
+            # right square: (P (x) 1)(1 (x) delta) = delta . P on e_i (x) e_j
+            rows = {}
+            for a_, b, t in by_source[j]:
+                for m in range(n):
+                    var = m * n * n + i * n + a_
+                    row = rows.setdefault((m, b), {})
+                    row[var] = f.add(row.get(var, f.zero()), t)
+            for q in range(n):
+                var_base = q * n * n + i * n + j
+                for a_, b, t in by_source[q]:
+                    row = rows.setdefault((a_, b), {})
+                    row[var_base] = f.sub(row.get(var_base, f.zero()), t)
+            for row in rows.values():
+                sys.add_row(row, f.zero())
+    return sys
 
 
 class TestCheckAlgebra:
@@ -133,8 +275,23 @@ class TestSolveSeparability:
     def test_section_satisfies_its_system(self):
         a = c2_algebra(F3)
         section = solve_separability(a)
-        flat = tuple(section.map.entries)
-        assert separability_system(a).satisfied_by(flat)
+        assert separability_system(a).satisfied_by(section.element)
+        assert section_system(a).satisfied_by(section.map.entries)
+
+    def test_noncentral_element_raises(self, monkeypatch):
+        # with only the rows mu(e) = 1, the particular element of kS3 does not
+        # commute with the basis; the certificate must catch it
+        a = group_algebra(symmetric_group_s3(), QQ).algebra
+
+        def unit_rows_only(alg):
+            full = separability_system(alg)
+            part = ConstraintSystem(alg.field, full.nvars)
+            part.rows = full.rows[:alg.dim]
+            return part
+
+        monkeypatch.setattr(finalg, "separability_system", unit_rows_only)
+        with pytest.raises(ArithmeticError, match="commute"):
+            solve_separability(a)
 
 
 def matrix_coseparability_identities(c, retraction):
@@ -154,11 +311,12 @@ class TestSolveCoseparability:
             r = solve_coseparability(c)
             assert r is not None
             matrix_coseparability_identities(c, r)
-            # the diagonal retraction pi(g (x) h) = [g = h] g is a solution
+            assert retraction_system(c).satisfied_by(r.map.entries)
+            # the diagonal functional sigma(g (x) h) = [g = h] is a solution
             n = 2
-            diag = [field.zero()] * (n * n * n)
+            diag = [field.zero()] * (n * n)
             for g in range(n):
-                diag[g * n * n + g * n + g] = field.one()
+                diag[g * n + g] = field.one()
             assert coseparability_system(c).satisfied_by(tuple(diag))
 
     def test_grouplike_c3_over_f3_feasible(self):
@@ -180,6 +338,21 @@ class TestSolveCoseparability:
         with pytest.raises(InvalidPresentationError):
             solve_coseparability(bad)
 
+    def test_unbalanced_functional_raises(self, monkeypatch):
+        # with only the rows sigma . delta = eps, P . delta = id still holds,
+        # but the particular functional of Q^C3 is not balanced
+        c = dual_cyclic_coalgebra(QQ, 3)
+
+        def counit_rows_only(coalg):
+            full = coseparability_system(coalg)
+            part = ConstraintSystem(coalg.field, full.nvars)
+            part.rows = full.rows[:coalg.dim]
+            return part
+
+        monkeypatch.setattr(finalg, "coseparability_system", counit_rows_only)
+        with pytest.raises(ArithmeticError, match="balanced"):
+            solve_coseparability(c)
+
 
 class TestEnumerationOracle:
     """Exhaustive search over GF(2) as a solver-independent route."""
@@ -194,19 +367,66 @@ class TestEnumerationOracle:
         return hits
 
     def test_f2c2_separability_infeasible_by_enumeration(self):
-        a = c2_algebra(F2)
-        system = separability_system(a)
-        assert self._enumerate(system) == []
-        assert system.solve() is None
+        for build in (separability_system, section_system):
+            system = build(c2_algebra(F2))
+            assert self._enumerate(system) == []
+            assert system.solve() is None
 
     def test_grouplike_coseparability_count_matches_nullity(self):
-        c = grouplike_coalgebra(F2, 2)
-        system = coseparability_system(c)
-        hits = self._enumerate(system)
-        sol = system.solve()
-        assert sol is not None
-        assert len(hits) == 2 ** sol.homogeneous.dim
-        assert tuple(sol.particular) in hits
+        for build in (coseparability_system, retraction_system):
+            system = build(grouplike_coalgebra(F2, 2))
+            hits = self._enumerate(system)
+            sol = system.solve()
+            assert sol is not None
+            assert len(hits) == 2 ** sol.homogeneous.dim
+            assert tuple(sol.particular) in hits
+
+
+def small_corpus():
+    """The criterion-04 cases of dimension at most 6 over Q, F2, F3, F5, and
+    the valid mutants among seeds 0..59 of QC2 and of the pair:2 groupoid
+    algebra over Q."""
+    groups = [cyclic_group(n) for n in (2, 3, 4, 5, 6)] + \
+        [klein_four_group(), symmetric_group_s3()]
+    groupoids = [pair_groupoid(2),
+                 disjoint_union(one_object_groupoid(cyclic_group(2)),
+                                one_object_groupoid(cyclic_group(2)))]
+    for field in (QQ, F2, F3, FieldSpec.gf(5)):
+        yield from (group_algebra(g, field) for g in groups)
+        yield from (dual_group_algebra(g, field) for g in groups)
+        yield from (groupoid_algebra(gd, field) for gd in groupoids)
+    for base in (group_algebra(cyclic_group(2), QQ),
+                 groupoid_algebra(pair_groupoid(2), QQ)):
+        for seed in range(60):
+            m = mutate(base, seed)
+            if check_algebra(m.algebra).ok() and check_coalgebra(m.coalgebra).ok():
+                yield m
+
+
+def _shape(solution):
+    return None if solution is None else solution.homogeneous.dim
+
+
+class TestReducedSystemsMatchOracles:
+    """The n^2 systems and the n^3 oracles agree on feasibility and nullity,
+    and the returned section and retraction satisfy the oracle rows."""
+
+    def test_corpus(self):
+        cases = 0
+        for w in small_corpus():
+            a, c = w.algebra, w.coalgebra
+            assert _shape(separability_system(a).solve()) == \
+                _shape(section_system(a).solve())
+            assert _shape(coseparability_system(c).solve()) == \
+                _shape(retraction_system(c).solve())
+            section = solve_separability(a)
+            if section is not None:
+                assert section_system(a).satisfied_by(section.map.entries)
+            retraction = solve_coseparability(c)
+            if retraction is not None:
+                assert retraction_system(c).satisfied_by(retraction.map.entries)
+            cases += 1
+        assert cases > 64
 
 
 UNVERIFIED_SOLVE = """
@@ -217,8 +437,8 @@ from maschke_kit.examples import cyclic_group, group_algebra
 assert False, "assert statements must be stripped in this run"
 w = group_algebra(cyclic_group(2), FieldSpec.rationals())
 # systems without rows: the zero map solves them, but is no section/retraction
-finalg.separability_system = lambda a: ConstraintSystem(a.field, a.dim ** 3)
-finalg.coseparability_system = lambda c: ConstraintSystem(c.field, c.dim ** 3)
+finalg.separability_system = lambda a: ConstraintSystem(a.field, a.dim ** 2)
+finalg.coseparability_system = lambda c: ConstraintSystem(c.field, c.dim ** 2)
 for solve, arg in ((finalg.solve_separability, w.algebra),
                    (finalg.solve_coseparability, w.coalgebra)):
     try:

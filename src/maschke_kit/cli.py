@@ -440,7 +440,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StructureFileError, InvalidPresentationError) as exc:
+    except (StructureFileError, InvalidPresentationError,
+            weakhopf.StructureDefectError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -16,7 +16,7 @@ Conventions, fixed globally:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 # Dense carriers are meant for desk scale; one flat coordinate axis may not
@@ -28,6 +28,8 @@ _MAX_PRIME = 2**31
 # A scalar token may carry at most this many digits and a decimal exponent of
 # at most this size: Fraction("1e999999999") would build 10**999999999.
 MAX_SCALAR_DIGITS = 4000
+
+_setattr = object.__setattr__
 
 
 def _bounded_token(text: str) -> str:
@@ -63,8 +65,72 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FrozenInstanceError(AttributeError):
+    """Raised on assignment to or deletion of an attribute of a Frozen record."""
+
+
+class Frozen:
+    """Base of the immutable value records.
+
+    The fields are the subclass's own annotations, in order, with class-level
+    values as defaults.  Construction takes fields positionally or by keyword
+    and then calls ``__post_init__``, which a record may override; equality and
+    hash compare the field values between instances of one class.  Extra state
+    goes in only through ``object.__setattr__``.
+    """
+
+    def __init_subclass__(cls):
+        if cls.__bases__ != (Frozen,):
+            raise TypeError("a Frozen record cannot be subclassed")
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = fields
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        cls._key = operator.attrgetter(*fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            name = type(self).__name__
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+            values = dict(zip(fields, args))
+            for k, v in kwargs.items():
+                if k not in fields or k in values:
+                    raise TypeError(f"{name}() got an unknown or repeated field {k!r}")
+                values[k] = v
+            values = {**self._defaults, **values}
+            missing = [f for f in fields if f not in values]
+            if missing:
+                raise TypeError(f"{name}() is missing fields {missing}")
+            args = [values[f] for f in fields]
+        # Not __dict__.update: materialising __dict__ slows every later attribute read.
+        for f, v in zip(fields, args):
+            _setattr(self, f, v)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class FieldSpec(Frozen):
     """An exact coefficient field: Q (characteristic 0) or GF(p)."""
 
     characteristic: int
@@ -209,8 +275,7 @@ def vec_is_zero(v) -> bool:
     return all(a == 0 for a in v)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Dense row-major matrix over one FieldSpec."""
 
     field: FieldSpec
@@ -369,8 +434,7 @@ def flip_matrix(field: FieldSpec, d1: int, d2: int) -> Matrix:
     return Matrix(field, rows, cols, tuple(out))
 
 
-@dataclass(frozen=True)
-class Tensor3:
+class Tensor3(Frozen):
     """Order-3 structure-constant tensor, entries indexed [i][j][k]."""
 
     field: FieldSpec
@@ -433,8 +497,7 @@ class Tensor3:
 # echelon forms, subspaces, quotients
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """A subspace given by a reduced-row-echelon basis."""
 
     ambient_dim: int
@@ -524,8 +587,7 @@ def kernel(m: Matrix) -> Subspace:
     return solve_affine(m, zero_vec(m.field, m.rows)).homogeneous
 
 
-@dataclass(frozen=True)
-class AffineSolution:
+class AffineSolution(Frozen):
     """Solution set of a feasible affine system: particular + null space."""
 
     particular: tuple
@@ -547,8 +609,7 @@ def solve_affine(m: Matrix, b):
     return sys.solve()
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(Frozen):
     """Quotient of k^ambient by a relation subspace, with chosen section."""
 
     ambient_dim: int

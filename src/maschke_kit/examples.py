@@ -10,17 +10,15 @@ defined when target(h) = source(f).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .exactlin import FieldSpec, Matrix, Tensor3
+from .exactlin import FieldSpec, Frozen, Matrix, Tensor3
 from .finalg import AlgebraPresentation, CoalgebraPresentation
 from .hopfalgd import CommAlgebraPresentation, HopfAlgebroidPresentation
 from .hopfcat import HopfCategoryPresentation
 from .weakhopf import WeakHopfPresentation
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Frozen):
     order: int
     table: tuple           # table[i][j] = index of g_i g_j
     identity: int
@@ -129,8 +127,7 @@ def group_by_name(name: str) -> GroupPresentation:
     raise ValueError(f"unknown group name {name!r}")
 
 
-@dataclass(frozen=True)
-class GroupoidPresentation:
+class GroupoidPresentation(Frozen):
     objects: tuple
     source: tuple          # per morphism, an object index
     target: tuple

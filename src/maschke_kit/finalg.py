@@ -15,11 +15,11 @@ the comultiplication of ``e_i``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .exactlin import (
     ConstraintSystem,
     FieldSpec,
+    Frozen,
     Matrix,
     Tensor3,
     unit_vec,
@@ -27,8 +27,7 @@ from .exactlin import (
 )
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(Frozen):
     law: str
     witness: tuple
     detail: str = ""
@@ -38,8 +37,7 @@ class AxiomFailure:
         return f"{core}: {self.detail}" if self.detail else core
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Frozen):
     """Outcome of a validator run: all failures, plus non-fatal warnings."""
 
     failures: tuple = ()
@@ -91,8 +89,7 @@ def _auto_labels(dim: int) -> tuple:
     return tuple(f"b{i}" for i in range(dim))
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(Frozen):
     """A unital associative algebra given by structure constants."""
 
     field: FieldSpec
@@ -177,8 +174,7 @@ class AlgebraPresentation:
         return Matrix(self.field, self.dim, 1, tuple(self.unit))
 
 
-@dataclass(frozen=True)
-class CoalgebraPresentation:
+class CoalgebraPresentation(Frozen):
     """A counital coassociative coalgebra given by structure constants."""
 
     field: FieldSpec
@@ -299,8 +295,7 @@ def check_coalgebra(c: CoalgebraPresentation) -> AxiomReport:
 # separability / coseparability solvers
 
 
-@dataclass(frozen=True)
-class SeparabilitySection:
+class SeparabilitySection(Frozen):
     """A bimodule section of the multiplication; element = section(unit)."""
 
     map: Matrix   # dim^2 x dim
@@ -311,8 +306,7 @@ class SeparabilitySection:
         return self.map.cols
 
 
-@dataclass(frozen=True)
-class CoseparabilityRetraction:
+class CoseparabilityRetraction(Frozen):
     """A bicomodule retraction of the comultiplication."""
 
     map: Matrix   # dim x dim^2
@@ -441,8 +435,7 @@ def solve_coseparability(c: CoalgebraPresentation):
     return CoseparabilityRetraction(retraction)
 
 
-@dataclass(frozen=True)
-class MaschkeReport:
+class MaschkeReport(Frozen):
     """Solver results of one Hopf monoid, and the two family verdicts.
 
     ``integrals`` and ``cointegrals`` map a variant key to a solution or

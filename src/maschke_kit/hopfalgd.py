@@ -12,11 +12,10 @@ product quotients by the diagonal s(x)t(y) action on either leg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlin import (
     ConstraintSystem,
     FieldSpec,
+    Frozen,
     Matrix,
     QuotientSpace,
     Subspace,
@@ -41,8 +40,7 @@ CIRC = "circ"
 BULLET = "bullet"
 
 
-@dataclass(frozen=True)
-class CommAlgebraPresentation:
+class CommAlgebraPresentation(Frozen):
     """An algebra presentation with commutativity verified at construction."""
 
     algebra: AlgebraPresentation
@@ -69,8 +67,7 @@ class CommAlgebraPresentation:
         return self.algebra.labels
 
 
-@dataclass(frozen=True)
-class HopfAlgebroidPresentation:
+class HopfAlgebroidPresentation(Frozen):
     base: CommAlgebraPresentation
     total: AlgebraPresentation
     src: Matrix          # R -> A
@@ -394,26 +391,22 @@ def _require_valid(h: HopfAlgebroidPresentation):
         raise InvalidPresentationError(report, "Hopf algebroid")
 
 
-@dataclass(frozen=True)
-class HgdIntegral:
+class HgdIntegral(Frozen):
     element: tuple
     solutions: "AffineSolution"
 
 
-@dataclass(frozen=True)
-class HgdCointegral:
+class HgdCointegral(Frozen):
     map: Matrix          # A -> R
     solutions: "AffineSolution"
 
 
-@dataclass(frozen=True)
-class HgdSeparabilitySection:
+class HgdSeparabilitySection(Frozen):
     quotient: QuotientSpace
     map: Matrix          # A -> bullet-quotient coordinates
 
 
-@dataclass(frozen=True)
-class HgdCoseparabilityRetraction:
+class HgdCoseparabilityRetraction(Frozen):
     quotient: QuotientSpace
     map: Matrix          # circ-quotient coordinates -> A
 

@@ -10,9 +10,8 @@ structure family, each as a single exact feasibility problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactlin import ConstraintSystem, FieldSpec, Matrix, flip_matrix, kron, unit_vec
+from .exactlin import (ConstraintSystem, FieldSpec, Frozen, Matrix, flip_matrix, kron,
+                       unit_vec)
 from .finalg import (
     AxiomFailure,
     AxiomReport,
@@ -26,8 +25,7 @@ from .finalg import (
 )
 
 
-@dataclass(frozen=True)
-class HopfCategoryPresentation:
+class HopfCategoryPresentation(Frozen):
     objects: tuple                 # labels; object indices are 0..len-1
     homs: dict                     # (x, y) -> CoalgebraPresentation
     comps: dict                    # (x, y, z) -> Matrix a(x,y)(x)a(y,z) -> a(x,z)
@@ -176,25 +174,21 @@ def _require_valid(h: HopfCategoryPresentation):
         raise InvalidPresentationError(report, "Hopf category")
 
 
-@dataclass(frozen=True)
-class RetractionFamily:
+class RetractionFamily(Frozen):
     side: str
     table: dict    # x -> covector on a(x,x)
 
 
-@dataclass(frozen=True)
-class IntegralFamily:
+class IntegralFamily(Frozen):
     side: str
     table: dict    # (x, y) -> vector in a(x,y)
 
 
-@dataclass(frozen=True)
-class SeparabilityFamily:
+class SeparabilityFamily(Frozen):
     table: dict    # (x, v, y) -> Matrix a(x,y) -> a(x,v) (x) a(v,y)
 
 
-@dataclass(frozen=True)
-class HomCoseparabilityReport:
+class HomCoseparabilityReport(Frozen):
     table: dict    # (x, y) -> bool
 
     @property

@@ -263,9 +263,11 @@ def _hopfcat_parse(field, obj, path) -> HopfCategoryPresentation:
     antipode = None
     if obj.get("antipode") is not None:
         antipode = {}
-        for i, entry in enumerate(obj["antipode"]):
+        for i, entry in enumerate(_get(obj, "antipode", path, list)):
             p = f"{path}.antipode[{i}]"
             x, y = _get(entry, "source", p, int), _get(entry, "target", p, int)
+            if (x, y) not in homs or (y, x) not in homs:
+                _fail(p, "refers to a missing hom")
             antipode[(x, y)] = _matrix_in(
                 field, _get(entry, "matrix", p),
                 homs[(y, x)].dim, homs[(x, y)].dim, f"{p}.matrix")
@@ -318,7 +320,8 @@ def _groupoid_parse(obj, path) -> GroupoidPresentation:
     target = tuple(_get(obj, "target", path, list))
     compose = {}
     for i, item in enumerate(_get(obj, "compose", path, list)):
-        if not (isinstance(item, list) and len(item) == 3):
+        if not (isinstance(item, list) and len(item) == 3 and
+                all(isinstance(m, int) for m in item)):
             _fail(f"{path}.compose[{i}]", "expected [f, h, composite]")
         compose[(item[0], item[1])] = item[2]
     identity = tuple(_get(obj, "identity", path, list))
@@ -431,8 +434,10 @@ def parse_structure_text_unvalidated(text: str):
     """Parse without running axiom validators (version, kind and shape checks)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise StructureFileError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StructureFileError("not valid JSON: nested too deeply") from exc
     return _parse_doc(doc)
 
 

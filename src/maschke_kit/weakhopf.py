@@ -14,11 +14,11 @@ or "duoidal" (primed plus one extra condition quantified over the base).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .exactlin import (
     ConstraintSystem,
     FieldSpec,
+    Frozen,
     Matrix,
     Subspace,
     Tensor3,
@@ -52,8 +52,7 @@ class StructureDefectError(RuntimeError):
     """An identity that must hold for valid input failed; internal inconsistency."""
 
 
-@dataclass(frozen=True)
-class WeakHopfPresentation:
+class WeakHopfPresentation(Frozen):
     algebra: AlgebraPresentation
     coalgebra: CoalgebraPresentation
     antipode: Matrix | None = None
@@ -79,8 +78,7 @@ class WeakHopfPresentation:
         return self.algebra.labels
 
 
-@dataclass(frozen=True)
-class ProjectionMaps:
+class ProjectionMaps(Frozen):
     """The four idempotents onto the base algebra and its commutant."""
 
     piR: Matrix
@@ -89,16 +87,14 @@ class ProjectionMaps:
     piL_bar: Matrix
 
 
-@dataclass(frozen=True)
-class BaseAlgebraInfo:
+class BaseAlgebraInfo(Frozen):
     subspace: Subspace
     induced_mult: Tensor3
     frobenius_element: tuple    # in dim^2 coordinates: 1_1 (x) piR(1_2)
     frobenius_functional: tuple  # counit restricted to the base
 
 
-@dataclass(frozen=True)
-class IntegralSolution:
+class IntegralSolution(Frozen):
     side: str
     variant: str
     normalized: bool
@@ -109,8 +105,7 @@ class IntegralSolution:
         return self.solutions.particular
 
 
-@dataclass(frozen=True)
-class CointegralSolution:
+class CointegralSolution(Frozen):
     side: str
     variant: str
     normalized: bool

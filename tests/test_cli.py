@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import maschke_kit
+from maschke_kit import weakhopf
 from maschke_kit.cli import main
 from maschke_kit.examples import (
     cyclic_group,
@@ -22,7 +23,8 @@ from maschke_kit.structfile import (
     parse_structure_text,
     serialize_structure,
 )
-from maschke_kit.weakhopf import WeakHopfPresentation, integral_system
+from maschke_kit.weakhopf import StructureDefectError, WeakHopfPresentation, \
+    integral_system
 
 QQ = FieldSpec.rationals()
 
@@ -225,6 +227,50 @@ class TestCommands:
         assert all(secs < 1.0 for _, secs in results)
         assert err.count("above the limit") == len(argvs)
         assert not os.path.exists(out)
+
+    def test_hopfcat_antipode_naming_missing_hom_exits_three(self, tmp_path, capsys):
+        path = gen(tmp_path, "hc.json", "hopf-category", "--groupoid", "pair:2",
+                   "--field", "Q")
+        for damage, message in (
+                (lambda p: p["antipode"][0].update(source=7), "missing hom"),
+                (lambda p: p.update(antipode=5), "expected list")):
+            doc = json.loads(path.read_text())
+            damage(doc["payload"])
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            report = json.loads(run(tmp_path, "validate", "--structure",
+                                    str(bad), expect=3))
+            assert message in report["failures"][0]
+            capsys.readouterr()
+            assert main(["maschke", "--structure", str(bad)]) == 3
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 200000 + "]" * 200000, "nested too deeply"),
+        ("9" * 5000, "digits"),
+    ], ids=["deep-nesting", "huge-integer"])
+    def test_json_beyond_parser_limits_exits_three(self, tmp_path, capsys,
+                                                   text, message):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        report = json.loads(run(tmp_path, "validate", "--structure", str(path),
+                                expect=3))
+        assert message in report["failures"][0]
+        capsys.readouterr()
+        assert main(["separability", "--structure", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("invalid input:")
+
+    def test_structure_defect_exits_three(self, tmp_path, monkeypatch, capsys):
+        path = gen(tmp_path, "pg.json", "groupoid-algebra", "--groupoid",
+                   "pair:2", "--field", "Q")
+
+        def defective(w):
+            raise StructureDefectError("base not closed under multiplication")
+
+        monkeypatch.setattr(weakhopf, "base_algebra", defective)
+        assert main(["maschke", "--structure", str(path)]) == 3
+        assert capsys.readouterr().err == \
+            "invalid input: base not closed under multiplication\n"
 
     def test_validate_ok(self, tmp_path):
         path = gen(tmp_path, "pg.json", "groupoid-algebra", "--groupoid",

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,8 @@ from maschke_kit.exactlin import (
     AffineSolution,
     ConstraintSystem,
     FieldSpec,
+    Frozen,
+    FrozenInstanceError,
     Matrix,
     Subspace,
     Tensor3,
@@ -21,6 +26,8 @@ from maschke_kit.exactlin import (
     unit_vec,
     zero_vec,
 )
+from maschke_kit.finalg import AlgebraPresentation, AxiomFailure, AxiomReport, \
+    check_algebra
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -450,3 +457,81 @@ class TestSubspace:
 
 def test_unit_vec():
     assert unit_vec(QQ, 3, 1) == (0, 1, 0)
+
+
+class TestFrozenRecords:
+    def test_equality_and_hash_by_value(self):
+        a = Matrix(QQ, 1, 2, (Fraction(1), Fraction(2)))
+        b = Matrix.from_rows(QQ, [[1, 2]])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != Matrix.from_rows(QQ, [[1, 3]])
+        assert FieldSpec(5) == FieldSpec.gf(5) != FieldSpec(7)
+        assert len({FieldSpec(0), FieldSpec.rationals(), F5}) == 2
+
+    def test_inequality_across_classes(self):
+        class Twin(Frozen):
+            characteristic: int
+
+        assert Twin(5) != FieldSpec(5) and FieldSpec(5) != Twin(5)
+        assert AxiomReport() != ()
+
+    def test_keyword_positional_and_defaults(self):
+        assert AxiomFailure("law", (0,)) == \
+            AxiomFailure(witness=(0,), law="law", detail="")
+        assert AxiomFailure("law", (0,)).detail == ""
+        assert AxiomReport() == AxiomReport((), ()) == AxiomReport(warnings=())
+        assert Matrix(QQ, 0, 0, ()) == Matrix(field=QQ, rows=0, cols=0, entries=())
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((QQ, 1, 1), {}),
+        ((QQ, 1, 1, (1,), 5), {}),
+        ((QQ, 1, 1), {"entry": (1,)}),
+        ((QQ, 1, 1, (1,)), {"rows": 1}),
+        ((), {"field": QQ}),
+    ])
+    def test_wrong_arity_or_keyword_raises(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Matrix(*args, **kwargs)
+
+    def test_assignment_and_deletion_raise(self):
+        f = FieldSpec(3)
+        for act in (lambda: setattr(f, "characteristic", 5),
+                    lambda: setattr(f, "other", 1),
+                    lambda: delattr(f, "characteristic")):
+            with pytest.raises(FrozenInstanceError):
+                act()
+        assert issubclass(FrozenInstanceError, AttributeError)
+        assert f.characteristic == 3
+
+    def test_post_init_still_validates(self):
+        with pytest.raises(ValueError, match="not prime"):
+            FieldSpec(4)
+        with pytest.raises(ValueError, match="entry count"):
+            Matrix(QQ, 2, 2, (1, 2, 3))
+
+    def test_repr_matches_field_order(self):
+        assert repr(FieldSpec(5)) == "FieldSpec(characteristic=5)"
+        assert repr(AxiomFailure("law", (1, 2))) == \
+            "AxiomFailure(law='law', witness=(1, 2), detail='')"
+
+    def test_records_cannot_be_subclassed(self):
+        with pytest.raises(TypeError):
+            class Wider(FieldSpec):
+                pass
+
+    def test_stored_results_on_frozen_presentation(self):
+        a = AlgebraPresentation.make(QQ, [[[1]]], [1])
+        assert check_algebra(a) is check_algebra(a)
+        assert vars(a)["_once_check_algebra"] is check_algebra(a)
+        assert a == AlgebraPresentation.make(QQ, [[[1]]], [1])
+
+    def test_cli_import_skips_dataclasses_and_inspect(self):
+        import maschke_kit
+        src = os.path.dirname(os.path.dirname(maschke_kit.__file__))
+        code = ("import sys, maschke_kit.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src),
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"

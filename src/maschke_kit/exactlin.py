@@ -228,14 +228,6 @@ class FieldSpec(Frozen):
         return str(self.coerce(value))
 
 
-def parse_scalar(field: FieldSpec, text: str):
-    return field.parse_scalar(text)
-
-
-def format_scalar(field: FieldSpec, value) -> str:
-    return field.format_scalar(value)
-
-
 def _check_axis(n: int, what: str):
     if not 0 <= n <= MAX_AXIS:
         raise ValueError(f"{what} {n} outside supported range 0..{MAX_AXIS}")
@@ -309,10 +301,6 @@ class Matrix(Frozen):
         ent = tuple(o if i == j else z for i in range(n) for j in range(n))
         return Matrix(field, n, n, ent)
 
-    @staticmethod
-    def from_cols(field: FieldSpec, cols) -> "Matrix":
-        return Matrix.from_rows(field, cols).transpose()
-
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -329,14 +317,6 @@ class Matrix(Frozen):
         ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
         return Matrix(self.field, self.cols, self.rows, ent)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        _same_field(self, other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      tuple(f.add(a, b) for a, b in zip(self.entries, other.entries)))
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         _same_field(self, other)
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -344,15 +324,6 @@ class Matrix(Frozen):
         f = self.field
         return Matrix(f, self.rows, self.cols,
                       tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols, tuple(f.neg(a) for a in self.entries))
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        c = f.coerce(c)
-        return Matrix(f, self.rows, self.cols, tuple(f.mul(c, a) for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         # Sparse-aware: iterates nonzeros only, which keeps composites of
@@ -405,35 +376,6 @@ class Matrix(Frozen):
                 yield idx // nc, idx % nc, v
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product in left-factor-major basis order."""
-    _same_field(a, b)
-    f = a.field
-    mul, zero = f.mul, f.zero()
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    _check_axis(rows, "row count")
-    _check_axis(cols, "column count")
-    out = [zero] * (rows * cols)
-    for ia, ja, va in a.nonzeros():
-        rbase = ia * b.rows
-        cbase = ja * b.cols
-        for ib, jb, vb in b.nonzeros():
-            out[(rbase + ib) * cols + (cbase + jb)] = mul(va, vb)
-    return Matrix(f, rows, cols, tuple(out))
-
-
-def flip_matrix(field: FieldSpec, d1: int, d2: int) -> Matrix:
-    """The swap V1 (x) V2 -> V2 (x) V1 in left-major coordinates."""
-    z, o = field.zero(), field.one()
-    rows = d2 * d1
-    cols = d1 * d2
-    out = [z] * (rows * cols)
-    for a in range(d1):
-        for b in range(d2):
-            out[(b * d1 + a) * cols + (a * d2 + b)] = o
-    return Matrix(field, rows, cols, tuple(out))
-
-
 class Tensor3(Frozen):
     """Order-3 structure-constant tensor, entries indexed [i][j][k]."""
 
@@ -481,11 +423,6 @@ class Tensor3(Frozen):
 
     def nonzeros(self) -> tuple:
         return self._nonzeros
-
-    def to_nested(self) -> list:
-        return [[[self.at(i, j, k) for k in range(self.d2)]
-                 for j in range(self.d1)]
-                for i in range(self.d0)]
 
     def with_entry(self, i: int, j: int, k: int, value) -> "Tensor3":
         ent = list(self.entries)
@@ -582,31 +519,11 @@ def membership(vec, s: Subspace) -> bool:
     return s.contains(vec)
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m.v = 0} as an echelon-basis subspace."""
-    return solve_affine(m, zero_vec(m.field, m.rows)).homogeneous
-
-
 class AffineSolution(Frozen):
     """Solution set of a feasible affine system: particular + null space."""
 
     particular: tuple
     homogeneous: Subspace
-
-
-def solve_affine(m: Matrix, b):
-    """Solve m.x = b exactly; returns AffineSolution or None when infeasible.
-
-    The particular solution sets every free variable to zero.
-    """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    sys = ConstraintSystem(m.field, m.cols)
-    f = m.field
-    for i in range(m.rows):
-        coeffs = {j: v for j, v in enumerate(m.row(i)) if v != 0}
-        sys.add_row(coeffs, f.coerce(b[i]))
-    return sys.solve()
 
 
 class QuotientSpace(Frozen):
@@ -623,9 +540,6 @@ class QuotientSpace(Frozen):
 
     def project(self, vec) -> tuple:
         return self.projection.apply(vec)
-
-    def lift(self, vec) -> tuple:
-        return self.section.apply(vec)
 
 
 def quotient_space(ambient_dim: int, relations: Subspace) -> QuotientSpace:

@@ -66,6 +66,9 @@ class InvalidPresentationError(ValueError):
         super().__init__(f"invalid {what}:\n{report.render()}")
 
 
+_MISSING = object()
+
+
 def _once(fn):
     """Compute fn(presentation) once and store it on the presentation.
 
@@ -77,12 +80,44 @@ def _once(fn):
 
     @functools.wraps(fn)
     def stored(presentation):
-        memo = presentation.__dict__
-        if key not in memo:
-            object.__setattr__(presentation, key, fn(presentation))
-        return memo[key]
+        # getattr, not __dict__: building the instance dict slows every
+        # later attribute read on the presentation.
+        value = getattr(presentation, key, _MISSING)
+        if value is _MISSING:
+            value = fn(presentation)
+            object.__setattr__(presentation, key, value)
+        return value
 
     return stored
+
+
+def _sparse_cols(m: Matrix) -> list:
+    """cols[c] = [(row, value)] over the nonzero entries of column c."""
+    cols = [[] for _ in range(m.cols)]
+    for i, c, v in m.nonzeros():
+        cols[c].append((i, v))
+    return cols
+
+
+def _convolution(comult: Tensor3, f: Matrix, g: Matrix, product: Matrix) -> Matrix:
+    """Matrix of h -> product(f(h1) (x) g(h2)), the convolution of f and g.
+
+    ``comult`` is the comultiplication of the source; ``product`` maps the
+    tensor product of the targets of f and g (left-major index a * g.rows + b).
+    """
+    field = product.field
+    add, mul = field.add, field.mul
+    n, d = comult.d0, g.rows
+    fcols, gcols, pcols = _sparse_cols(f), _sparse_cols(g), _sparse_cols(product)
+    out = [field.zero()] * (product.rows * n)
+    for i, j, k, t in comult.nonzeros():
+        for a, fa in fcols[j]:
+            tf = mul(t, fa)
+            for b, gb in gcols[k]:
+                c = mul(tf, gb)
+                for m, p in pcols[a * d + b]:
+                    out[m * n + i] = add(out[m * n + i], mul(c, p))
+    return Matrix(field, product.rows, n, tuple(out))
 
 
 def _auto_labels(dim: int) -> tuple:
@@ -169,10 +204,6 @@ class AlgebraPresentation(Frozen):
             out[k * (n * n) + i * n + j] = t
         return Matrix(f, n, n * n, tuple(out))
 
-    def unit_matrix(self) -> Matrix:
-        """The unit as a column k -> A."""
-        return Matrix(self.field, self.dim, 1, tuple(self.unit))
-
 
 class CoalgebraPresentation(Frozen):
     """A counital coassociative coalgebra given by structure constants."""
@@ -217,9 +248,6 @@ class CoalgebraPresentation(Frozen):
         for i, j, k, t in self.comult.nonzeros():
             out[(j * n + k) * n + i] = t
         return Matrix(f, n * n, n, tuple(out))
-
-    def counit_matrix(self) -> Matrix:
-        return Matrix(self.field, 1, self.dim, tuple(self.counit))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .exactlin import (
     Matrix,
     QuotientSpace,
     Subspace,
-    kron,
     membership,
     quotient_space,
     unit_vec,
@@ -424,9 +423,12 @@ def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     sys = ConstraintSystem(f, n)
     for i in range(n):
         e_i = unit_vec(f, n, i)
-        scal = alg.left_mult_matrix(h.src.apply(h.counit.apply(e_i)))
-        act = alg.left_mult_matrix(e_i) if side == "left" else alg.right_mult_matrix(e_i)
-        sys.add_matrix_rows(q.projection @ (act - scal))
+        scal = h.src.apply(h.counit.apply(e_i))
+        if side == "left":
+            diff = alg.left_mult_matrix(vec_sub(f, e_i, scal))
+        else:
+            diff = alg.right_mult_matrix(e_i) - alg.left_mult_matrix(scal)
+        sys.add_matrix_rows(q.projection @ diff)
     if normalized:
         sys.add_matrix_rows(h.counit, h.base.algebra.unit)
     return sys
@@ -546,43 +548,41 @@ def separability_system_hgd(h: HopfAlgebroidPresentation,
     alg = h.total
     qd = q.dim
     sys = ConstraintSystem(f, qd * n)
-    mu = alg.mult_matrix()
-    ms = mu @ q.section
+    ms = alg.mult_matrix() @ q.section
     for j in range(n):
         for m in range(n):
             coeffs = {r * n + j: ms.at(m, r) for r in range(qd) if ms.at(m, r) != 0}
             sys.add_row(coeffs, f.one() if m == j else f.zero())
-    eye = Matrix.identity(f, n)
-    prods = [[alg.mult_vec(unit_vec(f, n, i), unit_vec(f, n, j)) for j in range(n)]
-             for i in range(n)]
+    prod = [[[] for _ in range(n)] for _ in range(n)]
+    for a, b, k, t in alg.mult.nonzeros():
+        prod[a][b].append((k, t))
+    # the section columns as sparse tensors [(a, b, coefficient)] of A (x) A
+    lifts = [[(*divmod(ab, n), c) for ab, c in enumerate(q.section.col(r)) if c != 0]
+             for r in range(qd)]
+
+    def through_quotient(x, left):
+        """Columns of q.projection (L_x (x) 1) q.section, or of (1 (x) R_x)."""
+        out = []
+        for lift in lifts:
+            vec = [f.zero()] * (n * n)
+            for a, b, c in lift:
+                for k, t in prod[x][a] if left else prod[b][x]:
+                    idx = k * n + b if left else a * n + k
+                    vec[idx] = f.add(vec[idx], f.mul(c, t))
+            out.append(q.project(vec))
+        return out
+
     for i in range(n):
-        # (mu bullet 1)(1 bullet nabla) on e_i (x) e_j, through the quotient
-        left = q.projection @ kron(alg.left_mult_matrix(unit_vec(f, n, i)), eye) \
-            @ q.section
+        left, right = through_quotient(i, True), through_quotient(i, False)
         for j in range(n):
-            target = prods[i][j]
-            for r in range(qd):
-                coeffs = {rp * n + j: left.at(r, rp) for rp in range(qd)
-                          if left.at(r, rp) != 0}
-                for m, c in enumerate(target):
-                    if c != 0:
-                        key = r * n + m
-                        coeffs[key] = f.sub(coeffs.get(key, f.zero()), c)
-                sys.add_row(coeffs, f.zero())
-    for j in range(n):
-        # (1 bullet mu)(nabla bullet 1) on e_i (x) e_j
-        right = q.projection @ kron(eye, alg.right_mult_matrix(unit_vec(f, n, j))) \
-            @ q.section
-        for i in range(n):
-            target = prods[i][j]
-            for r in range(qd):
-                coeffs = {rp * n + i: right.at(r, rp) for rp in range(qd)
-                          if right.at(r, rp) != 0}
-                for m, c in enumerate(target):
-                    if c != 0:
-                        key = r * n + m
-                        coeffs[key] = f.sub(coeffs.get(key, f.zero()), c)
-                sys.add_row(coeffs, f.zero())
+            # (mu bullet 1)(1 bullet nabla) on e_i (x) e_j and
+            # (1 bullet mu)(nabla bullet 1) on e_j (x) e_i, through the quotient
+            for act, target in ((left, prod[i][j]), (right, prod[j][i])):
+                for r in range(qd):
+                    coeffs = {rp * n + j: act[rp][r] for rp in range(qd) if act[rp][r] != 0}
+                    for m, c in target:
+                        coeffs[r * n + m] = f.sub(coeffs.get(r * n + m, f.zero()), c)
+                    sys.add_row(coeffs, f.zero())
     return sys
 
 

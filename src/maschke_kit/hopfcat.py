@@ -10,16 +10,19 @@ structure family, each as a single exact feasibility problem.
 
 from __future__ import annotations
 
-from .exactlin import (ConstraintSystem, FieldSpec, Frozen, Matrix, flip_matrix, kron,
-                       unit_vec)
+import itertools
+
+from .exactlin import ConstraintSystem, FieldSpec, Frozen, Matrix, unit_vec
 from .finalg import (
     AxiomFailure,
     AxiomReport,
     CoalgebraPresentation,
     InvalidPresentationError,
     MaschkeReport,
+    _convolution,
     _once,
     _require_antipode,
+    _sparse_cols,
     check_coalgebra,
     solve_coseparability,
 )
@@ -87,50 +90,66 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
     if h.n_objects == 0:
         return AxiomReport()
     f = h.field
-    nobj = h.n_objects
+    objs = range(h.n_objects)
+    add, mul, zero, one = f.add, f.mul, f.zero(), f.one()
+    # comps[(x, y, z)] sends e_p (x) e_q to its column p * dim(y, z) + q
+    cols = {key: _sparse_cols(m) for key, m in h.comps.items()}
 
-    def eye(x, y):
-        return Matrix.identity(f, h.dim(x, y))
+    def compose(key, u, v):
+        """comps[key] applied to u (x) v, both sparse [(index, coefficient)]."""
+        dyz, out = h.dim(key[1], key[2]), [zero] * h.dim(key[0], key[2])
+        for a, ua in u:
+            for b, vb in v:
+                for m, t in cols[key][a * dyz + b]:
+                    out[m] = add(out[m], mul(mul(ua, vb), t))
+        return tuple(out)
+
+    def split(c, p):
+        """Delta(e_p) as [(p1, p2, coefficient)]."""
+        return [(j, k, t) for i, j, k, t in c.comult.nonzeros() if i == p]
 
     # associativity and unit laws of composition
-    for x in range(nobj):
-        for y in range(nobj):
-            for z in range(nobj):
-                for w in range(nobj):
-                    lhs = h.comps[(x, z, w)] @ kron(h.comps[(x, y, z)], eye(z, w))
-                    rhs = h.comps[(x, y, w)] @ kron(eye(x, y), h.comps[(y, z, w)])
-                    if lhs != rhs:
-                        failures.append(AxiomFailure("composition associativity",
-                                                     (x, y, z, w)))
-    for x in range(nobj):
-        ux = Matrix(f, h.dim(x, x), 1, tuple(h.units[x]))
-        for y in range(nobj):
-            if h.comps[(x, x, y)] @ kron(ux, eye(x, y)) != eye(x, y):
-                failures.append(AxiomFailure("left unit law", (x, y)))
-            uy = Matrix(f, h.dim(y, y), 1, tuple(h.units[y]))
-            if h.comps[(x, y, y)] @ kron(eye(x, y), uy) != eye(x, y):
-                failures.append(AxiomFailure("right unit law", (x, y)))
+    for x, y, z, w in itertools.product(objs, repeat=4):
+        dyz, dzw = h.dim(y, z), h.dim(z, w)
+        if any(compose((x, z, w), cols[(x, y, z)][p * dyz + q], [(r, one)])
+               != compose((x, y, w), [(p, one)], cols[(y, z, w)][q * dzw + r])
+               for p in range(h.dim(x, y)) for q in range(dyz) for r in range(dzw)):
+            failures.append(AxiomFailure("composition associativity", (x, y, z, w)))
+    for x, y in itertools.product(objs, repeat=2):
+        ux = [(a, c) for a, c in enumerate(h.units[x]) if c != 0]
+        uy = [(b, c) for b, c in enumerate(h.units[y]) if c != 0]
+        basis = [unit_vec(f, h.dim(x, y), p) for p in range(h.dim(x, y))]
+        if any(compose((x, x, y), ux, [(p, one)]) != e for p, e in enumerate(basis)):
+            failures.append(AxiomFailure("left unit law", (x, y)))
+        if any(compose((x, y, y), [(p, one)], uy) != e for p, e in enumerate(basis)):
+            failures.append(AxiomFailure("right unit law", (x, y)))
 
-    # composition is a coalgebra morphism
-    for x in range(nobj):
-        for y in range(nobj):
-            for z in range(nobj):
-                cxy, cyz, cxz = h.homs[(x, y)], h.homs[(y, z)], h.homs[(x, z)]
-                m = h.comps[(x, y, z)]
-                lhs = cxz.comult_matrix() @ m
-                middle = kron(eye(x, y),
-                              kron(flip_matrix(f, cxy.dim, cyz.dim), eye(y, z)))
-                rhs = kron(m, m) @ middle @ kron(cxy.comult_matrix(),
-                                                 cyz.comult_matrix())
-                if lhs != rhs:
-                    failures.append(AxiomFailure("composition comultiplicativity",
-                                                 (x, y, z)))
-                if cxz.counit_matrix() @ m != kron(cxy.counit_matrix(),
-                                                   cyz.counit_matrix()):
-                    failures.append(AxiomFailure("composition counit law", (x, y, z)))
+    # composition is a coalgebra morphism:
+    # Delta(pq) = p1 q1 (x) p2 q2 and eps(pq) = eps(p) eps(q) on basis elements
+    for x, y, z in itertools.product(objs, repeat=3):
+        cxy, cyz, cxz = h.homs[(x, y)], h.homs[(y, z)], h.homs[(x, z)]
+        col, dyz, dxz = cols[(x, y, z)], cyz.dim, cxz.dim
+        comultiplicative = counital = True
+        for p, q in itertools.product(range(cxy.dim), range(dyz)):
+            rhs = [zero] * (dxz * dxz)
+            for (p1, p2, s), (q1, q2, t) in itertools.product(split(cxy, p), split(cyz, q)):
+                for m1, t1 in col[p1 * dyz + q1]:
+                    for m2, t2 in col[p2 * dyz + q2]:
+                        idx = m1 * dxz + m2
+                        rhs[idx] = add(rhs[idx], mul(mul(s, t), mul(t1, t2)))
+            pq = compose((x, y, z), [(p, one)], [(q, one)])
+            comultiplicative &= cxz.comult_vec(pq) == tuple(rhs)
+            eps = zero
+            for m, v in col[p * dyz + q]:
+                eps = add(eps, mul(v, cxz.counit[m]))
+            counital &= eps == mul(cxy.counit[p], cyz.counit[q])
+        if not comultiplicative:
+            failures.append(AxiomFailure("composition comultiplicativity", (x, y, z)))
+        if not counital:
+            failures.append(AxiomFailure("composition counit law", (x, y, z)))
 
     # units are grouplike
-    for x in range(nobj):
+    for x in objs:
         cxx = h.homs[(x, x)]
         u = h.units[x]
         outer = [f.zero()] * (cxx.dim ** 2)
@@ -150,22 +169,25 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
 
     # antipode family (external-definition check)
     if h.antipode is not None:
-        for x in range(nobj):
-            for y in range(nobj):
-                cxy = h.homs[(x, y)]
-                s = h.antipode[(x, y)]
-                delta = cxy.comult_matrix()
-                ux = Matrix(f, h.dim(x, x), 1, tuple(h.units[x]))
-                uy = Matrix(f, h.dim(y, y), 1, tuple(h.units[y]))
-                left = h.comps[(x, y, x)] @ kron(eye(x, y), s) @ delta
-                if left != ux @ cxy.counit_matrix():
-                    failures.append(AxiomFailure(
-                        "antipode left composite (external-definition check)", (x, y)))
-                right = h.comps[(y, x, y)] @ kron(s, eye(x, y)) @ delta
-                if right != uy @ cxy.counit_matrix():
-                    failures.append(AxiomFailure(
-                        "antipode right composite (external-definition check)", (x, y)))
+        for x, y in itertools.product(objs, repeat=2):
+            cxy = h.homs[(x, y)]
+            s = h.antipode[(x, y)]
+            eye = Matrix.identity(f, cxy.dim)
+            left = _convolution(cxy.comult, eye, s, h.comps[(x, y, x)])
+            if left != _unit_counit(f, h.units[x], cxy.counit):
+                failures.append(AxiomFailure(
+                    "antipode left composite (external-definition check)", (x, y)))
+            right = _convolution(cxy.comult, s, eye, h.comps[(y, x, y)])
+            if right != _unit_counit(f, h.units[y], cxy.counit):
+                failures.append(AxiomFailure(
+                    "antipode right composite (external-definition check)", (x, y)))
     return AxiomReport(tuple(failures))
+
+
+def _unit_counit(f: FieldSpec, unit, counit) -> Matrix:
+    """Matrix of h -> eps(h) u."""
+    return Matrix(f, len(unit), len(counit),
+                  tuple(f.mul(u, e) for u in unit for e in counit))
 
 
 def _require_valid(h: HopfCategoryPresentation):

@@ -30,13 +30,25 @@ def _fail(path, message):
     raise StructureFileError(f"{path}: {message}")
 
 
+def _is_int(v) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _get(d, key, path, kind=None):
     if not isinstance(d, dict) or key not in d:
         _fail(f"{path}.{key}", "missing key")
     v = d[key]
-    if kind is not None and not isinstance(v, kind):
+    if kind is not None and not (_is_int(v) if kind is int else isinstance(v, kind)):
         _fail(f"{path}.{key}", f"expected {kind.__name__}")
     return v
+
+
+def _ints(d, key, path) -> tuple:
+    v = _get(d, key, path, list)
+    if not all(_is_int(x) for x in v):
+        _fail(f"{path}.{key}", "expected a list of integers")
+    return tuple(v)
 
 
 def field_to_json(field: FieldSpec) -> dict:
@@ -244,7 +256,7 @@ def _hopfcat_parse(field, obj, path) -> HopfCategoryPresentation:
     for i, entry in enumerate(_get(obj, "comps", path, list)):
         p = f"{path}.comps[{i}]"
         key = _get(entry, "path", p, list)
-        if len(key) != 3 or not all(isinstance(k, int) for k in key):
+        if len(key) != 3 or not all(_is_int(k) for k in key):
             _fail(f"{p}.path", "expected three object indices")
         x, y, z = key
         if (x, y) not in homs or (y, z) not in homs or (x, z) not in homs:
@@ -290,6 +302,8 @@ def _group_payload(g: GroupPresentation) -> dict:
 def _group_parse(obj, path) -> GroupPresentation:
     order = _get(obj, "order", path, int)
     table = _get(obj, "table", path, list)
+    if not all(isinstance(row, list) and all(_is_int(x) for x in row) for row in table):
+        _fail(f"{path}.table", "expected rows of integers")
     labels = _labels_in(_get(obj, "labels", path), order, f"{path}.labels")
     try:
         g = GroupPresentation.from_table(table, labels)
@@ -297,7 +311,7 @@ def _group_parse(obj, path) -> GroupPresentation:
         _fail(f"{path}.table", str(exc))
     if g.identity != _get(obj, "identity", path, int):
         _fail(f"{path}.identity", "does not match the table")
-    if list(g.inverse) != _get(obj, "inverse", path, list):
+    if g.inverse != _ints(obj, "inverse", path):
         _fail(f"{path}.inverse", "does not match the table")
     return g
 
@@ -316,16 +330,16 @@ def _groupoid_payload(g: GroupoidPresentation) -> dict:
 
 def _groupoid_parse(obj, path) -> GroupoidPresentation:
     objects = tuple(_get(obj, "objects", path, list))
-    source = tuple(_get(obj, "source", path, list))
-    target = tuple(_get(obj, "target", path, list))
+    source = _ints(obj, "source", path)
+    target = _ints(obj, "target", path)
     compose = {}
     for i, item in enumerate(_get(obj, "compose", path, list)):
         if not (isinstance(item, list) and len(item) == 3 and
-                all(isinstance(m, int) for m in item)):
+                all(_is_int(m) for m in item)):
             _fail(f"{path}.compose[{i}]", "expected [f, h, composite]")
         compose[(item[0], item[1])] = item[2]
-    identity = tuple(_get(obj, "identity", path, list))
-    inverse = tuple(_get(obj, "inverse", path, list))
+    identity = _ints(obj, "identity", path)
+    inverse = _ints(obj, "inverse", path)
     labels = _labels_in(_get(obj, "labels", path), len(source), f"{path}.labels")
     try:
         return GroupoidPresentation(objects, source, target, compose,

@@ -1,0 +1,99 @@
+"""Dense linear algebra that only the tests use.
+
+Kronecker products, the flip of a tensor product, kernels and affine solves
+of dense matrices, the unit and counit of a presentation as matrices, and a
+change of basis.  The package builds every map from structure constants; the
+tests compose the same maps from these dense pieces and compare.
+"""
+
+import random
+
+from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, Subspace, Tensor3,
+                                  unit_vec, zero_vec)
+from maschke_kit.finalg import AlgebraPresentation, CoalgebraPresentation
+from maschke_kit.weakhopf import WeakHopfPresentation
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product in left-factor-major basis order."""
+    if a.field != b.field:
+        raise ValueError("mixed-field input rejected")
+    f = a.field
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    out = [f.zero()] * (rows * cols)
+    for ia, ja, va in a.nonzeros():
+        rbase = ia * b.rows
+        cbase = ja * b.cols
+        for ib, jb, vb in b.nonzeros():
+            out[(rbase + ib) * cols + (cbase + jb)] = f.mul(va, vb)
+    return Matrix(f, rows, cols, tuple(out))
+
+
+def flip_matrix(field: FieldSpec, d1: int, d2: int) -> Matrix:
+    """The swap V1 (x) V2 -> V2 (x) V1 in left-major coordinates."""
+    cols = d1 * d2
+    out = [field.zero()] * (d2 * d1 * cols)
+    for a in range(d1):
+        for b in range(d2):
+            out[(b * d1 + a) * cols + (a * d2 + b)] = field.one()
+    return Matrix(field, d2 * d1, cols, tuple(out))
+
+
+def solve_affine(m: Matrix, b):
+    """Solve m.x = b exactly; an AffineSolution, or None when infeasible.
+
+    The particular solution sets every free variable to zero.
+    """
+    if len(b) != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    f = m.field
+    sys = ConstraintSystem(f, m.cols)
+    for i in range(m.rows):
+        sys.add_row({j: v for j, v in enumerate(m.row(i)) if v != 0}, f.coerce(b[i]))
+    return sys.solve()
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Null space {v : m.v = 0} as an echelon-basis subspace."""
+    return solve_affine(m, zero_vec(m.field, m.rows)).homogeneous
+
+
+def unit_matrix(a) -> Matrix:
+    """The unit of an algebra presentation as a column k -> A."""
+    return Matrix(a.field, a.dim, 1, tuple(a.unit))
+
+
+def counit_matrix(c) -> Matrix:
+    """The counit of a coalgebra presentation as a row C -> k."""
+    return Matrix(c.field, 1, c.dim, tuple(c.counit))
+
+
+def rebased(w, seed):
+    """The weak Hopf presentation w in the basis f_j = e_j + sum_{i<j} c_ij e_i,
+    with small integers c_ij drawn from seed: an isomorphic presentation whose
+    structure constants are no longer 0 and 1."""
+    f, n = w.field, w.dim
+    rng = random.Random(seed)
+    p = Matrix.from_rows(f, [[1 if i == j else rng.randint(-2, 2) if i < j else 0
+                               for j in range(n)] for i in range(n)])
+    q = Matrix.from_rows(f, [solve_affine(p, unit_vec(f, n, j)).particular
+                             for j in range(n)]).transpose()
+    mult, comult = [f.zero()] * n ** 3, [f.zero()] * n ** 3
+    for i, j, k, t in w.algebra.mult.nonzeros():
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    v = f.mul(f.mul(p.at(i, a), p.at(j, b)), f.mul(t, q.at(c, k)))
+                    mult[(a * n + b) * n + c] = f.add(mult[(a * n + b) * n + c], v)
+    for i, j, k, t in w.coalgebra.comult.nonzeros():
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    v = f.mul(f.mul(p.at(i, a), q.at(b, j)), f.mul(t, q.at(c, k)))
+                    comult[(a * n + b) * n + c] = f.add(comult[(a * n + b) * n + c], v)
+    algebra = AlgebraPresentation(f, n, w.labels, Tensor3(f, n, n, n, tuple(mult)),
+                                  q.apply(w.algebra.unit))
+    coalgebra = CoalgebraPresentation(f, n, Tensor3(f, n, n, n, tuple(comult)),
+                                      p.transpose().apply(w.coalgebra.counit))
+    antipode = None if w.antipode is None else q @ w.antipode @ p
+    return WeakHopfPresentation(algebra, coalgebra, antipode)

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from maschke_kit.exactlin import FieldSpec, Matrix, kron, unit_vec
+from maschke_kit.exactlin import FieldSpec, Matrix, unit_vec
 from maschke_kit.examples import (
     connected_groupoid,
     cyclic_group,
@@ -59,6 +59,8 @@ from maschke_kit.weakhopf import (
     solve_cointegral,
     solve_integral,
 )
+
+from denselin import kron
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)

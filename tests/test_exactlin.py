@@ -17,17 +17,15 @@ from maschke_kit.exactlin import (
     Matrix,
     Subspace,
     Tensor3,
-    flip_matrix,
-    kernel,
-    kron,
     membership,
     quotient_space,
-    solve_affine,
     unit_vec,
     zero_vec,
 )
 from maschke_kit.finalg import AlgebraPresentation, AxiomFailure, AxiomReport, \
     check_algebra
+
+from denselin import flip_matrix, kernel, kron, solve_affine
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -142,7 +140,7 @@ class TestMatrix:
         with pytest.raises(ValueError):
             a @ b
         with pytest.raises(ValueError):
-            a + b
+            a - b
         with pytest.raises(ValueError):
             kron(a, b)
 
@@ -535,3 +533,16 @@ class TestFrozenRecords:
                              timeout=60)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
+
+
+def test_dense_kron_machinery_left_the_package():
+    import maschke_kit
+    from maschke_kit import exactlin
+    for name in ("kron", "flip_matrix", "kernel", "solve_affine"):
+        assert not hasattr(exactlin, name), name
+    assert not hasattr(exactlin.Matrix, "from_cols")
+    src = os.path.dirname(maschke_kit.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                assert "kron(" not in fh.read(), name

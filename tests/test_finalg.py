@@ -19,7 +19,7 @@ from maschke_kit.examples import (
     pair_groupoid,
     symmetric_group_s3,
 )
-from maschke_kit.exactlin import ConstraintSystem, FieldSpec, Matrix, kron
+from maschke_kit.exactlin import ConstraintSystem, FieldSpec, Matrix
 from maschke_kit.finalg import (
     AlgebraPresentation,
     CoalgebraPresentation,
@@ -31,6 +31,8 @@ from maschke_kit.finalg import (
     solve_coseparability,
     solve_separability,
 )
+
+from denselin import kron
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from maschke_kit.exactlin import FieldSpec, Matrix, membership, unit_vec, vec_sub
+from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, membership,
+                                   unit_vec, vec_sub)
 from maschke_kit.finalg import InvalidPresentationError
 from maschke_kit.examples import (
     cyclic_group,
@@ -10,6 +11,8 @@ from maschke_kit.examples import (
     dual_number_algebra,
     ground_field_algebra,
     group_algebra,
+    groupoid_algebra,
+    pair_groupoid,
     pair_hopf_algebroid,
     split_pair_algebra,
 )
@@ -23,6 +26,7 @@ from maschke_kit.hopfalgd import (
     ideal_subspace,
     integral_system_hgd,
     maschke_report,
+    separability_system_hgd,
     solve_cointegral_hgd,
     solve_coseparability_hgd,
     solve_integral_hgd,
@@ -30,9 +34,12 @@ from maschke_kit.hopfalgd import (
     tensor_over_R,
 )
 
+from denselin import counit_matrix, kron, rebased, unit_matrix
+
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
 F3 = FieldSpec.gf(3)
+F5 = FieldSpec.gf(5)
 
 
 def hopf_algebra_as_algebroid(w) -> HopfAlgebroidPresentation:
@@ -40,15 +47,68 @@ def hopf_algebra_as_algebroid(w) -> HopfAlgebroidPresentation:
     return HopfAlgebroidPresentation(
         base=ground_field_algebra(w.field),
         total=w.algebra,
-        src=w.algebra.unit_matrix(),
-        tgt=w.algebra.unit_matrix(),
+        src=unit_matrix(w.algebra),
+        tgt=unit_matrix(w.algebra),
         comult_lift=w.coalgebra.comult_matrix(),
-        counit=w.coalgebra.counit_matrix(),
+        counit=counit_matrix(w.coalgebra),
         antipode=w.antipode,
     )
 
 
 BASES = (ground_field_algebra, dual_number_algebra, split_pair_algebra)
+
+
+def perturbed_lift(h, trial):
+    """h with a multiple of one circ relation added to one column of its
+    comultiplication lift; every verdict must stay the same."""
+    f = h.field
+    rel = circ_relations(h)
+    n = h.total.dim
+    ent = list(h.comult_lift.entries)
+    row = rel.basis.row(trial % rel.dim)
+    col = trial % n
+    for rr in range(n * n):
+        idx = rr * n + col
+        ent[idx] = f.add(ent[idx], f.mul(f.coerce(trial + 1), row[rr]))
+    return HopfAlgebroidPresentation(h.base, h.total, h.src, h.tgt,
+                                     Matrix(f, n * n, n, tuple(ent)), h.counit,
+                                     h.antipode)
+
+
+def kron_separability_system_hgd(h, q) -> ConstraintSystem:
+    """separability_system_hgd with each action through the quotient a dense
+    chain q.projection @ kron(...) @ q.section."""
+    f = h.field
+    n = h.total.dim
+    alg = h.total
+    qd = q.dim
+    sys = ConstraintSystem(f, qd * n)
+    ms = alg.mult_matrix() @ q.section
+    for j in range(n):
+        for m in range(n):
+            coeffs = {r * n + j: ms.at(m, r) for r in range(qd) if ms.at(m, r) != 0}
+            sys.add_row(coeffs, f.one() if m == j else f.zero())
+    eye = Matrix.identity(f, n)
+    for i in range(n):
+        left = q.projection @ kron(alg.left_mult_matrix(unit_vec(f, n, i)), eye) \
+            @ q.section
+        right = q.projection @ kron(eye, alg.right_mult_matrix(unit_vec(f, n, i))) \
+            @ q.section
+        for j in range(n):
+            # (mu bullet 1)(1 bullet nabla) on e_i (x) e_j and
+            # (1 bullet mu)(nabla bullet 1) on e_j (x) e_i
+            for act, var, target in ((left, j, alg.mult_vec(unit_vec(f, n, i),
+                                                            unit_vec(f, n, j))),
+                                     (right, j, alg.mult_vec(unit_vec(f, n, j),
+                                                             unit_vec(f, n, i)))):
+                for r in range(qd):
+                    coeffs = {rp * n + var: act.at(r, rp) for rp in range(qd)
+                              if act.at(r, rp) != 0}
+                    for m, c in enumerate(target):
+                        if c != 0:
+                            coeffs[r * n + m] = f.sub(coeffs.get(r * n + m, f.zero()), c)
+                    sys.add_row(coeffs, f.zero())
+    return sys
 
 
 class TestValidation:
@@ -196,6 +256,32 @@ class TestCointegrals:
 
 
 class TestSeparability:
+    def test_matches_kron_chain_system(self):
+        cases = []
+        for field in (QQ, F3, F5):
+            for mk in BASES:
+                h = pair_hopf_algebroid(mk(field))
+                cases.append(h)
+                if mk is not ground_field_algebra:
+                    cases += [perturbed_lift(h, trial) for trial in range(3)]
+        # a noncommutative total algebra, 2x2 matrices, with structure constants
+        # not 0 and 1; only the two systems are compared, so it need not be valid
+        for field in (QQ, F5):
+            w = rebased(groupoid_algebra(pair_groupoid(2), field), 1)
+            cases.append(hopf_algebra_as_algebroid(w))
+        cases.append(hopf_algebra_as_algebroid(group_algebra(cyclic_group(2), F2)))
+        for h in cases:
+            q = tensor_over_R(h, BULLET)
+            got = separability_system_hgd(h, q).solve()
+            want = kron_separability_system_hgd(h, q).solve()
+            if want is None:
+                assert got is None
+            else:
+                assert got.particular == want.particular
+                assert got.homogeneous == want.homogeneous
+        assert separability_system_hgd(cases[-1], tensor_over_R(cases[-1], BULLET)) \
+            .solve() is None
+
     def test_pair_algebroid_always_separable_over_bullet(self):
         # includes the non-semisimple total algebra over the dual numbers
         for field in (QQ, F2):
@@ -274,8 +360,6 @@ class TestCrossModuleAgreement:
 class TestLiftIndependence:
     def test_relation_perturbations_change_nothing(self):
         h = pair_hopf_algebroid(dual_number_algebra(QQ))
-        rel = circ_relations(h)
-        n = h.total.dim
         baseline = (
             check_hopf_algebroid(h).ok(),
             solve_integral_hgd(h, "left") is not None,
@@ -285,15 +369,7 @@ class TestLiftIndependence:
         )
         assert baseline[0]
         for trial in range(3):
-            ent = list(h.comult_lift.entries)
-            row = rel.basis.row(trial % rel.dim)
-            col = trial % n
-            for rr in range(n * n):
-                idx = rr * n + col
-                ent[idx] = QQ.add(ent[idx], QQ.mul(QQ.coerce(trial + 1), row[rr]))
-            perturbed = HopfAlgebroidPresentation(
-                h.base, h.total, h.src, h.tgt,
-                Matrix(QQ, n * n, n, tuple(ent)), h.counit, h.antipode)
+            perturbed = perturbed_lift(h, trial)
             assert (
                 check_hopf_algebroid(perturbed).ok(),
                 solve_integral_hgd(perturbed, "left") is not None,

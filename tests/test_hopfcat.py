@@ -1,6 +1,6 @@
 import pytest
 
-from maschke_kit.exactlin import FieldSpec, unit_vec
+from maschke_kit.exactlin import FieldSpec, Matrix, unit_vec
 from maschke_kit.examples import (
     connected_groupoid,
     cyclic_group,
@@ -8,9 +8,13 @@ from maschke_kit.examples import (
     group_algebra,
     hopf_category_from_groupoid,
     one_object_groupoid,
+    groupoid_by_name,
     pair_groupoid,
+    symmetric_group_s3,
 )
 from maschke_kit.finalg import (
+    AxiomFailure,
+    AxiomReport,
     InvalidPresentationError,
     solve_coseparability,
     solve_separability,
@@ -28,9 +32,12 @@ from maschke_kit.hopfcat import (
 )
 from maschke_kit.weakhopf import solve_cointegral, solve_integral
 
+from denselin import counit_matrix, flip_matrix, kron, rebased
+
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
 F3 = FieldSpec.gf(3)
+F5 = FieldSpec.gf(5)
 
 
 def one_object_category(w) -> HopfCategoryPresentation:
@@ -44,7 +51,129 @@ def one_object_category(w) -> HopfCategoryPresentation:
     )
 
 
+def kron_chain_category_report(h) -> AxiomReport:
+    """check_hopf_category's report on valid homs, every law a dense
+    Kronecker chain."""
+    f = h.field
+    nobj = h.n_objects
+    failures = []
+
+    def eye(x, y):
+        return Matrix.identity(f, h.dim(x, y))
+
+    def unit(x):
+        return Matrix(f, h.dim(x, x), 1, tuple(h.units[x]))
+
+    for x in range(nobj):
+        for y in range(nobj):
+            for z in range(nobj):
+                for w in range(nobj):
+                    lhs = h.comps[(x, z, w)] @ kron(h.comps[(x, y, z)], eye(z, w))
+                    rhs = h.comps[(x, y, w)] @ kron(eye(x, y), h.comps[(y, z, w)])
+                    if lhs != rhs:
+                        failures.append(AxiomFailure("composition associativity",
+                                                     (x, y, z, w)))
+    for x in range(nobj):
+        for y in range(nobj):
+            if h.comps[(x, x, y)] @ kron(unit(x), eye(x, y)) != eye(x, y):
+                failures.append(AxiomFailure("left unit law", (x, y)))
+            if h.comps[(x, y, y)] @ kron(eye(x, y), unit(y)) != eye(x, y):
+                failures.append(AxiomFailure("right unit law", (x, y)))
+    for x in range(nobj):
+        for y in range(nobj):
+            for z in range(nobj):
+                cxy, cyz, cxz = h.homs[(x, y)], h.homs[(y, z)], h.homs[(x, z)]
+                m = h.comps[(x, y, z)]
+                middle = kron(eye(x, y),
+                              kron(flip_matrix(f, cxy.dim, cyz.dim), eye(y, z)))
+                rhs = kron(m, m) @ middle @ kron(cxy.comult_matrix(),
+                                                 cyz.comult_matrix())
+                if cxz.comult_matrix() @ m != rhs:
+                    failures.append(AxiomFailure("composition comultiplicativity",
+                                                 (x, y, z)))
+                if counit_matrix(cxz) @ m != kron(counit_matrix(cxy),
+                                                  counit_matrix(cyz)):
+                    failures.append(AxiomFailure("composition counit law", (x, y, z)))
+    for x in range(nobj):
+        cxx, u = h.homs[(x, x)], unit(x)
+        if cxx.comult_matrix() @ u != kron(u, u):
+            failures.append(AxiomFailure("unit grouplike", (x,)))
+        if counit_matrix(cxx) @ u != Matrix.identity(f, 1):
+            failures.append(AxiomFailure("unit counit", (x,)))
+    if h.antipode is not None:
+        for x in range(nobj):
+            for y in range(nobj):
+                cxy = h.homs[(x, y)]
+                s = h.antipode[(x, y)]
+                delta = cxy.comult_matrix()
+                left = h.comps[(x, y, x)] @ kron(eye(x, y), s) @ delta
+                if left != unit(x) @ counit_matrix(cxy):
+                    failures.append(AxiomFailure(
+                        "antipode left composite (external-definition check)", (x, y)))
+                right = h.comps[(y, x, y)] @ kron(s, eye(x, y)) @ delta
+                if right != unit(y) @ counit_matrix(cxy):
+                    failures.append(AxiomFailure(
+                        "antipode right composite (external-definition check)", (x, y)))
+    return AxiomReport(tuple(failures))
+
+
+def with_entry(table, key, index, field):
+    """A copy of a table of matrices with one entry of table[key] raised by 1."""
+    m = table[key]
+    entries = list(m.entries)
+    entries[index] = field.add(entries[index], field.one())
+    return {**table, key: Matrix(field, m.rows, m.cols, tuple(entries))}
+
+
+def spread(n, count=2):
+    """About count indices spread over range(n)."""
+    return range(0, n, max(1, n // count))
+
+
+def damaged(h, count=2):
+    """h, and copies with one comps entry, one antipode entry or one unit
+    damaged."""
+    f = h.field
+    yield h
+    for key in sorted(h.comps)[::3]:
+        for index in spread(len(h.comps[key].entries), count):
+            yield HopfCategoryPresentation(h.objects, h.homs,
+                                           with_entry(h.comps, key, index, f),
+                                           h.units, h.antipode)
+    for key in sorted(h.antipode)[::2]:
+        for index in spread(len(h.antipode[key].entries), count):
+            yield HopfCategoryPresentation(h.objects, h.homs, h.comps, h.units,
+                                           with_entry(h.antipode, key, index, f))
+    units = {**h.units, 0: tuple(f.add(c, c) for c in h.units[0])}
+    yield HopfCategoryPresentation(h.objects, h.homs, h.comps, units, h.antipode)
+
+
+def oracle_categories():
+    for field in (QQ, F2, F3, F5):
+        for name in ("pair:1", "pair:2", "pair:3", "conn:C2:2"):
+            yield from damaged(hopf_category_from_groupoid(groupoid_by_name(name), field))
+        for w in (group_algebra(cyclic_group(3), field),
+                  dual_group_algebra(cyclic_group(3), field)):
+            yield one_object_category(w)
+    yield from damaged(hopf_category_from_groupoid(groupoid_by_name("conn:C3:2"), F3))
+    # neither commutative nor cocommutative, structure constants not 0 and 1
+    w = rebased(dual_group_algebra(symmetric_group_s3(), F5), 1)
+    yield from damaged(one_object_category(w), count=1)
+
+
 class TestCheck:
+    def test_matches_kron_chains(self):
+        laws = set()
+        for h in oracle_categories():
+            report = check_hopf_category(h)
+            assert report == kron_chain_category_report(h)
+            laws |= {fail.law for fail in report.failures}
+        assert {"composition associativity", "left unit law", "right unit law",
+                "composition comultiplicativity", "composition counit law",
+                "unit grouplike", "unit counit"} <= laws
+        assert any(law.startswith("antipode left") for law in laws)
+        assert any(law.startswith("antipode right") for law in laws)
+
     def test_groupoid_categories_pass_over_every_field(self):
         for field in (QQ, F2, F3):
             for gd in (pair_groupoid(2), pair_groupoid(3),

@@ -2,7 +2,8 @@
 
 Each example starts from a generated file of one kind, deletes one key or
 list item, or replaces one node with another JSON value, and runs
-``validate`` in-process.
+``validate`` in-process; a file that still validates also goes through
+``maschke``, so the solvers see damaged input too.
 """
 
 import json
@@ -95,3 +96,6 @@ def test_validate_exits_zero_or_three(generated, kind, data):
     code = main(["validate", "--structure", str(path),
                  "--out", str(root / "report.json")])
     assert code in (0, 3)
+    if code == 0:
+        assert main(["maschke", "--structure", str(path),
+                     "--out", str(root / "report.json")]) in (0, 3)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from maschke_kit.exactlin import FieldSpec, Matrix, flip_matrix, kron, unit_vec, zero_vec
+from maschke_kit.exactlin import FieldSpec, Matrix, unit_vec, zero_vec
 from maschke_kit.examples import (
     connected_groupoid,
     cyclic_group,
@@ -16,7 +16,13 @@ from maschke_kit.examples import (
     pair_groupoid,
     symmetric_group_s3,
 )
-from maschke_kit.finalg import CoalgebraPresentation, InvalidPresentationError
+from maschke_kit.finalg import (
+    AlgebraPresentation,
+    AxiomFailure,
+    AxiomReport,
+    CoalgebraPresentation,
+    InvalidPresentationError,
+)
 from maschke_kit.weakhopf import (
     StructureDefectError,
     WeakHopfPresentation,
@@ -32,6 +38,8 @@ from maschke_kit.weakhopf import (
     solve_cointegral,
     solve_integral,
 )
+
+from denselin import counit_matrix, flip_matrix, kron, rebased, unit_matrix
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -62,9 +70,9 @@ def kron_chain_projections(w):
     f, n = w.field, w.dim
     eye = Matrix.identity(f, n)
     mu = w.algebra.mult_matrix()
-    nu = w.algebra.unit_matrix()
+    nu = unit_matrix(w.algebra)
     delta = w.coalgebra.comult_matrix()
-    eps = w.coalgebra.counit_matrix()
+    eps = counit_matrix(w.coalgebra)
     mu_op = mu @ flip_matrix(f, n, n)
     return (kron(eye, eps) @ kron(eye, mu_op) @ kron(delta, eye) @ kron(nu, eye),
             kron(eye, eps) @ kron(eye, mu) @ kron(delta, eye) @ kron(nu, eye),
@@ -72,9 +80,60 @@ def kron_chain_projections(w):
             kron(eps, eye) @ kron(mu, eye) @ kron(eye, delta) @ kron(eye, nu))
 
 
-def weak_hopf_corpus():
-    """The criterion-04 corpus (72 cases) and the valid mutants among seeds
-    0..59 of QC2 and of the pair:2 groupoid algebra over Q."""
+def kron_chain_antipode_report(w):
+    """check_antipode's report, with every composite a dense Kronecker chain."""
+    f, n, s = w.field, w.dim, w.antipode
+    alg = w.algebra
+    maps = projections(w)
+    eye = Matrix.identity(f, n)
+    mu = alg.mult_matrix()
+    delta = w.coalgebra.comult_matrix()
+    failures = []
+    left = mu @ kron(eye, s) @ delta
+    right = mu @ kron(s, eye) @ delta
+    third = mu @ kron(right, s) @ delta
+    for law, got, want in (("antipode left diagram", left, maps.piL),
+                           ("antipode right diagram", right, maps.piR),
+                           ("antipode S(h1) h2 S(h3) = S(h)", third, s)):
+        cols = tuple(j for j in range(n) if got.col(j) != want.col(j))
+        if cols:
+            failures.append(AxiomFailure(law, cols))
+    warnings = []
+    for i in range(n):
+        for j in range(n):
+            ei, ej = unit_vec(f, n, i), unit_vec(f, n, j)
+            if s.apply(alg.mult_vec(ei, ej)) != alg.mult_vec(s.apply(ej), s.apply(ei)):
+                warnings.append(AxiomFailure("antipode anti-multiplicativity", (i, j)))
+    if s.apply(alg.unit) != alg.unit:
+        warnings.append(AxiomFailure("antipode unit", ()))
+    if delta @ s != kron(s, s) @ flip_matrix(f, n, n) @ delta:
+        warnings.append(AxiomFailure("antipode coalgebra anti-homomorphy", ()))
+    eps = counit_matrix(w.coalgebra)
+    if eps @ s != eps:
+        warnings.append(AxiomFailure("antipode counit", ()))
+    return AxiomReport(tuple(failures), tuple(warnings))
+
+
+def defect_presentations():
+    """Group algebras with a doubled unit or a doubled counit."""
+    for field in (QQ, F3, F5):
+        for g in (cyclic_group(3), cyclic_group(4), symmetric_group_s3()):
+            w = group_algebra(g, field)
+            two = field.coerce(2)
+            a, c = w.algebra, w.coalgebra
+            yield WeakHopfPresentation(
+                AlgebraPresentation(field, a.dim, a.labels, a.mult,
+                                    tuple(field.mul(two, x) for x in a.unit)),
+                c, w.antipode)
+            yield WeakHopfPresentation(
+                a, CoalgebraPresentation(field, c.dim, c.comult,
+                                         tuple(field.mul(two, x) for x in c.counit)),
+                w.antipode)
+
+
+def weak_hopf_corpus(seeds=60):
+    """The criterion-04 corpus (72 cases) and the valid mutants among the
+    first ``seeds`` seeds of QC2 and of the pair:2 groupoid algebra over Q."""
     groups = [cyclic_group(n) for n in (2, 3, 4, 5, 6)] + \
         [klein_four_group(), symmetric_group_s3()]
     groupoids = [pair_groupoid(2),
@@ -88,8 +147,23 @@ def weak_hopf_corpus():
         yield from (groupoid_algebra(gd, field) for gd in groupoids)
     for base in (group_algebra(cyclic_group(2), QQ),
                  groupoid_algebra(pair_groupoid(2), QQ)):
-        for seed in range(60):
+        for seed in range(seeds):
             m = mutate(base, seed)
+            if check_weak_bialgebra(m).ok():
+                yield m
+
+
+def rebased_corpus():
+    """Presentations whose structure constants are not all 0 and 1, and their
+    mutants that are still weak bialgebras."""
+    for w in (group_algebra(cyclic_group(3), QQ),
+              dual_group_algebra(symmetric_group_s3(), F5),
+              groupoid_algebra(pair_groupoid(2), QQ),
+              groupoid_algebra(connected_groupoid(cyclic_group(2), 2), F3)):
+        r = rebased(w, 1)
+        yield r
+        for seed in range(40):
+            m = mutate(r, seed)
             if check_weak_bialgebra(m).ok():
                 yield m
 
@@ -226,6 +300,16 @@ class TestCheckAntipode:
         report = check_antipode(m)
         assert [f.law for f in report.failures] == ["antipode S(h1) h2 S(h3) = S(h)"]
         assert report.failures[0].witness == (2,)
+
+    def test_matches_kron_chains(self):
+        cases = list(weak_hopf_corpus(seeds=150)) + list(rebased_corpus())
+        reports = [check_antipode(w) for w in cases]
+        assert reports == [kron_chain_antipode_report(w) for w in cases]
+        assert sum(not r.ok() for r in reports) >= 10
+        assert sum(bool(r.warnings) for r in reports) >= 10
+        for w in defect_presentations():
+            with pytest.raises(InvalidPresentationError):
+                check_antipode(w)
 
     def test_missing_antipode_raises(self):
         w = group_algebra(cyclic_group(2), QQ)

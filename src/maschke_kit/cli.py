@@ -357,7 +357,7 @@ def execute_command(argv) -> int:
     args = parser.parse_args(argv)
     if args.command == "generate":
         flag_name, builder = GENERATORS[args.family]
-        value = getattr(args, flag_name if flag_name != "base" else "base")
+        value = getattr(args, flag_name)
         if value is None:
             raise UsageError(f"generate {args.family} needs --{flag_name}")
         field = None

@@ -99,6 +99,15 @@ def _sparse_cols(m: Matrix) -> list:
     return cols
 
 
+@_once
+def _sparse_products(a: AlgebraPresentation) -> tuple:
+    """prod[i][j] = ((k, value), ...), the nonzero terms of e_i * e_j."""
+    prod = [[[] for _ in range(a.dim)] for _ in range(a.dim)]
+    for i, j, k, t in a.mult.nonzeros():
+        prod[i][j].append((k, t))
+    return tuple(tuple(map(tuple, row)) for row in prod)
+
+
 def _convolution(comult: Tensor3, f: Matrix, g: Matrix, product: Matrix) -> Matrix:
     """Matrix of h -> product(f(h1) (x) g(h2)), the convolution of f and g.
 

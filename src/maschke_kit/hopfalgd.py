@@ -19,6 +19,8 @@ from .exactlin import (
     Matrix,
     QuotientSpace,
     Subspace,
+    Tensor3,
+    _row_space,
     membership,
     quotient_space,
     unit_vec,
@@ -30,8 +32,12 @@ from .finalg import (
     AxiomReport,
     InvalidPresentationError,
     MaschkeReport,
+    _add_to,
+    _convolution,
     _once,
     _require_antipode,
+    _sparse_cols,
+    _sparse_products,
     check_algebra,
 )
 
@@ -45,12 +51,10 @@ class CommAlgebraPresentation(Frozen):
     algebra: AlgebraPresentation
 
     def __post_init__(self):
-        a = self.algebra
-        for i in range(a.dim):
-            u = unit_vec(a.field, a.dim, i)
+        t = self.algebra.mult
+        for i in range(t.d0):
             for j in range(i):
-                v = unit_vec(a.field, a.dim, j)
-                if a.mult_vec(u, v) != a.mult_vec(v, u):
+                if any(t.at(i, j, k) != t.at(j, i, k) for k in range(t.d2)):
                     raise ValueError(f"base algebra not commutative at {(i, j)}")
 
     @property
@@ -101,55 +105,57 @@ def _base_images(h: HopfAlgebroidPresentation):
     return ([h.src.col(x) for x in range(dr)], [h.tgt.col(x) for x in range(dr)])
 
 
+def _comult_terms(h: HopfAlgebroidPresentation):
+    """The comultiplication lift as a tensor ([i][a][b] is the coefficient of
+    e_a (x) e_b in the lift of e_i), and its nonzero terms (a, b, c) per i."""
+    n = h.total.dim
+    comult = Tensor3(h.field, n, n, n, h.comult_lift.transpose().entries)
+    terms = [[] for _ in range(n)]
+    for i, a, b, c in comult.nonzeros():
+        terms[i].append((a, b, c))
+    return comult, terms
+
+
+def _on_leg(m: Matrix, act: Matrix, leg: int) -> Matrix:
+    """m after act on one leg of A (x) A: the matrix of w -> m((act (x) 1) w)
+    for leg 0 and of w -> m((1 (x) act) w) for leg 1 (left-major a * n + b)."""
+    f = m.field
+    n = act.rows
+    arows = _sparse_cols(act.transpose())    # arows[p] = [(a, act[p, a])]
+    out = [f.zero()] * (m.rows * m.cols)
+    for r, pq, v in m.nonzeros():
+        p, q = divmod(pq, n)
+        for a, t in arows[(p, q)[leg]]:
+            idx = r * m.cols + (a * n + q if leg == 0 else p * n + a)
+            out[idx] = f.add(out[idx], f.mul(v, t))
+    return Matrix(f, m.rows, m.cols, tuple(out))
+
+
+def _tensor_relations(h: HopfAlgebroidPresentation, pairs) -> Subspace:
+    """Span of (u e_j) (x) e_k - e_j (x) (v e_k) over the pairs (u, v) and j, k."""
+    alg = h.total
+    eye = Matrix.identity(h.field, alg.dim ** 2)
+    rows = []
+    for u, v in pairs:
+        rel = _on_leg(eye, alg.left_mult_matrix(u), 0) - \
+            _on_leg(eye, alg.left_mult_matrix(v), 1)
+        rows += map(dict, _sparse_cols(rel))
+    return _row_space(h.field, alg.dim ** 2, rows)
+
+
 @_once
 def circ_relations(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of t(x)e_j (x) e_k - e_j (x) s(x)e_k over base and total bases."""
-    f = h.field
-    n = h.total.dim
-    alg = h.total
     srcs, tgts = _base_images(h)
-    rows = []
-    for x in range(h.base.dim):
-        lt = [alg.mult_vec(tgts[x], unit_vec(f, n, j)) for j in range(n)]
-        ls = [alg.mult_vec(srcs[x], unit_vec(f, n, k)) for k in range(n)]
-        for j in range(n):
-            for k in range(n):
-                row = [f.zero()] * (n * n)
-                for m, c in enumerate(lt[j]):
-                    if c != 0:
-                        row[m * n + k] = f.add(row[m * n + k], c)
-                for m, c in enumerate(ls[k]):
-                    if c != 0:
-                        row[j * n + m] = f.sub(row[j * n + m], c)
-                if any(v != 0 for v in row):
-                    rows.append(row)
-    return Subspace.from_rows(f, n * n, rows)
+    return _tensor_relations(h, zip(tgts, srcs))
 
 
 @_once
 def bullet_relations(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of (s(x)t(y)e_j) (x) e_k - e_j (x) (s(x)t(y)e_k)."""
-    f = h.field
-    n = h.total.dim
-    alg = h.total
     srcs, tgts = _base_images(h)
-    rows = []
-    for x in range(h.base.dim):
-        for y in range(h.base.dim):
-            z = alg.mult_vec(srcs[x], tgts[y])
-            lz = [alg.mult_vec(z, unit_vec(f, n, j)) for j in range(n)]
-            for j in range(n):
-                for k in range(n):
-                    row = [f.zero()] * (n * n)
-                    for m, c in enumerate(lz[j]):
-                        if c != 0:
-                            row[m * n + k] = f.add(row[m * n + k], c)
-                    for m, c in enumerate(lz[k]):
-                        if c != 0:
-                            row[j * n + m] = f.sub(row[j * n + m], c)
-                    if any(v != 0 for v in row):
-                        rows.append(row)
-    return Subspace.from_rows(f, n * n, rows)
+    zs = [h.total.mult_vec(s, t) for s in srcs for t in tgts]
+    return _tensor_relations(h, [(z, z) for z in zs])
 
 
 def tensor_over_R(h: HopfAlgebroidPresentation, product: str = CIRC) -> QuotientSpace:
@@ -167,17 +173,22 @@ def tensor_over_R(h: HopfAlgebroidPresentation, product: str = CIRC) -> Quotient
 def ideal_subspace(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of (s(x) - t(x)) e_k over base and total bases."""
     f = h.field
-    n = h.total.dim
-    alg = h.total
-    srcs, tgts = _base_images(h)
     rows = []
-    for x in range(h.base.dim):
-        d = vec_sub(f, srcs[x], tgts[x])
-        for k in range(n):
-            v = alg.mult_vec(d, unit_vec(f, n, k))
-            if any(c != 0 for c in v):
-                rows.append(v)
-    return Subspace.from_rows(f, n, rows)
+    for s, t in zip(*_base_images(h)):
+        rows += map(dict, _sparse_cols(h.total.left_mult_matrix(vec_sub(f, s, t))))
+    return _row_space(f, h.total.dim, rows)
+
+
+def _nonzero_cols(m: Matrix) -> set:
+    return {c for _, c, _ in m.nonzeros()}
+
+
+def _column_failures(checks, prefix=()) -> list:
+    """A failure (law, prefix + (j,)) for each column j in which the gap of a
+    check (law, gap matrix) is nonzero; by column, then in the order of checks."""
+    off = [(law, _nonzero_cols(gap)) for law, gap in checks]
+    cols = sorted(set().union(*(o for _, o in off)))
+    return [AxiomFailure(law, prefix + (j,)) for j in cols for law, o in off if j in o]
 
 
 @_once
@@ -196,191 +207,116 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
     dr, n = h.base.dim, h.total.dim
     base, alg = h.base.algebra, h.total
     srcs, tgts = _base_images(h)
-    basisR = [unit_vec(f, dr, x) for x in range(dr)]
-    basisA = [unit_vec(f, n, j) for j in range(n)]
+    lsrc = [alg.left_mult_matrix(v) for v in srcs]
+    ltgt = [alg.left_mult_matrix(v) for v in tgts]
+    eye = Matrix.identity(f, n)
+    mu = alg.mult_matrix()
 
     # s and t are unital algebra maps into the center
     for name, mat, imgs in (("source", h.src, srcs), ("target", h.tgt, tgts)):
         if mat.apply(base.unit) != alg.unit:
             failures.append(AxiomFailure(f"{name} map unit", ()))
+        images_of_products = mat @ base.mult_matrix()
         for x in range(dr):
             for y in range(dr):
-                lhs = mat.apply(base.mult_vec(basisR[x], basisR[y]))
-                rhs = alg.mult_vec(imgs[x], imgs[y])
-                if lhs != rhs:
+                if images_of_products.col(x * dr + y) != alg.mult_vec(imgs[x], imgs[y]):
                     failures.append(AxiomFailure(f"{name} map multiplicative", (x, y)))
         for x in range(dr):
-            for j in range(n):
-                if alg.mult_vec(imgs[x], basisA[j]) != alg.mult_vec(basisA[j], imgs[x]):
-                    failures.append(AxiomFailure(f"{name} map centrality", (x, j)))
+            failures += _column_failures([(
+                f"{name} map centrality",
+                alg.left_mult_matrix(imgs[x]) - alg.right_mult_matrix(imgs[x]))], (x,))
 
     # counit: unital algebra map and R-bimodule map
-    if h.counit.apply(alg.unit) != base.unit:
+    eps = h.counit
+    if eps.apply(alg.unit) != base.unit:
         failures.append(AxiomFailure("counit unit", ()))
+    counit_of_products = eps @ mu
     for i in range(n):
         for j in range(n):
-            lhs = h.counit.apply(alg.mult_vec(basisA[i], basisA[j]))
-            rhs = base.mult_vec(h.counit.apply(basisA[i]), h.counit.apply(basisA[j]))
-            if lhs != rhs:
+            if counit_of_products.col(i * n + j) != \
+                    base.mult_vec(eps.col(i), eps.col(j)):
                 failures.append(AxiomFailure("counit multiplicative", (i, j)))
     for x in range(dr):
-        for j in range(n):
-            scaled = base.mult_vec(basisR[x], h.counit.apply(basisA[j]))
-            if h.counit.apply(alg.mult_vec(srcs[x], basisA[j])) != scaled:
-                failures.append(AxiomFailure("counit source linearity", (x, j)))
-            if h.counit.apply(alg.mult_vec(tgts[x], basisA[j])) != scaled:
-                failures.append(AxiomFailure("counit target linearity", (x, j)))
+        scaled = base.left_mult_matrix(unit_vec(f, dr, x)) @ eps
+        failures += _column_failures([
+            ("counit source linearity", eps @ lsrc[x] - scaled),
+            ("counit target linearity", eps @ ltgt[x] - scaled)], (x,))
 
     lift = h.comult_lift
-    q2 = tensor_over_R(h, CIRC)
+    proj = tensor_over_R(h, CIRC).projection
+    dq = proj @ lift
 
-    def project2(vec):
-        return q2.project(vec)
-
-    # comultiplication is an R-bimodule map into the circ quotient
+    # comultiplication is an R-bimodule map into the circ quotient:
+    # delta(s(x)h) = s(x)h1 (x) h2 and delta(t(x)h) = h1 (x) t(x)h2
     for x in range(dr):
-        for j in range(n):
-            l_s = lift.apply(alg.mult_vec(srcs[x], basisA[j]))
-            l_t = lift.apply(alg.mult_vec(tgts[x], basisA[j]))
-            d = lift.apply(basisA[j])
-            left_act = [f.zero()] * (n * n)
-            right_act = [f.zero()] * (n * n)
-            for ab, c in enumerate(d):
-                if c == 0:
-                    continue
-                a, b = divmod(ab, n)
-                sa = alg.mult_vec(srcs[x], unit_vec(f, n, a))
-                for m, cv in enumerate(sa):
-                    if cv != 0:
-                        left_act[m * n + b] = f.add(left_act[m * n + b], f.mul(c, cv))
-                tb = alg.mult_vec(tgts[x], unit_vec(f, n, b))
-                for m, cv in enumerate(tb):
-                    if cv != 0:
-                        right_act[a * n + m] = f.add(right_act[a * n + m], f.mul(c, cv))
-            if project2(l_s) != project2(left_act):
-                failures.append(AxiomFailure("comult source linearity", (x, j)))
-            if project2(l_t) != project2(right_act):
-                failures.append(AxiomFailure("comult target linearity", (x, j)))
+        failures += _column_failures([
+            ("comult source linearity", dq @ lsrc[x] - _on_leg(proj, lsrc[x], 0) @ lift),
+            ("comult target linearity", dq @ ltgt[x] - _on_leg(proj, ltgt[x], 1) @ lift)],
+            (x,))
 
-    # multiplicativity of delta w.r.t. the factorwise product, in the quotient
-    for i in range(n):
-        di = lift.apply(basisA[i])
+    # multiplicativity of delta w.r.t. the factorwise product, in the quotient:
+    # column i * n + j of gap is delta(e_i e_j) - delta(e_i) delta(e_j)
+    comult, terms = _comult_terms(h)
+    prod = _sparse_products(alg)
+    n2 = n * n
+    gap = [f.zero()] * (n2 * n2)
+    for i, j, k, t in alg.mult.nonzeros():
+        for a, b, c in terms[k]:
+            idx = (a * n + b) * n2 + i * n + j
+            gap[idx] = f.add(gap[idx], f.mul(t, c))
+    for i, a, b, c1 in comult.nonzeros():
         for j in range(n):
-            dj = lift.apply(basisA[j])
-            prod = [f.zero()] * (n * n)
-            for ab, c1 in enumerate(di):
-                if c1 == 0:
-                    continue
-                a, b = divmod(ab, n)
-                for cd, c2 in enumerate(dj):
-                    if c2 == 0:
-                        continue
-                    cc, dd = divmod(cd, n)
-                    left = alg.mult_vec(unit_vec(f, n, a), unit_vec(f, n, cc))
-                    right = alg.mult_vec(unit_vec(f, n, b), unit_vec(f, n, dd))
-                    c12 = f.mul(c1, c2)
-                    for p, t1 in enumerate(left):
-                        if t1 == 0:
-                            continue
-                        for q, t2 in enumerate(right):
-                            if t2 != 0:
-                                prod[p * n + q] = f.add(prod[p * n + q],
-                                                        f.mul(c12, f.mul(t1, t2)))
-            if project2(lift.apply(alg.mult_vec(basisA[i], basisA[j]))) != project2(prod):
-                failures.append(AxiomFailure("comult multiplicative", (i, j)))
+            for cc, d, c2 in terms[j]:
+                c12 = f.mul(c1, c2)
+                for p, t1 in prod[a][cc]:
+                    for q, t2 in prod[b][d]:
+                        idx = (p * n + q) * n2 + i * n + j
+                        gap[idx] = f.sub(gap[idx], f.mul(c12, f.mul(t1, t2)))
+    for ij in sorted(_nonzero_cols(proj @ Matrix(f, n2, n2, tuple(gap)))):
+        failures.append(AxiomFailure("comult multiplicative", divmod(ij, n)))
 
-    # counitality: s(eps(h1)) h2 = h = t(eps(h2)) h1
-    for i in range(n):
-        d = lift.apply(basisA[i])
-        left = [f.zero()] * n
-        right = [f.zero()] * n
-        for ab, c in enumerate(d):
-            if c == 0:
-                continue
-            a, b = divmod(ab, n)
-            va = alg.mult_vec(h.src.apply(h.counit.apply(unit_vec(f, n, a))),
-                              unit_vec(f, n, b))
-            for m, cv in enumerate(va):
-                if cv != 0:
-                    left[m] = f.add(left[m], f.mul(c, cv))
-            vb = alg.mult_vec(h.tgt.apply(h.counit.apply(unit_vec(f, n, b))),
-                              unit_vec(f, n, a))
-            for m, cv in enumerate(vb):
-                if cv != 0:
-                    right[m] = f.add(right[m], f.mul(c, cv))
-        if tuple(left) != basisA[i]:
-            failures.append(AxiomFailure("counitality (left)", (i,)))
-        if tuple(right) != basisA[i]:
-            failures.append(AxiomFailure("counitality (right)", (i,)))
+    # counitality: s(eps(h1)) h2 = h = t(eps(h2)) h1, the last with the
+    # opposite product mu_op(u (x) v) = v u
+    op = [f.zero()] * (n * n2)
+    for i, j, k, t in alg.mult.nonzeros():
+        op[k * n2 + j * n + i] = t
+    mu_op = Matrix(f, n, n2, tuple(op))
+    sc, tc = h.src @ eps, h.tgt @ eps
+    failures += _column_failures([
+        ("counitality (left)", _convolution(comult, sc, eye, mu) - eye),
+        ("counitality (right)", _convolution(comult, eye, tc, mu_op) - eye)])
 
     # coassociativity in the double quotient
-    rel2 = q2.relations
     rows3 = []
-    for i in range(rel2.dim):
-        r = rel2.basis.row(i)
+    for r in _sparse_cols(circ_relations(h).basis.transpose()):
         for k in range(n):
-            row = [f.zero()] * (n ** 3)
-            for ab, c in enumerate(r):
-                if c != 0:
-                    row[ab * n + k] = c
-            rows3.append(row)
-            row = [f.zero()] * (n ** 3)
-            for ab, c in enumerate(r):
-                if c != 0:
-                    row[k * n * n + ab] = c
-            rows3.append(row)
-    rel3 = Subspace.from_rows(f, n ** 3, rows3)
+            rows3.append({ab * n + k: c for ab, c in r})
+            rows3.append({k * n2 + ab: c for ab, c in r})
+    rel3 = _row_space(f, n2 * n, rows3)
     for i in range(n):
-        d = lift.apply(basisA[i])
-        first = [f.zero()] * (n ** 3)
-        second = [f.zero()] * (n ** 3)
-        for ab, c in enumerate(d):
-            if c == 0:
-                continue
-            a, b = divmod(ab, n)
-            da = lift.apply(unit_vec(f, n, a))
-            for pq, c2 in enumerate(da):
-                if c2 != 0:
-                    first[pq * n + b] = f.add(first[pq * n + b], f.mul(c, c2))
-            db = lift.apply(unit_vec(f, n, b))
-            for pq, c2 in enumerate(db):
-                if c2 != 0:
-                    second[a * n * n + pq] = f.add(second[a * n * n + pq],
-                                                   f.mul(c, c2))
-        if not rel3.contains(vec_sub(f, tuple(first), tuple(second))):
+        # (delta (x) 1) delta(e_i) - (1 (x) delta) delta(e_i)
+        gap = [f.zero()] * (n2 * n)
+        for a, b, c in terms[i]:
+            for p, q, c2 in terms[a]:
+                idx = (p * n + q) * n + b
+                gap[idx] = f.add(gap[idx], f.mul(c, c2))
+            for p, q, c2 in terms[b]:
+                idx = (a * n + p) * n + q
+                gap[idx] = f.sub(gap[idx], f.mul(c, c2))
+        if not rel3.contains(tuple(gap)):
             failures.append(AxiomFailure("coassociativity", (i,)))
 
     # antipode identities
     if h.antipode is not None:
         s = h.antipode
         for x in range(dr):
-            for j in range(n):
-                if s.apply(alg.mult_vec(srcs[x], basisA[j])) != \
-                        alg.mult_vec(tgts[x], s.apply(basisA[j])):
-                    failures.append(AxiomFailure("antipode source twist", (x, j)))
-                if s.apply(alg.mult_vec(tgts[x], basisA[j])) != \
-                        alg.mult_vec(srcs[x], s.apply(basisA[j])):
-                    failures.append(AxiomFailure("antipode target twist", (x, j)))
-        for i in range(n):
-            d = lift.apply(basisA[i])
-            left = [f.zero()] * n
-            right = [f.zero()] * n
-            for ab, c in enumerate(d):
-                if c == 0:
-                    continue
-                a, b = divmod(ab, n)
-                va = alg.mult_vec(unit_vec(f, n, a), s.apply(unit_vec(f, n, b)))
-                vb = alg.mult_vec(s.apply(unit_vec(f, n, a)), unit_vec(f, n, b))
-                for m in range(n):
-                    if va[m] != 0:
-                        left[m] = f.add(left[m], f.mul(c, va[m]))
-                    if vb[m] != 0:
-                        right[m] = f.add(right[m], f.mul(c, vb[m]))
-            eps_i = h.counit.apply(basisA[i])
-            if tuple(left) != h.src.apply(eps_i):
-                failures.append(AxiomFailure("antipode left composite", (i,)))
-            if tuple(right) != h.tgt.apply(eps_i):
-                failures.append(AxiomFailure("antipode right composite", (i,)))
+            failures += _column_failures([
+                ("antipode source twist", s @ lsrc[x] - ltgt[x] @ s),
+                ("antipode target twist", s @ ltgt[x] - lsrc[x] @ s)], (x,))
+        # h1 S(h2) = s(eps(h)) and S(h1) h2 = t(eps(h))
+        failures += _column_failures([
+            ("antipode left composite", _convolution(comult, eye, s, mu) - sc),
+            ("antipode right composite", _convolution(comult, s, eye, mu) - tc)])
     return AxiomReport(tuple(failures))
 
 
@@ -421,13 +357,13 @@ def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     ideal = ideal_subspace(h)
     q = quotient_space(n, ideal)
     sys = ConstraintSystem(f, n)
+    sc = h.src @ h.counit
     for i in range(n):
         e_i = unit_vec(f, n, i)
-        scal = h.src.apply(h.counit.apply(e_i))
         if side == "left":
-            diff = alg.left_mult_matrix(vec_sub(f, e_i, scal))
+            diff = alg.left_mult_matrix(vec_sub(f, e_i, sc.col(i)))
         else:
-            diff = alg.right_mult_matrix(e_i) - alg.left_mult_matrix(scal)
+            diff = alg.right_mult_matrix(e_i) - alg.left_mult_matrix(sc.col(i))
         sys.add_matrix_rows(q.projection @ diff)
     if normalized:
         sys.add_matrix_rows(h.counit, h.base.algebra.unit)
@@ -445,12 +381,12 @@ def solve_integral_hgd(h: HopfAlgebroidPresentation, side: str,
     ideal = ideal_subspace(h)
     alg = h.total
     f = h.field
+    sc = h.src @ h.counit
+    moved = alg.right_mult_matrix(element) if side == "left" \
+        else alg.left_mult_matrix(element)
     for i in range(alg.dim):
-        e_i = unit_vec(f, alg.dim, i)
-        prod = alg.mult_vec(e_i, element) if side == "left" \
-            else alg.mult_vec(element, e_i)
-        scal = alg.mult_vec(h.src.apply(h.counit.apply(e_i)), element)
-        if not membership(vec_sub(f, prod, scal), ideal):
+        scal = alg.mult_vec(sc.col(i), element)
+        if not membership(vec_sub(f, moved.col(i), scal), ideal):
             raise ArithmeticError("integral escaped the ideal after solving")
     return HgdIntegral(element, sol)
 
@@ -469,56 +405,33 @@ def cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     alg, base = h.total, h.base.algebra
     srcs, tgts = _base_images(h)
     sys = ConstraintSystem(f, dr * n)
-    basisA = [unit_vec(f, n, j) for j in range(n)]
-    basisR = [unit_vec(f, dr, x) for x in range(dr)]
 
     anchor = srcs if side == "left" else tgts
     for x in range(dr):
+        moved = alg.left_mult_matrix(anchor[x])
         for j in range(n):
-            w = alg.mult_vec(anchor[x], basisA[j])
             for r in range(dr):
-                coeffs = {}
-                for jp, c in enumerate(w):
-                    if c != 0:
-                        coeffs[r * n + jp] = f.add(coeffs.get(r * n + jp, f.zero()), c)
+                coeffs = {r * n + jp: c for jp, c in enumerate(moved.col(j)) if c != 0}
                 for rp in range(dr):
                     c = base.mult.at(x, rp, r)
                     if c != 0:
-                        key = rp * n + j
-                        coeffs[key] = f.sub(coeffs.get(key, f.zero()), c)
+                        _add_to(coeffs, rp * n + j, f.neg(c), f)
                 sys.add_row(coeffs, f.zero())
 
-    lift = h.comult_lift
-    # products e_a . t(f_r) and s(f_r) . e_b, per total and base basis element
-    if side == "left":
-        mix = [[alg.mult_vec(unit_vec(f, n, a), tgts[r]) for r in range(dr)]
-               for a in range(n)]
-    else:
-        mix = [[alg.mult_vec(srcs[r], unit_vec(f, n, b)) for r in range(dr)]
-               for b in range(n)]
+    _, terms = _comult_terms(h)
+    # mix[r][a] = e_a t(f_r) (left) or s(f_r) e_a (right), sparse
+    mix = [_sparse_cols(alg.right_mult_matrix(t)) for t in tgts] if side == "left" \
+        else [_sparse_cols(alg.left_mult_matrix(s)) for s in srcs]
     out_map = h.src if side == "left" else h.tgt
     for i in range(n):
-        d = lift.apply(basisA[i])
         rows = [dict() for _ in range(n)]
-        for ab, c in enumerate(d):
-            if c == 0:
-                continue
-            a, b = divmod(ab, n)
+        for a, b, c in terms[i]:
             carrier, slot = (a, b) if side == "left" else (b, a)
             for r in range(dr):
-                vec = mix[carrier][r]
-                for m, cv in enumerate(vec):
-                    if cv != 0:
-                        key = r * n + slot
-                        row = rows[m]
-                        row[key] = f.add(row.get(key, f.zero()), f.mul(c, cv))
-        for r in range(dr):
-            col = out_map.col(r)
-            for m, cv in enumerate(col):
-                if cv != 0:
-                    key = r * n + i
-                    row = rows[m]
-                    row[key] = f.sub(row.get(key, f.zero()), cv)
+                for m, cv in mix[r][carrier]:
+                    _add_to(rows[m], r * n + slot, f.mul(c, cv), f)
+        for m, r, cv in out_map.nonzeros():
+            _add_to(rows[m], r * n + i, f.neg(cv), f)
         for row in rows:
             sys.add_row(row, f.zero())
 
@@ -547,41 +460,32 @@ def separability_system_hgd(h: HopfAlgebroidPresentation,
     n = h.total.dim
     alg = h.total
     qd = q.dim
+    prod = _sparse_products(alg)
+    # quotient coordinate r is the ambient coordinate free[r] (see quotient_space)
+    pivots = set(q.relations.pivots)
+    free = [c for c in range(n * n) if c not in pivots]
     sys = ConstraintSystem(f, qd * n)
-    ms = alg.mult_matrix() @ q.section
+    # mu(section(e_j)) = e_j
     for j in range(n):
-        for m in range(n):
-            coeffs = {r * n + j: ms.at(m, r) for r in range(qd) if ms.at(m, r) != 0}
-            sys.add_row(coeffs, f.one() if m == j else f.zero())
-    prod = [[[] for _ in range(n)] for _ in range(n)]
-    for a, b, k, t in alg.mult.nonzeros():
-        prod[a][b].append((k, t))
-    # the section columns as sparse tensors [(a, b, coefficient)] of A (x) A
-    lifts = [[(*divmod(ab, n), c) for ab, c in enumerate(q.section.col(r)) if c != 0]
-             for r in range(qd)]
-
-    def through_quotient(x, left):
-        """Columns of q.projection (L_x (x) 1) q.section, or of (1 (x) R_x)."""
-        out = []
-        for lift in lifts:
-            vec = [f.zero()] * (n * n)
-            for a, b, c in lift:
-                for k, t in prod[x][a] if left else prod[b][x]:
-                    idx = k * n + b if left else a * n + k
-                    vec[idx] = f.add(vec[idx], f.mul(c, t))
-            out.append(q.project(vec))
-        return out
-
+        rows = [dict() for _ in range(n)]
+        for r, c in enumerate(free):
+            for m, t in prod[c // n][c % n]:
+                rows[m][r * n + j] = t
+        for m, row in enumerate(rows):
+            sys.add_row(row, f.one() if m == j else f.zero())
     for i in range(n):
-        left, right = through_quotient(i, True), through_quotient(i, False)
+        e_i = unit_vec(f, n, i)
+        left = _on_leg(q.projection, alg.left_mult_matrix(e_i), 0)
+        right = _on_leg(q.projection, alg.right_mult_matrix(e_i), 1)
         for j in range(n):
             # (mu bullet 1)(1 bullet nabla) on e_i (x) e_j and
             # (1 bullet mu)(nabla bullet 1) on e_j (x) e_i, through the quotient
             for act, target in ((left, prod[i][j]), (right, prod[j][i])):
                 for r in range(qd):
-                    coeffs = {rp * n + j: act[rp][r] for rp in range(qd) if act[rp][r] != 0}
+                    coeffs = {rp * n + j: act.at(r, c) for rp, c in enumerate(free)
+                              if act.at(r, c) != 0}
                     for m, c in target:
-                        coeffs[r * n + m] = f.sub(coeffs.get(r * n + m, f.zero()), c)
+                        _add_to(coeffs, r * n + m, f.neg(c), f)
                     sys.add_row(coeffs, f.zero())
     return sys
 
@@ -618,127 +522,45 @@ def coseparability_system_hgd(h: HopfAlgebroidPresentation,
         for m in range(n):
             coeffs = {m * qd + r: col[r] for r in range(qd) if col[r] != 0}
             sys.add_row(coeffs, f.one() if m == i else f.zero())
-    gens = {}
-    for j in range(n):
-        for k in range(n):
-            vec = [f.zero()] * (n * n)
-            vec[j * n + k] = f.one()
-            gens[(j, k)] = q.project(vec)
-    # R-bimodule morphism rows
+    pcols = _sparse_cols(q.projection)          # pcols[j*n + k] = pi(e_j (x) e_k)
+    # R-bimodule morphism rows: P(pi(s(x)e_j (x) e_k)) = s(x) P(pi(e_j (x) e_k))
+    # on the left leg and P(pi(e_j (x) t(x)e_k)) = t(x) P(pi(e_j (x) e_k)) on the right
     for x in range(h.base.dim):
-        smat = alg.left_mult_matrix(srcs[x])
-        tmat = alg.left_mult_matrix(tgts[x])
-        for j in range(n):
-            sj = alg.mult_vec(srcs[x], unit_vec(f, n, j))
-            for k in range(n):
-                tk = alg.mult_vec(tgts[x], unit_vec(f, n, k))
-                u = gens[(j, k)]
-                # left leg: pi(s(x) e_j (x) e_k) = s(x) pi(e_j (x) e_k)
-                lhs = [f.zero()] * (n * n)
-                for m, c in enumerate(sj):
-                    if c != 0:
-                        lhs[m * n + k] = c
-                for row, rhs in _bimodule_rows(f, n, qd, q.project(lhs), u, smat):
-                    sys.add_row(row, rhs)
-                # right leg: pi(e_j (x) t(x) e_k) = t(x) pi(e_j (x) e_k)
-                rhs_vec = [f.zero()] * (n * n)
-                for m, c in enumerate(tk):
-                    if c != 0:
-                        rhs_vec[j * n + m] = c
-                for row, rhs in _bimodule_rows(f, n, qd, q.project(rhs_vec), u, tmat):
-                    sys.add_row(row, rhs)
-    # the two bicomodule squares
-    lift = h.comult_lift
+        for leg, image in ((0, srcs[x]), (1, tgts[x])):
+            act = alg.left_mult_matrix(image)
+            arows = _sparse_cols(act.transpose())
+            moved = _sparse_cols(_on_leg(q.projection, act, leg))
+            for jk in range(n * n):
+                for m in range(n):
+                    row = {m * qd + r: c for r, c in moved[jk]}
+                    for mp, a in arows[m]:
+                        for r, u in pcols[jk]:
+                            _add_to(row, mp * qd + r, f.neg(f.mul(a, u)), f)
+                    sys.add_row(row, f.zero())
+    # the two bicomodule squares: (1 circ P)(delta circ 1) on the left leg and
+    # (P circ 1)(1 circ delta) on the right leg, each equal to delta P
+    dqcols = _sparse_cols(dq)
+    _, terms = _comult_terms(h)
     for j in range(n):
-        dj = lift.apply(unit_vec(f, n, j))
         for k in range(n):
-            u = gens[(j, k)]
-            # common middle: delta(P(u)) in quotient coordinates
-            mid = {}
-            for m in range(n):
-                col = dq.col(m)
-                for r, ur in enumerate(u):
-                    if ur == 0:
-                        continue
-                    key = m * qd + r
-                    for rr in range(qd):
-                        if col[rr] != 0:
-                            bucket = mid.setdefault(rr, {})
-                            bucket[key] = f.add(bucket.get(key, f.zero()),
-                                                f.mul(ur, col[rr]))
-            # left square: (1 circ P)(delta circ 1)
-            lhsrows = {}
-            for ab, c in enumerate(dj):
-                if c == 0:
-                    continue
-                a, b = divmod(ab, n)
-                ubk = gens[(b, k)]
+            mid = [dict() for _ in range(qd)]
+            for r, u in pcols[j * n + k]:
                 for m in range(n):
-                    pvec = [f.zero()] * (n * n)
-                    pvec[a * n + m] = f.one()
-                    pq_ = q.project(pvec)
-                    for r, ur in enumerate(ubk):
-                        if ur == 0:
-                            continue
-                        key = m * qd + r
-                        for rr, cv in enumerate(pq_):
-                            if cv != 0:
-                                bucket = lhsrows.setdefault(rr, {})
-                                bucket[key] = f.add(bucket.get(key, f.zero()),
-                                                    f.mul(c, f.mul(ur, cv)))
-            for rr in range(qd):
-                row = dict(lhsrows.get(rr, {}))
-                for key, val in mid.get(rr, {}).items():
-                    row[key] = f.sub(row.get(key, f.zero()), val)
-                sys.add_row(row, f.zero())
-            # right square: (P circ 1)(1 circ delta)
-            dk = lift.apply(unit_vec(f, n, k))
-            rhsrows = {}
-            for ab, c in enumerate(dk):
-                if c == 0:
-                    continue
-                a, b = divmod(ab, n)
-                uja = gens[(j, a)]
-                for m in range(n):
-                    pvec = [f.zero()] * (n * n)
-                    pvec[m * n + b] = f.one()
-                    pq_ = q.project(pvec)
-                    for r, ur in enumerate(uja):
-                        if ur == 0:
-                            continue
-                        key = m * qd + r
-                        for rr, cv in enumerate(pq_):
-                            if cv != 0:
-                                bucket = rhsrows.setdefault(rr, {})
-                                bucket[key] = f.add(bucket.get(key, f.zero()),
-                                                    f.mul(c, f.mul(ur, cv)))
-            for rr in range(qd):
-                row = dict(rhsrows.get(rr, {}))
-                for key, val in mid.get(rr, {}).items():
-                    row[key] = f.sub(row.get(key, f.zero()), val)
-                sys.add_row(row, f.zero())
+                    for rr, d in dqcols[m]:
+                        _add_to(mid[rr], m * qd + r, f.neg(f.mul(u, d)), f)
+            for leg in (0, 1):
+                rows = [dict(row) for row in mid]
+                for a, b, c in terms[(j, k)[leg]]:
+                    inner = pcols[b * n + k] if leg == 0 else pcols[j * n + a]
+                    for m in range(n):
+                        outer = pcols[a * n + m] if leg == 0 else pcols[m * n + b]
+                        for r, u in inner:
+                            cu = f.mul(c, u)
+                            for rr, v in outer:
+                                _add_to(rows[rr], m * qd + r, f.mul(cu, v), f)
+                for row in rows:
+                    sys.add_row(row, f.zero())
     return sys
-
-
-def _bimodule_rows(f, n, qd, w, u, act):
-    """Rows of P(w) - act(P(u)) = 0, coefficients over P[m, r] = m*qd + r."""
-    rows = []
-    for m in range(n):
-        coeffs = {}
-        for r, c in enumerate(w):
-            if c != 0:
-                coeffs[m * qd + r] = f.add(coeffs.get(m * qd + r, f.zero()), c)
-        for mp in range(n):
-            c_act = act.at(m, mp)
-            if c_act == 0:
-                continue
-            for r, ur in enumerate(u):
-                if ur == 0:
-                    continue
-                key = mp * qd + r
-                coeffs[key] = f.sub(coeffs.get(key, f.zero()), f.mul(c_act, ur))
-        rows.append((coeffs, f.zero()))
-    return rows
 
 
 def solve_coseparability_hgd(h: HopfAlgebroidPresentation):

@@ -349,8 +349,9 @@ def _groupoid_parse(obj, path) -> GroupoidPresentation:
 
 
 def _commalgebra_parse(field, obj, path) -> CommAlgebraPresentation:
+    algebra = _algebra_in(field, obj, path)
     try:
-        return CommAlgebraPresentation(_algebra_in(field, obj, path))
+        return CommAlgebraPresentation(algebra)
     except ValueError as exc:
         _fail(path, str(exc))
 

@@ -39,6 +39,7 @@ from .finalg import (
     _once,
     _require_antipode,
     _sparse_cols,
+    _sparse_products,
     check_algebra,
     check_coalgebra,
     solve_coseparability,
@@ -115,15 +116,6 @@ class CointegralSolution(Frozen):
     @property
     def functional(self) -> tuple:
         return self.solutions.particular
-
-
-def _sparse_products(alg: AlgebraPresentation):
-    """prod[i][j] = sparse [(k, val)] expansion of e_i * e_j."""
-    n = alg.dim
-    prod = [[[] for _ in range(n)] for _ in range(n)]
-    for i, j, k, t in alg.mult.nonzeros():
-        prod[i][j].append((k, t))
-    return prod
 
 
 @_once

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, membership,
+from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, QuotientSpace,
+                                   Subspace, Tensor3, membership, quotient_space,
                                    unit_vec, vec_sub)
-from maschke_kit.finalg import InvalidPresentationError
+from maschke_kit.finalg import (AlgebraPresentation, AxiomFailure, AxiomReport,
+                                InvalidPresentationError, check_algebra)
 from maschke_kit.examples import (
     cyclic_group,
     dual_group_algebra,
@@ -23,6 +26,7 @@ from maschke_kit.hopfalgd import (
     bullet_relations,
     check_hopf_algebroid,
     circ_relations,
+    coseparability_system_hgd,
     ideal_subspace,
     integral_system_hgd,
     maschke_report,
@@ -109,6 +113,506 @@ def kron_separability_system_hgd(h, q) -> ConstraintSystem:
                             coeffs[r * n + m] = f.sub(coeffs.get(r * n + m, f.zero()), c)
                     sys.add_row(coeffs, f.zero())
     return sys
+
+
+# The checks and systems as they were built one basis vector at a time: every
+# identity through mult_vec and Matrix.apply on unit vectors, every projection
+# through QuotientSpace.project.  hopfalgd builds the same reports, relation
+# spaces and systems from structure constants; TestOracle compares the two.
+
+
+def _oracle_base_images(h: HopfAlgebroidPresentation):
+    """s(x) and t(x) for every base basis element, as total-algebra vectors."""
+    dr = h.base.dim
+    return ([h.src.col(x) for x in range(dr)], [h.tgt.col(x) for x in range(dr)])
+
+
+def oracle_circ_relations(h: HopfAlgebroidPresentation) -> Subspace:
+    """Span of t(x)e_j (x) e_k - e_j (x) s(x)e_k over base and total bases."""
+    f = h.field
+    n = h.total.dim
+    alg = h.total
+    srcs, tgts = _oracle_base_images(h)
+    rows = []
+    for x in range(h.base.dim):
+        lt = [alg.mult_vec(tgts[x], unit_vec(f, n, j)) for j in range(n)]
+        ls = [alg.mult_vec(srcs[x], unit_vec(f, n, k)) for k in range(n)]
+        for j in range(n):
+            for k in range(n):
+                row = [f.zero()] * (n * n)
+                for m, c in enumerate(lt[j]):
+                    if c != 0:
+                        row[m * n + k] = f.add(row[m * n + k], c)
+                for m, c in enumerate(ls[k]):
+                    if c != 0:
+                        row[j * n + m] = f.sub(row[j * n + m], c)
+                if any(v != 0 for v in row):
+                    rows.append(row)
+    return Subspace.from_rows(f, n * n, rows)
+
+
+def oracle_bullet_relations(h: HopfAlgebroidPresentation) -> Subspace:
+    """Span of (s(x)t(y)e_j) (x) e_k - e_j (x) (s(x)t(y)e_k)."""
+    f = h.field
+    n = h.total.dim
+    alg = h.total
+    srcs, tgts = _oracle_base_images(h)
+    rows = []
+    for x in range(h.base.dim):
+        for y in range(h.base.dim):
+            z = alg.mult_vec(srcs[x], tgts[y])
+            lz = [alg.mult_vec(z, unit_vec(f, n, j)) for j in range(n)]
+            for j in range(n):
+                for k in range(n):
+                    row = [f.zero()] * (n * n)
+                    for m, c in enumerate(lz[j]):
+                        if c != 0:
+                            row[m * n + k] = f.add(row[m * n + k], c)
+                    for m, c in enumerate(lz[k]):
+                        if c != 0:
+                            row[j * n + m] = f.sub(row[j * n + m], c)
+                    if any(v != 0 for v in row):
+                        rows.append(row)
+    return Subspace.from_rows(f, n * n, rows)
+
+
+def oracle_check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
+    """All defining identities; comultiplication laws after projection."""
+    failures = []
+    base_report = check_algebra(h.base.algebra)
+    total_report = check_algebra(h.total)
+    for fail in base_report.failures:
+        failures.append(AxiomFailure("base " + fail.law, fail.witness, fail.detail))
+    for fail in total_report.failures:
+        failures.append(AxiomFailure("total " + fail.law, fail.witness, fail.detail))
+    if failures:
+        return AxiomReport(tuple(failures))
+    f = h.field
+    dr, n = h.base.dim, h.total.dim
+    base, alg = h.base.algebra, h.total
+    srcs, tgts = _oracle_base_images(h)
+    basisR = [unit_vec(f, dr, x) for x in range(dr)]
+    basisA = [unit_vec(f, n, j) for j in range(n)]
+
+    # s and t are unital algebra maps into the center
+    for name, mat, imgs in (("source", h.src, srcs), ("target", h.tgt, tgts)):
+        if mat.apply(base.unit) != alg.unit:
+            failures.append(AxiomFailure(f"{name} map unit", ()))
+        for x in range(dr):
+            for y in range(dr):
+                lhs = mat.apply(base.mult_vec(basisR[x], basisR[y]))
+                rhs = alg.mult_vec(imgs[x], imgs[y])
+                if lhs != rhs:
+                    failures.append(AxiomFailure(f"{name} map multiplicative", (x, y)))
+        for x in range(dr):
+            for j in range(n):
+                if alg.mult_vec(imgs[x], basisA[j]) != alg.mult_vec(basisA[j], imgs[x]):
+                    failures.append(AxiomFailure(f"{name} map centrality", (x, j)))
+
+    # counit: unital algebra map and R-bimodule map
+    if h.counit.apply(alg.unit) != base.unit:
+        failures.append(AxiomFailure("counit unit", ()))
+    for i in range(n):
+        for j in range(n):
+            lhs = h.counit.apply(alg.mult_vec(basisA[i], basisA[j]))
+            rhs = base.mult_vec(h.counit.apply(basisA[i]), h.counit.apply(basisA[j]))
+            if lhs != rhs:
+                failures.append(AxiomFailure("counit multiplicative", (i, j)))
+    for x in range(dr):
+        for j in range(n):
+            scaled = base.mult_vec(basisR[x], h.counit.apply(basisA[j]))
+            if h.counit.apply(alg.mult_vec(srcs[x], basisA[j])) != scaled:
+                failures.append(AxiomFailure("counit source linearity", (x, j)))
+            if h.counit.apply(alg.mult_vec(tgts[x], basisA[j])) != scaled:
+                failures.append(AxiomFailure("counit target linearity", (x, j)))
+
+    lift = h.comult_lift
+    q2 = quotient_space(n * n, oracle_circ_relations(h))
+
+    def project2(vec):
+        return q2.project(vec)
+
+    # comultiplication is an R-bimodule map into the circ quotient
+    for x in range(dr):
+        for j in range(n):
+            l_s = lift.apply(alg.mult_vec(srcs[x], basisA[j]))
+            l_t = lift.apply(alg.mult_vec(tgts[x], basisA[j]))
+            d = lift.apply(basisA[j])
+            left_act = [f.zero()] * (n * n)
+            right_act = [f.zero()] * (n * n)
+            for ab, c in enumerate(d):
+                if c == 0:
+                    continue
+                a, b = divmod(ab, n)
+                sa = alg.mult_vec(srcs[x], unit_vec(f, n, a))
+                for m, cv in enumerate(sa):
+                    if cv != 0:
+                        left_act[m * n + b] = f.add(left_act[m * n + b], f.mul(c, cv))
+                tb = alg.mult_vec(tgts[x], unit_vec(f, n, b))
+                for m, cv in enumerate(tb):
+                    if cv != 0:
+                        right_act[a * n + m] = f.add(right_act[a * n + m], f.mul(c, cv))
+            if project2(l_s) != project2(left_act):
+                failures.append(AxiomFailure("comult source linearity", (x, j)))
+            if project2(l_t) != project2(right_act):
+                failures.append(AxiomFailure("comult target linearity", (x, j)))
+
+    # multiplicativity of delta w.r.t. the factorwise product, in the quotient
+    for i in range(n):
+        di = lift.apply(basisA[i])
+        for j in range(n):
+            dj = lift.apply(basisA[j])
+            prod = [f.zero()] * (n * n)
+            for ab, c1 in enumerate(di):
+                if c1 == 0:
+                    continue
+                a, b = divmod(ab, n)
+                for cd, c2 in enumerate(dj):
+                    if c2 == 0:
+                        continue
+                    cc, dd = divmod(cd, n)
+                    left = alg.mult_vec(unit_vec(f, n, a), unit_vec(f, n, cc))
+                    right = alg.mult_vec(unit_vec(f, n, b), unit_vec(f, n, dd))
+                    c12 = f.mul(c1, c2)
+                    for p, t1 in enumerate(left):
+                        if t1 == 0:
+                            continue
+                        for q, t2 in enumerate(right):
+                            if t2 != 0:
+                                prod[p * n + q] = f.add(prod[p * n + q],
+                                                        f.mul(c12, f.mul(t1, t2)))
+            if project2(lift.apply(alg.mult_vec(basisA[i], basisA[j]))) != project2(prod):
+                failures.append(AxiomFailure("comult multiplicative", (i, j)))
+
+    # counitality: s(eps(h1)) h2 = h = t(eps(h2)) h1
+    for i in range(n):
+        d = lift.apply(basisA[i])
+        left = [f.zero()] * n
+        right = [f.zero()] * n
+        for ab, c in enumerate(d):
+            if c == 0:
+                continue
+            a, b = divmod(ab, n)
+            va = alg.mult_vec(h.src.apply(h.counit.apply(unit_vec(f, n, a))),
+                              unit_vec(f, n, b))
+            for m, cv in enumerate(va):
+                if cv != 0:
+                    left[m] = f.add(left[m], f.mul(c, cv))
+            vb = alg.mult_vec(h.tgt.apply(h.counit.apply(unit_vec(f, n, b))),
+                              unit_vec(f, n, a))
+            for m, cv in enumerate(vb):
+                if cv != 0:
+                    right[m] = f.add(right[m], f.mul(c, cv))
+        if tuple(left) != basisA[i]:
+            failures.append(AxiomFailure("counitality (left)", (i,)))
+        if tuple(right) != basisA[i]:
+            failures.append(AxiomFailure("counitality (right)", (i,)))
+
+    # coassociativity in the double quotient
+    rel2 = q2.relations
+    rows3 = []
+    for i in range(rel2.dim):
+        r = rel2.basis.row(i)
+        for k in range(n):
+            row = [f.zero()] * (n ** 3)
+            for ab, c in enumerate(r):
+                if c != 0:
+                    row[ab * n + k] = c
+            rows3.append(row)
+            row = [f.zero()] * (n ** 3)
+            for ab, c in enumerate(r):
+                if c != 0:
+                    row[k * n * n + ab] = c
+            rows3.append(row)
+    rel3 = Subspace.from_rows(f, n ** 3, rows3)
+    for i in range(n):
+        d = lift.apply(basisA[i])
+        first = [f.zero()] * (n ** 3)
+        second = [f.zero()] * (n ** 3)
+        for ab, c in enumerate(d):
+            if c == 0:
+                continue
+            a, b = divmod(ab, n)
+            da = lift.apply(unit_vec(f, n, a))
+            for pq, c2 in enumerate(da):
+                if c2 != 0:
+                    first[pq * n + b] = f.add(first[pq * n + b], f.mul(c, c2))
+            db = lift.apply(unit_vec(f, n, b))
+            for pq, c2 in enumerate(db):
+                if c2 != 0:
+                    second[a * n * n + pq] = f.add(second[a * n * n + pq],
+                                                   f.mul(c, c2))
+        if not rel3.contains(vec_sub(f, tuple(first), tuple(second))):
+            failures.append(AxiomFailure("coassociativity", (i,)))
+
+    # antipode identities
+    if h.antipode is not None:
+        s = h.antipode
+        for x in range(dr):
+            for j in range(n):
+                if s.apply(alg.mult_vec(srcs[x], basisA[j])) != \
+                        alg.mult_vec(tgts[x], s.apply(basisA[j])):
+                    failures.append(AxiomFailure("antipode source twist", (x, j)))
+                if s.apply(alg.mult_vec(tgts[x], basisA[j])) != \
+                        alg.mult_vec(srcs[x], s.apply(basisA[j])):
+                    failures.append(AxiomFailure("antipode target twist", (x, j)))
+        for i in range(n):
+            d = lift.apply(basisA[i])
+            left = [f.zero()] * n
+            right = [f.zero()] * n
+            for ab, c in enumerate(d):
+                if c == 0:
+                    continue
+                a, b = divmod(ab, n)
+                va = alg.mult_vec(unit_vec(f, n, a), s.apply(unit_vec(f, n, b)))
+                vb = alg.mult_vec(s.apply(unit_vec(f, n, a)), unit_vec(f, n, b))
+                for m in range(n):
+                    if va[m] != 0:
+                        left[m] = f.add(left[m], f.mul(c, va[m]))
+                    if vb[m] != 0:
+                        right[m] = f.add(right[m], f.mul(c, vb[m]))
+            eps_i = h.counit.apply(basisA[i])
+            if tuple(left) != h.src.apply(eps_i):
+                failures.append(AxiomFailure("antipode left composite", (i,)))
+            if tuple(right) != h.tgt.apply(eps_i):
+                failures.append(AxiomFailure("antipode right composite", (i,)))
+    return AxiomReport(tuple(failures))
+
+
+def oracle_coseparability_system_hgd(h: HopfAlgebroidPresentation,
+                              q: QuotientSpace) -> ConstraintSystem:
+    """Bicomodule-retraction rows over the circ quotient (unknowns dimA x q.dim).
+
+    Includes the R-bimodule-map rows for the retraction: morphisms of
+    R-bimodules are required, not bare linear maps.
+    """
+    f = h.field
+    n = h.total.dim
+    alg = h.total
+    qd = q.dim
+    srcs, tgts = _oracle_base_images(h)
+    sys = ConstraintSystem(f, n * qd)
+    dq = q.projection @ h.comult_lift          # delta into quotient coordinates
+    # retraction: P . delta = id
+    for i in range(n):
+        col = dq.col(i)
+        for m in range(n):
+            coeffs = {m * qd + r: col[r] for r in range(qd) if col[r] != 0}
+            sys.add_row(coeffs, f.one() if m == i else f.zero())
+    gens = {}
+    for j in range(n):
+        for k in range(n):
+            vec = [f.zero()] * (n * n)
+            vec[j * n + k] = f.one()
+            gens[(j, k)] = q.project(vec)
+    # R-bimodule morphism rows
+    for x in range(h.base.dim):
+        smat = alg.left_mult_matrix(srcs[x])
+        tmat = alg.left_mult_matrix(tgts[x])
+        for j in range(n):
+            sj = alg.mult_vec(srcs[x], unit_vec(f, n, j))
+            for k in range(n):
+                tk = alg.mult_vec(tgts[x], unit_vec(f, n, k))
+                u = gens[(j, k)]
+                # left leg: pi(s(x) e_j (x) e_k) = s(x) pi(e_j (x) e_k)
+                lhs = [f.zero()] * (n * n)
+                for m, c in enumerate(sj):
+                    if c != 0:
+                        lhs[m * n + k] = c
+                for row, rhs in _oracle_bimodule_rows(f, n, qd, q.project(lhs), u, smat):
+                    sys.add_row(row, rhs)
+                # right leg: pi(e_j (x) t(x) e_k) = t(x) pi(e_j (x) e_k)
+                rhs_vec = [f.zero()] * (n * n)
+                for m, c in enumerate(tk):
+                    if c != 0:
+                        rhs_vec[j * n + m] = c
+                for row, rhs in _oracle_bimodule_rows(f, n, qd, q.project(rhs_vec), u,
+                                                      tmat):
+                    sys.add_row(row, rhs)
+    # the two bicomodule squares
+    lift = h.comult_lift
+    for j in range(n):
+        dj = lift.apply(unit_vec(f, n, j))
+        for k in range(n):
+            u = gens[(j, k)]
+            # common middle: delta(P(u)) in quotient coordinates
+            mid = {}
+            for m in range(n):
+                col = dq.col(m)
+                for r, ur in enumerate(u):
+                    if ur == 0:
+                        continue
+                    key = m * qd + r
+                    for rr in range(qd):
+                        if col[rr] != 0:
+                            bucket = mid.setdefault(rr, {})
+                            bucket[key] = f.add(bucket.get(key, f.zero()),
+                                                f.mul(ur, col[rr]))
+            # left square: (1 circ P)(delta circ 1)
+            lhsrows = {}
+            for ab, c in enumerate(dj):
+                if c == 0:
+                    continue
+                a, b = divmod(ab, n)
+                ubk = gens[(b, k)]
+                for m in range(n):
+                    pvec = [f.zero()] * (n * n)
+                    pvec[a * n + m] = f.one()
+                    pq_ = q.project(pvec)
+                    for r, ur in enumerate(ubk):
+                        if ur == 0:
+                            continue
+                        key = m * qd + r
+                        for rr, cv in enumerate(pq_):
+                            if cv != 0:
+                                bucket = lhsrows.setdefault(rr, {})
+                                bucket[key] = f.add(bucket.get(key, f.zero()),
+                                                    f.mul(c, f.mul(ur, cv)))
+            for rr in range(qd):
+                row = dict(lhsrows.get(rr, {}))
+                for key, val in mid.get(rr, {}).items():
+                    row[key] = f.sub(row.get(key, f.zero()), val)
+                sys.add_row(row, f.zero())
+            # right square: (P circ 1)(1 circ delta)
+            dk = lift.apply(unit_vec(f, n, k))
+            rhsrows = {}
+            for ab, c in enumerate(dk):
+                if c == 0:
+                    continue
+                a, b = divmod(ab, n)
+                uja = gens[(j, a)]
+                for m in range(n):
+                    pvec = [f.zero()] * (n * n)
+                    pvec[m * n + b] = f.one()
+                    pq_ = q.project(pvec)
+                    for r, ur in enumerate(uja):
+                        if ur == 0:
+                            continue
+                        key = m * qd + r
+                        for rr, cv in enumerate(pq_):
+                            if cv != 0:
+                                bucket = rhsrows.setdefault(rr, {})
+                                bucket[key] = f.add(bucket.get(key, f.zero()),
+                                                    f.mul(c, f.mul(ur, cv)))
+            for rr in range(qd):
+                row = dict(rhsrows.get(rr, {}))
+                for key, val in mid.get(rr, {}).items():
+                    row[key] = f.sub(row.get(key, f.zero()), val)
+                sys.add_row(row, f.zero())
+    return sys
+
+
+def _oracle_bimodule_rows(f, n, qd, w, u, act):
+    """Rows of P(w) - act(P(u)) = 0, coefficients over P[m, r] = m*qd + r."""
+    rows = []
+    for m in range(n):
+        coeffs = {}
+        for r, c in enumerate(w):
+            if c != 0:
+                coeffs[m * qd + r] = f.add(coeffs.get(m * qd + r, f.zero()), c)
+        for mp in range(n):
+            c_act = act.at(m, mp)
+            if c_act == 0:
+                continue
+            for r, ur in enumerate(u):
+                if ur == 0:
+                    continue
+                key = mp * qd + r
+                coeffs[key] = f.sub(coeffs.get(key, f.zero()), f.mul(c_act, ur))
+        rows.append((coeffs, f.zero()))
+    return rows
+
+
+def oracle_corpus():
+    """Pair algebroids with perturbed lifts, Hopf algebras over k and a 2x2
+    matrix algebra with structure constants other than 0 and 1."""
+    for field in (QQ, F2, F3, F5):
+        for mk in BASES:
+            h = pair_hopf_algebroid(mk(field))
+            yield h
+            if mk is not ground_field_algebra:
+                yield from (perturbed_lift(h, trial) for trial in range(3))
+        for w in (group_algebra(cyclic_group(2), field),
+                  group_algebra(cyclic_group(3), field),
+                  dual_group_algebra(cyclic_group(3), field)):
+            yield hopf_algebra_as_algebroid(w)
+    for field in (QQ, F5):
+        yield hopf_algebra_as_algebroid(
+            rebased(groupoid_algebra(pair_groupoid(2), field), 1))
+
+
+def raised(h, name, idx):
+    """h with entry idx of src, tgt, comult_lift, counit, antipode or the
+    total mult raised by 1."""
+    f = h.field
+    parts = dict(base=h.base, total=h.total, src=h.src, tgt=h.tgt,
+                 comult_lift=h.comult_lift, counit=h.counit, antipode=h.antipode)
+    t = h.total.mult if name == "mult" else parts[name]
+    ent = list(t.entries)
+    ent[idx] = f.add(ent[idx], f.one())
+    if name == "mult":
+        parts["total"] = AlgebraPresentation(f, t.d0, h.total.labels,
+                                             Tensor3(f, t.d0, t.d1, t.d2, tuple(ent)),
+                                             h.total.unit)
+    else:
+        parts[name] = Matrix(f, t.rows, t.cols, tuple(ent))
+    return HopfAlgebroidPresentation(**parts)
+
+
+def oracle_cases():
+    """The corpus, and copies of each with one entry raised by 1 per map."""
+    rng = random.Random(9)
+    for h in oracle_corpus():
+        yield h
+        for name in ("src", "tgt", "comult_lift", "counit", "antipode", "mult"):
+            t = h.total.mult if name == "mult" else getattr(h, name)
+            yield raised(h, name, rng.randrange(len(t.entries)))
+
+
+class TestOracle:
+    def test_reports_match_oracle(self):
+        laws = set()
+        for h in oracle_cases():
+            report = check_hopf_algebroid(h)
+            assert report == oracle_check_hopf_algebroid(h)
+            laws.update(fail.law for fail in report.failures)
+        # the damaged copies reach every law after the algebra checks
+        assert {"source map unit", "source map multiplicative", "source map centrality",
+                "target map unit", "target map multiplicative", "target map centrality",
+                "counit unit", "counit multiplicative", "counit source linearity",
+                "counit target linearity", "comult source linearity",
+                "comult target linearity", "comult multiplicative",
+                "counitality (left)", "counitality (right)", "coassociativity",
+                "antipode source twist", "antipode target twist",
+                "antipode left composite", "antipode right composite"} <= laws
+
+    def test_relations_match_oracle(self):
+        for h in oracle_cases():
+            assert circ_relations(h) == oracle_circ_relations(h)
+            assert bullet_relations(h) == oracle_bullet_relations(h)
+
+    def test_coseparability_systems_match_oracle(self):
+        feasible = 0
+        for h in oracle_cases():
+            q = tensor_over_R(h, CIRC)
+            got = coseparability_system_hgd(h, q).solve()
+            want = oracle_coseparability_system_hgd(h, q).solve()
+            assert got == want
+            feasible += want is not None
+        assert feasible > 0
+
+    def test_coseparability_system_reads_projection_columns(self, monkeypatch):
+        calls = []
+        project = QuotientSpace.project
+
+        def counted(q, vec):
+            calls.append(1)
+            return project(q, vec)
+
+        monkeypatch.setattr(QuotientSpace, "project", counted)
+        h = pair_hopf_algebroid(dual_number_algebra(QQ))
+        coseparability_system_hgd(h, tensor_over_R(h, CIRC))
+        assert len(calls) == 0
 
 
 class TestValidation:

@@ -167,15 +167,22 @@ class FieldSpec(Frozen):
 
     def coerce(self, x):
         """Canonical scalar from an int, Fraction or text token."""
+        p = self.characteristic
+        # A canonical scalar comes back unchanged.  The exact type test keeps
+        # bool (a subclass of int) on the path below, which refuses it.
+        if p == 0:
+            if type(x) is Fraction:
+                return x
+        elif type(x) is int and 0 <= x < p:
+            return x
         if isinstance(x, str):
             x = Fraction(_bounded_token(x))
-        if self.characteristic == 0:
+        if p == 0:
             if isinstance(x, bool):
                 raise TypeError("bool is not a scalar")
             if isinstance(x, (int, Fraction)):
                 return Fraction(x)
             raise TypeError(f"cannot coerce {x!r} into Q")
-        p = self.characteristic
         if isinstance(x, bool):
             raise TypeError("bool is not a scalar")
         if isinstance(x, int):
@@ -444,19 +451,20 @@ class Subspace(Frozen):
         b = self.basis
         if b.cols != self.ambient_dim:
             raise ValueError("basis width must equal ambient_dim")
-        seen = -1
+        pivots = []
         for i in range(b.rows):
             row = b.row(i)
             lead = next((j for j, v in enumerate(row) if v != 0), None)
             if lead is None:
                 raise ValueError("zero row in subspace basis")
-            if lead <= seen:
+            if pivots and lead <= pivots[-1]:
                 raise ValueError("pivot columns not strictly increasing")
             if row[lead] != b.field.one():
                 raise ValueError("pivot entry must be 1")
-            if any(b.at(k, lead) != 0 for k in range(b.rows) if k != i):
+            if any(v != 0 for k, v in enumerate(b.col(lead)) if k != i):
                 raise ValueError("pivot column not reduced")
-            seen = lead
+            pivots.append(lead)
+        object.__setattr__(self, "_pivots", tuple(pivots))
 
     @staticmethod
     def from_rows(field: FieldSpec, ambient_dim: int, rows) -> "Subspace":
@@ -483,11 +491,7 @@ class Subspace(Frozen):
 
     @property
     def pivots(self) -> tuple:
-        out = []
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            out.append(next(j for j, v in enumerate(row) if v != 0))
-        return tuple(out)
+        return self._pivots
 
     def reduce(self, vec) -> tuple:
         """Remainder of vec after eliminating all pivot coordinates."""

@@ -108,6 +108,15 @@ def _sparse_products(a: AlgebraPresentation) -> tuple:
     return tuple(tuple(map(tuple, row)) for row in prod)
 
 
+@_once
+def _comult_by_source(c: CoalgebraPresentation) -> tuple:
+    """terms[i] = ((j, k, value), ...), the nonzero terms of Delta(e_i)."""
+    terms = [[] for _ in range(c.dim)]
+    for i, j, k, t in c.comult.nonzeros():
+        terms[i].append((j, k, t))
+    return tuple(map(tuple, terms))
+
+
 def _convolution(comult: Tensor3, f: Matrix, g: Matrix, product: Matrix) -> Matrix:
     """Matrix of h -> product(f(h1) (x) g(h2)), the convolution of f and g.
 
@@ -168,18 +177,18 @@ class AlgebraPresentation(Frozen):
         """Product of two coefficient vectors."""
         f = self.field
         add, mul = f.add, f.mul
+        prod = _sparse_products(self)
         out = [f.zero()] * self.dim
         for i, a in enumerate(u):
             if a == 0:
                 continue
+            row = prod[i]
             for j, b in enumerate(v):
                 if b == 0:
                     continue
                 c = mul(a, b)
-                for k in range(self.dim):
-                    t = self.mult.at(i, j, k)
-                    if t != 0:
-                        out[k] = add(out[k], mul(c, t))
+                for k, t in row[j]:
+                    out[k] = add(out[k], mul(c, t))
         return tuple(out)
 
     def left_mult_matrix(self, u) -> Matrix:
@@ -266,22 +275,39 @@ class CoalgebraPresentation(Frozen):
 @_once
 def check_algebra(a: AlgebraPresentation) -> AxiomReport:
     """Associativity on all basis triples plus two-sided unitality."""
-    n = a.dim
+    f, n = a.field, a.dim
+    add, mul, zero = f.add, f.mul, f.zero()
+    prod = _sparse_products(a)
+    unit = [(m, u) for m, u in enumerate(a.unit) if u != 0]
     failures = []
-    basis = [unit_vec(a.field, n, i) for i in range(n)]
     for i in range(n):
-        left = a.mult_vec(a.unit, basis[i])
-        if left != basis[i]:
+        # 1 e_i and e_i 1, summed over the unit's nonzeros
+        left = [zero] * n
+        right = [zero] * n
+        for m, u in unit:
+            for k, t in prod[m][i]:
+                left[k] = add(left[k], mul(u, t))
+            for k, t in prod[i][m]:
+                right[k] = add(right[k], mul(u, t))
+        e = list(unit_vec(f, n, i))
+        if left != e:
             failures.append(AxiomFailure("left unit", (i,), a.labels[i]))
-        right = a.mult_vec(basis[i], a.unit)
-        if right != basis[i]:
+        if right != e:
             failures.append(AxiomFailure("right unit", (i,), a.labels[i]))
-    prods = [[a.mult_vec(basis[i], basis[j]) for j in range(n)] for i in range(n)]
     for i in range(n):
+        prod_i = prod[i]
         for j in range(n):
+            prod_ij = prod_i[j]
             for k in range(n):
-                lhs = a.mult_vec(prods[i][j], basis[k])
-                rhs = a.mult_vec(basis[i], prods[j][k])
+                # (e_i e_j) e_k and e_i (e_j e_k), summed over product terms
+                lhs = [zero] * n
+                for m, t in prod_ij:
+                    for c, s in prod[m][k]:
+                        lhs[c] = add(lhs[c], mul(t, s))
+                rhs = [zero] * n
+                for m, t in prod[j][k]:
+                    for c, s in prod_i[m]:
+                        rhs[c] = add(rhs[c], mul(t, s))
                 if lhs != rhs:
                     failures.append(AxiomFailure(
                         "associativity", (i, j, k),
@@ -289,41 +315,42 @@ def check_algebra(a: AlgebraPresentation) -> AxiomReport:
     return AxiomReport(tuple(failures))
 
 
+def _nonzero_entries(d: dict) -> dict:
+    return {k: v for k, v in d.items() if v != 0}
+
+
 @_once
 def check_coalgebra(c: CoalgebraPresentation) -> AxiomReport:
     """Coassociativity on all basis elements plus two-sided counitality."""
-    n = c.dim
-    f = c.field
+    f, n = c.field, c.dim
+    add, mul, zero = f.add, f.mul, f.zero()
+    eps = c.counit
+    delta = _comult_by_source(c)
     failures = []
     for i in range(n):
         # counit laws: (eps (x) 1) delta = id = (1 (x) eps) delta
-        left = [f.zero()] * n
-        right = [f.zero()] * n
-        for i0, j, k, t in c.comult.nonzeros():
-            if i0 != i:
-                continue
-            left[k] = f.add(left[k], f.mul(t, c.counit[j]))
-            right[j] = f.add(right[j], f.mul(t, c.counit[k]))
-        e = unit_vec(f, n, i)
-        if tuple(left) != e:
+        left = [zero] * n
+        right = [zero] * n
+        for j, k, t in delta[i]:
+            left[k] = add(left[k], mul(t, eps[j]))
+            right[j] = add(right[j], mul(t, eps[k]))
+        e = list(unit_vec(f, n, i))
+        if left != e:
             failures.append(AxiomFailure("left counit", (i,)))
-        if tuple(right) != e:
+        if right != e:
             failures.append(AxiomFailure("right counit", (i,)))
     for i in range(n):
-        lhs = [f.zero()] * (n ** 3)
-        rhs = [f.zero()] * (n ** 3)
-        for i0, j, k, t in c.comult.nonzeros():
-            if i0 != i:
-                continue
-            # (delta (x) 1) delta: expand the left leg
-            for j0, p, q, s in c.comult.nonzeros():
-                if j0 == j:
-                    idx = (p * n + q) * n + k
-                    lhs[idx] = f.add(lhs[idx], f.mul(t, s))
-                if j0 == k:
-                    idx = (j * n + p) * n + q
-                    rhs[idx] = f.add(rhs[idx], f.mul(t, s))
-        if lhs != rhs:
+        # (delta (x) 1) delta and (1 (x) delta) delta, keyed by (p * n + q) * n + r
+        lhs = {}
+        rhs = {}
+        for j, k, t in delta[i]:
+            for p, q, s in delta[j]:
+                idx = (p * n + q) * n + k
+                lhs[idx] = add(lhs.get(idx, zero), mul(t, s))
+            for p, q, s in delta[k]:
+                idx = (j * n + p) * n + q
+                rhs[idx] = add(rhs.get(idx, zero), mul(t, s))
+        if _nonzero_entries(lhs) != _nonzero_entries(rhs):
             failures.append(AxiomFailure("coassociativity", (i,)))
     return AxiomReport(tuple(failures))
 

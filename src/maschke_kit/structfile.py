@@ -88,11 +88,30 @@ def _tensor_out(field, t: Tensor3):
              for j in range(t.d1)] for i in range(t.d0)]
 
 
+def _token_parser(field):
+    """field.parse_scalar that parses each distinct text token once.
+
+    Anything but text goes straight to parse_scalar, which refuses it; a
+    failing token raises before it is stored.
+    """
+    parsed = {}
+
+    def parse(x):
+        if type(x) is not str:
+            return field.parse_scalar(x)
+        value = parsed.get(x)
+        if value is None:
+            value = parsed[x] = field.parse_scalar(x)
+        return value
+
+    return parse
+
+
 def _vector_in(field, obj, length, path):
     if not isinstance(obj, list) or len(obj) != length:
         _fail(path, f"expected a list of {length} scalars")
     try:
-        return tuple(field.parse_scalar(x) for x in obj)
+        return tuple(map(_token_parser(field), obj))
     except (ValueError, TypeError) as exc:
         _fail(path, str(exc))
 
@@ -100,12 +119,13 @@ def _vector_in(field, obj, length, path):
 def _matrix_in(field, obj, rows, cols, path):
     if not isinstance(obj, list) or len(obj) != rows:
         _fail(path, f"expected {rows} rows")
+    parse = _token_parser(field)
     ent = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             _fail(f"{path}[{i}]", f"expected {cols} entries")
         try:
-            ent.extend(field.parse_scalar(x) for x in row)
+            ent.extend(map(parse, row))
         except (ValueError, TypeError) as exc:
             _fail(f"{path}[{i}]", str(exc))
     return Matrix(field, rows, cols, tuple(ent))
@@ -114,6 +134,7 @@ def _matrix_in(field, obj, rows, cols, path):
 def _tensor_in(field, obj, d0, d1, d2, path):
     if not isinstance(obj, list) or len(obj) != d0:
         _fail(path, f"expected {d0} planes")
+    parse = _token_parser(field)
     ent = []
     for i, plane in enumerate(obj):
         if not isinstance(plane, list) or len(plane) != d1:
@@ -122,7 +143,7 @@ def _tensor_in(field, obj, d0, d1, d2, path):
             if not isinstance(row, list) or len(row) != d2:
                 _fail(f"{path}[{i}][{j}]", f"expected {d2} entries")
             try:
-                ent.extend(field.parse_scalar(x) for x in row)
+                ent.extend(map(parse, row))
             except (ValueError, TypeError) as exc:
                 _fail(f"{path}[{i}][{j}]", str(exc))
     return Tensor3(field, d0, d1, d2, tuple(ent))

@@ -35,6 +35,7 @@ from .finalg import (
     CoalgebraPresentation,
     InvalidPresentationError,
     MaschkeReport,
+    _comult_by_source,
     _convolution,
     _once,
     _require_antipode,
@@ -144,9 +145,7 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     zero = f.zero()
     failures = []
     prod = _sparse_products(alg)
-    by_source = [[] for _ in range(n)]
-    for i, j, k, t in coa.comult.nonzeros():
-        by_source[i].append((j, k, t))
+    by_source = _comult_by_source(coa)
 
     # comultiplication is multiplicative: delta(hk) = delta(h) delta(k)
     for i in range(n):
@@ -198,6 +197,7 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     # weak counit: eps(fgh) = sum eps(f g1) eps(g2 h) = sum eps(f g2) eps(g1 h)
     eps2 = _counit_pairing(w)
     for i in range(n):
+        eps2_i = eps2[i]
         for j in range(n):
             for k in range(n):
                 lhs = zero
@@ -207,8 +207,12 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
                 straight = zero
                 twisted = zero
                 for a, b, s in by_source[j]:
-                    straight = add(straight, mul(s, mul(eps2[i][a], eps2[b][k])))
-                    twisted = add(twisted, mul(s, mul(eps2[i][b], eps2[a][k])))
+                    x, y = eps2_i[a], eps2[b][k]
+                    if x != 0 and y != 0:
+                        straight = add(straight, mul(s, mul(x, y)))
+                    x, y = eps2_i[b], eps2[a][k]
+                    if x != 0 and y != 0:
+                        twisted = add(twisted, mul(s, mul(x, y)))
                 if lhs != straight:
                     failures.append(AxiomFailure("weak counit (straight)", (i, j, k)))
                 if lhs != twisted:
@@ -409,6 +413,43 @@ def _check_side_variant(side, variant):
         raise ValueError(f"variant must be one of {VARIANTS}")
 
 
+def _terms(vec) -> list:
+    return [(a, c) for a, c in enumerate(vec) if c != 0]
+
+
+def _vector(f: FieldSpec, n: int, terms) -> tuple:
+    out = [f.zero()] * n
+    for k, t in terms:
+        out[k] = t
+    return tuple(out)
+
+
+def _mult_cols(f: FieldSpec, prod: tuple, terms, u_first: bool, cols=None) -> list:
+    """cols[j] = {k: coefficient of e_k in u e_j (u_first) or in e_j u}.
+
+    Read from the product table, for u the sum of c e_a over the (a, c) in
+    terms, and added into cols when it is given.  Entries may sum to zero.
+    """
+    add, mul, zero = f.add, f.mul, f.zero()
+    if cols is None:
+        cols = [{} for _ in prod]
+    for a, c in terms:
+        for j, col in enumerate(cols):
+            for k, t in (prod[a][j] if u_first else prod[j][a]):
+                col[k] = add(col.get(k, zero), mul(c, t))
+    return cols
+
+
+def _add_mult_rows(sys: ConstraintSystem, prod: tuple, terms, u_first: bool):
+    """The rows of t -> u t (u_first) or t -> t u, one per output coordinate."""
+    rows = [{} for _ in prod]
+    for j, col in enumerate(_mult_cols(sys.field, prod, terms, u_first)):
+        for k, v in col.items():
+            rows[k][j] = v
+    for row in rows:
+        sys.add_row(row, sys.field.zero())
+
+
 def integral_system(w: WeakHopfPresentation, side: str, variant: str,
                     normalized: bool) -> ConstraintSystem:
     """Affine system over the dim unknowns of an integral element."""
@@ -417,33 +458,29 @@ def integral_system(w: WeakHopfPresentation, side: str, variant: str,
     n = w.dim
     alg = w.algebra
     maps = projections(w)
+    prod = _sparse_products(alg)
+    left = side == "left"
     sys = ConstraintSystem(f, n)
-    basis = [unit_vec(f, n, i) for i in range(n)]
-    if side == "left":
-        # h t = piL(h) t for all basis h
-        for i in range(n):
-            sys.add_matrix_rows(alg.left_mult_matrix(vec_sub(f, basis[i], maps.piL.col(i))))
-        if normalized:
-            sys.add_matrix_rows(maps.piR_bar, alg.unit)
-    else:
-        # t h = t piR(h) for all basis h
-        for i in range(n):
-            sys.add_matrix_rows(alg.right_mult_matrix(vec_sub(f, basis[i], maps.piR.col(i))))
-        if normalized:
-            sys.add_matrix_rows(maps.piR, alg.unit)
+    # left: h t = piL(h) t; right: t h = t piR(h); for all basis h
+    pi_cols = _sparse_cols(maps.piL if left else maps.piR)
+    for i in range(n):
+        terms = [(i, f.one())] + [(m, f.neg(v)) for m, v in pi_cols[i]]
+        _add_mult_rows(sys, prod, terms, left)
+    if normalized:
+        sys.add_matrix_rows(maps.piR_bar if left else maps.piR, alg.unit)
     if variant == "duoidal":
         info = base_algebra(w)
         for i in range(info.subspace.dim):
             x = info.subspace.basis.row(i)
-            if side == "left":
+            if left:
                 # t piL(x) = t piR_bar(piL_bar(x))
                 y = vec_sub(f, maps.piL.apply(x),
                             maps.piR_bar.apply(maps.piL_bar.apply(x)))
-                sys.add_matrix_rows(alg.right_mult_matrix(y))
+                _add_mult_rows(sys, prod, _terms(y), False)
             else:
                 # piL_bar(x) t = piR(piL(x)) t
                 y = vec_sub(f, maps.piL_bar.apply(x), maps.piR.apply(maps.piL.apply(x)))
-                sys.add_matrix_rows(alg.left_mult_matrix(y))
+                _add_mult_rows(sys, prod, _terms(y), True)
     return sys
 
 
@@ -464,68 +501,42 @@ def cointegral_system(w: WeakHopfPresentation, side: str, variant: str,
     f = w.field
     n = w.dim
     alg, coa = w.algebra, w.coalgebra
+    add, sub, mul, neg, zero = f.add, f.sub, f.mul, f.neg, f.zero()
     maps = projections(w)
+    pi_cols = _sparse_cols(maps.piL if side == "left" else maps.piR)
     sys = ConstraintSystem(f, n)
-    by_source = [[] for _ in range(n)]
-    for i, a, b, t in coa.comult.nonzeros():
-        by_source[i].append((a, b, t))
-    if side == "left":
-        # h1 tau(h2) = piL(h1) tau(h2) in A
-        for i in range(n):
-            rows = [dict() for _ in range(n)]
-            for a, b, t in by_source[i]:
-                for m in range(n):
-                    c = f.mul(t, f.sub(f.one() if a == m else f.zero(),
-                                       maps.piL.at(m, a)))
-                    if c != 0:
-                        row = rows[m]
-                        row[b] = f.add(row.get(b, f.zero()), c)
-            for row in rows:
-                sys.add_row(row, f.zero())
-        if normalized:
-            # tau . piL = eps
-            for j in range(n):
-                coeffs = {a: maps.piL.at(a, j) for a in range(n)
-                          if maps.piL.at(a, j) != 0}
-                sys.add_row(coeffs, coa.counit[j])
-    else:
-        # tau(h1) h2 = tau(h1) piR(h2) in A
-        for i in range(n):
-            rows = [dict() for _ in range(n)]
-            for a, b, t in by_source[i]:
-                for m in range(n):
-                    c = f.mul(t, f.sub(f.one() if b == m else f.zero(),
-                                       maps.piR.at(m, b)))
-                    if c != 0:
-                        row = rows[m]
-                        row[a] = f.add(row.get(a, f.zero()), c)
-            for row in rows:
-                sys.add_row(row, f.zero())
-        if normalized:
-            for j in range(n):
-                coeffs = {a: maps.piR.at(a, j) for a in range(n)
-                          if maps.piR.at(a, j) != 0}
-                sys.add_row(coeffs, coa.counit[j])
+    for terms in _comult_by_source(coa):
+        # left: h1 tau(h2) = piL(h1) tau(h2); right: tau(h1) h2 = tau(h1) piR(h2)
+        rows = [dict() for _ in range(n)]
+        for a, b, t in terms:
+            if side == "right":
+                a, b = b, a
+            # row m gains t ([a = m] - pi[m, a]) at the unknown tau(e_b)
+            rows[a][b] = add(rows[a].get(b, zero), t)
+            for m, v in pi_cols[a]:
+                rows[m][b] = sub(rows[m].get(b, zero), mul(t, v))
+        for row in rows:
+            sys.add_row(row, zero)
+    if normalized:
+        # tau . piL = eps (left), tau . piR = eps (right)
+        for j in range(n):
+            sys.add_row(dict(pi_cols[j]), coa.counit[j])
     if variant == "duoidal":
         info = base_algebra(w)
-        basis = [unit_vec(f, n, i) for i in range(n)]
+        prod = _sparse_products(alg)
         for i in range(info.subspace.dim):
             x = info.subspace.basis.row(i)
-            for j in range(n):
-                if side == "left":
-                    # tau(x h) = tau(h piR(piL(x)))
-                    v1 = alg.mult_vec(x, basis[j])
-                    v2 = alg.mult_vec(basis[j], maps.piR.apply(maps.piL.apply(x)))
-                else:
-                    # tau(h piL_bar(x)) = tau(piL(x) h)
-                    v1 = alg.mult_vec(basis[j], maps.piL_bar.apply(x))
-                    v2 = alg.mult_vec(maps.piL.apply(x), basis[j])
-                coeffs = {}
-                for m in range(n):
-                    c = f.sub(v1[m], v2[m])
-                    if c != 0:
-                        coeffs[m] = c
-                sys.add_row(coeffs, f.zero())
+            if side == "left":
+                # tau(x h) = tau(h piR(piL(x)))
+                u, v, u_first = x, maps.piR.apply(maps.piL.apply(x)), True
+            else:
+                # tau(h piL_bar(x)) = tau(piL(x) h)
+                u, v, u_first = maps.piL_bar.apply(x), maps.piL.apply(x), False
+            # row j: the coefficients of tau in u e_j - e_j v (or e_j u - v e_j)
+            cols = _mult_cols(f, prod, _terms(u), u_first)
+            _mult_cols(f, prod, [(b, neg(c)) for b, c in _terms(v)], not u_first, cols)
+            for col in cols:
+                sys.add_row(col, zero)
     return sys
 
 
@@ -562,7 +573,9 @@ def convert_integral(w: WeakHopfPresentation, t_prime, side: str) -> tuple:
     if not integral_system(w, side, "primed", True).satisfied_by(t_prime):
         raise ValueError("input fails the primed integral conditions")
     u = w.coalgebra.comult_vec(alg.unit)
-    basis = [unit_vec(f, n, i) for i in range(n)]
+    # t' e_a (left) or e_b t' (right), for every basis index
+    t_cols = [_vector(f, n, col.items()) for col in
+              _mult_cols(f, _sparse_products(alg), _terms(t_prime), side == "left")]
     out = zero_vec(f, n)
     if side == "left":
         comp = maps.piL @ maps.piR
@@ -570,7 +583,7 @@ def convert_integral(w: WeakHopfPresentation, t_prime, side: str) -> tuple:
             if c == 0:
                 continue
             a, b = divmod(ab, n)
-            term = alg.mult_vec(alg.mult_vec(t_prime, basis[a]), comp.col(b))
+            term = alg.mult_vec(t_cols[a], comp.col(b))
             out = vec_add(f, out, vec_scale(f, c, term))
     else:
         comp = maps.piR @ maps.piL
@@ -578,7 +591,8 @@ def convert_integral(w: WeakHopfPresentation, t_prime, side: str) -> tuple:
             if c == 0:
                 continue
             a, b = divmod(ab, n)
-            term = alg.mult_vec(alg.mult_vec(comp.col(a), basis[b]), t_prime)
+            # (comp(e_a) e_b) t' = comp(e_a) (e_b t')
+            term = alg.mult_vec(comp.col(a), t_cols[b])
             out = vec_add(f, out, vec_scale(f, c, term))
     if not integral_system(w, side, "duoidal", True).satisfied_by(out):
         raise StructureDefectError("converted integral fails the duoidal conditions")
@@ -602,7 +616,7 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
     if not cointegral_system(w, side, "primed", True).satisfied_by(tau_prime):
         raise ValueError("input fails the primed cointegral conditions")
     u = w.coalgebra.comult_vec(alg.unit)
-    basis = [unit_vec(f, n, i) for i in range(n)]
+    prod = _sparse_products(alg)
     out = []
     for j in range(n):
         acc = f.zero()
@@ -611,9 +625,10 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
                 continue
             a, b = divmod(ab, n)
             if side == "left":
-                vec = alg.mult_vec(alg.mult_vec(basis[a], basis[j]), maps.piR.col(b))
+                vec = alg.mult_vec(_vector(f, n, prod[a][j]), maps.piR.col(b))
             else:
-                vec = alg.mult_vec(alg.mult_vec(maps.piL.col(a), basis[j]), basis[b])
+                # (piL(e_a) e_j) e_b = piL(e_a) (e_j e_b)
+                vec = alg.mult_vec(maps.piL.col(a), _vector(f, n, prod[j][b]))
             acc = f.add(acc, f.mul(c, _dot(f, tau_prime, vec)))
         out.append(acc)
     out = tuple(out)

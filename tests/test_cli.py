@@ -181,6 +181,45 @@ class TestCommands:
         assert "zero denominator" in report["failures"][0]
         assert main(["integrals", "--structure", str(path), "--side", "left"]) == 3
 
+    @pytest.mark.parametrize("damage, message", [
+        # the first bad token comes after 94 valid ones and is repeated later
+        (lambda p: (p["mult"][2][3].__setitem__(4, "1/0"),
+                    p["mult"][4][1].__setitem__(0, "1/0")),
+         "$.payload.mult[2][3]: scalar token '1/0' has a zero denominator"),
+        (lambda p: p["mult"][1][2].__setitem__(3, 1),
+         "$.payload.mult[1][2]: scalar token must be text, got 1"),
+        (lambda p: p["comult"][1][2].__setitem__(3, []),
+         "$.payload.comult[1][2]: scalar token must be text, got []"),
+        (lambda p: p["mult"][0][5].__setitem__(5, True),
+         "$.payload.mult[0][5]: scalar token must be text, got True"),
+        (lambda p: p["unit"].__setitem__(1, True),
+         "$.payload.unit: scalar token must be text, got True"),
+    ], ids=["repeated-zero-denominator", "number", "list", "true", "true-in-unit"])
+    def test_bad_scalar_token_exits_three(self, tmp_path, damage, message):
+        path = gen(tmp_path, "s3.json", "group-algebra", "--group", "S3",
+                   "--field", "Q")
+        doc = json.loads(path.read_text())
+        damage(doc["payload"])
+        path.write_text(json.dumps(doc))
+        report = json.loads(run(tmp_path, "validate", "--structure", str(path),
+                                expect=3))
+        assert report["failures"] == [message]
+
+    def test_each_distinct_token_is_parsed_once(self, monkeypatch):
+        text = serialize_structure(group_algebra(cyclic_group(12), FieldSpec.gf(5)))
+        calls = []
+        parse_scalar = FieldSpec.parse_scalar
+
+        def counted(field, token):
+            calls.append(token)
+            return parse_scalar(field, token)
+
+        monkeypatch.setattr(FieldSpec, "parse_scalar", counted)
+        w = parse_structure_text(text)
+        assert serialize_structure(w) == text
+        # five tables (mult, unit, comult, counit, antipode) of 0 and 1 tokens
+        assert len(calls) < 20
+
     def test_validate_checks_version_and_kind(self, tmp_path, capsys):
         path = gen(tmp_path, "kxk.json", "commalgebra", "--base", "kxk",
                    "--field", "Q")

@@ -117,6 +117,17 @@ class TestFieldSpec:
     def test_large_prime_ok(self):
         FieldSpec.gf(2**31 - 1)
 
+    def test_canonical_scalars_pass_through(self):
+        half = Fraction(1, 2)
+        assert QQ.coerce(half) is half
+        assert F5.coerce(4) == 4 and F5.coerce(5) == 0
+        assert F5.coerce(7) == 2 and F5.coerce(-1) == 4
+        assert type(QQ.coerce(3)) is Fraction
+        for field in (QQ, F5):
+            for flag in (True, False):
+                with pytest.raises(TypeError):
+                    field.coerce(flag)
+
     def test_denominator_vanishing_mod_p(self):
         with pytest.raises(ValueError):
             F2.coerce(Fraction(1, 2))
@@ -451,6 +462,24 @@ class TestSubspace:
             Subspace(2, Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
             Subspace.from_rows(QQ, 2, [[1, 0], [0, 0, 1]])
+        with pytest.raises(ValueError, match="zero row"):
+            Subspace(2, Matrix.from_rows(QQ, [[1, 0], [0, 0]]))
+        with pytest.raises(ValueError, match="not reduced"):
+            Subspace(3, Matrix.from_rows(QQ, [[1, 1, 0], [0, 1, 0]]))
+        with pytest.raises(ValueError, match="not reduced"):
+            Subspace(3, Matrix.from_rows(QQ, [[1, 0, 2], [0, 1, 0], [0, 0, 1]]))
+
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pivots_are_the_leading_columns(self, nr, nc, data):
+        field = data.draw(st.sampled_from(FIELDS))
+        hi = 6 if field.characteristic == 0 else field.characteristic
+        rows = data.draw(
+            st.lists(st.lists(st.integers(-hi, hi), min_size=nc, max_size=nc),
+                     min_size=nr, max_size=nr))
+        s = Subspace.from_rows(field, nc, rows)
+        assert s.pivots == rref(Matrix.from_rows(field, rows))[1]
+        assert s.pivots is s.pivots
 
 
 def test_unit_vec():

@@ -1,0 +1,518 @@
+"""The algebra, coalgebra and weak Hopf layers read stored sparse tables.
+
+``finalg.check_algebra``, ``finalg.check_coalgebra``,
+``AlgebraPresentation.mult_vec`` and the weak Hopf (co)integral systems and
+conversions are computed from the product table and the comultiplication
+grouped by source.  The oracles below are the earlier forms, which multiply
+unit vectors with a dense scan of the structure constants; reports, systems,
+solutions and conversions must agree with them exactly.
+"""
+
+import functools
+import random
+
+from maschke_kit import weakhopf
+from maschke_kit.examples import (
+    connected_groupoid,
+    cyclic_group,
+    disjoint_union,
+    dual_group_algebra,
+    group_algebra,
+    groupoid_algebra,
+    klein_four_group,
+    mutate,
+    one_object_groupoid,
+    pair_groupoid,
+    symmetric_group_s3,
+)
+from maschke_kit.exactlin import (
+    ConstraintSystem,
+    FieldSpec,
+    Tensor3,
+    unit_vec,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vec,
+)
+from maschke_kit.finalg import (
+    AlgebraPresentation,
+    AxiomFailure,
+    AxiomReport,
+    CoalgebraPresentation,
+    check_algebra,
+    check_coalgebra,
+)
+from maschke_kit.weakhopf import (
+    WeakHopfPresentation,
+    base_algebra,
+    check_weak_bialgebra,
+    cointegral_system,
+    convert_cointegral,
+    convert_integral,
+    integral_system,
+    projections,
+    solve_cointegral,
+    solve_integral,
+)
+
+from denselin import rebased
+
+QQ = FieldSpec.rationals()
+F2 = FieldSpec.gf(2)
+F3 = FieldSpec.gf(3)
+F5 = FieldSpec.gf(5)
+SIDES = ("left", "right")
+VARIANTS = ("primed", "duoidal")
+
+
+# ---------------------------------------------------------------------------
+# oracles: the earlier per-unit-vector forms
+
+
+def oracle_mult_vec(a, u, v) -> tuple:
+    f = a.field
+    out = [f.zero()] * a.dim
+    for i, x in enumerate(u):
+        if x == 0:
+            continue
+        for j, y in enumerate(v):
+            if y == 0:
+                continue
+            c = f.mul(x, y)
+            for k in range(a.dim):
+                t = a.mult.at(i, j, k)
+                if t != 0:
+                    out[k] = f.add(out[k], f.mul(c, t))
+    return tuple(out)
+
+
+def oracle_check_algebra(a) -> AxiomReport:
+    n = a.dim
+    failures = []
+    basis = [unit_vec(a.field, n, i) for i in range(n)]
+    for i in range(n):
+        if oracle_mult_vec(a, a.unit, basis[i]) != basis[i]:
+            failures.append(AxiomFailure("left unit", (i,), a.labels[i]))
+        if oracle_mult_vec(a, basis[i], a.unit) != basis[i]:
+            failures.append(AxiomFailure("right unit", (i,), a.labels[i]))
+    prods = [[oracle_mult_vec(a, basis[i], basis[j]) for j in range(n)]
+             for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = oracle_mult_vec(a, prods[i][j], basis[k])
+                rhs = oracle_mult_vec(a, basis[i], prods[j][k])
+                if lhs != rhs:
+                    failures.append(AxiomFailure(
+                        "associativity", (i, j, k),
+                        f"({a.labels[i]}*{a.labels[j]})*{a.labels[k]}"))
+    return AxiomReport(tuple(failures))
+
+
+def oracle_check_coalgebra(c) -> AxiomReport:
+    n = c.dim
+    f = c.field
+    failures = []
+    for i in range(n):
+        left = [f.zero()] * n
+        right = [f.zero()] * n
+        for i0, j, k, t in c.comult.nonzeros():
+            if i0 != i:
+                continue
+            left[k] = f.add(left[k], f.mul(t, c.counit[j]))
+            right[j] = f.add(right[j], f.mul(t, c.counit[k]))
+        e = unit_vec(f, n, i)
+        if tuple(left) != e:
+            failures.append(AxiomFailure("left counit", (i,)))
+        if tuple(right) != e:
+            failures.append(AxiomFailure("right counit", (i,)))
+    for i in range(n):
+        lhs = [f.zero()] * (n ** 3)
+        rhs = [f.zero()] * (n ** 3)
+        for i0, j, k, t in c.comult.nonzeros():
+            if i0 != i:
+                continue
+            for j0, p, q, s in c.comult.nonzeros():
+                if j0 == j:
+                    idx = (p * n + q) * n + k
+                    lhs[idx] = f.add(lhs[idx], f.mul(t, s))
+                if j0 == k:
+                    idx = (j * n + p) * n + q
+                    rhs[idx] = f.add(rhs[idx], f.mul(t, s))
+        if lhs != rhs:
+            failures.append(AxiomFailure("coassociativity", (i,)))
+    return AxiomReport(tuple(failures))
+
+
+def oracle_integral_system(w, side, variant, normalized) -> ConstraintSystem:
+    f = w.field
+    n = w.dim
+    alg = w.algebra
+    maps = projections(w)
+    sys = ConstraintSystem(f, n)
+    basis = [unit_vec(f, n, i) for i in range(n)]
+    if side == "left":
+        for i in range(n):
+            sys.add_matrix_rows(alg.left_mult_matrix(vec_sub(f, basis[i], maps.piL.col(i))))
+        if normalized:
+            sys.add_matrix_rows(maps.piR_bar, alg.unit)
+    else:
+        for i in range(n):
+            sys.add_matrix_rows(alg.right_mult_matrix(vec_sub(f, basis[i], maps.piR.col(i))))
+        if normalized:
+            sys.add_matrix_rows(maps.piR, alg.unit)
+    if variant == "duoidal":
+        info = base_algebra(w)
+        for i in range(info.subspace.dim):
+            x = info.subspace.basis.row(i)
+            if side == "left":
+                y = vec_sub(f, maps.piL.apply(x),
+                            maps.piR_bar.apply(maps.piL_bar.apply(x)))
+                sys.add_matrix_rows(alg.right_mult_matrix(y))
+            else:
+                y = vec_sub(f, maps.piL_bar.apply(x), maps.piR.apply(maps.piL.apply(x)))
+                sys.add_matrix_rows(alg.left_mult_matrix(y))
+    return sys
+
+
+def oracle_cointegral_system(w, side, variant, normalized) -> ConstraintSystem:
+    f = w.field
+    n = w.dim
+    alg, coa = w.algebra, w.coalgebra
+    maps = projections(w)
+    sys = ConstraintSystem(f, n)
+    by_source = [[] for _ in range(n)]
+    for i, a, b, t in coa.comult.nonzeros():
+        by_source[i].append((a, b, t))
+    if side == "left":
+        for i in range(n):
+            rows = [dict() for _ in range(n)]
+            for a, b, t in by_source[i]:
+                for m in range(n):
+                    c = f.mul(t, f.sub(f.one() if a == m else f.zero(),
+                                       maps.piL.at(m, a)))
+                    if c != 0:
+                        row = rows[m]
+                        row[b] = f.add(row.get(b, f.zero()), c)
+            for row in rows:
+                sys.add_row(row, f.zero())
+        if normalized:
+            for j in range(n):
+                coeffs = {a: maps.piL.at(a, j) for a in range(n)
+                          if maps.piL.at(a, j) != 0}
+                sys.add_row(coeffs, coa.counit[j])
+    else:
+        for i in range(n):
+            rows = [dict() for _ in range(n)]
+            for a, b, t in by_source[i]:
+                for m in range(n):
+                    c = f.mul(t, f.sub(f.one() if b == m else f.zero(),
+                                       maps.piR.at(m, b)))
+                    if c != 0:
+                        row = rows[m]
+                        row[a] = f.add(row.get(a, f.zero()), c)
+            for row in rows:
+                sys.add_row(row, f.zero())
+        if normalized:
+            for j in range(n):
+                coeffs = {a: maps.piR.at(a, j) for a in range(n)
+                          if maps.piR.at(a, j) != 0}
+                sys.add_row(coeffs, coa.counit[j])
+    if variant == "duoidal":
+        info = base_algebra(w)
+        basis = [unit_vec(f, n, i) for i in range(n)]
+        for i in range(info.subspace.dim):
+            x = info.subspace.basis.row(i)
+            for j in range(n):
+                if side == "left":
+                    v1 = oracle_mult_vec(alg, x, basis[j])
+                    v2 = oracle_mult_vec(alg, basis[j],
+                                         maps.piR.apply(maps.piL.apply(x)))
+                else:
+                    v1 = oracle_mult_vec(alg, basis[j], maps.piL_bar.apply(x))
+                    v2 = oracle_mult_vec(alg, maps.piL.apply(x), basis[j])
+                coeffs = {}
+                for m in range(n):
+                    c = f.sub(v1[m], v2[m])
+                    if c != 0:
+                        coeffs[m] = c
+                sys.add_row(coeffs, f.zero())
+    return sys
+
+
+def oracle_convert_integral(w, t_prime, side) -> tuple:
+    f = w.field
+    n = w.dim
+    alg = w.algebra
+    maps = projections(w)
+    t_prime = tuple(f.coerce(x) for x in t_prime)
+    u = w.coalgebra.comult_vec(alg.unit)
+    basis = [unit_vec(f, n, i) for i in range(n)]
+    out = zero_vec(f, n)
+    comp = maps.piL @ maps.piR if side == "left" else maps.piR @ maps.piL
+    for ab, c in enumerate(u):
+        if c == 0:
+            continue
+        a, b = divmod(ab, n)
+        if side == "left":
+            term = oracle_mult_vec(alg, oracle_mult_vec(alg, t_prime, basis[a]),
+                                   comp.col(b))
+        else:
+            term = oracle_mult_vec(alg, oracle_mult_vec(alg, comp.col(a), basis[b]),
+                                   t_prime)
+        out = vec_add(f, out, vec_scale(f, c, term))
+    return out
+
+
+def oracle_convert_cointegral(w, tau_prime, side) -> tuple:
+    f = w.field
+    n = w.dim
+    alg = w.algebra
+    maps = projections(w)
+    tau_prime = tuple(f.coerce(x) for x in tau_prime)
+    u = w.coalgebra.comult_vec(alg.unit)
+    basis = [unit_vec(f, n, i) for i in range(n)]
+    out = []
+    for j in range(n):
+        acc = f.zero()
+        for ab, c in enumerate(u):
+            if c == 0:
+                continue
+            a, b = divmod(ab, n)
+            if side == "left":
+                vec = oracle_mult_vec(alg, oracle_mult_vec(alg, basis[a], basis[j]),
+                                      maps.piR.col(b))
+            else:
+                vec = oracle_mult_vec(alg, oracle_mult_vec(alg, maps.piL.col(a), basis[j]),
+                                      basis[b])
+            dot = f.zero()
+            for x, y in zip(tau_prime, vec):
+                dot = f.add(dot, f.mul(x, y))
+            acc = f.add(acc, f.mul(c, dot))
+        out.append(acc)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# corpus
+
+
+def groupoids():
+    return [pair_groupoid(2),
+            disjoint_union(one_object_groupoid(cyclic_group(2)),
+                           one_object_groupoid(cyclic_group(2))),
+            connected_groupoid(cyclic_group(2), 2),
+            pair_groupoid(3)]
+
+
+def criterion04_corpus():
+    """The 72 criterion-04 cases: group, dual group and groupoid algebras
+    over Q, F2, F3 and F5."""
+    groups = [cyclic_group(n) for n in (2, 3, 4, 5, 6)] + \
+        [klein_four_group(), symmetric_group_s3()]
+    for field in (QQ, F2, F3, F5):
+        yield from (group_algebra(g, field) for g in groups)
+        yield from (dual_group_algebra(g, field) for g in groups)
+        yield from (groupoid_algebra(gd, field) for gd in groupoids())
+
+
+def mutants():
+    """Seeds 0..149 of QC2 and of the pair:2 groupoid algebra over Q, valid
+    or not."""
+    for base in (group_algebra(cyclic_group(2), QQ),
+                 groupoid_algebra(pair_groupoid(2), QQ)):
+        for seed in range(150):
+            yield mutate(base, seed)
+
+
+def rebased_presentations():
+    """Isomorphic copies whose structure constants are not all 0 and 1, and
+    their mutants."""
+    for w in (group_algebra(cyclic_group(3), QQ),
+              dual_group_algebra(symmetric_group_s3(), F5),
+              groupoid_algebra(pair_groupoid(2), QQ),
+              groupoid_algebra(connected_groupoid(cyclic_group(2), 2), F3)):
+        r = rebased(w, 1)
+        yield r
+        for seed in range(40):
+            yield mutate(r, seed)
+
+
+def dual(w):
+    """The dual weak Hopf algebra on the dual basis: its multiplication is the
+    transposed comultiplication and the other way round.  The duals of
+    groupoid algebras have a Delta(1) that is not symmetric in its legs."""
+    f, n = w.field, w.dim
+    a, c = w.algebra, w.coalgebra
+    mult, comult = [f.zero()] * n ** 3, [f.zero()] * n ** 3
+    for i, j, k, t in c.comult.nonzeros():
+        mult[(j * n + k) * n + i] = t
+    for i, j, k, t in a.mult.nonzeros():
+        comult[(k * n + i) * n + j] = t
+    return WeakHopfPresentation(
+        AlgebraPresentation(f, n, a.labels, Tensor3(f, n, n, n, tuple(mult)), c.counit),
+        CoalgebraPresentation(f, n, Tensor3(f, n, n, n, tuple(comult)), a.unit),
+        None if w.antipode is None else w.antipode.transpose())
+
+
+def dual_presentations():
+    """Duals of the criterion-04 groupoid algebras and of two rebased ones."""
+    for field in (QQ, F2, F3, F5):
+        yield from (dual(groupoid_algebra(gd, field)) for gd in groupoids())
+    yield dual(rebased(groupoid_algebra(pair_groupoid(2), QQ), 1))
+    yield dual(rebased(groupoid_algebra(connected_groupoid(cyclic_group(2), 2), F5), 2))
+
+
+def raised_copies(w, rng):
+    """Copies of w with one entry of mult, comult, unit or counit raised by 1."""
+    f, n = w.field, w.dim
+    a, c = w.algebra, w.coalgebra
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    mult = a.mult.with_entry(i, j, k, f.add(a.mult.at(i, j, k), f.one()))
+    yield WeakHopfPresentation(AlgebraPresentation(f, n, a.labels, mult, a.unit),
+                               c, w.antipode)
+    comult = c.comult.with_entry(i, j, k, f.add(c.comult.at(i, j, k), f.one()))
+    yield WeakHopfPresentation(a, CoalgebraPresentation(f, n, comult, c.counit),
+                               w.antipode)
+    unit = list(a.unit)
+    unit[i] = f.add(unit[i], f.one())
+    if any(x != 0 for x in unit):
+        yield WeakHopfPresentation(
+            AlgebraPresentation(f, n, a.labels, a.mult, tuple(unit)), c, w.antipode)
+    counit = list(c.counit)
+    counit[i] = f.add(counit[i], f.one())
+    yield WeakHopfPresentation(a, CoalgebraPresentation(f, n, c.comult, tuple(counit)),
+                               w.antipode)
+
+
+def oracle_corpus():
+    rng = random.Random(7)
+    for w in criterion04_corpus():
+        yield w
+        for _ in range(2):
+            yield from raised_copies(w, rng)
+    yield from mutants()
+    yield from rebased_presentations()
+    yield from dual_presentations()
+
+
+@functools.cache
+def valid_corpus() -> tuple:
+    """The weak bialgebras of the corpus."""
+    return tuple(w for w in oracle_corpus() if check_weak_bialgebra(w).ok())
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+class TestFinalgMatchesOracles:
+    def test_reports_match_oracle(self):
+        laws = set()
+        for w in oracle_corpus():
+            a, c = w.algebra, w.coalgebra
+            report = check_algebra(a)
+            assert report == oracle_check_algebra(a)
+            coreport = check_coalgebra(c)
+            assert coreport == oracle_check_coalgebra(c)
+            laws.update(fl.law for fl in report.failures + coreport.failures)
+        assert laws == {"left unit", "right unit", "associativity",
+                        "left counit", "right counit", "coassociativity"}
+
+    def test_mult_vec_matches_oracle(self):
+        rng = random.Random(3)
+        for w in oracle_corpus():
+            a, f, n = w.algebra, w.field, w.dim
+            rand = [tuple(f.coerce(rng.randint(-2, 2)) for _ in range(n)) for _ in range(3)]
+            pairs = [(unit_vec(f, n, i), rand[0]) for i in range(n)] + \
+                [(rand[0], rand[1]), (rand[1], rand[2]), (a.unit, rand[2])]
+            for u, v in pairs:
+                assert a.mult_vec(u, v) == oracle_mult_vec(a, u, v)
+
+
+class TestWeakHopfMatchesOracles:
+    def test_systems_match_oracle(self):
+        cases = 0
+        for w in valid_corpus():
+            for side in SIDES:
+                for variant in VARIANTS:
+                    for normalized in (True, False):
+                        for build, oracle in (
+                                (integral_system, oracle_integral_system),
+                                (cointegral_system, oracle_cointegral_system)):
+                            got = build(w, side, variant, normalized)
+                            want = oracle(w, side, variant, normalized)
+                            # the same rows, in the same order
+                            assert got.rows == want.rows
+                            if normalized:
+                                assert got.solve() == want.solve()
+            cases += 1
+        assert cases > 100
+
+    def test_conversions_match_oracle(self):
+        conversions = 0
+        for w in valid_corpus():
+            for side in SIDES:
+                sol = solve_integral(w, side, "primed", True)
+                if sol is not None:
+                    assert convert_integral(w, sol.element, side) == \
+                        oracle_convert_integral(w, sol.element, side)
+                    conversions += 1
+                csol = solve_cointegral(w, side, "primed", True)
+                if csol is not None:
+                    assert convert_cointegral(w, csol.functional, side) == \
+                        oracle_convert_cointegral(w, csol.functional, side)
+                    conversions += 1
+        assert conversions > 400
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of owner.name; returns the list that collects them."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestNoUnitVectorProducts:
+    def test_check_algebra_makes_no_mult_vec_call(self, monkeypatch):
+        calls = counting(monkeypatch, AlgebraPresentation, "mult_vec")
+        report = check_algebra(group_algebra(symmetric_group_s3(), QQ).algebra)
+        assert report.ok()
+        assert calls == []
+
+    def test_primed_integral_system_makes_no_mult_matrix(self, monkeypatch):
+        w = groupoid_algebra(pair_groupoid(3), QQ)
+        projections(w)
+        left = counting(monkeypatch, AlgebraPresentation, "left_mult_matrix")
+        right = counting(monkeypatch, AlgebraPresentation, "right_mult_matrix")
+        for side in SIDES:
+            assert integral_system(w, side, "primed", True).solve() is not None
+        assert left == right == []
+
+    def test_duoidal_rows_make_no_mult_vec_call(self, monkeypatch):
+        w = groupoid_algebra(pair_groupoid(3), QQ)
+        base_algebra(w)
+        calls = counting(monkeypatch, AlgebraPresentation, "mult_vec")
+        for side in SIDES:
+            integral_system(w, side, "duoidal", True)
+            cointegral_system(w, side, "duoidal", True)
+        assert calls == []
+
+    def test_conversions_build_no_basis_vector(self, monkeypatch):
+        w = groupoid_algebra(pair_groupoid(3), QQ)
+        base_algebra(w)
+        primed = {side: (solve_integral(w, side, "primed", True),
+                         solve_cointegral(w, side, "primed", True)) for side in SIDES}
+        built = counting(monkeypatch, weakhopf, "unit_vec")
+        for side in SIDES:
+            sol, csol = primed[side]
+            convert_integral(w, sol.element, side)
+            convert_cointegral(w, csol.functional, side)
+        assert built == []

@@ -62,14 +62,6 @@ def _vec_out(field, vec):
     return [field.format_scalar(v) for v in vec]
 
 
-def _labels_for(presentation, kind):
-    if kind == "weakhopf":
-        return list(presentation.labels)
-    if kind == "algebroid":
-        return list(presentation.total.labels)
-    return None
-
-
 def _solution_doc(field, labels, vec):
     doc = {"coefficients": _vec_out(field, vec)}
     if labels is not None:

@@ -317,9 +317,6 @@ class Matrix(Frozen):
     def col(self, j: int) -> tuple:
         return self.entries[j :: self.cols] if self.cols else ()
 
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self) -> "Matrix":
         ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
         return Matrix(self.field, self.cols, self.rows, ent)
@@ -371,9 +368,6 @@ class Matrix(Frozen):
                     acc = add(acc, mul(a, x))
             out[i] = acc
         return tuple(out)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
 
     def nonzeros(self):
         """Yield (i, j, value) over nonzero entries."""
@@ -541,9 +535,6 @@ class QuotientSpace(Frozen):
     @property
     def dim(self) -> int:
         return self.projection.rows
-
-    def project(self, vec) -> tuple:
-        return self.projection.apply(vec)
 
 
 def quotient_space(ambient_dim: int, relations: Subspace) -> QuotientSpace:

@@ -453,53 +453,73 @@ def solve_cointegral_hgd(h: HopfAlgebroidPresentation, side: str,
     return HgdCointegral(nu, sol)
 
 
-def separability_system_hgd(h: HopfAlgebroidPresentation,
-                            q: QuotientSpace) -> ConstraintSystem:
-    """Bimodule-section rows over the bullet quotient (unknowns q.dim x dimA)."""
+def _bullet_products(h: HopfAlgebroidPresentation, q: QuotientSpace):
+    """The terms of g e (side 0) and of e g (side 1) through the bullet
+    quotient, for the basis elements g of A and e in quotient coordinates.
+
+    Yields (side, g, r, rp, t): the product with g has t times coordinate rp
+    of e at quotient coordinate r.  Quotient coordinate rp is the ambient
+    coordinate free[rp] (see quotient_space).
+    """
     f = h.field
     n = h.total.dim
-    alg = h.total
-    qd = q.dim
-    prod = _sparse_products(alg)
-    # quotient coordinate r is the ambient coordinate free[r] (see quotient_space)
+    prod = _sparse_products(h.total)
+    pcols = _sparse_cols(q.projection)
     pivots = set(q.relations.pivots)
     free = [c for c in range(n * n) if c not in pivots]
-    sys = ConstraintSystem(f, qd * n)
-    # mu(section(e_j)) = e_j
-    for j in range(n):
-        rows = [dict() for _ in range(n)]
-        for r, c in enumerate(free):
-            for m, t in prod[c // n][c % n]:
-                rows[m][r * n + j] = t
-        for m, row in enumerate(rows):
-            sys.add_row(row, f.one() if m == j else f.zero())
-    for i in range(n):
-        e_i = unit_vec(f, n, i)
-        left = _on_leg(q.projection, alg.left_mult_matrix(e_i), 0)
-        right = _on_leg(q.projection, alg.right_mult_matrix(e_i), 1)
-        for j in range(n):
-            # (mu bullet 1)(1 bullet nabla) on e_i (x) e_j and
-            # (1 bullet mu)(nabla bullet 1) on e_j (x) e_i, through the quotient
-            for act, target in ((left, prod[i][j]), (right, prod[j][i])):
-                for r in range(qd):
-                    coeffs = {rp * n + j: act.at(r, c) for rp, c in enumerate(free)
-                              if act.at(r, c) != 0}
-                    for m, c in target:
-                        _add_to(coeffs, r * n + m, f.neg(c), f)
-                    sys.add_row(coeffs, f.zero())
+    for rp, c in enumerate(free):
+        a, b = divmod(c, n)
+        for g in range(n):
+            for k, t in prod[g][a]:
+                for r, u in pcols[k * n + b]:
+                    yield 0, g, r, rp, f.mul(t, u)
+            for k, t in prod[b][g]:
+                for r, u in pcols[a * n + k]:
+                    yield 1, g, r, rp, f.mul(t, u)
+
+
+def separability_system_hgd(h: HopfAlgebroidPresentation,
+                            q: QuotientSpace) -> ConstraintSystem:
+    """Rows for a separability element e of the bullet product.
+
+    Unknowns: the q.dim quotient coordinates of e.  Rows: mu(e) = 1, and
+    g e = e g through the quotient for every basis element g.  Source and
+    target land in the center, so both actions descend to the quotient; a
+    bimodule section N of the multiplication is fixed by e = N(1), and every
+    solution gives the section N(x) = x e, so the solutions correspond one to
+    one with the sections.
+    """
+    f = h.field
+    sys = ConstraintSystem(f, q.dim)
+    sys.add_matrix_rows(h.total.mult_matrix() @ q.section, h.total.unit)
+    rows = {}    # (g, r) -> row of g e - e g at quotient coordinate r
+    for side, g, r, rp, t in _bullet_products(h, q):
+        _add_to(rows.setdefault((g, r), {}), rp, f.neg(t) if side else t, f)
+    for row in rows.values():
+        sys.add_row(row, f.zero())
     return sys
 
 
 def solve_separability_hgd(h: HopfAlgebroidPresentation):
-    """Bimodule section of the multiplication over the bullet product, or None."""
+    """A verified bimodule section of the multiplication over the bullet
+    product, or None when infeasible."""
     _require_valid(h)
     q = tensor_over_R(h, BULLET)
-    sys = separability_system_hgd(h, q)
-    sol = sys.solve()
+    sol = separability_system_hgd(h, q).solve()
     if sol is None:
         return None
-    return HgdSeparabilitySection(q, Matrix(h.field, q.dim, h.total.dim,
-                                            tuple(sol.particular)))
+    f, n, qd, e = h.field, h.total.dim, q.dim, sol.particular
+    if h.total.mult_matrix().apply(q.section.apply(e)) != h.total.unit:
+        raise ArithmeticError("separability element does not multiply to the unit")
+    # g e and e g at row r and column g
+    ent = ([f.zero()] * (qd * n), [f.zero()] * (qd * n))
+    for side, g, r, rp, t in _bullet_products(h, q):
+        if e[rp] != 0:
+            ent[side][r * n + g] = f.add(ent[side][r * n + g], f.mul(t, e[rp]))
+    if ent[0] != ent[1]:
+        raise ArithmeticError("separability element does not commute with the basis")
+    # the section x -> x e
+    return HgdSeparabilitySection(q, Matrix(f, qd, n, tuple(ent[0])))
 
 
 def coseparability_system_hgd(h: HopfAlgebroidPresentation,

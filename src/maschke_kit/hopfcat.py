@@ -19,6 +19,8 @@ from .finalg import (
     CoalgebraPresentation,
     InvalidPresentationError,
     MaschkeReport,
+    _add_to,
+    _comult_by_source,
     _convolution,
     _once,
     _require_antipode,
@@ -227,17 +229,17 @@ def retraction_system(h: HopfCategoryPresentation, x: int,
     c = h.homs[(x, x)]
     u = h.units[x]
     d = c.dim
+    delta = _comult_by_source(c)
     sys = ConstraintSystem(f, d)
     for i in range(d):
-        for m in range(d):
-            coeffs = {}
-            for b in range(d):
-                t = c.comult.at(i, m, b) if side == "left" else c.comult.at(i, b, m)
-                if t != 0:
-                    coeffs[b] = f.add(coeffs.get(b, f.zero()), t)
+        rows = [dict() for _ in range(d)]
+        for j, k, t in delta[i]:
+            m, b = (j, k) if side == "left" else (k, j)
+            _add_to(rows[m], b, t, f)
+        for m, row in enumerate(rows):
             if u[m] != 0:
-                coeffs[i] = f.sub(coeffs.get(i, f.zero()), u[m])
-            sys.add_row(coeffs, f.zero())
+                _add_to(row, i, f.neg(u[m]), f)
+            sys.add_row(row, f.zero())
     sys.add_row({m: u[m] for m in range(d) if u[m] != 0}, f.one())
     return sys
 
@@ -280,42 +282,23 @@ def integral_family_system(h: HopfCategoryPresentation, side: str) -> Constraint
     pairs = h.hom_pairs()
     offsets, total = _offsets(h, pairs, lambda p: h.dim(*p))
     sys = ConstraintSystem(f, total)
-    nobj = h.n_objects
-    for x in range(nobj):
-        for y in range(nobj):
-            for z in range(nobj):
-                m = h.comps[(x, y, z)]
-                dxy, dyz, dxz = h.dim(x, y), h.dim(y, z), h.dim(x, z)
-                if side == "left":
-                    # mu(h (x) theta_{y,z}) = eps(h) theta_{x,z}, h in a(x,y)
-                    eps = h.homs[(x, y)].counit
-                    for i in range(dxy):
-                        for out in range(dxz):
-                            coeffs = {}
-                            for c in range(dyz):
-                                t = m.at(out, i * dyz + c)
-                                if t != 0:
-                                    key = offsets[(y, z)] + c
-                                    coeffs[key] = f.add(coeffs.get(key, f.zero()), t)
-                            if eps[i] != 0:
-                                key = offsets[(x, z)] + out
-                                coeffs[key] = f.sub(coeffs.get(key, f.zero()), eps[i])
-                            sys.add_row(coeffs, f.zero())
-                else:
-                    # mu(theta_{x,y} (x) h) = eps(h) theta_{x,z}, h in a(y,z)
-                    eps = h.homs[(y, z)].counit
-                    for j in range(dyz):
-                        for out in range(dxz):
-                            coeffs = {}
-                            for c in range(dxy):
-                                t = m.at(out, c * dyz + j)
-                                if t != 0:
-                                    key = offsets[(x, y)] + c
-                                    coeffs[key] = f.add(coeffs.get(key, f.zero()), t)
-                            if eps[j] != 0:
-                                key = offsets[(x, z)] + out
-                                coeffs[key] = f.sub(coeffs.get(key, f.zero()), eps[j])
-                            sys.add_row(coeffs, f.zero())
+    for x, y, z in itertools.product(range(h.n_objects), repeat=3):
+        cols = _sparse_cols(h.comps[(x, y, z)])
+        dyz, dxz = h.dim(y, z), h.dim(x, z)
+        # left: mu(h (x) theta_{y,z}) = eps(h) theta_{x,z}, h in a(x,y);
+        # right: mu(theta_{x,y} (x) h) = eps(h) theta_{x,z}, h in a(y,z)
+        fixed, free = ((x, y), (y, z)) if side == "left" else ((y, z), (x, y))
+        eps = h.homs[fixed].counit
+        for i in range(h.dim(*fixed)):
+            rows = [dict() for _ in range(dxz)]
+            for c in range(h.dim(*free)):
+                col = cols[i * dyz + c] if side == "left" else cols[c * dyz + i]
+                for out, t in col:
+                    _add_to(rows[out], offsets[free] + c, t, f)
+            for out, row in enumerate(rows):
+                if eps[i] != 0:
+                    _add_to(row, offsets[(x, z)] + out, f.neg(eps[i]), f)
+                sys.add_row(row, f.zero())
     for (x, y) in pairs:
         eps = h.homs[(x, y)].counit
         sys.add_row({offsets[(x, y)] + m_: eps[m_] for m_ in range(h.dim(x, y))
@@ -338,88 +321,65 @@ def solve_integral_family(h: HopfCategoryPresentation, side: str):
     return IntegralFamily(side, table)
 
 
-def separability_family_system(h: HopfCategoryPresentation) -> ConstraintSystem:
-    """One coupled feasibility over all splitting maps d_{x,v,y}.
+def _element_offsets(h: HopfCategoryPresentation):
+    """Offsets of the elements e_{x,v} in a(x,v) (x) a(v,x), keyed (x, v)."""
+    return _offsets(h, h.hom_pairs(), lambda p: h.dim(*p) * h.dim(p[1], p[0]))
 
-    Variable layout per triple (x, v, y): matrix a(x,y) -> a(x,v) (x) a(v,y),
-    entry ((p, q), j) at offset + (p*dim(v,y) + q)*dim(x,y) + j.
+
+def _products(h: HopfCategoryPresentation, cols, x, v, z):
+    """The terms of e_{x,v} h (side 0) and of h e_{z,v} (side 1), both in
+    a(x,v) (x) a(v,z), for the basis elements h of a(x,z).
+
+    Yields (side, i, out, var, t): the product with basis element i has t
+    times coordinate var of its element at coordinate out.
+    """
+    dxv, dvx, dxz, dvz, dzv = (h.dim(x, v), h.dim(v, x), h.dim(x, z),
+                               h.dim(v, z), h.dim(z, v))
+    for c, col in enumerate(cols[(v, x, z)]):
+        q, i = divmod(c, dxz)
+        for w, t in col:
+            for p in range(dxv):
+                yield 0, i, p * dvz + w, p * dvx + q, t
+    for c, col in enumerate(cols[(x, z, v)]):
+        i, a = divmod(c, dzv)
+        for p, t in col:
+            for w in range(dvz):
+                yield 1, i, p * dvz + w, a * dvz + w, t
+
+
+def separability_family_system(h: HopfCategoryPresentation) -> ConstraintSystem:
+    """One coupled system over the separability elements e_{x,v}.
+
+    Unknowns: the coefficient of e_p (x) e_q in e_{x,v}, in a(x,v) (x) a(v,x),
+    at offset + p*dim(v,x) + q.  Rows: mu_{x,v,x}(e_{x,v}) = u_x, and
+    e_{x,v} h = h e_{z,v} for every basis element h of a(x,z).  A
+    separability family d is fixed by e_{x,v} = d_{x,v,x}(u_x), since its two
+    squares give d_{x,v,z}(k) = e_{x,v} k, and every solution gives the family
+    k -> e_{x,v} k, so the solutions correspond one to one with the families.
     """
     f = h.field
-    nobj = h.n_objects
-    triples = [(x, v, y) for x in range(nobj) for v in range(nobj)
-               for y in range(nobj)]
-    offsets, total = _offsets(
-        h, triples, lambda t: h.dim(t[0], t[1]) * h.dim(t[1], t[2]) * h.dim(t[0], t[2]))
+    offsets, total = _element_offsets(h)
+    cols = {key: _sparse_cols(m) for key, m in h.comps.items()}
     sys = ConstraintSystem(f, total)
-
-    def var(x, v, y, p, q, j):
-        return offsets[(x, v, y)] + (p * h.dim(v, y) + q) * h.dim(x, y) + j
-
-    # retraction triangles: mu_{x,v,y} . d_{x,v,y} = id
-    for (x, v, y) in triples:
-        m = h.comps[(x, v, y)]
-        dxv, dvy, dxy = h.dim(x, v), h.dim(v, y), h.dim(x, y)
-        for j in range(dxy):
-            for out in range(dxy):
-                coeffs = {}
-                for p in range(dxv):
-                    for q in range(dvy):
-                        t = m.at(out, p * dvy + q)
-                        if t != 0:
-                            key = var(x, v, y, p, q, j)
-                            coeffs[key] = f.add(coeffs.get(key, f.zero()), t)
-                sys.add_row(coeffs, f.one() if out == j else f.zero())
-    # the two square families over object quadruples
-    for x in range(nobj):
-        for y in range(nobj):
-            for v in range(nobj):
-                for z in range(nobj):
-                    dxy, dyz = h.dim(x, y), h.dim(y, z)
-                    dxv, dvz = h.dim(x, v), h.dim(v, z)
-                    dvy, dyv = h.dim(v, y), h.dim(y, v)
-                    m_xyz = h.comps[(x, y, z)]
-                    m_vyz = h.comps[(v, y, z)]
-                    m_xyv = h.comps[(x, y, v)]
-                    for i in range(dxy):
-                        for j in range(dyz):
-                            diag = {}
-                            for mm in range(h.dim(x, z)):
-                                t = m_xyz.at(mm, i * dyz + j)
-                                if t != 0:
-                                    diag[mm] = t
-                            for p in range(dxv):
-                                for w in range(dvz):
-                                    # (1 (x) mu_{v,y,z})(d_{x,v,y} (x) 1) = d_{x,v,z} mu
-                                    coeffs = {}
-                                    for q in range(dvy):
-                                        t = m_vyz.at(w, q * dyz + j)
-                                        if t != 0:
-                                            key = var(x, v, y, p, q, i)
-                                            coeffs[key] = f.add(
-                                                coeffs.get(key, f.zero()), t)
-                                    for mm, t in diag.items():
-                                        key = var(x, v, z, p, w, mm)
-                                        coeffs[key] = f.sub(
-                                            coeffs.get(key, f.zero()), t)
-                                    sys.add_row(coeffs, f.zero())
-                                    # (mu_{x,y,v} (x) 1)(1 (x) d_{y,v,z}) = d_{x,v,z} mu
-                                    coeffs = {}
-                                    for q in range(dyv):
-                                        t = m_xyv.at(p, i * dyv + q)
-                                        if t != 0:
-                                            key = var(y, v, z, q, w, j)
-                                            coeffs[key] = f.add(
-                                                coeffs.get(key, f.zero()), t)
-                                    for mm, t in diag.items():
-                                        key = var(x, v, z, p, w, mm)
-                                        coeffs[key] = f.sub(
-                                            coeffs.get(key, f.zero()), t)
-                                    sys.add_row(coeffs, f.zero())
+    for x, v in h.hom_pairs():
+        rows = [dict() for _ in range(h.dim(x, x))]
+        for c, col in enumerate(cols[(x, v, x)]):
+            for m, t in col:
+                rows[m][offsets[(x, v)] + c] = t
+        for m, row in enumerate(rows):
+            sys.add_row(row, h.units[x][m])
+    for x, v, z in itertools.product(range(h.n_objects), repeat=3):
+        rows = {}    # (i, out) -> row of e_{x,v} h_i - h_i e_{z,v}
+        for side, i, out, var, t in _products(h, cols, x, v, z):
+            key = offsets[(x, v) if side == 0 else (z, v)] + var
+            _add_to(rows.setdefault((i, out), {}), key, f.neg(t) if side else t, f)
+        for row in rows.values():
+            sys.add_row(row, f.zero())
     return sys
 
 
 def solve_separability_family(h: HopfCategoryPresentation):
-    """A separability structure family, or None when infeasible."""
+    """A verified separability structure family, or None when infeasible."""
     _require_valid(h)
     if h.n_objects == 0:
         return SeparabilityFamily({})
@@ -427,18 +387,25 @@ def solve_separability_family(h: HopfCategoryPresentation):
     if sol is None:
         return None
     f = h.field
-    nobj = h.n_objects
-    triples = [(x, v, y) for x in range(nobj) for v in range(nobj)
-               for y in range(nobj)]
-    offsets, _ = _offsets(
-        h, triples, lambda t: h.dim(t[0], t[1]) * h.dim(t[1], t[2]) * h.dim(t[0], t[2]))
+    offsets, _ = _element_offsets(h)
+    e = {p: sol.particular[offsets[p]: offsets[p] + h.dim(*p) * h.dim(p[1], p[0])]
+         for p in h.hom_pairs()}
+    for x, v in h.hom_pairs():
+        if h.comps[(x, v, x)].apply(e[(x, v)]) != h.units[x]:
+            raise ArithmeticError("separability element does not compose to the unit")
+    cols = {key: _sparse_cols(m) for key, m in h.comps.items()}
     table = {}
-    for (x, v, y) in triples:
-        rows = h.dim(x, v) * h.dim(v, y)
-        cols = h.dim(x, y)
-        start = offsets[(x, v, y)]
-        table[(x, v, y)] = Matrix(f, rows, cols,
-                                  tuple(sol.particular[start: start + rows * cols]))
+    for x, v, z in itertools.product(range(h.n_objects), repeat=3):
+        # the family k -> e_{x,v} k and the products h e_{z,v}, column h
+        dout, dxz = h.dim(x, v) * h.dim(v, z), h.dim(x, z)
+        ent = ([f.zero()] * (dout * dxz), [f.zero()] * (dout * dxz))
+        for side, i, out, var, t in _products(h, cols, x, v, z):
+            c = e[(x, v) if side == 0 else (z, v)][var]
+            if c != 0:
+                ent[side][out * dxz + i] = f.add(ent[side][out * dxz + i], f.mul(c, t))
+        if ent[0] != ent[1]:
+            raise ArithmeticError("separability elements do not commute with the homs")
+        table[(x, v, z)] = Matrix(f, dout, dxz, tuple(ent[0]))
     return SeparabilityFamily(table)
 
 

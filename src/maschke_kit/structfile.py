@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .examples import GroupPresentation, GroupoidPresentation
+from .examples import MAX_GENERATED_ORDER, GroupPresentation, GroupoidPresentation
 from .exactlin import FieldSpec, Matrix, Tensor3
 from .finalg import AlgebraPresentation, AxiomReport, CoalgebraPresentation
 from .hopfalgd import CommAlgebraPresentation, HopfAlgebroidPresentation, \
@@ -149,6 +149,16 @@ def _tensor_in(field, obj, d0, d1, d2, path):
     return Tensor3(field, d0, d1, d2, tuple(ent))
 
 
+def _dim_in(obj, path) -> int:
+    """The declared dimension, refused above the limit on generated orders
+    before any table of that size is read."""
+    dim = _get(obj, "dim", path, int)
+    if dim > MAX_GENERATED_ORDER:
+        _fail(f"{path}.dim", f"dimension {dim} is above the limit of "
+                             f"{MAX_GENERATED_ORDER}")
+    return dim
+
+
 def _labels_in(obj, dim, path):
     if not isinstance(obj, list) or len(obj) != dim or \
             not all(isinstance(x, str) for x in obj):
@@ -170,7 +180,7 @@ def _algebra_out(field, a: AlgebraPresentation) -> dict:
 
 
 def _algebra_in(field, obj, path) -> AlgebraPresentation:
-    dim = _get(obj, "dim", path, int)
+    dim = _dim_in(obj, path)
     labels = _labels_in(_get(obj, "labels", path), dim, f"{path}.labels")
     mult = _tensor_in(field, _get(obj, "mult", path), dim, dim, dim, f"{path}.mult")
     unit = _vector_in(field, _get(obj, "unit", path), dim, f"{path}.unit")
@@ -269,7 +279,7 @@ def _hopfcat_parse(field, obj, path) -> HopfCategoryPresentation:
         x, y = _get(entry, "source", p, int), _get(entry, "target", p, int)
         if not (0 <= x < nobj and 0 <= y < nobj):
             _fail(p, "object index out of range")
-        d = _get(entry, "dim", p, int)
+        d = _dim_in(entry, p)
         comult = _tensor_in(field, _get(entry, "comult", p), d, d, d, f"{p}.comult")
         counit = _vector_in(field, _get(entry, "counit", p), d, f"{p}.counit")
         homs[(x, y)] = CoalgebraPresentation(field, d, comult, counit)

@@ -1,9 +1,11 @@
 """Dense linear algebra that only the tests use.
 
 Kronecker products, the flip of a tensor product, kernels and affine solves
-of dense matrices, the unit and counit of a presentation as matrices, and a
-change of basis.  The package builds every map from structure constants; the
-tests compose the same maps from these dense pieces and compare.
+of dense matrices, a matrix as nested rows, the zero test and the projection
+of one vector to a quotient, the unit and counit of a presentation as
+matrices, and a change of basis.  The package builds every map from
+structure constants; the tests compose the same maps from these dense pieces
+and compare.
 """
 
 import random
@@ -56,6 +58,20 @@ def solve_affine(m: Matrix, b):
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m.v = 0} as an echelon-basis subspace."""
     return solve_affine(m, zero_vec(m.field, m.rows)).homogeneous
+
+
+def to_rows(m: Matrix) -> list:
+    """The entries of m as a list of row lists."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def is_zero(m: Matrix) -> bool:
+    return all(a == 0 for a in m.entries)
+
+
+def project(q, vec) -> tuple:
+    """The quotient coordinates of one ambient vector."""
+    return q.projection.apply(vec)
 
 
 def unit_matrix(a) -> Matrix:

@@ -9,6 +9,7 @@ import maschke_kit
 from maschke_kit import weakhopf
 from maschke_kit.cli import main
 from maschke_kit.examples import (
+    MAX_GENERATED_ORDER,
     cyclic_group,
     group_algebra,
     mutate,
@@ -266,6 +267,39 @@ class TestCommands:
         assert all(secs < 1.0 for _, secs in results)
         assert err.count("above the limit") == len(argvs)
         assert not os.path.exists(out)
+
+    def test_dimension_above_limit_exits_three(self, tmp_path):
+        # kC65 parses as JSON, but its dimension is refused before any table is
+        # read; the dims of the other kinds are raised in small files
+        big = tmp_path / "c65.json"
+        big.write_text(serialize_structure(
+            group_algebra(cyclic_group(MAX_GENERATED_ORDER + 1), FieldSpec.gf(5))))
+        paths = [big]
+        for name, argv, damage in (
+                ("ca.json", ("commalgebra", "--base", "kxk"), lambda p: [p]),
+                ("base.json", ("pair-algebroid", "--base", "kxk"),
+                 lambda p: [p["base"]]),
+                ("total.json", ("pair-algebroid", "--base", "kxk"),
+                 lambda p: [p["total"]]),
+                ("hc.json", ("hopf-category", "--groupoid", "pair:2"),
+                 lambda p: [p["homs"][1]])):
+            path = gen(tmp_path, name, *argv, "--field", "Q")
+            doc = json.loads(path.read_text())
+            for part in damage(doc["payload"]):
+                part["dim"] = MAX_GENERATED_ORDER + 1
+            path.write_text(json.dumps(doc))
+            paths.append(path)
+        argvs = [[command, "--structure", str(path), "--out", f"{path}.{command}"]
+                 for command in ("validate", "separability", "coseparability",
+                                 "maschke") for path in paths]
+        results, err = run_capped(*argvs)
+        assert [code for code, _ in results] == [3] * len(argvs)
+        assert "Traceback" not in err
+        # validate writes its report; the other commands write to stderr
+        assert err.count("above the limit of 64") == len(argvs) - len(paths)
+        for path in paths:
+            report = json.loads(open(f"{path}.validate").read())
+            assert "dim: dimension 65 is above the limit" in report["failures"][0]
 
     def test_hopfcat_antipode_naming_missing_hom_exits_three(self, tmp_path, capsys):
         path = gen(tmp_path, "hc.json", "hopf-category", "--groupoid", "pair:2",

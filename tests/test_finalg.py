@@ -32,7 +32,7 @@ from maschke_kit.finalg import (
     solve_separability,
 )
 
-from denselin import kron
+from denselin import kron, to_rows
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -332,7 +332,7 @@ class TestSolveCoseparability:
 
     def test_one_dim(self):
         r = solve_coseparability(grouplike_coalgebra(QQ, 1))
-        assert r.map.to_rows() == [[1]]
+        assert to_rows(r.map) == [[1]]
 
     def test_invalid_input_raises(self):
         c = grouplike_coalgebra(QQ, 2)
@@ -432,17 +432,28 @@ class TestReducedSystemsMatchOracles:
 
 
 UNVERIFIED_SOLVE = """
-from maschke_kit import finalg
+from maschke_kit import finalg, hopfalgd, hopfcat
 from maschke_kit.exactlin import ConstraintSystem, FieldSpec
-from maschke_kit.examples import cyclic_group, group_algebra
+from maschke_kit.examples import (base_by_name, cyclic_group, group_algebra,
+                                  groupoid_by_name, hopf_category_from_groupoid,
+                                  pair_hopf_algebroid)
 
 assert False, "assert statements must be stripped in this run"
-w = group_algebra(cyclic_group(2), FieldSpec.rationals())
-# systems without rows: the zero map solves them, but is no section/retraction
+Q = FieldSpec.rationals()
+w = group_algebra(cyclic_group(2), Q)
+# systems without rows: the zero solution solves them, but is no section,
+# retraction or separability element
 finalg.separability_system = lambda a: ConstraintSystem(a.field, a.dim ** 2)
 finalg.coseparability_system = lambda c: ConstraintSystem(c.field, c.dim ** 2)
+hopfcat.separability_family_system = lambda h: ConstraintSystem(
+    h.field, sum(h.dim(x, v) * h.dim(v, x) for x, v in h.hom_pairs()))
+hopfalgd.separability_system_hgd = lambda h, q: ConstraintSystem(h.field, q.dim)
 for solve, arg in ((finalg.solve_separability, w.algebra),
-                   (finalg.solve_coseparability, w.coalgebra)):
+                   (finalg.solve_coseparability, w.coalgebra),
+                   (hopfcat.solve_separability_family,
+                    hopf_category_from_groupoid(groupoid_by_name("conn:C2:2"), Q)),
+                   (hopfalgd.solve_separability_hgd,
+                    pair_hopf_algebroid(base_by_name("dual", Q)))):
     try:
         solve(arg)
         print("unverified result returned")
@@ -457,4 +468,4 @@ def test_unverified_solutions_raise_under_optimization():
     run = subprocess.run([sys.executable, "-O", "-c", UNVERIFIED_SOLVE],
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["ArithmeticError", "ArithmeticError"]
+    assert run.stdout.split() == ["ArithmeticError"] * 4

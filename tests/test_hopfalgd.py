@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from maschke_kit import hopfalgd
 from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, QuotientSpace,
                                    Subspace, Tensor3, membership, quotient_space,
                                    unit_vec, vec_sub)
 from maschke_kit.finalg import (AlgebraPresentation, AxiomFailure, AxiomReport,
-                                InvalidPresentationError, check_algebra)
+                                InvalidPresentationError, _add_to, _sparse_products,
+                                check_algebra)
 from maschke_kit.examples import (
     cyclic_group,
     dual_group_algebra,
@@ -18,11 +20,13 @@ from maschke_kit.examples import (
     pair_groupoid,
     pair_hopf_algebroid,
     split_pair_algebra,
+    symmetric_group_s3,
 )
 from maschke_kit.hopfalgd import (
     BULLET,
     CIRC,
     HopfAlgebroidPresentation,
+    _on_leg,
     bullet_relations,
     check_hopf_algebroid,
     circ_relations,
@@ -38,7 +42,7 @@ from maschke_kit.hopfalgd import (
     tensor_over_R,
 )
 
-from denselin import counit_matrix, kron, rebased, unit_matrix
+from denselin import counit_matrix, kron, project, rebased, to_rows, unit_matrix
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -115,9 +119,76 @@ def kron_separability_system_hgd(h, q) -> ConstraintSystem:
     return sys
 
 
+def oracle_separability_system_hgd(h, q) -> ConstraintSystem:
+    """The bimodule section N itself as unknowns (q.dim x dimA, variable
+    index r * dimA + j), with mu(N(e_j)) = e_j and the two module squares
+    through the quotient: the system that separability_system_hgd's element
+    system replaces."""
+    f = h.field
+    n = h.total.dim
+    alg = h.total
+    qd = q.dim
+    prod = _sparse_products(alg)
+    # quotient coordinate r is the ambient coordinate free[r] (see quotient_space)
+    pivots = set(q.relations.pivots)
+    free = [c for c in range(n * n) if c not in pivots]
+    sys = ConstraintSystem(f, qd * n)
+    # mu(section(e_j)) = e_j
+    for j in range(n):
+        rows = [dict() for _ in range(n)]
+        for r, c in enumerate(free):
+            for m, t in prod[c // n][c % n]:
+                rows[m][r * n + j] = t
+        for m, row in enumerate(rows):
+            sys.add_row(row, f.one() if m == j else f.zero())
+    for i in range(n):
+        e_i = unit_vec(f, n, i)
+        left = _on_leg(q.projection, alg.left_mult_matrix(e_i), 0)
+        right = _on_leg(q.projection, alg.right_mult_matrix(e_i), 1)
+        for j in range(n):
+            # (mu bullet 1)(1 bullet nabla) on e_i (x) e_j and
+            # (1 bullet mu)(nabla bullet 1) on e_j (x) e_i, through the quotient
+            for act, target in ((left, prod[i][j]), (right, prod[j][i])):
+                for r in range(qd):
+                    coeffs = {rp * n + j: act.at(r, c) for rp, c in enumerate(free)
+                              if act.at(r, c) != 0}
+                    for m, c in target:
+                        _add_to(coeffs, r * n + m, f.neg(c), f)
+                    sys.add_row(coeffs, f.zero())
+    return sys
+
+
+def dense_section(h, q, e) -> Matrix:
+    """The section x -> x e of a bullet element e, column j the dense chain
+    q.projection @ kron(L_j, 1) @ q.section applied to e."""
+    f = h.field
+    n = h.total.dim
+    eye = Matrix.identity(f, n)
+    cols = [(q.projection @ kron(h.total.left_mult_matrix(unit_vec(f, n, j)), eye)
+             @ q.section).apply(e) for j in range(n)]
+    return Matrix(f, q.dim, n, tuple(c[r] for r in range(q.dim) for c in cols))
+
+
+def assert_element_system_agrees(h, q, section_system) -> bool:
+    """separability_system_hgd against a q.dim x dimA section system: the same
+    feasibility and nullity, and the section x -> x e of the element solution
+    solves the section system and is its particular solution.  True when
+    feasible."""
+    want = section_system.solve()
+    got = separability_system_hgd(h, q).solve()
+    assert (got is None) == (want is None)
+    if want is None:
+        return False
+    assert got.homogeneous.dim == want.homogeneous.dim
+    section = dense_section(h, q, got.particular)
+    assert section_system.satisfied_by(section.entries)
+    assert section.entries == want.particular
+    return True
+
+
 # The checks and systems as they were built one basis vector at a time: every
 # identity through mult_vec and Matrix.apply on unit vectors, every projection
-# through QuotientSpace.project.  hopfalgd builds the same reports, relation
+# through the quotient's projection matrix.  hopfalgd builds the same reports, relation
 # spaces and systems from structure constants; TestOracle compares the two.
 
 
@@ -230,7 +301,7 @@ def oracle_check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
     q2 = quotient_space(n * n, oracle_circ_relations(h))
 
     def project2(vec):
-        return q2.project(vec)
+        return project(q2, vec)
 
     # comultiplication is an R-bimodule map into the circ quotient
     for x in range(dr):
@@ -404,7 +475,7 @@ def oracle_coseparability_system_hgd(h: HopfAlgebroidPresentation,
         for k in range(n):
             vec = [f.zero()] * (n * n)
             vec[j * n + k] = f.one()
-            gens[(j, k)] = q.project(vec)
+            gens[(j, k)] = project(q, vec)
     # R-bimodule morphism rows
     for x in range(h.base.dim):
         smat = alg.left_mult_matrix(srcs[x])
@@ -419,14 +490,15 @@ def oracle_coseparability_system_hgd(h: HopfAlgebroidPresentation,
                 for m, c in enumerate(sj):
                     if c != 0:
                         lhs[m * n + k] = c
-                for row, rhs in _oracle_bimodule_rows(f, n, qd, q.project(lhs), u, smat):
+                for row, rhs in _oracle_bimodule_rows(f, n, qd, project(q, lhs), u,
+                                                      smat):
                     sys.add_row(row, rhs)
                 # right leg: pi(e_j (x) t(x) e_k) = t(x) pi(e_j (x) e_k)
                 rhs_vec = [f.zero()] * (n * n)
                 for m, c in enumerate(tk):
                     if c != 0:
                         rhs_vec[j * n + m] = c
-                for row, rhs in _oracle_bimodule_rows(f, n, qd, q.project(rhs_vec), u,
+                for row, rhs in _oracle_bimodule_rows(f, n, qd, project(q, rhs_vec), u,
                                                       tmat):
                     sys.add_row(row, rhs)
     # the two bicomodule squares
@@ -458,7 +530,7 @@ def oracle_coseparability_system_hgd(h: HopfAlgebroidPresentation,
                 for m in range(n):
                     pvec = [f.zero()] * (n * n)
                     pvec[a * n + m] = f.one()
-                    pq_ = q.project(pvec)
+                    pq_ = project(q, pvec)
                     for r, ur in enumerate(ubk):
                         if ur == 0:
                             continue
@@ -484,7 +556,7 @@ def oracle_coseparability_system_hgd(h: HopfAlgebroidPresentation,
                 for m in range(n):
                     pvec = [f.zero()] * (n * n)
                     pvec[m * n + b] = f.one()
-                    pq_ = q.project(pvec)
+                    pq_ = project(q, pvec)
                     for r, ur in enumerate(uja):
                         if ur == 0:
                             continue
@@ -602,14 +674,15 @@ class TestOracle:
         assert feasible > 0
 
     def test_coseparability_system_reads_projection_columns(self, monkeypatch):
+        # no vector is projected one at a time through Matrix.apply
         calls = []
-        project = QuotientSpace.project
+        apply = Matrix.apply
 
-        def counted(q, vec):
+        def counted(m, vec):
             calls.append(1)
-            return project(q, vec)
+            return apply(m, vec)
 
-        monkeypatch.setattr(QuotientSpace, "project", counted)
+        monkeypatch.setattr(Matrix, "apply", counted)
         h = pair_hopf_algebroid(dual_number_algebra(QQ))
         coseparability_system_hgd(h, tensor_over_R(h, CIRC))
         assert len(calls) == 0
@@ -732,7 +805,7 @@ class TestCointegrals:
             h = hopf_algebra_as_algebroid(group_algebra(cyclic_group(2), field))
             sol = solve_cointegral_hgd(h, "left")
             assert sol is not None
-            assert sol.map.to_rows() == [[1, 0]]    # delta_e
+            assert to_rows(sol.map) == [[1, 0]]    # delta_e
 
     def test_dual_group_algebra_obstruction(self):
         h = hopf_algebra_as_algebroid(dual_group_algebra(cyclic_group(3), F3))
@@ -776,15 +849,51 @@ class TestSeparability:
         cases.append(hopf_algebra_as_algebroid(group_algebra(cyclic_group(2), F2)))
         for h in cases:
             q = tensor_over_R(h, BULLET)
-            got = separability_system_hgd(h, q).solve()
-            want = kron_separability_system_hgd(h, q).solve()
-            if want is None:
-                assert got is None
-            else:
-                assert got.particular == want.particular
-                assert got.homogeneous == want.homogeneous
+            assert_element_system_agrees(h, q, kron_separability_system_hgd(h, q))
         assert separability_system_hgd(cases[-1], tensor_over_R(cases[-1], BULLET)) \
             .solve() is None
+
+    def test_matches_section_system(self):
+        # group and dual group algebras over k, 2x2 matrices with structure
+        # constants not 0 and 1 (not a Hopf algebroid: only the systems are
+        # compared), and pair algebroids with perturbed lifts
+        feasible = infeasible = 0
+        for field in (QQ, F2, F3, F5):
+            cases = [hopf_algebra_as_algebroid(w) for w in (
+                group_algebra(cyclic_group(2), field),
+                group_algebra(cyclic_group(3), field),
+                dual_group_algebra(cyclic_group(3), field),
+                group_algebra(symmetric_group_s3(), field),
+                rebased(groupoid_algebra(pair_groupoid(2), field), 1))]
+            for mk in (dual_number_algebra, split_pair_algebra):
+                h = pair_hopf_algebroid(mk(field))
+                cases += [h] + [perturbed_lift(h, trial) for trial in range(3)]
+            for h in cases:
+                q = tensor_over_R(h, BULLET)
+                ok = assert_element_system_agrees(h, q,
+                                                  oracle_separability_system_hgd(h, q))
+                feasible += ok
+                infeasible += not ok
+                if check_hopf_algebroid(h).ok():
+                    section = solve_separability_hgd(h)
+                    assert (section is None) == (not ok)
+                    if ok:
+                        assert section.map == dense_section(
+                            h, q, separability_system_hgd(h, q).solve().particular)
+        assert feasible and infeasible
+
+    def test_element_that_does_not_commute_raises(self, monkeypatch):
+        # the rows mu(e) = 1 alone: their particular solution 1 (x) 1 in
+        # kC2 (x) kC2 multiplies to the unit but is no separability element
+        def unit_rows_only(h, q):
+            sys = ConstraintSystem(h.field, q.dim)
+            sys.add_matrix_rows(h.total.mult_matrix() @ q.section, h.total.unit)
+            return sys
+
+        monkeypatch.setattr(hopfalgd, "separability_system_hgd", unit_rows_only)
+        with pytest.raises(ArithmeticError, match="commute"):
+            solve_separability_hgd(
+                hopf_algebra_as_algebroid(group_algebra(cyclic_group(2), QQ)))
 
     def test_pair_algebroid_always_separable_over_bullet(self):
         # includes the non-semisimple total algebra over the dual numbers

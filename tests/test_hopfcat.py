@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from maschke_kit.exactlin import FieldSpec, Matrix, unit_vec
+from maschke_kit import hopfcat
+from maschke_kit.exactlin import ConstraintSystem, FieldSpec, Matrix, Tensor3, unit_vec
 from maschke_kit.examples import (
     connected_groupoid,
     cyclic_group,
@@ -15,24 +18,27 @@ from maschke_kit.examples import (
 from maschke_kit.finalg import (
     AxiomFailure,
     AxiomReport,
+    CoalgebraPresentation,
     InvalidPresentationError,
     solve_coseparability,
     solve_separability,
 )
 from maschke_kit.hopfcat import (
     HopfCategoryPresentation,
+    _offsets,
     check_hom_coseparability,
     check_hopf_category,
     integral_family_system,
     maschke_report,
     retraction_system,
+    separability_family_system,
     solve_integral_family,
     solve_retraction_family,
     solve_separability_family,
 )
 from maschke_kit.weakhopf import solve_cointegral, solve_integral
 
-from denselin import counit_matrix, flip_matrix, kron, rebased
+from denselin import counit_matrix, flip_matrix, kron, rebased, solve_affine
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -148,6 +154,54 @@ def damaged(h, count=2):
     yield HopfCategoryPresentation(h.objects, h.homs, h.comps, units, h.antipode)
 
 
+def rebased_category(h, seed):
+    """h in new coordinates v -> T v on each hom, T unitriangular with small
+    integers drawn from seed: an isomorphic Hopf category whose structure
+    constants are not 0 and 1 and differ from hom to hom."""
+    f = h.field
+    rng = random.Random(seed)
+    t, t_inv = {}, {}
+    for p in h.hom_pairs():
+        d = h.dim(*p)
+        t[p] = Matrix.from_rows(f, [[1 if i == j else rng.randint(-2, 2) if i < j else 0
+                                     for j in range(d)] for i in range(d)])
+        t_inv[p] = Matrix.from_rows(f, [solve_affine(t[p], unit_vec(f, d, j)).particular
+                                        for j in range(d)]).transpose()
+    homs = {}
+    for p, c in h.homs.items():
+        d = c.dim
+        delta = kron(t[p], t[p]) @ c.comult_matrix() @ t_inv[p]
+        homs[p] = CoalgebraPresentation(
+            f, d, Tensor3(f, d, d, d, delta.transpose().entries),
+            (counit_matrix(c) @ t_inv[p]).entries)
+    comps = {(x, y, z): t[(x, z)] @ m @ kron(t_inv[(x, y)], t_inv[(y, z)])
+             for (x, y, z), m in h.comps.items()}
+    units = {x: t[(x, x)].apply(u) for x, u in h.units.items()}
+    antipode = {(x, y): t[(y, x)] @ s @ t_inv[(x, y)] for (x, y), s in h.antipode.items()}
+    return HopfCategoryPresentation(h.objects, homs, comps, units, antipode)
+
+
+def shaped_category(field, dims, seed):
+    """A presentation with hom dimensions dims[x][y] and random structure
+    constants: no axiom holds, but every table has its shape, which is all
+    that the system builders read."""
+    rng = random.Random(seed)
+    objs = range(len(dims))
+
+    def scalars(count):
+        return tuple(field.coerce(rng.choice((0, 0, 1, 2, -1))) for _ in range(count))
+
+    homs = {(x, y): CoalgebraPresentation(
+        field, dims[x][y], Tensor3(field, dims[x][y], dims[x][y], dims[x][y],
+                                   scalars(dims[x][y] ** 3)), scalars(dims[x][y]))
+        for x in objs for y in objs}
+    comps = {(x, y, z): Matrix(field, dims[x][z], dims[x][y] * dims[y][z],
+                               scalars(dims[x][z] * dims[x][y] * dims[y][z]))
+             for x in objs for y in objs for z in objs}
+    units = {x: scalars(dims[x][x]) for x in objs}
+    return HopfCategoryPresentation(tuple(f"o{x}" for x in objs), homs, comps, units)
+
+
 def oracle_categories():
     for field in (QQ, F2, F3, F5):
         for name in ("pair:1", "pair:2", "pair:3", "conn:C2:2"):
@@ -209,6 +263,19 @@ class TestCheck:
         assert check_hom_coseparability(empty).all_coseparable
 
 
+class TestSparseReads:
+    def test_integral_and_retraction_rows_match_entry_scans(self):
+        shaped = [shaped_category(field, ((1, 2, 3), (3, 1, 2), (2, 4, 2)), seed)
+                  for field in (QQ, F3) for seed in range(3)]
+        for h in [*oracle_categories(), *shaped]:
+            for side in ("left", "right"):
+                assert integral_family_system(h, side).rows == \
+                    oracle_integral_family_system(h, side).rows
+                for x in range(h.n_objects):
+                    assert retraction_system(h, x, side).rows == \
+                        oracle_retraction_system(h, x, side).rows
+
+
 class TestRetractionFamilies:
     def test_groupoid_dual_identity_vector(self):
         gd = pair_groupoid(2)
@@ -263,6 +330,44 @@ class TestIntegralFamilies:
 
 
 class TestSeparabilityFamilies:
+    def test_matches_splitting_map_system(self):
+        feasible = infeasible = 0
+        for h in separability_oracle_categories():
+            old = oracle_separability_family_system(h)
+            want = old.solve()
+            got = separability_family_system(h).solve()
+            assert (got is None) == (want is None)
+            fam = solve_separability_family(h)
+            assert (fam is None) == (want is None)
+            if want is None:
+                infeasible += 1
+                continue
+            feasible += 1
+            assert got.homogeneous.dim == want.homogeneous.dim
+            # the table in the old layout: triples in order, each matrix row-major
+            flat = tuple(v for key in sorted(fam.table) for v in fam.table[key].entries)
+            assert old.satisfied_by(flat)
+            assert flat == want.particular
+        assert feasible and infeasible
+
+    def test_element_that_does_not_commute_raises(self, monkeypatch):
+        # the rows mu(e) = u alone: their particular solution 1 (x) 1 in
+        # kC2 (x) kC2 multiplies to the unit but is no separability element
+        def unit_rows_only(h):
+            sys = ConstraintSystem(h.field, h.dim(0, 0) ** 2)
+            sys.add_matrix_rows(h.comps[(0, 0, 0)], h.units[0])
+            return sys
+
+        monkeypatch.setattr(hopfcat, "separability_family_system", unit_rows_only)
+        with pytest.raises(ArithmeticError, match="commute"):
+            solve_separability_family(
+                one_object_category(group_algebra(cyclic_group(2), QQ)))
+
+    def test_unknowns_are_the_elements(self):
+        h = hopf_category_from_groupoid(groupoid_by_name("conn:C4:3"), F5)
+        assert separability_family_system(h).nvars == sum(
+            h.dim(x, v) * h.dim(v, x) for x, v in h.hom_pairs()) == 144
+
     def test_pair_groupoid_feasible(self):
         for field in (QQ, F2, F3):
             h = hopf_category_from_groupoid(pair_groupoid(2), field)
@@ -278,6 +383,176 @@ class TestSeparabilityFamilies:
     def test_one_object_one_dim_feasible(self):
         h = one_object_category(group_algebra(cyclic_group(1), QQ))
         assert solve_separability_family(h) is not None
+
+
+def oracle_retraction_system(h: HopfCategoryPresentation, x: int,
+                             side: str) -> ConstraintSystem:
+    """retraction_system with every comultiplication entry read by at()."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be left or right")
+    f = h.field
+    c = h.homs[(x, x)]
+    u = h.units[x]
+    d = c.dim
+    sys = ConstraintSystem(f, d)
+    for i in range(d):
+        for m in range(d):
+            coeffs = {}
+            for b in range(d):
+                t = c.comult.at(i, m, b) if side == "left" else c.comult.at(i, b, m)
+                if t != 0:
+                    coeffs[b] = f.add(coeffs.get(b, f.zero()), t)
+            if u[m] != 0:
+                coeffs[i] = f.sub(coeffs.get(i, f.zero()), u[m])
+            sys.add_row(coeffs, f.zero())
+    sys.add_row({m: u[m] for m in range(d) if u[m] != 0}, f.one())
+    return sys
+
+
+def oracle_integral_family_system(h: HopfCategoryPresentation,
+                                  side: str) -> ConstraintSystem:
+    """integral_family_system with every composition entry read by at()."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be left or right")
+    f = h.field
+    pairs = h.hom_pairs()
+    offsets, total = _offsets(h, pairs, lambda p: h.dim(*p))
+    sys = ConstraintSystem(f, total)
+    nobj = h.n_objects
+    for x in range(nobj):
+        for y in range(nobj):
+            for z in range(nobj):
+                m = h.comps[(x, y, z)]
+                dxy, dyz, dxz = h.dim(x, y), h.dim(y, z), h.dim(x, z)
+                if side == "left":
+                    # mu(h (x) theta_{y,z}) = eps(h) theta_{x,z}, h in a(x,y)
+                    eps = h.homs[(x, y)].counit
+                    for i in range(dxy):
+                        for out in range(dxz):
+                            coeffs = {}
+                            for c in range(dyz):
+                                t = m.at(out, i * dyz + c)
+                                if t != 0:
+                                    key = offsets[(y, z)] + c
+                                    coeffs[key] = f.add(coeffs.get(key, f.zero()), t)
+                            if eps[i] != 0:
+                                key = offsets[(x, z)] + out
+                                coeffs[key] = f.sub(coeffs.get(key, f.zero()), eps[i])
+                            sys.add_row(coeffs, f.zero())
+                else:
+                    # mu(theta_{x,y} (x) h) = eps(h) theta_{x,z}, h in a(y,z)
+                    eps = h.homs[(y, z)].counit
+                    for j in range(dyz):
+                        for out in range(dxz):
+                            coeffs = {}
+                            for c in range(dxy):
+                                t = m.at(out, c * dyz + j)
+                                if t != 0:
+                                    key = offsets[(x, y)] + c
+                                    coeffs[key] = f.add(coeffs.get(key, f.zero()), t)
+                            if eps[j] != 0:
+                                key = offsets[(x, z)] + out
+                                coeffs[key] = f.sub(coeffs.get(key, f.zero()), eps[j])
+                            sys.add_row(coeffs, f.zero())
+    for (x, y) in pairs:
+        eps = h.homs[(x, y)].counit
+        sys.add_row({offsets[(x, y)] + m_: eps[m_] for m_ in range(h.dim(x, y))
+                     if eps[m_] != 0}, f.one())
+    return sys
+
+
+def oracle_separability_family_system(h: HopfCategoryPresentation) -> ConstraintSystem:
+    """One coupled feasibility over all splitting maps d_{x,v,y}: the system
+    that separability_family_system's element system replaces.
+
+    Variable layout per triple (x, v, y): matrix a(x,y) -> a(x,v) (x) a(v,y),
+    entry ((p, q), j) at offset + (p*dim(v,y) + q)*dim(x,y) + j.
+    """
+    f = h.field
+    nobj = h.n_objects
+    triples = [(x, v, y) for x in range(nobj) for v in range(nobj)
+               for y in range(nobj)]
+    offsets, total = _offsets(
+        h, triples, lambda t: h.dim(t[0], t[1]) * h.dim(t[1], t[2]) * h.dim(t[0], t[2]))
+    sys = ConstraintSystem(f, total)
+
+    def var(x, v, y, p, q, j):
+        return offsets[(x, v, y)] + (p * h.dim(v, y) + q) * h.dim(x, y) + j
+
+    # retraction triangles: mu_{x,v,y} . d_{x,v,y} = id
+    for (x, v, y) in triples:
+        m = h.comps[(x, v, y)]
+        dxv, dvy, dxy = h.dim(x, v), h.dim(v, y), h.dim(x, y)
+        for j in range(dxy):
+            for out in range(dxy):
+                coeffs = {}
+                for p in range(dxv):
+                    for q in range(dvy):
+                        t = m.at(out, p * dvy + q)
+                        if t != 0:
+                            key = var(x, v, y, p, q, j)
+                            coeffs[key] = f.add(coeffs.get(key, f.zero()), t)
+                sys.add_row(coeffs, f.one() if out == j else f.zero())
+    # the two square families over object quadruples
+    for x in range(nobj):
+        for y in range(nobj):
+            for v in range(nobj):
+                for z in range(nobj):
+                    dxy, dyz = h.dim(x, y), h.dim(y, z)
+                    dxv, dvz = h.dim(x, v), h.dim(v, z)
+                    dvy, dyv = h.dim(v, y), h.dim(y, v)
+                    m_xyz = h.comps[(x, y, z)]
+                    m_vyz = h.comps[(v, y, z)]
+                    m_xyv = h.comps[(x, y, v)]
+                    for i in range(dxy):
+                        for j in range(dyz):
+                            diag = {}
+                            for mm in range(h.dim(x, z)):
+                                t = m_xyz.at(mm, i * dyz + j)
+                                if t != 0:
+                                    diag[mm] = t
+                            for p in range(dxv):
+                                for w in range(dvz):
+                                    # (1 (x) mu_{v,y,z})(d_{x,v,y} (x) 1) = d_{x,v,z} mu
+                                    coeffs = {}
+                                    for q in range(dvy):
+                                        t = m_vyz.at(w, q * dyz + j)
+                                        if t != 0:
+                                            key = var(x, v, y, p, q, i)
+                                            coeffs[key] = f.add(
+                                                coeffs.get(key, f.zero()), t)
+                                    for mm, t in diag.items():
+                                        key = var(x, v, z, p, w, mm)
+                                        coeffs[key] = f.sub(
+                                            coeffs.get(key, f.zero()), t)
+                                    sys.add_row(coeffs, f.zero())
+                                    # (mu_{x,y,v} (x) 1)(1 (x) d_{y,v,z}) = d_{x,v,z} mu
+                                    coeffs = {}
+                                    for q in range(dyv):
+                                        t = m_xyv.at(p, i * dyv + q)
+                                        if t != 0:
+                                            key = var(y, v, z, q, w, j)
+                                            coeffs[key] = f.add(
+                                                coeffs.get(key, f.zero()), t)
+                                    for mm, t in diag.items():
+                                        key = var(x, v, z, p, w, mm)
+                                        coeffs[key] = f.sub(
+                                            coeffs.get(key, f.zero()), t)
+                                    sys.add_row(coeffs, f.zero())
+    return sys
+
+
+def separability_oracle_categories():
+    for field in (QQ, F2, F3, F5):
+        for name in ("pair:2", "conn:C2:2", "conn:C3:2", "conn:C2:3", "one:S3"):
+            yield hopf_category_from_groupoid(groupoid_by_name(name), field)
+    yield hopf_category_from_groupoid(groupoid_by_name("conn:C4:3"), F5)
+    # structure constants that differ from hom to hom (kernel 0 here; on a
+    # rebased one:S3, kernel 3, the two systems pick different witnesses)
+    for name, field in (("conn:C2:2", QQ), ("conn:C2:2", F2), ("conn:C3:2", F5)):
+        h = rebased_category(hopf_category_from_groupoid(groupoid_by_name(name), field), 1)
+        assert check_hopf_category(h).ok()
+        yield h
 
 
 def category_corpus():

@@ -117,6 +117,26 @@ def _comult_by_source(c: CoalgebraPresentation) -> tuple:
     return tuple(map(tuple, terms))
 
 
+def _terms(vec) -> list:
+    return [(a, c) for a, c in enumerate(vec) if c != 0]
+
+
+def _mult_cols(f: FieldSpec, prod: tuple, terms, u_first: bool, cols=None) -> list:
+    """cols[j] = {k: coefficient of e_k in u e_j (u_first) or in e_j u}.
+
+    Read from the product table, for u the sum of c e_a over the (a, c) in
+    terms, and added into cols when it is given.  Entries may sum to zero.
+    """
+    add, mul, zero = f.add, f.mul, f.zero()
+    if cols is None:
+        cols = [{} for _ in prod]
+    for a, c in terms:
+        for j, col in enumerate(cols):
+            for k, t in (prod[a][j] if u_first else prod[j][a]):
+                col[k] = add(col.get(k, zero), mul(c, t))
+    return cols
+
+
 def _convolution(comult: Tensor3, f: Matrix, g: Matrix, product: Matrix) -> Matrix:
     """Matrix of h -> product(f(h1) (x) g(h2)), the convolution of f and g.
 
@@ -258,15 +278,6 @@ class CoalgebraPresentation(Frozen):
                 out[j * n + k] = f.add(out[j * n + k], f.mul(a, t))
         return tuple(out)
 
-    def comult_matrix(self) -> Matrix:
-        """Comultiplication as a matrix A -> A (x) A."""
-        f = self.field
-        n = self.dim
-        out = [f.zero()] * (n * n * n)
-        for i, j, k, t in self.comult.nonzeros():
-            out[(j * n + k) * n + i] = t
-        return Matrix(f, n * n, n, tuple(out))
-
 
 # ---------------------------------------------------------------------------
 # axiom checks
@@ -384,6 +395,65 @@ def _add_to(row: dict, var: int, value, f: FieldSpec):
     row[var] = f.add(row.get(var, f.zero()), value)
 
 
+def _balanced_system(f: FieldSpec, nvars: int, norm, rhs, products) -> ConstraintSystem:
+    """Rows of a balanced element x: a normalization, and g x = x g for every
+    basis element g, from the terms that each solver supplies.
+
+    ``norm`` yields (out, var, t): t times unknown var at coordinate out of
+    the normalization, which must be rhs[out].  ``products`` yields (side, g,
+    out, var, t): the same at coordinate out of the product with g on side 0
+    or 1.  Rows: the normalization, then side 0 minus side 1 per (g, out).
+    """
+    rows = [{} for _ in rhs]
+    for out, var, t in norm:
+        _add_to(rows[out], var, t, f)
+    sys = ConstraintSystem(f, nvars)
+    for row, value in zip(rows, rhs):
+        sys.add_row(row, value)
+    gaps = {}
+    for side, g, out, var, t in products:
+        _add_to(gaps.setdefault((g, out), {}), var, f.neg(t) if side else t, f)
+    for row in gaps.values():
+        sys.add_row(row, f.zero())
+    return sys
+
+
+def _balanced_certificate(f: FieldSpec, x, norm, rhs, products, rows: int,
+                          cols: int, errors: tuple) -> Matrix:
+    """The side-0 table of a solution x of _balanced_system, coordinate out of
+    the product with g at row out and column g, recomputed from the same
+    terms.  Raises ArithmeticError(errors[0]) when the normalization is not
+    rhs and ArithmeticError(errors[1]) when the two tables differ."""
+    add, mul = f.add, f.mul
+    value = [f.zero()] * len(rhs)
+    for out, var, t in norm:
+        if x[var] != 0:
+            value[out] = add(value[out], mul(t, x[var]))
+    if tuple(value) != tuple(rhs):
+        raise ArithmeticError(errors[0])
+    tables = ([f.zero()] * (rows * cols), [f.zero()] * (rows * cols))
+    for side, g, out, var, t in products:
+        if x[var] != 0:
+            table = tables[side]
+            table[out * cols + g] = add(table[out * cols + g], mul(t, x[var]))
+    if tables[0] != tables[1]:
+        raise ArithmeticError(errors[1])
+    return Matrix(f, rows, cols, tuple(tables[0]))
+
+
+def _separability_terms(n: int, mult, unit):
+    """(norm, rhs, products) of mu(e) = 1 and g e = e g, for the algebra with
+    the product terms mult, (i, j, m, t) for t e_m in e_i e_j, and e[k*n + l]
+    the coefficient of b_k (x) b_l."""
+    def products():
+        for i, j, m, t in mult:
+            for x in range(n):
+                yield 0, i, m * n + x, j * n + x, t
+                yield 1, j, x * n + m, x * n + i, t
+
+    return [(m, i * n + j, t) for i, j, m, t in mult], unit, products()
+
+
 def separability_system(a: AlgebraPresentation) -> ConstraintSystem:
     """Constraint rows for a separability element e of the algebra.
 
@@ -393,21 +463,8 @@ def separability_system(a: AlgebraPresentation) -> ConstraintSystem:
     e = N(1), and every solution e gives the section N(x) = x e, so the
     solutions correspond one to one with the sections.
     """
-    f = a.field
-    n = a.dim
-    unit_rows = [dict() for _ in range(n)]
-    rows = {}    # (g, output index of g e - e g) -> row
-    for i, j, m, t in a.mult.nonzeros():
-        _add_to(unit_rows[m], i * n + j, t, f)
-        for x in range(n):
-            _add_to(rows.setdefault((i, m * n + x), {}), j * n + x, t, f)
-            _add_to(rows.setdefault((j, x * n + m), {}), x * n + i, f.neg(t), f)
-    sys = ConstraintSystem(f, n * n)
-    for m in range(n):
-        sys.add_row(unit_rows[m], a.unit[m])
-    for row in rows.values():
-        sys.add_row(row, f.zero())
-    return sys
+    return _balanced_system(a.field, a.dim ** 2,
+                            *_separability_terms(a.dim, a.mult.nonzeros(), a.unit))
 
 
 def solve_separability(a: AlgebraPresentation):
@@ -418,26 +475,19 @@ def solve_separability(a: AlgebraPresentation):
     sol = separability_system(a).solve()
     if sol is None:
         return None
-    f, n, e = a.field, a.dim, sol.particular
-    if a.mult_matrix().apply(e) != a.unit:
-        raise ArithmeticError("separability element does not multiply to the unit")
-    # g e and e g for every basis element g, at row (k, l) and column g
-    left = [f.zero()] * (n ** 3)
-    right = [f.zero()] * (n ** 3)
-    for i, j, m, t in a.mult.nonzeros():
-        for x in range(n):
-            c = e[j * n + x]
-            if c != 0:
-                idx = (m * n + x) * n + i
-                left[idx] = f.add(left[idx], f.mul(c, t))
-            c = e[x * n + i]
-            if c != 0:
-                idx = (x * n + m) * n + j
-                right[idx] = f.add(right[idx], f.mul(c, t))
-    if left != right:
-        raise ArithmeticError("separability element does not commute with the basis")
     # the section x -> x e
-    return SeparabilitySection(Matrix(f, n * n, n, tuple(left)), e)
+    section = _balanced_certificate(
+        a.field, sol.particular, *_separability_terms(a.dim, a.mult.nonzeros(), a.unit),
+        a.dim ** 2, a.dim, ("separability element does not multiply to the unit",
+                            "separability element does not commute with the basis"))
+    return SeparabilitySection(section, sol.particular)
+
+
+def _dual_terms(c: CoalgebraPresentation):
+    """The separability terms of the dual algebra, e^p e^q = sum_i
+    Delta_i^{pq} e^i with unit eps: sigma is its separability element."""
+    return _separability_terms(
+        c.dim, [(p, q, i, t) for i, p, q, t in c.comult.nonzeros()], c.counit)
 
 
 def coseparability_system(c: CoalgebraPresentation) -> ConstraintSystem:
@@ -448,23 +498,10 @@ def coseparability_system(c: CoalgebraPresentation) -> ConstraintSystem:
     for all basis elements c, d.  A bicomodule retraction P of the
     comultiplication is fixed by sigma = eps . P, and every solution sigma
     gives the retraction P(c (x) d) = c1 sigma(c2 (x) d) (Larson, 1973), so
-    the solutions correspond one to one with the retractions.
+    the solutions correspond one to one with the retractions.  These are the
+    separability rows of the dual algebra, and P is the dual of its section.
     """
-    f = c.field
-    n = c.dim
-    counit_rows = [dict() for _ in range(n)]
-    rows = {}    # (c, d, output index) -> row of c1 sigma(c2 (x) d) - sigma(c (x) d1) d2
-    for i, p, q, t in c.comult.nonzeros():
-        _add_to(counit_rows[i], p * n + q, t, f)
-        for x in range(n):
-            _add_to(rows.setdefault((i, x, p), {}), q * n + x, t, f)
-            _add_to(rows.setdefault((x, i, q), {}), x * n + p, f.neg(t), f)
-    sys = ConstraintSystem(f, n * n)
-    for i in range(n):
-        sys.add_row(counit_rows[i], c.counit[i])
-    for row in rows.values():
-        sys.add_row(row, f.zero())
-    return sys
+    return _balanced_system(c.field, c.dim ** 2, *_dual_terms(c))
 
 
 def solve_coseparability(c: CoalgebraPresentation):
@@ -475,28 +512,22 @@ def solve_coseparability(c: CoalgebraPresentation):
     sol = coseparability_system(c).solve()
     if sol is None:
         return None
-    f, n, sigma = c.field, c.dim, sol.particular
-    # c1 sigma(c2 (x) d) and sigma(c (x) d1) d2, at row m and column (c, d)
-    left = [f.zero()] * (n ** 3)
-    right = [f.zero()] * (n ** 3)
-    for i, p, q, t in c.comult.nonzeros():
-        for x in range(n):
-            s = sigma[q * n + x]
-            if s != 0:
-                idx = p * n * n + i * n + x
-                left[idx] = f.add(left[idx], f.mul(t, s))
-            s = sigma[x * n + p]
-            if s != 0:
-                idx = q * n * n + x * n + i
-                right[idx] = f.add(right[idx], f.mul(s, t))
-    if left != right:
-        raise ArithmeticError("coseparability functional is not balanced "
-                              "over the comultiplication")
-    # the retraction c (x) d -> c1 sigma(c2 (x) d)
-    retraction = Matrix(f, n, n * n, tuple(left))
-    if retraction @ c.comult_matrix() != Matrix.identity(f, n):
-        raise ArithmeticError("coseparability map is not a retraction of delta")
-    return CoseparabilityRetraction(retraction)
+    f, n = c.field, c.dim
+    # the retraction P: c (x) d -> c1 sigma(c2 (x) d)
+    retraction = _balanced_certificate(
+        f, sol.particular, *_dual_terms(c), n * n, n,
+        ("coseparability functional does not restrict to the counit",
+         "coseparability functional is not balanced over the comultiplication"))
+    p = retraction.entries    # P[m, j*n + k] at (j*n + k) * n + m
+    for i, terms in enumerate(_comult_by_source(c)):
+        # P(delta(e_i)) = e_i
+        value = [f.zero()] * n
+        for j, k, t in terms:
+            for m in range(n):
+                value[m] = f.add(value[m], f.mul(t, p[(j * n + k) * n + m]))
+        if value != list(unit_vec(f, n, i)):
+            raise ArithmeticError("coseparability map is not a retraction of delta")
+    return CoseparabilityRetraction(retraction.transpose())
 
 
 class MaschkeReport(Frozen):

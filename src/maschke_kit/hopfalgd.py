@@ -33,11 +33,17 @@ from .finalg import (
     InvalidPresentationError,
     MaschkeReport,
     _add_to,
+    _balanced_certificate,
+    _balanced_system,
     _convolution,
+    _mult_cols,
+    _nonzero_entries,
     _once,
     _require_antipode,
+    _separability_terms,
     _sparse_cols,
     _sparse_products,
+    _terms,
     check_algebra,
 )
 
@@ -133,14 +139,18 @@ def _on_leg(m: Matrix, act: Matrix, leg: int) -> Matrix:
 
 def _tensor_relations(h: HopfAlgebroidPresentation, pairs) -> Subspace:
     """Span of (u e_j) (x) e_k - e_j (x) (v e_k) over the pairs (u, v) and j, k."""
-    alg = h.total
-    eye = Matrix.identity(h.field, alg.dim ** 2)
+    f, n = h.field, h.total.dim
+    prod = _sparse_products(h.total)
     rows = []
     for u, v in pairs:
-        rel = _on_leg(eye, alg.left_mult_matrix(u), 0) - \
-            _on_leg(eye, alg.left_mult_matrix(v), 1)
-        rows += map(dict, _sparse_cols(rel))
-    return _row_space(h.field, alg.dim ** 2, rows)
+        ucols, vcols = (_mult_cols(f, prod, _terms(w), True) for w in (u, v))
+        for j in range(n):
+            for k in range(n):
+                row = {m * n + k: c for m, c in ucols[j].items()}
+                for m, c in vcols[k].items():
+                    _add_to(row, j * n + m, f.neg(c), f)
+                rows.append(_nonzero_entries(row))
+    return _row_space(f, n * n, rows)
 
 
 @_once
@@ -173,9 +183,10 @@ def tensor_over_R(h: HopfAlgebroidPresentation, product: str = CIRC) -> Quotient
 def ideal_subspace(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of (s(x) - t(x)) e_k over base and total bases."""
     f = h.field
+    prod = _sparse_products(h.total)
     rows = []
     for s, t in zip(*_base_images(h)):
-        rows += map(dict, _sparse_cols(h.total.left_mult_matrix(vec_sub(f, s, t))))
+        rows += map(_nonzero_entries, _mult_cols(f, prod, _terms(vec_sub(f, s, t)), True))
     return _row_space(f, h.total.dim, rows)
 
 
@@ -453,29 +464,18 @@ def solve_cointegral_hgd(h: HopfAlgebroidPresentation, side: str,
     return HgdCointegral(nu, sol)
 
 
-def _bullet_products(h: HopfAlgebroidPresentation, q: QuotientSpace):
-    """The terms of g e (side 0) and of e g (side 1) through the bullet
-    quotient, for the basis elements g of A and e in quotient coordinates.
-
-    Yields (side, g, r, rp, t): the product with g has t times coordinate rp
-    of e at quotient coordinate r.  Quotient coordinate rp is the ambient
-    coordinate free[rp] (see quotient_space).
-    """
-    f = h.field
-    n = h.total.dim
-    prod = _sparse_products(h.total)
-    pcols = _sparse_cols(q.projection)
+def _bullet_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
+    """The separability terms of the total algebra through the bullet
+    quotient: e in quotient coordinates, the rp-th of them the rp-th free
+    ambient coordinate (see quotient_space), and g e and e g projected."""
+    f, n = h.field, h.total.dim
+    norm, rhs, products = _separability_terms(n, h.total.mult.nonzeros(), h.total.unit)
     pivots = set(q.relations.pivots)
-    free = [c for c in range(n * n) if c not in pivots]
-    for rp, c in enumerate(free):
-        a, b = divmod(c, n)
-        for g in range(n):
-            for k, t in prod[g][a]:
-                for r, u in pcols[k * n + b]:
-                    yield 0, g, r, rp, f.mul(t, u)
-            for k, t in prod[b][g]:
-                for r, u in pcols[a * n + k]:
-                    yield 1, g, r, rp, f.mul(t, u)
+    coord = {c: rp for rp, c in enumerate(c for c in range(n * n) if c not in pivots)}
+    pcols = _sparse_cols(q.projection)
+    return ([(out, coord[var], t) for out, var, t in norm if var in coord], rhs,
+            ((side, g, r, coord[var], f.mul(t, u)) for side, g, out, var, t in products
+             if var in coord for r, u in pcols[out]))
 
 
 def separability_system_hgd(h: HopfAlgebroidPresentation,
@@ -489,15 +489,7 @@ def separability_system_hgd(h: HopfAlgebroidPresentation,
     solution gives the section N(x) = x e, so the solutions correspond one to
     one with the sections.
     """
-    f = h.field
-    sys = ConstraintSystem(f, q.dim)
-    sys.add_matrix_rows(h.total.mult_matrix() @ q.section, h.total.unit)
-    rows = {}    # (g, r) -> row of g e - e g at quotient coordinate r
-    for side, g, r, rp, t in _bullet_products(h, q):
-        _add_to(rows.setdefault((g, r), {}), rp, f.neg(t) if side else t, f)
-    for row in rows.values():
-        sys.add_row(row, f.zero())
-    return sys
+    return _balanced_system(h.field, q.dim, *_bullet_terms(h, q))
 
 
 def solve_separability_hgd(h: HopfAlgebroidPresentation):
@@ -508,18 +500,12 @@ def solve_separability_hgd(h: HopfAlgebroidPresentation):
     sol = separability_system_hgd(h, q).solve()
     if sol is None:
         return None
-    f, n, qd, e = h.field, h.total.dim, q.dim, sol.particular
-    if h.total.mult_matrix().apply(q.section.apply(e)) != h.total.unit:
-        raise ArithmeticError("separability element does not multiply to the unit")
-    # g e and e g at row r and column g
-    ent = ([f.zero()] * (qd * n), [f.zero()] * (qd * n))
-    for side, g, r, rp, t in _bullet_products(h, q):
-        if e[rp] != 0:
-            ent[side][r * n + g] = f.add(ent[side][r * n + g], f.mul(t, e[rp]))
-    if ent[0] != ent[1]:
-        raise ArithmeticError("separability element does not commute with the basis")
     # the section x -> x e
-    return HgdSeparabilitySection(q, Matrix(f, qd, n, tuple(ent[0])))
+    section = _balanced_certificate(
+        h.field, sol.particular, *_bullet_terms(h, q), q.dim, h.total.dim,
+        ("separability element does not multiply to the unit",
+         "separability element does not commute with the basis"))
+    return HgdSeparabilitySection(q, section)
 
 
 def coseparability_system_hgd(h: HopfAlgebroidPresentation,

@@ -20,6 +20,8 @@ from .finalg import (
     InvalidPresentationError,
     MaschkeReport,
     _add_to,
+    _balanced_certificate,
+    _balanced_system,
     _comult_by_source,
     _convolution,
     _once,
@@ -106,10 +108,6 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
                     out[m] = add(out[m], mul(mul(ua, vb), t))
         return tuple(out)
 
-    def split(c, p):
-        """Delta(e_p) as [(p1, p2, coefficient)]."""
-        return [(j, k, t) for i, j, k, t in c.comult.nonzeros() if i == p]
-
     # associativity and unit laws of composition
     for x, y, z, w in itertools.product(objs, repeat=4):
         dyz, dzw = h.dim(y, z), h.dim(z, w)
@@ -131,10 +129,11 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
     for x, y, z in itertools.product(objs, repeat=3):
         cxy, cyz, cxz = h.homs[(x, y)], h.homs[(y, z)], h.homs[(x, z)]
         col, dyz, dxz = cols[(x, y, z)], cyz.dim, cxz.dim
+        delta_xy, delta_yz = _comult_by_source(cxy), _comult_by_source(cyz)
         comultiplicative = counital = True
         for p, q in itertools.product(range(cxy.dim), range(dyz)):
             rhs = [zero] * (dxz * dxz)
-            for (p1, p2, s), (q1, q2, t) in itertools.product(split(cxy, p), split(cyz, q)):
+            for (p1, p2, s), (q1, q2, t) in itertools.product(delta_xy[p], delta_yz[q]):
                 for m1, t1 in col[p1 * dyz + q1]:
                     for m2, t2 in col[p2 * dyz + q2]:
                         idx = m1 * dxz + m2
@@ -326,25 +325,41 @@ def _element_offsets(h: HopfCategoryPresentation):
     return _offsets(h, h.hom_pairs(), lambda p: h.dim(*p) * h.dim(p[1], p[0]))
 
 
-def _products(h: HopfCategoryPresentation, cols, x, v, z):
-    """The terms of e_{x,v} h (side 0) and of h e_{z,v} (side 1), both in
-    a(x,v) (x) a(v,z), for the basis elements h of a(x,z).
+def _family_terms(h: HopfCategoryPresentation):
+    """(norm, rhs, products) of mu_{x,v,x}(e_{x,v}) = u_x and e_{x,v} h =
+    h e_{z,v} for the basis elements h of a(x,z); the tables of the triples
+    (x, v, z), rows a(x,v) (x) a(v,z) by columns a(x,z), stacked row-major
+    in one column from starts[(x, v, z)] on, size entries in all."""
+    offsets, _ = _element_offsets(h)
+    cols = {key: _sparse_cols(m) for key, m in h.comps.items()}
+    norm, rhs = [], []
+    for x, v in h.hom_pairs():
+        for c, col in enumerate(cols[(x, v, x)]):
+            norm += [(len(rhs) + m, offsets[(x, v)] + c, t) for m, t in col]
+        rhs += h.units[x]
+    starts, size = _offsets(h, itertools.product(range(h.n_objects), repeat=3),
+                            lambda k: h.dim(*k[:2]) * h.dim(*k[1:]) * h.dim(k[0], k[2]))
 
-    Yields (side, i, out, var, t): the product with basis element i has t
-    times coordinate var of its element at coordinate out.
-    """
-    dxv, dvx, dxz, dvz, dzv = (h.dim(x, v), h.dim(v, x), h.dim(x, z),
-                               h.dim(v, z), h.dim(z, v))
-    for c, col in enumerate(cols[(v, x, z)]):
-        q, i = divmod(c, dxz)
-        for w, t in col:
-            for p in range(dxv):
-                yield 0, i, p * dvz + w, p * dvx + q, t
-    for c, col in enumerate(cols[(x, z, v)]):
-        i, a = divmod(c, dzv)
-        for p, t in col:
-            for w in range(dvz):
-                yield 1, i, p * dvz + w, a * dvz + w, t
+    def products():
+        for (x, v, z), start in starts.items():
+            dxv, dvx, dvz, dzv, dxz = (h.dim(x, v), h.dim(v, x), h.dim(v, z),
+                                       h.dim(z, v), h.dim(x, z))
+            # e_{x,v} h: (p (x) q) h = p (x) qh, at row p * dvz + w
+            for c, col in enumerate(cols[(v, x, z)]):
+                q, i = divmod(c, dxz)
+                for w, t in col:
+                    for p in range(dxv):
+                        yield (0, 0, start + (p * dvz + w) * dxz + i,
+                               offsets[(x, v)] + p * dvx + q, t)
+            # h e_{z,v}: h (a (x) w) = ha (x) w
+            for c, col in enumerate(cols[(x, z, v)]):
+                i, a = divmod(c, dzv)
+                for p, t in col:
+                    for w in range(dvz):
+                        yield (1, 0, start + (p * dvz + w) * dxz + i,
+                               offsets[(z, v)] + a * dvz + w, t)
+
+    return (norm, rhs, products()), starts, size
 
 
 def separability_family_system(h: HopfCategoryPresentation) -> ConstraintSystem:
@@ -357,25 +372,7 @@ def separability_family_system(h: HopfCategoryPresentation) -> ConstraintSystem:
     squares give d_{x,v,z}(k) = e_{x,v} k, and every solution gives the family
     k -> e_{x,v} k, so the solutions correspond one to one with the families.
     """
-    f = h.field
-    offsets, total = _element_offsets(h)
-    cols = {key: _sparse_cols(m) for key, m in h.comps.items()}
-    sys = ConstraintSystem(f, total)
-    for x, v in h.hom_pairs():
-        rows = [dict() for _ in range(h.dim(x, x))]
-        for c, col in enumerate(cols[(x, v, x)]):
-            for m, t in col:
-                rows[m][offsets[(x, v)] + c] = t
-        for m, row in enumerate(rows):
-            sys.add_row(row, h.units[x][m])
-    for x, v, z in itertools.product(range(h.n_objects), repeat=3):
-        rows = {}    # (i, out) -> row of e_{x,v} h_i - h_i e_{z,v}
-        for side, i, out, var, t in _products(h, cols, x, v, z):
-            key = offsets[(x, v) if side == 0 else (z, v)] + var
-            _add_to(rows.setdefault((i, out), {}), key, f.neg(t) if side else t, f)
-        for row in rows.values():
-            sys.add_row(row, f.zero())
-    return sys
+    return _balanced_system(h.field, _element_offsets(h)[1], *_family_terms(h)[0])
 
 
 def solve_separability_family(h: HopfCategoryPresentation):
@@ -387,25 +384,16 @@ def solve_separability_family(h: HopfCategoryPresentation):
     if sol is None:
         return None
     f = h.field
-    offsets, _ = _element_offsets(h)
-    e = {p: sol.particular[offsets[p]: offsets[p] + h.dim(*p) * h.dim(p[1], p[0])]
-         for p in h.hom_pairs()}
-    for x, v in h.hom_pairs():
-        if h.comps[(x, v, x)].apply(e[(x, v)]) != h.units[x]:
-            raise ArithmeticError("separability element does not compose to the unit")
-    cols = {key: _sparse_cols(m) for key, m in h.comps.items()}
+    terms, starts, size = _family_terms(h)
+    # the family k -> e_{x,v} k
+    stacked = _balanced_certificate(
+        f, sol.particular, *terms, size, 1,
+        ("separability element does not compose to the unit",
+         "separability elements do not commute with the homs")).entries
     table = {}
-    for x, v, z in itertools.product(range(h.n_objects), repeat=3):
-        # the family k -> e_{x,v} k and the products h e_{z,v}, column h
-        dout, dxz = h.dim(x, v) * h.dim(v, z), h.dim(x, z)
-        ent = ([f.zero()] * (dout * dxz), [f.zero()] * (dout * dxz))
-        for side, i, out, var, t in _products(h, cols, x, v, z):
-            c = e[(x, v) if side == 0 else (z, v)][var]
-            if c != 0:
-                ent[side][out * dxz + i] = f.add(ent[side][out * dxz + i], f.mul(c, t))
-        if ent[0] != ent[1]:
-            raise ArithmeticError("separability elements do not commute with the homs")
-        table[(x, v, z)] = Matrix(f, dout, dxz, tuple(ent[0]))
+    for (x, v, z), start in starts.items():
+        rows, cols = h.dim(x, v) * h.dim(v, z), h.dim(x, z)
+        table[(x, v, z)] = Matrix(f, rows, cols, stacked[start: start + rows * cols])
     return SeparabilityFamily(table)
 
 

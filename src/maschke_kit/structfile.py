@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .examples import MAX_GENERATED_ORDER, GroupPresentation, GroupoidPresentation
-from .exactlin import FieldSpec, Matrix, Tensor3
+from .exactlin import MAX_AXIS, FieldSpec, Matrix, Tensor3
 from .finalg import AlgebraPresentation, AxiomReport, CoalgebraPresentation
 from .hopfalgd import CommAlgebraPresentation, HopfAlgebroidPresentation, \
     check_hopf_algebroid
@@ -232,6 +232,9 @@ def _algebroid_parse(field, obj, path) -> HopfAlgebroidPresentation:
         _fail(f"{path}.base", str(exc))
     total = _algebra_in(field, _get(obj, "total", path), f"{path}.total")
     dr, n = base.dim, total.dim
+    if n ** 3 > MAX_AXIS:
+        _fail(f"{path}.total.dim", f"dimension {n} is above the algebroid limit: "
+                                   f"A (x) A (x) A has {n}^3 coordinates, over {MAX_AXIS}")
     src = _matrix_in(field, _get(obj, "src", path), n, dr, f"{path}.src")
     tgt = _matrix_in(field, _get(obj, "tgt", path), n, dr, f"{path}.tgt")
     lift = _matrix_in(field, _get(obj, "comult_lift", path), n * n, n,

@@ -37,10 +37,12 @@ from .finalg import (
     MaschkeReport,
     _comult_by_source,
     _convolution,
+    _mult_cols,
     _once,
     _require_antipode,
     _sparse_cols,
     _sparse_products,
+    _terms,
     check_algebra,
     check_coalgebra,
     solve_coseparability,
@@ -413,31 +415,11 @@ def _check_side_variant(side, variant):
         raise ValueError(f"variant must be one of {VARIANTS}")
 
 
-def _terms(vec) -> list:
-    return [(a, c) for a, c in enumerate(vec) if c != 0]
-
-
 def _vector(f: FieldSpec, n: int, terms) -> tuple:
     out = [f.zero()] * n
     for k, t in terms:
         out[k] = t
     return tuple(out)
-
-
-def _mult_cols(f: FieldSpec, prod: tuple, terms, u_first: bool, cols=None) -> list:
-    """cols[j] = {k: coefficient of e_k in u e_j (u_first) or in e_j u}.
-
-    Read from the product table, for u the sum of c e_a over the (a, c) in
-    terms, and added into cols when it is given.  Entries may sum to zero.
-    """
-    add, mul, zero = f.add, f.mul, f.zero()
-    if cols is None:
-        cols = [{} for _ in prod]
-    for a, c in terms:
-        for j, col in enumerate(cols):
-            for k, t in (prod[a][j] if u_first else prod[j][a]):
-                col[k] = add(col.get(k, zero), mul(c, t))
-    return cols
 
 
 def _add_mult_rows(sys: ConstraintSystem, prod: tuple, terms, u_first: bool):

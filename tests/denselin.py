@@ -2,10 +2,10 @@
 
 Kronecker products, the flip of a tensor product, kernels and affine solves
 of dense matrices, a matrix as nested rows, the zero test and the projection
-of one vector to a quotient, the unit and counit of a presentation as
-matrices, and a change of basis.  The package builds every map from
-structure constants; the tests compose the same maps from these dense pieces
-and compare.
+of one vector to a quotient, the unit, comultiplication and counit of a
+presentation as matrices, and a change of basis.  The package builds every
+map from structure constants; the tests compose the same maps from these
+dense pieces and compare.
 """
 
 import random
@@ -77,6 +77,15 @@ def project(q, vec) -> tuple:
 def unit_matrix(a) -> Matrix:
     """The unit of an algebra presentation as a column k -> A."""
     return Matrix(a.field, a.dim, 1, tuple(a.unit))
+
+
+def comult_matrix(c) -> Matrix:
+    """The comultiplication of a coalgebra presentation as a matrix C -> C (x) C."""
+    f, n = c.field, c.dim
+    out = [f.zero()] * (n * n * n)
+    for i, j, k, t in c.comult.nonzeros():
+        out[(j * n + k) * n + i] = t
+    return Matrix(f, n * n, n, tuple(out))
 
 
 def counit_matrix(c) -> Matrix:

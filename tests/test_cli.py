@@ -11,6 +11,7 @@ from maschke_kit.cli import main
 from maschke_kit.examples import (
     MAX_GENERATED_ORDER,
     cyclic_group,
+    ground_field_algebra,
     group_algebra,
     mutate,
     pair_groupoid,
@@ -18,6 +19,7 @@ from maschke_kit.examples import (
     split_pair_algebra,
 )
 from maschke_kit.exactlin import FieldSpec
+from maschke_kit.hopfalgd import HopfAlgebroidPresentation
 from maschke_kit.structfile import (
     StructureFileError,
     parse_structure_file,
@@ -26,6 +28,8 @@ from maschke_kit.structfile import (
 )
 from maschke_kit.weakhopf import StructureDefectError, WeakHopfPresentation, \
     integral_system
+
+from denselin import comult_matrix, counit_matrix, unit_matrix
 
 QQ = FieldSpec.rationals()
 
@@ -289,17 +293,29 @@ class TestCommands:
                 part["dim"] = MAX_GENERATED_ORDER + 1
             path.write_text(json.dumps(doc))
             paths.append(path)
+        # kC17 as an algebroid over k: its dimension is allowed, but 17^3 is
+        # above the widest supported matrix, so it is refused before the lift
+        w = group_algebra(cyclic_group(17), FieldSpec.gf(5))
+        cubed = tmp_path / "c17.json"
+        cubed.write_text(serialize_structure(HopfAlgebroidPresentation(
+            ground_field_algebra(w.field), w.algebra, unit_matrix(w.algebra),
+            unit_matrix(w.algebra), comult_matrix(w.coalgebra),
+            counit_matrix(w.coalgebra), w.antipode)))
         argvs = [[command, "--structure", str(path), "--out", f"{path}.{command}"]
                  for command in ("validate", "separability", "coseparability",
-                                 "maschke") for path in paths]
+                                 "maschke") for path in paths + [cubed]]
         results, err = run_capped(*argvs)
         assert [code for code, _ in results] == [3] * len(argvs)
         assert "Traceback" not in err
         # validate writes its report; the other commands write to stderr
-        assert err.count("above the limit of 64") == len(argvs) - len(paths)
+        assert err.count("above the limit of 64") == 3 * len(paths)
+        assert err.count("has 17^3 coordinates, over 4096") == 3
         for path in paths:
             report = json.loads(open(f"{path}.validate").read())
             assert "dim: dimension 65 is above the limit" in report["failures"][0]
+        report = json.loads(open(f"{cubed}.validate").read())
+        assert "total.dim: dimension 17 is above the algebroid limit" in \
+            report["failures"][0]
 
     def test_hopfcat_antipode_naming_missing_hom_exits_three(self, tmp_path, capsys):
         path = gen(tmp_path, "hc.json", "hopf-category", "--groupoid", "pair:2",

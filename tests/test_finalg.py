@@ -32,7 +32,7 @@ from maschke_kit.finalg import (
     solve_separability,
 )
 
-from denselin import kron, to_rows
+from denselin import comult_matrix, kron, to_rows
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -299,7 +299,7 @@ class TestSolveSeparability:
 def matrix_coseparability_identities(c, retraction):
     n = c.dim
     eye = Matrix.identity(c.field, n)
-    delta = c.comult_matrix()
+    delta = comult_matrix(c)
     mid = delta @ retraction.map
     assert retraction.map @ delta == eye
     assert kron(eye, retraction.map) @ kron(delta, eye) == mid

@@ -42,7 +42,8 @@ from maschke_kit.hopfalgd import (
     tensor_over_R,
 )
 
-from denselin import counit_matrix, kron, project, rebased, to_rows, unit_matrix
+from denselin import (comult_matrix, counit_matrix, kron, project, rebased, to_rows,
+                      unit_matrix)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -57,7 +58,7 @@ def hopf_algebra_as_algebroid(w) -> HopfAlgebroidPresentation:
         total=w.algebra,
         src=unit_matrix(w.algebra),
         tgt=unit_matrix(w.algebra),
-        comult_lift=w.coalgebra.comult_matrix(),
+        comult_lift=comult_matrix(w.coalgebra),
         counit=counit_matrix(w.coalgebra),
         antipode=w.antipode,
     )

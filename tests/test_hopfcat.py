@@ -38,7 +38,8 @@ from maschke_kit.hopfcat import (
 )
 from maschke_kit.weakhopf import solve_cointegral, solve_integral
 
-from denselin import counit_matrix, flip_matrix, kron, rebased, solve_affine
+from denselin import (comult_matrix, counit_matrix, flip_matrix, kron, rebased,
+                      solve_affine)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -92,9 +93,9 @@ def kron_chain_category_report(h) -> AxiomReport:
                 m = h.comps[(x, y, z)]
                 middle = kron(eye(x, y),
                               kron(flip_matrix(f, cxy.dim, cyz.dim), eye(y, z)))
-                rhs = kron(m, m) @ middle @ kron(cxy.comult_matrix(),
-                                                 cyz.comult_matrix())
-                if cxz.comult_matrix() @ m != rhs:
+                rhs = kron(m, m) @ middle @ kron(comult_matrix(cxy),
+                                                 comult_matrix(cyz))
+                if comult_matrix(cxz) @ m != rhs:
                     failures.append(AxiomFailure("composition comultiplicativity",
                                                  (x, y, z)))
                 if counit_matrix(cxz) @ m != kron(counit_matrix(cxy),
@@ -102,7 +103,7 @@ def kron_chain_category_report(h) -> AxiomReport:
                     failures.append(AxiomFailure("composition counit law", (x, y, z)))
     for x in range(nobj):
         cxx, u = h.homs[(x, x)], unit(x)
-        if cxx.comult_matrix() @ u != kron(u, u):
+        if comult_matrix(cxx) @ u != kron(u, u):
             failures.append(AxiomFailure("unit grouplike", (x,)))
         if counit_matrix(cxx) @ u != Matrix.identity(f, 1):
             failures.append(AxiomFailure("unit counit", (x,)))
@@ -111,7 +112,7 @@ def kron_chain_category_report(h) -> AxiomReport:
             for y in range(nobj):
                 cxy = h.homs[(x, y)]
                 s = h.antipode[(x, y)]
-                delta = cxy.comult_matrix()
+                delta = comult_matrix(cxy)
                 left = h.comps[(x, y, x)] @ kron(eye(x, y), s) @ delta
                 if left != unit(x) @ counit_matrix(cxy):
                     failures.append(AxiomFailure(
@@ -170,7 +171,7 @@ def rebased_category(h, seed):
     homs = {}
     for p, c in h.homs.items():
         d = c.dim
-        delta = kron(t[p], t[p]) @ c.comult_matrix() @ t_inv[p]
+        delta = kron(t[p], t[p]) @ comult_matrix(c) @ t_inv[p]
         homs[p] = CoalgebraPresentation(
             f, d, Tensor3(f, d, d, d, delta.transpose().entries),
             (counit_matrix(c) @ t_inv[p]).entries)

@@ -39,7 +39,8 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import counit_matrix, flip_matrix, kron, rebased, unit_matrix
+from denselin import (comult_matrix, counit_matrix, flip_matrix, kron, rebased,
+                      unit_matrix)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -71,7 +72,7 @@ def kron_chain_projections(w):
     eye = Matrix.identity(f, n)
     mu = w.algebra.mult_matrix()
     nu = unit_matrix(w.algebra)
-    delta = w.coalgebra.comult_matrix()
+    delta = comult_matrix(w.coalgebra)
     eps = counit_matrix(w.coalgebra)
     mu_op = mu @ flip_matrix(f, n, n)
     return (kron(eye, eps) @ kron(eye, mu_op) @ kron(delta, eye) @ kron(nu, eye),
@@ -87,7 +88,7 @@ def kron_chain_antipode_report(w):
     maps = projections(w)
     eye = Matrix.identity(f, n)
     mu = alg.mult_matrix()
-    delta = w.coalgebra.comult_matrix()
+    delta = comult_matrix(w.coalgebra)
     failures = []
     left = mu @ kron(eye, s) @ delta
     right = mu @ kron(s, eye) @ delta

@@ -418,27 +418,33 @@ def _balanced_system(f: FieldSpec, nvars: int, norm, rhs, products) -> Constrain
     return sys
 
 
-def _balanced_certificate(f: FieldSpec, x, norm, rhs, products, rows: int,
-                          cols: int, errors: tuple) -> Matrix:
-    """The side-0 table of a solution x of _balanced_system, coordinate out of
-    the product with g at row out and column g, recomputed from the same
-    terms.  Raises ArithmeticError(errors[0]) when the normalization is not
-    rhs and ArithmeticError(errors[1]) when the two tables differ."""
-    add, mul = f.add, f.mul
+def _balanced_certificate(f: FieldSpec, x, norm, rhs, products, errors: tuple) -> dict:
+    """The side-0 products of a solution x of _balanced_system, recomputed
+    from the same terms, as {(g, out): value} without zeros.  Raises
+    ArithmeticError(errors[0]) when the normalization is not rhs and
+    ArithmeticError(errors[1]) when the two sides differ."""
     value = [f.zero()] * len(rhs)
     for out, var, t in norm:
         if x[var] != 0:
-            value[out] = add(value[out], mul(t, x[var]))
+            value[out] = f.add(value[out], f.mul(t, x[var]))
     if tuple(value) != tuple(rhs):
         raise ArithmeticError(errors[0])
-    tables = ([f.zero()] * (rows * cols), [f.zero()] * (rows * cols))
+    tables = ({}, {})
     for side, g, out, var, t in products:
         if x[var] != 0:
-            table = tables[side]
-            table[out * cols + g] = add(table[out * cols + g], mul(t, x[var]))
-    if tables[0] != tables[1]:
+            _add_to(tables[side], (g, out), f.mul(t, x[var]), f)
+    side0 = _nonzero_entries(tables[0])
+    if side0 != _nonzero_entries(tables[1]):
         raise ArithmeticError(errors[1])
-    return Matrix(f, rows, cols, tuple(tables[0]))
+    return side0
+
+
+def _table_matrix(f: FieldSpec, table: dict, rows: int, cols: int) -> Matrix:
+    """The Matrix with the value of (g, out) at row out and column g."""
+    entries = [f.zero()] * (rows * cols)
+    for (g, out), value in table.items():
+        entries[out * cols + g] = value
+    return Matrix(f, rows, cols, tuple(entries))
 
 
 def _separability_terms(n: int, mult, unit):
@@ -476,10 +482,10 @@ def solve_separability(a: AlgebraPresentation):
     if sol is None:
         return None
     # the section x -> x e
-    section = _balanced_certificate(
+    section = _table_matrix(a.field, _balanced_certificate(
         a.field, sol.particular, *_separability_terms(a.dim, a.mult.nonzeros(), a.unit),
-        a.dim ** 2, a.dim, ("separability element does not multiply to the unit",
-                            "separability element does not commute with the basis"))
+        ("separability element does not multiply to the unit",
+         "separability element does not commute with the basis")), a.dim ** 2, a.dim)
     return SeparabilitySection(section, sol.particular)
 
 
@@ -514,10 +520,10 @@ def solve_coseparability(c: CoalgebraPresentation):
         return None
     f, n = c.field, c.dim
     # the retraction P: c (x) d -> c1 sigma(c2 (x) d)
-    retraction = _balanced_certificate(
-        f, sol.particular, *_dual_terms(c), n * n, n,
+    retraction = _table_matrix(f, _balanced_certificate(
+        f, sol.particular, *_dual_terms(c),
         ("coseparability functional does not restrict to the counit",
-         "coseparability functional is not balanced over the comultiplication"))
+         "coseparability functional is not balanced over the comultiplication")), n * n, n)
     p = retraction.entries    # P[m, j*n + k] at (j*n + k) * n + m
     for i, terms in enumerate(_comult_by_source(c)):
         # P(delta(e_i)) = e_i

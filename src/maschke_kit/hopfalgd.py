@@ -43,6 +43,7 @@ from .finalg import (
     _separability_terms,
     _sparse_cols,
     _sparse_products,
+    _table_matrix,
     _terms,
     check_algebra,
 )
@@ -501,10 +502,10 @@ def solve_separability_hgd(h: HopfAlgebroidPresentation):
     if sol is None:
         return None
     # the section x -> x e
-    section = _balanced_certificate(
-        h.field, sol.particular, *_bullet_terms(h, q), q.dim, h.total.dim,
+    section = _table_matrix(h.field, _balanced_certificate(
+        h.field, sol.particular, *_bullet_terms(h, q),
         ("separability element does not multiply to the unit",
-         "separability element does not commute with the basis"))
+         "separability element does not commute with the basis")), q.dim, h.total.dim)
     return HgdSeparabilitySection(q, section)
 
 

@@ -16,7 +16,6 @@ from .exactlin import ConstraintSystem, FieldSpec, Frozen, Matrix, unit_vec
 from .finalg import (
     AxiomFailure,
     AxiomReport,
-    CoalgebraPresentation,
     InvalidPresentationError,
     MaschkeReport,
     _add_to,
@@ -27,6 +26,7 @@ from .finalg import (
     _once,
     _require_antipode,
     _sparse_cols,
+    _table_matrix,
     check_coalgebra,
     solve_coseparability,
 )
@@ -327,9 +327,9 @@ def _element_offsets(h: HopfCategoryPresentation):
 
 def _family_terms(h: HopfCategoryPresentation):
     """(norm, rhs, products) of mu_{x,v,x}(e_{x,v}) = u_x and e_{x,v} h =
-    h e_{z,v} for the basis elements h of a(x,z); the tables of the triples
-    (x, v, z), rows a(x,v) (x) a(v,z) by columns a(x,z), stacked row-major
-    in one column from starts[(x, v, z)] on, size entries in all."""
+    h e_{z,v} for the basis elements h of a(x,z); the product with the i-th
+    basis element of a(x,z) has g = ((x, v, z), i), and out indexes
+    a(x,v) (x) a(v,z)."""
     offsets, _ = _element_offsets(h)
     cols = {key: _sparse_cols(m) for key, m in h.comps.items()}
     norm, rhs = [], []
@@ -337,29 +337,27 @@ def _family_terms(h: HopfCategoryPresentation):
         for c, col in enumerate(cols[(x, v, x)]):
             norm += [(len(rhs) + m, offsets[(x, v)] + c, t) for m, t in col]
         rhs += h.units[x]
-    starts, size = _offsets(h, itertools.product(range(h.n_objects), repeat=3),
-                            lambda k: h.dim(*k[:2]) * h.dim(*k[1:]) * h.dim(k[0], k[2]))
 
     def products():
-        for (x, v, z), start in starts.items():
+        for x, v, z in itertools.product(range(h.n_objects), repeat=3):
             dxv, dvx, dvz, dzv, dxz = (h.dim(x, v), h.dim(v, x), h.dim(v, z),
                                        h.dim(z, v), h.dim(x, z))
-            # e_{x,v} h: (p (x) q) h = p (x) qh, at row p * dvz + w
+            # e_{x,v} h: (p (x) q) h = p (x) qh, at out p * dvz + w
             for c, col in enumerate(cols[(v, x, z)]):
                 q, i = divmod(c, dxz)
                 for w, t in col:
                     for p in range(dxv):
-                        yield (0, 0, start + (p * dvz + w) * dxz + i,
+                        yield (0, ((x, v, z), i), p * dvz + w,
                                offsets[(x, v)] + p * dvx + q, t)
             # h e_{z,v}: h (a (x) w) = ha (x) w
             for c, col in enumerate(cols[(x, z, v)]):
                 i, a = divmod(c, dzv)
                 for p, t in col:
                     for w in range(dvz):
-                        yield (1, 0, start + (p * dvz + w) * dxz + i,
+                        yield (1, ((x, v, z), i), p * dvz + w,
                                offsets[(z, v)] + a * dvz + w, t)
 
-    return (norm, rhs, products()), starts, size
+    return norm, rhs, products()
 
 
 def separability_family_system(h: HopfCategoryPresentation) -> ConstraintSystem:
@@ -372,7 +370,7 @@ def separability_family_system(h: HopfCategoryPresentation) -> ConstraintSystem:
     squares give d_{x,v,z}(k) = e_{x,v} k, and every solution gives the family
     k -> e_{x,v} k, so the solutions correspond one to one with the families.
     """
-    return _balanced_system(h.field, _element_offsets(h)[1], *_family_terms(h)[0])
+    return _balanced_system(h.field, _element_offsets(h)[1], *_family_terms(h))
 
 
 def solve_separability_family(h: HopfCategoryPresentation):
@@ -383,18 +381,17 @@ def solve_separability_family(h: HopfCategoryPresentation):
     sol = separability_family_system(h).solve()
     if sol is None:
         return None
-    f = h.field
-    terms, starts, size = _family_terms(h)
     # the family k -> e_{x,v} k
-    stacked = _balanced_certificate(
-        f, sol.particular, *terms, size, 1,
+    side0 = _balanced_certificate(
+        h.field, sol.particular, *_family_terms(h),
         ("separability element does not compose to the unit",
-         "separability elements do not commute with the homs")).entries
-    table = {}
-    for (x, v, z), start in starts.items():
-        rows, cols = h.dim(x, v) * h.dim(v, z), h.dim(x, z)
-        table[(x, v, z)] = Matrix(f, rows, cols, stacked[start: start + rows * cols])
-    return SeparabilityFamily(table)
+         "separability elements do not commute with the homs"))
+    tables = {key: {} for key in itertools.product(range(h.n_objects), repeat=3)}
+    for ((key, i), out), value in side0.items():
+        tables[key][(i, out)] = value
+    return SeparabilityFamily({
+        (x, v, z): _table_matrix(h.field, t, h.dim(x, v) * h.dim(v, z), h.dim(x, z))
+        for (x, v, z), t in tables.items()})
 
 
 def maschke_report(h: HopfCategoryPresentation) -> MaschkeReport:

@@ -150,6 +150,14 @@ class TestCommands:
         assert all(doc["integrals"].values())
         assert doc["basis_convention"] == "left-major"
 
+    def test_separability_on_hom_of_dimension_17(self, tmp_path):
+        path = gen(tmp_path, "c17.json", "hopf-category", "--groupoid", "one:C17",
+                   "--field", "Fp:5")
+        doc = json.loads(run(tmp_path, "separability", "--structure", str(path)))
+        assert doc["feasible"]
+        doc = json.loads(run(tmp_path, "maschke", "--structure", str(path)))
+        assert doc["separability_family"] and doc["verdict"] == "pass"
+
     def test_integrals_assert_exit_codes(self, tmp_path):
         path = gen(tmp_path, "c3f3.json", "group-algebra", "--group", "C3",
                    "--field", "Fp:3")

@@ -369,6 +369,19 @@ class TestSeparabilityFamilies:
         assert separability_family_system(h).nvars == sum(
             h.dim(x, v) * h.dim(v, x) for x, v in h.hom_pairs()) == 144
 
+    def test_hom_of_dimension_17(self):
+        # a(0,0) (x) a(0,0) by a(0,0) has 17^3 entries, above MAX_AXIS:
+        # each table is built per triple, 289 x 17
+        h = hopf_category_from_groupoid(groupoid_by_name("one:C17"), F5)
+        fam = solve_separability_family(h)
+        assert fam is not None
+        assert (fam.table[(0, 0, 0)].rows, fam.table[(0, 0, 0)].cols) == (289, 17)
+        # kC17 over F5 is commutative and separable: its separability element
+        # is unique, so the family is the algebra's section
+        a = group_algebra(cyclic_group(17), F5)
+        fam = solve_separability_family(one_object_category(a))
+        assert fam.table[(0, 0, 0)] == solve_separability(a.algebra).map
+
     def test_pair_groupoid_feasible(self):
         for field in (QQ, F2, F3):
             h = hopf_category_from_groupoid(pair_groupoid(2), field)

@@ -525,12 +525,12 @@ class AffineSolution(Frozen):
 
 
 class QuotientSpace(Frozen):
-    """Quotient of k^ambient by a relation subspace, with chosen section."""
+    """Quotient of k^ambient by relations; coordinate r is ambient free[r]."""
 
     ambient_dim: int
     relations: Subspace
     projection: Matrix
-    section: Matrix
+    free: tuple
 
     @property
     def dim(self) -> int:
@@ -538,10 +538,10 @@ class QuotientSpace(Frozen):
 
 
 def quotient_space(ambient_dim: int, relations: Subspace) -> QuotientSpace:
-    """Projection/section pair with ker(projection) = relations.
+    """The projection with ker(projection) = relations.
 
     Quotient coordinates are the non-pivot ambient coordinates of the
-    relation basis; the section picks the corresponding ambient unit vectors.
+    relation basis, so the projection is the identity on them.
     """
     if relations.ambient_dim != ambient_dim:
         raise ValueError("relation subspace has wrong ambient dimension")
@@ -549,21 +549,17 @@ def quotient_space(ambient_dim: int, relations: Subspace) -> QuotientSpace:
     z, o = f.zero(), f.one()
     pivots = relations.pivots
     pivset = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivset]
-    q = len(free)
-    proj = [[z] * ambient_dim for _ in range(q)]
+    free = tuple(c for c in range(ambient_dim) if c not in pivset)
+    proj = [[z] * ambient_dim for _ in free]
     for r, fc in enumerate(free):
         proj[r][fc] = o
         for i, p in enumerate(pivots):
             proj[r][p] = f.neg(relations.basis.at(i, fc))
-    sect = [[z] * q for _ in range(ambient_dim)]
-    for r, fc in enumerate(free):
-        sect[fc][r] = o
     return QuotientSpace(
         ambient_dim,
         relations,
-        Matrix(f, q, ambient_dim, tuple(x for row in proj for x in row)),
-        Matrix(f, ambient_dim, q, tuple(x for row in sect for x in row)),
+        Matrix(f, len(free), ambient_dim, tuple(x for row in proj for x in row)),
+        free,
     )
 
 

@@ -467,12 +467,11 @@ def solve_cointegral_hgd(h: HopfAlgebroidPresentation, side: str,
 
 def _bullet_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
     """The separability terms of the total algebra through the bullet
-    quotient: e in quotient coordinates, the rp-th of them the rp-th free
-    ambient coordinate (see quotient_space), and g e and e g projected."""
+    quotient: e in quotient coordinates, the rp-th of them the ambient
+    coordinate q.free[rp], and g e and e g projected."""
     f, n = h.field, h.total.dim
     norm, rhs, products = _separability_terms(n, h.total.mult.nonzeros(), h.total.unit)
-    pivots = set(q.relations.pivots)
-    coord = {c: rp for rp, c in enumerate(c for c in range(n * n) if c not in pivots)}
+    coord = {c: rp for rp, c in enumerate(q.free)}
     pcols = _sparse_cols(q.projection)
     return ([(out, coord[var], t) for out, var, t in norm if var in coord], rhs,
             ((side, g, r, coord[var], f.mul(t, u)) for side, g, out, var, t in products
@@ -509,77 +508,79 @@ def solve_separability_hgd(h: HopfAlgebroidPresentation):
     return HgdSeparabilitySection(q, section)
 
 
+def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
+    """The terms of an R-bilinear functional gamma from the circ quotient to
+    R, unknown r * q.dim + qr the r-th base coordinate of gamma at quotient
+    coordinate qr: gamma(Delta e_c) = eps(e_c) at out = c * dimR + r;
+    t(gamma(c2 (x) d)) c1 = s(gamma(c (x) d1)) d2 at g = c * n + d; and
+    gamma(s(x)e_j (x) e_k) or gamma(e_j (x) t(x)e_k) = x gamma(e_j (x) e_k)
+    at g = (x, leg, j * n + k)."""
+    f, dr, n, qd = h.field, h.base.dim, h.total.dim, q.dim
+    mul = f.mul
+    pcols = _sparse_cols(q.projection)      # pcols[j*n + k] = pi(e_j (x) e_k)
+    _, terms = _comult_terms(h)
+    prod = _sparse_products(h.total)
+    smul, tmul = ([_mult_cols(f, prod, _terms(v), True) for v in imgs]
+                  for imgs in _base_images(h))
+    bprod = _sparse_products(h.base.algebra)
+
+    def gamma(jk, t):
+        # (r, var, value): t gamma(e_j (x) e_k) at base coordinate r
+        return [(r, r * qd + qr, mul(t, u)) for qr, u in pcols[jk] for r in range(dr)]
+
+    def products():
+        for g in range(n * n):
+            c, d = divmod(g, n)
+            for side, split, act in ((0, terms[c], tmul), (1, terms[d], smul)):
+                for a, b, t in split:
+                    arg, jk = (a, b * n + d) if side == 0 else (b, c * n + a)
+                    for r, var, tu in gamma(jk, t):
+                        for m, v in act[r][arg].items():
+                            yield side, g, m, var, mul(tu, v)
+        for x in range(dr):
+            for jk in range(n * n):
+                j, k = divmod(jk, n)
+                for leg, moved in ((0, [(m * n + k, v) for m, v in smul[x][j].items()]),
+                                   (1, [(j * n + m, v) for m, v in tmul[x][k].items()])):
+                    for mk, v in moved:
+                        for r, var, vu in gamma(mk, v):
+                            yield 0, (x, leg, jk), r, var, vu
+                    for rp, var, u in gamma(jk, f.one()):
+                        for r, t in bprod[x][rp]:
+                            yield 1, (x, leg, jk), r, var, mul(u, t)
+
+    return ([(c * dr + r, var, tu) for c in range(n) for a, b, t in terms[c]
+             for r, var, tu in gamma(a * n + b, t)],
+            h.counit.transpose().entries, products())
+
+
 def coseparability_system_hgd(h: HopfAlgebroidPresentation,
                               q: QuotientSpace) -> ConstraintSystem:
-    """Bicomodule-retraction rows over the circ quotient (unknowns dimA x q.dim).
-
-    Includes the R-bimodule-map rows for the retraction: morphisms of
-    R-bimodules are required, not bare linear maps.
+    """Rows for a coseparability functional gamma of the circ coring (see
+    _circ_terms), on dimR x q.dim unknowns.  A bicomodule retraction P of
+    Delta fixes gamma = eps P, and every gamma gives the retraction
+    P(c (x) d) = t(gamma(c2 (x) d)) c1 (Brzezinski-Wisbauer, Corings and
+    Comodules, 3.29): the solutions correspond one to one with retractions.
     """
-    f = h.field
-    n = h.total.dim
-    alg = h.total
-    qd = q.dim
-    srcs, tgts = _base_images(h)
-    sys = ConstraintSystem(f, n * qd)
-    dq = q.projection @ h.comult_lift          # delta into quotient coordinates
-    # retraction: P . delta = id
-    for i in range(n):
-        col = dq.col(i)
-        for m in range(n):
-            coeffs = {m * qd + r: col[r] for r in range(qd) if col[r] != 0}
-            sys.add_row(coeffs, f.one() if m == i else f.zero())
-    pcols = _sparse_cols(q.projection)          # pcols[j*n + k] = pi(e_j (x) e_k)
-    # R-bimodule morphism rows: P(pi(s(x)e_j (x) e_k)) = s(x) P(pi(e_j (x) e_k))
-    # on the left leg and P(pi(e_j (x) t(x)e_k)) = t(x) P(pi(e_j (x) e_k)) on the right
-    for x in range(h.base.dim):
-        for leg, image in ((0, srcs[x]), (1, tgts[x])):
-            act = alg.left_mult_matrix(image)
-            arows = _sparse_cols(act.transpose())
-            moved = _sparse_cols(_on_leg(q.projection, act, leg))
-            for jk in range(n * n):
-                for m in range(n):
-                    row = {m * qd + r: c for r, c in moved[jk]}
-                    for mp, a in arows[m]:
-                        for r, u in pcols[jk]:
-                            _add_to(row, mp * qd + r, f.neg(f.mul(a, u)), f)
-                    sys.add_row(row, f.zero())
-    # the two bicomodule squares: (1 circ P)(delta circ 1) on the left leg and
-    # (P circ 1)(1 circ delta) on the right leg, each equal to delta P
-    dqcols = _sparse_cols(dq)
-    _, terms = _comult_terms(h)
-    for j in range(n):
-        for k in range(n):
-            mid = [dict() for _ in range(qd)]
-            for r, u in pcols[j * n + k]:
-                for m in range(n):
-                    for rr, d in dqcols[m]:
-                        _add_to(mid[rr], m * qd + r, f.neg(f.mul(u, d)), f)
-            for leg in (0, 1):
-                rows = [dict(row) for row in mid]
-                for a, b, c in terms[(j, k)[leg]]:
-                    inner = pcols[b * n + k] if leg == 0 else pcols[j * n + a]
-                    for m in range(n):
-                        outer = pcols[a * n + m] if leg == 0 else pcols[m * n + b]
-                        for r, u in inner:
-                            cu = f.mul(c, u)
-                            for rr, v in outer:
-                                _add_to(rows[rr], m * qd + r, f.mul(cu, v), f)
-                for row in rows:
-                    sys.add_row(row, f.zero())
-    return sys
+    return _balanced_system(h.field, h.base.dim * q.dim, *_circ_terms(h, q))
 
 
 def solve_coseparability_hgd(h: HopfAlgebroidPresentation):
-    """Bicomodule retraction of delta over the circ product, or None."""
+    """A verified bicomodule retraction of delta over the circ product, or
+    None when infeasible."""
     _require_valid(h)
     q = tensor_over_R(h, CIRC)
-    sys = coseparability_system_hgd(h, q)
-    sol = sys.solve()
+    sol = coseparability_system_hgd(h, q).solve()
     if sol is None:
         return None
-    return HgdCoseparabilityRetraction(q, Matrix(h.field, h.total.dim, q.dim,
-                                                 tuple(sol.particular)))
+    side0 = _balanced_certificate(
+        h.field, sol.particular, *_circ_terms(h, q),
+        ("coseparability functional does not restrict to the counit",
+         "coseparability functional is not R-bilinear and balanced"))
+    # P(pi(e_c (x) e_d)) at quotient coordinate qr, where q.free[qr] = c * n + d
+    coord = {g: qr for qr, g in enumerate(q.free)}
+    table = {(coord[g], m): v for (g, m), v in side0.items() if g in coord}
+    return HgdCoseparabilityRetraction(q, _table_matrix(h.field, table, h.total.dim, q.dim))
 
 
 def maschke_report(h: HopfAlgebroidPresentation) -> MaschkeReport:

@@ -1,8 +1,8 @@
 """Dense linear algebra that only the tests use.
 
 Kronecker products, the flip of a tensor product, kernels and affine solves
-of dense matrices, a matrix as nested rows, the zero test and the projection
-of one vector to a quotient, the unit, comultiplication and counit of a
+of dense matrices, a matrix as nested rows, the zero test, the projection of
+one vector to a quotient and the quotient's section, the unit, comultiplication and counit of a
 presentation as matrices, and a change of basis.  The package builds every
 map from structure constants; the tests compose the same maps from these
 dense pieces and compare.
@@ -72,6 +72,16 @@ def is_zero(m: Matrix) -> bool:
 def project(q, vec) -> tuple:
     """The quotient coordinates of one ambient vector."""
     return q.projection.apply(vec)
+
+
+def section(q) -> Matrix:
+    """The ambient x q.dim matrix of the section of a quotient: column r is
+    the ambient unit vector at q.free[r]."""
+    f = q.projection.field
+    out = [f.zero()] * (q.ambient_dim * q.dim)
+    for r, c in enumerate(q.free):
+        out[c * q.dim + r] = f.one()
+    return Matrix(f, q.ambient_dim, q.dim, tuple(out))
 
 
 def unit_matrix(a) -> Matrix:

@@ -60,7 +60,8 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import is_zero, kron
+from denselin import is_zero, kron, section
+from test_hopfalgd import oracle_coseparability_system_hgd
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -260,16 +261,20 @@ def test_criterion_06_pair_hopf_algebroid():
                         h, "left", True).satisfied_by(nu.entries)
                 sub["dual/Q: P = phi(bc) a(x)e vanishes on the circ relations"] = \
                     is_zero(p @ q.relations.basis.transpose())
+                pq = p @ section(q)
                 sub["dual/Q: P is a bicomodule retraction over the circ "
-                    "product"] = coseparability_system_hgd(h, q).satisfied_by(
-                        (p @ q.section).entries)
+                    "product"] = oracle_coseparability_system_hgd(h, q).satisfied_by(
+                        pq.entries)
+                sub["dual/Q: eps P is a coseparability functional of the circ "
+                    "coring"] = coseparability_system_hgd(h, q).satisfied_by(
+                        (h.counit @ pq).entries)
     ok = all(sub.values())
     failing = [k for k, v in sub.items() if not v]
     _report(6, ok, "pair algebroids over Q and F2: " + (
         "all clauses hold; dual/Q cointegral and coseparability certified by "
-        "nu(a(x)b) = a phi(b) and P = phi(bc) a(x)e" if ok else
+        "nu(a(x)b) = a phi(b), P = phi(bc) a(x)e and eps P" if ok else
         f"failing clause(s) {failing}; the dual/Q clauses hold the solvers "
-        f"and both systems to the hand-built witnesses nu and P"))
+        f"and the systems to the hand-built witnesses nu, P and eps P"))
 
 
 def test_criterion_07_hopf_category_suite():

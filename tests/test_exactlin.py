@@ -25,7 +25,8 @@ from maschke_kit.exactlin import (
 from maschke_kit.finalg import AlgebraPresentation, AxiomFailure, AxiomReport, \
     check_algebra
 
-from denselin import flip_matrix, is_zero, kernel, kron, project, solve_affine, to_rows
+from denselin import (flip_matrix, is_zero, kernel, kron, project, section, solve_affine,
+                      to_rows)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -317,14 +318,16 @@ class TestMembership:
 class TestQuotientSpace:
     def test_trivial_relations(self):
         q = quotient_space(3, Subspace.zero(QQ, 3))
+        assert q.free == (0, 1, 2)
         assert q.projection == Matrix.identity(QQ, 3)
-        assert q.section == Matrix.identity(QQ, 3)
+        assert section(q) == Matrix.identity(QQ, 3)
 
     def test_line_quotient(self):
         rel = Subspace.from_rows(QQ, 2, [[1, -1]])
         q = quotient_space(2, rel)
         assert q.dim == 1
-        assert q.projection @ q.section == Matrix.identity(QQ, 1)
+        assert q.free == (1,)
+        assert q.projection @ section(q) == Matrix.identity(QQ, 1)
         for i in range(rel.dim):
             assert project(q, rel.basis.row(i)) == zero_vec(QQ, 1)
 
@@ -345,7 +348,7 @@ class TestQuotientSpace:
         rel = Subspace.from_rows(field, amb, rows) if rows else Subspace.zero(field, amb)
         q = quotient_space(amb, rel)
         assert q.dim == amb - rel.dim
-        assert q.projection @ q.section == Matrix.identity(field, q.dim)
+        assert q.projection @ section(q) == Matrix.identity(field, q.dim)
         assert kernel(q.projection).basis == rel.basis
 
 

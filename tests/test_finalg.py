@@ -442,17 +442,21 @@ assert False, "assert statements must be stripped in this run"
 Q = FieldSpec.rationals()
 w = group_algebra(cyclic_group(2), Q)
 # systems without rows: the zero solution solves them, but is no section,
-# retraction or separability element
+# retraction, separability element or coseparability functional
 finalg.separability_system = lambda a: ConstraintSystem(a.field, a.dim ** 2)
 finalg.coseparability_system = lambda c: ConstraintSystem(c.field, c.dim ** 2)
 hopfcat.separability_family_system = lambda h: ConstraintSystem(
     h.field, sum(h.dim(x, v) * h.dim(v, x) for x, v in h.hom_pairs()))
 hopfalgd.separability_system_hgd = lambda h, q: ConstraintSystem(h.field, q.dim)
+hopfalgd.coseparability_system_hgd = lambda h, q: ConstraintSystem(
+    h.field, h.base.dim * q.dim)
 for solve, arg in ((finalg.solve_separability, w.algebra),
                    (finalg.solve_coseparability, w.coalgebra),
                    (hopfcat.solve_separability_family,
                     hopf_category_from_groupoid(groupoid_by_name("conn:C2:2"), Q)),
                    (hopfalgd.solve_separability_hgd,
+                    pair_hopf_algebroid(base_by_name("dual", Q))),
+                   (hopfalgd.solve_coseparability_hgd,
                     pair_hopf_algebroid(base_by_name("dual", Q)))):
     try:
         solve(arg)
@@ -468,4 +472,4 @@ def test_unverified_solutions_raise_under_optimization():
     run = subprocess.run([sys.executable, "-O", "-c", UNVERIFIED_SOLVE],
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["ArithmeticError"] * 4
+    assert run.stdout.split() == ["ArithmeticError"] * 5

@@ -42,8 +42,8 @@ from maschke_kit.hopfalgd import (
     tensor_over_R,
 )
 
-from denselin import (comult_matrix, counit_matrix, kron, project, rebased, to_rows,
-                      unit_matrix)
+from denselin import (comult_matrix, counit_matrix, kron, project, rebased, section,
+                      to_rows, unit_matrix)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -86,23 +86,22 @@ def perturbed_lift(h, trial):
 
 def kron_separability_system_hgd(h, q) -> ConstraintSystem:
     """separability_system_hgd with each action through the quotient a dense
-    chain q.projection @ kron(...) @ q.section."""
+    chain q.projection @ kron(...) @ section(q)."""
     f = h.field
     n = h.total.dim
     alg = h.total
     qd = q.dim
+    sec = section(q)
     sys = ConstraintSystem(f, qd * n)
-    ms = alg.mult_matrix() @ q.section
+    ms = alg.mult_matrix() @ sec
     for j in range(n):
         for m in range(n):
             coeffs = {r * n + j: ms.at(m, r) for r in range(qd) if ms.at(m, r) != 0}
             sys.add_row(coeffs, f.one() if m == j else f.zero())
     eye = Matrix.identity(f, n)
     for i in range(n):
-        left = q.projection @ kron(alg.left_mult_matrix(unit_vec(f, n, i)), eye) \
-            @ q.section
-        right = q.projection @ kron(eye, alg.right_mult_matrix(unit_vec(f, n, i))) \
-            @ q.section
+        left = q.projection @ kron(alg.left_mult_matrix(unit_vec(f, n, i)), eye) @ sec
+        right = q.projection @ kron(eye, alg.right_mult_matrix(unit_vec(f, n, i))) @ sec
         for j in range(n):
             # (mu bullet 1)(1 bullet nabla) on e_i (x) e_j and
             # (1 bullet mu)(nabla bullet 1) on e_j (x) e_i
@@ -130,9 +129,7 @@ def oracle_separability_system_hgd(h, q) -> ConstraintSystem:
     alg = h.total
     qd = q.dim
     prod = _sparse_products(alg)
-    # quotient coordinate r is the ambient coordinate free[r] (see quotient_space)
-    pivots = set(q.relations.pivots)
-    free = [c for c in range(n * n) if c not in pivots]
+    free = q.free       # quotient coordinate r is the ambient coordinate free[r]
     sys = ConstraintSystem(f, qd * n)
     # mu(section(e_j)) = e_j
     for j in range(n):
@@ -161,12 +158,12 @@ def oracle_separability_system_hgd(h, q) -> ConstraintSystem:
 
 def dense_section(h, q, e) -> Matrix:
     """The section x -> x e of a bullet element e, column j the dense chain
-    q.projection @ kron(L_j, 1) @ q.section applied to e."""
+    q.projection @ kron(L_j, 1) @ section(q) applied to e."""
     f = h.field
     n = h.total.dim
     eye = Matrix.identity(f, n)
     cols = [(q.projection @ kron(h.total.left_mult_matrix(unit_vec(f, n, j)), eye)
-             @ q.section).apply(e) for j in range(n)]
+             @ section(q)).apply(e) for j in range(n)]
     return Matrix(f, q.dim, n, tuple(c[r] for r in range(q.dim) for c in cols))
 
 
@@ -665,14 +662,26 @@ class TestOracle:
             assert bullet_relations(h) == oracle_bullet_relations(h)
 
     def test_coseparability_systems_match_oracle(self):
-        feasible = 0
+        # the functional gamma against the retraction P = (1 circ gamma)(Delta
+        # circ 1): the same feasibility and nullity, and the solver's P is the
+        # oracle's particular solution.  The damaged copies are skipped: the
+        # correspondence needs a coring, and the solver refuses them first.
+        feasible = infeasible = 0
         for h in oracle_cases():
+            if not check_hopf_algebroid(h).ok():
+                continue
             q = tensor_over_R(h, CIRC)
             got = coseparability_system_hgd(h, q).solve()
             want = oracle_coseparability_system_hgd(h, q).solve()
-            assert got == want
-            feasible += want is not None
-        assert feasible > 0
+            retraction = solve_coseparability_hgd(h)
+            assert (got is None) == (want is None) == (retraction is None)
+            if want is None:
+                infeasible += 1
+                continue
+            feasible += 1
+            assert got.homogeneous.dim == want.homogeneous.dim
+            assert retraction.map.entries == want.particular
+        assert feasible > 50 and infeasible
 
     def test_coseparability_system_reads_projection_columns(self, monkeypatch):
         # no vector is projected one at a time through Matrix.apply
@@ -888,7 +897,7 @@ class TestSeparability:
         # kC2 (x) kC2 multiplies to the unit but is no separability element
         def unit_rows_only(h, q):
             sys = ConstraintSystem(h.field, q.dim)
-            sys.add_matrix_rows(h.total.mult_matrix() @ q.section, h.total.unit)
+            sys.add_matrix_rows(h.total.mult_matrix() @ section(q), h.total.unit)
             return sys
 
         monkeypatch.setattr(hopfalgd, "separability_system_hgd", unit_rows_only)
@@ -956,19 +965,25 @@ class TestCrossModuleAgreement:
     def test_base_k_algebroid_matches_weak_hopf_solvers(self):
         from maschke_kit.finalg import solve_coseparability, solve_separability
         from maschke_kit.weakhopf import solve_cointegral, solve_integral
-        for field in (QQ, F2, F3):
-            for w in (group_algebra(cyclic_group(2), field),
-                      group_algebra(cyclic_group(3), field),
-                      dual_group_algebra(cyclic_group(3), field)):
-                h = hopf_algebra_as_algebroid(w)
-                assert (solve_integral_hgd(h, "left") is not None) == \
-                    (solve_integral(w, "left", "primed") is not None)
-                assert (solve_cointegral_hgd(h, "left") is not None) == \
-                    (solve_cointegral(w, "left", "primed") is not None)
-                assert (solve_separability_hgd(h) is not None) == \
-                    (solve_separability(w.algebra) is not None)
-                assert (solve_coseparability_hgd(h) is not None) == \
-                    (solve_coseparability(w.coalgebra) is not None)
+        cases = [w for field in (QQ, F2, F3)
+                 for w in (group_algebra(cyclic_group(2), field),
+                           group_algebra(cyclic_group(3), field),
+                           dual_group_algebra(cyclic_group(3), field))]
+        cases.append(dual_group_algebra(cyclic_group(12), F5))
+        for w in cases:
+            h = hopf_algebra_as_algebroid(w)
+            assert (solve_integral_hgd(h, "left") is not None) == \
+                (solve_integral(w, "left", "primed") is not None)
+            assert (solve_cointegral_hgd(h, "left") is not None) == \
+                (solve_cointegral(w, "left", "primed") is not None)
+            assert (solve_separability_hgd(h) is not None) == \
+                (solve_separability(w.algebra) is not None)
+            # over k the functional gamma is the coalgebra's sigma
+            retraction, want = solve_coseparability_hgd(h), solve_coseparability(w.coalgebra)
+            assert (retraction is None) == (want is None)
+            assert want is None or retraction.map == want.map
+        # k^C12 over F5: the functional has dimR x q.dim = 1 x 144 unknowns
+        assert coseparability_system_hgd(h, tensor_over_R(h, CIRC)).nvars == 144
 
 
 class TestLiftIndependence:

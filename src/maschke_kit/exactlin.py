@@ -595,13 +595,6 @@ class ConstraintSystem:
         if clean or rhs != 0:
             self.rows.append((clean, rhs))
 
-    def add_matrix_rows(self, m: Matrix, rhs_vec=None):
-        """One row per matrix row; rhs defaults to zero."""
-        f = self.field
-        for i in range(m.rows):
-            coeffs = {j: v for j, v in enumerate(m.row(i)) if v != 0}
-            self.add_row(coeffs, f.zero() if rhs_vec is None else rhs_vec[i])
-
     def satisfied_by(self, x) -> bool:
         """Exact residual check of every stored row."""
         if len(x) != self.nvars:

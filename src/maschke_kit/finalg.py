@@ -15,6 +15,7 @@ the comultiplication of ``e_i``.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .exactlin import (
     ConstraintSystem,
@@ -396,25 +397,36 @@ def _add_to(row: dict, var: int, value, f: FieldSpec):
 
 
 def _balanced_system(f: FieldSpec, nvars: int, norm, rhs, products) -> ConstraintSystem:
-    """Rows of a balanced element x: a normalization, and g x = x g for every
-    basis element g, from the terms that each solver supplies.
+    """Rows of a balanced element x: g x = x g for every basis element g, and
+    a normalization, from the terms that each solver supplies.  Every system
+    of the package is built here.
 
-    ``norm`` yields (out, var, t): t times unknown var at coordinate out of
-    the normalization, which must be rhs[out].  ``products`` yields (side, g,
-    out, var, t): the same at coordinate out of the product with g on side 0
-    or 1.  Rows: the normalization, then side 0 minus side 1 per (g, out).
+    ``products`` yields (side, g, out, var, t): t times unknown var at
+    coordinate out of the product with g on side 0 or 1.  ``norm`` yields
+    (out, var, t): the same at coordinate out of the normalization, which
+    must be rhs[out].  Rows: side 0 minus side 1 per (g, out), then the
+    normalization, last because its dense rows fill in the others as pivots.
     """
-    rows = [{} for _ in rhs]
-    for out, var, t in norm:
-        _add_to(rows[out], var, t, f)
+    add, sub, neg = f.add, f.sub, f.neg
+    # the normalization rows are side 0 at g = None, which no product uses
+    sides = ({}, {})
+    for side, g, out, var, t in itertools.chain(
+            products, ((0, None, out, var, t) for out, var, t in norm)):
+        rows = sides[side]
+        row = rows.get((g, out))
+        if row is None:
+            rows[g, out] = {var: t}
+        else:
+            row[var] = add(row[var], t) if var in row else t
+    rows = sides[0]
+    for key, other in sides[1].items():
+        row = rows.setdefault(key, {})
+        for var, t in other.items():
+            row[var] = sub(row[var], t) if var in row else neg(t)
+    last = [(rows.pop((None, out), {}), value) for out, value in enumerate(rhs)]
     sys = ConstraintSystem(f, nvars)
-    for row, value in zip(rows, rhs):
+    for row, value in [(row, f.zero()) for row in rows.values()] + last:
         sys.add_row(row, value)
-    gaps = {}
-    for side, g, out, var, t in products:
-        _add_to(gaps.setdefault((g, out), {}), var, f.neg(t) if side else t, f)
-    for row in gaps.values():
-        sys.add_row(row, f.zero())
     return sys
 
 

@@ -363,23 +363,23 @@ def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     """hn - s(eps(h))n (left) or nh - s(eps(h))n (right) in the ideal; eps(n) = 1."""
     if side not in ("left", "right"):
         raise ValueError("side must be left or right")
-    f = h.field
-    n = h.total.dim
-    alg = h.total
-    ideal = ideal_subspace(h)
-    q = quotient_space(n, ideal)
-    sys = ConstraintSystem(f, n)
-    sc = h.src @ h.counit
-    for i in range(n):
-        e_i = unit_vec(f, n, i)
-        if side == "left":
-            diff = alg.left_mult_matrix(vec_sub(f, e_i, sc.col(i)))
-        else:
-            diff = alg.right_mult_matrix(e_i) - alg.left_mult_matrix(sc.col(i))
-        sys.add_matrix_rows(q.projection @ diff)
-    if normalized:
-        sys.add_matrix_rows(h.counit, h.base.algebra.unit)
-    return sys
+    f, n = h.field, h.total.dim
+    prod = _sparse_products(h.total)
+    pcols = _sparse_cols(quotient_space(n, ideal_subspace(h)).projection)
+    sc = _sparse_cols(h.src @ h.counit)
+
+    def products():
+        # pi(e_i e_j) (left) or pi(e_j e_i) (right) against pi(s(eps(e_i)) e_j)
+        for i in range(n):
+            for which, cols in ((0, _mult_cols(f, prod, [(i, f.one())], side == "left")),
+                                (1, _mult_cols(f, prod, sc[i], True))):
+                for j, col in enumerate(cols):
+                    for k, v in col.items():
+                        for r, p in pcols[k]:
+                            yield which, i, r, j, f.mul(v, p)
+
+    norm, rhs = (h.counit.nonzeros(), h.base.algebra.unit) if normalized else ((), ())
+    return _balanced_system(f, n, norm, rhs, products())
 
 
 def solve_integral_hgd(h: HopfAlgebroidPresentation, side: str,
@@ -390,15 +390,15 @@ def solve_integral_hgd(h: HopfAlgebroidPresentation, side: str,
     if sol is None:
         return None
     element = sol.particular
-    ideal = ideal_subspace(h)
-    alg = h.total
-    f = h.field
-    sc = h.src @ h.counit
-    moved = alg.right_mult_matrix(element) if side == "left" \
-        else alg.left_mult_matrix(element)
-    for i in range(alg.dim):
-        scal = alg.mult_vec(sc.col(i), element)
-        if not membership(vec_sub(f, moved.col(i), scal), ideal):
+    f, alg, sc, ideal = h.field, h.total, h.src @ h.counit, ideal_subspace(h)
+    if normalized and h.counit.apply(element) != h.base.algebra.unit:
+        raise ArithmeticError("integral does not have counit 1")
+    # e_i n (left) or n e_i (right), less s(eps(e_i)) n, must lie in the ideal
+    moved = _mult_cols(f, _sparse_products(alg), _terms(element), side == "right")
+    for i, col in enumerate(moved):
+        gap = vec_sub(f, tuple(col.get(k, f.zero()) for k in range(alg.dim)),
+                      alg.mult_vec(sc.col(i), element))
+        if not membership(gap, ideal):
             raise ArithmeticError("integral escaped the ideal after solving")
     return HgdIntegral(element, sol)
 
@@ -412,46 +412,39 @@ def cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     """
     if side not in ("left", "right"):
         raise ValueError("side must be left or right")
-    f = h.field
-    dr, n = h.base.dim, h.total.dim
-    alg, base = h.total, h.base.algebra
+    f, dr, n, left = h.field, h.base.dim, h.total.dim, side == "left"
+    prod, bprod = _sparse_products(h.total), _sparse_products(h.base.algebra)
     srcs, tgts = _base_images(h)
-    sys = ConstraintSystem(f, dr * n)
-
-    anchor = srcs if side == "left" else tgts
-    for x in range(dr):
-        moved = alg.left_mult_matrix(anchor[x])
-        for j in range(n):
-            for r in range(dr):
-                coeffs = {r * n + jp: c for jp, c in enumerate(moved.col(j)) if c != 0}
-                for rp in range(dr):
-                    c = base.mult.at(x, rp, r)
-                    if c != 0:
-                        _add_to(coeffs, rp * n + j, f.neg(c), f)
-                sys.add_row(coeffs, f.zero())
-
     _, terms = _comult_terms(h)
-    # mix[r][a] = e_a t(f_r) (left) or s(f_r) e_a (right), sparse
-    mix = [_sparse_cols(alg.right_mult_matrix(t)) for t in tgts] if side == "left" \
-        else [_sparse_cols(alg.left_mult_matrix(s)) for s in srcs]
-    out_map = h.src if side == "left" else h.tgt
-    for i in range(n):
-        rows = [dict() for _ in range(n)]
-        for a, b, c in terms[i]:
-            carrier, slot = (a, b) if side == "left" else (b, a)
-            for r in range(dr):
-                for m, cv in mix[r][carrier]:
-                    _add_to(rows[m], r * n + slot, f.mul(c, cv), f)
-        for m, r, cv in out_map.nonzeros():
-            _add_to(rows[m], r * n + i, f.neg(cv), f)
-        for row in rows:
-            sys.add_row(row, f.zero())
+    # moved[x][j] = s(x) e_j (left) or t(x) e_j (right);
+    # mix[r][a] = e_a t(f_r) (left) or s(f_r) e_a (right)
+    moved = [_mult_cols(f, prod, _terms(v), True) for v in (srcs if left else tgts)]
+    mix = [_mult_cols(f, prod, _terms(v), not left) for v in (tgts if left else srcs)]
+    out_map = h.src if left else h.tgt
 
-    if normalized:
-        for r in range(dr):
-            coeffs = {r * n + j: alg.unit[j] for j in range(n) if alg.unit[j] != 0}
-            sys.add_row(coeffs, base.unit[r])
-    return sys
+    def products():
+        for x in range(dr):
+            for j in range(n):
+                # nu(s(x) e_j) (left) or nu(t(x) e_j) (right) against x nu(e_j)
+                for jp, c in moved[x][j].items():
+                    for r in range(dr):
+                        yield 0, (x, j), r, r * n + jp, c
+                for rp in range(dr):
+                    for r, c in bprod[x][rp]:
+                        yield 1, (x, j), r, rp * n + j, c
+        for i in range(n):
+            # h1 t(nu(h2)) against s(nu(h)) (left), s(nu(h1)) h2 against t(nu(h)) (right)
+            for a, b, c in terms[i]:
+                carrier, slot = (a, b) if left else (b, a)
+                for r in range(dr):
+                    for m, cv in mix[r][carrier].items():
+                        yield 0, i, m, r * n + slot, f.mul(c, cv)
+            for m, r, cv in out_map.nonzeros():
+                yield 1, i, m, r * n + i, cv
+
+    norm, rhs = ([(r, r * n + j, u) for r in range(dr) for j, u in enumerate(h.total.unit)
+                  if u != 0], h.base.algebra.unit) if normalized else ((), ())
+    return _balanced_system(f, dr * n, norm, rhs, products())
 
 
 def solve_cointegral_hgd(h: HopfAlgebroidPresentation, side: str,

@@ -18,7 +18,6 @@ from .finalg import (
     AxiomReport,
     InvalidPresentationError,
     MaschkeReport,
-    _add_to,
     _balanced_certificate,
     _balanced_system,
     _comult_by_source,
@@ -225,22 +224,18 @@ def retraction_system(h: HopfCategoryPresentation, x: int,
     if side not in ("left", "right"):
         raise ValueError("side must be left or right")
     f = h.field
-    c = h.homs[(x, x)]
-    u = h.units[x]
-    d = c.dim
-    delta = _comult_by_source(c)
-    sys = ConstraintSystem(f, d)
-    for i in range(d):
-        rows = [dict() for _ in range(d)]
-        for j, k, t in delta[i]:
-            m, b = (j, k) if side == "left" else (k, j)
-            _add_to(rows[m], b, t, f)
-        for m, row in enumerate(rows):
-            if u[m] != 0:
-                _add_to(row, i, f.neg(u[m]), f)
-            sys.add_row(row, f.zero())
-    sys.add_row({m: u[m] for m in range(d) if u[m] != 0}, f.one())
-    return sys
+    units = [(m, c) for m, c in enumerate(h.units[x]) if c != 0]
+
+    def products():
+        # h1 r(h2) (left) or r(h1) h2 (right) against r(h) u, for h = e_i
+        for i, terms in enumerate(_comult_by_source(h.homs[(x, x)])):
+            for j, k, t in terms:
+                yield (0, i, j, k, t) if side == "left" else (0, i, k, j, t)
+            for m, c in units:
+                yield 1, i, m, i, c
+
+    return _balanced_system(f, h.dim(x, x), [(0, m, c) for m, c in units], (f.one(),),
+                            products())
 
 
 def solve_retraction_family(h: HopfCategoryPresentation, side: str):
@@ -280,29 +275,27 @@ def integral_family_system(h: HopfCategoryPresentation, side: str) -> Constraint
     f = h.field
     pairs = h.hom_pairs()
     offsets, total = _offsets(h, pairs, lambda p: h.dim(*p))
-    sys = ConstraintSystem(f, total)
-    for x, y, z in itertools.product(range(h.n_objects), repeat=3):
-        cols = _sparse_cols(h.comps[(x, y, z)])
-        dyz, dxz = h.dim(y, z), h.dim(x, z)
-        # left: mu(h (x) theta_{y,z}) = eps(h) theta_{x,z}, h in a(x,y);
-        # right: mu(theta_{x,y} (x) h) = eps(h) theta_{x,z}, h in a(y,z)
-        fixed, free = ((x, y), (y, z)) if side == "left" else ((y, z), (x, y))
-        eps = h.homs[fixed].counit
-        for i in range(h.dim(*fixed)):
-            rows = [dict() for _ in range(dxz)]
-            for c in range(h.dim(*free)):
-                col = cols[i * dyz + c] if side == "left" else cols[c * dyz + i]
-                for out, t in col:
-                    _add_to(rows[out], offsets[free] + c, t, f)
-            for out, row in enumerate(rows):
+
+    def products():
+        for x, y, z in itertools.product(range(h.n_objects), repeat=3):
+            cols = _sparse_cols(h.comps[(x, y, z)])
+            dyz = h.dim(y, z)
+            # left: mu(h (x) theta_{y,z}) = eps(h) theta_{x,z}, h in a(x,y);
+            # right: mu(theta_{x,y} (x) h) = eps(h) theta_{x,z}, h in a(y,z)
+            fixed, free = ((x, y), (y, z)) if side == "left" else ((y, z), (x, y))
+            eps = h.homs[fixed].counit
+            for i in range(h.dim(*fixed)):
+                for c in range(h.dim(*free)):
+                    for out, t in cols[i * dyz + c] if side == "left" else cols[c * dyz + i]:
+                        yield 0, (x, y, z, i), out, offsets[free] + c, t
                 if eps[i] != 0:
-                    _add_to(row, offsets[(x, z)] + out, f.neg(eps[i]), f)
-                sys.add_row(row, f.zero())
-    for (x, y) in pairs:
-        eps = h.homs[(x, y)].counit
-        sys.add_row({offsets[(x, y)] + m_: eps[m_] for m_ in range(h.dim(x, y))
-                     if eps[m_] != 0}, f.one())
-    return sys
+                    for out in range(h.dim(x, z)):
+                        yield 1, (x, y, z, i), out, offsets[(x, z)] + out, eps[i]
+
+    # eps(theta_{x,y}) = 1 for each pair
+    norm = [(p, offsets[(x, y)] + m, e) for p, (x, y) in enumerate(pairs)
+            for m, e in enumerate(h.homs[(x, y)].counit) if e != 0]
+    return _balanced_system(f, total, norm, (f.one(),) * len(pairs), products())
 
 
 def solve_integral_family(h: HopfCategoryPresentation, side: str):

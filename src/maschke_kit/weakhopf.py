@@ -35,6 +35,7 @@ from .finalg import (
     CoalgebraPresentation,
     InvalidPresentationError,
     MaschkeReport,
+    _balanced_system,
     _comult_by_source,
     _convolution,
     _mult_cols,
@@ -422,48 +423,34 @@ def _vector(f: FieldSpec, n: int, terms) -> tuple:
     return tuple(out)
 
 
-def _add_mult_rows(sys: ConstraintSystem, prod: tuple, terms, u_first: bool):
-    """The rows of t -> u t (u_first) or t -> t u, one per output coordinate."""
-    rows = [{} for _ in prod]
-    for j, col in enumerate(_mult_cols(sys.field, prod, terms, u_first)):
-        for k, v in col.items():
-            rows[k][j] = v
-    for row in rows:
-        sys.add_row(row, sys.field.zero())
-
-
 def integral_system(w: WeakHopfPresentation, side: str, variant: str,
                     normalized: bool) -> ConstraintSystem:
     """Affine system over the dim unknowns of an integral element."""
     _check_side_variant(side, variant)
-    f = w.field
-    n = w.dim
-    alg = w.algebra
-    maps = projections(w)
-    prod = _sparse_products(alg)
-    left = side == "left"
-    sys = ConstraintSystem(f, n)
-    # left: h t = piL(h) t; right: t h = t piR(h); for all basis h
+    f, maps, left = w.field, projections(w), side == "left"
+    # left: h t = piL(h) t; right: t h = t piR(h); for all basis h = e_i
     pi_cols = _sparse_cols(maps.piL if left else maps.piR)
-    for i in range(n):
-        terms = [(i, f.one())] + [(m, f.neg(v)) for m, v in pi_cols[i]]
-        _add_mult_rows(sys, prod, terms, left)
-    if normalized:
-        sys.add_matrix_rows(maps.piR_bar if left else maps.piR, alg.unit)
+    gaps = [(i, [(i, f.one())] + [(m, f.neg(v)) for m, v in col], left)
+            for i, col in enumerate(pi_cols)]
     if variant == "duoidal":
-        info = base_algebra(w)
-        for i in range(info.subspace.dim):
-            x = info.subspace.basis.row(i)
+        basis = base_algebra(w).subspace.basis
+        for i in range(basis.rows):
+            x = basis.row(i)
             if left:
                 # t piL(x) = t piR_bar(piL_bar(x))
-                y = vec_sub(f, maps.piL.apply(x),
-                            maps.piR_bar.apply(maps.piL_bar.apply(x)))
-                _add_mult_rows(sys, prod, _terms(y), False)
+                y = vec_sub(f, maps.piL.apply(x), maps.piR_bar.apply(maps.piL_bar.apply(x)))
             else:
                 # piL_bar(x) t = piR(piL(x)) t
                 y = vec_sub(f, maps.piL_bar.apply(x), maps.piR.apply(maps.piL.apply(x)))
-                _add_mult_rows(sys, prod, _terms(y), True)
-    return sys
+            gaps.append((("x", i), _terms(y), not left))
+    prod = _sparse_products(w.algebra)
+    # coordinate k of u t (u_first) or t u, for u the gap and t = e_j
+    products = ((0, g, k, j, v) for g, terms, u_first in gaps
+                for j, col in enumerate(_mult_cols(f, prod, terms, u_first))
+                for k, v in col.items())
+    norm, rhs = ((maps.piR_bar if left else maps.piR).nonzeros(), w.algebra.unit) \
+        if normalized else ((), ())
+    return _balanced_system(f, w.dim, norm, rhs, products)
 
 
 def solve_integral(w: WeakHopfPresentation, side: str, variant: str = "primed",
@@ -480,46 +467,36 @@ def cointegral_system(w: WeakHopfPresentation, side: str, variant: str,
                       normalized: bool) -> ConstraintSystem:
     """Affine system over the dim unknowns of a cointegral functional."""
     _check_side_variant(side, variant)
-    f = w.field
-    n = w.dim
-    alg, coa = w.algebra, w.coalgebra
-    add, sub, mul, neg, zero = f.add, f.sub, f.mul, f.neg, f.zero()
-    maps = projections(w)
-    pi_cols = _sparse_cols(maps.piL if side == "left" else maps.piR)
-    sys = ConstraintSystem(f, n)
-    for terms in _comult_by_source(coa):
+    f, maps, left = w.field, projections(w), side == "left"
+    pi_cols = _sparse_cols(maps.piL if left else maps.piR)
+
+    def products():
         # left: h1 tau(h2) = piL(h1) tau(h2); right: tau(h1) h2 = tau(h1) piR(h2)
-        rows = [dict() for _ in range(n)]
-        for a, b, t in terms:
-            if side == "right":
-                a, b = b, a
-            # row m gains t ([a = m] - pi[m, a]) at the unknown tau(e_b)
-            rows[a][b] = add(rows[a].get(b, zero), t)
-            for m, v in pi_cols[a]:
-                rows[m][b] = sub(rows[m].get(b, zero), mul(t, v))
-        for row in rows:
-            sys.add_row(row, zero)
-    if normalized:
-        # tau . piL = eps (left), tau . piR = eps (right)
-        for j in range(n):
-            sys.add_row(dict(pi_cols[j]), coa.counit[j])
-    if variant == "duoidal":
-        info = base_algebra(w)
-        prod = _sparse_products(alg)
-        for i in range(info.subspace.dim):
-            x = info.subspace.basis.row(i)
-            if side == "left":
-                # tau(x h) = tau(h piR(piL(x)))
-                u, v, u_first = x, maps.piR.apply(maps.piL.apply(x)), True
-            else:
-                # tau(h piL_bar(x)) = tau(piL(x) h)
-                u, v, u_first = maps.piL_bar.apply(x), maps.piL.apply(x), False
-            # row j: the coefficients of tau in u e_j - e_j v (or e_j u - v e_j)
-            cols = _mult_cols(f, prod, _terms(u), u_first)
-            _mult_cols(f, prod, [(b, neg(c)) for b, c in _terms(v)], not u_first, cols)
-            for col in cols:
-                sys.add_row(col, zero)
-    return sys
+        for i, terms in enumerate(_comult_by_source(w.coalgebra)):
+            for a, b, t in terms:
+                if not left:
+                    a, b = b, a
+                yield 0, i, a, b, t
+                for m, v in pi_cols[a]:
+                    yield 1, i, m, b, f.mul(t, v)
+        if variant == "duoidal":
+            basis, prod = base_algebra(w).subspace.basis, _sparse_products(w.algebra)
+            for i in range(basis.rows):
+                x = basis.row(i)
+                # left: tau(x h) = tau(h piR(piL(x)))
+                # right: tau(h piL_bar(x)) = tau(piL(x) h)
+                u, v = (x, maps.piR.apply(maps.piL.apply(x))) if left else \
+                    (maps.piL_bar.apply(x), maps.piL.apply(x))
+                # u e_j against e_j v (left) or e_j u against v e_j (right), at g = (i, j)
+                for s, y, u_first in ((0, u, left), (1, v, not left)):
+                    for j, col in enumerate(_mult_cols(f, prod, _terms(y), u_first)):
+                        for k, c in col.items():
+                            yield s, (i, j), 0, k, c
+
+    # tau . piL = eps (left), tau . piR = eps (right)
+    norm, rhs = ([(j, a, v) for j, col in enumerate(pi_cols) for a, v in col],
+                 w.coalgebra.counit) if normalized else ((), ())
+    return _balanced_system(f, w.dim, norm, rhs, products())
 
 
 def solve_cointegral(w: WeakHopfPresentation, side: str, variant: str = "primed",

@@ -1,14 +1,16 @@
 """Dense linear algebra that only the tests use.
 
 Kronecker products, the flip of a tensor product, kernels and affine solves
-of dense matrices, a matrix as nested rows, the zero test, the projection of
-one vector to a quotient and the quotient's section, the unit, comultiplication and counit of a
-presentation as matrices, and a change of basis.  The package builds every
-map from structure constants; the tests compose the same maps from these
-dense pieces and compare.
+of dense matrices, the rows of a matrix added to a constraint system, the
+rows of a system as a multiset, a matrix as nested rows, the zero test, the
+projection of one vector to a quotient and the quotient's section, the unit,
+comultiplication and counit of a presentation as matrices, and a change of
+basis.  The package builds every map from structure constants; the tests
+compose the same maps from these dense pieces and compare.
 """
 
 import random
+from collections import Counter
 
 from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, Subspace, Tensor3,
                                   unit_vec, zero_vec)
@@ -53,6 +55,21 @@ def solve_affine(m: Matrix, b):
     for i in range(m.rows):
         sys.add_row({j: v for j, v in enumerate(m.row(i)) if v != 0}, f.coerce(b[i]))
     return sys.solve()
+
+
+def add_matrix_rows(sys: ConstraintSystem, m: Matrix, rhs=None):
+    """Add one row per row of m to sys; the right-hand side defaults to zero."""
+    f = sys.field
+    for i in range(m.rows):
+        sys.add_row({j: v for j, v in enumerate(m.row(i)) if v != 0},
+                    f.zero() if rhs is None else rhs[i])
+
+
+def row_multiset(sys: ConstraintSystem) -> Counter:
+    """The rows of sys as a multiset of ((sorted items), rhs): row order is
+    not part of a system's meaning, since solve() returns the same solution
+    for every order."""
+    return Counter((tuple(sorted(row.items())), rhs) for row, rhs in sys.rows)
 
 
 def kernel(m: Matrix) -> Subspace:

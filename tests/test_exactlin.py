@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,11 +23,14 @@ from maschke_kit.exactlin import (
     unit_vec,
     zero_vec,
 )
+from maschke_kit.examples import (cyclic_group, dual_group_algebra, group_algebra,
+                                  groupoid_algebra, pair_groupoid)
 from maschke_kit.finalg import AlgebraPresentation, AxiomFailure, AxiomReport, \
     check_algebra
+from maschke_kit.weakhopf import SIDES, VARIANTS, cointegral_system, integral_system
 
-from denselin import (flip_matrix, is_zero, kernel, kron, project, section, solve_affine,
-                      to_rows)
+from denselin import (add_matrix_rows, flip_matrix, is_zero, kernel, kron, project,
+                      section, solve_affine, to_rows)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -398,7 +402,7 @@ class TestConstraintSystem:
         b = (1, 2, 0)
         particular, basis = dense_solve(m, b)
         sys = ConstraintSystem(QQ, 3)
-        sys.add_matrix_rows(m, b)
+        add_matrix_rows(sys, m, b)
         sparse = sys.solve()
         assert particular == sparse.particular
         assert basis == sparse.homogeneous.basis
@@ -437,13 +441,45 @@ class TestConstraintSystem:
         b = tuple(field.coerce(x) for x in b)
         dense = dense_solve(m, b)
         sys = ConstraintSystem(field, nc)
-        sys.add_matrix_rows(m, b)
+        add_matrix_rows(sys, m, b)
         sparse = sys.solve()
         if dense is None:
             assert sparse is None
         else:
             assert sparse.particular == dense[0]
             assert sparse.homogeneous.basis == dense[1]
+
+    def test_row_order_does_not_change_the_solution(self):
+        # solve() ends in the reduced echelon form of the rows, which no
+        # permutation of the rows changes: every shuffle gives an equal
+        # AffineSolution, or None again
+        rng = random.Random(14)
+        systems = []
+        for field in (QQ, F2, F3, F5):
+            for _ in range(30):
+                nvars = rng.randint(1, 6)
+                sys = ConstraintSystem(field, nvars)
+                for _ in range(rng.randint(1, 8)):
+                    cols = rng.sample(range(nvars), rng.randint(1, nvars))
+                    sys.add_row({c: rng.randint(-3, 3) for c in cols}, rng.randint(-2, 2))
+                systems.append(sys)
+            for w in (group_algebra(cyclic_group(3), field),
+                      dual_group_algebra(cyclic_group(2), field),
+                      groupoid_algebra(pair_groupoid(2), field)):
+                for side, variant, normalized in itertools.product(
+                        SIDES, VARIANTS, (True, False)):
+                    systems += [integral_system(w, side, variant, normalized),
+                                cointegral_system(w, side, variant, normalized)]
+        outcomes = set()
+        for sys in systems:
+            want = sys.solve()
+            outcomes.add(want is None)
+            for _ in range(5):
+                shuffled = ConstraintSystem(sys.field, sys.nvars)
+                for row, rhs in rng.sample(sys.rows, len(sys.rows)):
+                    shuffled.add_row(row, rhs)
+                assert shuffled.solve() == want
+        assert outcomes == {True, False}
 
 
 class TestSubspace:

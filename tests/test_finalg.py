@@ -286,10 +286,9 @@ class TestSolveSeparability:
         a = group_algebra(symmetric_group_s3(), QQ).algebra
 
         def unit_rows_only(alg):
-            full = separability_system(alg)
-            part = ConstraintSystem(alg.field, full.nvars)
-            part.rows = full.rows[:alg.dim]
-            return part
+            # the normalization terms through the row builder, no products
+            norm, rhs, _ = finalg._separability_terms(alg.dim, alg.mult.nonzeros(), alg.unit)
+            return finalg._balanced_system(alg.field, alg.dim ** 2, norm, rhs, ())
 
         monkeypatch.setattr(finalg, "separability_system", unit_rows_only)
         with pytest.raises(ArithmeticError, match="commute"):
@@ -346,10 +345,9 @@ class TestSolveCoseparability:
         c = dual_cyclic_coalgebra(QQ, 3)
 
         def counit_rows_only(coalg):
-            full = coseparability_system(coalg)
-            part = ConstraintSystem(coalg.field, full.nvars)
-            part.rows = full.rows[:coalg.dim]
-            return part
+            # the normalization terms through the row builder, no products
+            norm, rhs, _ = finalg._dual_terms(coalg)
+            return finalg._balanced_system(coalg.field, coalg.dim ** 2, norm, rhs, ())
 
         monkeypatch.setattr(finalg, "coseparability_system", counit_rows_only)
         with pytest.raises(ArithmeticError, match="balanced"):
@@ -442,7 +440,8 @@ assert False, "assert statements must be stripped in this run"
 Q = FieldSpec.rationals()
 w = group_algebra(cyclic_group(2), Q)
 # systems without rows: the zero solution solves them, but is no section,
-# retraction, separability element or coseparability functional
+# retraction, separability element, coseparability functional or normalized
+# integral
 finalg.separability_system = lambda a: ConstraintSystem(a.field, a.dim ** 2)
 finalg.coseparability_system = lambda c: ConstraintSystem(c.field, c.dim ** 2)
 hopfcat.separability_family_system = lambda h: ConstraintSystem(
@@ -450,6 +449,8 @@ hopfcat.separability_family_system = lambda h: ConstraintSystem(
 hopfalgd.separability_system_hgd = lambda h, q: ConstraintSystem(h.field, q.dim)
 hopfalgd.coseparability_system_hgd = lambda h, q: ConstraintSystem(
     h.field, h.base.dim * q.dim)
+hopfalgd.integral_system_hgd = lambda h, side, normalized: ConstraintSystem(
+    h.field, h.total.dim)
 for solve, arg in ((finalg.solve_separability, w.algebra),
                    (finalg.solve_coseparability, w.coalgebra),
                    (hopfcat.solve_separability_family,
@@ -457,6 +458,8 @@ for solve, arg in ((finalg.solve_separability, w.algebra),
                    (hopfalgd.solve_separability_hgd,
                     pair_hopf_algebroid(base_by_name("dual", Q))),
                    (hopfalgd.solve_coseparability_hgd,
+                    pair_hopf_algebroid(base_by_name("dual", Q))),
+                   (lambda h: hopfalgd.solve_integral_hgd(h, "left"),
                     pair_hopf_algebroid(base_by_name("dual", Q)))):
     try:
         solve(arg)
@@ -472,4 +475,4 @@ def test_unverified_solutions_raise_under_optimization():
     run = subprocess.run([sys.executable, "-O", "-c", UNVERIFIED_SOLVE],
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["ArithmeticError"] * 5
+    assert run.stdout.split() == ["ArithmeticError"] * 6

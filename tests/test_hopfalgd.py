@@ -8,8 +8,8 @@ from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, QuotientS
                                    Subspace, Tensor3, membership, quotient_space,
                                    unit_vec, vec_sub)
 from maschke_kit.finalg import (AlgebraPresentation, AxiomFailure, AxiomReport,
-                                InvalidPresentationError, _add_to, _sparse_products,
-                                check_algebra)
+                                InvalidPresentationError, _add_to, _sparse_cols,
+                                _sparse_products, check_algebra)
 from maschke_kit.examples import (
     cyclic_group,
     dual_group_algebra,
@@ -26,10 +26,13 @@ from maschke_kit.hopfalgd import (
     BULLET,
     CIRC,
     HopfAlgebroidPresentation,
+    _base_images,
+    _comult_terms,
     _on_leg,
     bullet_relations,
     check_hopf_algebroid,
     circ_relations,
+    cointegral_system_hgd,
     coseparability_system_hgd,
     ideal_subspace,
     integral_system_hgd,
@@ -42,8 +45,8 @@ from maschke_kit.hopfalgd import (
     tensor_over_R,
 )
 
-from denselin import (comult_matrix, counit_matrix, kron, project, rebased, section,
-                      to_rows, unit_matrix)
+from denselin import (add_matrix_rows, comult_matrix, counit_matrix, kron, project, rebased,
+                      row_multiset, section, to_rows, unit_matrix)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -593,6 +596,82 @@ def _oracle_bimodule_rows(f, n, qd, w, u, act):
     return rows
 
 
+def oracle_integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
+                               normalized: bool) -> ConstraintSystem:
+    """integral_system_hgd as first written, from dense multiplication matrices:
+    hn - s(eps(h))n (left) or nh - s(eps(h))n (right) in the ideal; eps(n) = 1."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be left or right")
+    f = h.field
+    n = h.total.dim
+    alg = h.total
+    ideal = ideal_subspace(h)
+    q = quotient_space(n, ideal)
+    sys = ConstraintSystem(f, n)
+    sc = h.src @ h.counit
+    for i in range(n):
+        e_i = unit_vec(f, n, i)
+        if side == "left":
+            diff = alg.left_mult_matrix(vec_sub(f, e_i, sc.col(i)))
+        else:
+            diff = alg.right_mult_matrix(e_i) - alg.left_mult_matrix(sc.col(i))
+        add_matrix_rows(sys, q.projection @ diff)
+    if normalized:
+        add_matrix_rows(sys, h.counit, h.base.algebra.unit)
+    return sys
+
+
+def oracle_cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
+                                 normalized: bool) -> ConstraintSystem:
+    """System over the entries of nu: A -> R (variable index r*dimA + j).
+
+    Left: nu(s(x)h) = x nu(h), h1 t(nu(h2)) = s(nu(h)), nu(1) = 1.
+    Right: nu(t(x)h) = x nu(h), s(nu(h1)) h2 = t(nu(h)), nu(1) = 1.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be left or right")
+    f = h.field
+    dr, n = h.base.dim, h.total.dim
+    alg, base = h.total, h.base.algebra
+    srcs, tgts = _base_images(h)
+    sys = ConstraintSystem(f, dr * n)
+
+    anchor = srcs if side == "left" else tgts
+    for x in range(dr):
+        moved = alg.left_mult_matrix(anchor[x])
+        for j in range(n):
+            for r in range(dr):
+                coeffs = {r * n + jp: c for jp, c in enumerate(moved.col(j)) if c != 0}
+                for rp in range(dr):
+                    c = base.mult.at(x, rp, r)
+                    if c != 0:
+                        _add_to(coeffs, rp * n + j, f.neg(c), f)
+                sys.add_row(coeffs, f.zero())
+
+    _, terms = _comult_terms(h)
+    # mix[r][a] = e_a t(f_r) (left) or s(f_r) e_a (right), sparse
+    mix = [_sparse_cols(alg.right_mult_matrix(t)) for t in tgts] if side == "left" \
+        else [_sparse_cols(alg.left_mult_matrix(s)) for s in srcs]
+    out_map = h.src if side == "left" else h.tgt
+    for i in range(n):
+        rows = [dict() for _ in range(n)]
+        for a, b, c in terms[i]:
+            carrier, slot = (a, b) if side == "left" else (b, a)
+            for r in range(dr):
+                for m, cv in mix[r][carrier]:
+                    _add_to(rows[m], r * n + slot, f.mul(c, cv), f)
+        for m, r, cv in out_map.nonzeros():
+            _add_to(rows[m], r * n + i, f.neg(cv), f)
+        for row in rows:
+            sys.add_row(row, f.zero())
+
+    if normalized:
+        for r in range(dr):
+            coeffs = {r * n + j: alg.unit[j] for j in range(n) if alg.unit[j] != 0}
+            sys.add_row(coeffs, base.unit[r])
+    return sys
+
+
 def oracle_corpus():
     """Pair algebroids with perturbed lifts, Hopf algebras over k and a 2x2
     matrix algebra with structure constants other than 0 and 1."""
@@ -660,6 +739,27 @@ class TestOracle:
         for h in oracle_cases():
             assert circ_relations(h) == oracle_circ_relations(h)
             assert bullet_relations(h) == oracle_bullet_relations(h)
+
+    def test_integral_and_cointegral_systems_match_oracle(self):
+        # the rows of the earlier builders in any order, and the same solution;
+        # kS3 in a basis that is not grouplike is a noncommutative total
+        # algebra whose left and right integral rows differ
+        cases = 0
+        noncommutative = hopf_algebra_as_algebroid(
+            rebased(group_algebra(symmetric_group_s3(), QQ), 1))
+        for h in [*oracle_cases(), noncommutative]:
+            if not check_hopf_algebroid(h).ok():
+                continue
+            for side in ("left", "right"):
+                for normalized in (True, False):
+                    for build, oracle in (
+                            (integral_system_hgd, oracle_integral_system_hgd),
+                            (cointegral_system_hgd, oracle_cointegral_system_hgd)):
+                        got, want = build(h, side, normalized), oracle(h, side, normalized)
+                        assert row_multiset(got) == row_multiset(want)
+                        assert got.solve() == want.solve()
+            cases += 1
+        assert cases > 50
 
     def test_coseparability_systems_match_oracle(self):
         # the functional gamma against the retraction P = (1 circ gamma)(Delta
@@ -897,7 +997,7 @@ class TestSeparability:
         # kC2 (x) kC2 multiplies to the unit but is no separability element
         def unit_rows_only(h, q):
             sys = ConstraintSystem(h.field, q.dim)
-            sys.add_matrix_rows(h.total.mult_matrix() @ section(q), h.total.unit)
+            add_matrix_rows(sys, h.total.mult_matrix() @ section(q), h.total.unit)
             return sys
 
         monkeypatch.setattr(hopfalgd, "separability_system_hgd", unit_rows_only)

@@ -45,3 +45,57 @@ def test_separability_builders_are_one_balanced_system_call():
                     len(body) == 1 and _is_balanced_call(body[0])
     assert len(bodies) == 5
     assert all(bodies.values()), bodies
+
+
+ROW_BUILDERS = {"finalg.py": ("separability_system", "coseparability_system"),
+                "weakhopf.py": ("integral_system", "cointegral_system"),
+                "hopfcat.py": ("separability_family_system", "retraction_system",
+                               "integral_family_system"),
+                "hopfalgd.py": ("separability_system_hgd", "coseparability_system_hgd",
+                                "integral_system_hgd", "cointegral_system_hgd")}
+
+
+class _CallSites(ast.NodeVisitor):
+    """module.function (nested names joined by dots) of every call whose
+    callee passes is_callee."""
+
+    def __init__(self, module, is_callee):
+        self.scope, self.is_callee, self.found = [module], is_callee, set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if self.is_callee(node.func):
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def _call_sites(is_callee) -> set:
+    found = set()
+    for path in SOURCES:
+        sites = _CallSites(path.stem, is_callee)
+        sites.visit(ast.parse(path.read_text(), str(path)))
+        found |= sites.found
+    return found
+
+
+def test_every_system_comes_from_one_row_builder():
+    # rows are made in one place, so every system shares one construction
+    # and one later certificate of infeasibility; _row_space only spans rows
+    assert _call_sites(lambda f: isinstance(f, ast.Name) and f.id == "ConstraintSystem") \
+        == {"finalg._balanced_system", "exactlin._row_space"}
+    assert _call_sites(lambda f: isinstance(f, ast.Attribute) and f.attr == "add_row") \
+        == {"finalg._balanced_system"}
+    ends = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef) and \
+                    node.name in ROW_BUILDERS.get(path.name, ()):
+                ends[f"{path.name}:{node.name}"] = _is_balanced_call(node.body[-1])
+    assert len(ends) == 11
+    assert all(ends.values()), ends

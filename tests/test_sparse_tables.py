@@ -56,7 +56,7 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import rebased
+from denselin import add_matrix_rows, rebased, row_multiset
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -154,14 +154,14 @@ def oracle_integral_system(w, side, variant, normalized) -> ConstraintSystem:
     basis = [unit_vec(f, n, i) for i in range(n)]
     if side == "left":
         for i in range(n):
-            sys.add_matrix_rows(alg.left_mult_matrix(vec_sub(f, basis[i], maps.piL.col(i))))
+            add_matrix_rows(sys, alg.left_mult_matrix(vec_sub(f, basis[i], maps.piL.col(i))))
         if normalized:
-            sys.add_matrix_rows(maps.piR_bar, alg.unit)
+            add_matrix_rows(sys, maps.piR_bar, alg.unit)
     else:
         for i in range(n):
-            sys.add_matrix_rows(alg.right_mult_matrix(vec_sub(f, basis[i], maps.piR.col(i))))
+            add_matrix_rows(sys, alg.right_mult_matrix(vec_sub(f, basis[i], maps.piR.col(i))))
         if normalized:
-            sys.add_matrix_rows(maps.piR, alg.unit)
+            add_matrix_rows(sys, maps.piR, alg.unit)
     if variant == "duoidal":
         info = base_algebra(w)
         for i in range(info.subspace.dim):
@@ -169,10 +169,10 @@ def oracle_integral_system(w, side, variant, normalized) -> ConstraintSystem:
             if side == "left":
                 y = vec_sub(f, maps.piL.apply(x),
                             maps.piR_bar.apply(maps.piL_bar.apply(x)))
-                sys.add_matrix_rows(alg.right_mult_matrix(y))
+                add_matrix_rows(sys, alg.right_mult_matrix(y))
             else:
                 y = vec_sub(f, maps.piL_bar.apply(x), maps.piR.apply(maps.piL.apply(x)))
-                sys.add_matrix_rows(alg.left_mult_matrix(y))
+                add_matrix_rows(sys, alg.left_mult_matrix(y))
     return sys
 
 
@@ -443,10 +443,9 @@ class TestWeakHopfMatchesOracles:
                                 (cointegral_system, oracle_cointegral_system)):
                             got = build(w, side, variant, normalized)
                             want = oracle(w, side, variant, normalized)
-                            # the same rows, in the same order
-                            assert got.rows == want.rows
-                            if normalized:
-                                assert got.solve() == want.solve()
+                            # the same rows in any order, and the same solution
+                            assert row_multiset(got) == row_multiset(want)
+                            assert got.solve() == want.solve()
             cases += 1
         assert cases > 100
 

@@ -39,8 +39,8 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import (comult_matrix, counit_matrix, flip_matrix, kron, rebased,
-                      unit_matrix)
+from denselin import (add_matrix_rows, comult_matrix, counit_matrix, flip_matrix, kron,
+                      rebased, unit_matrix)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -397,7 +397,7 @@ class TestIntegrals:
             diff = w.algebra.left_mult_matrix(unit_vec(QQ, n, i)) - \
                 w.algebra.left_mult_matrix(
                     tuple(QQ.mul(w.coalgebra.counit[i], x) for x in w.algebra.unit))
-            direct.add_matrix_rows(diff)
+            add_matrix_rows(direct, diff)
         direct.add_row({m: w.coalgebra.counit[m] for m in range(n)}, QQ.one())
         ds = direct.solve()
         ws = integral_system(w, "left", "primed", True).solve()

@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and prime fields.
 
 This is the single numeric substrate for every validator and feasibility
-solver in the package.  Scalars are plain Python values: ``fractions.Fraction``
-(always in lowest terms) over Q, and ``int`` residues in ``[0, p)`` over GF(p).
+solver in the package.  Scalars are plain Python values.  Over Q a scalar is
+an ``int`` when it is integral and otherwise a ``fractions.Fraction`` in lowest
+terms, so the 0, 1 and -1 of most structure constants stay machine-int
+arithmetic; over GF(p) it is an ``int`` residue in ``[0, p)``.
 No floating point is used anywhere.
 
 Conventions, fixed globally:
@@ -39,6 +41,11 @@ def _bounded_token(text: str) -> str:
         raise ValueError(f"scalar token {text[:40]!r} exceeds {MAX_SCALAR_DIGITS} "
                          "digits or exponent")
     return text
+
+
+def _canonical(q: Fraction):
+    """The canonical Q scalar of q: its numerator when q is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _is_prime(n: int) -> bool:
@@ -160,31 +167,35 @@ class FieldSpec(Frozen):
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
 
     def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
+        return 1
 
     def coerce(self, x):
-        """Canonical scalar from an int, Fraction or text token."""
+        """Canonical scalar from an int, Fraction or text token.
+
+        Over Q a value is an ``int`` when it is integral and otherwise a
+        ``Fraction`` in lowest terms; over GF(p) it is an ``int`` in [0, p).
+        """
         p = self.characteristic
-        # A canonical scalar comes back unchanged.  The exact type test keeps
+        # A canonical scalar comes back unchanged.  The exact type tests keep
         # bool (a subclass of int) on the path below, which refuses it.
         if p == 0:
-            if type(x) is Fraction:
+            if type(x) is int:
                 return x
+            if type(x) is Fraction:
+                return _canonical(x)
         elif type(x) is int and 0 <= x < p:
             return x
         if isinstance(x, str):
             x = Fraction(_bounded_token(x))
-        if p == 0:
-            if isinstance(x, bool):
-                raise TypeError("bool is not a scalar")
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
-            raise TypeError(f"cannot coerce {x!r} into Q")
         if isinstance(x, bool):
             raise TypeError("bool is not a scalar")
+        if p == 0:
+            if isinstance(x, (int, Fraction)):
+                return _canonical(Fraction(x))
+            raise TypeError(f"cannot coerce {x!r} into Q")
         if isinstance(x, int):
             return x % p
         if isinstance(x, Fraction):
@@ -195,17 +206,20 @@ class FieldSpec(Frozen):
 
     def add(self, a, b):
         if self.characteristic == 0:
-            return a + b
+            c = a + b
+            return c if type(c) is int else _canonical(c)
         return (a + b) % self.characteristic
 
     def sub(self, a, b):
         if self.characteristic == 0:
-            return a - b
+            c = a - b
+            return c if type(c) is int else _canonical(c)
         return (a - b) % self.characteristic
 
     def mul(self, a, b):
         if self.characteristic == 0:
-            return a * b
+            c = a * b
+            return c if type(c) is int else _canonical(c)
         return a * b % self.characteristic
 
     def neg(self, a):
@@ -217,7 +231,9 @@ class FieldSpec(Frozen):
         if self.characteristic == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+            if type(a) is int:
+                return a if a == 1 or a == -1 else Fraction(1, a)
+            return _canonical(1 / a)
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.characteristic)

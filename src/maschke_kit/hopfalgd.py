@@ -169,15 +169,23 @@ def bullet_relations(h: HopfAlgebroidPresentation) -> Subspace:
     return _tensor_relations(h, [(z, z) for z in zs])
 
 
+@_once
+def _circ_quotient(h: HopfAlgebroidPresentation) -> QuotientSpace:
+    return quotient_space(h.total.dim ** 2, circ_relations(h))
+
+
+@_once
+def _bullet_quotient(h: HopfAlgebroidPresentation) -> QuotientSpace:
+    return quotient_space(h.total.dim ** 2, bullet_relations(h))
+
+
 def tensor_over_R(h: HopfAlgebroidPresentation, product: str = CIRC) -> QuotientSpace:
     """The circ or bullet coequalizer quotient of A (x) A."""
     if product == CIRC:
-        rel = circ_relations(h)
-    elif product == BULLET:
-        rel = bullet_relations(h)
-    else:
-        raise ValueError(f"product must be {CIRC!r} or {BULLET!r}")
-    return quotient_space(h.total.dim ** 2, rel)
+        return _circ_quotient(h)
+    if product == BULLET:
+        return _bullet_quotient(h)
+    raise ValueError(f"product must be {CIRC!r} or {BULLET!r}")
 
 
 @_once
@@ -189,6 +197,11 @@ def ideal_subspace(h: HopfAlgebroidPresentation) -> Subspace:
     for s, t in zip(*_base_images(h)):
         rows += map(_nonzero_entries, _mult_cols(f, prod, _terms(vec_sub(f, s, t)), True))
     return _row_space(f, h.total.dim, rows)
+
+
+@_once
+def _ideal_quotient(h: HopfAlgebroidPresentation) -> QuotientSpace:
+    return quotient_space(h.total.dim, ideal_subspace(h))
 
 
 def _nonzero_cols(m: Matrix) -> set:
@@ -365,7 +378,7 @@ def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
         raise ValueError("side must be left or right")
     f, n = h.field, h.total.dim
     prod = _sparse_products(h.total)
-    pcols = _sparse_cols(quotient_space(n, ideal_subspace(h)).projection)
+    pcols = _sparse_cols(_ideal_quotient(h).projection)
     sc = _sparse_cols(h.src @ h.counit)
 
     def products():

@@ -24,10 +24,11 @@ from maschke_kit.exactlin import (
     zero_vec,
 )
 from maschke_kit.examples import (cyclic_group, dual_group_algebra, group_algebra,
-                                  groupoid_algebra, pair_groupoid)
+                                  groupoid_algebra, pair_groupoid, symmetric_group_s3)
 from maschke_kit.finalg import AlgebraPresentation, AxiomFailure, AxiomReport, \
-    check_algebra
-from maschke_kit.weakhopf import SIDES, VARIANTS, cointegral_system, integral_system
+    check_algebra, solve_separability
+from maschke_kit.weakhopf import SIDES, VARIANTS, cointegral_system, integral_system, \
+    solve_integral
 
 from denselin import (add_matrix_rows, flip_matrix, is_zero, kernel, kron, project,
                       section, solve_affine, to_rows)
@@ -127,11 +128,56 @@ class TestFieldSpec:
         assert QQ.coerce(half) is half
         assert F5.coerce(4) == 4 and F5.coerce(5) == 0
         assert F5.coerce(7) == 2 and F5.coerce(-1) == 4
-        assert type(QQ.coerce(3)) is Fraction
+        assert type(QQ.coerce(3)) is int
+        assert type(QQ.coerce(Fraction(6, 3))) is int and QQ.coerce(Fraction(6, 3)) == 2
         for field in (QQ, F5):
             for flag in (True, False):
                 with pytest.raises(TypeError):
                     field.coerce(flag)
+
+    @given(st.fractions(max_denominator=4), st.fractions(max_denominator=4))
+    @settings(max_examples=200, deadline=None)
+    def test_q_arithmetic_is_fraction_arithmetic_on_canonical_scalars(self, a, b):
+        # int exactly when integral, otherwise a Fraction in lowest terms
+        def canonical(x, want):
+            return x == want and type(x) is (int if want.denominator == 1 else Fraction)
+
+        ca, cb = QQ.coerce(a), QQ.coerce(b)
+        assert canonical(ca, a) and canonical(cb, b)
+        assert canonical(QQ.coerce(str(a)), a)
+        assert canonical(QQ.add(ca, cb), a + b)
+        assert canonical(QQ.sub(ca, cb), a - b)
+        assert canonical(QQ.mul(ca, cb), a * b)
+        assert canonical(QQ.neg(ca), -a)
+        if a:
+            assert canonical(QQ.inv(ca), 1 / a)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                QQ.inv(ca)
+        assert QQ.format_scalar(ca) == str(a)
+
+    def test_q_solver_outputs_are_canonical(self):
+        def assert_canonical(entries):
+            entries = list(entries)
+            assert entries
+            for x in entries:
+                assert type(x) is int or (type(x) is Fraction and x.denominator != 1), x
+            return entries
+
+        w = group_algebra(symmetric_group_s3(), QQ)
+        integral = solve_integral(w, "left", "primed", True)
+        assert set(assert_canonical(integral.solutions.particular)) == {Fraction(1, 6)}
+        sep = solve_separability(w.algebra)
+        assert set(assert_canonical(sep.element)) == {0, Fraction(1, 6)}
+        assert_canonical(sep.map.entries)
+        sys = ConstraintSystem(QQ, 4)
+        sys.add_row({0: 2, 1: 4, 3: Fraction(1, 3)}, 6)
+        sys.add_row({1: Fraction(3, 2), 2: 3}, Fraction(1, 2))
+        sol = sys.solve()
+        assert_canonical(sol.particular)
+        assert_canonical(sol.homogeneous.basis.entries)
+        assert {type(x) for x in sol.particular + sol.homogeneous.basis.entries} \
+            == {int, Fraction}
 
     def test_denominator_vanishing_mod_p(self):
         with pytest.raises(ValueError):

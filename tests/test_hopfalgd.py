@@ -865,6 +865,25 @@ class TestQuotients:
         with pytest.raises(ValueError):
             tensor_over_R(h, "star")
 
+    def test_each_quotient_is_built_once_per_presentation(self, monkeypatch):
+        # the circ, bullet and ideal quotients are stored on the presentation:
+        # the report's two integrals share one ideal quotient, and validation
+        # and coseparability share one circ quotient
+        built = []
+
+        def counted(ambient_dim, relations):
+            built.append(ambient_dim)
+            return quotient_space(ambient_dim, relations)
+
+        monkeypatch.setattr(hopfalgd, "quotient_space", counted)
+        h = pair_hopf_algebroid(split_pair_algebra(QQ))
+        assert maschke_report(h).verdict
+        assert sorted(built) == [4, 16, 16]
+        assert tensor_over_R(h, CIRC) is tensor_over_R(h, CIRC)
+        assert tensor_over_R(h, BULLET) is tensor_over_R(h, BULLET)
+        assert maschke_report(h).verdict
+        assert len(built) == 3
+
     def test_ideal_is_two_sided(self):
         for mk in (dual_number_algebra, split_pair_algebra):
             h = pair_hopf_algebroid(mk(QQ))

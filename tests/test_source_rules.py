@@ -99,3 +99,19 @@ def test_every_system_comes_from_one_row_builder():
                 ends[f"{path.name}:{node.name}"] = _is_balanced_call(node.body[-1])
     assert len(ends) == 11
     assert all(ends.values()), ends
+
+
+def test_only_exactlin_owns_the_rational_type():
+    # FieldSpec alone decides how a Q scalar is held (an int when integral,
+    # otherwise a Fraction in lowest terms), so no other module may build one
+    imports = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+                [node.module] if isinstance(node, ast.ImportFrom) else []
+            if any(name and name.split(".")[0] == "fractions" for name in names):
+                imports.add(path.stem)
+    calls = _call_sites(lambda f: (isinstance(f, ast.Name) and f.id == "Fraction")
+                        or (isinstance(f, ast.Attribute) and f.attr == "Fraction"))
+    assert imports == {"exactlin"}
+    assert calls and {site.split(".")[0] for site in calls} == {"exactlin"}

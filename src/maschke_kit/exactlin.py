@@ -589,8 +589,10 @@ class ConstraintSystem:
     Rows are dictionaries ``column -> coefficient``.  ``solve`` runs an
     incremental Gauss-Jordan elimination that only ever stores the reduced
     pivot rows, so systems with many redundant structure-constant equations
-    stay cheap.  Every produced solution is re-verified against the stored
-    rows before it is returned.
+    stay cheap.  Every produced solution set is certified against the stored
+    rows before it is returned: the particular solution satisfies every row,
+    and every kernel basis vector satisfies every row with right-hand side
+    zero, so every member of the set solves the system.
     """
 
     def __init__(self, field: FieldSpec, nvars: int):
@@ -616,16 +618,20 @@ class ConstraintSystem:
         if len(x) != self.nvars:
             raise ValueError("candidate length mismatch")
         f = self.field
+        return self._holds([f.coerce(v) for v in x], True)
+
+    def _holds(self, xs, affine: bool) -> bool:
+        """Every stored row holds at xs, with right-hand side zero unless affine."""
+        f = self.field
         add, mul = f.add, f.mul
         zero = f.zero()
-        xs = [f.coerce(v) for v in x]
         for coeffs, rhs in self.rows:
             acc = zero
             for c, v in coeffs.items():
                 xv = xs[c]
                 if xv != 0:
                     acc = add(acc, mul(v, xv))
-            if acc != rhs:
+            if acc != (rhs if affine else zero):
                 return False
         return True
 
@@ -699,6 +705,9 @@ class ConstraintSystem:
         homogeneous = _row_space(f, self.nvars, kern_rows.values())
         if not self.satisfied_by(particular):
             raise ArithmeticError("eliminator produced an unverified solution")
+        kernel = homogeneous.basis
+        if not all(self._holds(kernel.row(i), False) for i in range(kernel.rows)):
+            raise ArithmeticError("eliminator produced an unverified kernel vector")
         return AffineSolution(particular, homogeneous)
 
 

@@ -71,8 +71,10 @@ _MISSING = object()
 
 
 def _once(fn):
-    """Compute fn(presentation) once and store it on the presentation.
+    """Compute fn(presentation, *args) once and store it on the presentation.
 
+    Extra arguments must be str or bool; each argument tuple has its own
+    attribute, ``_once_<name>_<arg>...`` (``_once_<name>`` without arguments).
     Presentations are frozen, so a stored result never goes stale.  An
     exception is not stored: a failing computation raises on every call.
     Results must be immutable, since every caller gets the same object.
@@ -80,13 +82,18 @@ def _once(fn):
     key = "_once_" + fn.__name__
 
     @functools.wraps(fn)
-    def stored(presentation):
+    def stored(presentation, *args):
+        name = key
+        if args:
+            if any(type(a) is not str and type(a) is not bool for a in args):
+                raise TypeError(f"{fn.__name__}: stored results are keyed by str or bool")
+            name = "_".join((key, *map(str, args)))
         # getattr, not __dict__: building the instance dict slows every
         # later attribute read on the presentation.
-        value = getattr(presentation, key, _MISSING)
+        value = getattr(presentation, name, _MISSING)
         if value is _MISSING:
-            value = fn(presentation)
-            object.__setattr__(presentation, key, value)
+            value = fn(presentation, *args)
+            object.__setattr__(presentation, name, value)
         return value
 
     return stored
@@ -425,8 +432,17 @@ def _balanced_system(f: FieldSpec, nvars: int, norm, rhs, products) -> Constrain
             row[var] = sub(row[var], t) if var in row else neg(t)
     last = [(rows.pop((None, out), {}), value) for out, value in enumerate(rhs)]
     sys = ConstraintSystem(f, nvars)
-    for row, value in [(row, f.zero()) for row in rows.values()] + last:
-        sys.add_row(row, value)
+    # the terms are field scalars already, so rows go in without add_row's
+    # coercion; the variable range is still checked, and zeros dropped
+    zero = f.zero()
+    for row, value in [(row, zero) for row in rows.values()] + last:
+        if row and (min(row) < 0 or max(row) >= nvars):
+            bad = next(var for var in row if not 0 <= var < nvars)
+            raise ValueError(f"variable index {bad} out of range")
+        if zero in row.values():
+            row = {var: t for var, t in row.items() if t != 0}
+        if row or value != 0:
+            sys.rows.append((row, value))
     return sys
 
 

@@ -455,7 +455,18 @@ def integral_system(w: WeakHopfPresentation, side: str, variant: str,
 
 def solve_integral(w: WeakHopfPresentation, side: str, variant: str = "primed",
                    normalized: bool = True):
-    """IntegralSolution carrying particular element and solution space, or None."""
+    """IntegralSolution carrying particular element and solution space, or None.
+
+    Solved once per presentation and arguments; later calls return the same
+    record.
+    """
+    _check_side_variant(side, variant)
+    return _integral_solution(w, side, variant, bool(normalized))
+
+
+@_once
+def _integral_solution(w: WeakHopfPresentation, side: str, variant: str,
+                       normalized: bool):
     _require_weak_bialgebra(w)
     sol = integral_system(w, side, variant, normalized).solve()
     if sol is None:
@@ -501,7 +512,18 @@ def cointegral_system(w: WeakHopfPresentation, side: str, variant: str,
 
 def solve_cointegral(w: WeakHopfPresentation, side: str, variant: str = "primed",
                      normalized: bool = True):
-    """CointegralSolution with the functional as a covector, or None."""
+    """CointegralSolution with the functional as a covector, or None.
+
+    Solved once per presentation and arguments; later calls return the same
+    record.
+    """
+    _check_side_variant(side, variant)
+    return _cointegral_solution(w, side, variant, bool(normalized))
+
+
+@_once
+def _cointegral_solution(w: WeakHopfPresentation, side: str, variant: str,
+                         normalized: bool):
     _require_weak_bialgebra(w)
     sol = cointegral_system(w, side, variant, normalized).solve()
     if sol is None:
@@ -517,11 +539,34 @@ def _dot(f, u, v):
     return acc
 
 
+def _solves(w: WeakHopfPresentation, x: tuple, solve, system, side: str,
+            variant: str) -> bool:
+    """True iff x solves the normalized system(w, side, variant, True).
+
+    The test is membership in the stored, certified solution set of
+    solve(w, side, variant, True): x minus the particular solution lies in
+    the kernel.  On a miss the rows are rebuilt once to confirm it, and rows
+    that accept x mean the eliminator missed a solution.
+    """
+    if len(x) != w.dim:
+        raise ValueError("candidate length mismatch")
+    solution = solve(w, side, variant, True)
+    if solution is not None:
+        s = solution.solutions
+        if s.homogeneous.contains(vec_sub(w.field, x, s.particular)):
+            return True
+    if system(w, side, variant, True).satisfied_by(x):
+        raise ArithmeticError("eliminator missed a solution")
+    return False
+
+
 def convert_integral(w: WeakHopfPresentation, t_prime, side: str) -> tuple:
     """Upgrade a primed normalized integral to a duoidal one.
 
     Left: t = t' 1_1 piL(piR(1_2)); right: t = piR(piL(1_1)) 1_2 t'.
-    The output is re-validated against the duoidal constraint matrix.
+    The input must lie in the stored primed solution set and the output in
+    the stored duoidal one; both sets are certified against every row of
+    their systems.
     """
     _require_weak_bialgebra(w)
     f = w.field
@@ -529,7 +574,7 @@ def convert_integral(w: WeakHopfPresentation, t_prime, side: str) -> tuple:
     alg = w.algebra
     maps = projections(w)
     t_prime = tuple(f.coerce(x) for x in t_prime)
-    if not integral_system(w, side, "primed", True).satisfied_by(t_prime):
+    if not _solves(w, t_prime, solve_integral, integral_system, side, "primed"):
         raise ValueError("input fails the primed integral conditions")
     u = w.coalgebra.comult_vec(alg.unit)
     # t' e_a (left) or e_b t' (right), for every basis index
@@ -553,7 +598,7 @@ def convert_integral(w: WeakHopfPresentation, t_prime, side: str) -> tuple:
             # (comp(e_a) e_b) t' = comp(e_a) (e_b t')
             term = alg.mult_vec(comp.col(a), t_cols[b])
             out = vec_add(f, out, vec_scale(f, c, term))
-    if not integral_system(w, side, "duoidal", True).satisfied_by(out):
+    if not _solves(w, out, solve_integral, integral_system, side, "duoidal"):
         raise StructureDefectError("converted integral fails the duoidal conditions")
     return out
 
@@ -562,8 +607,9 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
     """Upgrade a primed normalized cointegral to a duoidal one.
 
     Left: tau(h) = tau'(1_1 h piR(1_2)); right: tau(h) = tau'(piL(1_1) h 1_2);
-    the argument slot sits between the two unit legs.  The output is
-    re-validated against the duoidal constraint matrix, so a wrong slot
+    the argument slot sits between the two unit legs.  The input must lie in
+    the stored primed solution set and the output in the stored duoidal one,
+    both certified against every row of their systems, so a wrong slot
     reading raises instead of passing silently.
     """
     _require_weak_bialgebra(w)
@@ -572,7 +618,7 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
     alg = w.algebra
     maps = projections(w)
     tau_prime = tuple(f.coerce(x) for x in tau_prime)
-    if not cointegral_system(w, side, "primed", True).satisfied_by(tau_prime):
+    if not _solves(w, tau_prime, solve_cointegral, cointegral_system, side, "primed"):
         raise ValueError("input fails the primed cointegral conditions")
     u = w.coalgebra.comult_vec(alg.unit)
     prod = _sparse_products(alg)
@@ -591,7 +637,7 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
             acc = f.add(acc, f.mul(c, _dot(f, tau_prime, vec)))
         out.append(acc)
     out = tuple(out)
-    if not cointegral_system(w, side, "duoidal", True).satisfied_by(out):
+    if not _solves(w, out, solve_cointegral, cointegral_system, side, "duoidal"):
         raise StructureDefectError("converted cointegral fails the duoidal conditions")
     return out
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maschke_kit import exactlin
 from maschke_kit.exactlin import (
     MAX_SCALAR_DIGITS,
     AffineSolution,
@@ -26,7 +27,7 @@ from maschke_kit.exactlin import (
 from maschke_kit.examples import (cyclic_group, dual_group_algebra, group_algebra,
                                   groupoid_algebra, pair_groupoid, symmetric_group_s3)
 from maschke_kit.finalg import AlgebraPresentation, AxiomFailure, AxiomReport, \
-    check_algebra, solve_separability
+    _once, check_algebra, solve_separability
 from maschke_kit.weakhopf import SIDES, VARIANTS, cointegral_system, integral_system, \
     solve_integral
 
@@ -474,6 +475,21 @@ class TestConstraintSystem:
         assert sys.satisfied_by((1, 2))
         assert not sys.satisfied_by((1, 1))
 
+    def test_kernel_is_certified_against_every_row(self, monkeypatch):
+        # a kernel basis vector that fails a row raises, as a wrong particular
+        # solution does: once with a kernel (x0 + x1 = 2) and once without
+        row_space = exactlin._row_space
+        monkeypatch.setattr(exactlin, "_row_space", lambda f, dim, rows: row_space(
+            f, dim, [*rows, {0: f.one()}]))
+        for rows in (({0: 1, 1: 1}, 2),), (({0: 1}, 1), ({1: 1}, 2)):
+            sys = ConstraintSystem(QQ, 2)
+            for row, rhs in rows:
+                sys.add_row(row, rhs)
+            with pytest.raises(ArithmeticError, match="kernel"):
+                sys.solve()
+        monkeypatch.setattr(exactlin, "_row_space", row_space)
+        assert sys.solve().homogeneous.dim == 0
+
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_dense_on_random_systems(self, nr, nc, data):
@@ -636,6 +652,14 @@ class TestFrozenRecords:
         assert check_algebra(a) is check_algebra(a)
         assert vars(a)["_once_check_algebra"] is check_algebra(a)
         assert a == AlgebraPresentation.make(QQ, [[[1]]], [1])
+
+    def test_stored_results_keyed_by_arguments(self):
+        w = group_algebra(cyclic_group(2), QQ)
+        sol = solve_integral(w, "left", "primed", True)
+        assert vars(w)["_once__integral_solution_left_primed_True"] is sol
+        assert "_once__integral_solution_right_primed_True" not in vars(w)
+        with pytest.raises(TypeError, match="str or bool"):
+            _once(lambda presentation, arg: arg)(w, 1)
 
     def test_cli_import_skips_dataclasses_and_inspect(self):
         import maschke_kit

@@ -407,6 +407,20 @@ def _shape(solution):
     return None if solution is None else solution.homogeneous.dim
 
 
+class TestBalancedRows:
+    def test_variable_range_is_checked(self):
+        for var in (2, -1):
+            with pytest.raises(ValueError, match=f"variable index {var} out of range"):
+                finalg._balanced_system(QQ, 2, (), (), [(0, 0, 0, 1, 1), (0, 0, 0, var, 1)])
+
+    def test_rows_keep_no_zero_entries(self):
+        # x0 - x0 cancels to an empty row, which is dropped; x1 - x1 + x0 keeps x0
+        products = [(0, 0, 0, 0, 1), (1, 0, 0, 0, 1),
+                    (0, 1, 0, 1, 2), (1, 1, 0, 1, 2), (0, 1, 0, 0, 3)]
+        system = finalg._balanced_system(QQ, 2, [(0, 1, 1)], (5,), products)
+        assert sorted(system.rows, key=repr) == [({0: 3}, 0), ({1: 1}, 5)]
+
+
 class TestReducedSystemsMatchOracles:
     """The n^2 systems and the n^3 oracles agree on feasibility and nullity,
     and the returned section and retraction satisfy the oracle rows."""
@@ -430,7 +444,7 @@ class TestReducedSystemsMatchOracles:
 
 
 UNVERIFIED_SOLVE = """
-from maschke_kit import finalg, hopfalgd, hopfcat
+from maschke_kit import exactlin, finalg, hopfalgd, hopfcat
 from maschke_kit.exactlin import ConstraintSystem, FieldSpec
 from maschke_kit.examples import (base_by_name, cyclic_group, group_algebra,
                                   groupoid_by_name, hopf_category_from_groupoid,
@@ -466,6 +480,16 @@ for solve, arg in ((finalg.solve_separability, w.algebra),
         print("unverified result returned")
     except ArithmeticError:
         print("ArithmeticError")
+# a kernel basis vector that fails the row x0 + x1 = 2
+row_space = exactlin._row_space
+exactlin._row_space = lambda f, dim, rows: row_space(f, dim, [*rows, {0: f.one()}])
+system = ConstraintSystem(Q, 2)
+system.add_row({0: 1, 1: 1}, 2)
+try:
+    system.solve()
+    print("unverified kernel returned")
+except ArithmeticError:
+    print("ArithmeticError")
 """
 
 
@@ -475,4 +499,4 @@ def test_unverified_solutions_raise_under_optimization():
     run = subprocess.run([sys.executable, "-O", "-c", UNVERIFIED_SOLVE],
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["ArithmeticError"] * 6
+    assert run.stdout.split() == ["ArithmeticError"] * 7

@@ -89,8 +89,13 @@ def test_every_system_comes_from_one_row_builder():
     # and one later certificate of infeasibility; _row_space only spans rows
     assert _call_sites(lambda f: isinstance(f, ast.Name) and f.id == "ConstraintSystem") \
         == {"finalg._balanced_system", "exactlin._row_space"}
+    # _balanced_system appends its finished rows itself; add_row stays public
+    # for other callers but the package does not use it
     assert _call_sites(lambda f: isinstance(f, ast.Attribute) and f.attr == "add_row") \
-        == {"finalg._balanced_system"}
+        == set()
+    assert _call_sites(lambda f: isinstance(f, ast.Attribute) and f.attr == "append"
+                       and isinstance(f.value, ast.Attribute) and f.value.attr == "rows") \
+        == {"finalg._balanced_system", "exactlin.ConstraintSystem.add_row"}
     ends = {}
     for path in SOURCES:
         for node in ast.parse(path.read_text(), str(path)).body:
@@ -99,6 +104,14 @@ def test_every_system_comes_from_one_row_builder():
                 ends[f"{path.name}:{node.name}"] = _is_balanced_call(node.body[-1])
     assert len(ends) == 11
     assert all(ends.values()), ends
+
+
+def test_solutions_are_checked_by_membership_not_by_rebuilt_rows():
+    # solve() certifies each solution set against its rows once; every later
+    # check is membership in that set, and the rows are rebuilt and checked
+    # only to confirm a miss
+    sites = _call_sites(lambda f: isinstance(f, ast.Attribute) and f.attr == "satisfied_by")
+    assert {site for site in sites if not site.startswith("exactlin.")} == {"weakhopf._solves"}
 
 
 def test_only_exactlin_owns_the_rational_type():

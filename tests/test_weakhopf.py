@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from maschke_kit.exactlin import FieldSpec, Matrix, unit_vec, zero_vec
+from maschke_kit import weakhopf
+from maschke_kit.exactlin import (AffineSolution, FieldSpec, Matrix, Subspace, unit_vec,
+                                  vec_add, zero_vec)
 from maschke_kit.examples import (
     connected_groupoid,
     cyclic_group,
@@ -22,8 +24,12 @@ from maschke_kit.finalg import (
     AxiomReport,
     CoalgebraPresentation,
     InvalidPresentationError,
+    _balanced_system,
 )
 from maschke_kit.weakhopf import (
+    SIDES,
+    VARIANTS,
+    IntegralSolution,
     StructureDefectError,
     WeakHopfPresentation,
     base_algebra,
@@ -338,6 +344,29 @@ class TestOncePerPresentation:
         assert check_weak_bialgebra(bad) is check_weak_bialgebra(bad)
 
 
+class TestStoredSolutions:
+    def test_equal_arguments_return_the_same_record(self):
+        for w in (groupoid_algebra(pair_groupoid(2), QQ),
+                  group_algebra(cyclic_group(2), F2)):
+            for side in SIDES:
+                for variant in VARIANTS:
+                    for normalized in (True, False):
+                        sol = solve_integral(w, side, variant, normalized)
+                        assert solve_integral(w, side, variant, normalized) is sol
+                        co = solve_cointegral(w, side, variant, normalized)
+                        assert solve_cointegral(w, side, variant, normalized) is co
+            assert solve_integral(w, "left") is solve_integral(w, "left", "primed", 1)
+            assert solve_integral(w, "left", "primed", False) is not None
+
+    def test_bad_arguments_raise_on_every_call(self):
+        w = group_algebra(cyclic_group(2), QQ)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="side"):
+                solve_integral(w, "up")
+            with pytest.raises(ValueError, match="variant"):
+                solve_cointegral(w, "left", "plain")
+
+
 class TestIntegrals:
     def test_qc2_exact_value(self):
         sol = solve_integral(group_algebra(cyclic_group(2), QQ), "left", "primed")
@@ -459,8 +488,69 @@ class TestConversions:
 
     def test_bad_input_rejected(self):
         w = group_algebra(cyclic_group(2), QQ)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fails the primed integral conditions"):
             convert_integral(w, (1, 7), "left")
+
+    def test_bad_cointegral_input_rejected(self):
+        w = group_algebra(cyclic_group(2), QQ)
+        with pytest.raises(ValueError, match="fails the primed cointegral conditions"):
+            convert_cointegral(w, (1, 7), "left")
+
+    def test_input_without_a_primed_solution_rejected(self):
+        # no stored solution set: the rows are rebuilt once and refuse the input
+        w = group_algebra(cyclic_group(2), F2)
+        assert solve_integral(w, "left", "primed") is None
+        with pytest.raises(ValueError, match="fails the primed integral conditions"):
+            convert_integral(w, (1, 1), "left")
+        with pytest.raises(ValueError, match="candidate length mismatch"):
+            convert_integral(w, (1,), "left")
+
+    def test_conversions_build_no_system(self, monkeypatch):
+        # after the four primed and duoidal solves the conversions test
+        # membership in the stored solution sets and build no system
+        built = []
+
+        def counted(*args):
+            built.append(args[1])
+            return _balanced_system(*args)
+
+        monkeypatch.setattr(weakhopf, "_balanced_system", counted)
+        for field in (QQ, F3):
+            built.clear()
+            w = groupoid_algebra(pair_groupoid(2), field)
+            sols = {(side, variant): (solve_integral(w, side, variant),
+                                      solve_cointegral(w, side, variant))
+                    for side in SIDES for variant in VARIANTS}
+            assert len(built) == 8
+            built.clear()
+            outs = {}
+            for side in SIDES:
+                t, tau = sols[side, "primed"]
+                outs[side] = (convert_integral(w, t.element, side),
+                              convert_cointegral(w, tau.functional, side))
+            assert built == []
+            for side, (t, tau) in outs.items():
+                assert integral_system(w, side, "duoidal", True).satisfied_by(t)
+                assert cointegral_system(w, side, "duoidal", True).satisfied_by(tau)
+
+    def test_shrunken_stored_kernel_raises(self):
+        # t' = particular + kernel vector is a primed integral; a stored
+        # solution set that lost the kernel misses it, and the rebuilt rows
+        # accept it, so the eliminator is at fault
+        w = groupoid_algebra(pair_groupoid(2), QQ)
+        for side in SIDES:
+            sol = solve_integral(w, side, "primed")
+            kernel = sol.solutions.homogeneous
+            assert kernel.dim == 1
+            t = vec_add(QQ, sol.element, kernel.basis.row(0))
+            assert integral_system(w, side, "duoidal", True).satisfied_by(
+                convert_integral(w, t, side))
+            shrunk = IntegralSolution(side, "primed", True, AffineSolution(
+                sol.element, Subspace.zero(QQ, w.dim)))
+            object.__setattr__(w, f"_once__integral_solution_{side}_primed_True", shrunk)
+            assert solve_integral(w, side, "primed") is shrunk
+            with pytest.raises(ArithmeticError, match="missed a solution"):
+                convert_integral(w, t, side)
 
 
 class TestMaschkeReport:

@@ -4,7 +4,8 @@ Reports are JSON by default (deterministic up to the timing field) and embed
 solutions as coefficient lists over the labeled bases, so they can be
 re-verified against freshly rebuilt constraint systems.
 
-Exit codes: 0 command ran, 2 --assert mismatch, 3 invalid input, 4 usage error.
+Exit codes: 0 command ran, 2 --assert mismatch, 3 invalid input (an input
+too large for the available memory included), 4 usage error.
 """
 
 from __future__ import annotations
@@ -435,6 +436,11 @@ def main(argv=None) -> int:
     except (StructureFileError, InvalidPresentationError,
             weakhopf.StructureDefectError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        # the failed allocation's frames are gone by now, so printing works
+        print("out of memory: the input needs more memory than this process "
+              "may use", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -583,6 +583,39 @@ def quotient_space(ambient_dim: int, relations: Subspace) -> QuotientSpace:
 # sparse incremental eliminator
 
 
+def _reduce_on_arrival(f: FieldSpec, pivots: dict, row: dict, rhs):
+    """One forward-elimination step: reduce the sparse row (row, rhs) by the
+    pivot rows {column: (row, rhs)}, each scaled to 1 at its column.
+
+    A row with a column left is scaled to 1 at its least column, stored as
+    that column's pivot row, and None is returned; otherwise the reduced
+    right-hand side is returned (nonzero: the row is inconsistent).  row is
+    consumed.
+    """
+    sub, mul = f.sub, f.mul
+    while row:
+        c = min(row)
+        hit = pivots.get(c)
+        if hit is None:
+            s = f.inv(row.pop(c))
+            if s != 1:
+                row = {k: mul(s, v) for k, v in row.items()}
+                rhs = mul(s, rhs)
+            pivots[c] = (row, rhs)
+            return None
+        t = row.pop(c)
+        prow, prhs = hit
+        for k, v in prow.items():
+            nv = sub(row.get(k, 0), mul(t, v))
+            if nv == 0:
+                row.pop(k, None)
+            else:
+                row[k] = nv
+        if prhs != 0:
+            rhs = sub(rhs, mul(t, prhs))
+    return rhs
+
+
 class ConstraintSystem:
     """Accumulates sparse rows of one affine system and solves it exactly.
 
@@ -638,34 +671,12 @@ class ConstraintSystem:
     def _eliminate(self):
         """Forward elimination; returns pivot map or None when inconsistent."""
         f = self.field
-        sub, mul, inv = f.sub, f.mul, f.inv
+        sub, mul = f.sub, f.mul
         pivots: dict = {}
         for coeffs, rhs in self.rows:
-            row = dict(coeffs)
-            r = rhs
-            while row:
-                c = min(row)
-                hit = pivots.get(c)
-                if hit is None:
-                    s = inv(row.pop(c))
-                    if s != 1:
-                        row = {k: mul(s, v) for k, v in row.items()}
-                        r = mul(s, r)
-                    pivots[c] = (row, r)
-                    break
-                t = row.pop(c)
-                prow, prhs = hit
-                for k, v in prow.items():
-                    nv = sub(row.get(k, 0), mul(t, v))
-                    if nv == 0:
-                        row.pop(k, None)
-                    else:
-                        row[k] = nv
-                if prhs != 0:
-                    r = sub(r, mul(t, prhs))
-            else:
-                if r != 0:
-                    return None
+            rest = _reduce_on_arrival(f, pivots, dict(coeffs), rhs)
+            if rest is not None and rest != 0:
+                return None
         # back substitution: leave each pivot row supported on free columns only
         for c in sorted(pivots, reverse=True):
             row, rhs = pivots[c]

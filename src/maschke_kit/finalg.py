@@ -23,6 +23,7 @@ from .exactlin import (
     Frozen,
     Matrix,
     Tensor3,
+    _reduce_on_arrival,
     unit_vec,
     vec_is_zero,
 )
@@ -127,6 +128,65 @@ def _comult_by_source(c: CoalgebraPresentation) -> tuple:
 
 def _terms(vec) -> list:
     return [(a, c) for a, c in enumerate(vec) if c != 0]
+
+
+def _closure_generators(f: FieldSpec, prod: tuple, unit) -> tuple:
+    """Indices g, in basis order, of the e_g outside the subalgebra generated
+    by the unit and the e_h kept before g: a set that generates the algebra
+    with the product table prod (prod[i][j] = ((k, value), ...)).
+
+    The subalgebra is grown as a span closed under right multiplication by
+    every kept generator: each vector that enters the span is multiplied by
+    each generator, and each new generator multiplies every vector already in.
+    """
+    add, mul, zero = f.add, f.mul, f.zero()
+    n = len(prod)
+    pivots, span, gens = {}, [], []
+
+    def enters(vec: dict) -> bool:
+        if _reduce_on_arrival(f, pivots, dict(vec), zero) is not None:
+            return False
+        span.append(vec)
+        return True
+
+    def times(vec: dict, g: int) -> dict:
+        out = {}
+        for a, c in vec.items():
+            for k, t in prod[a][g]:
+                out[k] = add(out.get(k, zero), mul(c, t))
+        return {k: t for k, t in out.items() if t != 0}
+
+    enters(dict(_terms(unit)))
+    for g in range(n):
+        if len(pivots) == n:
+            break
+        if not enters({g: f.one()}):
+            continue
+        gens.append(g)
+        todo = [(vec, g) for vec in span[:-1]] + [(span[-1], h) for h in gens]
+        while todo:
+            vec, h = todo.pop()
+            product = times(vec, h)
+            if enters(product):
+                todo += [(product, k) for k in gens]
+    return tuple(gens)
+
+
+@_once
+def _generators(a: AlgebraPresentation) -> tuple:
+    """Basis indices whose elements generate the algebra (see
+    _closure_generators)."""
+    return _closure_generators(a.field, _sparse_products(a), a.unit)
+
+
+@_once
+def _dual_generators(c: CoalgebraPresentation) -> tuple:
+    """Basis indices whose dual elements generate the dual algebra,
+    e^p e^q = sum_i Delta_i^{pq} e^i with unit eps."""
+    prod = [[[] for _ in range(c.dim)] for _ in range(c.dim)]
+    for i, p, q, t in c.comult.nonzeros():
+        prod[p][q].append((i, t))
+    return _closure_generators(c.field, prod, c.counit)
 
 
 def _mult_cols(f: FieldSpec, prod: tuple, terms, u_first: bool, cols=None) -> list:
@@ -404,9 +464,9 @@ def _add_to(row: dict, var: int, value, f: FieldSpec):
 
 
 def _balanced_system(f: FieldSpec, nvars: int, norm, rhs, products) -> ConstraintSystem:
-    """Rows of a balanced element x: g x = x g for every basis element g, and
-    a normalization, from the terms that each solver supplies.  Every system
-    of the package is built here.
+    """Rows of a balanced element x: g x = x g for every g that the terms
+    supply, and a normalization, from the terms that each solver supplies.
+    Every system of the package is built here.
 
     ``products`` yields (side, g, out, var, t): t times unknown var at
     coordinate out of the product with g on side 0 or 1.  ``norm`` yields
@@ -475,15 +535,21 @@ def _table_matrix(f: FieldSpec, table: dict, rows: int, cols: int) -> Matrix:
     return Matrix(f, rows, cols, tuple(entries))
 
 
-def _separability_terms(n: int, mult, unit):
+def _separability_terms(n: int, mult, unit, gens=None):
     """(norm, rhs, products) of mu(e) = 1 and g e = e g, for the algebra with
     the product terms mult, (i, j, m, t) for t e_m in e_i e_j, and e[k*n + l]
-    the coefficient of b_k (x) b_l."""
+    the coefficient of b_k (x) b_l.  The products are those of the basis
+    elements g in gens, or of every basis element when gens is None."""
+    keep = [gens is None or g in gens for g in range(n)]
+
     def products():
         for i, j, m, t in mult:
-            for x in range(n):
-                yield 0, i, m * n + x, j * n + x, t
-                yield 1, j, x * n + m, x * n + i, t
+            if keep[i]:
+                for x in range(n):
+                    yield 0, i, m * n + x, j * n + x, t
+            if keep[j]:
+                for x in range(n):
+                    yield 1, j, x * n + m, x * n + i, t
 
     return [(m, i * n + j, t) for i, j, m, t in mult], unit, products()
 
@@ -492,17 +558,30 @@ def separability_system(a: AlgebraPresentation) -> ConstraintSystem:
     """Constraint rows for a separability element e of the algebra.
 
     Unknowns: the coefficients of e = sum e[k,l] b_k (x) b_l, variable index
-    k*n + l.  Rows: mu(e) = 1, and g e = e g in A (x) A for every basis
-    element g.  A bimodule section N of the multiplication is fixed by
-    e = N(1), and every solution e gives the section N(x) = x e, so the
-    solutions correspond one to one with the sections.
+    k*n + l.  Rows: mu(e) = 1, and g e = e g in A (x) A for the basis
+    elements g of _generators(a), which generate A as an algebra.  That is
+    enough: in an A-bimodule M the a with a m = m a form a subalgebra
+    (Pierce, Associative Algebras, 1982, ch. 10), so an e that commutes with
+    the generators commutes with every basis element, and the solution set
+    is that of the rows for the whole basis.  A bimodule section N of the
+    multiplication is fixed by e = N(1), and every solution e gives the
+    section N(x) = x e, so the solutions correspond one to one with the
+    sections.
     """
-    return _balanced_system(a.field, a.dim ** 2,
-                            *_separability_terms(a.dim, a.mult.nonzeros(), a.unit))
+    return _balanced_system(a.field, a.dim ** 2, *_separability_terms(
+        a.dim, a.mult.nonzeros(), a.unit, _generators(a)))
 
 
 def solve_separability(a: AlgebraPresentation):
-    """A verified SeparabilitySection, or None when the system is infeasible."""
+    """A verified SeparabilitySection, or None when the system is infeasible.
+
+    The system has rows for the generators only (a subset of the rows for
+    the whole basis), so no solution of it means none at all; a solution is
+    certified against every basis element by _balanced_certificate on the
+    full terms.  A set that does not generate can therefore only end in
+    ArithmeticError, never in a wrong verdict.  The kernel of the system is
+    certified against its own rows only, and no output reads it.
+    """
     report = check_algebra(a)
     if not report.ok():
         raise InvalidPresentationError(report, "algebra")
@@ -517,29 +596,36 @@ def solve_separability(a: AlgebraPresentation):
     return SeparabilitySection(section, sol.particular)
 
 
-def _dual_terms(c: CoalgebraPresentation):
+def _dual_terms(c: CoalgebraPresentation, gens=None):
     """The separability terms of the dual algebra, e^p e^q = sum_i
     Delta_i^{pq} e^i with unit eps: sigma is its separability element."""
     return _separability_terms(
-        c.dim, [(p, q, i, t) for i, p, q, t in c.comult.nonzeros()], c.counit)
+        c.dim, [(p, q, i, t) for i, p, q, t in c.comult.nonzeros()], c.counit, gens)
 
 
 def coseparability_system(c: CoalgebraPresentation) -> ConstraintSystem:
     """Constraint rows for a coseparability functional sigma: C (x) C -> k.
 
     Unknowns: sigma[p, q] = sigma(b_p (x) b_q), variable index p*n + q.
-    Rows: sigma . delta = eps, and c1 sigma(c2 (x) d) = sigma(c (x) d1) d2
-    for all basis elements c, d.  A bicomodule retraction P of the
-    comultiplication is fixed by sigma = eps . P, and every solution sigma
-    gives the retraction P(c (x) d) = c1 sigma(c2 (x) d) (Larson, 1973), so
-    the solutions correspond one to one with the retractions.  These are the
-    separability rows of the dual algebra, and P is the dual of its section.
+    Rows: sigma . delta = eps, and c1 sigma(c2 (x) d) = sigma(c (x) d1) d2.
+    A bicomodule retraction P of the comultiplication is fixed by
+    sigma = eps . P, and every solution sigma gives the retraction
+    P(c (x) d) = c1 sigma(c2 (x) d) (Larson, 1973), so the solutions
+    correspond one to one with the retractions.  These are the separability
+    rows of the dual algebra, and P is the dual of its section; as in
+    separability_system, the balance rows are those of the generators of the
+    dual algebra, _dual_generators(c), and they have the solution set of the
+    rows for every basis element.
     """
-    return _balanced_system(c.field, c.dim ** 2, *_dual_terms(c))
+    return _balanced_system(c.field, c.dim ** 2, *_dual_terms(c, _dual_generators(c)))
 
 
 def solve_coseparability(c: CoalgebraPresentation):
-    """A verified CoseparabilityRetraction, or None when infeasible."""
+    """A verified CoseparabilityRetraction, or None when infeasible.
+
+    Certified on the full terms of the dual algebra, as in
+    solve_separability; the kernel of the system feeds no output.
+    """
     report = check_coalgebra(c)
     if not report.ok():
         raise InvalidPresentationError(report, "coalgebra")

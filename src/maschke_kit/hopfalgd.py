@@ -36,6 +36,7 @@ from .finalg import (
     _balanced_certificate,
     _balanced_system,
     _convolution,
+    _generators,
     _mult_cols,
     _nonzero_entries,
     _once,
@@ -471,12 +472,14 @@ def solve_cointegral_hgd(h: HopfAlgebroidPresentation, side: str,
     return HgdCointegral(nu, sol)
 
 
-def _bullet_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
+def _bullet_terms(h: HopfAlgebroidPresentation, q: QuotientSpace, gens=None):
     """The separability terms of the total algebra through the bullet
     quotient: e in quotient coordinates, the rp-th of them the ambient
-    coordinate q.free[rp], and g e and e g projected."""
+    coordinate q.free[rp], and g e and e g projected, for g in gens (every
+    basis element when gens is None)."""
     f, n = h.field, h.total.dim
-    norm, rhs, products = _separability_terms(n, h.total.mult.nonzeros(), h.total.unit)
+    norm, rhs, products = _separability_terms(n, h.total.mult.nonzeros(), h.total.unit,
+                                              gens)
     coord = {c: rp for rp, c in enumerate(q.free)}
     pcols = _sparse_cols(q.projection)
     return ([(out, coord[var], t) for out, var, t in norm if var in coord], rhs,
@@ -489,18 +492,26 @@ def separability_system_hgd(h: HopfAlgebroidPresentation,
     """Rows for a separability element e of the bullet product.
 
     Unknowns: the q.dim quotient coordinates of e.  Rows: mu(e) = 1, and
-    g e = e g through the quotient for every basis element g.  Source and
-    target land in the center, so both actions descend to the quotient; a
-    bimodule section N of the multiplication is fixed by e = N(1), and every
-    solution gives the section N(x) = x e, so the solutions correspond one to
-    one with the sections.
+    g e = e g through the quotient for the generators g of the total
+    algebra, _generators(h.total).  Source and target land in the center, so
+    both actions descend to the quotient, which is then a bimodule over the
+    total algebra; the a with a e = e a form a subalgebra of it, so these rows
+    have the solution set of the rows for every basis element (see
+    finalg.separability_system).  A bimodule section N of the multiplication
+    is fixed by e = N(1), and every solution gives the section N(x) = x e, so
+    the solutions correspond one to one with the sections.
     """
-    return _balanced_system(h.field, q.dim, *_bullet_terms(h, q))
+    return _balanced_system(h.field, q.dim, *_bullet_terms(h, q, _generators(h.total)))
 
 
 def solve_separability_hgd(h: HopfAlgebroidPresentation):
     """A verified bimodule section of the multiplication over the bullet
-    product, or None when infeasible."""
+    product, or None when infeasible.
+
+    Certified on the full terms, every basis element of the total algebra,
+    as in finalg.solve_separability; the kernel of the system feeds no
+    output.
+    """
     _require_valid(h)
     q = tensor_over_R(h, BULLET)
     sol = separability_system_hgd(h, q).solve()

@@ -4,9 +4,11 @@ Kronecker products, the flip of a tensor product, kernels and affine solves
 of dense matrices, the rows of a matrix added to a constraint system, the
 rows of a system as a multiset, a matrix as nested rows, the zero test, the
 projection of one vector to a quotient and the quotient's section, the unit,
-comultiplication and counit of a presentation as matrices, and a change of
-basis.  The package builds every map from structure constants; the tests
-compose the same maps from these dense pieces and compare.
+comultiplication and counit of a presentation as matrices, a change of
+basis, the dual algebra of a coalgebra, and the dimension of the subalgebra
+that some basis elements generate.  The package builds every map from
+structure constants; the tests compose the same maps from these dense pieces
+and compare.
 """
 
 import random
@@ -149,3 +151,62 @@ def rebased(w, seed):
                                       p.transpose().apply(w.coalgebra.counit))
     antipode = None if w.antipode is None else q @ w.antipode @ p
     return WeakHopfPresentation(algebra, coalgebra, antipode)
+
+
+def dual_algebra(c) -> AlgebraPresentation:
+    """The algebra dual to a coalgebra presentation: e^p e^q = sum_i
+    Delta_i^{pq} e^i, with unit eps."""
+    f, n = c.field, c.dim
+    mult = [f.zero()] * n ** 3
+    for i, p, q, t in c.comult.nonzeros():
+        mult[(p * n + q) * n + i] = t
+    return AlgebraPresentation(f, n, tuple(f"b{i}" for i in range(n)),
+                               Tensor3(f, n, n, n, tuple(mult)), c.counit)
+
+
+def dense_rank(field: FieldSpec, rows) -> int:
+    """Rank of dense rows by Gaussian elimination on lists, without the
+    package's eliminator."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        hit = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        inv = field.inv(rows[rank][col])
+        for r in range(rank + 1, len(rows)):
+            c = field.mul(rows[r][col], inv)
+            if c != 0:
+                rows[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def generated_dim(a, gens) -> int:
+    """Dimension of the subalgebra of a generated by the basis elements
+    e_g, g in gens: words in them, from the unit, multiplied out with the
+    dense product tensor until no product raises the rank."""
+    f, n = a.field, a.dim
+
+    def times(u, g):
+        out = [f.zero()] * n
+        for i in range(n):
+            if u[i] != 0:
+                for k in range(n):
+                    out[k] = f.add(out[k], f.mul(u[i], a.mult.at(i, g, k)))
+        return tuple(out)
+
+    words = [tuple(a.unit)]
+    rank = dense_rank(f, words)
+    grown = True
+    while grown:
+        grown = False
+        for u in list(words):
+            for g in gens:
+                w = times(u, g)
+                if dense_rank(f, words + [w]) > rank:
+                    words.append(w)
+                    rank += 1
+                    grown = True
+    return rank

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import maschke_kit
-from maschke_kit import weakhopf
+from maschke_kit import finalg, weakhopf
 from maschke_kit.cli import main
 from maschke_kit.examples import (
     MAX_GENERATED_ORDER,
@@ -324,6 +324,34 @@ class TestCommands:
         report = json.loads(open(f"{cubed}.validate").read())
         assert "total.dim: dimension 17 is above the algebroid limit" in \
             report["failures"][0]
+
+    def test_cap_sized_group_algebra_solves_under_the_memory_cap(self, tmp_path):
+        # kC64 is at the dimension cap; with separability rows for its one
+        # generator the 4096-unknown systems fit in 256 MB
+        path = gen(tmp_path, "c64.json", "group-algebra", "--group",
+                   f"C{MAX_GENERATED_ORDER}", "--field", "Fp:5")
+        outs = [tmp_path / f"{command}.json" for command in ("separability", "maschke")]
+        results, err = run_capped(*[[out.stem, "--structure", str(path), "--out", str(out)]
+                                    for out in outs])
+        assert [code for code, _ in results] == [0, 0], err
+        assert "Traceback" not in err
+        separability, maschke = (json.loads(out.read_text()) for out in outs)
+        assert separability["feasible"] is True
+        assert maschke["separability"] is True and maschke["coseparability"] is True
+        assert maschke["verdict"] == "pass"
+
+    def test_out_of_memory_exits_three(self, tmp_path, monkeypatch, capsys):
+        path = gen(tmp_path, "c2.json", "group-algebra", "--group", "C2",
+                   "--field", "Q")
+
+        def exhausted(a):
+            raise MemoryError
+
+        monkeypatch.setattr(finalg, "solve_separability", exhausted)
+        capsys.readouterr()
+        assert main(["separability", "--structure", str(path)]) == 3
+        assert capsys.readouterr().err == \
+            "out of memory: the input needs more memory than this process may use\n"
 
     def test_hopfcat_antipode_naming_missing_hom_exits_three(self, tmp_path, capsys):
         path = gen(tmp_path, "hc.json", "hopf-category", "--groupoid", "pair:2",

@@ -9,6 +9,7 @@ import maschke_kit
 from maschke_kit import finalg
 from maschke_kit.examples import (
     cyclic_group,
+    dihedral_group,
     disjoint_union,
     dual_group_algebra,
     group_algebra,
@@ -32,11 +33,13 @@ from maschke_kit.finalg import (
     solve_separability,
 )
 
-from denselin import comult_matrix, kron, to_rows
+from denselin import comult_matrix, dual_algebra, generated_dim, kron, rebased, to_rows
+from test_acceptance import FIELDS, weak_hopf_corpus
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
 F3 = FieldSpec.gf(3)
+F5 = FieldSpec.gf(5)
 
 
 def c2_algebra(field):
@@ -443,16 +446,109 @@ class TestReducedSystemsMatchOracles:
         assert cases > 64
 
 
+def full_separability_system(a) -> ConstraintSystem:
+    """separability_system with the rows of every basis element."""
+    return finalg._balanced_system(a.field, a.dim ** 2, *finalg._separability_terms(
+        a.dim, a.mult.nonzeros(), a.unit))
+
+
+def full_coseparability_system(c) -> ConstraintSystem:
+    """coseparability_system with the rows of every basis element."""
+    return finalg._balanced_system(c.field, c.dim ** 2, *finalg._dual_terms(c))
+
+
+def generator_corpus():
+    """The criterion-04 corpus over Q, F2, F3 and F5, and presentations in a
+    basis whose structure constants are not 0 and 1."""
+    for field in FIELDS:
+        yield from weak_hopf_corpus(field)
+    for field in (QQ, F5):
+        for seed in (1, 2):
+            yield rebased(group_algebra(symmetric_group_s3(), field), seed)
+            yield rebased(groupoid_algebra(pair_groupoid(2), field), seed)
+            yield rebased(dual_group_algebra(cyclic_group(3), field), seed)
+
+
+class TestGenerators:
+    def test_counts(self):
+        assert finalg._generators(group_algebra(cyclic_group(12), QQ).algebra) == (1,)
+        assert len(finalg._generators(group_algebra(dihedral_group(6), QQ).algebra)) == 2
+        dual = dual_group_algebra(cyclic_group(12), QQ)
+        assert len(finalg._dual_generators(dual.coalgebra)) == 1
+        # the idempotent basis of k^C12: each e_g but the last is new
+        assert finalg._generators(dual.algebra) == tuple(range(11))
+
+    def test_stored_once_per_presentation(self):
+        w = group_algebra(symmetric_group_s3(), F3)
+        gens = finalg._generators(w.algebra)
+        assert type(gens) is tuple and finalg._generators(w.algebra) is gens
+        dual = finalg._dual_generators(w.coalgebra)
+        assert type(dual) is tuple and finalg._dual_generators(w.coalgebra) is dual
+
+    def test_each_set_generates_and_each_generator_is_new(self):
+        cases = 0
+        for w in generator_corpus():
+            for alg, gens in ((w.algebra, finalg._generators(w.algebra)),
+                              (dual_algebra(w.coalgebra),
+                               finalg._dual_generators(w.coalgebra))):
+                assert generated_dim(alg, gens) == alg.dim
+                # e_g is outside the subalgebra of the generators before it
+                for k, g in enumerate(gens):
+                    assert generated_dim(alg, gens[:k] + (g,)) > generated_dim(alg, gens[:k])
+            cases += 1
+        assert cases == 4 * 18 + 12
+
+    def test_generator_rows_solve_like_all_rows(self):
+        # equal solution sets: the same particular solution and kernel basis
+        feasible = infeasible = 0
+        for w in generator_corpus():
+            for reduced, full in (
+                    (separability_system(w.algebra), full_separability_system(w.algebra)),
+                    (coseparability_system(w.coalgebra),
+                     full_coseparability_system(w.coalgebra))):
+                assert len(reduced.rows) <= len(full.rows)
+                got, want = reduced.solve(), full.solve()
+                assert got == want
+                feasible += got is not None
+                infeasible += got is None
+        assert feasible and infeasible
+
+
 UNVERIFIED_SOLVE = """
 from maschke_kit import exactlin, finalg, hopfalgd, hopfcat
 from maschke_kit.exactlin import ConstraintSystem, FieldSpec
-from maschke_kit.examples import (base_by_name, cyclic_group, group_algebra,
-                                  groupoid_by_name, hopf_category_from_groupoid,
-                                  pair_hopf_algebroid)
+from maschke_kit.examples import (base_by_name, cyclic_group, dual_group_algebra,
+                                  group_algebra, groupoid_by_name,
+                                  hopf_category_from_groupoid, pair_hopf_algebroid)
+
+from denselin import comult_matrix, counit_matrix, unit_matrix
 
 assert False, "assert statements must be stripped in this run"
 Q = FieldSpec.rationals()
 w = group_algebra(cyclic_group(2), Q)
+# generators that generate nothing: only the normalization rows are left, and
+# the certificate on the whole basis must refuse their solution.  kC2 over F2
+# is infeasible with the true generators, and no longer a verdict without them
+kc2_f2 = group_algebra(cyclic_group(2), FieldSpec.gf(2)).algebra
+print(finalg.solve_separability(kc2_f2))
+generators = finalg._generators, finalg._dual_generators, hopfalgd._generators
+finalg._generators = finalg._dual_generators = hopfalgd._generators = lambda a: ()
+for solve, arg in ((finalg.solve_separability, w.algebra),
+                   # the dual algebra of the coalgebra of k^C2 is kC2
+                   (finalg.solve_coseparability,
+                    dual_group_algebra(cyclic_group(2), Q).coalgebra),
+                   # kC2 as a Hopf algebroid over k
+                   (hopfalgd.solve_separability_hgd, hopfalgd.HopfAlgebroidPresentation(
+                       base_by_name("k", Q), w.algebra, unit_matrix(w.algebra),
+                       unit_matrix(w.algebra), comult_matrix(w.coalgebra),
+                       counit_matrix(w.coalgebra), w.antipode)),
+                   (finalg.solve_separability, kc2_f2)):
+    try:
+        solve(arg)
+        print("unverified result returned")
+    except ArithmeticError:
+        print("ArithmeticError")
+finalg._generators, finalg._dual_generators, hopfalgd._generators = generators
 # systems without rows: the zero solution solves them, but is no section,
 # retraction, separability element, coseparability functional or normalized
 # integral
@@ -495,8 +591,8 @@ except ArithmeticError:
 
 def test_unverified_solutions_raise_under_optimization():
     src = os.path.dirname(os.path.dirname(maschke_kit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, os.path.dirname(__file__))))
     run = subprocess.run([sys.executable, "-O", "-c", UNVERIFIED_SOLVE],
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["ArithmeticError"] * 7
+    assert run.stdout.split() == ["None"] + ["ArithmeticError"] * 11

@@ -8,8 +8,8 @@ from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, QuotientS
                                    Subspace, Tensor3, membership, quotient_space,
                                    unit_vec, vec_sub)
 from maschke_kit.finalg import (AlgebraPresentation, AxiomFailure, AxiomReport,
-                                InvalidPresentationError, _add_to, _sparse_cols,
-                                _sparse_products, check_algebra)
+                                InvalidPresentationError, _add_to, _balanced_system,
+                                _generators, _sparse_cols, _sparse_products, check_algebra)
 from maschke_kit.examples import (
     cyclic_group,
     dual_group_algebra,
@@ -45,8 +45,8 @@ from maschke_kit.hopfalgd import (
     tensor_over_R,
 )
 
-from denselin import (add_matrix_rows, comult_matrix, counit_matrix, kron, project, rebased,
-                      row_multiset, section, to_rows, unit_matrix)
+from denselin import (add_matrix_rows, comult_matrix, counit_matrix, generated_dim, kron,
+                      project, rebased, row_multiset, section, to_rows, unit_matrix)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -1023,6 +1023,27 @@ class TestSeparability:
         with pytest.raises(ArithmeticError, match="commute"):
             solve_separability_hgd(
                 hopf_algebra_as_algebroid(group_algebra(cyclic_group(2), QQ)))
+
+    def test_generator_rows_solve_like_all_rows(self):
+        # source and target are central, so the bullet quotient is a bimodule
+        # over the total algebra and the rows of its generators have the
+        # solution set of the rows of every basis element: the same particular
+        # solution and kernel basis
+        cases = 0
+        for field in (QQ, F2, F3, F5):
+            for mk in BASES:
+                h = pair_hopf_algebroid(mk(field))
+                lifts = [] if mk is ground_field_algebra else \
+                    [perturbed_lift(h, trial) for trial in range(2)]
+                for g in [h, *lifts]:
+                    assert generated_dim(g.total, _generators(g.total)) == g.total.dim
+                    q = tensor_over_R(g, BULLET)
+                    reduced = separability_system_hgd(g, q)
+                    full = _balanced_system(g.field, q.dim, *hopfalgd._bullet_terms(g, q))
+                    assert len(reduced.rows) <= len(full.rows)
+                    assert reduced.solve() == full.solve() is not None
+                    cases += 1
+        assert cases == 4 * 7
 
     def test_pair_algebroid_always_separable_over_bullet(self):
         # includes the non-semisimple total algebra over the dual numbers

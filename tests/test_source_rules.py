@@ -114,6 +114,31 @@ def test_solutions_are_checked_by_membership_not_by_rebuilt_rows():
     assert {site for site in sites if not site.startswith("exactlin.")} == {"weakhopf._solves"}
 
 
+def _named(*names):
+    """A callee test for calls of any of names, bare or as an attribute."""
+    return lambda f: (isinstance(f, ast.Name) and f.id in names) or \
+        (isinstance(f, ast.Attribute) and f.attr in names)
+
+
+def test_generator_rows_stay_in_the_system_builders():
+    # the separability systems have rows for algebra generators only, and the
+    # certificates check every basis element: only the three builders ask for
+    # generators, so _balanced_certificate never sees filtered terms
+    assert _call_sites(_named("_generators", "_dual_generators")) == {
+        "finalg.separability_system", "finalg.coseparability_system",
+        "hopfalgd.separability_system_hgd"}
+
+
+def test_row_reduction_lives_in_exactlin():
+    # one eliminator: a pivot row is scaled by a field inverse only in
+    # exactlin, and the generator closure reduces through exactlin's one
+    # forward-reduction step
+    inverses = _call_sites(_named("inv"))
+    assert inverses and {site.split(".")[0] for site in inverses} == {"exactlin"}
+    assert _call_sites(_named("_reduce_on_arrival")) == {
+        "exactlin.ConstraintSystem._eliminate", "finalg._closure_generators.enters"}
+
+
 def test_only_exactlin_owns_the_rational_type():
     # FieldSpec alone decides how a Q scalar is held (an int when integral,
     # otherwise a Fraction in lowest terms), so no other module may build one

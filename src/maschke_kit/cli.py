@@ -6,12 +6,16 @@ re-verified against freshly rebuilt constraint systems.
 
 Exit codes: 0 command ran, 2 --assert mismatch, 3 invalid input (an input
 too large for the available memory included), 4 usage error.
+
+The argv is read against one table of flags per command (``COMMANDS``) by a
+small parser with argparse's rules, so a one-shot process does not import
+argparse or build a parser tree.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
 
@@ -40,11 +44,6 @@ EXIT_USAGE = 4
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 def parse_field_flag(text: str) -> FieldSpec:
@@ -86,20 +85,20 @@ def _hopfcat_table_doc(field, h, table):
 
 
 def _run_integrals(presentation, kind, args, report):
-    side = args.side
+    side = args["side"]
     report["side"] = side
     f = presentation_field(presentation)
     if kind == "weakhopf":
-        report["variant"] = args.variant
-        report["normalized"] = args.normalized
-        sol = weakhopf.solve_integral(presentation, side, args.variant,
-                                      args.normalized)
+        report["variant"] = args["variant"]
+        report["normalized"] = args["normalized"]
+        sol = weakhopf.solve_integral(presentation, side, args["variant"],
+                                      args["normalized"])
         report["feasible"] = sol is not None
         if sol is not None:
             report.update(_affine_doc(f, list(presentation.labels), sol.solutions))
     elif kind == "algebroid":
-        report["normalized"] = args.normalized
-        sol = hopfalgd.solve_integral_hgd(presentation, side, args.normalized)
+        report["normalized"] = args["normalized"]
+        sol = hopfalgd.solve_integral_hgd(presentation, side, args["normalized"])
         report["feasible"] = sol is not None
         if sol is not None:
             report.update(_affine_doc(f, list(presentation.total.labels),
@@ -115,20 +114,20 @@ def _run_integrals(presentation, kind, args, report):
 
 
 def _run_cointegrals(presentation, kind, args, report):
-    side = args.side
+    side = args["side"]
     report["side"] = side
     f = presentation_field(presentation)
     if kind == "weakhopf":
-        report["variant"] = args.variant
-        report["normalized"] = args.normalized
-        sol = weakhopf.solve_cointegral(presentation, side, args.variant,
-                                        args.normalized)
+        report["variant"] = args["variant"]
+        report["normalized"] = args["normalized"]
+        sol = weakhopf.solve_cointegral(presentation, side, args["variant"],
+                                        args["normalized"])
         report["feasible"] = sol is not None
         if sol is not None:
             report.update(_affine_doc(f, list(presentation.labels), sol.solutions))
     elif kind == "algebroid":
-        report["normalized"] = args.normalized
-        sol = hopfalgd.solve_cointegral_hgd(presentation, side, args.normalized)
+        report["normalized"] = args["normalized"]
+        sol = hopfalgd.solve_cointegral_hgd(presentation, side, args["normalized"])
         report["feasible"] = sol is not None
         if sol is not None:
             doc = _affine_doc(f, None, sol.solutions)
@@ -290,99 +289,248 @@ def _render_text(report) -> str:
 
 def _emit_report(report, args):
     report["timing_ms"] = int((time.monotonic() - report.pop("_t0")) * 1000)
-    if getattr(args, "format", "json") == "text":
+    if args["format"] == "text":
         text = _render_text(report)
     else:
         text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-    _emit(text, getattr(args, "out", None))
+    _emit(text, args["out"])
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="maschke-kit",
-                     description="Exact feasibility solvers for integrals, "
-                                 "cointegrals and (co)separability structures")
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = ("Exact feasibility solvers for integrals, cointegrals and "
+               "(co)separability structures")
 
-    def add_common(p, side=False, variant=False, normalized=False, assert_=True):
-        p.add_argument("--structure", required=True, help="structure file path")
-        if side:
-            p.add_argument("--side", choices=("left", "right"), required=True)
-        if variant:
-            p.add_argument("--variant", choices=("primed", "duoidal"),
-                           default="primed")
-        if normalized:
-            p.add_argument("--normalized", action="store_true",
-                           help="add the normalization rows")
-        if assert_:
-            p.add_argument("--assert", dest="assertion",
-                           choices=("feasible", "infeasible"),
-                           help="exit 2 unless the verdict matches")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", default="-", help="report destination (- = stdout)")
+# A command's flags: flag -> (dest, choices, default, required, help).  A flag
+# whose choices are None takes any value; a SWITCH takes none and stores True.
+SWITCH = "switch"
 
-    add_common(sub.add_parser("validate", help="run every axiom check"),
-               assert_=False)
-    add_common(sub.add_parser("integrals", help="solve the integral conditions"),
-               side=True, variant=True, normalized=True)
-    add_common(sub.add_parser("cointegrals", help="solve the cointegral conditions"),
-               side=True, variant=True, normalized=True)
-    add_common(sub.add_parser("separability", help="solve for a bimodule section"))
-    add_common(sub.add_parser("coseparability",
-                              help="solve for a bicomodule retraction"))
-    add_common(sub.add_parser("maschke",
-                              help="run all solvers and certify the equivalences"),
-               assert_=False)
+_STRUCTURE = {"--structure": ("structure", None, None, True, "structure file path")}
+_SOLVER = {
+    "--side": ("side", ("left", "right"), None, True, "side of the (co)integral"),
+    "--variant": ("variant", ("primed", "duoidal"), "primed", False,
+                  "weak Hopf (co)integral variant"),
+    "--normalized": ("normalized", SWITCH, False, False, "add the normalization rows"),
+}
+_ASSERT = {"--assert": ("assertion", ("feasible", "infeasible"), None, False,
+                        "exit 2 unless the verdict matches")}
+_REPORT = {"--format": ("format", ("json", "text"), "json", False, "report format"),
+           "--out": ("out", None, "-", False, "report destination (- = stdout)")}
+_HELP = {flag: ("help", SWITCH, False, False, "print this text and exit")
+         for flag in ("-h", "--help")}
 
-    gen = sub.add_parser("generate", help="emit a canonical structure file")
-    gen.add_argument("family", choices=sorted(GENERATORS))
-    gen.add_argument("--group", help="group name (C<n>, K4, S3, D<n>)")
-    gen.add_argument("--groupoid",
-                     help="groupoid name (pair:<n>, one:<g>, sum:<g>,<g>, conn:<g>:<n>)")
-    gen.add_argument("--base", help="base algebra name (k, dual, kxk)")
-    gen.add_argument("--field", help="Q or Fp:<p>")
-    gen.add_argument("--out", default="-")
-    return parser
+COMMANDS = {
+    "validate": ("run every axiom check", {**_STRUCTURE, **_REPORT}),
+    "integrals": ("solve the integral conditions",
+                  {**_STRUCTURE, **_SOLVER, **_ASSERT, **_REPORT}),
+    "cointegrals": ("solve the cointegral conditions",
+                    {**_STRUCTURE, **_SOLVER, **_ASSERT, **_REPORT}),
+    "separability": ("solve for a bimodule section",
+                     {**_STRUCTURE, **_ASSERT, **_REPORT}),
+    "coseparability": ("solve for a bicomodule retraction",
+                       {**_STRUCTURE, **_ASSERT, **_REPORT}),
+    "maschke": ("run all solvers and certify the equivalences",
+                {**_STRUCTURE, **_REPORT}),
+    "generate": ("emit a canonical structure file", {
+        "--group": ("group", None, None, False, "group name (C<n>, K4, S3, D<n>)"),
+        "--groupoid": ("groupoid", None, None, False,
+                       "groupoid name (pair:<n>, one:<g>, sum:<g>,<g>, conn:<g>:<n>)"),
+        "--base": ("base", None, None, False, "base algebra name (k, dual, kxk)"),
+        "--field": ("field", None, None, False, "Q or Fp:<p>"),
+        "--out": ("out", None, "-", False, "structure file destination (- = stdout)"),
+    }),
+}
+# command -> (dest, choices) of its one positional argument
+POSITIONALS = {"generate": ("family", tuple(sorted(GENERATORS)))}
+
+# argparse reads these as values, not as flags, when no flag looks like a number
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _resolve(token: str, flags: dict):
+    """(flag, the value after '=' or None) of a flag token, or (None, None)
+    when token names no flag.  A long flag may be cut to a unique prefix."""
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    value = value if eq else None
+    if eq and name in flags:
+        return name, value
+    if name.startswith("--"):
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous flag {name} (could be {', '.join(matches)})")
+        if matches:
+            return matches[0], value
+    return None, None
+
+
+def _is_value(token: str, flags: dict) -> bool:
+    """Whether argparse would read token as a value rather than as a flag."""
+    if token[:1] != "-" or token == "-":
+        return True
+    if token == "--" or _resolve(token, flags)[0] is not None:
+        return False
+    return bool(_NEGATIVE_NUMBER.match(token)) or " " in token
+
+
+def _check_choice(name: str, value: str, choices):
+    if value not in choices:
+        raise UsageError(f"{name}: invalid choice {value!r} "
+                         f"(choose from {', '.join(choices)})")
+
+
+def parse_argv(argv) -> dict | None:
+    """The options of one invocation, {"command": name, dest: value, ...} with
+    a default for every flag not given, or None when it asks for help.
+
+    The rules are argparse's: ``--flag value`` or ``--flag=value``, a unique
+    prefix for a long flag, the last of a repeated flag wins, ``-`` and
+    negative numbers are values, ``--`` ends the flags, and an unknown flag or
+    an extra argument is refused only once the rest has been read.  Raises
+    UsageError.
+    """
+    unknown = []
+    for i, token in enumerate(argv):
+        if token == "--" or _is_value(token, _HELP):
+            _check_choice("command", token, COMMANDS)
+            return _parse_command(token, argv[i + 1:], unknown)
+        flag, value = _resolve(token, _HELP)
+        if flag is None:
+            unknown.append(token)
+        elif value is not None:
+            raise UsageError(f"{flag} takes no value")
+        else:
+            return None
+    raise UsageError(f"missing command (choose from {', '.join(COMMANDS)})")
+
+
+def _parse_command(command: str, tokens, unknown: list) -> dict | None:
+    flags = COMMANDS[command][1]
+    lookup = {**flags, **_HELP}
+    positional = POSITIONALS.get(command)
+    # Every token after the first "--" is a value.  The "--" itself is
+    # absorbed next to the positional argument and is extra anywhere else.
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    absorbed = end == len(tokens)
+    # every token is classified before any is read, as argparse does, so an
+    # ambiguous flag is refused wherever it stands
+    is_value = [i > end or (i < end and _is_value(token, lookup))
+                for i, token in enumerate(tokens)]
+    options = {"command": command}
+    options.update((spec[0], spec[2]) for spec in flags.values())
+    given = set()
+    i = 0
+    while i < len(tokens):
+        pos, token = i, tokens[i]
+        i += 1
+        if pos == end:
+            continue
+        if is_value[pos]:
+            if positional is None or positional[0] in given:
+                unknown.append(token)
+                continue
+            _check_choice(positional[0], token, positional[1])
+            options[positional[0]] = token
+            given.add(positional[0])
+            absorbed = absorbed or end in (pos - 1, pos + 1)
+            continue
+        flag, value = _resolve(token, lookup)
+        if flag is None:
+            unknown.append(token)
+            continue
+        dest, choices = lookup[flag][:2]
+        if choices is SWITCH:
+            if value is not None:
+                raise UsageError(f"{flag} takes no value")
+            if flag in _HELP:
+                return None
+            options[dest] = True
+            continue
+        if value is None:
+            if i == len(tokens) or not is_value[i]:
+                raise UsageError(f"{flag} needs a value")
+            value = tokens[i]
+            i += 1
+        if choices is not None:
+            _check_choice(flag, value, choices)
+        options[dest] = value
+        given.add(flag)
+    missing = [flag for flag, spec in flags.items() if spec[3] and flag not in given]
+    if positional is not None and positional[0] not in given:
+        missing.append(positional[0])
+    if missing:
+        raise UsageError(f"{command} needs {', '.join(missing)}")
+    if not absorbed:
+        unknown.append("--")
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return options
+
+
+def usage_text() -> str:
+    """The -h text: every command with its flags."""
+    lines = ["usage: maschke-kit COMMAND [FLAGS]", "", DESCRIPTION + "."]
+    for command, (about, flags) in COMMANDS.items():
+        head = command
+        if command in POSITIONALS:
+            head += f" {{{','.join(POSITIONALS[command][1])}}}"
+        lines += ["", head, f"    {about}"]
+        for flag, (dest, choices, default, required, text) in flags.items():
+            arg = "" if choices is SWITCH else \
+                f" {{{','.join(choices)}}}" if choices else f" {dest.upper()}"
+            note = " (required)" if required else \
+                f" (default: {default})" if isinstance(default, str) else ""
+            lines.append(f"  {flag + arg:<34}{text}{note}")
+    lines += ["",
+              "-h, --help prints this text.  A flag's value follows it or an '=';",
+              "a long flag may be cut to any unique prefix (--struct, --norm).",
+              "",
+              "exit codes: 0 command ran, 2 --assert mismatch, 3 invalid input,",
+              "4 usage error."]
+    return "\n".join(lines) + "\n"
 
 
 def execute_command(argv) -> int:
     """Dispatch one CLI invocation; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate":
-        flag_name, builder = GENERATORS[args.family]
-        value = getattr(args, flag_name)
+    args = parse_argv(argv)
+    if args is None:
+        sys.stdout.write(usage_text())
+        return EXIT_OK
+    if args["command"] == "generate":
+        family = args["family"]
+        flag_name, builder = GENERATORS[family]
+        value = args[flag_name]
         if value is None:
-            raise UsageError(f"generate {args.family} needs --{flag_name}")
+            raise UsageError(f"generate {family} needs --{flag_name}")
         field = None
-        if args.family not in ("group", "groupoid"):
-            if args.field is None:
-                raise UsageError(f"generate {args.family} needs --field")
-            field = parse_field_flag(args.field)
+        if family not in ("group", "groupoid"):
+            if args["field"] is None:
+                raise UsageError(f"generate {family} needs --field")
+            field = parse_field_flag(args["field"])
         try:
             presentation = builder(value, field)
         except ValueError as exc:
             raise UsageError(str(exc))
-        _emit(serialize_structure(presentation), args.out)
+        _emit(serialize_structure(presentation), args["out"])
         return EXIT_OK
 
     report = {
-        "command": args.command,
+        "command": args["command"],
         "format_version": FORMAT_VERSION,
         "basis_convention": BASIS_CONVENTION,
-        "structure": args.structure,
+        "structure": args["structure"],
         "_t0": time.monotonic(),
     }
 
-    if args.command == "validate":
+    if args["command"] == "validate":
         return _run_validate(args, report)
 
-    presentation = parse_structure_file(args.structure)
+    presentation = parse_structure_file(args["structure"])
     kind = kind_of(presentation)
     report["kind"] = kind
     field = presentation_field(presentation)
     report["field"] = None if field is None else field_to_json(field)
 
-    if args.command == "maschke":
+    if args["command"] == "maschke":
         _run_maschke(presentation, kind, report)
         _emit_report(report, args)
         return EXIT_OK
@@ -392,10 +540,10 @@ def execute_command(argv) -> int:
         "cointegrals": lambda: _run_cointegrals(presentation, kind, args, report),
         "separability": lambda: _run_separability(presentation, kind, report),
         "coseparability": lambda: _run_coseparability(presentation, kind, report),
-    }[args.command]
+    }[args["command"]]
     feasible = runner()
     _emit_report(report, args)
-    assertion = getattr(args, "assertion", None)
+    assertion = args.get("assertion")
     if assertion is not None:
         if feasible != (assertion == "feasible"):
             return EXIT_ASSERT
@@ -404,7 +552,7 @@ def execute_command(argv) -> int:
 
 def _run_validate(args, report) -> int:
     try:
-        with open(args.structure, "r", encoding="utf-8") as fh:
+        with open(args["structure"], "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise StructureFileError(str(exc))

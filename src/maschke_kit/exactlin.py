@@ -19,7 +19,10 @@ Conventions, fixed globally:
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
+
+# fractions.Fraction once _load_fractions has run: a process whose scalars all
+# stay integral (every GF(p) run, most Q runs) never imports fractions.
+Fraction = None
 
 # Dense carriers are meant for desk scale; one flat coordinate axis may not
 # exceed this.
@@ -41,6 +44,20 @@ def _bounded_token(text: str) -> str:
         raise ValueError(f"scalar token {text[:40]!r} exceeds {MAX_SCALAR_DIGITS} "
                          "digits or exponent")
     return text
+
+
+def _load_fractions():
+    """Bind the module-level name Fraction on first need."""
+    global Fraction
+    if Fraction is None:
+        from fractions import Fraction
+
+
+def _is_integer_token(text: str) -> bool:
+    """ASCII digits with an optional sign: the tokens that int() reads exactly
+    as Fraction does."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def _canonical(q: Fraction):
@@ -189,15 +206,23 @@ class FieldSpec(Frozen):
         elif type(x) is int and 0 <= x < p:
             return x
         if isinstance(x, str):
-            x = Fraction(_bounded_token(x))
+            x = _bounded_token(x)
+            if _is_integer_token(x):
+                x = int(x)
+            else:
+                _load_fractions()
+                x = Fraction(x)
         if isinstance(x, bool):
             raise TypeError("bool is not a scalar")
+        if isinstance(x, int):
+            return int(x) if p == 0 else x % p
+        # only a Fraction is left to accept, and a Fraction exists only once
+        # fractions is imported
+        _load_fractions()
         if p == 0:
-            if isinstance(x, (int, Fraction)):
+            if isinstance(x, Fraction):
                 return _canonical(Fraction(x))
             raise TypeError(f"cannot coerce {x!r} into Q")
-        if isinstance(x, int):
-            return x % p
         if isinstance(x, Fraction):
             if x.denominator % p == 0:
                 raise ValueError(f"denominator of {x} vanishes mod {p}")
@@ -232,7 +257,10 @@ class FieldSpec(Frozen):
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
             if type(a) is int:
-                return a if a == 1 or a == -1 else Fraction(1, a)
+                if a == 1 or a == -1:
+                    return a
+                _load_fractions()
+                return Fraction(1, a)
             return _canonical(1 / a)
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")

@@ -135,20 +135,40 @@ def _counit_pairing(w: WeakHopfPresentation) -> tuple:
     return tuple(tuple(row) for row in eps2)
 
 
+def _grouped(terms) -> dict:
+    """{x: ((y, value), ...)} of the terms (x, y, value)."""
+    groups = {}
+    for x, y, value in terms:
+        groups.setdefault(x, []).append((y, value))
+    return groups
+
+
 @_once
 def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
-    """Component axioms plus the three weakened compatibility diagrams."""
+    """Component axioms plus the three weakened compatibility diagrams.
+
+    Each sum runs over nonzero terms only: the products e_a e_c that do not
+    vanish, the terms of Delta(e_j) grouped by one leg, and the nonzero
+    entries of eps(e_i e_j).
+    """
     report = check_algebra(w.algebra).merged(check_coalgebra(w.coalgebra))
     if not report.ok():
         return report
     f = w.field
     n = w.dim
     alg, coa = w.algebra, w.coalgebra
-    add, mul, sub = f.add, f.mul, f.sub
+    add, mul = f.add, f.mul
     zero = f.zero()
     failures = []
     prod = _sparse_products(alg)
     by_source = _comult_by_source(coa)
+    # right[a] = ((c, terms of e_a e_c), ...) and left[b] = ((c, terms of
+    # e_c e_b), ...) over the nonzero products
+    right = [tuple((c, terms) for c, terms in enumerate(row) if terms) for row in prod]
+    left = [tuple((c, prod[c][b]) for c in range(n) if prod[c][b]) for b in range(n)]
+    # Delta(e_j) = sum e_a (x) e_b grouped by its first and by its second leg
+    by_first = [_grouped(terms) for terms in by_source]
+    by_second = [_grouped((b, a, s) for a, b, s in terms) for terms in by_source]
 
     # comultiplication is multiplicative: delta(hk) = delta(h) delta(k)
     for i in range(n):
@@ -158,13 +178,20 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
                 for a, b, s in by_source[m]:
                     lhs[a * n + b] = add(lhs[a * n + b], mul(t, s))
             rhs = [zero] * (n * n)
+            first_j = by_first[j]
             for a, b, s1 in by_source[i]:
-                for c, d, s2 in by_source[j]:
-                    s12 = mul(s1, s2)
-                    for p, t1 in prod[a][c]:
-                        for q, t2 in prod[b][d]:
-                            idx = p * n + q
-                            rhs[idx] = add(rhs[idx], mul(s12, mul(t1, t2)))
+                prod_b = prod[b]
+                for c, ac in right[a]:
+                    for d, s2 in first_j.get(c, ()):
+                        bd = prod_b[d]
+                        if not bd:
+                            continue
+                        s12 = mul(s1, s2)
+                        for p, t1 in ac:
+                            s12t1 = mul(s12, t1)
+                            for q, t2 in bd:
+                                idx = p * n + q
+                                rhs[idx] = add(rhs[idx], mul(s12t1, t2))
             if lhs != rhs:
                 failures.append(AxiomFailure("comultiplicativity", (i, j)))
 
@@ -182,43 +209,51 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
             d2[idx] = add(d2[idx], mul(c0, s))
     v_straight = [zero] * (n ** 3)
     v_twisted = [zero] * (n ** 3)
-    nz_u = [(divmod(ab, n), c) for ab, c in enumerate(u) if c != 0]
-    for (a, b), c1 in nz_u:
-        for (c, d), c2 in nz_u:
-            c12 = mul(c1, c2)
-            for k, t in prod[b][c]:
-                idx = (a * n + k) * n + d
-                v_straight[idx] = add(v_straight[idx], mul(c12, t))
-            for k, t in prod[c][b]:
-                idx = (a * n + k) * n + d
-                v_twisted[idx] = add(v_twisted[idx], mul(c12, t))
+    nz_u = [(*divmod(ab, n), c) for ab, c in enumerate(u) if c != 0]
+    u_first = _grouped(nz_u)
+    for a, b, c1 in nz_u:
+        for v, sides in ((v_straight, right[b]), (v_twisted, left[b])):
+            for c, terms in sides:
+                cd = u_first.get(c, ())
+                for k, t in terms:
+                    c1t = mul(c1, t)
+                    base = (a * n + k) * n
+                    for d, c2 in cd:
+                        v[base + d] = add(v[base + d], mul(c1t, c2))
     if v_straight != d2:
         failures.append(AxiomFailure("weak unit (straight)", ()))
     if v_twisted != d2:
         failures.append(AxiomFailure("weak unit (twisted)", ()))
 
     # weak counit: eps(fgh) = sum eps(f g1) eps(g2 h) = sum eps(f g2) eps(g1 h)
-    eps2 = _counit_pairing(w)
+    eps2 = tuple(_terms(row) for row in _counit_pairing(w))
     for i in range(n):
-        eps2_i = eps2[i]
         for j in range(n):
+            lhs = [zero] * n
+            for m, t in prod[i][j]:
+                for k, y in eps2[m]:
+                    lhs[k] = add(lhs[k], mul(t, y))
+            sides = []
+            # contract one leg of Delta(e_j) with eps(e_i -) first (the first
+            # leg for the straight side, the second for the twisted side),
+            # then the other leg with the rows eps(e_b -)
+            for legs in (by_first[j], by_second[j]):
+                coeff = {}
+                for a, x in eps2[i]:
+                    for b, s in legs.get(a, ()):
+                        coeff[b] = add(coeff.get(b, zero), mul(s, x))
+                side = [zero] * n
+                for b, cb in coeff.items():
+                    for k, y in eps2[b]:
+                        side[k] = add(side[k], mul(cb, y))
+                sides.append(side)
+            straight, twisted = sides
+            if lhs == straight and lhs == twisted:
+                continue
             for k in range(n):
-                lhs = zero
-                for m, t in prod[i][j]:
-                    if eps2[m][k] != 0:
-                        lhs = add(lhs, mul(t, eps2[m][k]))
-                straight = zero
-                twisted = zero
-                for a, b, s in by_source[j]:
-                    x, y = eps2_i[a], eps2[b][k]
-                    if x != 0 and y != 0:
-                        straight = add(straight, mul(s, mul(x, y)))
-                    x, y = eps2_i[b], eps2[a][k]
-                    if x != 0 and y != 0:
-                        twisted = add(twisted, mul(s, mul(x, y)))
-                if lhs != straight:
+                if lhs[k] != straight[k]:
                     failures.append(AxiomFailure("weak counit (straight)", (i, j, k)))
-                if lhs != twisted:
+                if lhs[k] != twisted[k]:
                     failures.append(AxiomFailure("weak counit (twisted)", (i, j, k)))
     return report.merged(AxiomReport(tuple(failures)))
 

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 
@@ -7,7 +10,7 @@ import pytest
 
 import maschke_kit
 from maschke_kit import finalg, weakhopf
-from maschke_kit.cli import main
+from maschke_kit.cli import COMMANDS, UsageError, main, parse_argv
 from maschke_kit.examples import (
     MAX_GENERATED_ORDER,
     cyclic_group,
@@ -30,6 +33,7 @@ from maschke_kit.weakhopf import StructureDefectError, WeakHopfPresentation, \
     integral_system
 
 from denselin import comult_matrix, counit_matrix, unit_matrix
+from oracles import build_parser
 
 QQ = FieldSpec.rationals()
 
@@ -340,6 +344,18 @@ class TestCommands:
         assert maschke["separability"] is True and maschke["coseparability"] is True
         assert maschke["verdict"] == "pass"
 
+    def test_cap_sized_dual_group_algebra_solves_under_the_memory_cap(self, tmp_path):
+        # k^C64 is at the dimension cap too; each Delta(e_g) has 64 terms, so
+        # its weak bialgebra check must stay off the n^4 term pairs
+        path = gen(tmp_path, "dc64.json", "dual-group-algebra", "--group",
+                   f"C{MAX_GENERATED_ORDER}", "--field", "Fp:5")
+        out = tmp_path / "coseparability.json"
+        results, err = run_capped(["coseparability", "--structure", str(path),
+                                   "--out", str(out)])
+        assert [code for code, _ in results] == [0], err
+        assert "Traceback" not in err
+        assert json.loads(out.read_text())["feasible"] is True
+
     def test_out_of_memory_exits_three(self, tmp_path, monkeypatch, capsys):
         path = gen(tmp_path, "c2.json", "group-algebra", "--group", "C2",
                    "--field", "Q")
@@ -529,3 +545,183 @@ class TestReportReverification:
                 vec = tuple(f.parse_scalar(x) for x in w)
                 assert cointegral_system(presentation, side, variant,
                                          True).satisfied_by(vec)
+
+
+def _parsed(parse, argv):
+    """What parse makes of argv: its options, "help" or "usage error"."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            options = parse(list(argv))
+    except UsageError:
+        return "usage error"
+    except SystemExit as exc:  # argparse's -h
+        assert exc.code == 0
+        return "help"
+    return "help" if options is None else options
+
+
+def _argparse(argv):
+    return vars(build_parser().parse_args(argv))
+
+
+ACCEPTED = [
+    ("separability", "--structure", "s.json"),
+    ("separability", "--structure=s.json"),
+    ("separability", "--struct", "s.json", "--form", "text"),
+    ("separability", "--struct=s.json", "--ass=feasible"),
+    ("integrals", "--structure", "s", "--side", "left", "--norm", "--variant", "duoidal"),
+    ("integrals", "--side=right", "--structure", "a", "--structure", "b",
+     "--side", "left", "--assert", "infeasible", "--assert", "feasible"),
+    ("cointegrals", "--structure", "s", "--si", "right", "--var", "primed"),
+    ("validate", "--structure", "-"),
+    ("validate", "--structure", "-", "--out", "-"),
+    ("validate", "--structure", "-3"),
+    ("validate", "--structure", "-.5"),
+    ("validate", "--structure", "-x y"),
+    ("validate", "--structure="),
+    ("validate", "--structure=a=b"),
+    ("maschke", "--out", "r.json", "--structure", "s", "--format=text"),
+    ("generate", "group-algebra", "--group", "C3", "--field", "Q"),
+    ("generate", "--group", "C3", "group-algebra", "--field", "Q"),
+    ("generate", "--group", "C3", "--field", "Q", "group-algebra"),
+    ("generate", "--groupoid=pair:2", "--fie", "Fp:3", "hopf-category", "--out", "o"),
+    ("generate", "--group", "C3", "--", "group"),
+    ("generate", "group", "--"),
+    ("generate", "--group", "C3", "group", "--"),
+]
+HELP = [
+    ("-h",), ("--help",), ("--he",), ("separability", "-h"), ("generate", "--help"),
+    ("integrals", "--structure", "s", "--h"), ("--bogus", "-h"),
+    ("generate", "group-algebra", "extra", "-h"),
+]
+REFUSED = [
+    (), ("sep", "--structure", "s"), ("bogus",), ("--structure", "s", "separability"),
+    ("--",), ("--", "separability", "--structure", "s"),
+    ("separability",), ("integrals", "--structure", "s"),
+    ("separability", "--out", "--structure", "s"), ("separability", "--structure"),
+    ("separability", "--structure", "-x"), ("separability", "--structure", "--"),
+    ("separability", "--structure", "s", "--bogus"),
+    ("--bogus", "separability", "--structure", "s"),
+    ("integrals", "--structure", "s", "--s", "left"),
+    ("integrals", "-h", "--s", "left"),
+    ("generate", "--grou", "C3", "group"),
+    ("separability", "--structure", "s", "--=x"),
+    ("integrals", "--structure", "s", "--side", "up"),
+    ("integrals", "--side", "up", "-h"),
+    ("separability", "--structure", "s", "--format", "xml"),
+    ("generate", "--group", "C3"), ("generate", "E8-algebra", "--group", "C3"),
+    ("separability", "--structure", "s", "extra"),
+    ("separability", "--structure", "s", "-"),
+    ("separability", "--structure", "s", "--"),
+    ("separability", "--structure", "s", "--out", "--", "x"),
+    ("generate", "group-algebra", "group", "--group", "C3"),
+    ("generate", "group", "--", "extra"),
+    ("generate", "group", "--group", "C3", "--"),
+    ("separability", "--structure", "s", "--normalized"),
+    ("integrals", "--structure", "s", "--side", "left", "--normalized=yes"),
+    ("-h=x",), ("--help=1",), ("separability", "-hx"),
+]
+
+
+class TestParser:
+    """parse_argv agrees with the argparse tree it replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+    def test_accepted_as_by_argparse(self, argv):
+        options = _parsed(parse_argv, argv)
+        assert isinstance(options, dict)
+        assert options == _parsed(_argparse, argv)
+
+    @pytest.mark.parametrize("argv", HELP, ids=" ".join)
+    def test_help_as_by_argparse(self, argv):
+        assert _parsed(parse_argv, argv) == _parsed(_argparse, argv) == "help"
+
+    @pytest.mark.parametrize("argv", REFUSED, ids=lambda argv: " ".join(argv) or "empty")
+    def test_refused_as_by_argparse(self, argv):
+        assert _parsed(parse_argv, argv) == _parsed(_argparse, argv) == "usage error"
+
+    def test_every_workload_argv_parses_as_by_argparse(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        # run_path compiles in memory: no bytecode lands in perfbench/
+        plan = runpy.run_path(os.path.join(root, "perfbench", "workloads.py"))["plan"]
+        argvs = set()
+        for seed in (1, 2, 3):
+            for workload in ("separability-large", "cli-oneshot"):
+                for job in plan(workload, seed)[1]:
+                    argv = list(job["args"])
+                    if "file" in job:
+                        argv += ["--structure", job["file"]]
+                    if "generate" in job:
+                        argv += ["--out", "generated.json"]
+                    argvs.add(tuple(argv))
+        assert len(argvs) > 50
+        for argv in sorted(argvs):
+            options = _parsed(parse_argv, argv)
+            assert isinstance(options, dict) and options == _parsed(_argparse, argv), argv
+
+    def test_help_lists_every_command_and_flag(self, capsys):
+        for argv in (["-h"], ["integrals", "--help"]):
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            for command, (_, flags) in COMMANDS.items():
+                assert f"\n{command}" in text
+                assert all(flag in text for flag in flags)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["integrals", "--structure", "s", "--side", "up"], ["--side", "left, right"]),
+        (["separability", "--out", "--structure", "s"], ["--out"]),
+        (["integrals", "--structure", "s", "--s", "left"], ["--s", "--structure", "--side"]),
+        (["integrals", "--structure", "s"], ["--side"]),
+        (["separability", "--structure", "s", "--bogus"], ["--bogus"]),
+        (["sep"], ["sep", "separability"]),
+        ([], ["validate", "generate"]),
+    ], ids=["choice", "no-value", "ambiguous", "missing", "unknown", "command",
+            "no-command"])
+    def test_usage_error_names_the_flag(self, capsys, argv, named):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert all(word in err for word in named), err
+
+
+# The modules the package adds to a fresh interpreter, so that what site
+# loads at start-up does not count.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+{}
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+HEAVY = {"argparse", "gettext", "fractions", "decimal"}
+
+
+def _loaded_by(body, *argv):
+    src = os.path.dirname(os.path.dirname(maschke_kit.__file__))
+    run = subprocess.run([sys.executable, "-c", IMPORT_PROBE.format(body), *argv],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+class TestStartup:
+    def test_importing_the_cli_loads_no_parser_or_rational_modules(self):
+        loaded = _loaded_by("import maschke_kit.cli")
+        assert "maschke_kit.cli" in loaded
+        assert not loaded & HEAVY
+
+    def test_fractions_load_only_for_a_rational(self, tmp_path):
+        run_main = ("from maschke_kit.cli import main\n"
+                    "code = main(sys.argv[1:])")
+        # kC4/F2 is not separable (2 divides 4); the separability element of
+        # kS3/Q has the coefficient 1/6
+        for name, field, group, rational in (
+                ("c4.json", "Fp:2", "C4", False), ("s3.json", "Q", "S3", True)):
+            path = gen(tmp_path, name, "group-algebra", "--group", group,
+                       "--field", field)
+            out = tmp_path / f"{name}.report"
+            loaded = _loaded_by(run_main, "separability", "--structure", str(path),
+                                "--out", str(out))
+            assert json.loads(out.read_text())["feasible"] is rational
+            assert ("fractions" in loaded) == rational, name
+            assert not loaded & {"argparse", "gettext"}

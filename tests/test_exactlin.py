@@ -195,6 +195,40 @@ class TestFieldSpec:
                     field.parse_scalar(token)
         assert QQ.parse_scalar(f"1e-{cap}") == Fraction(1, 10 ** cap)
 
+    @pytest.mark.parametrize("token", [
+        "7", "007", "-3", "+3", "-0", " 5 ", "1_000", "\u0663", "3.0", "1e2",
+        "1/2", "2/4", "1/0", "5/5", "", "abc", "9" * (MAX_SCALAR_DIGITS + 1),
+        f"1e{MAX_SCALAR_DIGITS + 1}",
+    ], ids=["7", "007", "-3", "+3", "-0", "spaced-5", "1_000", "arabic-indic-3",
+            "3.0", "1e2", "1/2", "2/4", "1/0", "5/5", "empty", "abc",
+            "4001-digits", "exponent-4001"])
+    def test_integer_tokens_parse_as_through_fraction(self, token):
+        # parse_scalar reads a signed ASCII-digit token with int(); every
+        # token must come out as it does through Fraction, value and type,
+        # or fail with the same exception type
+        def through_fraction(field, text):
+            try:
+                x = Fraction(exactlin._bounded_token(text.strip()))
+            except ZeroDivisionError:
+                raise ValueError("zero denominator") from None
+            p = field.characteristic
+            if p == 0:
+                return x.numerator if x.denominator == 1 else x
+            if x.denominator % p == 0:
+                raise ValueError("denominator vanishes")
+            return x.numerator * pow(x.denominator, -1, p) % p
+
+        def outcome(parse):
+            try:
+                value = parse()
+            except Exception as exc:  # noqa: BLE001 - the type is compared
+                return type(exc)
+            return type(value), value
+
+        for field in (QQ, F2, F5):
+            assert outcome(lambda: field.parse_scalar(token)) == \
+                outcome(lambda: through_fraction(field, token)), (str(field), token)
+
 
 class TestMatrix:
     def test_mixed_field_rejected(self):

@@ -1,15 +1,19 @@
-"""Every function name the benchmark maps to a layer or a metric still exists.
+"""Every name the benchmark takes from the package still exists.
 
 ``perfbench/tracer.py`` wraps the package's public functions by name and
 assigns their time to layers; ``perfbench/run.py`` reports per-function
 metrics by name.  A renamed or privatised function would silently read 0
-there, so this test resolves each name the way the tracer does.  The
-benchmark files are read as text and parsed, not imported or changed.
+there, so these tests resolve each name the way the tracer does.  The other
+benchmark files import package names (``cli.main``, ``cli.parse_field_flag``,
+the solvers of the sweep worker); a rename would break the benchmark's
+set-up, so each of those is resolved too.  The benchmark files are read as
+text and parsed, not imported or changed.
 """
 
 import ast
 import importlib
 import os
+import re
 
 import pytest
 
@@ -72,3 +76,64 @@ def test_benchmark_name_resolves(name):
 def test_lists_were_read():
     assert "finalg.check_algebra" in LAYER_NAMES and len(METHODS) == 3
     assert "weakhopf.check_weak_bialgebra" in METRIC_NAMES
+
+
+def _package_names():
+    """(file, name) of every package name a benchmark file takes: each
+    ``from maschke_kit... import name``, each attribute read from a package
+    module bound that way, and each ``maschke_kit.<module>`` in a string
+    (the ``-m`` and ``-c`` arguments of its child processes)."""
+    found = set()
+    for filename in sorted(os.listdir(PERFBENCH)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(PERFBENCH, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] == "maschke_kit":
+                for alias in node.names:
+                    name = f"{node.module}.{alias.name}"
+                    found.add((filename, name))
+                    if node.module == "maschke_kit":
+                        modules[alias.asname or alias.name] = name
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for word in node.value.split():
+                    if re.fullmatch(r"maschke_kit(\.\w+)+", word):
+                        found.add((filename, word))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                found.add((filename, f"{modules[node.value.id]}.{node.attr}"))
+    return sorted(found)
+
+
+def _exists(name) -> bool:
+    """Whether name is a package module or an attribute of one."""
+    try:
+        importlib.import_module(name)
+        return True
+    except ImportError:
+        module_name, _, attr = name.rpartition(".")
+        try:
+            return hasattr(importlib.import_module(module_name), attr)
+        except ImportError:
+            return False
+
+
+PACKAGE_NAMES = _package_names()
+
+
+@pytest.mark.parametrize("filename, name", PACKAGE_NAMES,
+                         ids=[f"{f}:{n}" for f, n in PACKAGE_NAMES])
+def test_benchmark_import_resolves(filename, name):
+    # a rename in the package must fail here, not in the benchmark's set-up
+    assert _exists(name), f"perfbench/{filename} uses {name}, which is gone"
+
+
+def test_benchmark_imports_were_read():
+    names = {name for _, name in PACKAGE_NAMES}
+    assert {"maschke_kit.cli.main", "maschke_kit.cli.parse_field_flag",
+            "maschke_kit.cli", "maschke_kit.weakhopf.solve_integral",
+            "maschke_kit.finalg.solve_separability"} <= names

@@ -1,3 +1,4 @@
+import collections
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,7 @@ from maschke_kit.weakhopf import (
 
 from denselin import (add_matrix_rows, comult_matrix, counit_matrix, flip_matrix, kron,
                       rebased, unit_matrix)
+from oracles import check_weak_bialgebra as oracle_check_weak_bialgebra
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -206,6 +208,39 @@ class TestCheckWeakBialgebra:
                                   w.algebra.unit)
         report = check_weak_bialgebra(WeakHopfPresentation(alg, w.coalgebra))
         assert any(f.law == "comultiplicativity" for f in report.failures)
+
+
+    def test_matches_the_check_over_every_term_pair(self):
+        # the sparse sums give the report of the loops over every pair of
+        # terms (tests/oracles.py): the same failures, in the same order, with
+        # the same witnesses, on the criterion-04 corpus, the criterion-08
+        # mutants, and mismatched pairs.  A mutant mostly fails as an algebra
+        # or coalgebra and stops there; the algebra of one weak Hopf algebra
+        # with the coalgebra of another passes both and reaches every law.
+        bases = (group_algebra(cyclic_group(2), QQ),
+                 groupoid_algebra(pair_groupoid(2), QQ))
+        cases = list(weak_hopf_corpus(seeds=0))
+        cases += [mutate(base, seed) for base in bases for seed in range(100)]
+        for field in (QQ, F3):
+            for same_dim in (
+                    [group_algebra(cyclic_group(4), field),
+                     dual_group_algebra(klein_four_group(), field),
+                     groupoid_algebra(pair_groupoid(2), field)],
+                    [group_algebra(symmetric_group_s3(), field),
+                     dual_group_algebra(symmetric_group_s3(), field),
+                     dual_group_algebra(cyclic_group(6), field)]):
+                same_dim += [rebased(w, 1) for w in same_dim]
+                cases += [WeakHopfPresentation(a.algebra, c.coalgebra)
+                          for a in same_dim for c in same_dim if a is not c]
+        laws = collections.Counter()
+        for w in cases:
+            report = check_weak_bialgebra(w)
+            assert report == oracle_check_weak_bialgebra(w)
+            laws.update(f.law for f in report.failures)
+        assert len(cases) == 72 + 200 + 4 * 30
+        assert all(laws[law] for law in (
+            "comultiplicativity", "weak unit (straight)", "weak unit (twisted)",
+            "weak counit (straight)", "weak counit (twisted)"))
 
 
 class TestProjections:

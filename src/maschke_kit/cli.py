@@ -31,6 +31,7 @@ from .structfile import (
     parse_structure_file,
     parse_structure_text_unvalidated,
     presentation_field,
+    read_structure_text,
     serialize_structure,
 )
 
@@ -265,9 +266,12 @@ GENERATORS = {
 def _emit(text, out):
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _render_text(report) -> str:
@@ -551,11 +555,7 @@ def execute_command(argv) -> int:
 
 
 def _run_validate(args, report) -> int:
-    try:
-        with open(args["structure"], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise StructureFileError(str(exc))
+    text = read_structure_text(args["structure"])
     try:
         presentation = parse_structure_text_unvalidated(text)
     except (StructureFileError, ValueError) as exc:

@@ -346,12 +346,6 @@ class Matrix(Frozen):
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
         return Matrix(field, rows, cols, (field.zero(),) * (rows * cols))
 
-    @staticmethod
-    def identity(field: FieldSpec, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        ent = tuple(o if i == j else z for i in range(n) for j in range(n))
-        return Matrix(field, n, n, ent)
-
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -364,14 +358,6 @@ class Matrix(Frozen):
     def transpose(self) -> "Matrix":
         ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
         return Matrix(self.field, self.cols, self.rows, ent)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        _same_field(self, other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      tuple(f.sub(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         # Sparse-aware: iterates nonzeros only, which keeps composites of

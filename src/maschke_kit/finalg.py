@@ -205,25 +205,42 @@ def _mult_cols(f: FieldSpec, prod: tuple, terms, u_first: bool, cols=None) -> li
     return cols
 
 
-def _convolution(comult: Tensor3, f: Matrix, g: Matrix, product: Matrix) -> Matrix:
-    """Matrix of h -> product(f(h1) (x) g(h2)), the convolution of f and g.
+def _apply_sparse(f: FieldSpec, cols, terms) -> dict:
+    """The image of the sum of t e_k over the (k, t) in terms under the map
+    whose column k yields the (row, value) of cols[k], as {row: value}
+    without zeros."""
+    out = {}
+    for k, t in terms:
+        for r, v in cols[k]:
+            _add_to(out, r, f.mul(t, v), f)
+    return _nonzero_entries(out)
 
-    ``comult`` is the comultiplication of the source; ``product`` maps the
-    tensor product of the targets of f and g (left-major index a * g.rows + b).
+
+def _convolution(field: FieldSpec, comult, f, g, prod) -> list:
+    """Columns of h -> prod(f(h1) (x) g(h2)), the convolution of f and g:
+    cols[i] = {m: value}, without zeros, at h = e_i.
+
+    ``comult[i]`` yields the terms (j, k, t) of the comultiplication of e_i
+    in the source.  f and g are given by their columns (f[j] yields the
+    (a, value) of f(e_j)), or are None for the identity; ``prod[a][b] =
+    ((m, value), ...)`` is the product of the targets of f and g.
     """
-    field = product.field
-    add, mul = field.add, field.mul
-    n, d = comult.d0, g.rows
-    fcols, gcols, pcols = _sparse_cols(f), _sparse_cols(g), _sparse_cols(product)
-    out = [field.zero()] * (product.rows * n)
-    for i, j, k, t in comult.nonzeros():
-        for a, fa in fcols[j]:
-            tf = mul(t, fa)
-            for b, gb in gcols[k]:
-                c = mul(tf, gb)
-                for m, p in pcols[a * d + b]:
-                    out[m * n + i] = add(out[m * n + i], mul(c, p))
-    return Matrix(field, product.rows, n, tuple(out))
+    add, mul, one = field.add, field.mul, field.one()
+    identity = [((j, one),) for j in range(len(comult))]
+    fcols = identity if f is None else f
+    gcols = identity if g is None else g
+    out = []
+    for terms in comult:
+        col = {}
+        out.append(col)
+        for j, k, t in terms:
+            for a, fa in fcols[j]:
+                tf = mul(t, fa)
+                for b, gb in gcols[k]:
+                    c = mul(tf, gb)
+                    for m, p in prod[a][b]:
+                        col[m] = add(col[m], mul(c, p)) if m in col else mul(c, p)
+    return [_nonzero_entries(col) for col in out]
 
 
 def _auto_labels(dim: int) -> tuple:
@@ -278,37 +295,6 @@ class AlgebraPresentation(Frozen):
                 for k, t in row[j]:
                     out[k] = add(out[k], mul(c, t))
         return tuple(out)
-
-    def left_mult_matrix(self, u) -> Matrix:
-        """Matrix of v -> u*v."""
-        f = self.field
-        n = self.dim
-        out = [f.zero()] * (n * n)
-        for i, j, k, t in self.mult.nonzeros():
-            a = u[i]
-            if a != 0:
-                out[k * n + j] = f.add(out[k * n + j], f.mul(a, t))
-        return Matrix(f, n, n, tuple(out))
-
-    def right_mult_matrix(self, u) -> Matrix:
-        """Matrix of v -> v*u."""
-        f = self.field
-        n = self.dim
-        out = [f.zero()] * (n * n)
-        for i, j, k, t in self.mult.nonzeros():
-            a = u[j]
-            if a != 0:
-                out[k * n + i] = f.add(out[k * n + i], f.mul(a, t))
-        return Matrix(f, n, n, tuple(out))
-
-    def mult_matrix(self) -> Matrix:
-        """Multiplication as a matrix A (x) A -> A (left-major columns)."""
-        f = self.field
-        n = self.dim
-        out = [f.zero()] * (n * n * n)
-        for i, j, k, t in self.mult.nonzeros():
-            out[k * (n * n) + i * n + j] = t
-        return Matrix(f, n, n * n, tuple(out))
 
 
 class CoalgebraPresentation(Frozen):

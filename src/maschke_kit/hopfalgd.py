@@ -19,11 +19,9 @@ from .exactlin import (
     Matrix,
     QuotientSpace,
     Subspace,
-    Tensor3,
     _row_space,
     membership,
     quotient_space,
-    unit_vec,
     vec_sub,
 )
 from .finalg import (
@@ -33,6 +31,7 @@ from .finalg import (
     InvalidPresentationError,
     MaschkeReport,
     _add_to,
+    _apply_sparse,
     _balanced_certificate,
     _balanced_system,
     _convolution,
@@ -113,30 +112,14 @@ def _base_images(h: HopfAlgebroidPresentation):
     return ([h.src.col(x) for x in range(dr)], [h.tgt.col(x) for x in range(dr)])
 
 
-def _comult_terms(h: HopfAlgebroidPresentation):
-    """The comultiplication lift as a tensor ([i][a][b] is the coefficient of
-    e_a (x) e_b in the lift of e_i), and its nonzero terms (a, b, c) per i."""
+def _comult_terms(h: HopfAlgebroidPresentation) -> list:
+    """terms[i] = [(a, b, c)]: the nonzero terms c e_a (x) e_b of the
+    comultiplication lift of e_i."""
     n = h.total.dim
-    comult = Tensor3(h.field, n, n, n, h.comult_lift.transpose().entries)
     terms = [[] for _ in range(n)]
-    for i, a, b, c in comult.nonzeros():
-        terms[i].append((a, b, c))
-    return comult, terms
-
-
-def _on_leg(m: Matrix, act: Matrix, leg: int) -> Matrix:
-    """m after act on one leg of A (x) A: the matrix of w -> m((act (x) 1) w)
-    for leg 0 and of w -> m((1 (x) act) w) for leg 1 (left-major a * n + b)."""
-    f = m.field
-    n = act.rows
-    arows = _sparse_cols(act.transpose())    # arows[p] = [(a, act[p, a])]
-    out = [f.zero()] * (m.rows * m.cols)
-    for r, pq, v in m.nonzeros():
-        p, q = divmod(pq, n)
-        for a, t in arows[(p, q)[leg]]:
-            idx = r * m.cols + (a * n + q if leg == 0 else p * n + a)
-            out[idx] = f.add(out[idx], f.mul(v, t))
-    return Matrix(f, m.rows, m.cols, tuple(out))
+    for ab, i, c in h.comult_lift.nonzeros():
+        terms[i].append((*divmod(ab, n), c))
+    return terms
 
 
 def _tensor_relations(h: HopfAlgebroidPresentation, pairs) -> Subspace:
@@ -205,16 +188,21 @@ def _ideal_quotient(h: HopfAlgebroidPresentation) -> QuotientSpace:
     return quotient_space(h.total.dim, ideal_subspace(h))
 
 
-def _nonzero_cols(m: Matrix) -> set:
-    return {c for _, c, _ in m.nonzeros()}
-
-
-def _column_failures(checks, prefix=()) -> list:
-    """A failure (law, prefix + (j,)) for each column j in which the gap of a
-    check (law, gap matrix) is nonzero; by column, then in the order of checks."""
-    off = [(law, _nonzero_cols(gap)) for law, gap in checks]
-    cols = sorted(set().union(*(o for _, o in off)))
-    return [AxiomFailure(law, prefix + (j,)) for j in cols for law, o in off if j in o]
+def _algebra_map_failures(name: str, imgs, dom: AlgebraPresentation,
+                          cod: AlgebraPresentation) -> list:
+    """The unit and multiplicativity failures of the linear map dom -> cod
+    that sends e_x to imgs[x]."""
+    f, prod = dom.field, _sparse_products(dom)
+    cols = [_terms(v) for v in imgs]
+    failures = []
+    if _apply_sparse(f, cols, _terms(dom.unit)) != dict(_terms(cod.unit)):
+        failures.append(AxiomFailure(f"{name} unit", ()))
+    for x in range(dom.dim):
+        for y in range(dom.dim):
+            if _apply_sparse(f, cols, prod[x][y]) != \
+                    dict(_terms(cod.mult_vec(imgs[x], imgs[y]))):
+                failures.append(AxiomFailure(f"{name} multiplicative", (x, y)))
+    return failures
 
 
 @_once
@@ -232,87 +220,73 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
     f = h.field
     dr, n = h.base.dim, h.total.dim
     base, alg = h.base.algebra, h.total
+    prod, bprod = _sparse_products(alg), _sparse_products(base)
     srcs, tgts = _base_images(h)
-    lsrc = [alg.left_mult_matrix(v) for v in srcs]
-    ltgt = [alg.left_mult_matrix(v) for v in tgts]
-    eye = Matrix.identity(f, n)
-    mu = alg.mult_matrix()
+    # smul[x][j] and tmul[x][j]: the nonzero (k, value) of s(x) e_j and t(x) e_j
+    smul, tmul = ([[tuple(_nonzero_entries(col).items())
+                    for col in _mult_cols(f, prod, _terms(v), True)]
+                   for v in imgs] for imgs in (srcs, tgts))
 
     # s and t are unital algebra maps into the center
-    for name, mat, imgs in (("source", h.src, srcs), ("target", h.tgt, tgts)):
-        if mat.apply(base.unit) != alg.unit:
-            failures.append(AxiomFailure(f"{name} map unit", ()))
-        images_of_products = mat @ base.mult_matrix()
+    for name, imgs, moved in (("source map", srcs, smul), ("target map", tgts, tmul)):
+        failures += _algebra_map_failures(name, imgs, base, alg)
         for x in range(dr):
-            for y in range(dr):
-                if images_of_products.col(x * dr + y) != alg.mult_vec(imgs[x], imgs[y]):
-                    failures.append(AxiomFailure(f"{name} map multiplicative", (x, y)))
-        for x in range(dr):
-            failures += _column_failures([(
-                f"{name} map centrality",
-                alg.left_mult_matrix(imgs[x]) - alg.right_mult_matrix(imgs[x]))], (x,))
+            right = _mult_cols(f, prod, _terms(imgs[x]), False)
+            failures += [AxiomFailure(f"{name} centrality", (x, j)) for j in range(n)
+                         if dict(moved[x][j]) != _nonzero_entries(right[j])]
 
     # counit: unital algebra map and R-bimodule map
     eps = h.counit
-    if eps.apply(alg.unit) != base.unit:
-        failures.append(AxiomFailure("counit unit", ()))
-    counit_of_products = eps @ mu
-    for i in range(n):
-        for j in range(n):
-            if counit_of_products.col(i * n + j) != \
-                    base.mult_vec(eps.col(i), eps.col(j)):
-                failures.append(AxiomFailure("counit multiplicative", (i, j)))
+    ecols = _sparse_cols(eps)
+    failures += _algebra_map_failures("counit", [eps.col(j) for j in range(n)], alg, base)
     for x in range(dr):
-        scaled = base.left_mult_matrix(unit_vec(f, dr, x)) @ eps
-        failures += _column_failures([
-            ("counit source linearity", eps @ lsrc[x] - scaled),
-            ("counit target linearity", eps @ ltgt[x] - scaled)], (x,))
+        for j in range(n):
+            scaled = _apply_sparse(f, bprod[x], ecols[j])
+            for law, moved in (("counit source linearity", smul[x]),
+                               ("counit target linearity", tmul[x])):
+                if _apply_sparse(f, ecols, moved[j]) != scaled:
+                    failures.append(AxiomFailure(law, (x, j)))
 
-    lift = h.comult_lift
-    proj = tensor_over_R(h, CIRC).projection
-    dq = proj @ lift
+    # dq[k]: the lift of Delta(e_k) in circ-quotient coordinates
+    terms = _comult_terms(h)
+    pcols = _sparse_cols(tensor_over_R(h, CIRC).projection)
+    dq = [_apply_sparse(f, pcols, lift).items() for lift in _sparse_cols(h.comult_lift)]
 
     # comultiplication is an R-bimodule map into the circ quotient:
     # delta(s(x)h) = s(x)h1 (x) h2 and delta(t(x)h) = h1 (x) t(x)h2
     for x in range(dr):
-        failures += _column_failures([
-            ("comult source linearity", dq @ lsrc[x] - _on_leg(proj, lsrc[x], 0) @ lift),
-            ("comult target linearity", dq @ ltgt[x] - _on_leg(proj, ltgt[x], 1) @ lift)],
-            (x,))
+        for j in range(n):
+            for law, moved, leg in (("comult source linearity", smul[x], 0),
+                                    ("comult target linearity", tmul[x], 1)):
+                acted = [(m * n + b if leg == 0 else a * n + m, f.mul(c, v))
+                         for a, b, c in terms[j] for m, v in moved[(a, b)[leg]]]
+                if _apply_sparse(f, dq, moved[j]) != _apply_sparse(f, pcols, acted):
+                    failures.append(AxiomFailure(law, (x, j)))
 
     # multiplicativity of delta w.r.t. the factorwise product, in the quotient:
-    # column i * n + j of gap is delta(e_i e_j) - delta(e_i) delta(e_j)
-    comult, terms = _comult_terms(h)
-    prod = _sparse_products(alg)
-    n2 = n * n
-    gap = [f.zero()] * (n2 * n2)
-    for i, j, k, t in alg.mult.nonzeros():
-        for a, b, c in terms[k]:
-            idx = (a * n + b) * n2 + i * n + j
-            gap[idx] = f.add(gap[idx], f.mul(t, c))
-    for i, a, b, c1 in comult.nonzeros():
+    # delta(e_i e_j) = delta(e_i) delta(e_j)
+    for i in range(n):
         for j in range(n):
-            for cc, d, c2 in terms[j]:
-                c12 = f.mul(c1, c2)
-                for p, t1 in prod[a][cc]:
-                    for q, t2 in prod[b][d]:
-                        idx = (p * n + q) * n2 + i * n + j
-                        gap[idx] = f.sub(gap[idx], f.mul(c12, f.mul(t1, t2)))
-    for ij in sorted(_nonzero_cols(proj @ Matrix(f, n2, n2, tuple(gap)))):
-        failures.append(AxiomFailure("comult multiplicative", divmod(ij, n)))
+            factorwise = [(p * n + q, f.mul(f.mul(c1, c2), f.mul(t1, t2)))
+                          for a, b, c1 in terms[i] for cc, d, c2 in terms[j]
+                          for p, t1 in prod[a][cc] for q, t2 in prod[b][d]]
+            if _apply_sparse(f, dq, prod[i][j]) != _apply_sparse(f, pcols, factorwise):
+                failures.append(AxiomFailure("comult multiplicative", (i, j)))
 
     # counitality: s(eps(h1)) h2 = h = t(eps(h2)) h1, the last with the
-    # opposite product mu_op(u (x) v) = v u
-    op = [f.zero()] * (n * n2)
-    for i, j, k, t in alg.mult.nonzeros():
-        op[k * n2 + j * n + i] = t
-    mu_op = Matrix(f, n, n2, tuple(op))
-    sc, tc = h.src @ eps, h.tgt @ eps
-    failures += _column_failures([
-        ("counitality (left)", _convolution(comult, sc, eye, mu) - eye),
-        ("counitality (right)", _convolution(comult, eye, tc, mu_op) - eye)])
+    # opposite product
+    sc, tc = ([_apply_sparse(f, _sparse_cols(m), col) for col in ecols]
+              for m in (h.src, h.tgt))
+    op = [[prod[b][a] for b in range(n)] for a in range(n)]
+    left = _convolution(f, terms, [col.items() for col in sc], None, prod)
+    right = _convolution(f, terms, None, [col.items() for col in tc], op)
+    for j in range(n):
+        for law, got in (("counitality (left)", left), ("counitality (right)", right)):
+            if got[j] != {j: f.one()}:
+                failures.append(AxiomFailure(law, (j,)))
 
     # coassociativity in the double quotient
+    n2 = n * n
     rows3 = []
     for r in _sparse_cols(circ_relations(h).basis.transpose()):
         for k in range(n):
@@ -334,15 +308,22 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
 
     # antipode identities
     if h.antipode is not None:
-        s = h.antipode
+        s = _sparse_cols(h.antipode)
         for x in range(dr):
-            failures += _column_failures([
-                ("antipode source twist", s @ lsrc[x] - ltgt[x] @ s),
-                ("antipode target twist", s @ ltgt[x] - lsrc[x] @ s)], (x,))
+            for j in range(n):
+                # S(s(x) e_j) = t(x) S(e_j) and S(t(x) e_j) = s(x) S(e_j)
+                for law, moved, other in (("antipode source twist", smul[x], tmul[x]),
+                                          ("antipode target twist", tmul[x], smul[x])):
+                    if _apply_sparse(f, s, moved[j]) != _apply_sparse(f, other, s[j]):
+                        failures.append(AxiomFailure(law, (x, j)))
         # h1 S(h2) = s(eps(h)) and S(h1) h2 = t(eps(h))
-        failures += _column_failures([
-            ("antipode left composite", _convolution(comult, eye, s, mu) - sc),
-            ("antipode right composite", _convolution(comult, s, eye, mu) - tc)])
+        left = _convolution(f, terms, None, s, prod)
+        right = _convolution(f, terms, s, None, prod)
+        for j in range(n):
+            for law, got, want in (("antipode left composite", left, sc),
+                                   ("antipode right composite", right, tc)):
+                if got[j] != want[j]:
+                    failures.append(AxiomFailure(law, (j,)))
     return AxiomReport(tuple(failures))
 
 
@@ -429,7 +410,7 @@ def cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     f, dr, n, left = h.field, h.base.dim, h.total.dim, side == "left"
     prod, bprod = _sparse_products(h.total), _sparse_products(h.base.algebra)
     srcs, tgts = _base_images(h)
-    _, terms = _comult_terms(h)
+    terms = _comult_terms(h)
     # moved[x][j] = s(x) e_j (left) or t(x) e_j (right);
     # mix[r][a] = e_a t(f_r) (left) or s(f_r) e_a (right)
     moved = [_mult_cols(f, prod, _terms(v), True) for v in (srcs if left else tgts)]
@@ -535,7 +516,7 @@ def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
     f, dr, n, qd = h.field, h.base.dim, h.total.dim, q.dim
     mul = f.mul
     pcols = _sparse_cols(q.projection)      # pcols[j*n + k] = pi(e_j (x) e_k)
-    _, terms = _comult_terms(h)
+    terms = _comult_terms(h)
     prod = _sparse_products(h.total)
     smul, tmul = ([_mult_cols(f, prod, _terms(v), True) for v in imgs]
                   for imgs in _base_images(h))

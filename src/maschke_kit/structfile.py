@@ -469,14 +469,19 @@ def parse_structure_text(text: str):
     return presentation
 
 
-def parse_structure_file(path):
-    """Load, parse and validate one structure file."""
+def read_structure_text(path) -> str:
+    """The text of one structure file; StructureFileError when it cannot be
+    read or is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise StructureFileError(f"cannot read {path}: {exc}") from exc
-    return parse_structure_text(text)
+
+
+def parse_structure_file(path):
+    """Load, parse and validate one structure file."""
+    return parse_structure_text(read_structure_text(path))
 
 
 def parse_structure_text_unvalidated(text: str):

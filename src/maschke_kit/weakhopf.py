@@ -35,6 +35,7 @@ from .finalg import (
     CoalgebraPresentation,
     InvalidPresentationError,
     MaschkeReport,
+    _apply_sparse,
     _balanced_system,
     _comult_by_source,
     _convolution,
@@ -397,43 +398,35 @@ def check_antipode(w: WeakHopfPresentation) -> AxiomReport:
     s = w.antipode
     coa = w.coalgebra
     maps = projections(w)
-    eye = Matrix.identity(f, n)
-    mu = alg.mult_matrix()
+    scols = _sparse_cols(s)
+    prod, delta = _sparse_products(alg), _comult_by_source(coa)
     failures = []
-    left = _convolution(coa.comult, eye, s, mu)
-    right = _convolution(coa.comult, s, eye, mu)
+    left = _convolution(f, delta, None, scols, prod)
+    right = _convolution(f, delta, scols, None, prod)
     # with (Delta (x) 1) Delta: S(h1) h2 S(h3) = right(h1) S(h2)
-    third = _convolution(coa.comult, right, s, mu)
+    third = _convolution(f, delta, [col.items() for col in right], scols, prod)
     for law, got, want in (("antipode left diagram", left, maps.piL),
                            ("antipode right diagram", right, maps.piR),
                            ("antipode S(h1) h2 S(h3) = S(h)", third, s)):
-        cols = tuple(j for j in range(n) if got.col(j) != want.col(j))
+        wcols = _sparse_cols(want)
+        cols = tuple(j for j in range(n) if got[j] != dict(wcols[j]))
         if cols:
             failures.append(AxiomFailure(law, cols))
     # consequences of the definition, reported but not fatal
-    scols = _sparse_cols(s)
-    prod = _sparse_products(alg)
     warnings = []
     for i in range(n):
         for j in range(n):
             # S(e_i e_j) = S(e_j) S(e_i)
-            lhs = [f.zero()] * n
-            for k, t in prod[i][j]:
-                for m, v in scols[k]:
-                    lhs[m] = f.add(lhs[m], f.mul(t, v))
-            if tuple(lhs) != alg.mult_vec(s.col(j), s.col(i)):
+            if _apply_sparse(f, scols, prod[i][j]) != \
+                    dict(_terms(alg.mult_vec(s.col(j), s.col(i)))):
                 warnings.append(AxiomFailure("antipode anti-multiplicativity", (i, j)))
     if s.apply(alg.unit) != alg.unit:
         warnings.append(AxiomFailure("antipode unit", ()))
-    # Delta(S(h)) = S(h2) (x) S(h1)
-    flipped = [[f.zero()] * (n * n) for _ in range(n)]
-    for i, a, b, t in coa.comult.nonzeros():
-        out = flipped[i]
-        for p, sp in scols[b]:
-            tp = f.mul(t, sp)
-            for q, sq in scols[a]:
-                out[p * n + q] = f.add(out[p * n + q], f.mul(tp, sq))
-    if any(coa.comult_vec(s.col(i)) != tuple(flipped[i]) for i in range(n)):
+    # Delta(S(h)) = S(h2) (x) S(h1): a convolution into C (x) C whose
+    # product is the flip e_p (x) e_q -> e_q (x) e_p
+    flip = [[((q * n + p, f.one()),) for q in range(n)] for p in range(n)]
+    flipped = _convolution(f, delta, scols, scols, flip)
+    if any(dict(_terms(coa.comult_vec(s.col(i)))) != flipped[i] for i in range(n)):
         warnings.append(AxiomFailure("antipode coalgebra anti-homomorphy", ()))
     if any(_dot(f, coa.counit, s.col(j)) != coa.counit[j] for j in range(n)):
         warnings.append(AxiomFailure("antipode counit", ()))

@@ -1,10 +1,12 @@
 """Dense linear algebra that only the tests use.
 
-Kronecker products, the flip of a tensor product, kernels and affine solves
-of dense matrices, the rows of a matrix added to a constraint system, the
-rows of a system as a multiset, a matrix as nested rows, the zero test, the
-projection of one vector to a quotient and the quotient's section, the unit,
-comultiplication and counit of a presentation as matrices, a change of
+Kronecker products, the flip of a tensor product, the identity and the
+difference of matrices, kernels and affine solves of dense matrices, the rows
+of a matrix added to a constraint system, the rows of a system as a multiset,
+a matrix as nested rows, the zero test, the projection of one vector to a
+quotient and the quotient's section, the multiplication, left and right
+multiplication, unit, comultiplication and counit of a presentation as
+matrices, a map after an action on one leg of a tensor square, a change of
 basis, the dual algebra of a coalgebra, and the dimension of the subalgebra
 that some basis elements generate.  The package builds every map from
 structure constants; the tests compose the same maps from these dense pieces
@@ -43,6 +45,21 @@ def flip_matrix(field: FieldSpec, d1: int, d2: int) -> Matrix:
         for b in range(d2):
             out[(b * d1 + a) * cols + (a * d2 + b)] = field.one()
     return Matrix(field, d2 * d1, cols, tuple(out))
+
+
+def identity(field: FieldSpec, n: int) -> Matrix:
+    z, o = field.zero(), field.one()
+    return Matrix(field, n, n, tuple(o if i == j else z for i in range(n) for j in range(n)))
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    """The entrywise difference a - b."""
+    if a.field != b.field:
+        raise ValueError("mixed-field input rejected")
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    f = a.field
+    return Matrix(f, a.rows, a.cols, tuple(f.sub(x, y) for x, y in zip(a.entries, b.entries)))
 
 
 def solve_affine(m: Matrix, b):
@@ -101,6 +118,52 @@ def section(q) -> Matrix:
     for r, c in enumerate(q.free):
         out[c * q.dim + r] = f.one()
     return Matrix(f, q.ambient_dim, q.dim, tuple(out))
+
+
+def left_mult_matrix(a, u) -> Matrix:
+    """Matrix of v -> u*v in an algebra presentation."""
+    f, n = a.field, a.dim
+    out = [f.zero()] * (n * n)
+    for i, j, k, t in a.mult.nonzeros():
+        if u[i] != 0:
+            out[k * n + j] = f.add(out[k * n + j], f.mul(u[i], t))
+    return Matrix(f, n, n, tuple(out))
+
+
+def right_mult_matrix(a, u) -> Matrix:
+    """Matrix of v -> v*u in an algebra presentation."""
+    f, n = a.field, a.dim
+    out = [f.zero()] * (n * n)
+    for i, j, k, t in a.mult.nonzeros():
+        if u[j] != 0:
+            out[k * n + i] = f.add(out[k * n + i], f.mul(u[j], t))
+    return Matrix(f, n, n, tuple(out))
+
+
+def mult_matrix(a) -> Matrix:
+    """The multiplication of an algebra presentation as a matrix A (x) A -> A
+    (left-major columns)."""
+    f, n = a.field, a.dim
+    out = [f.zero()] * (n * n * n)
+    for i, j, k, t in a.mult.nonzeros():
+        out[k * (n * n) + i * n + j] = t
+    return Matrix(f, n, n * n, tuple(out))
+
+
+def on_leg(m: Matrix, act: Matrix, leg: int) -> Matrix:
+    """m after act on one leg of A (x) A: the matrix of w -> m((act (x) 1) w)
+    for leg 0 and of w -> m((1 (x) act) w) for leg 1 (left-major a * n + b)."""
+    f = m.field
+    n = act.rows
+    out = [f.zero()] * (m.rows * m.cols)
+    for r, pq, v in m.nonzeros():
+        p, q = divmod(pq, n)
+        for a in range(n):
+            t = act.at((p, q)[leg], a)
+            if t != 0:
+                idx = r * m.cols + (a * n + q if leg == 0 else p * n + a)
+                out[idx] = f.add(out[idx], f.mul(v, t))
+    return Matrix(f, m.rows, m.cols, tuple(out))
 
 
 def unit_matrix(a) -> Matrix:

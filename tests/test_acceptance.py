@@ -60,7 +60,7 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import is_zero, kron, section
+from denselin import identity, is_zero, kron, mult_matrix, section
 from test_hopfalgd import oracle_coseparability_system_hgd
 
 QQ = FieldSpec.rationals()
@@ -121,8 +121,8 @@ def test_criterion_02_qc2_exact_values():
     ok = sol.element == (half, half)
     section = solve_separability(w.algebra)
     ok &= section.element == (half, 0, 0, half)
-    eye = Matrix.identity(QQ, 2)
-    mu = w.algebra.mult_matrix()
+    eye = identity(QQ, 2)
+    mu = mult_matrix(w.algebra)
     ok &= mu @ section.map == eye
     mid = section.map @ mu
     ok &= kron(mu, eye) @ kron(eye, section.map) == mid

@@ -443,6 +443,23 @@ class TestCommands:
         assert main(["maschke", "--structure", str(path)]) == 3
         assert capsys.readouterr().err.startswith("invalid input:")
 
+    @pytest.mark.parametrize("command", ["maschke", "validate"])
+    def test_non_utf8_structure_file_exits_three(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main([command, "--structure", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: cannot read {path}:") and "utf-8" in err
+
+    def test_unwritable_out_exits_four(self, tmp_path, capsys):
+        path = gen(tmp_path, "c3.json", "group-algebra", "--group", "C3", "--field", "Q")
+        out = str(tmp_path / "missing" / "x.json")
+        for argv in (["validate", "--structure", str(path)],
+                     ["generate", "group-algebra", "--group", "C3", "--field", "Q"]):
+            capsys.readouterr()
+            assert main([*argv, "--out", out]) == 4, argv
+            assert capsys.readouterr().err.startswith(f"usage error: cannot write {out}:")
+
     def test_validate_ok(self, tmp_path):
         path = gen(tmp_path, "pg.json", "groupoid-algebra", "--groupoid",
                    "pair:2", "--field", "Q")

@@ -28,7 +28,6 @@ from maschke_kit.hopfalgd import (
     HopfAlgebroidPresentation,
     _base_images,
     _comult_terms,
-    _on_leg,
     bullet_relations,
     check_hopf_algebroid,
     circ_relations,
@@ -45,8 +44,9 @@ from maschke_kit.hopfalgd import (
     tensor_over_R,
 )
 
-from denselin import (add_matrix_rows, comult_matrix, counit_matrix, generated_dim, kron,
-                      project, rebased, row_multiset, section, to_rows, unit_matrix)
+from denselin import (add_matrix_rows, comult_matrix, counit_matrix, generated_dim, identity,
+                      kron, left_mult_matrix, mat_sub, mult_matrix, on_leg, project, rebased,
+                      right_mult_matrix, row_multiset, section, to_rows, unit_matrix)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -96,15 +96,15 @@ def kron_separability_system_hgd(h, q) -> ConstraintSystem:
     qd = q.dim
     sec = section(q)
     sys = ConstraintSystem(f, qd * n)
-    ms = alg.mult_matrix() @ sec
+    ms = mult_matrix(alg) @ sec
     for j in range(n):
         for m in range(n):
             coeffs = {r * n + j: ms.at(m, r) for r in range(qd) if ms.at(m, r) != 0}
             sys.add_row(coeffs, f.one() if m == j else f.zero())
-    eye = Matrix.identity(f, n)
+    eye = identity(f, n)
     for i in range(n):
-        left = q.projection @ kron(alg.left_mult_matrix(unit_vec(f, n, i)), eye) @ sec
-        right = q.projection @ kron(eye, alg.right_mult_matrix(unit_vec(f, n, i))) @ sec
+        left = q.projection @ kron(left_mult_matrix(alg, unit_vec(f, n, i)), eye) @ sec
+        right = q.projection @ kron(eye, right_mult_matrix(alg, unit_vec(f, n, i))) @ sec
         for j in range(n):
             # (mu bullet 1)(1 bullet nabla) on e_i (x) e_j and
             # (1 bullet mu)(nabla bullet 1) on e_j (x) e_i
@@ -144,8 +144,8 @@ def oracle_separability_system_hgd(h, q) -> ConstraintSystem:
             sys.add_row(row, f.one() if m == j else f.zero())
     for i in range(n):
         e_i = unit_vec(f, n, i)
-        left = _on_leg(q.projection, alg.left_mult_matrix(e_i), 0)
-        right = _on_leg(q.projection, alg.right_mult_matrix(e_i), 1)
+        left = on_leg(q.projection, left_mult_matrix(alg, e_i), 0)
+        right = on_leg(q.projection, right_mult_matrix(alg, e_i), 1)
         for j in range(n):
             # (mu bullet 1)(1 bullet nabla) on e_i (x) e_j and
             # (1 bullet mu)(nabla bullet 1) on e_j (x) e_i, through the quotient
@@ -164,8 +164,8 @@ def dense_section(h, q, e) -> Matrix:
     q.projection @ kron(L_j, 1) @ section(q) applied to e."""
     f = h.field
     n = h.total.dim
-    eye = Matrix.identity(f, n)
-    cols = [(q.projection @ kron(h.total.left_mult_matrix(unit_vec(f, n, j)), eye)
+    eye = identity(f, n)
+    cols = [(q.projection @ kron(left_mult_matrix(h.total, unit_vec(f, n, j)), eye)
              @ section(q)).apply(e) for j in range(n)]
     return Matrix(f, q.dim, n, tuple(c[r] for r in range(q.dim) for c in cols))
 
@@ -479,8 +479,8 @@ def oracle_coseparability_system_hgd(h: HopfAlgebroidPresentation,
             gens[(j, k)] = project(q, vec)
     # R-bimodule morphism rows
     for x in range(h.base.dim):
-        smat = alg.left_mult_matrix(srcs[x])
-        tmat = alg.left_mult_matrix(tgts[x])
+        smat = left_mult_matrix(alg, srcs[x])
+        tmat = left_mult_matrix(alg, tgts[x])
         for j in range(n):
             sj = alg.mult_vec(srcs[x], unit_vec(f, n, j))
             for k in range(n):
@@ -612,9 +612,9 @@ def oracle_integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     for i in range(n):
         e_i = unit_vec(f, n, i)
         if side == "left":
-            diff = alg.left_mult_matrix(vec_sub(f, e_i, sc.col(i)))
+            diff = left_mult_matrix(alg, vec_sub(f, e_i, sc.col(i)))
         else:
-            diff = alg.right_mult_matrix(e_i) - alg.left_mult_matrix(sc.col(i))
+            diff = mat_sub(right_mult_matrix(alg, e_i), left_mult_matrix(alg, sc.col(i)))
         add_matrix_rows(sys, q.projection @ diff)
     if normalized:
         add_matrix_rows(sys, h.counit, h.base.algebra.unit)
@@ -638,7 +638,7 @@ def oracle_cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
 
     anchor = srcs if side == "left" else tgts
     for x in range(dr):
-        moved = alg.left_mult_matrix(anchor[x])
+        moved = left_mult_matrix(alg, anchor[x])
         for j in range(n):
             for r in range(dr):
                 coeffs = {r * n + jp: c for jp, c in enumerate(moved.col(j)) if c != 0}
@@ -648,10 +648,10 @@ def oracle_cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
                         _add_to(coeffs, rp * n + j, f.neg(c), f)
                 sys.add_row(coeffs, f.zero())
 
-    _, terms = _comult_terms(h)
+    terms = _comult_terms(h)
     # mix[r][a] = e_a t(f_r) (left) or s(f_r) e_a (right), sparse
-    mix = [_sparse_cols(alg.right_mult_matrix(t)) for t in tgts] if side == "left" \
-        else [_sparse_cols(alg.left_mult_matrix(s)) for s in srcs]
+    mix = [_sparse_cols(right_mult_matrix(alg, t)) for t in tgts] if side == "left" \
+        else [_sparse_cols(left_mult_matrix(alg, s)) for s in srcs]
     out_map = h.src if side == "left" else h.tgt
     for i in range(n):
         rows = [dict() for _ in range(n)]
@@ -808,7 +808,7 @@ class TestValidation:
         h = pair_hopf_algebroid(dual_number_algebra(QQ))
         broken = HopfAlgebroidPresentation(
             h.base, h.total, h.src, h.tgt, h.comult_lift, h.counit,
-            Matrix.identity(QQ, h.total.dim))
+            identity(QQ, h.total.dim))
         report = check_hopf_algebroid(broken)
         fails = [f for f in report.failures if f.law == "antipode left composite"]
         assert any(1 in f.witness for f in fails)   # basis element 1 (x) x
@@ -828,7 +828,7 @@ class TestValidation:
         h = pair_hopf_algebroid(dual_number_algebra(QQ))
         broken = HopfAlgebroidPresentation(
             h.base, h.total, h.src, h.tgt, h.comult_lift, h.counit,
-            Matrix.identity(QQ, h.total.dim))
+            identity(QQ, h.total.dim))
         for _ in range(2):
             with pytest.raises(InvalidPresentationError):
                 solve_integral_hgd(broken, "left")
@@ -1016,7 +1016,7 @@ class TestSeparability:
         # kC2 (x) kC2 multiplies to the unit but is no separability element
         def unit_rows_only(h, q):
             sys = ConstraintSystem(h.field, q.dim)
-            add_matrix_rows(sys, h.total.mult_matrix() @ section(q), h.total.unit)
+            add_matrix_rows(sys, mult_matrix(h.total) @ section(q), h.total.unit)
             return sys
 
         monkeypatch.setattr(hopfalgd, "separability_system_hgd", unit_rows_only)

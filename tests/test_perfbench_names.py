@@ -21,7 +21,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
                          "perfbench")
 
 # Names the benchmark still lists although the package retired them: their
-# rows read 0 until a benchmark change drops them (ROADMAP item 7).
+# rows read 0 until a benchmark change drops them (ROADMAP item 6).
 RETIRED = {
     "exactlin.kron": "moved to tests/denselin.py",
     "exactlin.rref": "replaced by the sparse eliminator",

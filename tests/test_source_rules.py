@@ -153,3 +153,29 @@ def test_only_exactlin_owns_the_rational_type():
                         or (isinstance(f, ast.Attribute) and f.attr == "Fraction"))
     assert imports == {"exactlin"}
     assert calls and {site.split(".")[0] for site in calls} == {"exactlin"}
+
+
+DENSE_MULTIPLICATION = ("left_mult_matrix", "right_mult_matrix", "mult_matrix")
+
+
+def test_no_dense_multiplication_matrix():
+    # validation and systems read the sparse product tables; the dense
+    # multiplication matrices, the identity and the matrix difference live
+    # in tests/denselin.py as oracles only
+    from maschke_kit.exactlin import Matrix
+    defined = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in DENSE_MULTIPLICATION:
+                defined.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef) and node.name == "Matrix":
+                defined |= {f"{path.stem}.Matrix.{item.name}" for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and item.name in ("identity", "__sub__")}
+    assert defined == set()
+    assert _call_sites(_named(*DENSE_MULTIPLICATION, "__sub__")) == set()
+    assert _call_sites(lambda f: isinstance(f, ast.Attribute) and f.attr == "identity"
+                       and isinstance(f.value, ast.Name) and f.value.id == "Matrix") == set()
+    assert not hasattr(Matrix, "identity") and not hasattr(Matrix, "__sub__")
+    # the benchmark's tracer wraps Matrix.__matmul__ by name, so it stays
+    assert callable(Matrix.__matmul__)

@@ -14,7 +14,9 @@ argparse or build a parser tree.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 import sys
 import time
@@ -274,6 +276,23 @@ def _emit(text, out):
         raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
+def _check_out(out):
+    """Refuse before any work a destination that open() would refuse for its
+    directory or as a directory; _emit maps a later failure the same way."""
+    if out in (None, "-"):
+        return
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {out}: {OSError(code, os.strerror(code), out)}")
+
+
 def _render_text(report) -> str:
     lines = []
 
@@ -517,6 +536,7 @@ def execute_command(argv) -> int:
         _emit(serialize_structure(presentation), args["out"])
         return EXIT_OK
 
+    _check_out(args["out"])
     report = {
         "command": args["command"],
         "format_version": FORMAT_VERSION,

@@ -293,25 +293,13 @@ def _same_field(a, b):
 # vectors: plain tuples of scalars
 
 
-def zero_vec(field: FieldSpec, n: int) -> tuple:
-    return (field.zero(),) * n
-
-
 def unit_vec(field: FieldSpec, n: int, i: int) -> tuple:
     z, o = field.zero(), field.one()
     return tuple(o if j == i else z for j in range(n))
 
 
-def vec_add(field: FieldSpec, u, v) -> tuple:
-    return tuple(field.add(a, b) for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(field: FieldSpec, u, v) -> tuple:
     return tuple(field.sub(a, b) for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(field: FieldSpec, c, v) -> tuple:
-    return tuple(field.mul(c, a) for a in v)
 
 
 def vec_is_zero(v) -> bool:
@@ -491,17 +479,6 @@ class Subspace(Frozen):
         object.__setattr__(self, "_pivots", tuple(pivots))
 
     @staticmethod
-    def from_rows(field: FieldSpec, ambient_dim: int, rows) -> "Subspace":
-        """Echelon basis of the span of dense rows."""
-        sparse = []
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("row length must equal ambient_dim")
-            coords = (field.coerce(x) for x in r)
-            sparse.append({j: v for j, v in enumerate(coords) if v != 0})
-        return _row_space(field, ambient_dim, sparse)
-
-    @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, Matrix.zeros(field, 0, ambient_dim))
 
@@ -646,6 +623,8 @@ class ConstraintSystem:
         self.field = field
         self.nvars = nvars
         self.rows: list = []
+        # the fully reduced pivot rows of a feasible solve, {column: (row, rhs)}
+        self.pivots = None
 
     def add_row(self, coeffs: dict, rhs=0):
         f = self.field
@@ -665,14 +644,14 @@ class ConstraintSystem:
         if len(x) != self.nvars:
             raise ValueError("candidate length mismatch")
         f = self.field
-        return self._holds([f.coerce(v) for v in x], True)
+        return self._holds(self.rows, [f.coerce(v) for v in x], True)
 
-    def _holds(self, xs, affine: bool) -> bool:
-        """Every stored row holds at xs, with right-hand side zero unless affine."""
+    def _holds(self, rows, xs, affine: bool) -> bool:
+        """Every row holds at xs, with right-hand side zero unless affine."""
         f = self.field
         add, mul = f.add, f.mul
         zero = f.zero()
-        for coeffs, rhs in self.rows:
+        for coeffs, rhs in rows:
             acc = zero
             for c, v in coeffs.items():
                 xv = xs[c]
@@ -682,11 +661,14 @@ class ConstraintSystem:
                 return False
         return True
 
-    def _eliminate(self):
-        """Forward elimination; returns pivot map or None when inconsistent."""
+    def _eliminate(self, primed=None):
+        """Forward elimination, then back substitution; returns the pivot map
+        or None when inconsistent.  With primed, the elimination resumes from
+        its pivot rows: fully reduced, each still led by its pivot column."""
         f = self.field
         sub, mul = f.sub, f.mul
-        pivots: dict = {}
+        pivots: dict = {} if primed is None else \
+            {c: (dict(row), rhs) for c, (row, rhs) in primed.pivots.items()}
         for coeffs, rhs in self.rows:
             rest = _reduce_on_arrival(f, pivots, dict(coeffs), rhs)
             if rest is not None and rest != 0:
@@ -711,10 +693,18 @@ class ConstraintSystem:
             pivots[c] = (row, rhs)
         return pivots
 
-    def solve(self):
-        """AffineSolution with canonical particular, or None if infeasible."""
+    def solve(self, primed=None):
+        """AffineSolution with canonical particular, or None if infeasible.
+
+        primed, a solved feasible system on the same unknowns, adds its rows:
+        the elimination resumes from its pivot rows and the solution set is
+        certified against the rows of both; the reduced echelon form is
+        unique, so it is the solution set of all rows solved from scratch."""
         f = self.field
-        pivots = self._eliminate()
+        if primed is not None and (primed.pivots is None or primed.nvars != self.nvars):
+            raise ValueError("primed must be a solved feasible system on the same unknowns")
+        rows = self.rows if primed is None else primed.rows + self.rows
+        pivots = self._eliminate(primed)
         if pivots is None:
             return None
         zero, one = f.zero(), f.one()
@@ -728,11 +718,12 @@ class ConstraintSystem:
             for fc, coef in row.items():
                 kern_rows[fc][c] = f.neg(coef)
         homogeneous = _row_space(f, self.nvars, kern_rows.values())
-        if not self.satisfied_by(particular):
+        if not self._holds(rows, particular, True):
             raise ArithmeticError("eliminator produced an unverified solution")
         kernel = homogeneous.basis
-        if not all(self._holds(kernel.row(i), False) for i in range(kernel.rows)):
+        if not all(self._holds(rows, kernel.row(i), False) for i in range(kernel.rows)):
             raise ArithmeticError("eliminator produced an unverified kernel vector")
+        self.pivots = pivots
         return AffineSolution(particular, homogeneous)
 
 

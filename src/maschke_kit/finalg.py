@@ -130,6 +130,14 @@ def _terms(vec) -> list:
     return [(a, c) for a, c in enumerate(vec) if c != 0]
 
 
+def _vector(f: FieldSpec, n: int, terms) -> tuple:
+    """The coefficient vector of length n with the terms (k, value)."""
+    out = [f.zero()] * n
+    for k, t in terms:
+        out[k] = t
+    return tuple(out)
+
+
 def _closure_generators(f: FieldSpec, prod: tuple, unit) -> tuple:
     """Indices g, in basis order, of the e_g outside the subalgebra generated
     by the unit and the e_h kept before g: a set that generates the algebra
@@ -139,7 +147,7 @@ def _closure_generators(f: FieldSpec, prod: tuple, unit) -> tuple:
     every kept generator: each vector that enters the span is multiplied by
     each generator, and each new generator multiplies every vector already in.
     """
-    add, mul, zero = f.add, f.mul, f.zero()
+    zero, one = f.zero(), f.one()
     n = len(prod)
     pivots, span, gens = {}, [], []
 
@@ -149,24 +157,17 @@ def _closure_generators(f: FieldSpec, prod: tuple, unit) -> tuple:
         span.append(vec)
         return True
 
-    def times(vec: dict, g: int) -> dict:
-        out = {}
-        for a, c in vec.items():
-            for k, t in prod[a][g]:
-                out[k] = add(out.get(k, zero), mul(c, t))
-        return {k: t for k, t in out.items() if t != 0}
-
     enters(dict(_terms(unit)))
     for g in range(n):
         if len(pivots) == n:
             break
-        if not enters({g: f.one()}):
+        if not enters({g: one}):
             continue
         gens.append(g)
         todo = [(vec, g) for vec in span[:-1]] + [(span[-1], h) for h in gens]
         while todo:
             vec, h = todo.pop()
-            product = times(vec, h)
+            product = _product(f, prod, vec.items(), ((h, one),))
             if enters(product):
                 todo += [(product, k) for k in gens]
     return tuple(gens)
@@ -189,15 +190,14 @@ def _dual_generators(c: CoalgebraPresentation) -> tuple:
     return _closure_generators(c.field, prod, c.counit)
 
 
-def _mult_cols(f: FieldSpec, prod: tuple, terms, u_first: bool, cols=None) -> list:
+def _mult_cols(f: FieldSpec, prod: tuple, terms, u_first: bool) -> list:
     """cols[j] = {k: coefficient of e_k in u e_j (u_first) or in e_j u}.
 
     Read from the product table, for u the sum of c e_a over the (a, c) in
-    terms, and added into cols when it is given.  Entries may sum to zero.
+    terms.  Entries may sum to zero.
     """
     add, mul, zero = f.add, f.mul, f.zero()
-    if cols is None:
-        cols = [{} for _ in prod]
+    cols = [{} for _ in prod]
     for a, c in terms:
         for j, col in enumerate(cols):
             for k, t in (prod[a][j] if u_first else prod[j][a]):
@@ -213,6 +213,20 @@ def _apply_sparse(f: FieldSpec, cols, terms) -> dict:
     for k, t in terms:
         for r, v in cols[k]:
             _add_to(out, r, f.mul(t, v), f)
+    return _nonzero_entries(out)
+
+
+def _product(f: FieldSpec, prod: tuple, u, v) -> dict:
+    """u v as {k: value} without zeros, for u and v the sums of c e_a over
+    their terms (a, c), which may repeat an index."""
+    add, mul = f.add, f.mul
+    out = {}
+    for a, c in u:
+        row = prod[a]
+        for b, d in v:
+            cd = mul(c, d)
+            for k, t in row[b]:
+                out[k] = add(out[k], mul(cd, t)) if k in out else mul(cd, t)
     return _nonzero_entries(out)
 
 
@@ -280,21 +294,8 @@ class AlgebraPresentation(Frozen):
 
     def mult_vec(self, u, v) -> tuple:
         """Product of two coefficient vectors."""
-        f = self.field
-        add, mul = f.add, f.mul
-        prod = _sparse_products(self)
-        out = [f.zero()] * self.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            row = prod[i]
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                c = mul(a, b)
-                for k, t in row[j]:
-                    out[k] = add(out[k], mul(c, t))
-        return tuple(out)
+        return _vector(self.field, self.dim, _product(
+            self.field, _sparse_products(self), _terms(u), _terms(v)).items())
 
 
 class CoalgebraPresentation(Frozen):
@@ -521,20 +522,23 @@ def _table_matrix(f: FieldSpec, table: dict, rows: int, cols: int) -> Matrix:
     return Matrix(f, rows, cols, tuple(entries))
 
 
-def _separability_terms(n: int, mult, unit, gens=None):
+def _separability_terms(n: int, mult, unit, gens=None, e=None):
     """(norm, rhs, products) of mu(e) = 1 and g e = e g, for the algebra with
     the product terms mult, (i, j, m, t) for t e_m in e_i e_j, and e[k*n + l]
     the coefficient of b_k (x) b_l.  The products are those of the basis
-    elements g in gens, or of every basis element when gens is None."""
+    elements g in gens, or of every basis element when gens is None; given a
+    solution e, only those of its nonzero unknowns, all that a certificate reads."""
     keep = [gens is None or g in gens for g in range(n)]
+    support = [[x for x in range(n) if e is None or e[j * n + x] != 0] for j in range(n)]
+    cosupport = [[x for x in range(n) if e is None or e[x * n + i] != 0] for i in range(n)]
 
     def products():
         for i, j, m, t in mult:
             if keep[i]:
-                for x in range(n):
+                for x in support[j]:
                     yield 0, i, m * n + x, j * n + x, t
             if keep[j]:
-                for x in range(n):
+                for x in cosupport[i]:
                     yield 1, j, x * n + m, x * n + i, t
 
     return [(m, i * n + j, t) for i, j, m, t in mult], unit, products()
@@ -576,17 +580,18 @@ def solve_separability(a: AlgebraPresentation):
         return None
     # the section x -> x e
     section = _table_matrix(a.field, _balanced_certificate(
-        a.field, sol.particular, *_separability_terms(a.dim, a.mult.nonzeros(), a.unit),
+        a.field, sol.particular,
+        *_separability_terms(a.dim, a.mult.nonzeros(), a.unit, e=sol.particular),
         ("separability element does not multiply to the unit",
          "separability element does not commute with the basis")), a.dim ** 2, a.dim)
     return SeparabilitySection(section, sol.particular)
 
 
-def _dual_terms(c: CoalgebraPresentation, gens=None):
+def _dual_terms(c: CoalgebraPresentation, gens=None, sigma=None):
     """The separability terms of the dual algebra, e^p e^q = sum_i
     Delta_i^{pq} e^i with unit eps: sigma is its separability element."""
     return _separability_terms(
-        c.dim, [(p, q, i, t) for i, p, q, t in c.comult.nonzeros()], c.counit, gens)
+        c.dim, [(p, q, i, t) for i, p, q, t in c.comult.nonzeros()], c.counit, gens, sigma)
 
 
 def coseparability_system(c: CoalgebraPresentation) -> ConstraintSystem:
@@ -621,7 +626,7 @@ def solve_coseparability(c: CoalgebraPresentation):
     f, n = c.field, c.dim
     # the retraction P: c (x) d -> c1 sigma(c2 (x) d)
     retraction = _table_matrix(f, _balanced_certificate(
-        f, sol.particular, *_dual_terms(c),
+        f, sol.particular, *_dual_terms(c, sigma=sol.particular),
         ("coseparability functional does not restrict to the counit",
          "coseparability functional is not balanced over the comultiplication")), n * n, n)
     p = retraction.entries    # P[m, j*n + k] at (j*n + k) * n + m

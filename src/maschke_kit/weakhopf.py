@@ -14,6 +14,7 @@ or "duoidal" (primed plus one extra condition quantified over the base).
 
 from __future__ import annotations
 
+import itertools
 
 from .exactlin import (
     ConstraintSystem,
@@ -22,11 +23,8 @@ from .exactlin import (
     Matrix,
     Subspace,
     Tensor3,
-    unit_vec,
-    vec_add,
-    vec_scale,
+    _row_space,
     vec_sub,
-    zero_vec,
 )
 from .finalg import (
     AlgebraPresentation,
@@ -41,10 +39,12 @@ from .finalg import (
     _convolution,
     _mult_cols,
     _once,
+    _product,
     _require_antipode,
     _sparse_cols,
     _sparse_products,
     _terms,
+    _vector,
     check_algebra,
     check_coalgebra,
     solve_coseparability,
@@ -126,14 +126,16 @@ class CointegralSolution(Frozen):
 @_once
 def _counit_pairing(w: WeakHopfPresentation) -> tuple:
     """eps2[i][j] = eps(e_i e_j)."""
-    f = w.field
-    n = w.dim
     eps = w.coalgebra.counit
-    eps2 = [[f.zero()] * n for _ in range(n)]
-    for i, j, k, t in w.algebra.mult.nonzeros():
-        if eps[k] != 0:
-            eps2[i][j] = f.add(eps2[i][j], f.mul(t, eps[k]))
-    return tuple(tuple(row) for row in eps2)
+    return tuple(tuple(_dot(w.field, eps, terms) for terms in row)
+                 for row in _sparse_products(w.algebra))
+
+
+@_once
+def _unit_comult(w: WeakHopfPresentation) -> tuple:
+    """((a, b, c), ...): the nonzero terms c e_a (x) e_b of Delta(1)."""
+    u = w.coalgebra.comult_vec(w.algebra.unit)
+    return tuple((*divmod(ab, w.dim), c) for ab, c in enumerate(u) if c != 0)
 
 
 def _grouped(terms) -> dict:
@@ -198,19 +200,14 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
 
     # weak unit: (1 (x) mu (x) 1) and (1 (x) mu_op (x) 1) on delta(1) (x) delta(1)
     # both equal the double comultiplication of 1
-    u = coa.comult_vec(alg.unit)
+    nz_u = _unit_comult(w)
     d2 = [zero] * (n ** 3)
-    for ab in range(n * n):
-        c0 = u[ab]
-        if c0 == 0:
-            continue
-        a, b = divmod(ab, n)
+    for a, b, c0 in nz_u:
         for p, q, s in by_source[a]:
             idx = (p * n + q) * n + b
             d2[idx] = add(d2[idx], mul(c0, s))
     v_straight = [zero] * (n ** 3)
     v_twisted = [zero] * (n ** 3)
-    nz_u = [(*divmod(ab, n), c) for ab, c in enumerate(u) if c != 0]
     u_first = _grouped(nz_u)
     for a, b, c1 in nz_u:
         for v, sides in ((v_straight, right[b]), (v_twisted, left[b])):
@@ -277,10 +274,7 @@ def projections(w: WeakHopfPresentation) -> ProjectionMaps:
     add, mul = f.add, f.mul
     eps2 = _counit_pairing(w)
     piR, piR_bar, piL, piL_bar = ([f.zero()] * (n * n) for _ in range(4))
-    for ab, c in enumerate(w.coalgebra.comult_vec(w.algebra.unit)):
-        if c == 0:
-            continue
-        a, b = divmod(ab, n)
+    for a, b, c in _unit_comult(w):
         for h in range(n):
             piR[a * n + h] = add(piR[a * n + h], mul(c, eps2[h][b]))
             piR_bar[a * n + h] = add(piR_bar[a * n + h], mul(c, eps2[b][h]))
@@ -288,15 +282,20 @@ def projections(w: WeakHopfPresentation) -> ProjectionMaps:
             piL_bar[b * n + h] = add(piL_bar[b * n + h], mul(c, eps2[h][a]))
     maps = ProjectionMaps(*(Matrix(f, n, n, tuple(e))
                             for e in (piR, piR_bar, piL, piL_bar)))
-    for name in ("piR", "piR_bar", "piL", "piL_bar"):
-        m = getattr(maps, name)
-        if any(m.apply(m.col(j)) != m.col(j) for j in range(n)):
+    for name in ProjectionMaps._fields:
+        cols = _sparse_cols(getattr(maps, name))
+        if any(_apply_sparse(f, cols, col) != dict(col) for col in cols):
             raise StructureDefectError(f"{name} is not idempotent")
     return maps
 
 
-def _image(field, m: Matrix) -> Subspace:
-    return Subspace.from_rows(field, m.rows, [m.col(j) for j in range(m.cols)])
+@_once
+def _projection_cols(w: WeakHopfPresentation) -> dict:
+    """{name: sparse columns} of the four projections (see _sparse_cols), as
+    tuples; the dict is not changed after it is stored."""
+    maps = projections(w)
+    return {name: tuple(map(tuple, _sparse_cols(getattr(maps, name))))
+            for name in ProjectionMaps._fields}
 
 
 @_once
@@ -305,83 +304,70 @@ def base_algebra(w: WeakHopfPresentation) -> BaseAlgebraInfo:
 
     Verifies the subalgebra, commutation, anti-isomorphism and
     Frobenius-separability identities; any violation on a valid weak
-    bialgebra is an internal inconsistency.
+    bialgebra is an internal inconsistency.  Every map is read from the
+    sparse columns of the projections and the product table.
     """
     _require_weak_bialgebra(w)
-    maps = projections(w)
+    cols = _projection_cols(w)
     f = w.field
     n = w.dim
-    alg = w.algebra
-    base = _image(f, maps.piR)
-    cobase = _image(f, maps.piL)
-    if _image(f, maps.piR_bar).basis != base.basis:
+    unit = w.algebra.unit
+    prod = _sparse_products(w.algebra)
+
+    def pi(name, terms):
+        return _apply_sparse(f, cols[name], terms)
+
+    base, base_bar, cobase, cobase_bar = (_row_space(f, n, map(dict, cols[name]))
+                                          for name in ProjectionMaps._fields)
+    if base_bar.basis != base.basis:
         raise StructureDefectError("images of piR and piR_bar differ")
-    if _image(f, maps.piL_bar).basis != cobase.basis:
+    if cobase_bar.basis != cobase.basis:
         raise StructureDefectError("images of piL and piL_bar differ")
-    if not base.contains(alg.unit):
+    if not base.contains(unit):
         raise StructureDefectError("unit escapes the base algebra")
-    rows = [base.basis.row(i) for i in range(base.dim)]
-    corows = [cobase.basis.row(i) for i in range(cobase.dim)]
-    for u in rows:
-        for v in rows:
-            if not base.contains(alg.mult_vec(u, v)):
-                raise StructureDefectError("base not closed under multiplication")
+    rows = [_terms(base.basis.row(i)) for i in range(base.dim)]
+    corows = [_terms(cobase.basis.row(i)) for i in range(cobase.dim)]
+    products = [[_product(f, prod, u, v) for v in rows] for u in rows]
+    # the induced multiplication in base coordinates
+    coords = [base.coords(_vector(f, n, uv.items())) for row in products for uv in row]
+    if None in coords:
+        raise StructureDefectError("base not closed under multiplication")
     for x in corows:
         for y in rows:
-            if alg.mult_vec(x, y) != alg.mult_vec(y, x):
+            if _product(f, prod, x, y) != _product(f, prod, y, x):
                 raise StructureDefectError("commutant fails to commute with the base")
     # mutually inverse anti-isomorphisms between the two subalgebras
     for y in rows:
-        if maps.piR.apply(maps.piL_bar.apply(y)) != y:
+        if pi("piR", pi("piL_bar", y).items()) != dict(y):
             raise StructureDefectError("piR . piL_bar is not the identity on the base")
-        if maps.piR_bar.apply(maps.piL.apply(y)) != y:
+        if pi("piR_bar", pi("piL", y).items()) != dict(y):
             raise StructureDefectError("piR_bar . piL is not the identity on the base")
     for x in corows:
-        if maps.piL_bar.apply(maps.piR.apply(x)) != x:
+        if pi("piL_bar", pi("piR", x).items()) != dict(x):
             raise StructureDefectError("piL_bar . piR is not the identity on the commutant")
-        if maps.piL.apply(maps.piR_bar.apply(x)) != x:
+        if pi("piL", pi("piR_bar", x).items()) != dict(x):
             raise StructureDefectError("piL . piR_bar is not the identity on the commutant")
-    for u in rows:
-        for v in rows:
-            lhs = maps.piL_bar.apply(alg.mult_vec(u, v))
-            rhs = alg.mult_vec(maps.piL_bar.apply(v), maps.piL_bar.apply(u))
-            if lhs != rhs:
+    bar = [list(pi("piL_bar", y).items()) for y in rows]
+    for u, row in enumerate(products):
+        for v, uv in enumerate(row):
+            if pi("piL_bar", uv.items()) != _product(f, prod, bar[v], bar[u]):
                 raise StructureDefectError("piL_bar is not anti-multiplicative on the base")
-
-    # induced multiplication in base coordinates
     d = base.dim
-    ent = []
-    for u in rows:
-        for v in rows:
-            coords = base.coords(alg.mult_vec(u, v))
-            if coords is None:
-                raise StructureDefectError("base product left the base")
-            ent.extend(coords)
-    induced = Tensor3(f, d, d, d, tuple(ent))
+    induced = Tensor3(f, d, d, d, tuple(itertools.chain.from_iterable(coords)))
 
     # Frobenius-separability data of the base: 1_1 (x) piR(1_2) and eps
-    u_vec = w.coalgebra.comult_vec(alg.unit)
     fe = [f.zero()] * (n * n)
-    for ab, c in enumerate(u_vec):
-        if c == 0:
-            continue
-        a, b = divmod(ab, n)
-        col = maps.piR.col(b)
-        for k in range(n):
-            if col[k] != 0:
-                fe[a * n + k] = f.add(fe[a * n + k], f.mul(c, col[k]))
+    for a, b, c in _unit_comult(w):
+        for k, v in cols["piR"][b]:
+            fe[a * n + k] = f.add(fe[a * n + k], f.mul(c, v))
     eps = w.coalgebra.counit
-    left = zero_vec(f, n)
-    right = zero_vec(f, n)
+    left, right = [f.zero()] * n, [f.zero()] * n
     for ab, c in enumerate(fe):
-        if c == 0:
-            continue
-        a, b = divmod(ab, n)
-        if eps[a] != 0:
-            left = vec_add(f, left, vec_scale(f, f.mul(c, eps[a]), unit_vec(f, n, b)))
-        if eps[b] != 0:
-            right = vec_add(f, right, vec_scale(f, f.mul(c, eps[b]), unit_vec(f, n, a)))
-    if left != alg.unit or right != alg.unit:
+        if c != 0:
+            a, b = divmod(ab, n)
+            left[b] = f.add(left[b], f.mul(c, eps[a]))
+            right[a] = f.add(right[a], f.mul(c, eps[b]))
+    if tuple(left) != unit or tuple(right) != unit:
         raise StructureDefectError("Frobenius functional identity fails on the base")
     return BaseAlgebraInfo(base, induced, tuple(fe), eps)
 
@@ -397,7 +383,7 @@ def check_antipode(w: WeakHopfPresentation) -> AxiomReport:
     alg = w.algebra
     s = w.antipode
     coa = w.coalgebra
-    maps = projections(w)
+    pcols = _projection_cols(w)
     scols = _sparse_cols(s)
     prod, delta = _sparse_products(alg), _comult_by_source(coa)
     failures = []
@@ -405,11 +391,10 @@ def check_antipode(w: WeakHopfPresentation) -> AxiomReport:
     right = _convolution(f, delta, scols, None, prod)
     # with (Delta (x) 1) Delta: S(h1) h2 S(h3) = right(h1) S(h2)
     third = _convolution(f, delta, [col.items() for col in right], scols, prod)
-    for law, got, want in (("antipode left diagram", left, maps.piL),
-                           ("antipode right diagram", right, maps.piR),
-                           ("antipode S(h1) h2 S(h3) = S(h)", third, s)):
-        wcols = _sparse_cols(want)
-        cols = tuple(j for j in range(n) if got[j] != dict(wcols[j]))
+    for law, got, want in (("antipode left diagram", left, pcols["piL"]),
+                           ("antipode right diagram", right, pcols["piR"]),
+                           ("antipode S(h1) h2 S(h3) = S(h)", third, scols)):
+        cols = tuple(j for j in range(n) if got[j] != dict(want[j]))
         if cols:
             failures.append(AxiomFailure(law, cols))
     # consequences of the definition, reported but not fatal
@@ -417,10 +402,10 @@ def check_antipode(w: WeakHopfPresentation) -> AxiomReport:
     for i in range(n):
         for j in range(n):
             # S(e_i e_j) = S(e_j) S(e_i)
-            if _apply_sparse(f, scols, prod[i][j]) != \
-                    dict(_terms(alg.mult_vec(s.col(j), s.col(i)))):
+            if _apply_sparse(f, scols, prod[i][j]) != _product(f, prod, scols[j], scols[i]):
                 warnings.append(AxiomFailure("antipode anti-multiplicativity", (i, j)))
-    if s.apply(alg.unit) != alg.unit:
+    unit = _terms(alg.unit)
+    if _apply_sparse(f, scols, unit) != dict(unit):
         warnings.append(AxiomFailure("antipode unit", ()))
     # Delta(S(h)) = S(h2) (x) S(h1): a convolution into C (x) C whose
     # product is the flip e_p (x) e_q -> e_q (x) e_p
@@ -428,7 +413,7 @@ def check_antipode(w: WeakHopfPresentation) -> AxiomReport:
     flipped = _convolution(f, delta, scols, scols, flip)
     if any(dict(_terms(coa.comult_vec(s.col(i)))) != flipped[i] for i in range(n)):
         warnings.append(AxiomFailure("antipode coalgebra anti-homomorphy", ()))
-    if any(_dot(f, coa.counit, s.col(j)) != coa.counit[j] for j in range(n)):
+    if any(_dot(f, coa.counit, scols[j]) != coa.counit[j] for j in range(n)):
         warnings.append(AxiomFailure("antipode counit", ()))
     return AxiomReport(tuple(failures), tuple(warnings))
 
@@ -444,11 +429,34 @@ def _check_side_variant(side, variant):
         raise ValueError(f"variant must be one of {VARIANTS}")
 
 
-def _vector(f: FieldSpec, n: int, terms) -> tuple:
-    out = [f.zero()] * n
-    for k, t in terms:
-        out[k] = t
-    return tuple(out)
+def _duoidal_products(w: WeakHopfPresentation, kind: str, left: bool):
+    """The terms (side, g, out, var, t) of the duoidal (co)integral rows of
+    kind beyond the primed ones, one condition per base basis element x."""
+    f, cols, prod = w.field, _projection_cols(w), _sparse_products(w.algebra)
+
+    def pi(name, terms):
+        return list(_apply_sparse(f, cols[name], terms).items())
+
+    basis = base_algebra(w).subspace.basis
+    for i in range(basis.rows):
+        x = _terms(basis.row(i))
+        if kind == "integral":
+            # left: t piL(x) = t piR_bar(piL_bar(x)); right: piL_bar(x) t = piR(piL(x)) t
+            u, v = (pi("piL", x), pi("piR_bar", pi("piL_bar", x))) if left else \
+                (pi("piL_bar", x), pi("piR", pi("piL", x)))
+            sides = ((0, u, not left), (1, v, not left))
+        else:
+            # left: tau(x h) = tau(h piR(piL(x))); right: tau(h piL_bar(x)) = tau(piL(x) h)
+            u, v = (x, pi("piR", pi("piL", x))) if left else \
+                (pi("piL_bar", x), pi("piL", x))
+            sides = ((0, u, left), (1, v, not left))
+        # coordinate k of u e_j (u_first) or e_j u: an integral's row at
+        # g = ("x", i), out = k for t = e_j, a cointegral's at g = (i, j) for tau(e_k)
+        for side, y, u_first in sides:
+            for j, col in enumerate(_mult_cols(f, prod, y, u_first)):
+                for k, c in col.items():
+                    yield (side, ("x", i), k, j, c) if kind == "integral" else \
+                        (side, (i, j), 0, k, c)
 
 
 def integral_system(w: WeakHopfPresentation, side: str, variant: str,
@@ -457,25 +465,16 @@ def integral_system(w: WeakHopfPresentation, side: str, variant: str,
     _check_side_variant(side, variant)
     f, maps, left = w.field, projections(w), side == "left"
     # left: h t = piL(h) t; right: t h = t piR(h); for all basis h = e_i
-    pi_cols = _sparse_cols(maps.piL if left else maps.piR)
-    gaps = [(i, [(i, f.one())] + [(m, f.neg(v)) for m, v in col], left)
+    pi_cols = _projection_cols(w)["piL" if left else "piR"]
+    gaps = [(i, [(i, f.one())] + [(m, f.neg(v)) for m, v in col])
             for i, col in enumerate(pi_cols)]
-    if variant == "duoidal":
-        basis = base_algebra(w).subspace.basis
-        for i in range(basis.rows):
-            x = basis.row(i)
-            if left:
-                # t piL(x) = t piR_bar(piL_bar(x))
-                y = vec_sub(f, maps.piL.apply(x), maps.piR_bar.apply(maps.piL_bar.apply(x)))
-            else:
-                # piL_bar(x) t = piR(piL(x)) t
-                y = vec_sub(f, maps.piL_bar.apply(x), maps.piR.apply(maps.piL.apply(x)))
-            gaps.append((("x", i), _terms(y), not left))
     prod = _sparse_products(w.algebra)
-    # coordinate k of u t (u_first) or t u, for u the gap and t = e_j
-    products = ((0, g, k, j, v) for g, terms, u_first in gaps
-                for j, col in enumerate(_mult_cols(f, prod, terms, u_first))
+    # coordinate k of e_i t - piL(e_i) t (left) or t e_i - t piR(e_i), t = e_j
+    products = ((0, g, k, j, v) for g, terms in gaps
+                for j, col in enumerate(_mult_cols(f, prod, terms, left))
                 for k, v in col.items())
+    if variant == "duoidal":
+        products = itertools.chain(products, _duoidal_products(w, "integral", left))
     norm, rhs = ((maps.piR_bar if left else maps.piR).nonzeros(), w.algebra.unit) \
         if normalized else ((), ())
     return _balanced_system(f, w.dim, norm, rhs, products)
@@ -493,21 +492,41 @@ def solve_integral(w: WeakHopfPresentation, side: str, variant: str = "primed",
 
 
 @_once
+def _solved(w: WeakHopfPresentation, kind: str, side: str, variant: str,
+            normalized: bool):
+    """(system, its solution set or None) of the (co)integral rows of kind.
+
+    The duoidal rows are the primed rows and the rows of one more condition
+    over the base, so the duoidal system holds the latter alone and resumes
+    the solved primed elimination; after an infeasible primed system nothing
+    is built.  A stored system is not changed after its solve.
+    """
+    _require_weak_bialgebra(w)
+    if variant == "primed":
+        system = (integral_system if kind == "integral" else cointegral_system)(
+            w, side, variant, normalized)
+        return system, system.solve()
+    primed, sol = _solved(w, kind, side, "primed", normalized)
+    if sol is None:
+        return None, None
+    extras = _balanced_system(w.field, w.dim, (), (),
+                              _duoidal_products(w, kind, side == "left"))
+    return extras, extras.solve(primed)
+
+
+@_once
 def _integral_solution(w: WeakHopfPresentation, side: str, variant: str,
                        normalized: bool):
-    _require_weak_bialgebra(w)
-    sol = integral_system(w, side, variant, normalized).solve()
-    if sol is None:
-        return None
-    return IntegralSolution(side, variant, normalized, sol)
+    sol = _solved(w, "integral", side, variant, normalized)[1]
+    return None if sol is None else IntegralSolution(side, variant, normalized, sol)
 
 
 def cointegral_system(w: WeakHopfPresentation, side: str, variant: str,
                       normalized: bool) -> ConstraintSystem:
     """Affine system over the dim unknowns of a cointegral functional."""
     _check_side_variant(side, variant)
-    f, maps, left = w.field, projections(w), side == "left"
-    pi_cols = _sparse_cols(maps.piL if left else maps.piR)
+    f, left = w.field, side == "left"
+    pi_cols = _projection_cols(w)["piL" if left else "piR"]
 
     def products():
         # left: h1 tau(h2) = piL(h1) tau(h2); right: tau(h1) h2 = tau(h1) piR(h2)
@@ -519,18 +538,7 @@ def cointegral_system(w: WeakHopfPresentation, side: str, variant: str,
                 for m, v in pi_cols[a]:
                     yield 1, i, m, b, f.mul(t, v)
         if variant == "duoidal":
-            basis, prod = base_algebra(w).subspace.basis, _sparse_products(w.algebra)
-            for i in range(basis.rows):
-                x = basis.row(i)
-                # left: tau(x h) = tau(h piR(piL(x)))
-                # right: tau(h piL_bar(x)) = tau(piL(x) h)
-                u, v = (x, maps.piR.apply(maps.piL.apply(x))) if left else \
-                    (maps.piL_bar.apply(x), maps.piL.apply(x))
-                # u e_j against e_j v (left) or e_j u against v e_j (right), at g = (i, j)
-                for s, y, u_first in ((0, u, left), (1, v, not left)):
-                    for j, col in enumerate(_mult_cols(f, prod, _terms(y), u_first)):
-                        for k, c in col.items():
-                            yield s, (i, j), 0, k, c
+            yield from _duoidal_products(w, "cointegral", left)
 
     # tau . piL = eps (left), tau . piR = eps (right)
     norm, rhs = ([(j, a, v) for j, col in enumerate(pi_cols) for a, v in col],
@@ -552,18 +560,15 @@ def solve_cointegral(w: WeakHopfPresentation, side: str, variant: str = "primed"
 @_once
 def _cointegral_solution(w: WeakHopfPresentation, side: str, variant: str,
                          normalized: bool):
-    _require_weak_bialgebra(w)
-    sol = cointegral_system(w, side, variant, normalized).solve()
-    if sol is None:
-        return None
-    return CointegralSolution(side, variant, normalized, sol)
+    sol = _solved(w, "cointegral", side, variant, normalized)[1]
+    return None if sol is None else CointegralSolution(side, variant, normalized, sol)
 
 
-def _dot(f, u, v):
+def _dot(f, u, terms):
+    """The sum of u[k] t over the terms (k, t)."""
     acc = f.zero()
-    for a, b in zip(u, v, strict=True):
-        if a != 0 and b != 0:
-            acc = f.add(acc, f.mul(a, b))
+    for k, t in terms:
+        acc = f.add(acc, f.mul(u[k], t))
     return acc
 
 
@@ -597,35 +602,20 @@ def convert_integral(w: WeakHopfPresentation, t_prime, side: str) -> tuple:
     their systems.
     """
     _require_weak_bialgebra(w)
-    f = w.field
-    n = w.dim
-    alg = w.algebra
-    maps = projections(w)
+    f, cols, left = w.field, _projection_cols(w), side == "left"
+    prod = _sparse_products(w.algebra)
     t_prime = tuple(f.coerce(x) for x in t_prime)
     if not _solves(w, t_prime, solve_integral, integral_system, side, "primed"):
         raise ValueError("input fails the primed integral conditions")
-    u = w.coalgebra.comult_vec(alg.unit)
-    # t' e_a (left) or e_b t' (right), for every basis index
-    t_cols = [_vector(f, n, col.items()) for col in
-              _mult_cols(f, _sparse_products(alg), _terms(t_prime), side == "left")]
-    out = zero_vec(f, n)
-    if side == "left":
-        comp = maps.piL @ maps.piR
-        for ab, c in enumerate(u):
-            if c == 0:
-                continue
-            a, b = divmod(ab, n)
-            term = alg.mult_vec(t_cols[a], comp.col(b))
-            out = vec_add(f, out, vec_scale(f, c, term))
-    else:
-        comp = maps.piR @ maps.piL
-        for ab, c in enumerate(u):
-            if c == 0:
-                continue
-            a, b = divmod(ab, n)
-            # (comp(e_a) e_b) t' = comp(e_a) (e_b t')
-            term = alg.mult_vec(comp.col(a), t_cols[b])
-            out = vec_add(f, out, vec_scale(f, c, term))
+    # z = 1_1 piL(piR(1_2)) (left) or piR(piL(1_1)) 1_2 (right), as repeated
+    # terms; then t = t' z or z t' by associativity
+    inner, outer = ("piR", "piL") if left else ("piL", "piR")
+    comp = [_apply_sparse(f, cols[outer], col).items() for col in cols[inner]]
+    z = [term for a, b, c in _unit_comult(w) for term in (
+        _product(f, prod, [(a, c)], comp[b]) if left else
+        _product(f, prod, comp[a], [(b, c)])).items()]
+    t = _product(f, prod, _terms(t_prime), z) if left else _product(f, prod, z, _terms(t_prime))
+    out = _vector(f, w.dim, t.items())
     if not _solves(w, out, solve_integral, integral_system, side, "duoidal"):
         raise StructureDefectError("converted integral fails the duoidal conditions")
     return out
@@ -641,28 +631,19 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
     reading raises instead of passing silently.
     """
     _require_weak_bialgebra(w)
-    f = w.field
-    n = w.dim
-    alg = w.algebra
-    maps = projections(w)
+    f, cols = w.field, _projection_cols(w)
+    prod = _sparse_products(w.algebra)
     tau_prime = tuple(f.coerce(x) for x in tau_prime)
     if not _solves(w, tau_prime, solve_cointegral, cointegral_system, side, "primed"):
         raise ValueError("input fails the primed cointegral conditions")
-    u = w.coalgebra.comult_vec(alg.unit)
-    prod = _sparse_products(alg)
     out = []
-    for j in range(n):
+    for j in range(w.dim):
         acc = f.zero()
-        for ab, c in enumerate(u):
-            if c == 0:
-                continue
-            a, b = divmod(ab, n)
-            if side == "left":
-                vec = alg.mult_vec(_vector(f, n, prod[a][j]), maps.piR.col(b))
-            else:
-                # (piL(e_a) e_j) e_b = piL(e_a) (e_j e_b)
-                vec = alg.mult_vec(maps.piL.col(a), _vector(f, n, prod[j][b]))
-            acc = f.add(acc, f.mul(c, _dot(f, tau_prime, vec)))
+        for a, b, c in _unit_comult(w):
+            # (e_a e_j) piR(e_b) (left) or piL(e_a) (e_j e_b) (right)
+            vec = _product(f, prod, prod[a][j], cols["piR"][b]) if side == "left" else \
+                _product(f, prod, cols["piL"][a], prod[j][b])
+            acc = f.add(acc, f.mul(c, _dot(f, tau_prime, vec.items())))
         out.append(acc)
     out = tuple(out)
     if not _solves(w, out, solve_cointegral, cointegral_system, side, "duoidal"):

@@ -1,8 +1,9 @@
 """Dense linear algebra that only the tests use.
 
-Kronecker products, the flip of a tensor product, the identity and the
-difference of matrices, kernels and affine solves of dense matrices, the rows
-of a matrix added to a constraint system, the rows of a system as a multiset,
+Vector sums, scalings and zeros, the span of dense rows, Kronecker products,
+the flip of a tensor product, the identity and the difference of matrices,
+kernels and affine solves of dense matrices, the rows of a matrix added to a
+constraint system, the rows of a system as a multiset,
 a matrix as nested rows, the zero test, the projection of one vector to a
 quotient and the quotient's section, the multiplication, left and right
 multiplication, unit, comultiplication and counit of a presentation as
@@ -16,10 +17,33 @@ and compare.
 import random
 from collections import Counter
 
-from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, Subspace, Tensor3,
-                                  unit_vec, zero_vec)
+from maschke_kit.exactlin import ConstraintSystem, FieldSpec, Matrix, Subspace, Tensor3, \
+    _row_space, unit_vec
 from maschke_kit.finalg import AlgebraPresentation, CoalgebraPresentation
 from maschke_kit.weakhopf import WeakHopfPresentation
+
+
+def zero_vec(field: FieldSpec, n: int) -> tuple:
+    return (field.zero(),) * n
+
+
+def vec_add(field: FieldSpec, u, v) -> tuple:
+    return tuple(field.add(a, b) for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(field: FieldSpec, c, v) -> tuple:
+    return tuple(field.mul(c, a) for a in v)
+
+
+def subspace_from_rows(field: FieldSpec, ambient_dim: int, rows) -> Subspace:
+    """Echelon basis of the span of dense rows."""
+    sparse = []
+    for r in rows:
+        if len(r) != ambient_dim:
+            raise ValueError("row length must equal ambient_dim")
+        coords = (field.coerce(x) for x in r)
+        sparse.append({j: v for j, v in enumerate(coords) if v != 0})
+    return _row_space(field, ambient_dim, sparse)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

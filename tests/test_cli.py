@@ -460,6 +460,27 @@ class TestCommands:
             assert main([*argv, "--out", out]) == 4, argv
             assert capsys.readouterr().err.startswith(f"usage error: cannot write {out}:")
 
+    def test_unwritable_out_exits_before_solving(self, tmp_path, capsys, monkeypatch):
+        # the destination is checked before the structure is read or solved,
+        # and no file is left behind
+        from maschke_kit import cli
+        path = gen(tmp_path, "c3.json", "group-algebra", "--group", "C3", "--field", "Q")
+        ran = []
+        for name in ("parse_structure_file", "read_structure_text", "_run_maschke",
+                     "_run_integrals", "_run_cointegrals", "_run_separability",
+                     "_run_coseparability"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
+        os.mkdir(tmp_path / "folder")
+        for out in (tmp_path / "missing" / "x.json", tmp_path / "folder"):
+            for argv in (["maschke"], ["separability"], ["coseparability"], ["validate"],
+                         ["integrals", "--side", "left"], ["cointegrals", "--side", "right"]):
+                capsys.readouterr()
+                assert main([*argv, "--structure", str(path), "--out", str(out)]) == 4
+                assert capsys.readouterr().err.startswith(f"usage error: cannot write {out}:")
+        assert ran == []
+        assert sorted(os.listdir(tmp_path)) == ["c3.json", "folder"]
+        assert os.listdir(tmp_path / "folder") == []
+
     def test_validate_ok(self, tmp_path):
         path = gen(tmp_path, "pg.json", "groupoid-algebra", "--groupoid",
                    "pair:2", "--field", "Q")

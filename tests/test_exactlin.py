@@ -22,7 +22,6 @@ from maschke_kit.exactlin import (
     membership,
     quotient_space,
     unit_vec,
-    zero_vec,
 )
 from maschke_kit.examples import (cyclic_group, dual_group_algebra, group_algebra,
                                   groupoid_algebra, pair_groupoid, symmetric_group_s3)
@@ -32,7 +31,8 @@ from maschke_kit.weakhopf import SIDES, VARIANTS, cointegral_system, integral_sy
     solve_integral
 
 from denselin import (add_matrix_rows, flip_matrix, identity, is_zero, kernel, kron,
-                      mat_sub, project, section, solve_affine, to_rows)
+                      mat_sub, project, section, solve_affine, subspace_from_rows, to_rows,
+                      zero_vec)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -386,16 +386,16 @@ class TestSolveAffine:
 
 class TestMembership:
     def test_zero_in_anything(self):
-        s = Subspace.from_rows(QQ, 2, [[1, 1]])
+        s = subspace_from_rows(QQ, 2, [[1, 1]])
         assert membership((0, 0), s)
 
     def test_line_membership(self):
-        s = Subspace.from_rows(QQ, 2, [[1, 1]])
+        s = subspace_from_rows(QQ, 2, [[1, 1]])
         assert not membership((1, 0), s)
         assert membership((2, 2), s)
 
     def test_dimension_mismatch(self):
-        s = Subspace.from_rows(QQ, 2, [[1, 1]])
+        s = subspace_from_rows(QQ, 2, [[1, 1]])
         with pytest.raises(ValueError):
             membership((1, 0, 0), s)
 
@@ -408,7 +408,7 @@ class TestQuotientSpace:
         assert section(q) == identity(QQ, 3)
 
     def test_line_quotient(self):
-        rel = Subspace.from_rows(QQ, 2, [[1, -1]])
+        rel = subspace_from_rows(QQ, 2, [[1, -1]])
         q = quotient_space(2, rel)
         assert q.dim == 1
         assert q.free == (1,)
@@ -417,7 +417,7 @@ class TestQuotientSpace:
             assert project(q, rel.basis.row(i)) == zero_vec(QQ, 1)
 
     def test_full_relations(self):
-        rel = Subspace.from_rows(QQ, 2, [[1, 0], [0, 1]])
+        rel = subspace_from_rows(QQ, 2, [[1, 0], [0, 1]])
         q = quotient_space(2, rel)
         assert q.dim == 0
 
@@ -430,7 +430,7 @@ class TestQuotientSpace:
         rows = data.draw(
             st.lists(st.lists(st.integers(-hi, hi), min_size=amb, max_size=amb),
                      min_size=nrel, max_size=nrel))
-        rel = Subspace.from_rows(field, amb, rows) if rows else Subspace.zero(field, amb)
+        rel = subspace_from_rows(field, amb, rows) if rows else Subspace.zero(field, amb)
         q = quotient_space(amb, rel)
         assert q.dim == amb - rel.dim
         assert q.projection @ section(q) == identity(field, q.dim)
@@ -578,9 +578,54 @@ class TestConstraintSystem:
         assert outcomes == {True, False}
 
 
+    def test_resumed_solve_equals_solve_from_scratch(self):
+        # the rows of a solved system, then more rows resumed from its pivots:
+        # the same solution set as all rows at once, or None again
+        rng = random.Random(20)
+        outcomes = set()
+        for field in (QQ, F2, F3, F5):
+            for _ in range(60):
+                nvars = rng.randint(1, 6)
+                primed, extras, full = (ConstraintSystem(field, nvars) for _ in range(3))
+                for target in [primed] * rng.randint(1, 5) + [extras] * rng.randint(0, 5):
+                    cols = rng.sample(range(nvars), rng.randint(1, nvars))
+                    row, rhs = {c: rng.randint(-3, 3) for c in cols}, rng.randint(-2, 2)
+                    target.add_row(row, rhs)
+                    full.add_row(row, rhs)
+                if primed.solve() is None:
+                    continue
+                pivots = {c: (dict(row), rhs) for c, (row, rhs) in primed.pivots.items()}
+                want = full.solve()
+                assert extras.solve(primed) == want
+                # the primed pivot rows are copied, not changed
+                assert primed.pivots == pivots
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_resumed_solve_is_certified_against_the_primed_rows(self):
+        primed = ConstraintSystem(QQ, 2)
+        primed.add_row({0: 1, 1: 1}, 2)
+        primed.solve()
+        primed.rows[0] = ({0: 1, 1: 1}, 3)
+        extras = ConstraintSystem(QQ, 2)
+        extras.add_row({0: 1, 1: -1}, 0)
+        with pytest.raises(ArithmeticError, match="unverified solution"):
+            extras.solve(primed)
+
+    def test_resume_needs_a_solved_primed_system_on_the_same_unknowns(self):
+        primed = ConstraintSystem(QQ, 2)
+        primed.add_row({0: 1}, 1)
+        with pytest.raises(ValueError, match="solved feasible system"):
+            ConstraintSystem(QQ, 2).solve(primed)
+        primed.solve()
+        with pytest.raises(ValueError, match="same unknowns"):
+            ConstraintSystem(QQ, 3).solve(primed)
+        assert ConstraintSystem(QQ, 2).solve(primed).particular == (1, 0)
+
+
 class TestSubspace:
     def test_coords_roundtrip(self):
-        s = Subspace.from_rows(QQ, 3, [[1, 0, 2], [0, 1, -1]])
+        s = subspace_from_rows(QQ, 3, [[1, 0, 2], [0, 1, -1]])
         v = (2, 3, 1)
         coords = s.coords(v)
         assert coords == (2, 3)
@@ -596,7 +641,7 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(2, Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
-            Subspace.from_rows(QQ, 2, [[1, 0], [0, 0, 1]])
+            subspace_from_rows(QQ, 2, [[1, 0], [0, 0, 1]])
         with pytest.raises(ValueError, match="zero row"):
             Subspace(2, Matrix.from_rows(QQ, [[1, 0], [0, 0]]))
         with pytest.raises(ValueError, match="not reduced"):
@@ -612,7 +657,7 @@ class TestSubspace:
         rows = data.draw(
             st.lists(st.lists(st.integers(-hi, hi), min_size=nc, max_size=nc),
                      min_size=nr, max_size=nr))
-        s = Subspace.from_rows(field, nc, rows)
+        s = subspace_from_rows(field, nc, rows)
         assert s.pivots == rref(Matrix.from_rows(field, rows))[1]
         assert s.pivots is s.pivots
 

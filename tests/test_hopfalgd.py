@@ -46,7 +46,8 @@ from maschke_kit.hopfalgd import (
 
 from denselin import (add_matrix_rows, comult_matrix, counit_matrix, generated_dim, identity,
                       kron, left_mult_matrix, mat_sub, mult_matrix, on_leg, project, rebased,
-                      right_mult_matrix, row_multiset, section, to_rows, unit_matrix)
+                      right_mult_matrix, row_multiset, section, subspace_from_rows, to_rows,
+                      unit_matrix)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -220,7 +221,7 @@ def oracle_circ_relations(h: HopfAlgebroidPresentation) -> Subspace:
                         row[j * n + m] = f.sub(row[j * n + m], c)
                 if any(v != 0 for v in row):
                     rows.append(row)
-    return Subspace.from_rows(f, n * n, rows)
+    return subspace_from_rows(f, n * n, rows)
 
 
 def oracle_bullet_relations(h: HopfAlgebroidPresentation) -> Subspace:
@@ -245,7 +246,7 @@ def oracle_bullet_relations(h: HopfAlgebroidPresentation) -> Subspace:
                             row[j * n + m] = f.sub(row[j * n + m], c)
                     if any(v != 0 for v in row):
                         rows.append(row)
-    return Subspace.from_rows(f, n * n, rows)
+    return subspace_from_rows(f, n * n, rows)
 
 
 def oracle_check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
@@ -396,7 +397,7 @@ def oracle_check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
                 if c != 0:
                     row[k * n * n + ab] = c
             rows3.append(row)
-    rel3 = Subspace.from_rows(f, n ** 3, rows3)
+    rel3 = subspace_from_rows(f, n ** 3, rows3)
     for i in range(n):
         d = lift.apply(basisA[i])
         first = [f.zero()] * (n ** 3)

@@ -179,3 +179,17 @@ def test_no_dense_multiplication_matrix():
     assert not hasattr(Matrix, "identity") and not hasattr(Matrix, "__sub__")
     # the benchmark's tracer wraps Matrix.__matmul__ by name, so it stays
     assert callable(Matrix.__matmul__)
+
+
+def test_weak_hopf_layer_reads_sparse_columns():
+    # the derived maps, duoidal rows and conversions of weakhopf read the
+    # sparse columns and the product table: no dense matrix applied, dense
+    # product, scaled vector or matrix product
+    path = pathlib.Path(maschke_kit.__file__).parent / "weakhopf.py"
+    tree = ast.parse(path.read_text(), str(path))
+    sites = _CallSites("weakhopf", _named("apply", "mult_vec", "vec_scale"))
+    sites.visit(tree)
+    assert sites.found == set()
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.MatMult)] == []

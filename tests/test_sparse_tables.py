@@ -1,16 +1,23 @@
 """The algebra, coalgebra and weak Hopf layers read stored sparse tables.
 
 ``finalg.check_algebra``, ``finalg.check_coalgebra``,
-``AlgebraPresentation.mult_vec`` and the weak Hopf (co)integral systems and
-conversions are computed from the product table and the comultiplication
-grouped by source.  The oracles below are the earlier forms, which multiply
-unit vectors with a dense scan of the structure constants; reports, systems,
-solutions and conversions must agree with them exactly.
+``AlgebraPresentation.mult_vec``, the weak Hopf base algebra, (co)integral
+systems and conversions are computed from the product table, the
+comultiplication grouped by source and the sparse columns of the
+projections.  The oracles below are the earlier forms, which multiply unit
+vectors with a dense scan of the structure constants or apply dense matrices;
+reports, systems, solutions, base algebras and conversions must agree with
+them exactly.  The duoidal (co)integral solves resume the solved primed
+elimination, and must agree with the full duoidal systems solved from scratch.
 """
 
 import functools
+import os
 import random
+import subprocess
+import sys
 
+import maschke_kit
 from maschke_kit import weakhopf
 from maschke_kit.examples import (
     connected_groupoid,
@@ -31,10 +38,7 @@ from maschke_kit.exactlin import (
     Matrix,
     Tensor3,
     unit_vec,
-    vec_add,
-    vec_scale,
     vec_sub,
-    zero_vec,
 )
 from maschke_kit.finalg import (
     AlgebraPresentation,
@@ -45,6 +49,9 @@ from maschke_kit.finalg import (
     check_coalgebra,
 )
 from maschke_kit.weakhopf import (
+    BaseAlgebraInfo,
+    ProjectionMaps,
+    StructureDefectError,
     WeakHopfPresentation,
     base_algebra,
     check_weak_bialgebra,
@@ -57,7 +64,8 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import add_matrix_rows, left_mult_matrix, rebased, right_mult_matrix, row_multiset
+from denselin import (add_matrix_rows, identity, left_mult_matrix, rebased, right_mult_matrix,
+                      row_multiset, subspace_from_rows, vec_add, vec_scale, zero_vec)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -244,6 +252,87 @@ def oracle_cointegral_system(w, side, variant, normalized) -> ConstraintSystem:
     return sys
 
 
+def _oracle_image(field, m: Matrix):
+    return subspace_from_rows(field, m.rows, [m.col(j) for j in range(m.cols)])
+
+
+def oracle_base_algebra(w) -> BaseAlgebraInfo:
+    """The base algebra with dense matrices and products.  It reads the
+    projections through the module, so a test may replace them."""
+    weakhopf._require_weak_bialgebra(w)
+    maps = weakhopf.projections(w)
+    f = w.field
+    n = w.dim
+    alg = w.algebra
+    base = _oracle_image(f, maps.piR)
+    cobase = _oracle_image(f, maps.piL)
+    if _oracle_image(f, maps.piR_bar).basis != base.basis:
+        raise StructureDefectError("images of piR and piR_bar differ")
+    if _oracle_image(f, maps.piL_bar).basis != cobase.basis:
+        raise StructureDefectError("images of piL and piL_bar differ")
+    if not base.contains(alg.unit):
+        raise StructureDefectError("unit escapes the base algebra")
+    rows = [base.basis.row(i) for i in range(base.dim)]
+    corows = [cobase.basis.row(i) for i in range(cobase.dim)]
+    for u in rows:
+        for v in rows:
+            if not base.contains(alg.mult_vec(u, v)):
+                raise StructureDefectError("base not closed under multiplication")
+    for x in corows:
+        for y in rows:
+            if alg.mult_vec(x, y) != alg.mult_vec(y, x):
+                raise StructureDefectError("commutant fails to commute with the base")
+    for y in rows:
+        if maps.piR.apply(maps.piL_bar.apply(y)) != y:
+            raise StructureDefectError("piR . piL_bar is not the identity on the base")
+        if maps.piR_bar.apply(maps.piL.apply(y)) != y:
+            raise StructureDefectError("piR_bar . piL is not the identity on the base")
+    for x in corows:
+        if maps.piL_bar.apply(maps.piR.apply(x)) != x:
+            raise StructureDefectError("piL_bar . piR is not the identity on the commutant")
+        if maps.piL.apply(maps.piR_bar.apply(x)) != x:
+            raise StructureDefectError("piL . piR_bar is not the identity on the commutant")
+    for u in rows:
+        for v in rows:
+            lhs = maps.piL_bar.apply(alg.mult_vec(u, v))
+            rhs = alg.mult_vec(maps.piL_bar.apply(v), maps.piL_bar.apply(u))
+            if lhs != rhs:
+                raise StructureDefectError("piL_bar is not anti-multiplicative on the base")
+    d = base.dim
+    ent = []
+    for u in rows:
+        for v in rows:
+            coords = base.coords(alg.mult_vec(u, v))
+            if coords is None:
+                raise StructureDefectError("base product left the base")
+            ent.extend(coords)
+    induced = Tensor3(f, d, d, d, tuple(ent))
+    u_vec = w.coalgebra.comult_vec(alg.unit)
+    fe = [f.zero()] * (n * n)
+    for ab, c in enumerate(u_vec):
+        if c == 0:
+            continue
+        a, b = divmod(ab, n)
+        col = maps.piR.col(b)
+        for k in range(n):
+            if col[k] != 0:
+                fe[a * n + k] = f.add(fe[a * n + k], f.mul(c, col[k]))
+    eps = w.coalgebra.counit
+    left = zero_vec(f, n)
+    right = zero_vec(f, n)
+    for ab, c in enumerate(fe):
+        if c == 0:
+            continue
+        a, b = divmod(ab, n)
+        if eps[a] != 0:
+            left = vec_add(f, left, vec_scale(f, f.mul(c, eps[a]), unit_vec(f, n, b)))
+        if eps[b] != 0:
+            right = vec_add(f, right, vec_scale(f, f.mul(c, eps[b]), unit_vec(f, n, a)))
+    if left != alg.unit or right != alg.unit:
+        raise StructureDefectError("Frobenius functional identity fails on the base")
+    return BaseAlgebraInfo(base, induced, tuple(fe), eps)
+
+
 def oracle_convert_integral(w, t_prime, side) -> tuple:
     f = w.field
     n = w.dim
@@ -389,6 +478,44 @@ def raised_copies(w, rng):
                                w.antipode)
 
 
+def tensor(w1, w2):
+    """The tensor product of two weak Hopf algebras over one field, on the
+    basis e_i (x) e_j at index i * dim2 + j, with the antipode S1 (x) S2."""
+    f, n1, n2 = w1.field, w1.dim, w2.dim
+    n = n1 * n2
+    mult, comult = [f.zero()] * n ** 3, [f.zero()] * n ** 3
+    for t1, t2, out in ((w1.algebra.mult, w2.algebra.mult, mult),
+                        (w1.coalgebra.comult, w2.coalgebra.comult, comult)):
+        for i1, j1, k1, a in t1.nonzeros():
+            for i2, j2, k2, b in t2.nonzeros():
+                i, j, k = i1 * n2 + i2, j1 * n2 + j2, k1 * n2 + k2
+                out[(i * n + j) * n + k] = f.mul(a, b)
+    unit, counit = ([f.mul(x, y) for x in u1 for y in u2] for u1, u2 in (
+        (w1.algebra.unit, w2.algebra.unit), (w1.coalgebra.counit, w2.coalgebra.counit)))
+    s1, s2 = w1.antipode, w2.antipode
+    antipode = Matrix(f, n, n, tuple(f.mul(s1.at(a1, b1), s2.at(a2, b2))
+                                     for a1 in range(n1) for a2 in range(n2)
+                                     for b1 in range(n1) for b2 in range(n2)))
+    labels = tuple(f"{x}*{y}" for x in w1.labels for y in w2.labels)
+    return WeakHopfPresentation(
+        AlgebraPresentation(f, n, labels, Tensor3(f, n, n, n, tuple(mult)), tuple(unit)),
+        CoalgebraPresentation(f, n, Tensor3(f, n, n, n, tuple(comult)), tuple(counit)),
+        antipode)
+
+
+def tensor_presentations():
+    """Noncommutative weak Hopf algebras whose duoidal rows are not all zero:
+    the dual of a groupoid algebra (a commutative algebra with a nontrivial
+    base) times a rebased groupoid algebra, in both orders.  Without the
+    change of basis a symmetry of the matrix units maps the rows of t y onto
+    those of y t, and the row multisets could not tell the sides apart."""
+    for field in (QQ, F3):
+        w1, w2 = dual(groupoid_algebra(pair_groupoid(2), field)), \
+            rebased(groupoid_algebra(pair_groupoid(2), field), 1)
+        yield tensor(w1, w2)
+        yield tensor(w2, w1)
+
+
 def oracle_corpus():
     rng = random.Random(7)
     for w in criterion04_corpus():
@@ -402,8 +529,12 @@ def oracle_corpus():
 
 @functools.cache
 def valid_corpus() -> tuple:
-    """The weak bialgebras of the corpus."""
-    return tuple(w for w in oracle_corpus() if check_weak_bialgebra(w).ok())
+    """The weak bialgebras of the corpus, and the tensor products."""
+    corpus = tuple(w for w in oracle_corpus() if check_weak_bialgebra(w).ok())
+    tensors = tuple(tensor_presentations())
+    if not all(check_weak_bialgebra(w).ok() for w in tensors):
+        raise AssertionError("a tensor product is no weak bialgebra")
+    return corpus + tensors
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +643,152 @@ class TestNoUnitVectorProducts:
         base_algebra(w)
         primed = {side: (solve_integral(w, side, "primed", True),
                          solve_cointegral(w, side, "primed", True)) for side in SIDES}
-        built = counting(monkeypatch, weakhopf, "unit_vec")
+        # no basis vector, dense product or composite of the projections: the
+        # conversions read the product table and the projections' sparse columns
+        calls = [counting(monkeypatch, owner, name) for owner, name in (
+            (AlgebraPresentation, "mult_vec"), (Matrix, "apply"), (Matrix, "__matmul__"))]
         for side in SIDES:
             sol, csol = primed[side]
             convert_integral(w, sol.element, side)
             convert_cointegral(w, csol.functional, side)
-        assert built == []
+        assert calls == [[], [], []]
+
+
+def _outcome(fn, w):
+    """fn(w), or the message of the StructureDefectError it raises."""
+    try:
+        return fn(w)
+    except StructureDefectError as exc:
+        return str(exc)
+
+
+def _diagonal(f, n, ones, value=1):
+    """The diagonal matrix with 1 at the indices in ones and value elsewhere."""
+    return Matrix(f, n, n, tuple((f.one() if i in ones else f.coerce(value)) if i == j
+                                 else f.zero() for i in range(n) for j in range(n)))
+
+
+def damaged_projections(w):
+    """(label, ProjectionMaps) with some of the four maps of w replaced: by
+    the identity, zero, twice itself or another of the four; a pair with one
+    image by zero,
+    the identity or the projection onto the unit's support and one more basis
+    element; and piR, piL_bar by mutually inverse non-multiplicative maps."""
+    maps = projections(w)
+    f, n = w.field, w.dim
+    names = ProjectionMaps._fields
+    current = {name: getattr(maps, name) for name in names}
+    zero = Matrix(f, n, n, (f.zero(),) * (n * n))
+    unit_support = {k for k, c in enumerate(w.algebra.unit) if c != 0}
+    for name in names:
+        twice = Matrix(f, n, n, tuple(f.add(x, x) for x in current[name].entries))
+        for label, m in [("identity", identity(f, n)), ("zero", zero), ("twice", twice)] + \
+                [(other, current[other]) for other in names if other != name]:
+            yield f"{name}={label}", ProjectionMaps(**{**current, name: m})
+    for pair in (("piR", "piR_bar"), ("piL", "piL_bar")):
+        pieces = [("zero", zero), ("identity", identity(f, n))] + \
+            [(f"unit+{g}", _diagonal(f, n, unit_support | {g}, 0)) for g in range(n)]
+        for label, m in pieces:
+            yield f"{pair}={label}", ProjectionMaps(**{**current, **dict.fromkeys(pair, m)})
+    if f.characteristic != 2:
+        for g in range(n):
+            if g not in unit_support:
+                half = f.inv(f.coerce(2))
+                yield f"scaled {g}", ProjectionMaps(
+                    _diagonal(f, n, set(range(n)) - {g}, half), identity(f, n),
+                    identity(f, n), _diagonal(f, n, set(range(n)) - {g}, 2))
+
+
+class TestBaseAlgebraMatchesOracle:
+    def test_base_algebra_matches_oracle(self):
+        for w in valid_corpus():
+            assert _outcome(base_algebra, w) == _outcome(oracle_base_algebra, w)
+        assert all(isinstance(base_algebra(w), BaseAlgebraInfo) for w in valid_corpus())
+
+    def test_damaged_projections_give_the_oracles_first_message(self, monkeypatch):
+        messages = set()
+        for w in valid_corpus()[::3]:
+            for label, maps in damaged_projections(w):
+                monkeypatch.setattr(weakhopf, "projections", lambda _, maps=maps: maps)
+                # a fresh presentation: nothing derived from the true maps is stored
+                fresh = WeakHopfPresentation(w.algebra, w.coalgebra, w.antipode)
+                got = _outcome(base_algebra, fresh)
+                assert got == _outcome(oracle_base_algebra, fresh), (w, label)
+                if isinstance(got, str):
+                    messages.add(got)
+                monkeypatch.undo()
+        assert messages == {
+            "images of piR and piR_bar differ", "images of piL and piL_bar differ",
+            "unit escapes the base algebra", "base not closed under multiplication",
+            "commutant fails to commute with the base",
+            "piR . piL_bar is not the identity on the base",
+            "piR_bar . piL is not the identity on the base",
+            "piL_bar . piR is not the identity on the commutant",
+            "piL_bar is not anti-multiplicative on the base"}
+
+
+class TestResumedDuoidalSolve:
+    def test_resumed_solutions_equal_solves_from_scratch(self):
+        outcomes = set()
+        for w in valid_corpus():
+            for side in SIDES:
+                for normalized in (True, False):
+                    for solve, build in ((solve_integral, integral_system),
+                                         (solve_cointegral, cointegral_system)):
+                        got = solve(w, side, "duoidal", normalized)
+                        want = build(w, side, "duoidal", normalized).solve()
+                        # the particular solution and the kernel
+                        assert (None if got is None else got.solutions) == want
+                        outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_infeasible_primed_system_builds_no_duoidal_rows(self, monkeypatch):
+        built = counting(monkeypatch, weakhopf, "_balanced_system")
+        w = group_algebra(cyclic_group(2), F2)
+        assert solve_integral(w, "left", "duoidal") is None
+        assert len(built) == 1 and "_once_base_algebra" not in vars(w)
+        assert integral_system(w, "left", "duoidal", True).solve() is None
+
+    def test_inconsistent_extra_rows(self, monkeypatch):
+        # extra rows t = 0 contradict the normalization of a feasible primed system
+        monkeypatch.setattr(weakhopf, "_duoidal_products", lambda w, kind, left: (
+            (0, ("zero", k), 0, k, w.field.one()) for k in range(w.dim)))
+        w = groupoid_algebra(pair_groupoid(2), QQ)
+        for solve, build in ((solve_integral, integral_system),
+                             (solve_cointegral, cointegral_system)):
+            for side in SIDES:
+                assert solve(w, side, "primed") is not None
+                assert solve(w, side, "duoidal") is None
+                assert build(w, side, "duoidal", True).solve() is None
+
+
+TAMPERED_PRIMED_ROW = """
+from maschke_kit import weakhopf
+from maschke_kit.examples import groupoid_algebra, pair_groupoid
+from maschke_kit.exactlin import FieldSpec
+
+assert False, "assert statements must be stripped in this run"
+w = groupoid_algebra(pair_groupoid(2), FieldSpec.rationals())
+for kind, solve in (("integral", weakhopf.solve_integral),
+                    ("cointegral", weakhopf.solve_cointegral)):
+    for side in ("left", "right"):
+        solve(w, side, "primed")
+        primed, _ = weakhopf._solved(w, kind, side, "primed", True)
+        row, rhs = primed.rows[0]
+        primed.rows[0] = (row, rhs + 1)
+        try:
+            solve(w, side, "duoidal")
+            print("unverified result returned")
+        except ArithmeticError:
+            print("ArithmeticError")
+"""
+
+
+def test_tampered_primed_row_raises_under_optimization():
+    # the resumed solve certifies against the stored primed rows as well
+    src = os.path.dirname(os.path.dirname(maschke_kit.__file__))
+    run = subprocess.run([sys.executable, "-O", "-c", TAMPERED_PRIMED_ROW],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["ArithmeticError"] * 4

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from maschke_kit import weakhopf
-from maschke_kit.exactlin import (AffineSolution, FieldSpec, Matrix, Subspace, unit_vec,
-                                  vec_add, zero_vec)
+from maschke_kit.exactlin import AffineSolution, FieldSpec, Matrix, Subspace, unit_vec
 from maschke_kit.examples import (
     connected_groupoid,
     cyclic_group,
@@ -47,7 +46,8 @@ from maschke_kit.weakhopf import (
 )
 
 from denselin import (add_matrix_rows, comult_matrix, counit_matrix, flip_matrix, identity,
-                      kron, left_mult_matrix, mat_sub, mult_matrix, rebased, unit_matrix)
+                      kron, left_mult_matrix, mat_sub, mult_matrix, rebased, unit_matrix,
+                      vec_add, zero_vec)
 from oracles import check_weak_bialgebra as oracle_check_weak_bialgebra
 
 QQ = FieldSpec.rationals()
@@ -273,6 +273,20 @@ class TestProjections:
         maps = projections(w)
         eye = identity(QQ, 1)
         assert maps.piR == maps.piR_bar == maps.piL == maps.piL_bar == eye
+
+    def test_maps_that_are_not_idempotent_raise(self, monkeypatch):
+        # twice the pairing eps(e_i e_j) doubles all four maps, and 2P is not
+        # idempotent unless 2P = 0, as over F2; piR is checked first
+        pairing = weakhopf._counit_pairing
+        monkeypatch.setattr(weakhopf, "_counit_pairing", lambda w: tuple(
+            tuple(w.field.add(x, x) for x in row) for row in pairing(w)))
+        for field in (QQ, F3, F5):
+            w = groupoid_algebra(pair_groupoid(2), field)
+            with pytest.raises(StructureDefectError, match="^piR is not idempotent$"):
+                projections(w)
+        maps = projections(groupoid_algebra(pair_groupoid(2), F2))
+        assert all(m == Matrix.zeros(F2, 4, 4) for m in
+                   (maps.piR, maps.piR_bar, maps.piL, maps.piL_bar))
 
     def test_matches_kron_chains_on_corpus(self):
         count = 0

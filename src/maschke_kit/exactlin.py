@@ -19,6 +19,7 @@ Conventions, fixed globally:
 from __future__ import annotations
 
 import operator
+from math import lcm
 
 # fractions.Fraction once _load_fractions has run: a process whose scalars all
 # stay integral (every GF(p) run, most Q runs) never imports fractions.
@@ -252,6 +253,13 @@ class FieldSpec(Frozen):
             return -a
         return -a % self.characteristic
 
+    def reduce(self, x):
+        """The canonical scalar of x, an exact int or Fraction sum of
+        products of canonical scalars: one reduction for the whole sum."""
+        if self.characteristic == 0:
+            return x if type(x) is int else _canonical(x)
+        return x % self.characteristic
+
     def inv(self, a):
         if self.characteristic == 0:
             if a == 0:
@@ -319,16 +327,6 @@ class Matrix(Frozen):
         _check_axis(self.cols, "column count")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match rows*cols")
-
-    @staticmethod
-    def from_rows(field: FieldSpec, rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        if any(len(r) != nc for r in rows):
-            raise ValueError("ragged rows")
-        ent = tuple(field.coerce(x) for r in rows for x in r)
-        return Matrix(field, nr, nc, ent)
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
@@ -583,7 +581,7 @@ def _reduce_on_arrival(f: FieldSpec, pivots: dict, row: dict, rhs):
     right-hand side is returned (nonzero: the row is inconsistent).  row is
     consumed.
     """
-    sub, mul = f.sub, f.mul
+    mul, reduce = f.mul, f.reduce
     while row:
         c = min(row)
         hit = pivots.get(c)
@@ -597,13 +595,13 @@ def _reduce_on_arrival(f: FieldSpec, pivots: dict, row: dict, rhs):
         t = row.pop(c)
         prow, prhs = hit
         for k, v in prow.items():
-            nv = sub(row.get(k, 0), mul(t, v))
+            nv = reduce(row.get(k, 0) - t * v)
             if nv == 0:
                 row.pop(k, None)
             else:
                 row[k] = nv
         if prhs != 0:
-            rhs = sub(rhs, mul(t, prhs))
+            rhs = reduce(rhs - t * prhs)
     return rhs
 
 
@@ -639,25 +637,39 @@ class ConstraintSystem:
         if clean or rhs != 0:
             self.rows.append((clean, rhs))
 
-    def satisfied_by(self, x) -> bool:
-        """Exact residual check of every stored row."""
+    def satisfied_by(self, x, homogeneous: bool = False) -> bool:
+        """Exact residual check of every stored row at x, against right-hand
+        side zero when homogeneous.
+
+        Each row is one native integer sum: over GF(p) reduced once mod p;
+        over Q taken at D x, for D the least common multiple of the
+        denominators of x, and compared with D times the right-hand side.
+        """
         if len(x) != self.nvars:
             raise ValueError("candidate length mismatch")
         f = self.field
-        return self._holds(self.rows, [f.coerce(v) for v in x], True)
-
-    def _holds(self, rows, xs, affine: bool) -> bool:
-        """Every row holds at xs, with right-hand side zero unless affine."""
-        f = self.field
-        add, mul = f.add, f.mul
-        zero = f.zero()
-        for coeffs, rhs in rows:
-            acc = zero
+        xs = list(map(f.coerce, x))
+        p = f.characteristic
+        if p:
+            for coeffs, rhs in self.rows:
+                acc = 0
+                for c, v in coeffs.items():
+                    acc += v * xs[c]
+                if acc % p != (0 if homogeneous else rhs):
+                    return False
+            return True
+        d = 1
+        for v in xs:
+            if type(v) is not int:
+                d = lcm(d, v.denominator)
+        if d != 1:
+            xs = [v * d if type(v) is int else v.numerator * (d // v.denominator)
+                  for v in xs]
+        for coeffs, rhs in self.rows:
+            acc = 0
             for c, v in coeffs.items():
-                xv = xs[c]
-                if xv != 0:
-                    acc = add(acc, mul(v, xv))
-            if acc != (rhs if affine else zero):
+                acc += v * xs[c]
+            if acc != (0 if homogeneous else rhs * d):
                 return False
         return True
 
@@ -666,7 +678,7 @@ class ConstraintSystem:
         or None when inconsistent.  With primed, the elimination resumes from
         its pivot rows: fully reduced, each still led by its pivot column."""
         f = self.field
-        sub, mul = f.sub, f.mul
+        reduce = f.reduce
         pivots: dict = {} if primed is None else \
             {c: (dict(row), rhs) for c, (row, rhs) in primed.pivots.items()}
         for coeffs, rhs in self.rows:
@@ -683,13 +695,13 @@ class ConstraintSystem:
                 t = row.pop(k)
                 prow, prhs = hit
                 for k2, v in prow.items():
-                    nv = sub(row.get(k2, 0), mul(t, v))
+                    nv = reduce(row.get(k2, 0) - t * v)
                     if nv == 0:
                         row.pop(k2, None)
                     else:
                         row[k2] = nv
                 if prhs != 0:
-                    rhs = sub(rhs, mul(t, prhs))
+                    rhs = reduce(rhs - t * prhs)
             pivots[c] = (row, rhs)
         return pivots
 
@@ -703,7 +715,6 @@ class ConstraintSystem:
         f = self.field
         if primed is not None and (primed.pivots is None or primed.nvars != self.nvars):
             raise ValueError("primed must be a solved feasible system on the same unknowns")
-        rows = self.rows if primed is None else primed.rows + self.rows
         pivots = self._eliminate(primed)
         if pivots is None:
             return None
@@ -718,10 +729,12 @@ class ConstraintSystem:
             for fc, coef in row.items():
                 kern_rows[fc][c] = f.neg(coef)
         homogeneous = _row_space(f, self.nvars, kern_rows.values())
-        if not self._holds(rows, particular, True):
+        systems = (self,) if primed is None else (primed, self)
+        if not all(s.satisfied_by(particular) for s in systems):
             raise ArithmeticError("eliminator produced an unverified solution")
         kernel = homogeneous.basis
-        if not all(self._holds(rows, kernel.row(i), False) for i in range(kernel.rows)):
+        if not all(s.satisfied_by(kernel.row(i), True)
+                   for i in range(kernel.rows) for s in systems):
             raise ArithmeticError("eliminator produced an unverified kernel vector")
         self.pivots = pivots
         return AffineSolution(particular, homogeneous)

@@ -74,8 +74,9 @@ _MISSING = object()
 def _once(fn):
     """Compute fn(presentation, *args) once and store it on the presentation.
 
-    Extra arguments must be str or bool; each argument tuple has its own
-    attribute, ``_once_<name>_<arg>...`` (``_once_<name>`` without arguments).
+    Extra arguments must be str or bool.  The results of fn live in one
+    dictionary, the attribute ``_once_<name>``, keyed by the argument tuple
+    itself, so ("x_y",) and ("x", "y") or (True,) and ("True",) keep apart.
     Presentations are frozen, so a stored result never goes stale.  An
     exception is not stored: a failing computation raises on every call.
     Results must be immutable, since every caller gets the same object.
@@ -84,17 +85,17 @@ def _once(fn):
 
     @functools.wraps(fn)
     def stored(presentation, *args):
-        name = key
-        if args:
-            if any(type(a) is not str and type(a) is not bool for a in args):
-                raise TypeError(f"{fn.__name__}: stored results are keyed by str or bool")
-            name = "_".join((key, *map(str, args)))
+        if args and any(type(a) is not str and type(a) is not bool for a in args):
+            raise TypeError(f"{fn.__name__}: stored results are keyed by str or bool")
         # getattr, not __dict__: building the instance dict slows every
         # later attribute read on the presentation.
-        value = getattr(presentation, name, _MISSING)
+        results = getattr(presentation, key, None)
+        if results is None:
+            results = {}
+            object.__setattr__(presentation, key, results)
+        value = results.get(args, _MISSING)
         if value is _MISSING:
-            value = fn(presentation, *args)
-            object.__setattr__(presentation, name, value)
+            value = results[args] = fn(presentation, *args)
         return value
 
     return stored
@@ -497,19 +498,25 @@ def _balanced_certificate(f: FieldSpec, x, norm, rhs, products, errors: tuple) -
     """The side-0 products of a solution x of _balanced_system, recomputed
     from the same terms, as {(g, out): value} without zeros.  Raises
     ArithmeticError(errors[0]) when the normalization is not rhs and
-    ArithmeticError(errors[1]) when the two sides differ."""
-    value = [f.zero()] * len(rhs)
+    ArithmeticError(errors[1]) when the two sides differ.  Each entry is an
+    exact int or Fraction sum, reduced once."""
+    reduce = f.reduce
+    value = [0] * len(rhs)
     for out, var, t in norm:
-        if x[var] != 0:
-            value[out] = f.add(value[out], f.mul(t, x[var]))
-    if tuple(value) != tuple(rhs):
+        xv = x[var]
+        if xv != 0:
+            value[out] += t * xv
+    if tuple(map(reduce, value)) != tuple(rhs):
         raise ArithmeticError(errors[0])
     tables = ({}, {})
     for side, g, out, var, t in products:
-        if x[var] != 0:
-            _add_to(tables[side], (g, out), f.mul(t, x[var]), f)
-    side0 = _nonzero_entries(tables[0])
-    if side0 != _nonzero_entries(tables[1]):
+        xv = x[var]
+        if xv != 0:
+            table = tables[side]
+            table[g, out] = table.get((g, out), 0) + t * xv
+    side0, side1 = ({key: v for key, total in table.items() if (v := reduce(total)) != 0}
+                    for table in tables)
+    if side0 != side1:
         raise ArithmeticError(errors[1])
     return side0
 

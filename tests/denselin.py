@@ -1,7 +1,7 @@
 """Dense linear algebra that only the tests use.
 
-Vector sums, scalings and zeros, the span of dense rows, Kronecker products,
-the flip of a tensor product, the identity and the difference of matrices,
+Vector sums, scalings and zeros, a matrix from dense rows and their span,
+Kronecker products, the flip of a tensor product, the identity and the difference of matrices,
 kernels and affine solves of dense matrices, the rows of a matrix added to a
 constraint system, the rows of a system as a multiset,
 a matrix as nested rows, the zero test, the projection of one vector to a
@@ -33,6 +33,16 @@ def vec_add(field: FieldSpec, u, v) -> tuple:
 
 def vec_scale(field: FieldSpec, c, v) -> tuple:
     return tuple(field.mul(c, a) for a in v)
+
+
+def matrix_from_rows(field: FieldSpec, rows) -> Matrix:
+    """The Matrix with the given dense rows, each entry coerced."""
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    if any(len(r) != nc for r in rows):
+        raise ValueError("ragged rows")
+    return Matrix(field, nr, nc, tuple(field.coerce(x) for r in rows for x in r))
 
 
 def subspace_from_rows(field: FieldSpec, ambient_dim: int, rows) -> Subspace:
@@ -215,9 +225,9 @@ def rebased(w, seed):
     structure constants are no longer 0 and 1."""
     f, n = w.field, w.dim
     rng = random.Random(seed)
-    p = Matrix.from_rows(f, [[1 if i == j else rng.randint(-2, 2) if i < j else 0
+    p = matrix_from_rows(f, [[1 if i == j else rng.randint(-2, 2) if i < j else 0
                                for j in range(n)] for i in range(n)])
-    q = Matrix.from_rows(f, [solve_affine(p, unit_vec(f, n, j)).particular
+    q = matrix_from_rows(f, [solve_affine(p, unit_vec(f, n, j)).particular
                              for j in range(n)]).transpose()
     mult, comult = [f.zero()] * n ** 3, [f.zero()] * n ** 3
     for i, j, k, t in w.algebra.mult.nonzeros():

@@ -2,8 +2,9 @@
 
 ``build_parser`` is the argparse tree that ``maschke-kit`` parsed its argv
 with before the table-driven ``cli.parse_argv``; ``check_weak_bialgebra``
-is the weak bialgebra check before its loops were made sparse.  The tests
-run both forms on the same inputs and compare.
+is the weak bialgebra check before its loops were made sparse; ``holds`` is
+``ConstraintSystem.satisfied_by`` before each row became one native integer
+sum.  The tests run both forms on the same inputs and compare.
 """
 
 import argparse
@@ -152,3 +153,20 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
                 if lhs != twisted:
                     failures.append(AxiomFailure("weak counit (twisted)", (i, j, k)))
     return report.merged(AxiomReport(tuple(failures)))
+
+
+def holds(system, x, homogeneous=False) -> bool:
+    """Every stored row of system holds at x, against right-hand side zero
+    when homogeneous: each term through FieldSpec.mul and FieldSpec.add."""
+    f = system.field
+    xs = [f.coerce(v) for v in x]
+    add, mul, zero = f.add, f.mul, f.zero()
+    for coeffs, rhs in system.rows:
+        acc = zero
+        for c, v in coeffs.items():
+            xv = xs[c]
+            if xv != 0:
+                acc = add(acc, mul(v, xv))
+        if acc != (zero if homogeneous else rhs):
+            return False
+    return True

@@ -31,8 +31,8 @@ from maschke_kit.weakhopf import SIDES, VARIANTS, cointegral_system, integral_sy
     solve_integral
 
 from denselin import (add_matrix_rows, flip_matrix, identity, is_zero, kernel, kron,
-                      mat_sub, project, section, solve_affine, subspace_from_rows, to_rows,
-                      zero_vec)
+                      mat_sub, matrix_from_rows, project, section, solve_affine,
+                      subspace_from_rows, to_rows, zero_vec)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -66,7 +66,7 @@ def rref(m: Matrix) -> tuple:
         r += 1
         if r == nr:
             break
-    return Matrix.from_rows(f, rows) if nr else m, tuple(pivots)
+    return matrix_from_rows(f, rows) if nr else m, tuple(pivots)
 
 
 def dense_solve(m: Matrix, b):
@@ -76,7 +76,7 @@ def dense_solve(m: Matrix, b):
     basis is the rref of the null-space vectors, one per free column.
     """
     f = m.field
-    red, piv = rref(Matrix.from_rows(f, [list(m.row(i)) + [b[i]] for i in range(m.rows)]))
+    red, piv = rref(matrix_from_rows(f, [list(m.row(i)) + [b[i]] for i in range(m.rows)]))
     if m.cols in piv:
         return None
     x = [f.zero()] * m.cols
@@ -89,7 +89,7 @@ def dense_solve(m: Matrix, b):
         for i, p in enumerate(piv):
             v[p] = f.neg(red.at(i, fc))
         kern.append(v)
-    basis = rref(Matrix.from_rows(f, kern))[0] if kern else Matrix.zeros(f, 0, m.cols)
+    basis = rref(matrix_from_rows(f, kern))[0] if kern else Matrix.zeros(f, 0, m.cols)
     return tuple(x), basis
 
 
@@ -242,13 +242,13 @@ class TestMatrix:
             kron(a, b)
 
     def test_matmul_and_apply(self):
-        a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
-        b = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
+        a = matrix_from_rows(QQ, [[1, 2], [3, 4]])
+        b = matrix_from_rows(QQ, [[0, 1], [1, 0]])
         assert to_rows(a @ b) == [[2, 1], [4, 3]]
         assert a.apply((1, 1)) == (3, 7)
 
     def test_transpose_roundtrip(self):
-        a = Matrix.from_rows(F3, [[1, 2, 0], [0, 1, 1]])
+        a = matrix_from_rows(F3, [[1, 2, 0], [0, 1, 1]])
         assert a.transpose().transpose() == a
 
     def test_empty_shapes(self):
@@ -271,7 +271,7 @@ class TestRref:
 
     def test_rank_one(self):
         # hand Gaussian elimination: [[2,4],[1,2]] -> [[1,2],[0,0]]
-        m = Matrix.from_rows(QQ, [[2, 4], [1, 2]])
+        m = matrix_from_rows(QQ, [[2, 4], [1, 2]])
         red, piv = rref(m)
         assert to_rows(red) == [[1, 2], [0, 0]]
         assert piv == (0,)
@@ -284,7 +284,7 @@ class TestRref:
         rows = data.draw(
             st.lists(st.lists(st.integers(-hi, hi), min_size=nc, max_size=nc),
                      min_size=nr, max_size=nr))
-        m = Matrix.from_rows(field, rows)
+        m = matrix_from_rows(field, rows)
         red, piv = rref(m)
         red2, piv2 = rref(red)
         assert red2 == red and piv2 == piv
@@ -300,7 +300,7 @@ class TestKernel:
 
     def test_gf2_line(self):
         # enumerate the 4 vectors of GF(2)^2: kernel of [1 1] is {00, 11}
-        m = Matrix.from_rows(F2, [[1, 1]])
+        m = matrix_from_rows(F2, [[1, 1]])
         k = kernel(m)
         assert k.dim == 1
         assert k.contains((1, 1))
@@ -317,7 +317,7 @@ class TestKernel:
         rows = data.draw(
             st.lists(st.lists(st.integers(-hi, hi), min_size=nc, max_size=nc),
                      min_size=nr, max_size=nr))
-        m = Matrix.from_rows(field, rows)
+        m = matrix_from_rows(field, rows)
         _, piv = rref(m)
         assert len(piv) + kernel(m).dim == nc
 
@@ -329,12 +329,12 @@ class TestSolveAffine:
         assert sol.homogeneous.dim == 0
 
     def test_gf2_affine_line(self):
-        sol = solve_affine(Matrix.from_rows(F2, [[1, 1]]), (1,))
+        sol = solve_affine(matrix_from_rows(F2, [[1, 1]]), (1,))
         assert sol.particular == (1, 0)
         assert to_rows(sol.homogeneous.basis) == [[1, 1]]
 
     def test_infeasible(self):
-        assert solve_affine(Matrix.from_rows(QQ, [[0]]), (1,)) is None
+        assert solve_affine(matrix_from_rows(QQ, [[0]]), (1,)) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -349,7 +349,7 @@ class TestSolveAffine:
             st.lists(st.lists(st.integers(0, p - 1), min_size=nc, max_size=nc),
                      min_size=nr, max_size=nr))
         b = data.draw(st.lists(st.integers(0, p - 1), min_size=nr, max_size=nr))
-        m = Matrix.from_rows(field, rows)
+        m = matrix_from_rows(field, rows)
         sol = solve_affine(m, tuple(b))
         enumerated = brute_force_solutions(field, m, b)
         if sol is None:
@@ -371,7 +371,7 @@ class TestSolveAffine:
             st.lists(st.lists(st.integers(-hi, hi), min_size=nc, max_size=nc),
                      min_size=nr, max_size=nr))
         b = data.draw(st.lists(st.integers(-hi, hi), min_size=nr, max_size=nr))
-        m = Matrix.from_rows(field, rows)
+        m = matrix_from_rows(field, rows)
         sol = solve_affine(m, tuple(field.coerce(x) for x in b))
         if sol is not None:
             assert m.apply(sol.particular) == tuple(field.coerce(x) for x in b)
@@ -379,7 +379,7 @@ class TestSolveAffine:
                 assert m.apply(sol.homogeneous.basis.row(i)) == zero_vec(field, nr)
         else:
             red, piv = rref(m)
-            aug = Matrix.from_rows(field, [list(m.row(i)) + [b[i]] for i in range(nr)])
+            aug = matrix_from_rows(field, [list(m.row(i)) + [b[i]] for i in range(nr)])
             _, piv_aug = rref(aug)
             assert len(piv_aug) != len(piv)
 
@@ -442,13 +442,13 @@ class TestKron:
         assert kron(identity(QQ, 2), identity(QQ, 3)) == identity(QQ, 6)
 
     def test_zero_factor(self):
-        a = Matrix.from_rows(QQ, [[1, 2]])
+        a = matrix_from_rows(QQ, [[1, 2]])
         z = Matrix.zeros(QQ, 2, 2)
         assert is_zero(kron(a, z))
 
     def test_direct_expansion(self):
-        a = Matrix.from_rows(QQ, [[1, 2]])
-        b = Matrix.from_rows(QQ, [[3], [4]])
+        a = matrix_from_rows(QQ, [[1, 2]])
+        b = matrix_from_rows(QQ, [[3], [4]])
         assert to_rows(kron(a, b)) == [[3, 6], [4, 8]]
 
     def test_flip_is_involution(self):
@@ -457,10 +457,10 @@ class TestKron:
         assert fl2 @ fl == identity(QQ, 6)
 
     def test_mixed_product_law(self):
-        a = Matrix.from_rows(QQ, [[1, 1], [0, 2]])
-        b = Matrix.from_rows(QQ, [[2, 0], [1, 1]])
-        c = Matrix.from_rows(QQ, [[1], [3]])
-        d = Matrix.from_rows(QQ, [[0], [1]])
+        a = matrix_from_rows(QQ, [[1, 1], [0, 2]])
+        b = matrix_from_rows(QQ, [[2, 0], [1, 1]])
+        c = matrix_from_rows(QQ, [[1], [3]])
+        d = matrix_from_rows(QQ, [[0], [1]])
         assert kron(a @ c, b @ d) == kron(a, b) @ kron(c, d)
 
 
@@ -479,7 +479,7 @@ class TestTensor3:
 
 class TestConstraintSystem:
     def test_matches_dense_solver(self):
-        m = Matrix.from_rows(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        m = matrix_from_rows(QQ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         b = (1, 2, 0)
         particular, basis = dense_solve(m, b)
         sys = ConstraintSystem(QQ, 3)
@@ -533,7 +533,7 @@ class TestConstraintSystem:
             st.lists(st.lists(st.integers(-hi, hi), min_size=nc, max_size=nc),
                      min_size=nr, max_size=nr))
         b = data.draw(st.lists(st.integers(-hi, hi), min_size=nr, max_size=nr))
-        m = Matrix.from_rows(field, rows)
+        m = matrix_from_rows(field, rows)
         b = tuple(field.coerce(x) for x in b)
         dense = dense_solve(m, b)
         sys = ConstraintSystem(field, nc)
@@ -637,17 +637,17 @@ class TestSubspace:
 
     def test_invalid_basis_rejected(self):
         with pytest.raises(ValueError):
-            Subspace(2, Matrix.from_rows(QQ, [[2, 0]]))
+            Subspace(2, matrix_from_rows(QQ, [[2, 0]]))
         with pytest.raises(ValueError):
-            Subspace(2, Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
+            Subspace(2, matrix_from_rows(QQ, [[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
             subspace_from_rows(QQ, 2, [[1, 0], [0, 0, 1]])
         with pytest.raises(ValueError, match="zero row"):
-            Subspace(2, Matrix.from_rows(QQ, [[1, 0], [0, 0]]))
+            Subspace(2, matrix_from_rows(QQ, [[1, 0], [0, 0]]))
         with pytest.raises(ValueError, match="not reduced"):
-            Subspace(3, Matrix.from_rows(QQ, [[1, 1, 0], [0, 1, 0]]))
+            Subspace(3, matrix_from_rows(QQ, [[1, 1, 0], [0, 1, 0]]))
         with pytest.raises(ValueError, match="not reduced"):
-            Subspace(3, Matrix.from_rows(QQ, [[1, 0, 2], [0, 1, 0], [0, 0, 1]]))
+            Subspace(3, matrix_from_rows(QQ, [[1, 0, 2], [0, 1, 0], [0, 0, 1]]))
 
     @given(st.integers(1, 4), st.integers(1, 5), st.data())
     @settings(max_examples=60, deadline=None)
@@ -658,7 +658,7 @@ class TestSubspace:
             st.lists(st.lists(st.integers(-hi, hi), min_size=nc, max_size=nc),
                      min_size=nr, max_size=nr))
         s = subspace_from_rows(field, nc, rows)
-        assert s.pivots == rref(Matrix.from_rows(field, rows))[1]
+        assert s.pivots == rref(matrix_from_rows(field, rows))[1]
         assert s.pivots is s.pivots
 
 
@@ -669,9 +669,9 @@ def test_unit_vec():
 class TestFrozenRecords:
     def test_equality_and_hash_by_value(self):
         a = Matrix(QQ, 1, 2, (Fraction(1), Fraction(2)))
-        b = Matrix.from_rows(QQ, [[1, 2]])
+        b = matrix_from_rows(QQ, [[1, 2]])
         assert a is not b and a == b and hash(a) == hash(b)
-        assert a != Matrix.from_rows(QQ, [[1, 3]])
+        assert a != matrix_from_rows(QQ, [[1, 3]])
         assert FieldSpec(5) == FieldSpec.gf(5) != FieldSpec(7)
         assert len({FieldSpec(0), FieldSpec.rationals(), F5}) == 2
 
@@ -729,16 +729,35 @@ class TestFrozenRecords:
     def test_stored_results_on_frozen_presentation(self):
         a = AlgebraPresentation.make(QQ, [[[1]]], [1])
         assert check_algebra(a) is check_algebra(a)
-        assert vars(a)["_once_check_algebra"] is check_algebra(a)
+        assert vars(a)["_once_check_algebra"][()] is check_algebra(a)
         assert a == AlgebraPresentation.make(QQ, [[[1]]], [1])
 
     def test_stored_results_keyed_by_arguments(self):
         w = group_algebra(cyclic_group(2), QQ)
         sol = solve_integral(w, "left", "primed", True)
-        assert vars(w)["_once__integral_solution_left_primed_True"] is sol
-        assert "_once__integral_solution_right_primed_True" not in vars(w)
+        stored = vars(w)["_once__integral_solution"]
+        assert stored[("left", "primed", True)] is sol
+        assert ("right", "primed", True) not in stored
         with pytest.raises(TypeError, match="str or bool"):
             _once(lambda presentation, arg: arg)(w, 1)
+
+    def test_stored_results_keep_argument_tuples_apart(self):
+        # joined into one attribute name, ("x_y",) and ("x", "y") met, and so
+        # did (True,) and ("True",): the second call got the first one's result
+        calls = []
+
+        def args(presentation, *rest):
+            calls.append(rest)
+            return rest
+
+        stored = _once(args)
+        w = group_algebra(cyclic_group(2), QQ)
+        keys = [("x_y",), ("x", "y"), (True,), ("True",), ("1",), ()]
+        for _ in range(2):
+            assert [stored(w, *key) for key in keys] == keys
+        assert calls == keys
+        with pytest.raises(TypeError, match="str or bool"):
+            stored(w, None)
 
     def test_cli_import_skips_dataclasses_and_inspect(self):
         import maschke_kit

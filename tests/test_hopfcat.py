@@ -39,7 +39,8 @@ from maschke_kit.hopfcat import (
 from maschke_kit.weakhopf import solve_cointegral, solve_integral
 
 from denselin import (add_matrix_rows, comult_matrix, counit_matrix, flip_matrix, identity,
-                      kron, mult_matrix, rebased, row_multiset, solve_affine)
+                      kron, matrix_from_rows, mult_matrix, rebased, row_multiset,
+                      solve_affine)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -164,9 +165,9 @@ def rebased_category(h, seed):
     t, t_inv = {}, {}
     for p in h.hom_pairs():
         d = h.dim(*p)
-        t[p] = Matrix.from_rows(f, [[1 if i == j else rng.randint(-2, 2) if i < j else 0
+        t[p] = matrix_from_rows(f, [[1 if i == j else rng.randint(-2, 2) if i < j else 0
                                      for j in range(d)] for i in range(d)])
-        t_inv[p] = Matrix.from_rows(f, [solve_affine(t[p], unit_vec(f, d, j)).particular
+        t_inv[p] = matrix_from_rows(f, [solve_affine(t[p], unit_vec(f, d, j)).particular
                                         for j in range(d)]).transpose()
     homs = {}
     for p, c in h.homs.items():

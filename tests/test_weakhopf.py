@@ -596,7 +596,7 @@ class TestConversions:
                 convert_integral(w, t, side))
             shrunk = IntegralSolution(side, "primed", True, AffineSolution(
                 sol.element, Subspace.zero(QQ, w.dim)))
-            object.__setattr__(w, f"_once__integral_solution_{side}_primed_True", shrunk)
+            vars(w)["_once__integral_solution"][side, "primed", True] = shrunk
             assert solve_integral(w, side, "primed") is shrunk
             with pytest.raises(ArithmeticError, match="missed a solution"):
                 convert_integral(w, t, side)

@@ -155,19 +155,71 @@ class Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _q_add(a, b):
+    c = a + b
+    return c if type(c) is int else _canonical(c)
+
+
+def _q_sub(a, b):
+    c = a - b
+    return c if type(c) is int else _canonical(c)
+
+
+def _q_mul(a, b):
+    c = a * b
+    return c if type(c) is int else _canonical(c)
+
+
+def _q_reduce(x):
+    return x if type(x) is int else _canonical(x)
+
+
+def _gf_ops(p: int) -> tuple:
+    """add, sub, mul, neg and reduce of GF(p), as closures over p."""
+
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def mul(a, b):
+        return a * b % p
+
+    def neg(a):
+        return -a % p
+
+    def reduce(x):
+        return x % p
+
+    return add, sub, mul, neg, reduce
+
+
 class FieldSpec(Frozen):
-    """An exact coefficient field: Q (characteristic 0) or GF(p)."""
+    """An exact coefficient field: Q (characteristic 0) or GF(p).
+
+    ``add``, ``sub``, ``mul``, ``neg`` and ``reduce`` are bound once per
+    field when it is made, so a call tests no characteristic: over Q they
+    return an ``int`` when the value is integral and otherwise a ``Fraction``
+    in lowest terms, over GF(p) a residue in [0, p).  ``reduce(x)`` gives the
+    canonical scalar of x, an exact int or Fraction sum of products of
+    canonical scalars: one reduction for the whole sum.
+    """
 
     characteristic: int
 
     def __post_init__(self):
         p = self.characteristic
         if p == 0:
-            return
-        if p >= _MAX_PRIME:
-            raise ValueError(f"prime field modulus {p} exceeds 2**31")
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            ops = (_q_add, _q_sub, _q_mul, operator.neg, _q_reduce)
+        else:
+            if p >= _MAX_PRIME:
+                raise ValueError(f"prime field modulus {p} exceeds 2**31")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            ops = _gf_ops(p)
+        for name, op in zip(("add", "sub", "mul", "neg", "reduce"), ops):
+            _setattr(self, name, op)
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -229,36 +281,6 @@ class FieldSpec(Frozen):
                 raise ValueError(f"denominator of {x} vanishes mod {p}")
             return x.numerator * pow(x.denominator, -1, p) % p
         raise TypeError(f"cannot coerce {x!r} into GF({p})")
-
-    def add(self, a, b):
-        if self.characteristic == 0:
-            c = a + b
-            return c if type(c) is int else _canonical(c)
-        return (a + b) % self.characteristic
-
-    def sub(self, a, b):
-        if self.characteristic == 0:
-            c = a - b
-            return c if type(c) is int else _canonical(c)
-        return (a - b) % self.characteristic
-
-    def mul(self, a, b):
-        if self.characteristic == 0:
-            c = a * b
-            return c if type(c) is int else _canonical(c)
-        return a * b % self.characteristic
-
-    def neg(self, a):
-        if self.characteristic == 0:
-            return -a
-        return -a % self.characteristic
-
-    def reduce(self, x):
-        """The canonical scalar of x, an exact int or Fraction sum of
-        products of canonical scalars: one reduction for the whole sum."""
-        if self.characteristic == 0:
-            return x if type(x) is int else _canonical(x)
-        return x % self.characteristic
 
     def inv(self, a):
         if self.characteristic == 0:

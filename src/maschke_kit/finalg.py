@@ -15,7 +15,6 @@ the comultiplication of ``e_i``.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .exactlin import (
     ConstraintSystem,
@@ -85,8 +84,9 @@ def _once(fn):
 
     @functools.wraps(fn)
     def stored(presentation, *args):
-        if args and any(type(a) is not str and type(a) is not bool for a in args):
-            raise TypeError(f"{fn.__name__}: stored results are keyed by str or bool")
+        for a in args:
+            if type(a) is not str and type(a) is not bool:
+                raise TypeError(f"{fn.__name__}: stored results are keyed by str or bool")
         # getattr, not __dict__: building the instance dict slows every
         # later attribute read on the presentation.
         results = getattr(presentation, key, None)
@@ -125,6 +125,19 @@ def _comult_by_source(c: CoalgebraPresentation) -> tuple:
     for i, j, k, t in c.comult.nonzeros():
         terms[i].append((j, k, t))
     return tuple(map(tuple, terms))
+
+
+def _comult_sum(f: FieldSpec, delta: tuple, terms) -> dict:
+    """The comultiplication of the sum of t e_i over the terms (i, t), as
+    {j * n + k: coefficient of e_j (x) e_k} without zeros, for delta =
+    _comult_by_source(c) and n = c.dim."""
+    add, mul, n = f.add, f.mul, len(delta)
+    out = {}
+    for i, t in terms:
+        for j, k, s in delta[i]:
+            idx = j * n + k
+            out[idx] = add(out[idx], mul(t, s)) if idx in out else mul(t, s)
+    return _nonzero_entries(out)
 
 
 def _terms(vec) -> list:
@@ -323,17 +336,6 @@ class CoalgebraPresentation(Frozen):
         comult = Tensor3.from_nested(field, comult_nested)
         return CoalgebraPresentation(field, comult.d0, comult, tuple(counit))
 
-    def comult_vec(self, u) -> tuple:
-        """Comultiplication of a coefficient vector, in A (x) A coordinates."""
-        f = self.field
-        n = self.dim
-        out = [f.zero()] * (n * n)
-        for i, j, k, t in self.comult.nonzeros():
-            a = u[i]
-            if a != 0:
-                out[j * n + k] = f.add(out[j * n + k], f.mul(a, t))
-        return tuple(out)
-
 
 # ---------------------------------------------------------------------------
 # axiom checks
@@ -341,9 +343,14 @@ class CoalgebraPresentation(Frozen):
 
 @_once
 def check_algebra(a: AlgebraPresentation) -> AxiomReport:
-    """Associativity on all basis triples plus two-sided unitality."""
+    """Associativity on all basis triples plus two-sided unitality.
+
+    Both sides of associativity are raw int or Fraction sums of products of
+    canonical scalars, reduced only when the raw sums differ (over GF(p) they
+    may still agree mod p).
+    """
     f, n = a.field, a.dim
-    add, mul, zero = f.add, f.mul, f.zero()
+    add, mul, reduce, zero = f.add, f.mul, f.reduce, f.zero()
     prod = _sparse_products(a)
     unit = [(m, u) for m, u in enumerate(a.unit) if u != 0]
     failures = []
@@ -367,15 +374,15 @@ def check_algebra(a: AlgebraPresentation) -> AxiomReport:
             prod_ij = prod_i[j]
             for k in range(n):
                 # (e_i e_j) e_k and e_i (e_j e_k), summed over product terms
-                lhs = [zero] * n
+                lhs = [0] * n
                 for m, t in prod_ij:
                     for c, s in prod[m][k]:
-                        lhs[c] = add(lhs[c], mul(t, s))
-                rhs = [zero] * n
+                        lhs[c] += t * s
+                rhs = [0] * n
                 for m, t in prod[j][k]:
                     for c, s in prod_i[m]:
-                        rhs[c] = add(rhs[c], mul(t, s))
-                if lhs != rhs:
+                        rhs[c] += t * s
+                if lhs != rhs and list(map(reduce, lhs)) != list(map(reduce, rhs)):
                     failures.append(AxiomFailure(
                         "associativity", (i, j, k),
                         f"({a.labels[i]}*{a.labels[j]})*{a.labels[k]}"))
@@ -386,9 +393,19 @@ def _nonzero_entries(d: dict) -> dict:
     return {k: v for k, v in d.items() if v != 0}
 
 
+def _reduced_entries(f: FieldSpec, d: dict) -> dict:
+    """d with every raw int or Fraction sum reduced, without zeros."""
+    reduce = f.reduce
+    return {k: r for k, v in d.items() if (r := reduce(v)) != 0}
+
+
 @_once
 def check_coalgebra(c: CoalgebraPresentation) -> AxiomReport:
-    """Coassociativity on all basis elements plus two-sided counitality."""
+    """Coassociativity on all basis elements plus two-sided counitality.
+
+    Both sides of coassociativity are raw sums, reduced only when they
+    differ, as in check_algebra.
+    """
     f, n = c.field, c.dim
     add, mul, zero = f.add, f.mul, f.zero()
     eps = c.counit
@@ -413,11 +430,11 @@ def check_coalgebra(c: CoalgebraPresentation) -> AxiomReport:
         for j, k, t in delta[i]:
             for p, q, s in delta[j]:
                 idx = (p * n + q) * n + k
-                lhs[idx] = add(lhs.get(idx, zero), mul(t, s))
+                lhs[idx] = lhs.get(idx, 0) + t * s
             for p, q, s in delta[k]:
                 idx = (j * n + p) * n + q
-                rhs[idx] = add(rhs.get(idx, zero), mul(t, s))
-        if _nonzero_entries(lhs) != _nonzero_entries(rhs):
+                rhs[idx] = rhs.get(idx, 0) + t * s
+        if lhs != rhs and _reduced_entries(f, lhs) != _reduced_entries(f, rhs):
             failures.append(AxiomFailure("coassociativity", (i,)))
     return AxiomReport(tuple(failures))
 
@@ -463,30 +480,32 @@ def _balanced_system(f: FieldSpec, nvars: int, norm, rhs, products) -> Constrain
     normalization, last because its dense rows fill in the others as pivots.
     """
     add, sub, neg = f.add, f.sub, f.neg
-    # the normalization rows are side 0 at g = None, which no product uses
-    sides = ({}, {})
-    for side, g, out, var, t in itertools.chain(
-            products, ((0, None, out, var, t) for out, var, t in norm)):
-        rows = sides[side]
+    # one row per (g, out): side-1 terms are subtracted as they arrive
+    rows = {}
+    for side, g, out, var, t in products:
         row = rows.get((g, out))
         if row is None:
-            rows[g, out] = {var: t}
+            rows[g, out] = {var: neg(t) if side else t}
+        elif var in row:
+            row[var] = sub(row[var], t) if side else add(row[var], t)
         else:
-            row[var] = add(row[var], t) if var in row else t
-    rows = sides[0]
-    for key, other in sides[1].items():
-        row = rows.setdefault(key, {})
-        for var, t in other.items():
-            row[var] = sub(row[var], t) if var in row else neg(t)
-    last = [(rows.pop((None, out), {}), value) for out, value in enumerate(rhs)]
-    sys = ConstraintSystem(f, nvars)
-    # the terms are field scalars already, so rows go in without add_row's
-    # coercion; the variable range is still checked, and zeros dropped
+            row[var] = neg(t) if side else t
+    last = [{} for _ in rhs]
+    for out, var, t in norm:
+        row = last[out]
+        row[var] = add(row[var], t) if var in row else t
     zero = f.zero()
-    for row, value in [(row, zero) for row in rows.values()] + last:
-        if row and (min(row) < 0 or max(row) >= nvars):
-            bad = next(var for var in row if not 0 <= var < nvars)
-            raise ValueError(f"variable index {bad} out of range")
+    finished = [(row, zero) for row in rows.values()]
+    finished += zip(last, rhs)
+    # the terms are field scalars already, so rows go in without add_row's
+    # coercion; the variable range is still checked, once over the variables
+    # of all rows, and zeros dropped
+    used = set().union(*(row for row, _ in finished))
+    if used and (min(used) < 0 or max(used) >= nvars):
+        bad = next(var for row, _ in finished for var in row if not 0 <= var < nvars)
+        raise ValueError(f"variable index {bad} out of range")
+    sys = ConstraintSystem(f, nvars)
+    for row, value in finished:
         if zero in row.values():
             row = {var: t for var, t in row.items() if t != 0}
         if row or value != 0:
@@ -514,8 +533,7 @@ def _balanced_certificate(f: FieldSpec, x, norm, rhs, products, errors: tuple) -
         if xv != 0:
             table = tables[side]
             table[g, out] = table.get((g, out), 0) + t * xv
-    side0, side1 = ({key: v for key, total in table.items() if (v := reduce(total)) != 0}
-                    for table in tables)
+    side0, side1 = (_reduced_entries(f, table) for table in tables)
     if side0 != side1:
         raise ArithmeticError(errors[1])
     return side0

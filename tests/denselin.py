@@ -7,11 +7,11 @@ constraint system, the rows of a system as a multiset,
 a matrix as nested rows, the zero test, the projection of one vector to a
 quotient and the quotient's section, the multiplication, left and right
 multiplication, unit, comultiplication and counit of a presentation as
-matrices, a map after an action on one leg of a tensor square, a change of
-basis, the dual algebra of a coalgebra, and the dimension of the subalgebra
-that some basis elements generate.  The package builds every map from
-structure constants; the tests compose the same maps from these dense pieces
-and compare.
+matrices, the comultiplication of one vector, a map after an action on one
+leg of a tensor square, a change of basis, the dual algebra of a coalgebra,
+and the dimension of the subalgebra that some basis elements generate.  The
+package builds every map from structure constants; the tests compose the
+same maps from these dense pieces and compare.
 """
 
 import random
@@ -203,6 +203,18 @@ def on_leg(m: Matrix, act: Matrix, leg: int) -> Matrix:
 def unit_matrix(a) -> Matrix:
     """The unit of an algebra presentation as a column k -> A."""
     return Matrix(a.field, a.dim, 1, tuple(a.unit))
+
+
+def comult_vec(c, u) -> tuple:
+    """The comultiplication of a coefficient vector of a coalgebra
+    presentation, in C (x) C coordinates."""
+    f, n = c.field, c.dim
+    out = [f.zero()] * (n * n)
+    for i, j, k, t in c.comult.nonzeros():
+        a = u[i]
+        if a != 0:
+            out[j * n + k] = f.add(out[j * n + k], f.mul(a, t))
+    return tuple(out)
 
 
 def comult_matrix(c) -> Matrix:

@@ -2,17 +2,25 @@
 
 ``build_parser`` is the argparse tree that ``maschke-kit`` parsed its argv
 with before the table-driven ``cli.parse_argv``; ``check_weak_bialgebra``
-is the weak bialgebra check before its loops were made sparse; ``holds`` is
-``ConstraintSystem.satisfied_by`` before each row became one native integer
-sum.  The tests run both forms on the same inputs and compare.
+is the weak bialgebra check before its loops were made sparse, and
+``check_algebra`` and ``check_coalgebra`` are the component checks before
+their sums were taken raw; all three add each term through FieldSpec.add and
+FieldSpec.mul; ``holds`` is ``ConstraintSystem.satisfied_by`` before each row
+became one native integer sum; ``balanced_system`` is the row builder before
+it made its rows in one pass, with one dictionary per side.  The tests run
+both forms on the same inputs and compare.
 """
 
 import argparse
+import itertools
 
 from maschke_kit.cli import GENERATORS, UsageError
+from maschke_kit.exactlin import ConstraintSystem, unit_vec
 from maschke_kit.finalg import (AxiomFailure, AxiomReport, _comult_by_source,
-                                _sparse_products, check_algebra, check_coalgebra)
+                                _nonzero_entries, _sparse_products)
 from maschke_kit.weakhopf import WeakHopfPresentation, _counit_pairing
+
+from denselin import comult_vec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,6 +75,83 @@ def build_parser() -> _Parser:
     return parser
 
 
+def check_algebra(a) -> AxiomReport:
+    """Associativity on all basis triples plus two-sided unitality."""
+    f, n = a.field, a.dim
+    add, mul, zero = f.add, f.mul, f.zero()
+    prod = _sparse_products(a)
+    unit = [(m, u) for m, u in enumerate(a.unit) if u != 0]
+    failures = []
+    for i in range(n):
+        # 1 e_i and e_i 1, summed over the unit's nonzeros
+        left = [zero] * n
+        right = [zero] * n
+        for m, u in unit:
+            for k, t in prod[m][i]:
+                left[k] = add(left[k], mul(u, t))
+            for k, t in prod[i][m]:
+                right[k] = add(right[k], mul(u, t))
+        e = list(unit_vec(f, n, i))
+        if left != e:
+            failures.append(AxiomFailure("left unit", (i,), a.labels[i]))
+        if right != e:
+            failures.append(AxiomFailure("right unit", (i,), a.labels[i]))
+    for i in range(n):
+        prod_i = prod[i]
+        for j in range(n):
+            prod_ij = prod_i[j]
+            for k in range(n):
+                # (e_i e_j) e_k and e_i (e_j e_k), summed over product terms
+                lhs = [zero] * n
+                for m, t in prod_ij:
+                    for c, s in prod[m][k]:
+                        lhs[c] = add(lhs[c], mul(t, s))
+                rhs = [zero] * n
+                for m, t in prod[j][k]:
+                    for c, s in prod_i[m]:
+                        rhs[c] = add(rhs[c], mul(t, s))
+                if lhs != rhs:
+                    failures.append(AxiomFailure(
+                        "associativity", (i, j, k),
+                        f"({a.labels[i]}*{a.labels[j]})*{a.labels[k]}"))
+    return AxiomReport(tuple(failures))
+
+
+def check_coalgebra(c) -> AxiomReport:
+    """Coassociativity on all basis elements plus two-sided counitality."""
+    f, n = c.field, c.dim
+    add, mul, zero = f.add, f.mul, f.zero()
+    eps = c.counit
+    delta = _comult_by_source(c)
+    failures = []
+    for i in range(n):
+        # counit laws: (eps (x) 1) delta = id = (1 (x) eps) delta
+        left = [zero] * n
+        right = [zero] * n
+        for j, k, t in delta[i]:
+            left[k] = add(left[k], mul(t, eps[j]))
+            right[j] = add(right[j], mul(t, eps[k]))
+        e = list(unit_vec(f, n, i))
+        if left != e:
+            failures.append(AxiomFailure("left counit", (i,)))
+        if right != e:
+            failures.append(AxiomFailure("right counit", (i,)))
+    for i in range(n):
+        # (delta (x) 1) delta and (1 (x) delta) delta, keyed by (p * n + q) * n + r
+        lhs = {}
+        rhs = {}
+        for j, k, t in delta[i]:
+            for p, q, s in delta[j]:
+                idx = (p * n + q) * n + k
+                lhs[idx] = add(lhs.get(idx, zero), mul(t, s))
+            for p, q, s in delta[k]:
+                idx = (j * n + p) * n + q
+                rhs[idx] = add(rhs.get(idx, zero), mul(t, s))
+        if _nonzero_entries(lhs) != _nonzero_entries(rhs):
+            failures.append(AxiomFailure("coassociativity", (i,)))
+    return AxiomReport(tuple(failures))
+
+
 def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     """Component axioms plus the three weakened compatibility diagrams,
     with a loop over every term pair (n^4 on a dual group algebra)."""
@@ -102,7 +187,7 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
 
     # weak unit: (1 (x) mu (x) 1) and (1 (x) mu_op (x) 1) on delta(1) (x) delta(1)
     # both equal the double comultiplication of 1
-    u = coa.comult_vec(alg.unit)
+    u = comult_vec(coa, alg.unit)
     d2 = [zero] * (n ** 3)
     for ab in range(n * n):
         c0 = u[ab]
@@ -170,3 +255,36 @@ def holds(system, x, homogeneous=False) -> bool:
         if acc != (zero if homogeneous else rhs):
             return False
     return True
+
+
+def balanced_system(f, nvars: int, norm, rhs, products) -> ConstraintSystem:
+    """The rows of finalg._balanced_system, summed in one dictionary per
+    side, the side-1 one subtracted afterwards."""
+    add, sub, neg = f.add, f.sub, f.neg
+    # the normalization rows are side 0 at g = None, which no product uses
+    sides = ({}, {})
+    for side, g, out, var, t in itertools.chain(
+            products, ((0, None, out, var, t) for out, var, t in norm)):
+        rows = sides[side]
+        row = rows.get((g, out))
+        if row is None:
+            rows[g, out] = {var: t}
+        else:
+            row[var] = add(row[var], t) if var in row else t
+    rows = sides[0]
+    for key, other in sides[1].items():
+        row = rows.setdefault(key, {})
+        for var, t in other.items():
+            row[var] = sub(row[var], t) if var in row else neg(t)
+    last = [(rows.pop((None, out), {}), value) for out, value in enumerate(rhs)]
+    sys = ConstraintSystem(f, nvars)
+    zero = f.zero()
+    for row, value in [(row, zero) for row in rows.values()] + last:
+        if row and (min(row) < 0 or max(row) >= nvars):
+            bad = next(var for var in row if not 0 <= var < nvars)
+            raise ValueError(f"variable index {bad} out of range")
+        if zero in row.values():
+            row = {var: t for var, t in row.items() if t != 0}
+        if row or value != 0:
+            sys.rows.append((row, value))
+    return sys

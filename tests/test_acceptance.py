@@ -60,7 +60,7 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import identity, is_zero, kron, mult_matrix, section
+from denselin import comult_vec, identity, is_zero, kron, mult_matrix, section
 from test_hopfalgd import oracle_coseparability_system_hgd
 
 QQ = FieldSpec.rationals()
@@ -136,7 +136,7 @@ def test_criterion_03_pair_groupoid_weak_regime():
     ok = True
     for field in (QQ, F2, F3):
         w = groupoid_algebra(gd, field)
-        u = w.coalgebra.comult_vec(w.algebra.unit)
+        u = comult_vec(w.coalgebra, w.algebra.unit)
         outer = [field.zero()] * (w.dim ** 2)
         for i, a in enumerate(w.algebra.unit):
             for j, b in enumerate(w.algebra.unit):

@@ -159,17 +159,19 @@ def test_only_exactlin_owns_the_rational_type():
     assert calls and {site.split(".")[0] for site in calls} == {"exactlin"}
 
 
-DENSE_MULTIPLICATION = ("left_mult_matrix", "right_mult_matrix", "mult_matrix")
+DENSE_MULTIPLICATION = ("left_mult_matrix", "right_mult_matrix", "mult_matrix", "comult_vec")
 
 
 DENSE_MATRIX_METHODS = ("identity", "__sub__", "from_rows")
 
 
 def test_no_dense_multiplication_matrix():
-    # validation and systems read the sparse product tables; the dense
-    # multiplication matrices, the identity, the matrix difference and the
-    # matrix from dense rows live in tests/denselin.py as oracles only
+    # validation and systems read the sparse product tables and Delta grouped
+    # by source; the dense multiplication matrices, the dense comultiplication
+    # of a vector, the identity, the matrix difference and the matrix from
+    # dense rows live in tests/denselin.py as oracles only
     from maschke_kit.exactlin import Matrix
+    from maschke_kit.finalg import CoalgebraPresentation
     defined = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -185,6 +187,7 @@ def test_no_dense_multiplication_matrix():
                        and f.attr in ("identity", "from_rows")
                        and isinstance(f.value, ast.Name) and f.value.id == "Matrix") == set()
     assert not any(hasattr(Matrix, name) for name in DENSE_MATRIX_METHODS)
+    assert not hasattr(CoalgebraPresentation, "comult_vec")
     # the benchmark's tracer wraps Matrix.__matmul__ by name, so it stays
     assert callable(Matrix.__matmul__)
 

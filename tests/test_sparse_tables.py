@@ -64,8 +64,9 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import (add_matrix_rows, identity, left_mult_matrix, rebased, right_mult_matrix,
-                      row_multiset, subspace_from_rows, vec_add, vec_scale, zero_vec)
+from denselin import (add_matrix_rows, comult_vec, identity, left_mult_matrix, rebased,
+                      right_mult_matrix, row_multiset, subspace_from_rows, vec_add, vec_scale,
+                      zero_vec)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -307,7 +308,7 @@ def oracle_base_algebra(w) -> BaseAlgebraInfo:
                 raise StructureDefectError("base product left the base")
             ent.extend(coords)
     induced = Tensor3(f, d, d, d, tuple(ent))
-    u_vec = w.coalgebra.comult_vec(alg.unit)
+    u_vec = comult_vec(w.coalgebra, alg.unit)
     fe = [f.zero()] * (n * n)
     for ab, c in enumerate(u_vec):
         if c == 0:
@@ -339,7 +340,7 @@ def oracle_convert_integral(w, t_prime, side) -> tuple:
     alg = w.algebra
     maps = projections(w)
     t_prime = tuple(f.coerce(x) for x in t_prime)
-    u = w.coalgebra.comult_vec(alg.unit)
+    u = comult_vec(w.coalgebra, alg.unit)
     basis = [unit_vec(f, n, i) for i in range(n)]
     out = zero_vec(f, n)
     comp = maps.piL @ maps.piR if side == "left" else maps.piR @ maps.piL
@@ -363,7 +364,7 @@ def oracle_convert_cointegral(w, tau_prime, side) -> tuple:
     alg = w.algebra
     maps = projections(w)
     tau_prime = tuple(f.coerce(x) for x in tau_prime)
-    u = w.coalgebra.comult_vec(alg.unit)
+    u = comult_vec(w.coalgebra, alg.unit)
     basis = [unit_vec(f, n, i) for i in range(n)]
     out = []
     for j in range(n):

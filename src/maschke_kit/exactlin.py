@@ -363,10 +363,6 @@ class Matrix(Frozen):
     def col(self, j: int) -> tuple:
         return self.entries[j :: self.cols] if self.cols else ()
 
-    def transpose(self) -> "Matrix":
-        ent = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.field, self.cols, self.rows, ent)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         # Sparse-aware: iterates nonzeros only, which keeps composites of
         # structure-constant matrices near-linear.
@@ -390,22 +386,6 @@ class Matrix(Frozen):
                         continue
                     out[base + j] = add(out[base + j], mul(a, b))
         return Matrix(f, self.rows, bc, tuple(out))
-
-    def apply(self, vec) -> tuple:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero()
-        out = [zero] * self.rows
-        for i in range(self.rows):
-            acc = zero
-            row = self.row(i)
-            for a, x in zip(row, vec):
-                if a != 0 and x != 0:
-                    acc = add(acc, mul(a, x))
-            out[i] = acc
-        return tuple(out)
 
     def nonzeros(self):
         """Yield (i, j, value) over nonzero entries."""
@@ -539,11 +519,6 @@ class Subspace(Frozen):
         return tuple(f.coerce(vec[p]) for p in self.pivots)
 
 
-def membership(vec, s: Subspace) -> bool:
-    """True iff vec lies in the span of the subspace basis."""
-    return s.contains(vec)
-
-
 class AffineSolution(Frozen):
     """Solution set of a feasible affine system: particular + null space."""
 
@@ -645,19 +620,6 @@ class ConstraintSystem:
         self.rows: list = []
         # the fully reduced pivot rows of a feasible solve, {column: (row, rhs)}
         self.pivots = None
-
-    def add_row(self, coeffs: dict, rhs=0):
-        f = self.field
-        clean = {}
-        for c, v in coeffs.items():
-            if not 0 <= c < self.nvars:
-                raise ValueError(f"variable index {c} out of range")
-            v = f.coerce(v)
-            if v != 0:
-                clean[c] = v
-        rhs = f.coerce(rhs)
-        if clean or rhs != 0:
-            self.rows.append((clean, rhs))
 
     def satisfied_by(self, x, homogeneous: bool = False) -> bool:
         """Exact residual check of every stored row at x, against right-hand

@@ -306,11 +306,6 @@ class AlgebraPresentation(Frozen):
         return AlgebraPresentation(field, dim, tuple(labels) if labels else _auto_labels(dim),
                                    mult, tuple(unit))
 
-    def mult_vec(self, u, v) -> tuple:
-        """Product of two coefficient vectors."""
-        return _vector(self.field, self.dim, _product(
-            self.field, _sparse_products(self), _terms(u), _terms(v)).items())
-
 
 class CoalgebraPresentation(Frozen):
     """A counital coassociative coalgebra given by structure constants."""
@@ -497,9 +492,9 @@ def _balanced_system(f: FieldSpec, nvars: int, norm, rhs, products) -> Constrain
     zero = f.zero()
     finished = [(row, zero) for row in rows.values()]
     finished += zip(last, rhs)
-    # the terms are field scalars already, so rows go in without add_row's
-    # coercion; the variable range is still checked, once over the variables
-    # of all rows, and zeros dropped
+    # the terms are field scalars already, so rows go in as they are, without
+    # coercion; the variable range is checked once over the variables of all
+    # rows, and zeros are dropped
     used = set().union(*(row for row, _ in finished))
     if used and (min(used) < 0 or max(used) >= nvars):
         bad = next(var for row, _ in finished for var in row if not 0 <= var < nvars)
@@ -649,21 +644,19 @@ def solve_coseparability(c: CoalgebraPresentation):
     if sol is None:
         return None
     f, n = c.field, c.dim
-    # the retraction P: c (x) d -> c1 sigma(c2 (x) d)
-    retraction = _table_matrix(f, _balanced_certificate(
+    # the retraction P: c (x) d -> c1 sigma(c2 (x) d), the value of (m, j*n + k)
+    # at row m and column j*n + k
+    table = _balanced_certificate(
         f, sol.particular, *_dual_terms(c, sigma=sol.particular),
         ("coseparability functional does not restrict to the counit",
-         "coseparability functional is not balanced over the comultiplication")), n * n, n)
-    p = retraction.entries    # P[m, j*n + k] at (j*n + k) * n + m
+         "coseparability functional is not balanced over the comultiplication"))
+    retraction = _table_matrix(f, {(jk, m): v for (m, jk), v in table.items()}, n, n * n)
+    pcols = _sparse_cols(retraction)
     for i, terms in enumerate(_comult_by_source(c)):
         # P(delta(e_i)) = e_i
-        value = [f.zero()] * n
-        for j, k, t in terms:
-            for m in range(n):
-                value[m] = f.add(value[m], f.mul(t, p[(j * n + k) * n + m]))
-        if value != list(unit_vec(f, n, i)):
+        if _apply_sparse(f, pcols, [(j * n + k, t) for j, k, t in terms]) != {i: f.one()}:
             raise ArithmeticError("coseparability map is not a retraction of delta")
-    return CoseparabilityRetraction(retraction.transpose())
+    return CoseparabilityRetraction(retraction)
 
 
 class MaschkeReport(Frozen):

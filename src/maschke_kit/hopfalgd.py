@@ -20,9 +20,7 @@ from .exactlin import (
     QuotientSpace,
     Subspace,
     _row_space,
-    membership,
     quotient_space,
-    vec_sub,
 )
 from .finalg import (
     AlgebraPresentation,
@@ -39,12 +37,14 @@ from .finalg import (
     _mult_cols,
     _nonzero_entries,
     _once,
+    _product,
     _require_antipode,
     _separability_terms,
     _sparse_cols,
     _sparse_products,
     _table_matrix,
     _terms,
+    _vector,
     check_algebra,
 )
 
@@ -58,10 +58,10 @@ class CommAlgebraPresentation(Frozen):
     algebra: AlgebraPresentation
 
     def __post_init__(self):
-        t = self.algebra.mult
-        for i in range(t.d0):
+        prod = _sparse_products(self.algebra)
+        for i in range(self.algebra.dim):
             for j in range(i):
-                if any(t.at(i, j, k) != t.at(j, i, k) for k in range(t.d2)):
+                if prod[i][j] != prod[j][i]:
                     raise ValueError(f"base algebra not commutative at {(i, j)}")
 
     @property
@@ -106,29 +106,36 @@ class HopfAlgebroidPresentation(Frozen):
         return self.base.field
 
 
-def _base_images(h: HopfAlgebroidPresentation):
-    """s(x) and t(x) for every base basis element, as total-algebra vectors."""
-    dr = h.base.dim
-    return ([h.src.col(x) for x in range(dr)], [h.tgt.col(x) for x in range(dr)])
+@_once
+def _base_images(h: HopfAlgebroidPresentation) -> tuple:
+    """The sparse columns of src and tgt, as tuples: s(x) and t(x) as (k, value)."""
+    return tuple(tuple(map(tuple, _sparse_cols(m))) for m in (h.src, h.tgt))
 
 
-def _comult_terms(h: HopfAlgebroidPresentation) -> list:
-    """terms[i] = [(a, b, c)]: the nonzero terms c e_a (x) e_b of the
-    comultiplication lift of e_i."""
+@_once
+def _counit_images(h: HopfAlgebroidPresentation) -> tuple:
+    """The sparse columns of s eps and t eps: s(eps(e_j)) and t(eps(e_j)) as (k, value)."""
+    ecols = _sparse_cols(h.counit)
+    return tuple(tuple(tuple(sorted(_apply_sparse(h.field, imgs, col).items()))
+                       for col in ecols) for imgs in _base_images(h))
+
+
+@_once
+def _comult_terms(h: HopfAlgebroidPresentation) -> tuple:
+    """terms[i] = ((a, b, c), ...): the nonzero terms c e_a (x) e_b of the
+    comultiplication lift of e_i, read from its sparse column."""
     n = h.total.dim
-    terms = [[] for _ in range(n)]
-    for ab, i, c in h.comult_lift.nonzeros():
-        terms[i].append((*divmod(ab, n), c))
-    return terms
+    return tuple(tuple((*divmod(ab, n), c) for ab, c in col)
+                 for col in _sparse_cols(h.comult_lift))
 
 
 def _tensor_relations(h: HopfAlgebroidPresentation, pairs) -> Subspace:
-    """Span of (u e_j) (x) e_k - e_j (x) (v e_k) over the pairs (u, v) and j, k."""
+    """Span of (u e_j) (x) e_k - e_j (x) (v e_k) over the sparse pairs (u, v) and j, k."""
     f, n = h.field, h.total.dim
     prod = _sparse_products(h.total)
     rows = []
     for u, v in pairs:
-        ucols, vcols = (_mult_cols(f, prod, _terms(w), True) for w in (u, v))
+        ucols, vcols = (_mult_cols(f, prod, w, True) for w in (u, v))
         for j in range(n):
             for k in range(n):
                 row = {m * n + k: c for m, c in ucols[j].items()}
@@ -149,27 +156,18 @@ def circ_relations(h: HopfAlgebroidPresentation) -> Subspace:
 def bullet_relations(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of (s(x)t(y)e_j) (x) e_k - e_j (x) (s(x)t(y)e_k)."""
     srcs, tgts = _base_images(h)
-    zs = [h.total.mult_vec(s, t) for s in srcs for t in tgts]
+    prod = _sparse_products(h.total)
+    zs = [_product(h.field, prod, s, t).items() for s in srcs for t in tgts]
     return _tensor_relations(h, [(z, z) for z in zs])
 
 
 @_once
-def _circ_quotient(h: HopfAlgebroidPresentation) -> QuotientSpace:
-    return quotient_space(h.total.dim ** 2, circ_relations(h))
-
-
-@_once
-def _bullet_quotient(h: HopfAlgebroidPresentation) -> QuotientSpace:
-    return quotient_space(h.total.dim ** 2, bullet_relations(h))
-
-
 def tensor_over_R(h: HopfAlgebroidPresentation, product: str = CIRC) -> QuotientSpace:
     """The circ or bullet coequalizer quotient of A (x) A."""
-    if product == CIRC:
-        return _circ_quotient(h)
-    if product == BULLET:
-        return _bullet_quotient(h)
-    raise ValueError(f"product must be {CIRC!r} or {BULLET!r}")
+    if product not in (CIRC, BULLET):
+        raise ValueError(f"product must be {CIRC!r} or {BULLET!r}")
+    relations = circ_relations(h) if product == CIRC else bullet_relations(h)
+    return quotient_space(h.total.dim ** 2, relations)
 
 
 @_once
@@ -179,7 +177,8 @@ def ideal_subspace(h: HopfAlgebroidPresentation) -> Subspace:
     prod = _sparse_products(h.total)
     rows = []
     for s, t in zip(*_base_images(h)):
-        rows += map(_nonzero_entries, _mult_cols(f, prod, _terms(vec_sub(f, s, t)), True))
+        diff = [*s, *((k, f.neg(v)) for k, v in t)]
+        rows += map(_nonzero_entries, _mult_cols(f, prod, diff, True))
     return _row_space(f, h.total.dim, rows)
 
 
@@ -191,16 +190,14 @@ def _ideal_quotient(h: HopfAlgebroidPresentation) -> QuotientSpace:
 def _algebra_map_failures(name: str, imgs, dom: AlgebraPresentation,
                           cod: AlgebraPresentation) -> list:
     """The unit and multiplicativity failures of the linear map dom -> cod
-    that sends e_x to imgs[x]."""
-    f, prod = dom.field, _sparse_products(dom)
-    cols = [_terms(v) for v in imgs]
+    with the sparse columns imgs, imgs[x] the (k, value) of the image of e_x."""
+    f, prod, cprod = dom.field, _sparse_products(dom), _sparse_products(cod)
     failures = []
-    if _apply_sparse(f, cols, _terms(dom.unit)) != dict(_terms(cod.unit)):
+    if _apply_sparse(f, imgs, _terms(dom.unit)) != dict(_terms(cod.unit)):
         failures.append(AxiomFailure(f"{name} unit", ()))
     for x in range(dom.dim):
         for y in range(dom.dim):
-            if _apply_sparse(f, cols, prod[x][y]) != \
-                    dict(_terms(cod.mult_vec(imgs[x], imgs[y]))):
+            if _apply_sparse(f, imgs, prod[x][y]) != _product(f, cprod, imgs[x], imgs[y]):
                 failures.append(AxiomFailure(f"{name} multiplicative", (x, y)))
     return failures
 
@@ -224,21 +221,20 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
     srcs, tgts = _base_images(h)
     # smul[x][j] and tmul[x][j]: the nonzero (k, value) of s(x) e_j and t(x) e_j
     smul, tmul = ([[tuple(_nonzero_entries(col).items())
-                    for col in _mult_cols(f, prod, _terms(v), True)]
+                    for col in _mult_cols(f, prod, v, True)]
                    for v in imgs] for imgs in (srcs, tgts))
 
     # s and t are unital algebra maps into the center
     for name, imgs, moved in (("source map", srcs, smul), ("target map", tgts, tmul)):
         failures += _algebra_map_failures(name, imgs, base, alg)
         for x in range(dr):
-            right = _mult_cols(f, prod, _terms(imgs[x]), False)
+            right = _mult_cols(f, prod, imgs[x], False)
             failures += [AxiomFailure(f"{name} centrality", (x, j)) for j in range(n)
                          if dict(moved[x][j]) != _nonzero_entries(right[j])]
 
     # counit: unital algebra map and R-bimodule map
-    eps = h.counit
-    ecols = _sparse_cols(eps)
-    failures += _algebra_map_failures("counit", [eps.col(j) for j in range(n)], alg, base)
+    ecols = _sparse_cols(h.counit)
+    failures += _algebra_map_failures("counit", ecols, alg, base)
     for x in range(dr):
         for j in range(n):
             scaled = _apply_sparse(f, bprod[x], ecols[j])
@@ -275,11 +271,10 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
 
     # counitality: s(eps(h1)) h2 = h = t(eps(h2)) h1, the last with the
     # opposite product
-    sc, tc = ([_apply_sparse(f, _sparse_cols(m), col) for col in ecols]
-              for m in (h.src, h.tgt))
+    sc, tc = _counit_images(h)
     op = [[prod[b][a] for b in range(n)] for a in range(n)]
-    left = _convolution(f, terms, [col.items() for col in sc], None, prod)
-    right = _convolution(f, terms, None, [col.items() for col in tc], op)
+    left = _convolution(f, terms, sc, None, prod)
+    right = _convolution(f, terms, None, tc, op)
     for j in range(n):
         for law, got in (("counitality (left)", left), ("counitality (right)", right)):
             if got[j] != {j: f.one()}:
@@ -288,7 +283,8 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
     # coassociativity in the double quotient
     n2 = n * n
     rows3 = []
-    for r in _sparse_cols(circ_relations(h).basis.transpose()):
+    rel = circ_relations(h).basis
+    for r in (_terms(rel.row(i)) for i in range(rel.rows)):
         for k in range(n):
             rows3.append({ab * n + k: c for ab, c in r})
             rows3.append({k * n2 + ab: c for ab, c in r})
@@ -322,7 +318,7 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
         for j in range(n):
             for law, got, want in (("antipode left composite", left, sc),
                                    ("antipode right composite", right, tc)):
-                if got[j] != want[j]:
+                if got[j] != dict(want[j]):
                     failures.append(AxiomFailure(law, (j,)))
     return AxiomReport(tuple(failures))
 
@@ -361,7 +357,7 @@ def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     f, n = h.field, h.total.dim
     prod = _sparse_products(h.total)
     pcols = _sparse_cols(_ideal_quotient(h).projection)
-    sc = _sparse_cols(h.src @ h.counit)
+    sc = _counit_images(h)[0]
 
     def products():
         # pi(e_i e_j) (left) or pi(e_j e_i) (right) against pi(s(eps(e_i)) e_j)
@@ -384,18 +380,18 @@ def solve_integral_hgd(h: HopfAlgebroidPresentation, side: str,
     sol = integral_system_hgd(h, side, normalized).solve()
     if sol is None:
         return None
-    element = sol.particular
-    f, alg, sc, ideal = h.field, h.total, h.src @ h.counit, ideal_subspace(h)
-    if normalized and h.counit.apply(element) != h.base.algebra.unit:
+    f, n, prod = h.field, h.total.dim, _sparse_products(h.total)
+    element = _terms(sol.particular)
+    if normalized and _apply_sparse(f, _sparse_cols(h.counit), element) != \
+            dict(_terms(h.base.algebra.unit)):
         raise ArithmeticError("integral does not have counit 1")
     # e_i n (left) or n e_i (right), less s(eps(e_i)) n, must lie in the ideal
-    moved = _mult_cols(f, _sparse_products(alg), _terms(element), side == "right")
-    for i, col in enumerate(moved):
-        gap = vec_sub(f, tuple(col.get(k, f.zero()) for k in range(alg.dim)),
-                      alg.mult_vec(sc.col(i), element))
-        if not membership(gap, ideal):
+    for col, s in zip(_mult_cols(f, prod, element, side == "right"), _counit_images(h)[0]):
+        for k, v in _product(f, prod, s, element).items():
+            _add_to(col, k, f.neg(v), f)
+        if not ideal_subspace(h).contains(_vector(f, n, col.items())):
             raise ArithmeticError("integral escaped the ideal after solving")
-    return HgdIntegral(element, sol)
+    return HgdIntegral(sol.particular, sol)
 
 
 def cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
@@ -413,8 +409,8 @@ def cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     terms = _comult_terms(h)
     # moved[x][j] = s(x) e_j (left) or t(x) e_j (right);
     # mix[r][a] = e_a t(f_r) (left) or s(f_r) e_a (right)
-    moved = [_mult_cols(f, prod, _terms(v), True) for v in (srcs if left else tgts)]
-    mix = [_mult_cols(f, prod, _terms(v), not left) for v in (tgts if left else srcs)]
+    moved = [_mult_cols(f, prod, v, True) for v in (srcs if left else tgts)]
+    mix = [_mult_cols(f, prod, v, not left) for v in (tgts if left else srcs)]
     out_map = h.src if left else h.tgt
 
     def products():
@@ -518,7 +514,7 @@ def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
     pcols = _sparse_cols(q.projection)      # pcols[j*n + k] = pi(e_j (x) e_k)
     terms = _comult_terms(h)
     prod = _sparse_products(h.total)
-    smul, tmul = ([_mult_cols(f, prod, _terms(v), True) for v in imgs]
+    smul, tmul = ([_mult_cols(f, prod, v, True) for v in imgs]
                   for imgs in _base_images(h))
     bprod = _sparse_products(h.base.algebra)
 
@@ -549,7 +545,7 @@ def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
 
     return ([(c * dr + r, var, tu) for c in range(n) for a, b, t in terms[c]
              for r, var, tu in gamma(a * n + b, t)],
-            h.counit.transpose().entries, products())
+            tuple(h.counit.at(r, c) for c in range(n) for r in range(dr)), products())
 
 
 def coseparability_system_hgd(h: HopfAlgebroidPresentation,

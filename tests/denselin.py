@@ -2,16 +2,19 @@
 
 Vector sums, scalings and zeros, a matrix from dense rows and their span,
 Kronecker products, the flip of a tensor product, the identity and the difference of matrices,
-kernels and affine solves of dense matrices, the rows of a matrix added to a
-constraint system, the rows of a system as a multiset,
+a matrix applied to a dense vector and its transpose, the product of two
+dense vectors of an algebra, membership in a subspace,
+kernels and affine solves of dense matrices, one row or the rows of a matrix
+added to a constraint system, the rows of a system as a multiset,
 a matrix as nested rows, the zero test, the projection of one vector to a
 quotient and the quotient's section, the multiplication, left and right
 multiplication, unit, comultiplication and counit of a presentation as
 matrices, the comultiplication of one vector, a map after an action on one
 leg of a tensor square, a change of basis, the dual algebra of a coalgebra,
 and the dimension of the subalgebra that some basis elements generate.  The
-package builds every map from structure constants; the tests compose the
-same maps from these dense pieces and compare.
+package applies every map through its sparse columns and builds every
+system with one row builder; the tests compose the same maps from these
+dense pieces and compare.
 """
 
 import random
@@ -19,7 +22,8 @@ from collections import Counter
 
 from maschke_kit.exactlin import ConstraintSystem, FieldSpec, Matrix, Subspace, Tensor3, \
     _row_space, unit_vec
-from maschke_kit.finalg import AlgebraPresentation, CoalgebraPresentation
+from maschke_kit.finalg import AlgebraPresentation, CoalgebraPresentation, _product, \
+    _sparse_products, _terms, _vector
 from maschke_kit.weakhopf import WeakHopfPresentation
 
 
@@ -96,6 +100,56 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(f, a.rows, a.cols, tuple(f.sub(x, y) for x, y in zip(a.entries, b.entries)))
 
 
+def apply(m: Matrix, vec) -> tuple:
+    """m times a dense column vector."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    f = m.field
+    add, mul, zero = f.add, f.mul, f.zero()
+    out = [zero] * m.rows
+    for i in range(m.rows):
+        acc = zero
+        for a, x in zip(m.row(i), vec):
+            if a != 0 and x != 0:
+                acc = add(acc, mul(a, x))
+        out[i] = acc
+    return tuple(out)
+
+
+def transpose(m: Matrix) -> Matrix:
+    ent = tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows))
+    return Matrix(m.field, m.cols, m.rows, ent)
+
+
+def mult_vec(a, u, v) -> tuple:
+    """The product of two coefficient vectors of an algebra presentation,
+    through the package's sparse product (finalg._product)."""
+    return _vector(a.field, a.dim, _product(
+        a.field, _sparse_products(a), _terms(u), _terms(v)).items())
+
+
+def membership(vec, s: Subspace) -> bool:
+    """True iff vec lies in the span of the subspace basis."""
+    return s.contains(vec)
+
+
+def add_row(sys: ConstraintSystem, coeffs: dict, rhs=0):
+    """Append the row coeffs . x = rhs to sys: coefficients coerced, the
+    variable range checked, zeros dropped, and a row that is zero on both
+    sides left out."""
+    f = sys.field
+    clean = {}
+    for c, v in coeffs.items():
+        if not 0 <= c < sys.nvars:
+            raise ValueError(f"variable index {c} out of range")
+        v = f.coerce(v)
+        if v != 0:
+            clean[c] = v
+    rhs = f.coerce(rhs)
+    if clean or rhs != 0:
+        sys.rows.append((clean, rhs))
+
+
 def solve_affine(m: Matrix, b):
     """Solve m.x = b exactly; an AffineSolution, or None when infeasible.
 
@@ -106,7 +160,7 @@ def solve_affine(m: Matrix, b):
     f = m.field
     sys = ConstraintSystem(f, m.cols)
     for i in range(m.rows):
-        sys.add_row({j: v for j, v in enumerate(m.row(i)) if v != 0}, f.coerce(b[i]))
+        add_row(sys, {j: v for j, v in enumerate(m.row(i)) if v != 0}, f.coerce(b[i]))
     return sys.solve()
 
 
@@ -114,8 +168,8 @@ def add_matrix_rows(sys: ConstraintSystem, m: Matrix, rhs=None):
     """Add one row per row of m to sys; the right-hand side defaults to zero."""
     f = sys.field
     for i in range(m.rows):
-        sys.add_row({j: v for j, v in enumerate(m.row(i)) if v != 0},
-                    f.zero() if rhs is None else rhs[i])
+        add_row(sys, {j: v for j, v in enumerate(m.row(i)) if v != 0},
+                f.zero() if rhs is None else rhs[i])
 
 
 def row_multiset(sys: ConstraintSystem) -> Counter:
@@ -141,7 +195,7 @@ def is_zero(m: Matrix) -> bool:
 
 def project(q, vec) -> tuple:
     """The quotient coordinates of one ambient vector."""
-    return q.projection.apply(vec)
+    return apply(q.projection, vec)
 
 
 def section(q) -> Matrix:
@@ -239,8 +293,8 @@ def rebased(w, seed):
     rng = random.Random(seed)
     p = matrix_from_rows(f, [[1 if i == j else rng.randint(-2, 2) if i < j else 0
                                for j in range(n)] for i in range(n)])
-    q = matrix_from_rows(f, [solve_affine(p, unit_vec(f, n, j)).particular
-                             for j in range(n)]).transpose()
+    q = transpose(matrix_from_rows(f, [solve_affine(p, unit_vec(f, n, j)).particular
+                                       for j in range(n)]))
     mult, comult = [f.zero()] * n ** 3, [f.zero()] * n ** 3
     for i, j, k, t in w.algebra.mult.nonzeros():
         for a in range(n):
@@ -255,9 +309,9 @@ def rebased(w, seed):
                     v = f.mul(f.mul(p.at(i, a), q.at(b, j)), f.mul(t, q.at(c, k)))
                     comult[(a * n + b) * n + c] = f.add(comult[(a * n + b) * n + c], v)
     algebra = AlgebraPresentation(f, n, w.labels, Tensor3(f, n, n, n, tuple(mult)),
-                                  q.apply(w.algebra.unit))
+                                  apply(q, w.algebra.unit))
     coalgebra = CoalgebraPresentation(f, n, Tensor3(f, n, n, n, tuple(comult)),
-                                      p.transpose().apply(w.coalgebra.counit))
+                                      apply(transpose(p), w.coalgebra.counit))
     antipode = None if w.antipode is None else q @ w.antipode @ p
     return WeakHopfPresentation(algebra, coalgebra, antipode)
 

@@ -60,7 +60,7 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import comult_vec, identity, is_zero, kron, mult_matrix, section
+from denselin import comult_vec, identity, is_zero, kron, mult_matrix, section, transpose
 from test_hopfalgd import oracle_coseparability_system_hgd
 
 QQ = FieldSpec.rationals()
@@ -260,7 +260,7 @@ def test_criterion_06_pair_hopf_algebroid():
                     "cointegral"] = cointegral_system_hgd(
                         h, "left", True).satisfied_by(nu.entries)
                 sub["dual/Q: P = phi(bc) a(x)e vanishes on the circ relations"] = \
-                    is_zero(p @ q.relations.basis.transpose())
+                    is_zero(p @ transpose(q.relations.basis))
                 pq = p @ section(q)
                 sub["dual/Q: P is a bicomodule retraction over the circ "
                     "product"] = oracle_coseparability_system_hgd(h, q).satisfied_by(

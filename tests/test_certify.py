@@ -1,9 +1,11 @@
-"""The exact certificate of ConstraintSystem.solve.
+"""The exact certificate of ConstraintSystem.solve, and the solvers' own.
 
 ``satisfied_by`` takes each row as one native integer sum; ``oracles.holds``
 is the same check with every term through the field operations.  The two are
 compared on random sparse systems, and ``solve`` is shown to raise on a
-damaged elimination, for fresh and for resumed solves.
+damaged elimination, for fresh and for resumed solves.  The checks that the
+solvers run on a solution after ``solve`` are shown to raise on a damaged
+solution.
 """
 
 from fractions import Fraction
@@ -11,10 +13,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maschke_kit.exactlin import ConstraintSystem, FieldSpec
-from maschke_kit.finalg import _balanced_certificate
+from maschke_kit import finalg
+from maschke_kit.examples import base_by_name, cyclic_group, group_algebra, pair_hopf_algebroid
+from maschke_kit.exactlin import AffineSolution, ConstraintSystem, FieldSpec
+from maschke_kit.finalg import _balanced_certificate, solve_coseparability
+from maschke_kit.hopfalgd import solve_integral_hgd
 
+from denselin import add_row
 from oracles import holds
+from test_hopfalgd import hopf_algebra_as_algebroid
 
 QQ = FieldSpec.rationals()
 LARGE_P = 2**31 - 1   # the largest prime modulus FieldSpec takes
@@ -54,7 +61,7 @@ def systems(draw):
         if mode == "off":
             delta = field.coerce(draw(scalars(field)))
             rhs = field.add(rhs, delta if delta != 0 else field.one())
-        system.add_row(row, rhs)
+        add_row(system, row, rhs)
     return system, x
 
 
@@ -86,14 +93,14 @@ class TestAgainstFieldOperations:
         # reduced before the comparison, never compared raw
         f5 = FieldSpec.gf(5)
         system = ConstraintSystem(f5, 2)
-        system.add_row({0: 4, 1: 3}, 3)
+        add_row(system, {0: 4, 1: 3}, 3)
         assert system.satisfied_by((4, 4)) and holds(system, (4, 4))
         homogeneous = ConstraintSystem(f5, 2)
-        homogeneous.add_row({0: 2, 1: 3})
+        add_row(homogeneous, {0: 2, 1: 3})
         assert homogeneous.satisfied_by((1, 1), True) and holds(homogeneous, (1, 1), True)
         big = FieldSpec.gf(LARGE_P)
         wide = ConstraintSystem(big, 3)
-        wide.add_row({0: LARGE_P - 1, 1: LARGE_P - 1, 2: 2})
+        add_row(wide, {0: LARGE_P - 1, 1: LARGE_P - 1, 2: 2})
         assert wide.satisfied_by((LARGE_P - 1, LARGE_P - 1, LARGE_P - 1), True)
         assert not wide.satisfied_by((LARGE_P - 1, LARGE_P - 1, 1), True)
 
@@ -101,7 +108,7 @@ class TestAgainstFieldOperations:
         # 1/2 * 2/3 + 1/3 * 3/4 + 5 * 1/7 = 1/3 + 1/4 + 5/7, with D = 84
         system = ConstraintSystem(QQ, 3)
         value = Fraction(1, 3) + Fraction(1, 4) + Fraction(5, 7)
-        system.add_row({0: Fraction(1, 2), 1: Fraction(1, 3), 2: 5}, value)
+        add_row(system, {0: Fraction(1, 2), 1: Fraction(1, 3), 2: 5}, value)
         x = (Fraction(2, 3), Fraction(3, 4), Fraction(1, 7))
         assert system.satisfied_by(x) and holds(system, x)
         assert not system.satisfied_by(x, True)
@@ -159,10 +166,10 @@ def _calls(monkeypatch):
 def _primed_and_extras(field):
     """x0 + x1 = 2 (solved, one free column), then x2 = 1 on three unknowns."""
     primed = ConstraintSystem(field, 3)
-    primed.add_row({0: 1, 1: 1}, 2)
+    add_row(primed, {0: 1, 1: 1}, 2)
     primed.solve()
     extras = ConstraintSystem(field, 3)
-    extras.add_row({2: 1}, 1)
+    add_row(extras, {2: 1}, 1)
     return primed, extras
 
 
@@ -204,3 +211,53 @@ class TestSolveIsCertified:
                 target()
             monkeypatch.setattr(ConstraintSystem, "_eliminate", eliminate)
             assert target() is not None
+
+
+def _perturbed_solve(monkeypatch, change):
+    """Make ConstraintSystem.solve return change(particular) in place of its
+    particular solution."""
+    solve = ConstraintSystem.solve
+
+    def damaged(self, primed=None):
+        sol = solve(self, primed)
+        return None if sol is None else AffineSolution(change(sol.particular), sol.homogeneous)
+
+    monkeypatch.setattr(ConstraintSystem, "solve", damaged)
+
+
+class TestSolverCertificates:
+    @pytest.mark.parametrize("side", ("left", "right"))
+    def test_integral_without_counit_one(self, side, monkeypatch):
+        # twice the normalized integral of the dual-numbers pair algebroid is
+        # an integral, of counit 2
+        h = pair_hopf_algebroid(base_by_name("dual", QQ))
+        assert solve_integral_hgd(h, side) is not None
+        _perturbed_solve(monkeypatch, lambda x: tuple(QQ.mul(2, v) for v in x))
+        with pytest.raises(ArithmeticError, match="integral does not have counit 1"):
+            solve_integral_hgd(h, side)
+
+    @pytest.mark.parametrize("side", ("left", "right"))
+    def test_integral_outside_the_ideal(self, side, monkeypatch):
+        # kC2 over k, where the ideal is zero: (1 + g)/2 moved by g - 1 keeps
+        # counit 1 but is no integral, since g (3g - 1)/2 = (3 - g)/2
+        h = hopf_algebra_as_algebroid(group_algebra(cyclic_group(2), QQ))
+        assert solve_integral_hgd(h, side) is not None
+        _perturbed_solve(monkeypatch, lambda x: (QQ.sub(x[0], 1), QQ.add(x[1], 1)))
+        with pytest.raises(ArithmeticError, match="integral escaped the ideal after solving"):
+            solve_integral_hgd(h, side)
+
+    def test_coseparability_map_not_a_retraction(self, monkeypatch):
+        # a functional that passes its own certificate always gives a
+        # retraction, so the check is reached with that certificate's table
+        # damaged: twice the retraction sends delta(e_i) to 2 e_i
+        c = group_algebra(cyclic_group(2), QQ).coalgebra
+        assert solve_coseparability(c) is not None
+        certificate = finalg._balanced_certificate
+
+        def doubled(*args):
+            return {key: QQ.mul(2, v) for key, v in certificate(*args).items()}
+
+        monkeypatch.setattr(finalg, "_balanced_certificate", doubled)
+        with pytest.raises(ArithmeticError,
+                           match="coseparability map is not a retraction of delta"):
+            solve_coseparability(c)

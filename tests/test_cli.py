@@ -256,6 +256,35 @@ class TestCommands:
             assert capsys.readouterr().err == \
                 f"invalid input: {report['failures'][0]}\n"
 
+    def test_noncommutative_base_exits_three(self, tmp_path, capsys):
+        # M_2(Q) on E11, E12, E21, E22 (E_ij E_kl = [j = k] E_il): E12 E11 = 0
+        # but E11 E12 = E12, the first pair (i, j), j < i, that fails to commute
+        mult = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
+        for i in range(2):
+            for j in range(2):
+                for l in range(2):
+                    mult[2 * i + j][2 * j + l][2 * i + l] = "1"
+        m2 = {"dim": 4, "labels": ["E11", "E12", "E21", "E22"], "mult": mult,
+              "unit": ["1", "0", "0", "1"]}
+        message = "base algebra not commutative at (1, 0)"
+        for name, argv, where in (
+                ("m2.json", ("commalgebra", "--base", "kxk"), "$.payload"),
+                ("hgd.json", ("pair-algebroid", "--base", "kxk"), "$.payload.base")):
+            path = gen(tmp_path, name, *argv, "--field", "Q")
+            doc = json.loads(path.read_text())
+            if where == "$.payload":
+                doc["payload"] = m2
+            else:
+                doc["payload"]["base"] = m2
+            path.write_text(json.dumps(doc))
+            report = json.loads(run(tmp_path, "validate", "--structure", str(path),
+                                    expect=3))
+            assert report["valid"] is False
+            assert report["failures"] == [f"{where}: {message}"]
+            capsys.readouterr()
+            assert main(["maschke", "--structure", str(path)]) == 3
+            assert capsys.readouterr().err == f"invalid input: {where}: {message}\n"
+
     def test_huge_exponent_scalar_exits_three(self, tmp_path):
         path = gen(tmp_path, "s3.json", "group-algebra", "--group", "S3",
                    "--field", "Q")

@@ -33,8 +33,8 @@ from maschke_kit.finalg import (
     solve_separability,
 )
 
-from denselin import (comult_matrix, dual_algebra, generated_dim, identity, kron, mult_matrix,
-                      rebased, to_rows)
+from denselin import (add_row, comult_matrix, dual_algebra, generated_dim, identity, kron,
+                      mult_matrix, rebased, to_rows)
 from test_acceptance import FIELDS, weak_hopf_corpus
 
 QQ = FieldSpec.rationals()
@@ -93,7 +93,7 @@ def section_system(a: AlgebraPresentation) -> ConstraintSystem:
             row = rows[k]
             row[var] = f.add(row.get(var, f.zero()), t)
         for m in range(n):
-            sys.add_row(rows[m], one if m == j else f.zero())
+            add_row(sys, rows[m], one if m == j else f.zero())
     by_first = [[] for _ in range(n)]
     by_second = [[] for _ in range(n)]
     for i, j, k, t in nz:
@@ -117,7 +117,7 @@ def section_system(a: AlgebraPresentation) -> ConstraintSystem:
                         row = rows.setdefault((m, l), {})
                         row[var] = f.sub(row.get(var, f.zero()), t)
             for row in rows.values():
-                sys.add_row(row, f.zero())
+                add_row(sys, row, f.zero())
             # right square: (1 (x) mu)(N (x) 1) e_i(x)e_j = N(e_i e_j)
             rows = {}
             for l, m, t in by_second[j]:
@@ -132,7 +132,7 @@ def section_system(a: AlgebraPresentation) -> ConstraintSystem:
                         row = rows.setdefault((k, m), {})
                         row[var] = f.sub(row.get(var, f.zero()), t)
             for row in rows.values():
-                sys.add_row(row, f.zero())
+                add_row(sys, row, f.zero())
     return sys
 
 
@@ -159,7 +159,7 @@ def retraction_system(c: CoalgebraPresentation) -> ConstraintSystem:
                 row = rows[m]
                 row[var] = f.add(row.get(var, f.zero()), t)
         for m in range(n):
-            sys.add_row(rows[m], one if m == i else f.zero())
+            add_row(sys, rows[m], one if m == i else f.zero())
     by_source = [[] for _ in range(n)]
     for i, j, k, t in nz:
         by_source[i].append((j, k, t))
@@ -178,7 +178,7 @@ def retraction_system(c: CoalgebraPresentation) -> ConstraintSystem:
                     row = rows.setdefault((a_, b), {})
                     row[var_base] = f.sub(row.get(var_base, f.zero()), t)
             for row in rows.values():
-                sys.add_row(row, f.zero())
+                add_row(sys, row, f.zero())
             # right square: (P (x) 1)(1 (x) delta) = delta . P on e_i (x) e_j
             rows = {}
             for a_, b, t in by_source[j]:
@@ -192,7 +192,7 @@ def retraction_system(c: CoalgebraPresentation) -> ConstraintSystem:
                     row = rows.setdefault((a_, b), {})
                     row[var_base] = f.sub(row.get(var_base, f.zero()), t)
             for row in rows.values():
-                sys.add_row(row, f.zero())
+                add_row(sys, row, f.zero())
     return sys
 
 
@@ -522,7 +522,7 @@ from maschke_kit.examples import (base_by_name, cyclic_group, dual_group_algebra
                                   group_algebra, groupoid_by_name,
                                   hopf_category_from_groupoid, pair_hopf_algebroid)
 
-from denselin import comult_matrix, counit_matrix, unit_matrix
+from denselin import add_row, comult_matrix, counit_matrix, unit_matrix
 
 assert False, "assert statements must be stripped in this run"
 Q = FieldSpec.rationals()
@@ -581,7 +581,7 @@ for solve, arg in ((finalg.solve_separability, w.algebra),
 row_space = exactlin._row_space
 exactlin._row_space = lambda f, dim, rows: row_space(f, dim, [*rows, {0: f.one()}])
 system = ConstraintSystem(Q, 2)
-system.add_row({0: 1, 1: 1}, 2)
+add_row(system, {0: 1, 1: 1}, 2)
 try:
     system.solve()
     print("unverified kernel returned")

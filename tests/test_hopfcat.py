@@ -38,9 +38,9 @@ from maschke_kit.hopfcat import (
 )
 from maschke_kit.weakhopf import solve_cointegral, solve_integral
 
-from denselin import (add_matrix_rows, comult_matrix, counit_matrix, flip_matrix, identity,
-                      kron, matrix_from_rows, mult_matrix, rebased, row_multiset,
-                      solve_affine)
+from denselin import (add_matrix_rows, add_row, apply, comult_matrix, counit_matrix,
+                      flip_matrix, identity, kron, matrix_from_rows, mult_matrix, rebased,
+                      row_multiset, solve_affine, transpose)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -167,18 +167,18 @@ def rebased_category(h, seed):
         d = h.dim(*p)
         t[p] = matrix_from_rows(f, [[1 if i == j else rng.randint(-2, 2) if i < j else 0
                                      for j in range(d)] for i in range(d)])
-        t_inv[p] = matrix_from_rows(f, [solve_affine(t[p], unit_vec(f, d, j)).particular
-                                        for j in range(d)]).transpose()
+        t_inv[p] = transpose(matrix_from_rows(
+            f, [solve_affine(t[p], unit_vec(f, d, j)).particular for j in range(d)]))
     homs = {}
     for p, c in h.homs.items():
         d = c.dim
         delta = kron(t[p], t[p]) @ comult_matrix(c) @ t_inv[p]
         homs[p] = CoalgebraPresentation(
-            f, d, Tensor3(f, d, d, d, delta.transpose().entries),
+            f, d, Tensor3(f, d, d, d, transpose(delta).entries),
             (counit_matrix(c) @ t_inv[p]).entries)
     comps = {(x, y, z): t[(x, z)] @ m @ kron(t_inv[(x, y)], t_inv[(y, z)])
              for (x, y, z), m in h.comps.items()}
-    units = {x: t[(x, x)].apply(u) for x, u in h.units.items()}
+    units = {x: apply(t[(x, x)], u) for x, u in h.units.items()}
     antipode = {(x, y): t[(y, x)] @ s @ t_inv[(x, y)] for (x, y), s in h.antipode.items()}
     return HopfCategoryPresentation(h.objects, homs, comps, units, antipode)
 
@@ -422,8 +422,8 @@ def oracle_retraction_system(h: HopfCategoryPresentation, x: int,
                     coeffs[b] = f.add(coeffs.get(b, f.zero()), t)
             if u[m] != 0:
                 coeffs[i] = f.sub(coeffs.get(i, f.zero()), u[m])
-            sys.add_row(coeffs, f.zero())
-    sys.add_row({m: u[m] for m in range(d) if u[m] != 0}, f.one())
+            add_row(sys, coeffs, f.zero())
+    add_row(sys, {m: u[m] for m in range(d) if u[m] != 0}, f.one())
     return sys
 
 
@@ -456,7 +456,7 @@ def oracle_integral_family_system(h: HopfCategoryPresentation,
                             if eps[i] != 0:
                                 key = offsets[(x, z)] + out
                                 coeffs[key] = f.sub(coeffs.get(key, f.zero()), eps[i])
-                            sys.add_row(coeffs, f.zero())
+                            add_row(sys, coeffs, f.zero())
                 else:
                     # mu(theta_{x,y} (x) h) = eps(h) theta_{x,z}, h in a(y,z)
                     eps = h.homs[(y, z)].counit
@@ -471,11 +471,11 @@ def oracle_integral_family_system(h: HopfCategoryPresentation,
                             if eps[j] != 0:
                                 key = offsets[(x, z)] + out
                                 coeffs[key] = f.sub(coeffs.get(key, f.zero()), eps[j])
-                            sys.add_row(coeffs, f.zero())
+                            add_row(sys, coeffs, f.zero())
     for (x, y) in pairs:
         eps = h.homs[(x, y)].counit
-        sys.add_row({offsets[(x, y)] + m_: eps[m_] for m_ in range(h.dim(x, y))
-                     if eps[m_] != 0}, f.one())
+        add_row(sys, {offsets[(x, y)] + m_: eps[m_] for m_ in range(h.dim(x, y))
+                      if eps[m_] != 0}, f.one())
     return sys
 
 
@@ -510,7 +510,7 @@ def oracle_separability_family_system(h: HopfCategoryPresentation) -> Constraint
                         if t != 0:
                             key = var(x, v, y, p, q, j)
                             coeffs[key] = f.add(coeffs.get(key, f.zero()), t)
-                sys.add_row(coeffs, f.one() if out == j else f.zero())
+                add_row(sys, coeffs, f.one() if out == j else f.zero())
     # the two square families over object quadruples
     for x in range(nobj):
         for y in range(nobj):
@@ -543,7 +543,7 @@ def oracle_separability_family_system(h: HopfCategoryPresentation) -> Constraint
                                         key = var(x, v, z, p, w, mm)
                                         coeffs[key] = f.sub(
                                             coeffs.get(key, f.zero()), t)
-                                    sys.add_row(coeffs, f.zero())
+                                    add_row(sys, coeffs, f.zero())
                                     # (mu_{x,y,v} (x) 1)(1 (x) d_{y,v,z}) = d_{x,v,z} mu
                                     coeffs = {}
                                     for q in range(dyv):
@@ -556,7 +556,7 @@ def oracle_separability_family_system(h: HopfCategoryPresentation) -> Constraint
                                         key = var(x, v, z, p, w, mm)
                                         coeffs[key] = f.sub(
                                             coeffs.get(key, f.zero()), t)
-                                    sys.add_row(coeffs, f.zero())
+                                    add_row(sys, coeffs, f.zero())
     return sys
 
 

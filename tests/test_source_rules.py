@@ -89,13 +89,13 @@ def test_every_system_comes_from_one_row_builder():
     # and one later certificate of infeasibility; _row_space only spans rows
     assert _call_sites(lambda f: isinstance(f, ast.Name) and f.id == "ConstraintSystem") \
         == {"finalg._balanced_system", "exactlin._row_space"}
-    # _balanced_system appends its finished rows itself; add_row stays public
-    # for other callers but the package does not use it
+    # _balanced_system appends its finished rows itself, the one place that
+    # does; ConstraintSystem has no add_row (tests/denselin.add_row)
     assert _call_sites(lambda f: isinstance(f, ast.Attribute) and f.attr == "add_row") \
         == set()
     assert _call_sites(lambda f: isinstance(f, ast.Attribute) and f.attr == "append"
                        and isinstance(f.value, ast.Attribute) and f.value.attr == "rows") \
-        == {"finalg._balanced_system", "exactlin.ConstraintSystem.add_row"}
+        == {"finalg._balanced_system"}
     ends = {}
     for path in SOURCES:
         for node in ast.parse(path.read_text(), str(path)).body:
@@ -192,15 +192,24 @@ def test_no_dense_multiplication_matrix():
     assert callable(Matrix.__matmul__)
 
 
+DENSE_APPLICATIONS = ("apply", "mult_vec", "vec_scale", "transpose", "membership", "add_row")
+
+
 def test_weak_hopf_layer_reads_sparse_columns():
-    # the derived maps, duoidal rows and conversions of weakhopf read the
-    # sparse columns and the product table: no dense matrix applied, dense
-    # product, scaled vector or matrix product
-    path = pathlib.Path(maschke_kit.__file__).parent / "weakhopf.py"
-    tree = ast.parse(path.read_text(), str(path))
-    sites = _CallSites("weakhopf", _named("apply", "mult_vec", "vec_scale"))
-    sites.visit(tree)
-    assert sites.found == set()
-    assert [node.lineno for node in ast.walk(tree)
-            if isinstance(node, (ast.BinOp, ast.AugAssign))
-            and isinstance(node.op, ast.MatMult)] == []
+    # every module applies a linear map through its sparse columns
+    # (finalg._apply_sparse) and multiplies through the product table: no
+    # dense matrix applied or transposed, dense product, scaled vector,
+    # membership wrapper, row added one at a time or matrix product.  The
+    # dense forms live in tests/denselin.py as oracles.
+    from maschke_kit.exactlin import ConstraintSystem, Matrix
+    from maschke_kit.finalg import AlgebraPresentation
+    assert _call_sites(_named(*DENSE_APPLICATIONS)) == set()
+    products = [f"{path.name}:{node.lineno}"
+                for path in SOURCES
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)]
+    assert products == []
+    assert not any(hasattr(Matrix, name) for name in ("apply", "transpose"))
+    assert not hasattr(AlgebraPresentation, "mult_vec")
+    assert not hasattr(ConstraintSystem, "add_row")

@@ -36,6 +36,7 @@ _MAX_PRIME = 2**31
 MAX_SCALAR_DIGITS = 4000
 
 _setattr = object.__setattr__
+_second = operator.itemgetter(1)
 
 
 def _bounded_token(text: str) -> str:
@@ -394,6 +395,21 @@ class Matrix(Frozen):
             if v != 0:
                 yield idx // nc, idx % nc, v
 
+    def columns(self) -> tuple:
+        """cols[c] = ((row, value), ...) over the nonzero entries of column c,
+        the form in which every map is applied; built once and stored on the
+        matrix (equality, hash and repr read the fields only)."""
+        try:
+            return self._columns
+        except AttributeError:
+            pass
+        cols = [[] for _ in range(self.cols)]
+        for i, c, v in self.nonzeros():
+            cols[c].append((i, v))
+        cols = tuple(map(tuple, cols))
+        _setattr(self, "_columns", cols)
+        return cols
+
 
 class Tensor3(Frozen):
     """Order-3 structure-constant tensor, entries indexed [i][j][k]."""
@@ -454,7 +470,9 @@ class Tensor3(Frozen):
 
 
 class Subspace(Frozen):
-    """A subspace given by a reduced-row-echelon basis."""
+    """A subspace given by a reduced-row-echelon basis, whose pivot columns
+    are ``pivots`` and whose rows are ``row_terms``, ((column, value), ...)
+    over the nonzeros of each row."""
 
     ambient_dim: int
     basis: Matrix
@@ -463,20 +481,23 @@ class Subspace(Frozen):
         b = self.basis
         if b.cols != self.ambient_dim:
             raise ValueError("basis width must equal ambient_dim")
-        pivots = []
+        pivots, rows = [], []
         for i in range(b.rows):
-            row = b.row(i)
-            lead = next((j for j, v in enumerate(row) if v != 0), None)
-            if lead is None:
+            # the (column, value) pairs with a nonzero value
+            row = tuple(filter(_second, enumerate(b.row(i))))
+            if not row:
                 raise ValueError("zero row in subspace basis")
+            lead, value = row[0]
             if pivots and lead <= pivots[-1]:
                 raise ValueError("pivot columns not strictly increasing")
-            if row[lead] != b.field.one():
+            if value != b.field.one():
                 raise ValueError("pivot entry must be 1")
-            if any(v != 0 for k, v in enumerate(b.col(lead)) if k != i):
+            if b.rows - b.col(lead).count(0) > 1:
                 raise ValueError("pivot column not reduced")
             pivots.append(lead)
-        object.__setattr__(self, "_pivots", tuple(pivots))
+            rows.append(row)
+        _setattr(self, "pivots", tuple(pivots))
+        _setattr(self, "row_terms", tuple(rows))
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -490,33 +511,27 @@ class Subspace(Frozen):
     def dim(self) -> int:
         return self.basis.rows
 
-    @property
-    def pivots(self) -> tuple:
-        return self._pivots
+    def contains(self, vec) -> bool:
+        return self.coords(vec) is not None
 
-    def reduce(self, vec) -> tuple:
-        """Remainder of vec after eliminating all pivot coordinates."""
+    def coords(self, vec):
+        """Coordinates w.r.t. the echelon basis, or None if not a member.
+
+        The basis is reduced, so vec is a member iff it equals the sum of
+        vec[p] times the row of pivot p over the pivots p; each entry of that
+        sum is one raw int or Fraction sum, reduced once.
+        """
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length mismatch")
         f = self.field
-        v = list(f.coerce(x) for x in vec)
-        for i, p in enumerate(self.pivots):
-            c = v[p]
+        v = list(map(f.coerce, vec))
+        coords = tuple(v[p] for p in self.pivots)
+        acc = [0] * self.ambient_dim
+        for c, row in zip(coords, self.row_terms):
             if c != 0:
-                row = self.basis.row(i)
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
-
-    def contains(self, vec) -> bool:
-        return vec_is_zero(self.reduce(vec))
-
-    def coords(self, vec):
-        """Coordinates w.r.t. the echelon basis, or None if not a member."""
-        rem = self.reduce(vec)
-        if not vec_is_zero(rem):
-            return None
-        f = self.field
-        return tuple(f.coerce(vec[p]) for p in self.pivots)
+                for j, t in row:
+                    acc[j] += c * t
+        return coords if list(map(f.reduce, acc)) == v else None
 
 
 class AffineSolution(Frozen):
@@ -548,21 +563,19 @@ def quotient_space(ambient_dim: int, relations: Subspace) -> QuotientSpace:
     if relations.ambient_dim != ambient_dim:
         raise ValueError("relation subspace has wrong ambient dimension")
     f = relations.field
-    z, o = f.zero(), f.one()
     pivots = relations.pivots
     pivset = set(pivots)
     free = tuple(c for c in range(ambient_dim) if c not in pivset)
-    proj = [[z] * ambient_dim for _ in free]
-    for r, fc in enumerate(free):
-        proj[r][fc] = o
-        for i, p in enumerate(pivots):
-            proj[r][p] = f.neg(relations.basis.at(i, fc))
-    return QuotientSpace(
-        ambient_dim,
-        relations,
-        Matrix(f, len(free), ambient_dim, tuple(x for row in proj for x in row)),
-        free,
-    )
+    coord = {c: r for r, c in enumerate(free)}
+    proj = [f.zero()] * (len(free) * ambient_dim)
+    for r, c in enumerate(free):
+        proj[r * ambient_dim + c] = f.one()
+    # a reduced row is 1 at its pivot and otherwise nonzero on free columns only
+    for p, row in zip(pivots, relations.row_terms):
+        for c, v in row[1:]:
+            proj[coord[c] * ambient_dim + p] = f.neg(v)
+    return QuotientSpace(ambient_dim, relations,
+                         Matrix(f, len(free), ambient_dim, tuple(proj)), free)
 
 
 # ---------------------------------------------------------------------------

@@ -101,14 +101,6 @@ def _once(fn):
     return stored
 
 
-def _sparse_cols(m: Matrix) -> list:
-    """cols[c] = [(row, value)] over the nonzero entries of column c."""
-    cols = [[] for _ in range(m.cols)]
-    for i, c, v in m.nonzeros():
-        cols[c].append((i, v))
-    return cols
-
-
 @_once
 def _sparse_products(a: AlgebraPresentation) -> tuple:
     """prod[i][j] = ((k, value), ...), the nonzero terms of e_i * e_j."""
@@ -138,6 +130,15 @@ def _comult_sum(f: FieldSpec, delta: tuple, terms) -> dict:
             idx = j * n + k
             out[idx] = add(out[idx], mul(t, s)) if idx in out else mul(t, s)
     return _nonzero_entries(out)
+
+
+def _dot(f: FieldSpec, u, terms):
+    """The sum of u[k] t over the terms (k, t): the pairing of the covector u
+    with a sparse vector."""
+    acc = f.zero()
+    for k, t in terms:
+        acc = f.add(acc, f.mul(u[k], t))
+    return acc
 
 
 def _terms(vec) -> list:
@@ -651,7 +652,7 @@ def solve_coseparability(c: CoalgebraPresentation):
         ("coseparability functional does not restrict to the counit",
          "coseparability functional is not balanced over the comultiplication"))
     retraction = _table_matrix(f, {(jk, m): v for (m, jk), v in table.items()}, n, n * n)
-    pcols = _sparse_cols(retraction)
+    pcols = retraction.columns()
     for i, terms in enumerate(_comult_by_source(c)):
         # P(delta(e_i)) = e_i
         if _apply_sparse(f, pcols, [(j * n + k, t) for j, k, t in terms]) != {i: f.one()}:

@@ -40,7 +40,6 @@ from .finalg import (
     _product,
     _require_antipode,
     _separability_terms,
-    _sparse_cols,
     _sparse_products,
     _table_matrix,
     _terms,
@@ -107,17 +106,11 @@ class HopfAlgebroidPresentation(Frozen):
 
 
 @_once
-def _base_images(h: HopfAlgebroidPresentation) -> tuple:
-    """The sparse columns of src and tgt, as tuples: s(x) and t(x) as (k, value)."""
-    return tuple(tuple(map(tuple, _sparse_cols(m))) for m in (h.src, h.tgt))
-
-
-@_once
 def _counit_images(h: HopfAlgebroidPresentation) -> tuple:
     """The sparse columns of s eps and t eps: s(eps(e_j)) and t(eps(e_j)) as (k, value)."""
-    ecols = _sparse_cols(h.counit)
-    return tuple(tuple(tuple(sorted(_apply_sparse(h.field, imgs, col).items()))
-                       for col in ecols) for imgs in _base_images(h))
+    ecols = h.counit.columns()
+    return tuple(tuple(tuple(sorted(_apply_sparse(h.field, m.columns(), col).items()))
+                       for col in ecols) for m in (h.src, h.tgt))
 
 
 @_once
@@ -126,7 +119,7 @@ def _comult_terms(h: HopfAlgebroidPresentation) -> tuple:
     comultiplication lift of e_i, read from its sparse column."""
     n = h.total.dim
     return tuple(tuple((*divmod(ab, n), c) for ab, c in col)
-                 for col in _sparse_cols(h.comult_lift))
+                 for col in h.comult_lift.columns())
 
 
 def _tensor_relations(h: HopfAlgebroidPresentation, pairs) -> Subspace:
@@ -148,16 +141,15 @@ def _tensor_relations(h: HopfAlgebroidPresentation, pairs) -> Subspace:
 @_once
 def circ_relations(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of t(x)e_j (x) e_k - e_j (x) s(x)e_k over base and total bases."""
-    srcs, tgts = _base_images(h)
-    return _tensor_relations(h, zip(tgts, srcs))
+    return _tensor_relations(h, zip(h.tgt.columns(), h.src.columns()))
 
 
 @_once
 def bullet_relations(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of (s(x)t(y)e_j) (x) e_k - e_j (x) (s(x)t(y)e_k)."""
-    srcs, tgts = _base_images(h)
     prod = _sparse_products(h.total)
-    zs = [_product(h.field, prod, s, t).items() for s in srcs for t in tgts]
+    zs = [_product(h.field, prod, s, t).items()
+          for s in h.src.columns() for t in h.tgt.columns()]
     return _tensor_relations(h, [(z, z) for z in zs])
 
 
@@ -176,7 +168,7 @@ def ideal_subspace(h: HopfAlgebroidPresentation) -> Subspace:
     f = h.field
     prod = _sparse_products(h.total)
     rows = []
-    for s, t in zip(*_base_images(h)):
+    for s, t in zip(h.src.columns(), h.tgt.columns()):
         diff = [*s, *((k, f.neg(v)) for k, v in t)]
         rows += map(_nonzero_entries, _mult_cols(f, prod, diff, True))
     return _row_space(f, h.total.dim, rows)
@@ -218,7 +210,7 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
     dr, n = h.base.dim, h.total.dim
     base, alg = h.base.algebra, h.total
     prod, bprod = _sparse_products(alg), _sparse_products(base)
-    srcs, tgts = _base_images(h)
+    srcs, tgts = h.src.columns(), h.tgt.columns()
     # smul[x][j] and tmul[x][j]: the nonzero (k, value) of s(x) e_j and t(x) e_j
     smul, tmul = ([[tuple(_nonzero_entries(col).items())
                     for col in _mult_cols(f, prod, v, True)]
@@ -233,7 +225,7 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
                          if dict(moved[x][j]) != _nonzero_entries(right[j])]
 
     # counit: unital algebra map and R-bimodule map
-    ecols = _sparse_cols(h.counit)
+    ecols = h.counit.columns()
     failures += _algebra_map_failures("counit", ecols, alg, base)
     for x in range(dr):
         for j in range(n):
@@ -245,8 +237,8 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
 
     # dq[k]: the lift of Delta(e_k) in circ-quotient coordinates
     terms = _comult_terms(h)
-    pcols = _sparse_cols(tensor_over_R(h, CIRC).projection)
-    dq = [_apply_sparse(f, pcols, lift).items() for lift in _sparse_cols(h.comult_lift)]
+    pcols = tensor_over_R(h, CIRC).projection.columns()
+    dq = [_apply_sparse(f, pcols, lift).items() for lift in h.comult_lift.columns()]
 
     # comultiplication is an R-bimodule map into the circ quotient:
     # delta(s(x)h) = s(x)h1 (x) h2 and delta(t(x)h) = h1 (x) t(x)h2
@@ -283,8 +275,7 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
     # coassociativity in the double quotient
     n2 = n * n
     rows3 = []
-    rel = circ_relations(h).basis
-    for r in (_terms(rel.row(i)) for i in range(rel.rows)):
+    for r in circ_relations(h).row_terms:
         for k in range(n):
             rows3.append({ab * n + k: c for ab, c in r})
             rows3.append({k * n2 + ab: c for ab, c in r})
@@ -304,7 +295,7 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
 
     # antipode identities
     if h.antipode is not None:
-        s = _sparse_cols(h.antipode)
+        s = h.antipode.columns()
         for x in range(dr):
             for j in range(n):
                 # S(s(x) e_j) = t(x) S(e_j) and S(t(x) e_j) = s(x) S(e_j)
@@ -356,7 +347,7 @@ def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
         raise ValueError("side must be left or right")
     f, n = h.field, h.total.dim
     prod = _sparse_products(h.total)
-    pcols = _sparse_cols(_ideal_quotient(h).projection)
+    pcols = _ideal_quotient(h).projection.columns()
     sc = _counit_images(h)[0]
 
     def products():
@@ -382,7 +373,7 @@ def solve_integral_hgd(h: HopfAlgebroidPresentation, side: str,
         return None
     f, n, prod = h.field, h.total.dim, _sparse_products(h.total)
     element = _terms(sol.particular)
-    if normalized and _apply_sparse(f, _sparse_cols(h.counit), element) != \
+    if normalized and _apply_sparse(f, h.counit.columns(), element) != \
             dict(_terms(h.base.algebra.unit)):
         raise ArithmeticError("integral does not have counit 1")
     # e_i n (left) or n e_i (right), less s(eps(e_i)) n, must lie in the ideal
@@ -405,7 +396,7 @@ def cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
         raise ValueError("side must be left or right")
     f, dr, n, left = h.field, h.base.dim, h.total.dim, side == "left"
     prod, bprod = _sparse_products(h.total), _sparse_products(h.base.algebra)
-    srcs, tgts = _base_images(h)
+    srcs, tgts = h.src.columns(), h.tgt.columns()
     terms = _comult_terms(h)
     # moved[x][j] = s(x) e_j (left) or t(x) e_j (right);
     # mix[r][a] = e_a t(f_r) (left) or s(f_r) e_a (right)
@@ -458,7 +449,7 @@ def _bullet_terms(h: HopfAlgebroidPresentation, q: QuotientSpace, gens=None):
     norm, rhs, products = _separability_terms(n, h.total.mult.nonzeros(), h.total.unit,
                                               gens)
     coord = {c: rp for rp, c in enumerate(q.free)}
-    pcols = _sparse_cols(q.projection)
+    pcols = q.projection.columns()
     return ([(out, coord[var], t) for out, var, t in norm if var in coord], rhs,
             ((side, g, r, coord[var], f.mul(t, u)) for side, g, out, var, t in products
              if var in coord for r, u in pcols[out]))
@@ -511,11 +502,11 @@ def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
     at g = (x, leg, j * n + k)."""
     f, dr, n, qd = h.field, h.base.dim, h.total.dim, q.dim
     mul = f.mul
-    pcols = _sparse_cols(q.projection)      # pcols[j*n + k] = pi(e_j (x) e_k)
+    pcols = q.projection.columns()      # pcols[j*n + k] = pi(e_j (x) e_k)
     terms = _comult_terms(h)
     prod = _sparse_products(h.total)
-    smul, tmul = ([_mult_cols(f, prod, v, True) for v in imgs]
-                  for imgs in _base_images(h))
+    smul, tmul = ([_mult_cols(f, prod, v, True) for v in m.columns()]
+                  for m in (h.src, h.tgt))
     bprod = _sparse_products(h.base.algebra)
 
     def gamma(jk, t):

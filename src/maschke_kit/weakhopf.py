@@ -38,11 +38,11 @@ from .finalg import (
     _comult_by_source,
     _comult_sum,
     _convolution,
+    _dot,
     _mult_cols,
     _once,
     _product,
     _require_antipode,
-    _sparse_cols,
     _sparse_products,
     _terms,
     _vector,
@@ -286,19 +286,10 @@ def projections(w: WeakHopfPresentation) -> ProjectionMaps:
     maps = ProjectionMaps(*(Matrix(f, n, n, tuple(e))
                             for e in (piR, piR_bar, piL, piL_bar)))
     for name in ProjectionMaps._fields:
-        cols = _sparse_cols(getattr(maps, name))
+        cols = getattr(maps, name).columns()
         if any(_apply_sparse(f, cols, col) != dict(col) for col in cols):
             raise StructureDefectError(f"{name} is not idempotent")
     return maps
-
-
-@_once
-def _projection_cols(w: WeakHopfPresentation) -> dict:
-    """{name: sparse columns} of the four projections (see _sparse_cols), as
-    tuples; the dict is not changed after it is stored."""
-    maps = projections(w)
-    return {name: tuple(map(tuple, _sparse_cols(getattr(maps, name))))
-            for name in ProjectionMaps._fields}
 
 
 @_once
@@ -311,25 +302,25 @@ def base_algebra(w: WeakHopfPresentation) -> BaseAlgebraInfo:
     sparse columns of the projections and the product table.
     """
     _require_weak_bialgebra(w)
-    cols = _projection_cols(w)
+    maps = projections(w)
     f = w.field
     n = w.dim
     unit = w.algebra.unit
     prod = _sparse_products(w.algebra)
 
-    def pi(name, terms):
-        return _apply_sparse(f, cols[name], terms)
+    def pi(m, terms):
+        return _apply_sparse(f, m.columns(), terms)
 
-    base, base_bar, cobase, cobase_bar = (_row_space(f, n, map(dict, cols[name]))
-                                          for name in ProjectionMaps._fields)
+    base, base_bar, cobase, cobase_bar = (_row_space(f, n, map(dict, m.columns()))
+                                          for m in (maps.piR, maps.piR_bar,
+                                                    maps.piL, maps.piL_bar))
     if base_bar.basis != base.basis:
         raise StructureDefectError("images of piR and piR_bar differ")
     if cobase_bar.basis != cobase.basis:
         raise StructureDefectError("images of piL and piL_bar differ")
     if not base.contains(unit):
         raise StructureDefectError("unit escapes the base algebra")
-    rows = [_terms(base.basis.row(i)) for i in range(base.dim)]
-    corows = [_terms(cobase.basis.row(i)) for i in range(cobase.dim)]
+    rows, corows = base.row_terms, cobase.row_terms
     products = [[_product(f, prod, u, v) for v in rows] for u in rows]
     # the induced multiplication in base coordinates
     coords = [base.coords(_vector(f, n, uv.items())) for row in products for uv in row]
@@ -341,19 +332,19 @@ def base_algebra(w: WeakHopfPresentation) -> BaseAlgebraInfo:
                 raise StructureDefectError("commutant fails to commute with the base")
     # mutually inverse anti-isomorphisms between the two subalgebras
     for y in rows:
-        if pi("piR", pi("piL_bar", y).items()) != dict(y):
+        if pi(maps.piR, pi(maps.piL_bar, y).items()) != dict(y):
             raise StructureDefectError("piR . piL_bar is not the identity on the base")
-        if pi("piR_bar", pi("piL", y).items()) != dict(y):
+        if pi(maps.piR_bar, pi(maps.piL, y).items()) != dict(y):
             raise StructureDefectError("piR_bar . piL is not the identity on the base")
     for x in corows:
-        if pi("piL_bar", pi("piR", x).items()) != dict(x):
+        if pi(maps.piL_bar, pi(maps.piR, x).items()) != dict(x):
             raise StructureDefectError("piL_bar . piR is not the identity on the commutant")
-        if pi("piL", pi("piR_bar", x).items()) != dict(x):
+        if pi(maps.piL, pi(maps.piR_bar, x).items()) != dict(x):
             raise StructureDefectError("piL . piR_bar is not the identity on the commutant")
-    bar = [list(pi("piL_bar", y).items()) for y in rows]
+    bar = [list(pi(maps.piL_bar, y).items()) for y in rows]
     for u, row in enumerate(products):
         for v, uv in enumerate(row):
-            if pi("piL_bar", uv.items()) != _product(f, prod, bar[v], bar[u]):
+            if pi(maps.piL_bar, uv.items()) != _product(f, prod, bar[v], bar[u]):
                 raise StructureDefectError("piL_bar is not anti-multiplicative on the base")
     d = base.dim
     induced = Tensor3(f, d, d, d, tuple(itertools.chain.from_iterable(coords)))
@@ -361,7 +352,7 @@ def base_algebra(w: WeakHopfPresentation) -> BaseAlgebraInfo:
     # Frobenius-separability data of the base: 1_1 (x) piR(1_2) and eps
     fe = [f.zero()] * (n * n)
     for a, b, c in _unit_comult(w):
-        for k, v in cols["piR"][b]:
+        for k, v in maps.piR.columns()[b]:
             fe[a * n + k] = f.add(fe[a * n + k], f.mul(c, v))
     eps = w.coalgebra.counit
     left, right = [f.zero()] * n, [f.zero()] * n
@@ -386,16 +377,16 @@ def check_antipode(w: WeakHopfPresentation) -> AxiomReport:
     alg = w.algebra
     s = w.antipode
     coa = w.coalgebra
-    pcols = _projection_cols(w)
-    scols = _sparse_cols(s)
+    maps = projections(w)
+    scols = s.columns()
     prod, delta = _sparse_products(alg), _comult_by_source(coa)
     failures = []
     left = _convolution(f, delta, None, scols, prod)
     right = _convolution(f, delta, scols, None, prod)
     # with (Delta (x) 1) Delta: S(h1) h2 S(h3) = right(h1) S(h2)
     third = _convolution(f, delta, [col.items() for col in right], scols, prod)
-    for law, got, want in (("antipode left diagram", left, pcols["piL"]),
-                           ("antipode right diagram", right, pcols["piR"]),
+    for law, got, want in (("antipode left diagram", left, maps.piL.columns()),
+                           ("antipode right diagram", right, maps.piR.columns()),
                            ("antipode S(h1) h2 S(h3) = S(h)", third, scols)):
         cols = tuple(j for j in range(n) if got[j] != dict(want[j]))
         if cols:
@@ -435,23 +426,21 @@ def _check_side_variant(side, variant):
 def _duoidal_products(w: WeakHopfPresentation, kind: str, left: bool):
     """The terms (side, g, out, var, t) of the duoidal (co)integral rows of
     kind beyond the primed ones, one condition per base basis element x."""
-    f, cols, prod = w.field, _projection_cols(w), _sparse_products(w.algebra)
+    f, maps, prod = w.field, projections(w), _sparse_products(w.algebra)
 
-    def pi(name, terms):
-        return list(_apply_sparse(f, cols[name], terms).items())
+    def pi(m, terms):
+        return list(_apply_sparse(f, m.columns(), terms).items())
 
-    basis = base_algebra(w).subspace.basis
-    for i in range(basis.rows):
-        x = _terms(basis.row(i))
+    for i, x in enumerate(base_algebra(w).subspace.row_terms):
         if kind == "integral":
             # left: t piL(x) = t piR_bar(piL_bar(x)); right: piL_bar(x) t = piR(piL(x)) t
-            u, v = (pi("piL", x), pi("piR_bar", pi("piL_bar", x))) if left else \
-                (pi("piL_bar", x), pi("piR", pi("piL", x)))
+            u, v = (pi(maps.piL, x), pi(maps.piR_bar, pi(maps.piL_bar, x))) if left else \
+                (pi(maps.piL_bar, x), pi(maps.piR, pi(maps.piL, x)))
             sides = ((0, u, not left), (1, v, not left))
         else:
             # left: tau(x h) = tau(h piR(piL(x))); right: tau(h piL_bar(x)) = tau(piL(x) h)
-            u, v = (x, pi("piR", pi("piL", x))) if left else \
-                (pi("piL_bar", x), pi("piL", x))
+            u, v = (x, pi(maps.piR, pi(maps.piL, x))) if left else \
+                (pi(maps.piL_bar, x), pi(maps.piL, x))
             sides = ((0, u, left), (1, v, not left))
         # coordinate k of u e_j (u_first) or e_j u: an integral's row at
         # g = ("x", i), out = k for t = e_j, a cointegral's at g = (i, j) for tau(e_k)
@@ -468,7 +457,7 @@ def integral_system(w: WeakHopfPresentation, side: str, variant: str,
     _check_side_variant(side, variant)
     f, maps, left = w.field, projections(w), side == "left"
     # left: h t = piL(h) t; right: t h = t piR(h); for all basis h = e_i
-    pi_cols = _projection_cols(w)["piL" if left else "piR"]
+    pi_cols = (maps.piL if left else maps.piR).columns()
     gaps = [(i, [(i, f.one())] + [(m, f.neg(v)) for m, v in col])
             for i, col in enumerate(pi_cols)]
     prod = _sparse_products(w.algebra)
@@ -528,8 +517,8 @@ def cointegral_system(w: WeakHopfPresentation, side: str, variant: str,
                       normalized: bool) -> ConstraintSystem:
     """Affine system over the dim unknowns of a cointegral functional."""
     _check_side_variant(side, variant)
-    f, left = w.field, side == "left"
-    pi_cols = _projection_cols(w)["piL" if left else "piR"]
+    f, maps, left = w.field, projections(w), side == "left"
+    pi_cols = (maps.piL if left else maps.piR).columns()
 
     def products():
         # left: h1 tau(h2) = piL(h1) tau(h2); right: tau(h1) h2 = tau(h1) piR(h2)
@@ -567,14 +556,6 @@ def _cointegral_solution(w: WeakHopfPresentation, side: str, variant: str,
     return None if sol is None else CointegralSolution(side, variant, normalized, sol)
 
 
-def _dot(f, u, terms):
-    """The sum of u[k] t over the terms (k, t)."""
-    acc = f.zero()
-    for k, t in terms:
-        acc = f.add(acc, f.mul(u[k], t))
-    return acc
-
-
 def _solves(w: WeakHopfPresentation, x: tuple, solve, system, side: str,
             variant: str) -> bool:
     """True iff x solves the normalized system(w, side, variant, True).
@@ -605,15 +586,15 @@ def convert_integral(w: WeakHopfPresentation, t_prime, side: str) -> tuple:
     their systems.
     """
     _require_weak_bialgebra(w)
-    f, cols, left = w.field, _projection_cols(w), side == "left"
+    f, maps, left = w.field, projections(w), side == "left"
     prod = _sparse_products(w.algebra)
     t_prime = tuple(f.coerce(x) for x in t_prime)
     if not _solves(w, t_prime, solve_integral, integral_system, side, "primed"):
         raise ValueError("input fails the primed integral conditions")
     # z = 1_1 piL(piR(1_2)) (left) or piR(piL(1_1)) 1_2 (right), as repeated
     # terms; then t = t' z or z t' by associativity
-    inner, outer = ("piR", "piL") if left else ("piL", "piR")
-    comp = [_apply_sparse(f, cols[outer], col).items() for col in cols[inner]]
+    inner, outer = (maps.piR, maps.piL) if left else (maps.piL, maps.piR)
+    comp = [_apply_sparse(f, outer.columns(), col).items() for col in inner.columns()]
     z = [term for a, b, c in _unit_comult(w) for term in (
         _product(f, prod, [(a, c)], comp[b]) if left else
         _product(f, prod, comp[a], [(b, c)])).items()]
@@ -634,7 +615,8 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
     reading raises instead of passing silently.
     """
     _require_weak_bialgebra(w)
-    f, cols = w.field, _projection_cols(w)
+    f, maps, left = w.field, projections(w), side == "left"
+    pi_cols = (maps.piR if left else maps.piL).columns()
     prod = _sparse_products(w.algebra)
     tau_prime = tuple(f.coerce(x) for x in tau_prime)
     if not _solves(w, tau_prime, solve_cointegral, cointegral_system, side, "primed"):
@@ -644,8 +626,8 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
         acc = f.zero()
         for a, b, c in _unit_comult(w):
             # (e_a e_j) piR(e_b) (left) or piL(e_a) (e_j e_b) (right)
-            vec = _product(f, prod, prod[a][j], cols["piR"][b]) if side == "left" else \
-                _product(f, prod, cols["piL"][a], prod[j][b])
+            vec = _product(f, prod, prod[a][j], pi_cols[b]) if left else \
+                _product(f, prod, pi_cols[a], prod[j][b])
             acc = f.add(acc, f.mul(c, _dot(f, tau_prime, vec.items())))
         out.append(acc)
     out = tuple(out)

@@ -2,8 +2,9 @@
 
 Vector sums, scalings and zeros, a matrix from dense rows and their span,
 Kronecker products, the flip of a tensor product, the identity and the difference of matrices,
-a matrix applied to a dense vector and its transpose, the product of two
-dense vectors of an algebra, membership in a subspace,
+a matrix applied to a dense vector and its transpose, the sparse columns of
+a matrix, the product of two dense vectors of an algebra, membership in a
+subspace and the remainder of a vector after its pivot coordinates,
 kernels and affine solves of dense matrices, one row or the rows of a matrix
 added to a constraint system, the rows of a system as a multiset,
 a matrix as nested rows, the zero test, the projection of one vector to a
@@ -116,6 +117,15 @@ def apply(m: Matrix, vec) -> tuple:
     return tuple(out)
 
 
+def sparse_cols(m: Matrix) -> list:
+    """cols[c] = [(row, value)] over the nonzero entries of column c, grouped
+    afresh on every call: the oracle of Matrix.columns."""
+    cols = [[] for _ in range(m.cols)]
+    for i, c, v in m.nonzeros():
+        cols[c].append((i, v))
+    return cols
+
+
 def transpose(m: Matrix) -> Matrix:
     ent = tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows))
     return Matrix(m.field, m.cols, m.rows, ent)
@@ -131,6 +141,22 @@ def mult_vec(a, u, v) -> tuple:
 def membership(vec, s: Subspace) -> bool:
     """True iff vec lies in the span of the subspace basis."""
     return s.contains(vec)
+
+
+def dense_reduce(s: Subspace, vec) -> tuple:
+    """Remainder of vec after eliminating all pivot coordinates of s, one
+    dense row operation per pivot: the oracle of Subspace.coords and
+    Subspace.contains (vec is a member iff the remainder is zero)."""
+    if len(vec) != s.ambient_dim:
+        raise ValueError("vector length mismatch")
+    f = s.field
+    v = list(f.coerce(x) for x in vec)
+    for i, p in enumerate(s.pivots):
+        c = v[p]
+        if c != 0:
+            row = s.basis.row(i)
+            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+    return tuple(v)
 
 
 def add_row(sys: ConstraintSystem, coeffs: dict, rhs=0):

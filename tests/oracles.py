@@ -7,8 +7,11 @@ is the weak bialgebra check before its loops were made sparse, and
 their sums were taken raw; all three add each term through FieldSpec.add and
 FieldSpec.mul; ``holds`` is ``ConstraintSystem.satisfied_by`` before each row
 became one native integer sum; ``balanced_system`` is the row builder before
-it made its rows in one pass, with one dictionary per side.  The tests run
-both forms on the same inputs and compare.
+it made its rows in one pass, with one dictionary per side;
+``composition_associativity`` is the associativity loop of
+``hopfcat.check_hopf_category`` before its two sides were taken as raw sums,
+two compositions through the field operations per basis triple.  The tests
+run both forms on the same inputs and compare.
 """
 
 import argparse
@@ -16,11 +19,11 @@ import itertools
 
 from maschke_kit.cli import GENERATORS, UsageError
 from maschke_kit.exactlin import ConstraintSystem, unit_vec
-from maschke_kit.finalg import (AxiomFailure, AxiomReport, _comult_by_source,
-                                _nonzero_entries, _sparse_products)
+from maschke_kit.finalg import (AxiomFailure, AxiomReport, _apply_sparse,
+                                _comult_by_source, _nonzero_entries, _sparse_products)
 from maschke_kit.weakhopf import WeakHopfPresentation, _counit_pairing
 
-from denselin import comult_vec
+from denselin import comult_vec, sparse_cols
 
 
 class _Parser(argparse.ArgumentParser):
@@ -288,3 +291,26 @@ def balanced_system(f, nvars: int, norm, rhs, products) -> ConstraintSystem:
         if row or value != 0:
             sys.rows.append((row, value))
     return sys
+
+
+def composition_associativity(h) -> list:
+    """The object quadruples (x, y, z, w), in order, at which (pq)r and
+    p(qr) differ for some basis triple p, q, r of a(x,y), a(y,z), a(z,w):
+    each side composed through FieldSpec.add and FieldSpec.mul."""
+    f = h.field
+    one = f.one()
+    cols = {key: sparse_cols(m) for key, m in h.comps.items()}
+
+    def compose(key, u, v):
+        dyz = h.dim(key[1], key[2])
+        return _apply_sparse(f, cols[key], [(a * dyz + b, f.mul(ua, vb))
+                                            for a, ua in u for b, vb in v])
+
+    found = []
+    for x, y, z, w in itertools.product(range(h.n_objects), repeat=4):
+        dyz, dzw = h.dim(y, z), h.dim(z, w)
+        if any(compose((x, z, w), cols[(x, y, z)][p * dyz + q], [(r, one)])
+               != compose((x, y, w), [(p, one)], cols[(y, z, w)][q * dzw + r])
+               for p in range(h.dim(x, y)) for q in range(dyz) for r in range(dzw)):
+            found.append((x, y, z, w))
+    return found

@@ -29,9 +29,9 @@ from maschke_kit.finalg import AlgebraPresentation, AxiomFailure, AxiomReport, \
 from maschke_kit.weakhopf import SIDES, VARIANTS, cointegral_system, integral_system, \
     solve_integral
 
-from denselin import (add_matrix_rows, add_row, apply, flip_matrix, identity, is_zero, kernel,
-                      kron, mat_sub, matrix_from_rows, membership, project, section,
-                      solve_affine, subspace_from_rows, to_rows, transpose, zero_vec)
+from denselin import (add_matrix_rows, add_row, apply, dense_reduce, flip_matrix, identity,
+                      is_zero, kernel, kron, mat_sub, matrix_from_rows, membership, project,
+                      section, solve_affine, subspace_from_rows, to_rows, transpose, zero_vec)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -249,6 +249,23 @@ class TestMatrix:
     def test_transpose_roundtrip(self):
         a = matrix_from_rows(F3, [[1, 2, 0], [0, 1, 1]])
         assert transpose(transpose(a)) == a
+
+    def test_columns_are_built_once(self):
+        a = matrix_from_rows(F5, [[1, 0, 2], [0, 0, 3], [4, 0, 0]])
+        cols = a.columns()
+        assert cols == (((0, 1), (2, 4)), (), ((0, 2), (1, 3)))
+        assert a.columns() is cols
+        assert Matrix.zeros(QQ, 2, 0).columns() == ()
+        assert Matrix.zeros(QQ, 0, 2).columns() == ((), ())
+
+    def test_stored_columns_leave_equality_hash_and_repr(self):
+        rows = [[1, Fraction(1, 2)], [0, -3]]
+        a, b = matrix_from_rows(QQ, rows), matrix_from_rows(QQ, rows)
+        a.columns()
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert a != matrix_from_rows(QQ, [[1, 0], [0, -3]])
 
     def test_empty_shapes(self):
         a = Matrix.zeros(QQ, 0, 3)
@@ -622,7 +639,66 @@ class TestConstraintSystem:
         assert ConstraintSystem(QQ, 2).solve(primed).particular == (1, 0)
 
 
+LARGE_P = 2**31 - 1
+
+
+@st.composite
+def subspace_and_vectors(draw):
+    """A subspace over Q or GF(2, 3, 5, 2^31 - 1), and vectors in and out of
+    it whose entries are not always canonical: over GF(p) ints outside
+    [0, p) and Fractions whose denominators p does not divide, over Q
+    integral Fractions."""
+    field = draw(st.sampled_from([QQ, F2, F3, F5, FieldSpec.gf(LARGE_P)]))
+    p = field.characteristic
+    amb = draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(small, min_size=amb, max_size=amb), max_size=amb))
+    s = subspace_from_rows(field, amb, rows) if rows else Subspace.zero(field, amb)
+
+    def disguise(x):
+        # another name for the scalar x of field
+        how = draw(st.integers(0, 2))
+        if how == 1:
+            return Fraction(x) if p == 0 else x + draw(st.integers(-3, 3)) * p
+        if how == 2 and p:
+            d = draw(st.sampled_from([d for d in (1, 3, 7, 11) if d % p]))
+            return Fraction(x * d + draw(st.integers(-2, 2)) * p, d)
+        return x
+
+    vectors = []
+    for _ in range(3):
+        coeffs = [field.coerce(c) for c in draw(st.lists(small, min_size=s.dim,
+                                                          max_size=s.dim))]
+        member = [field.zero()] * amb
+        for c, i in zip(coeffs, range(s.dim)):
+            member = [field.add(a, field.mul(c, b)) for a, b in zip(member, s.basis.row(i))]
+        vectors.append(member)
+        noise = draw(st.lists(small, min_size=amb, max_size=amb))
+        vectors.append([field.add(a, field.coerce(b)) for a, b in zip(member, noise)])
+    return s, [tuple(map(disguise, v)) for v in vectors]
+
+
 class TestSubspace:
+    @given(subspace_and_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_coords_and_contains_match_the_dense_reduction(self, drawn):
+        s, vectors = drawn
+        f = s.field
+        for v in vectors:
+            member = all(x == 0 for x in dense_reduce(s, v))
+            assert s.contains(v) is member
+            coords = s.coords(v)
+            if not member:
+                assert coords is None
+                continue
+            assert coords == tuple(f.coerce(v[p]) for p in s.pivots)
+            assert all(f.coerce(c) == c and type(c) is type(f.coerce(c)) for c in coords)
+
+    def test_row_terms_are_the_nonzeros_of_the_basis_rows(self):
+        s = subspace_from_rows(F3, 4, [[1, 2, 0, 1], [0, 0, 1, 2]])
+        assert s.row_terms == (((0, 1), (1, 2), (3, 1)), ((2, 1), (3, 2)))
+        assert Subspace.zero(QQ, 3).row_terms == ()
+
     def test_coords_roundtrip(self):
         s = subspace_from_rows(QQ, 3, [[1, 0, 2], [0, 1, -1]])
         v = (2, 3, 1)

@@ -8,7 +8,7 @@ from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, QuotientS
                                    Subspace, Tensor3, quotient_space, unit_vec, vec_sub)
 from maschke_kit.finalg import (AlgebraPresentation, AxiomFailure, AxiomReport,
                                 InvalidPresentationError, _add_to, _balanced_system,
-                                _generators, _sparse_cols, _sparse_products, check_algebra)
+                                _generators, _sparse_products, check_algebra)
 from maschke_kit.examples import (
     cyclic_group,
     dual_group_algebra,
@@ -45,7 +45,8 @@ from maschke_kit.hopfalgd import (
 from denselin import (add_matrix_rows, add_row, apply, comult_matrix, counit_matrix,
                       generated_dim, identity, kron, left_mult_matrix, mat_sub, membership,
                       mult_matrix, mult_vec, on_leg, project, rebased, right_mult_matrix,
-                      row_multiset, section, subspace_from_rows, to_rows, unit_matrix)
+                      row_multiset, section, sparse_cols, subspace_from_rows, to_rows,
+                      unit_matrix)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -649,8 +650,8 @@ def oracle_cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
 
     terms = _comult_terms(h)
     # mix[r][a] = e_a t(f_r) (left) or s(f_r) e_a (right), sparse
-    mix = [_sparse_cols(right_mult_matrix(alg, t)) for t in tgts] if side == "left" \
-        else [_sparse_cols(left_mult_matrix(alg, s)) for s in srcs]
+    mix = [sparse_cols(right_mult_matrix(alg, t)) for t in tgts] if side == "left" \
+        else [sparse_cols(left_mult_matrix(alg, s)) for s in srcs]
     out_map = h.src if side == "left" else h.tgt
     for i in range(n):
         rows = [dict() for _ in range(n)]
@@ -781,6 +782,22 @@ class TestOracle:
             assert got.homogeneous.dim == want.homogeneous.dim
             assert retraction.map.entries == want.particular
         assert feasible > 50 and infeasible
+
+    def test_stored_columns_match_a_fresh_grouping(self):
+        # Matrix.columns against the dense columns grouped afresh, on every map
+        # of the corpus and every quotient projection
+        maps = 0
+        for h in oracle_corpus():
+            ms = [h.src, h.tgt, h.comult_lift, h.counit]
+            if h.antipode is not None:
+                ms.append(h.antipode)
+            if check_hopf_algebroid(h).ok():
+                ms += [tensor_over_R(h, CIRC).projection, tensor_over_R(h, BULLET).projection]
+            for m in ms:
+                assert m.columns() == tuple(map(tuple, sparse_cols(m)))
+                assert m.columns() is m.columns()
+                maps += 1
+        assert maps > 300
 
     def test_coseparability_system_reads_projection_columns(self, monkeypatch):
         # no vector is projected one at a time: Matrix has no apply, and the

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from maschke_kit.finalg import (
     AxiomReport,
     CoalgebraPresentation,
     InvalidPresentationError,
+    check_coalgebra,
     solve_coseparability,
     solve_separability,
 )
@@ -41,6 +43,7 @@ from maschke_kit.weakhopf import solve_cointegral, solve_integral
 from denselin import (add_matrix_rows, add_row, apply, comult_matrix, counit_matrix,
                       flip_matrix, identity, kron, matrix_from_rows, mult_matrix, rebased,
                       row_multiset, solve_affine, transpose)
+from oracles import composition_associativity
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -263,6 +266,48 @@ class TestCheck:
         empty = HopfCategoryPresentation((), {}, {}, {}, None)
         assert check_hopf_category(empty).ok()
         assert check_hom_coseparability(empty).all_coseparable
+
+
+def associativity_witnesses(h) -> list:
+    return [fail.witness for fail in check_hopf_category(h).failures
+            if fail.law == "composition associativity"]
+
+
+class TestAssociativityRawSums:
+    """check_hopf_category compares (pq)r with p(qr) as raw sums over the
+    composition columns and reduces only when they differ; the loop that
+    composed both sides through the field operations is the oracle."""
+
+    def test_matches_field_operation_loop(self):
+        failing = 0
+        rebased = [damaged(rebased_category(
+            hopf_category_from_groupoid(groupoid_by_name(name), field), 1), count=1)
+            for name, field in (("conn:C2:2", QQ), ("conn:C2:2", F3), ("pair:2", F5))]
+        for h in itertools.chain(oracle_categories(), *rebased):
+            got = associativity_witnesses(h)
+            assert got == composition_associativity(h)
+            failing += bool(got)
+        assert failing >= 50
+
+    def test_raw_sums_that_agree_mod_p_pass(self):
+        for p in (3, 5):
+            f = FieldSpec.gf(p)
+            calls = [0]
+
+            def counted(x, plain=f.reduce):
+                calls[0] += 1
+                return plain(x)
+
+            object.__setattr__(f, "reduce", counted)
+            h = rebased_category(
+                hopf_category_from_groupoid(groupoid_by_name("conn:C2:2"), f), 1)
+            assert h.field is f
+            for c in h.homs.values():
+                assert check_coalgebra(c).ok()
+            # the hom checks are stored, so only associativity reduces now
+            calls[0] = 0
+            assert check_hopf_category(h).ok()
+            assert calls[0] > 0
 
 
 class TestSparseReads:

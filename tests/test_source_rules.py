@@ -213,3 +213,72 @@ def test_weak_hopf_layer_reads_sparse_columns():
     assert not any(hasattr(Matrix, name) for name in ("apply", "transpose"))
     assert not hasattr(AlgebraPresentation, "mult_vec")
     assert not hasattr(ConstraintSystem, "add_row")
+
+
+RETIRED_COLUMN_STORES = ("_sparse_cols", "_projection_cols", "_base_images", "_comp_cols")
+
+
+class _ColumnGroupings(ast.NodeVisitor):
+    """module.function of every loop over a matrix's nonzeros(), (row, column,
+    value) triples, whose body indexes something by the column or passes it
+    first to a method (d.setdefault(column, ...))."""
+
+    def __init__(self, module):
+        self.scope, self.found = [module], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def _check(self, target, iterable, body):
+        if not (isinstance(iterable, ast.Call) and isinstance(iterable.func, ast.Attribute)
+                and iterable.func.attr == "nonzeros" and isinstance(target, ast.Tuple)
+                and len(target.elts) == 3 and isinstance(target.elts[1], ast.Name)):
+            return
+        column = target.elts[1].id
+        for node in (n for part in body for n in ast.walk(part)):
+            keyed = (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Name)
+                     and node.slice.id == column) or \
+                (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.args and isinstance(node.args[0], ast.Name)
+                 and node.args[0].id == column)
+            if keyed:
+                self.found.add(".".join(self.scope))
+                return
+
+    def visit_For(self, node):
+        self._check(node.target, node.iter, node.body)
+        self.generic_visit(node)
+
+    def _visit_comprehension(self, node):
+        parts = [node.elt] if hasattr(node, "elt") else [node.key, node.value]
+        for gen in node.generators:
+            self._check(gen.target, gen.iter, parts + gen.ifs)
+        self.generic_visit(node)
+
+    visit_ListComp = visit_SetComp = visit_GeneratorExp = visit_DictComp = \
+        _visit_comprehension
+
+
+def test_exactlin_owns_the_sparse_form_of_maps_and_subspaces():
+    # a map is read sparsely only through Matrix.columns, stored on the
+    # matrix, and a subspace tests membership through its sparse echelon
+    # rows: no module keeps its own column store, Subspace has no dense
+    # reduction, and no other function groups a matrix's nonzeros by column
+    from maschke_kit.exactlin import Matrix, Subspace
+    defined = {f"{path.stem}.{node.name}"
+               for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.FunctionDef) and node.name in RETIRED_COLUMN_STORES}
+    assert defined == set()
+    assert not hasattr(Subspace, "reduce")
+    grouping = set()
+    for path in SOURCES:
+        visitor = _ColumnGroupings(path.stem)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        grouping |= visitor.found
+    assert grouping == {"exactlin.Matrix.columns"}
+    assert callable(Matrix.columns)

@@ -65,8 +65,8 @@ from maschke_kit.weakhopf import (
 )
 
 from denselin import (add_matrix_rows, add_row, apply, comult_vec, identity, left_mult_matrix,
-                      mult_vec, rebased, right_mult_matrix, row_multiset, subspace_from_rows,
-                      transpose, vec_add, vec_scale, zero_vec)
+                      mult_vec, rebased, right_mult_matrix, row_multiset, sparse_cols,
+                      subspace_from_rows, transpose, vec_add, vec_scale, zero_vec)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -568,6 +568,17 @@ class TestFinalgMatchesOracles:
 
 
 class TestWeakHopfMatchesOracles:
+    def test_stored_columns_match_a_fresh_grouping(self):
+        # Matrix.columns against the dense columns grouped afresh: every
+        # antipode of the corpus and the four projections of its weak bialgebras
+        maps = [w.antipode for w in oracle_corpus() if w.antipode is not None]
+        for w in valid_corpus():
+            maps += [getattr(projections(w), name) for name in ProjectionMaps._fields]
+        for m in maps:
+            assert m.columns() == tuple(map(tuple, sparse_cols(m)))
+            assert m.columns() is m.columns()
+        assert len(maps) > 1000
+
     def test_systems_match_oracle(self):
         cases = 0
         for w in valid_corpus():

@@ -73,11 +73,10 @@ def _solution_doc(field, labels, vec):
 
 
 def _affine_doc(field, labels, afs):
+    basis = afs.homogeneous.basis
     return {
         "solution": _solution_doc(field, labels, afs.particular),
-        "homogeneous_basis": [
-            _vec_out(field, afs.homogeneous.basis.row(i))
-            for i in range(afs.homogeneous.dim)],
+        "homogeneous_basis": [_vec_out(field, basis.row(i)) for i in range(basis.rows)],
     }
 
 

@@ -36,7 +36,6 @@ _MAX_PRIME = 2**31
 MAX_SCALAR_DIGITS = 4000
 
 _setattr = object.__setattr__
-_second = operator.itemgetter(1)
 
 
 def _bounded_token(text: str) -> str:
@@ -470,46 +469,52 @@ class Tensor3(Frozen):
 
 
 class Subspace(Frozen):
-    """A subspace given by a reduced-row-echelon basis, whose pivot columns
-    are ``pivots`` and whose rows are ``row_terms``, ((column, value), ...)
-    over the nonzeros of each row."""
+    """A subspace of field^ambient_dim given by its reduced echelon rows,
+    ((column, value), ...) over the nonzeros of each row in column order, led
+    by (pivot, 1); ``pivots`` strictly increase and each is nonzero in its
+    own row only.  ``basis`` is a dense view of the rows, built on each read."""
 
+    field: FieldSpec
     ambient_dim: int
-    basis: Matrix
+    row_terms: tuple
 
     def __post_init__(self):
-        b = self.basis
-        if b.cols != self.ambient_dim:
-            raise ValueError("basis width must equal ambient_dim")
-        pivots, rows = [], []
-        for i in range(b.rows):
-            # the (column, value) pairs with a nonzero value
-            row = tuple(filter(_second, enumerate(b.row(i))))
+        n = self.ambient_dim
+        _check_axis(n, "ambient dimension")
+        pivots = []
+        for row in self.row_terms:
             if not row:
                 raise ValueError("zero row in subspace basis")
             lead, value = row[0]
             if pivots and lead <= pivots[-1]:
                 raise ValueError("pivot columns not strictly increasing")
-            if value != b.field.one():
+            if value != 1:
                 raise ValueError("pivot entry must be 1")
-            if b.rows - b.col(lead).count(0) > 1:
-                raise ValueError("pivot column not reduced")
+            if not 0 <= lead <= row[-1][0] < n:
+                raise ValueError("row columns outside ambient_dim")
             pivots.append(lead)
-            rows.append(row)
+        pivset = set(pivots)
+        for row in self.row_terms:
+            if not pivset.isdisjoint([c for c, _ in row[1:]]):
+                raise ValueError("pivot column not reduced")
         _setattr(self, "pivots", tuple(pivots))
-        _setattr(self, "row_terms", tuple(rows))
-
-    @staticmethod
-    def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.zeros(field, 0, ambient_dim))
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.basis.field
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.row_terms)
+
+    def _dense_rows(self):
+        """Each echelon row as a dense list of ambient_dim scalars."""
+        for row in self.row_terms:
+            v = [0] * self.ambient_dim
+            for c, t in row:
+                v[c] = t
+            yield v
+
+    @property
+    def basis(self) -> Matrix:
+        entries = tuple(x for v in self._dense_rows() for x in v)
+        return Matrix(self.field, self.dim, self.ambient_dim, entries)
 
     def contains(self, vec) -> bool:
         return self.coords(vec) is not None
@@ -729,9 +734,8 @@ class ConstraintSystem:
         systems = (self,) if primed is None else (primed, self)
         if not all(s.satisfied_by(particular) for s in systems):
             raise ArithmeticError("eliminator produced an unverified solution")
-        kernel = homogeneous.basis
-        if not all(s.satisfied_by(kernel.row(i), True)
-                   for i in range(kernel.rows) for s in systems):
+        if not all(s.satisfied_by(v, True)
+                   for v in homogeneous._dense_rows() for s in systems):
             raise ArithmeticError("eliminator produced an unverified kernel vector")
         self.pivots = pivots
         return AffineSolution(particular, homogeneous)
@@ -740,14 +744,7 @@ class ConstraintSystem:
 def _row_space(field: FieldSpec, dim: int, sparse_rows) -> Subspace:
     """Canonical echelon basis of the span of sparse rows of field scalars."""
     system = ConstraintSystem(field, dim)
-    zero, one = field.zero(), field.one()
-    system.rows = [(row, zero) for row in sparse_rows]
+    system.rows = [(row, 0) for row in sparse_rows]
     pivots = system._eliminate()
-    entries = []
-    for c in sorted(pivots):
-        v = [zero] * dim
-        v[c] = one
-        for k, val in pivots[c][0].items():
-            v[k] = val
-        entries.extend(v)
-    return Subspace(dim, Matrix(field, len(pivots), dim, tuple(entries)))
+    return Subspace(field, dim, tuple(((c, 1), *sorted(pivots[c][0].items()))
+                                      for c in sorted(pivots)))

@@ -314,9 +314,9 @@ def base_algebra(w: WeakHopfPresentation) -> BaseAlgebraInfo:
     base, base_bar, cobase, cobase_bar = (_row_space(f, n, map(dict, m.columns()))
                                           for m in (maps.piR, maps.piR_bar,
                                                     maps.piL, maps.piL_bar))
-    if base_bar.basis != base.basis:
+    if base_bar != base:
         raise StructureDefectError("images of piR and piR_bar differ")
-    if cobase_bar.basis != cobase.basis:
+    if cobase_bar != cobase:
         raise StructureDefectError("images of piL and piL_bar differ")
     if not base.contains(unit):
         raise StructureDefectError("unit escapes the base algebra")

@@ -12,12 +12,14 @@ quotient and the quotient's section, the multiplication, left and right
 multiplication, unit, comultiplication and counit of a presentation as
 matrices, the comultiplication of one vector, a map after an action on one
 leg of a tensor square, a change of basis, the dual algebra of a coalgebra,
-and the dimension of the subalgebra that some basis elements generate.  The
+the dimension of the subalgebra that some basis elements generate, and the
+weak Hopf algebra M_n(k) (x) M_n(k)^op, whose base is noncommutative.  The
 package applies every map through its sparse columns and builds every
 system with one row builder; the tests compose the same maps from these
 dense pieces and compare.
 """
 
+import itertools
 import random
 from collections import Counter
 
@@ -340,6 +342,42 @@ def rebased(w, seed):
                                       apply(transpose(p), w.coalgebra.counit))
     antipode = None if w.antipode is None else q @ w.antipode @ p
     return WeakHopfPresentation(algebra, coalgebra, antipode)
+
+
+def matrix_pair_weak_hopf(n: int, field: FieldSpec) -> WeakHopfPresentation:
+    """H = M_n(k) (x) M_n(k)^op (Nikshych-Vainerman, Finite quantum groupoids
+    and their applications, 2002, section 2), for a field whose characteristic
+    does not divide n.  Basis E_ij (x) E_kl at index ((i n + j) n + k) n + l;
+    product (a (x) b)(a' (x) b') = aa' (x) b'b with unit 1 (x) 1;
+    Delta(a (x) b) = (1/n) sum_pq (a (x) E_pq) (x) (E_qp (x) b);
+    eps(a (x) b) = n Tr(ab); S(a (x) b) = b (x) a.  Its base algebra is
+    M_n(k), noncommutative for n > 1."""
+    m = n * n
+    d = m * m
+    z = field.zero()
+    inv_n = field.inv(field.coerce(n))
+    mult, comult, anti = [z] * d ** 3, [z] * d ** 3, [z] * d * d
+    unit, counit = [z] * d, [z] * d
+    quads = list(itertools.product(range(n), repeat=4))
+    for x, (i, j, k, l) in enumerate(quads):
+        for j2, k2 in itertools.product(range(n), repeat=2):
+            # (E_ij (x) E_kl)(E_j j2 (x) E_k2 k) = E_i j2 (x) E_k2 l
+            y, xy = (j * n + j2) * m + k2 * n + k, (i * n + j2) * m + k2 * n + l
+            mult[(x * d + y) * d + xy] = field.one()
+        for p, q in itertools.product(range(n), repeat=2):
+            left, right = x // m * m + p * n + q, (q * n + p) * m + x % m
+            comult[(x * d + left) * d + right] = inv_n
+        anti[(x % m * m + x // m) * d + x] = field.one()
+        if i == j and k == l:
+            unit[x] = field.one()
+        if j == k and i == l:
+            counit[x] = field.coerce(n)
+    labels = tuple(f"E{i}{j}_E{k}{l}" for i, j, k, l in quads)
+    algebra = AlgebraPresentation(field, d, labels, Tensor3(field, d, d, d, tuple(mult)),
+                                  tuple(unit))
+    coalgebra = CoalgebraPresentation(field, d, Tensor3(field, d, d, d, tuple(comult)),
+                                      tuple(counit))
+    return WeakHopfPresentation(algebra, coalgebra, Matrix(field, d, d, tuple(anti)))
 
 
 def dual_algebra(c) -> AlgebraPresentation:

@@ -418,7 +418,7 @@ class TestMembership:
 
 class TestQuotientSpace:
     def test_trivial_relations(self):
-        q = quotient_space(3, Subspace.zero(QQ, 3))
+        q = quotient_space(3, Subspace(QQ, 3, ()))
         assert q.free == (0, 1, 2)
         assert q.projection == identity(QQ, 3)
         assert section(q) == identity(QQ, 3)
@@ -446,7 +446,7 @@ class TestQuotientSpace:
         rows = data.draw(
             st.lists(st.lists(st.integers(-hi, hi), min_size=amb, max_size=amb),
                      min_size=nrel, max_size=nrel))
-        rel = subspace_from_rows(field, amb, rows) if rows else Subspace.zero(field, amb)
+        rel = subspace_from_rows(field, amb, rows) if rows else Subspace(field, amb, ())
         q = quotient_space(amb, rel)
         assert q.dim == amb - rel.dim
         assert q.projection @ section(q) == identity(field, q.dim)
@@ -653,7 +653,7 @@ def subspace_and_vectors(draw):
     amb = draw(st.integers(1, 6))
     small = st.integers(-3, 3)
     rows = draw(st.lists(st.lists(small, min_size=amb, max_size=amb), max_size=amb))
-    s = subspace_from_rows(field, amb, rows) if rows else Subspace.zero(field, amb)
+    s = subspace_from_rows(field, amb, rows) if rows else Subspace(field, amb, ())
 
     def disguise(x):
         # another name for the scalar x of field
@@ -697,7 +697,7 @@ class TestSubspace:
     def test_row_terms_are_the_nonzeros_of_the_basis_rows(self):
         s = subspace_from_rows(F3, 4, [[1, 2, 0, 1], [0, 0, 1, 2]])
         assert s.row_terms == (((0, 1), (1, 2), (3, 1)), ((2, 1), (3, 2)))
-        assert Subspace.zero(QQ, 3).row_terms == ()
+        assert Subspace(QQ, 3, ()).row_terms == ()
 
     def test_coords_roundtrip(self):
         s = subspace_from_rows(QQ, 3, [[1, 0, 2], [0, 1, -1]])
@@ -711,18 +711,55 @@ class TestSubspace:
         assert tuple(rebuilt) == tuple(map(Fraction, v))
 
     def test_invalid_basis_rejected(self):
-        with pytest.raises(ValueError):
-            Subspace(2, matrix_from_rows(QQ, [[2, 0]]))
-        with pytest.raises(ValueError):
-            Subspace(2, matrix_from_rows(QQ, [[0, 1], [1, 0]]))
+        with pytest.raises(ValueError, match="pivot entry must be 1"):
+            Subspace(QQ, 2, (((0, 2),),))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Subspace(QQ, 2, (((1, 1),), ((0, 1),)))
         with pytest.raises(ValueError):
             subspace_from_rows(QQ, 2, [[1, 0], [0, 0, 1]])
         with pytest.raises(ValueError, match="zero row"):
-            Subspace(2, matrix_from_rows(QQ, [[1, 0], [0, 0]]))
+            Subspace(QQ, 2, (((0, 1),), ()))
         with pytest.raises(ValueError, match="not reduced"):
-            Subspace(3, matrix_from_rows(QQ, [[1, 1, 0], [0, 1, 0]]))
+            Subspace(QQ, 3, (((0, 1), (1, 1)), ((1, 1),)))
         with pytest.raises(ValueError, match="not reduced"):
-            Subspace(3, matrix_from_rows(QQ, [[1, 0, 2], [0, 1, 0], [0, 0, 1]]))
+            Subspace(QQ, 3, (((0, 1), (2, 2)), ((1, 1),), ((2, 1),)))
+
+    def test_rows_outside_the_ambient_space_rejected(self):
+        # the sparse counterpart of a dense basis of the wrong width
+        for rows in ((((0, 1), (2, 1)),), (((-1, 1),),), (((0, 1),), ((2, 1),))):
+            with pytest.raises(ValueError, match="outside ambient_dim"):
+                Subspace(QQ, 2, rows)
+        with pytest.raises(ValueError, match="ambient dimension"):
+            Subspace(QQ, exactlin.MAX_AXIS + 1, ())
+
+    @given(st.integers(0, 5), st.integers(0, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_space_matches_the_dense_rref(self, nr, nc, data):
+        # no rows, zero rows and dependent rows (a row repeated, or a sum of
+        # two drawn rows) over Q and GF(2, 3, 5)
+        field = data.draw(st.sampled_from([QQ, F2, F3, F5]))
+        hi = 4 if field.characteristic == 0 else field.characteristic
+        rows = data.draw(
+            st.lists(st.lists(st.integers(-hi, hi), min_size=nc, max_size=nc),
+                     max_size=nr))
+        rows = [[field.coerce(x) for x in r] for r in rows]
+        if rows and data.draw(st.booleans()):
+            rows.append([0] * nc)
+        if len(rows) > 1 and data.draw(st.booleans()):
+            i, j = data.draw(st.tuples(st.integers(0, len(rows) - 1),
+                                       st.integers(0, len(rows) - 1)))
+            rows.append([field.add(a, b) for a, b in zip(rows[i], rows[j])])
+        s = exactlin._row_space(field, nc, [{j: v for j, v in enumerate(r) if v != 0}
+                                            for r in rows])
+        echelon, pivots = rref(matrix_from_rows(field, rows)) if rows else \
+            (Matrix.zeros(field, 0, nc), ())
+        rank = len(pivots)
+        assert s.basis == Matrix(field, rank, nc, echelon.entries[:rank * nc])
+        assert s.pivots == pivots and s.dim == rank
+        assert s.row_terms == tuple(
+            tuple((j, v) for j, v in enumerate(s.basis.row(i)) if v != 0)
+            for i in range(rank))
+        assert s == Subspace(field, nc, s.row_terms)
 
     @given(st.integers(1, 4), st.integers(1, 5), st.data())
     @settings(max_examples=60, deadline=None)

@@ -282,3 +282,36 @@ def test_exactlin_owns_the_sparse_form_of_maps_and_subspaces():
         grouping |= visitor.found
     assert grouping == {"exactlin.Matrix.columns"}
     assert callable(Matrix.columns)
+
+
+class _AttributeReads(_CallSites):
+    """module.function of every read of the attribute attr."""
+
+    def __init__(self, module, attr):
+        super().__init__(module, lambda f: False)
+        self.attr = attr
+
+    def visit_Attribute(self, node):
+        if node.attr == self.attr and isinstance(node.ctx, ast.Load):
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_a_subspace_is_its_sparse_echelon_rows():
+    # a Subspace stores its echelon rows as row_terms only: exactlin._row_space
+    # alone makes one, from the eliminator's pivot rows; the dense basis is a
+    # view that only the CLI report reads; Subspace(field, n, ()) is the zero
+    # subspace, so there is no second constructor for it
+    from maschke_kit.exactlin import Subspace
+    assert Subspace._fields == ("field", "ambient_dim", "row_terms")
+    assert _call_sites(_named("Subspace")) == {"exactlin._row_space"}
+    basis_reads = set()
+    for path in SOURCES:
+        visitor = _AttributeReads(path.stem, "basis")
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        basis_reads |= visitor.found
+    assert basis_reads == {"cli._affine_doc"}
+    assert not hasattr(Subspace, "zero")
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "zero"
+                   and isinstance(node.value, ast.Name) and node.value.id == "Subspace"
+                   for path in SOURCES for node in ast.walk(ast.parse(path.read_text())))

@@ -65,7 +65,8 @@ from maschke_kit.weakhopf import (
 )
 
 from denselin import (add_matrix_rows, add_row, apply, comult_vec, identity, left_mult_matrix,
-                      mult_vec, rebased, right_mult_matrix, row_multiset, sparse_cols,
+                      matrix_pair_weak_hopf, mult_vec, rebased, right_mult_matrix,
+                      row_multiset, sparse_cols,
                       subspace_from_rows, transpose, vec_add, vec_scale, zero_vec)
 
 QQ = FieldSpec.rationals()
@@ -530,12 +531,15 @@ def oracle_corpus():
 
 @functools.cache
 def valid_corpus() -> tuple:
-    """The weak bialgebras of the corpus, and the tensor products."""
+    """The weak bialgebras of the corpus, the tensor products, and
+    M_2(k) (x) M_2(k)^op over Q, F3 and F5, whose base algebra M_2(k) is
+    noncommutative."""
     corpus = tuple(w for w in oracle_corpus() if check_weak_bialgebra(w).ok())
-    tensors = tuple(tensor_presentations())
-    if not all(check_weak_bialgebra(w).ok() for w in tensors):
-        raise AssertionError("a tensor product is no weak bialgebra")
-    return corpus + tensors
+    extra = tuple(tensor_presentations()) + \
+        tuple(matrix_pair_weak_hopf(2, f) for f in (QQ, F3, F5))
+    if not all(check_weak_bialgebra(w).ok() for w in extra):
+        raise AssertionError("a tensor product or matrix pair is no weak bialgebra")
+    return corpus + extra
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,9 @@ from maschke_kit.weakhopf import (
 )
 
 from denselin import (add_matrix_rows, add_row, apply, comult_matrix, comult_vec, counit_matrix,
-                      flip_matrix, identity, kron, left_mult_matrix, mat_sub, mult_matrix,
-                      mult_vec, rebased, unit_matrix, vec_add, zero_vec)
+                      flip_matrix, identity, kron, left_mult_matrix, mat_sub,
+                      matrix_pair_weak_hopf, mult_matrix, mult_vec, rebased, unit_matrix,
+                      vec_add, zero_vec)
 from oracles import check_weak_bialgebra as oracle_check_weak_bialgebra
 
 QQ = FieldSpec.rationals()
@@ -597,7 +598,7 @@ class TestConversions:
             assert integral_system(w, side, "duoidal", True).satisfied_by(
                 convert_integral(w, t, side))
             shrunk = IntegralSolution(side, "primed", True, AffineSolution(
-                sol.element, Subspace.zero(QQ, w.dim)))
+                sol.element, Subspace(QQ, w.dim, ())))
             vars(w)["_once__integral_solution"][side, "primed", True] = shrunk
             assert solve_integral(w, side, "primed") is shrunk
             with pytest.raises(ArithmeticError, match="missed a solution"):
@@ -634,3 +635,24 @@ class TestMaschkeReport:
         w = group_algebra(cyclic_group(2), QQ)
         with pytest.raises(ValueError, match="antipode"):
             maschke_report(WeakHopfPresentation(w.algebra, w.coalgebra, None))
+
+
+class TestNoncommutativeBase:
+    """M_2(k) (x) M_2(k)^op (Nikshych-Vainerman 2002, section 2), whose base
+    algebra M_2(k) is noncommutative; char k does not divide 2."""
+
+    @pytest.mark.parametrize("field", [QQ, F3, F5], ids=str)
+    def test_axioms_base_and_verdict(self, field):
+        w = matrix_pair_weak_hopf(2, field)
+        assert check_weak_bialgebra(w).ok() and check_antipode(w).ok()
+        assert check_weak_bialgebra(w) == oracle_check_weak_bialgebra(w)
+        info = base_algebra(w)
+        d, m = info.subspace.dim, info.induced_mult
+        assert d == 4
+        assert any(m.at(i, j, k) != m.at(j, i, k)
+                   for i in range(d) for j in range(d) for k in range(d))
+        rep = maschke_report(w)
+        assert rep.verdict
+        flags = [*rep.integral_flags.values(), *rep.cointegral_flags.values()]
+        assert len(flags) == 8 and all(flags)
+        assert rep.separability is not None and rep.coseparability is not None

@@ -24,10 +24,10 @@ its per-item times, parse included.
 
 Prints one line per pass (old and new seconds, their ratio new/old) and then
 the median ratio, its quartiles and the passes in which the new tree was
-faster.  The two trees' results are compared as text on every item: the
-sweep's results, or a CLI job's exit code, output and error text with the
-``timing_ms`` value set to 0.  A difference is printed and makes the exit
-status 1.
+faster.  The two trees' results are compared by value on every item (see
+``normalize``): the sweep's results, or a CLI job's exit code, output and
+error text with the ``timing_ms`` value set to 0.  A difference is printed
+and makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -107,6 +107,27 @@ def run_file(tree, family: str, text: str) -> list:
     return out
 
 
+def normalize(value):
+    """value with every record replaced by plain data, so that results of the
+    two trees, whose record classes differ, compare by value: a Subspace as
+    its field, ambient_dim, pivots and row_terms (which every tree exposes,
+    whatever fields it stores), another record (a class with ``_fields``) as
+    its class name and normalized fields, a list, tuple or dict item by
+    item."""
+    cls = type(value)
+    if cls.__name__ == "Subspace":
+        return ("Subspace", normalize(value.field), value.ambient_dim, value.pivots,
+                value.row_terms)
+    if cls in (list, tuple):
+        return cls.__name__, tuple(map(normalize, value))
+    if cls is dict:
+        return {normalize(k): normalize(v) for k, v in value.items()}
+    fields = getattr(cls, "_fields", None)
+    if fields is not None:
+        return cls.__name__, tuple((f, normalize(getattr(value, f))) for f in fields)
+    return value
+
+
 TIMING = re.compile(r'("timing_ms": |timing_ms: )\d+')
 
 
@@ -166,7 +187,7 @@ def main(argv=None) -> int:
                 start = clock()
                 results[side] = run(trees[side])
                 spent[side] += clock() - start
-            if rnd == 0 and repr(results[0]) != repr(results[1]):
+            if rnd == 0 and normalize(results[0]) != normalize(results[1]):
                 differ += 1
                 print(f"results differ on {name}")
         ratios.append(spent[1] / spent[0])

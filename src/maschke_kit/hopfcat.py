@@ -18,14 +18,16 @@ from .finalg import (
     AxiomReport,
     InvalidPresentationError,
     MaschkeReport,
-    _apply_sparse,
+    _associativity_failures,
     _balanced_certificate,
     _balanced_system,
     _comult_by_source,
+    _comult_products,
     _comult_sum,
     _convolution,
     _dot,
     _once,
+    _product,
     _require_antipode,
     _table_matrix,
     _terms,
@@ -97,65 +99,42 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
         return AxiomReport()
     f = h.field
     objs = range(h.n_objects)
-    add, mul, reduce, zero, one = f.add, f.mul, f.reduce, f.zero(), f.one()
-
-    def compose(key, u, v):
-        """comps[key] applied to u (x) v, both sparse [(index, coefficient)],
-        as {index: value} without zeros."""
-        dyz = h.dim(key[1], key[2])
-        return _apply_sparse(f, h.comps[key].columns(), [(a * dyz + b, mul(ua, vb))
-                                                         for a, ua in u for b, vb in v])
-
-    def associative(x, y, z, w) -> bool:
-        """(pq)r = p(qr) for every basis triple of a(x,y), a(y,z), a(z,w): raw
-        sums over the composition columns, reduced only when they differ."""
-        dyz, dzw, dyw, dxw = h.dim(y, z), h.dim(z, w), h.dim(y, w), h.dim(x, w)
-        xyz, yzw, xzw, xyw = (h.comps[key].columns() for key in
-                              ((x, y, z), (y, z, w), (x, z, w), (x, y, w)))
-        for p in range(h.dim(x, y)):
-            for q in range(dyz):
-                pq = xyz[p * dyz + q]
-                for r in range(dzw):
-                    lhs = [0] * dxw
-                    for m, t in pq:
-                        for c, s in xzw[m * dzw + r]:
-                            lhs[c] += t * s
-                    rhs = [0] * dxw
-                    for m, t in yzw[q * dzw + r]:
-                        for c, s in xyw[p * dyw + m]:
-                            rhs[c] += t * s
-                    if lhs != rhs and list(map(reduce, lhs)) != list(map(reduce, rhs)):
-                        return False
-        return True
+    mul, reduce, one = f.mul, f.reduce, f.one()
+    # tables[(x, y, z)][a][b]: the (m, value) of e_a e_b, a in a(x,y), b in a(y,z)
+    tables = {}
+    for key, m in h.comps.items():
+        cols, d = m.columns(), h.dim(key[1], key[2])
+        tables[key] = [cols[a * d:(a + 1) * d] for a in range(h.dim(key[0], key[1]))]
 
     # associativity and unit laws of composition
     for x, y, z, w in itertools.product(objs, repeat=4):
-        if not associative(x, y, z, w):
+        if next(_associativity_failures(f, tables[(x, y, z)], tables[(x, z, w)],
+                                        tables[(y, z, w)], tables[(x, y, w)],
+                                        h.dim(x, w)), None):
             failures.append(AxiomFailure("composition associativity", (x, y, z, w)))
     for x, y in itertools.product(objs, repeat=2):
-        ux, uy = _terms(h.units[x]), _terms(h.units[y])
-        if any(compose((x, x, y), ux, [(p, one)]) != {p: one} for p in range(h.dim(x, y))):
+        ux, uy, basis = _terms(h.units[x]), _terms(h.units[y]), range(h.dim(x, y))
+        if any(_product(f, tables[(x, x, y)], ux, [(p, one)]) != {p: one} for p in basis):
             failures.append(AxiomFailure("left unit law", (x, y)))
-        if any(compose((x, y, y), [(p, one)], uy) != {p: one} for p in range(h.dim(x, y))):
+        if any(_product(f, tables[(x, y, y)], [(p, one)], uy) != {p: one} for p in basis):
             failures.append(AxiomFailure("right unit law", (x, y)))
 
     # composition is a coalgebra morphism:
     # Delta(pq) = p1 q1 (x) p2 q2 and eps(pq) = eps(p) eps(q) on basis elements
     for x, y, z in itertools.product(objs, repeat=3):
         cxy, cyz, cxz = h.homs[(x, y)], h.homs[(y, z)], h.homs[(x, z)]
-        col, dyz, dxz = h.comps[(x, y, z)].columns(), cyz.dim, cxz.dim
-        delta_xy, delta_yz, delta_xz = map(_comult_by_source, (cxy, cyz, cxz))
+        table, dxz = tables[(x, y, z)], cxz.dim
+        delta_xz = _comult_by_source(cxz)
         comultiplicative = counital = True
-        for p, q in itertools.product(range(cxy.dim), range(dyz)):
-            rhs = [zero] * (dxz * dxz)
-            for (p1, p2, s), (q1, q2, t) in itertools.product(delta_xy[p], delta_yz[q]):
-                for m1, t1 in col[p1 * dyz + q1]:
-                    for m2, t2 in col[p2 * dyz + q2]:
-                        idx = m1 * dxz + m2
-                        rhs[idx] = add(rhs[idx], mul(mul(s, t), mul(t1, t2)))
-            comultiplicative &= \
-                _comult_sum(f, delta_xz, col[p * dyz + q]) == dict(_terms(rhs))
-            counital &= _dot(f, cxz.counit, col[p * dyz + q]) == \
+        for p, q, rhs in _comult_products(_comult_by_source(cxy), _comult_by_source(cyz),
+                                          table, dxz):
+            lhs = [0] * (dxz * dxz)
+            for m, t in table[p][q]:
+                for a, b, s in delta_xz[m]:
+                    lhs[a * dxz + b] += t * s
+            comultiplicative = comultiplicative and (
+                lhs == rhs or list(map(reduce, lhs)) == list(map(reduce, rhs)))
+            counital &= _dot(f, cxz.counit, table[p][q]) == \
                 mul(cxy.counit[p], cyz.counit[q])
         if not comultiplicative:
             failures.append(AxiomFailure("composition comultiplicativity", (x, y, z)))
@@ -179,10 +158,7 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
             s = h.antipode[(x, y)].columns()
             for law, key, left, right in (("left", (x, y, x), None, s),
                                           ("right", (y, x, y), s, None)):
-                d = h.dim(key[1], key[2])
-                cols = h.comps[key].columns()
-                prod = [cols[a * d:(a + 1) * d] for a in range(h.dim(key[0], key[1]))]
-                got = _convolution(f, _comult_by_source(cxy), left, right, prod)
+                got = _convolution(f, _comult_by_source(cxy), left, right, tables[key])
                 unit = _terms(h.units[key[0]])
                 if any(got[i] != {m: mul(e, u) for m, u in unit if e != 0}
                        for i, e in enumerate(cxy.counit)):

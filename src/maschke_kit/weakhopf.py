@@ -36,9 +36,11 @@ from .finalg import (
     _apply_sparse,
     _balanced_system,
     _comult_by_source,
+    _comult_products,
     _comult_sum,
     _convolution,
     _dot,
+    _grouped,
     _mult_cols,
     _once,
     _product,
@@ -139,22 +141,15 @@ def _unit_comult(w: WeakHopfPresentation) -> tuple:
     return tuple((*divmod(ab, w.dim), c) for ab, c in u.items())
 
 
-def _grouped(terms) -> dict:
-    """{x: ((y, value), ...)} of the terms (x, y, value)."""
-    groups = {}
-    for x, y, value in terms:
-        groups.setdefault(x, []).append((y, value))
-    return groups
-
-
 @_once
 def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     """Component axioms plus the three weakened compatibility diagrams.
 
     Each sum runs over nonzero terms only: the products e_a e_c that do not
     vanish, the terms of Delta(e_j) grouped by one leg, and the nonzero
-    entries of eps(e_i e_j).  Both sides of comultiplicativity are raw int
-    or Fraction sums, reduced only when the raw sums differ.
+    entries of eps(e_i e_j).  Both sides of comultiplicativity
+    (_comult_products) are raw int or Fraction sums, reduced only when the
+    raw sums differ.
     """
     report = check_algebra(w.algebra).merged(check_coalgebra(w.coalgebra))
     if not report.ok():
@@ -176,28 +171,13 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     by_second = [_grouped((b, a, s) for a, b, s in terms) for terms in by_source]
 
     # comultiplication is multiplicative: delta(hk) = delta(h) delta(k)
-    for i in range(n):
-        for j in range(n):
-            lhs = [0] * (n * n)
-            for m, t in prod[i][j]:
-                for a, b, s in by_source[m]:
-                    lhs[a * n + b] += t * s
-            rhs = [0] * (n * n)
-            first_j = by_first[j]
-            for a, b, s1 in by_source[i]:
-                prod_b = prod[b]
-                for c, ac in right[a]:
-                    for d, s2 in first_j.get(c, ()):
-                        bd = prod_b[d]
-                        if not bd:
-                            continue
-                        s12 = s1 * s2
-                        for p, t1 in ac:
-                            s12t1 = s12 * t1
-                            for q, t2 in bd:
-                                rhs[p * n + q] += s12t1 * t2
-            if lhs != rhs and list(map(reduce, lhs)) != list(map(reduce, rhs)):
-                failures.append(AxiomFailure("comultiplicativity", (i, j)))
+    for i, j, rhs in _comult_products(by_source, by_source, prod, n):
+        lhs = [0] * (n * n)
+        for m, t in prod[i][j]:
+            for a, b, s in by_source[m]:
+                lhs[a * n + b] += t * s
+        if lhs != rhs and list(map(reduce, lhs)) != list(map(reduce, rhs)):
+            failures.append(AxiomFailure("comultiplicativity", (i, j)))
 
     # weak unit: (1 (x) mu (x) 1) and (1 (x) mu_op (x) 1) on delta(1) (x) delta(1)
     # both equal the double comultiplication of 1

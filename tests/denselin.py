@@ -13,7 +13,8 @@ multiplication, unit, comultiplication and counit of a presentation as
 matrices, the comultiplication of one vector, a map after an action on one
 leg of a tensor square, a change of basis, the dual algebra of a coalgebra,
 the dimension of the subalgebra that some basis elements generate, and the
-weak Hopf algebra M_n(k) (x) M_n(k)^op, whose base is noncommutative.  The
+weak Hopf algebras H_Q = M_n(k) (x) M_n(k)^op, whose base is noncommutative
+and whose antipode is not involutive on the base for Q not scalar.  The
 package applies every map through its sparse columns and builds every
 system with one row builder; the tests compose the same maps from these
 dense pieces and compare.
@@ -22,6 +23,7 @@ dense pieces and compare.
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 from maschke_kit.exactlin import ConstraintSystem, FieldSpec, Matrix, Subspace, Tensor3, \
     _row_space, unit_vec
@@ -344,18 +346,34 @@ def rebased(w, seed):
     return WeakHopfPresentation(algebra, coalgebra, antipode)
 
 
-def matrix_pair_weak_hopf(n: int, field: FieldSpec) -> WeakHopfPresentation:
-    """H = M_n(k) (x) M_n(k)^op (Nikshych-Vainerman, Finite quantum groupoids
-    and their applications, 2002, section 2), for a field whose characteristic
-    does not divide n.  Basis E_ij (x) E_kl at index ((i n + j) n + k) n + l;
-    product (a (x) b)(a' (x) b') = aa' (x) b'b with unit 1 (x) 1;
-    Delta(a (x) b) = (1/n) sum_pq (a (x) E_pq) (x) (E_qp (x) b);
-    eps(a (x) b) = n Tr(ab); S(a (x) b) = b (x) a.  Its base algebra is
-    M_n(k), noncommutative for n > 1."""
+def matrix_pair_weak_hopf(n: int, field: FieldSpec, q=None) -> WeakHopfPresentation:
+    """H_Q = M_n(k) (x) M_n(k)^op for Q in GL_n(k) with Tr(Q^-1) = 1, given
+    as rows; the default Q = n 1 needs a field whose characteristic does not
+    divide n, and gives Nikshych-Vainerman, Finite quantum groupoids and
+    their applications, 2002, section 2.  Basis E_ij (x) E_kl at index
+    ((i n + j) n + k) n + l; product (a (x) b)(a' (x) b') = aa' (x) b'b with
+    unit 1 (x) 1; Delta(a (x) b) = sum_pq (a (x) E_pq) (x) (Q^-1 E_qp (x) b);
+    eps(a (x) b) = Tr(Q a b); S(a (x) b) = b (x) Q a Q^-1.  Here sum_pq
+    E_pq (x) Q^-1 E_qp is a separability idempotent of M_n(k) with dual
+    functional Tr(Q -) (Boehm-Nill-Szlachanyi, Weak Hopf algebras I, 1999).
+    The base algebra is M_n(k), noncommutative for n > 1, and for Q not
+    scalar S^2 is not the identity on it."""
     m = n * n
     d = m * m
-    z = field.zero()
-    inv_n = field.inv(field.coerce(n))
+    z, one = field.zero(), field.one()
+    q = [[field.coerce(v) for v in row] for row in q] if q is not None else \
+        [[field.coerce(n if r == c else 0) for c in range(n)] for r in range(n)]
+    solved = [solve_affine(matrix_from_rows(field, q), unit_vec(field, n, c))
+              for c in range(n)]
+    if None in solved:
+        raise ValueError("Q is not invertible")
+    # qinv[r][c]: entry (r, c) of Q^-1, read from the solution of Q x = e_c
+    qinv = [[solved[c].particular[r] for c in range(n)] for r in range(n)]
+    trace = z
+    for r in range(n):
+        trace = field.add(trace, qinv[r][r])
+    if trace != one:
+        raise ValueError("Tr(Q^-1) must be 1")
     mult, comult, anti = [z] * d ** 3, [z] * d ** 3, [z] * d * d
     unit, counit = [z] * d, [z] * d
     quads = list(itertools.product(range(n), repeat=4))
@@ -363,21 +381,29 @@ def matrix_pair_weak_hopf(n: int, field: FieldSpec) -> WeakHopfPresentation:
         for j2, k2 in itertools.product(range(n), repeat=2):
             # (E_ij (x) E_kl)(E_j j2 (x) E_k2 k) = E_i j2 (x) E_k2 l
             y, xy = (j * n + j2) * m + k2 * n + k, (i * n + j2) * m + k2 * n + l
-            mult[(x * d + y) * d + xy] = field.one()
-        for p, q in itertools.product(range(n), repeat=2):
-            left, right = x // m * m + p * n + q, (q * n + p) * m + x % m
-            comult[(x * d + left) * d + right] = inv_n
-        anti[(x % m * m + x // m) * d + x] = field.one()
+            mult[(x * d + y) * d + xy] = one
+        for p, c, r in itertools.product(range(n), repeat=3):
+            # (E_ij (x) E_pc) (x) (Q^-1_rc E_rp (x) E_kl)
+            left, right = x // m * m + p * n + c, (r * n + p) * m + x % m
+            comult[(x * d + left) * d + right] = qinv[r][c]
+        for r, c in itertools.product(range(n), repeat=2):
+            # E_kl (x) Q_ri Q^-1_jc E_rc
+            anti[(x % m * m + r * n + c) * d + x] = field.mul(q[r][i], qinv[j][c])
         if i == j and k == l:
-            unit[x] = field.one()
-        if j == k and i == l:
-            counit[x] = field.coerce(n)
+            unit[x] = one
+        if j == k:
+            counit[x] = q[l][i]
     labels = tuple(f"E{i}{j}_E{k}{l}" for i, j, k, l in quads)
     algebra = AlgebraPresentation(field, d, labels, Tensor3(field, d, d, d, tuple(mult)),
                                   tuple(unit))
     coalgebra = CoalgebraPresentation(field, d, Tensor3(field, d, d, d, tuple(comult)),
                                       tuple(counit))
     return WeakHopfPresentation(algebra, coalgebra, Matrix(field, d, d, tuple(anti)))
+
+
+# a Q not scalar with Tr(Q^-1) = 1 for matrix_pair_weak_hopf(2, field, Q), by
+# the characteristic of the field; over GF(3) no diagonal Q is not scalar
+NON_SCALAR_Q = {0: ((3, 0), (0, Fraction(3, 2))), 3: ((2, 1), (0, 2)), 5: ((3, 0), (0, 4))}
 
 
 def dual_algebra(c) -> AlgebraPresentation:

@@ -10,8 +10,11 @@ became one native integer sum; ``balanced_system`` is the row builder before
 it made its rows in one pass, with one dictionary per side;
 ``composition_associativity`` is the associativity loop of
 ``hopfcat.check_hopf_category`` before its two sides were taken as raw sums,
-two compositions through the field operations per basis triple.  The tests
-run both forms on the same inputs and compare.
+two compositions through the field operations per basis triple, and
+``composition_comultiplicativity`` is its loop for Delta(pq) = p1 q1 (x)
+p2 q2 before both sides were taken as raw sums through
+``finalg._comult_products``.  The tests run both forms on the same inputs and
+compare.
 """
 
 import argparse
@@ -20,7 +23,8 @@ import itertools
 from maschke_kit.cli import GENERATORS, UsageError
 from maschke_kit.exactlin import ConstraintSystem, unit_vec
 from maschke_kit.finalg import (AxiomFailure, AxiomReport, _apply_sparse,
-                                _comult_by_source, _nonzero_entries, _sparse_products)
+                                _comult_by_source, _comult_sum, _nonzero_entries,
+                                _sparse_products, _terms)
 from maschke_kit.weakhopf import WeakHopfPresentation, _counit_pairing
 
 from denselin import comult_vec, sparse_cols
@@ -313,4 +317,28 @@ def composition_associativity(h) -> list:
                != compose((x, y, w), [(p, one)], cols[(y, z, w)][q * dzw + r])
                for p in range(h.dim(x, y)) for q in range(dyz) for r in range(dzw)):
             found.append((x, y, z, w))
+    return found
+
+
+def composition_comultiplicativity(h) -> list:
+    """The object triples (x, y, z), in order, at which Delta(pq) and
+    p1 q1 (x) p2 q2 differ for some basis pair p, q of a(x,y), a(y,z): the
+    right side summed through FieldSpec.add and FieldSpec.mul over the
+    composition columns, the left side through finalg._comult_sum."""
+    f = h.field
+    found = []
+    for x, y, z in itertools.product(range(h.n_objects), repeat=3):
+        col, dyz, dxz = sparse_cols(h.comps[(x, y, z)]), h.dim(y, z), h.dim(x, z)
+        delta_xy, delta_yz, delta_xz = (_comult_by_source(h.homs[key])
+                                        for key in ((x, y), (y, z), (x, z)))
+        for p, q in itertools.product(range(h.dim(x, y)), range(dyz)):
+            rhs = [f.zero()] * (dxz * dxz)
+            for (p1, p2, s), (q1, q2, t) in itertools.product(delta_xy[p], delta_yz[q]):
+                for m1, t1 in col[p1 * dyz + q1]:
+                    for m2, t2 in col[p2 * dyz + q2]:
+                        idx = m1 * dxz + m2
+                        rhs[idx] = f.add(rhs[idx], f.mul(f.mul(s, t), f.mul(t1, t2)))
+            if _comult_sum(f, delta_xz, col[p * dyz + q]) != dict(_terms(rhs)):
+                found.append((x, y, z))
+                break
     return found

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -43,7 +42,7 @@ from maschke_kit.weakhopf import solve_cointegral, solve_integral
 from denselin import (add_matrix_rows, add_row, apply, comult_matrix, counit_matrix,
                       flip_matrix, identity, kron, matrix_from_rows, mult_matrix, rebased,
                       row_multiset, solve_affine, transpose)
-from oracles import composition_associativity
+from oracles import composition_associativity, composition_comultiplicativity
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -268,6 +267,15 @@ class TestCheck:
         assert check_hom_coseparability(empty).all_coseparable
 
 
+def raw_sum_categories():
+    """The oracle categories, then damaged rebased copies whose structure
+    constants are not 0 and 1."""
+    yield from oracle_categories()
+    for name, field in (("conn:C2:2", QQ), ("conn:C2:2", F3), ("pair:2", F5)):
+        yield from damaged(rebased_category(
+            hopf_category_from_groupoid(groupoid_by_name(name), field), 1), count=1)
+
+
 def associativity_witnesses(h) -> list:
     return [fail.witness for fail in check_hopf_category(h).failures
             if fail.law == "composition associativity"]
@@ -280,10 +288,7 @@ class TestAssociativityRawSums:
 
     def test_matches_field_operation_loop(self):
         failing = 0
-        rebased = [damaged(rebased_category(
-            hopf_category_from_groupoid(groupoid_by_name(name), field), 1), count=1)
-            for name, field in (("conn:C2:2", QQ), ("conn:C2:2", F3), ("pair:2", F5))]
-        for h in itertools.chain(oracle_categories(), *rebased):
+        for h in raw_sum_categories():
             got = associativity_witnesses(h)
             assert got == composition_associativity(h)
             failing += bool(got)
@@ -308,6 +313,21 @@ class TestAssociativityRawSums:
             calls[0] = 0
             assert check_hopf_category(h).ok()
             assert calls[0] > 0
+
+
+class TestComultiplicativityRawSums:
+    """check_hopf_category compares Delta(pq) with p1 q1 (x) p2 q2 as raw sums
+    (finalg._comult_products) and reduces only when they differ; the loop
+    that summed the right side through the field operations is the oracle."""
+
+    def test_matches_field_operation_loop(self):
+        failing = 0
+        for h in raw_sum_categories():
+            got = [fail.witness for fail in check_hopf_category(h).failures
+                   if fail.law == "composition comultiplicativity"]
+            assert got == composition_comultiplicativity(h)
+            failing += bool(got)
+        assert failing >= 50
 
 
 class TestSparseReads:

@@ -315,3 +315,22 @@ def test_a_subspace_is_its_sparse_echelon_rows():
     assert not any(isinstance(node, ast.Attribute) and node.attr == "zero"
                    and isinstance(node.value, ast.Name) and node.value.id == "Subspace"
                    for path in SOURCES for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_one_comultiplicativity_walk_and_one_associativity_walk():
+    # "Delta is multiplicative" and associativity are one concept each: the
+    # weak Hopf, Hopf-algebroid and Hopf-category checks share the walks in
+    # finalg, and hopfcat keeps no composition or associativity helper of its own
+    defined = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, set()).add(path.stem)
+    assert defined["_comult_products"] == {"finalg"}
+    assert defined["_associativity_failures"] == {"finalg"}
+    assert "hopfcat" not in defined.get("associative", set()) | defined.get("compose", set())
+    assert _call_sites(_named("_comult_products")) == {
+        "weakhopf.check_weak_bialgebra", "hopfalgd.check_hopf_algebroid",
+        "hopfcat.check_hopf_category"}
+    assert _call_sites(_named("_associativity_failures")) == {
+        "finalg.check_algebra", "hopfcat.check_hopf_category"}

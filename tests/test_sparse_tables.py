@@ -64,9 +64,9 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import (add_matrix_rows, add_row, apply, comult_vec, identity, left_mult_matrix,
-                      matrix_pair_weak_hopf, mult_vec, rebased, right_mult_matrix,
-                      row_multiset, sparse_cols,
+from denselin import (NON_SCALAR_Q, add_matrix_rows, add_row, apply, comult_vec, identity,
+                      left_mult_matrix, matrix_pair_weak_hopf, mult_vec, rebased,
+                      right_mult_matrix, row_multiset, sparse_cols,
                       subspace_from_rows, transpose, vec_add, vec_scale, zero_vec)
 
 QQ = FieldSpec.rationals()
@@ -533,10 +533,12 @@ def oracle_corpus():
 def valid_corpus() -> tuple:
     """The weak bialgebras of the corpus, the tensor products, and
     M_2(k) (x) M_2(k)^op over Q, F3 and F5, whose base algebra M_2(k) is
-    noncommutative."""
+    noncommutative, with Q = 2 1 and with Q not scalar (NON_SCALAR_Q), where
+    the antipode is not involutive on the base."""
     corpus = tuple(w for w in oracle_corpus() if check_weak_bialgebra(w).ok())
     extra = tuple(tensor_presentations()) + \
-        tuple(matrix_pair_weak_hopf(2, f) for f in (QQ, F3, F5))
+        tuple(matrix_pair_weak_hopf(2, f, q) for f in (QQ, F3, F5)
+              for q in (None, NON_SCALAR_Q[f.characteristic]))
     if not all(check_weak_bialgebra(w).ok() for w in extra):
         raise AssertionError("a tensor product or matrix pair is no weak bialgebra")
     return corpus + extra

@@ -45,10 +45,10 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import (add_matrix_rows, add_row, apply, comult_matrix, comult_vec, counit_matrix,
-                      flip_matrix, identity, kron, left_mult_matrix, mat_sub,
-                      matrix_pair_weak_hopf, mult_matrix, mult_vec, rebased, unit_matrix,
-                      vec_add, zero_vec)
+from denselin import (NON_SCALAR_Q, add_matrix_rows, add_row, apply, comult_matrix,
+                      comult_vec, counit_matrix, flip_matrix, identity, kron,
+                      left_mult_matrix, mat_sub, matrix_pair_weak_hopf, mult_matrix, mult_vec,
+                      rebased, to_rows, unit_matrix, vec_add, zero_vec)
 from oracles import check_weak_bialgebra as oracle_check_weak_bialgebra
 
 QQ = FieldSpec.rationals()
@@ -638,21 +638,27 @@ class TestMaschkeReport:
 
 
 class TestNoncommutativeBase:
-    """M_2(k) (x) M_2(k)^op (Nikshych-Vainerman 2002, section 2), whose base
-    algebra M_2(k) is noncommutative; char k does not divide 2."""
+    """H_Q = M_2(k) (x) M_2(k)^op (Nikshych-Vainerman 2002, section 2, for
+    Q = 2 1; Boehm-Nill-Szlachanyi 1999 for any Q with Tr(Q^-1) = 1), whose
+    base algebra M_2(k) is noncommutative; S^2 is the identity on the base
+    exactly when Q is scalar."""
 
     @pytest.mark.parametrize("field", [QQ, F3, F5], ids=str)
     def test_axioms_base_and_verdict(self, field):
-        w = matrix_pair_weak_hopf(2, field)
-        assert check_weak_bialgebra(w).ok() and check_antipode(w).ok()
-        assert check_weak_bialgebra(w) == oracle_check_weak_bialgebra(w)
-        info = base_algebra(w)
-        d, m = info.subspace.dim, info.induced_mult
-        assert d == 4
-        assert any(m.at(i, j, k) != m.at(j, i, k)
-                   for i in range(d) for j in range(d) for k in range(d))
-        rep = maschke_report(w)
-        assert rep.verdict
-        flags = [*rep.integral_flags.values(), *rep.cointegral_flags.values()]
-        assert len(flags) == 8 and all(flags)
-        assert rep.separability is not None and rep.coseparability is not None
+        for q in (None, NON_SCALAR_Q[field.characteristic]):
+            w = matrix_pair_weak_hopf(2, field, q)
+            assert check_weak_bialgebra(w) == check_antipode(w) == AxiomReport()
+            assert check_weak_bialgebra(w) == oracle_check_weak_bialgebra(w)
+            info = base_algebra(w)
+            d, m = info.subspace.dim, info.induced_mult
+            assert d == 4
+            assert any(m.at(i, j, k) != m.at(j, i, k)
+                       for i in range(d) for j in range(d) for k in range(d))
+            s = w.antipode
+            assert all(list(apply(s, apply(s, x))) == x
+                       for x in to_rows(info.subspace.basis)) == (q is None)
+            rep = maschke_report(w)
+            assert rep.verdict
+            flags = [*rep.integral_flags.values(), *rep.cointegral_flags.values()]
+            assert len(flags) == 8 and all(flags)
+            assert rep.separability is not None and rep.coseparability is not None

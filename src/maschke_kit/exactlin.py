@@ -350,18 +350,11 @@ class Matrix(Frozen):
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match rows*cols")
 
-    @staticmethod
-    def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, rows, cols, (field.zero(),) * (rows * cols))
-
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> tuple:
-        return self.entries[j :: self.cols] if self.cols else ()
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         # Sparse-aware: iterates nonzeros only, which keeps composites of
@@ -447,10 +440,6 @@ class Tensor3(Frozen):
                     raise ValueError("ragged tensor")
                 ent.extend(field.coerce(x) for x in row)
         return Tensor3(field, d0, d1, d2, tuple(ent))
-
-    @staticmethod
-    def zeros(field: FieldSpec, d0: int, d1: int, d2: int) -> "Tensor3":
-        return Tensor3(field, d0, d1, d2, (field.zero(),) * (d0 * d1 * d2))
 
     def at(self, i: int, j: int, k: int):
         return self.entries[(i * self.d1 + j) * self.d2 + k]

@@ -205,6 +205,11 @@ def _dual_generators(c: CoalgebraPresentation) -> tuple:
     return _closure_generators(c.field, prod, c.counit)
 
 
+def _check_side(side: str):
+    if side not in ("left", "right"):
+        raise ValueError("side must be left or right")
+
+
 def _mult_cols(f: FieldSpec, prod: tuple, terms, u_first: bool) -> list:
     """cols[j] = {k: coefficient of e_k in u e_j (u_first) or in e_j u}.
 
@@ -272,32 +277,44 @@ def _convolution(field: FieldSpec, comult, f, g, prod) -> list:
     return [_nonzero_entries(col) for col in out]
 
 
-def _grouped(terms) -> dict:
-    """{x: ((y, value), ...)} of the terms (x, y, value)."""
-    groups = {}
-    for x, y, value in terms:
-        groups.setdefault(x, []).append((y, value))
-    return groups
+def _by_leg(delta, n: int, first: bool) -> tuple:
+    """groups[i][a] = ((b, value), ...) of the terms (a, b, value) of delta[i]
+    in k^n (x) k^n by first leg a, or (not first) of (b, a, value) by second leg a."""
+    groups = [[[] for _ in range(n)] for _ in delta]
+    for i, terms in enumerate(delta):
+        for a, b, t in terms:
+            groups[i][a if first else b].append((b if first else a, t))
+    return tuple(tuple(map(tuple, g)) for g in groups)
 
 
-def _comult_products(left, right, prod, dim):
+@_once
+def _comult_by_leg(c: CoalgebraPresentation, leg: str) -> tuple:
+    """Delta(e_i) grouped by its "first" or "second" leg (_by_leg)."""
+    return _by_leg(_comult_by_source(c), c.dim, leg == "first")
+
+
+def _nonzero_rows(prod) -> tuple:
+    """rows[a] = ((c, prod[a][c]), ...) over the nonempty entries of the rows
+    of the table prod: for a product table, the nonzero products e_a e_c."""
+    return tuple(tuple((c, terms) for c, terms in enumerate(row) if terms) for row in prod)
+
+
+def _comult_products(left, right, prod, nonzero, dim):
     """Yield (i, j, raw) in row-major order, raw[p * dim + q] the raw int or
     Fraction coefficient of e_p (x) e_q in Delta(e_i) Delta(e_j).
 
-    left[i] and right[j] are the terms (a, b, value) of Delta grouped by
-    source; prod[a][c] = ((p, value), ...) is the product of their targets,
-    in a space of dimension dim.  Delta(e_j) is grouped by its first leg, and
-    only nonzero products are visited.
+    left[i] are the terms (a, b, value) of Delta(e_i) by source, and right[j]
+    is Delta(e_j) grouped by its first leg (_by_leg); prod[a][c] = ((p,
+    value), ...) is the product of their targets, in a space of dimension
+    dim, and nonzero = _nonzero_rows(prod): only nonzero products are visited.
     """
-    nonzero = [tuple((c, terms) for c, terms in enumerate(row) if terms) for row in prod]
-    by_first = [_grouped(terms) for terms in right]
     for i, terms_i in enumerate(left):
-        for j, first_j in enumerate(by_first):
+        for j, first_j in enumerate(right):
             raw = [0] * (dim * dim)
             for a, b, s1 in terms_i:
                 prod_b = prod[b]
                 for c, ac in nonzero[a]:
-                    for d, s2 in first_j.get(c, ()):
+                    for d, s2 in first_j[c]:
                         bd = prod_b[d]
                         if not bd:
                             continue

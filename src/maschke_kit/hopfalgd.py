@@ -32,11 +32,14 @@ from .finalg import (
     _apply_sparse,
     _balanced_certificate,
     _balanced_system,
+    _by_leg,
+    _check_side,
     _comult_products,
     _convolution,
     _generators,
     _mult_cols,
     _nonzero_entries,
+    _nonzero_rows,
     _once,
     _product,
     _require_antipode,
@@ -123,17 +126,26 @@ def _comult_terms(h: HopfAlgebroidPresentation) -> tuple:
                  for col in h.comult_lift.columns())
 
 
+@_once
+def _actions(h: HopfAlgebroidPresentation) -> tuple:
+    """(smul, tmul, s_right, t_right): smul[x][j] = ((k, value), ...), the
+    nonzero terms of s(x) e_j; then those of t(x) e_j, e_j s(x) and e_j t(x)."""
+    f, prod = h.field, _sparse_products(h.total)
+    return tuple(tuple(tuple(tuple(_nonzero_entries(col).items())
+                             for col in _mult_cols(f, prod, v, u_first)) for v in m.columns())
+                 for u_first in (True, False) for m in (h.src, h.tgt))
+
+
 def _tensor_relations(h: HopfAlgebroidPresentation, pairs) -> Subspace:
-    """Span of (u e_j) (x) e_k - e_j (x) (v e_k) over the sparse pairs (u, v) and j, k."""
+    """Span of (u e_j) (x) e_k - e_j (x) (v e_k) over j, k and the pairs of
+    column tables (ucols, vcols), ucols[j] the terms (m, value) of u e_j."""
     f, n = h.field, h.total.dim
-    prod = _sparse_products(h.total)
     rows = []
-    for u, v in pairs:
-        ucols, vcols = (_mult_cols(f, prod, w, True) for w in (u, v))
+    for ucols, vcols in pairs:
         for j in range(n):
             for k in range(n):
-                row = {m * n + k: c for m, c in ucols[j].items()}
-                for m, c in vcols[k].items():
+                row = {m * n + k: c for m, c in ucols[j]}
+                for m, c in vcols[k]:
                     _add_to(row, j * n + m, f.neg(c), f)
                 rows.append(_nonzero_entries(row))
     return _row_space(f, n * n, rows)
@@ -142,16 +154,17 @@ def _tensor_relations(h: HopfAlgebroidPresentation, pairs) -> Subspace:
 @_once
 def circ_relations(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of t(x)e_j (x) e_k - e_j (x) s(x)e_k over base and total bases."""
-    return _tensor_relations(h, zip(h.tgt.columns(), h.src.columns()))
+    smul, tmul = _actions(h)[:2]
+    return _tensor_relations(h, zip(tmul, smul))
 
 
 @_once
 def bullet_relations(h: HopfAlgebroidPresentation) -> Subspace:
     """Span of (s(x)t(y)e_j) (x) e_k - e_j (x) (s(x)t(y)e_k)."""
-    prod = _sparse_products(h.total)
-    zs = [_product(h.field, prod, s, t).items()
-          for s in h.src.columns() for t in h.tgt.columns()]
-    return _tensor_relations(h, [(z, z) for z in zs])
+    f, prod = h.field, _sparse_products(h.total)
+    zs = [_product(f, prod, s, t).items() for s in h.src.columns() for t in h.tgt.columns()]
+    zcols = [[col.items() for col in _mult_cols(f, prod, z, True)] for z in zs]
+    return _tensor_relations(h, [(z, z) for z in zcols])
 
 
 @_once
@@ -212,18 +225,15 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
     base, alg = h.base.algebra, h.total
     prod, bprod = _sparse_products(alg), _sparse_products(base)
     srcs, tgts = h.src.columns(), h.tgt.columns()
-    # smul[x][j] and tmul[x][j]: the nonzero (k, value) of s(x) e_j and t(x) e_j
-    smul, tmul = ([[tuple(_nonzero_entries(col).items())
-                    for col in _mult_cols(f, prod, v, True)]
-                   for v in imgs] for imgs in (srcs, tgts))
+    smul, tmul, s_right, t_right = _actions(h)
 
     # s and t are unital algebra maps into the center
-    for name, imgs, moved in (("source map", srcs, smul), ("target map", tgts, tmul)):
+    for name, imgs, moved, right in (("source map", srcs, smul, s_right),
+                                     ("target map", tgts, tmul, t_right)):
         failures += _algebra_map_failures(name, imgs, base, alg)
         for x in range(dr):
-            right = _mult_cols(f, prod, imgs[x], False)
             failures += [AxiomFailure(f"{name} centrality", (x, j)) for j in range(n)
-                         if dict(moved[x][j]) != _nonzero_entries(right[j])]
+                         if dict(moved[x][j]) != dict(right[x][j])]
 
     # counit: unital algebra map and R-bimodule map
     ecols = h.counit.columns()
@@ -254,7 +264,8 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
 
     # multiplicativity of delta w.r.t. the factorwise product, in the quotient:
     # delta(e_i e_j) = delta(e_i) delta(e_j)
-    for i, j, raw in _comult_products(terms, terms, prod, n):
+    for i, j, raw in _comult_products(terms, _by_leg(terms, n, True), prod,
+                                      _nonzero_rows(prod), n):
         factorwise = [(pq, r) for pq, v in enumerate(raw) if v and (r := f.reduce(v))]
         if _apply_sparse(f, dq, prod[i][j]) != _apply_sparse(f, pcols, factorwise):
             failures.append(AxiomFailure("comult multiplicative", (i, j)))
@@ -341,9 +352,8 @@ class HgdCoseparabilityRetraction(Frozen):
 def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
                         normalized: bool) -> ConstraintSystem:
     """hn - s(eps(h))n (left) or nh - s(eps(h))n (right) in the ideal; eps(n) = 1."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be left or right")
-    f, n = h.field, h.total.dim
+    _check_side(side)
+    f, n, left = h.field, h.total.dim, side == "left"
     prod = _sparse_products(h.total)
     pcols = _ideal_quotient(h).projection.columns()
     sc = _counit_images(h)[0]
@@ -351,10 +361,10 @@ def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     def products():
         # pi(e_i e_j) (left) or pi(e_j e_i) (right) against pi(s(eps(e_i)) e_j)
         for i in range(n):
-            for which, cols in ((0, _mult_cols(f, prod, [(i, f.one())], side == "left")),
-                                (1, _mult_cols(f, prod, sc[i], True))):
+            for which, cols in ((0, [prod[i][j] if left else prod[j][i] for j in range(n)]),
+                                (1, [c.items() for c in _mult_cols(f, prod, sc[i], True)])):
                 for j, col in enumerate(cols):
-                    for k, v in col.items():
+                    for k, v in col:
                         for r, p in pcols[k]:
                             yield which, i, r, j, f.mul(v, p)
 
@@ -390,23 +400,21 @@ def cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     Left: nu(s(x)h) = x nu(h), h1 t(nu(h2)) = s(nu(h)), nu(1) = 1.
     Right: nu(t(x)h) = x nu(h), s(nu(h1)) h2 = t(nu(h)), nu(1) = 1.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be left or right")
+    _check_side(side)
     f, dr, n, left = h.field, h.base.dim, h.total.dim, side == "left"
-    prod, bprod = _sparse_products(h.total), _sparse_products(h.base.algebra)
-    srcs, tgts = h.src.columns(), h.tgt.columns()
+    bprod = _sparse_products(h.base.algebra)
     terms = _comult_terms(h)
+    smul, tmul, _, t_right = _actions(h)
     # moved[x][j] = s(x) e_j (left) or t(x) e_j (right);
     # mix[r][a] = e_a t(f_r) (left) or s(f_r) e_a (right)
-    moved = [_mult_cols(f, prod, v, True) for v in (srcs if left else tgts)]
-    mix = [_mult_cols(f, prod, v, not left) for v in (tgts if left else srcs)]
+    moved, mix = (smul, t_right) if left else (tmul, smul)
     out_map = h.src if left else h.tgt
 
     def products():
         for x in range(dr):
             for j in range(n):
                 # nu(s(x) e_j) (left) or nu(t(x) e_j) (right) against x nu(e_j)
-                for jp, c in moved[x][j].items():
+                for jp, c in moved[x][j]:
                     for r in range(dr):
                         yield 0, (x, j), r, r * n + jp, c
                 for rp in range(dr):
@@ -417,7 +425,7 @@ def cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
             for a, b, c in terms[i]:
                 carrier, slot = (a, b) if left else (b, a)
                 for r in range(dr):
-                    for m, cv in mix[r][carrier].items():
+                    for m, cv in mix[r][carrier]:
                         yield 0, i, m, r * n + slot, f.mul(c, cv)
             for m, r, cv in out_map.nonzeros():
                 yield 1, i, m, r * n + i, cv
@@ -502,9 +510,7 @@ def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
     mul = f.mul
     pcols = q.projection.columns()      # pcols[j*n + k] = pi(e_j (x) e_k)
     terms = _comult_terms(h)
-    prod = _sparse_products(h.total)
-    smul, tmul = ([_mult_cols(f, prod, v, True) for v in m.columns()]
-                  for m in (h.src, h.tgt))
+    smul, tmul = _actions(h)[:2]
     bprod = _sparse_products(h.base.algebra)
 
     def gamma(jk, t):
@@ -518,13 +524,13 @@ def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
                 for a, b, t in split:
                     arg, jk = (a, b * n + d) if side == 0 else (b, c * n + a)
                     for r, var, tu in gamma(jk, t):
-                        for m, v in act[r][arg].items():
+                        for m, v in act[r][arg]:
                             yield side, g, m, var, mul(tu, v)
         for x in range(dr):
             for jk in range(n * n):
                 j, k = divmod(jk, n)
-                for leg, moved in ((0, [(m * n + k, v) for m, v in smul[x][j].items()]),
-                                   (1, [(j * n + m, v) for m, v in tmul[x][k].items()])):
+                for leg, moved in ((0, [(m * n + k, v) for m, v in smul[x][j]]),
+                                   (1, [(j * n + m, v) for m, v in tmul[x][k]])):
                     for mk, v in moved:
                         for r, var, vu in gamma(mk, v):
                             yield 0, (x, leg, jk), r, var, vu

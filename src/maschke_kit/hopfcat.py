@@ -11,6 +11,7 @@ structure family, each as a single exact feasibility problem.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 
 from .exactlin import ConstraintSystem, FieldSpec, Frozen
 from .finalg import (
@@ -21,11 +22,14 @@ from .finalg import (
     _associativity_failures,
     _balanced_certificate,
     _balanced_system,
+    _check_side,
+    _comult_by_leg,
     _comult_by_source,
     _comult_products,
     _comult_sum,
     _convolution,
     _dot,
+    _nonzero_rows,
     _once,
     _product,
     _require_antipode,
@@ -86,6 +90,17 @@ class HopfCategoryPresentation(Frozen):
 
 
 @_once
+def _composition_tables(h: HopfCategoryPresentation):
+    """tables[(x, y, z)][a][b] = ((m, value), ...): the terms of e_a e_b in
+    a(x,z), for e_a in a(x,y) and e_b in a(y,z)."""
+    tables = {}
+    for key, m in h.comps.items():
+        cols, d = m.columns(), h.dim(key[1], key[2])
+        tables[key] = tuple(cols[a * d:(a + 1) * d] for a in range(h.dim(key[0], key[1])))
+    return MappingProxyType(tables)
+
+
+@_once
 def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
     """Enriched category axioms, comonoid-morphism laws, antipode family."""
     failures = []
@@ -100,11 +115,7 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
     f = h.field
     objs = range(h.n_objects)
     mul, reduce, one = f.mul, f.reduce, f.one()
-    # tables[(x, y, z)][a][b]: the (m, value) of e_a e_b, a in a(x,y), b in a(y,z)
-    tables = {}
-    for key, m in h.comps.items():
-        cols, d = m.columns(), h.dim(key[1], key[2])
-        tables[key] = [cols[a * d:(a + 1) * d] for a in range(h.dim(key[0], key[1]))]
+    tables = _composition_tables(h)
 
     # associativity and unit laws of composition
     for x, y, z, w in itertools.product(objs, repeat=4):
@@ -126,8 +137,9 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
         table, dxz = tables[(x, y, z)], cxz.dim
         delta_xz = _comult_by_source(cxz)
         comultiplicative = counital = True
-        for p, q, rhs in _comult_products(_comult_by_source(cxy), _comult_by_source(cyz),
-                                          table, dxz):
+        for p, q, rhs in _comult_products(_comult_by_source(cxy),
+                                          _comult_by_leg(cyz, "first"), table,
+                                          _nonzero_rows(table), dxz):
             lhs = [0] * (dxz * dxz)
             for m, t in table[p][q]:
                 for a, b, s in delta_xz[m]:
@@ -198,8 +210,7 @@ class HomCoseparabilityReport(Frozen):
 def retraction_system(h: HopfCategoryPresentation, x: int,
                       side: str) -> ConstraintSystem:
     """Per-object system for a comodule retraction of the unit of a(x,x)."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be left or right")
+    _check_side(side)
     f = h.field
     units = [(m, c) for m, c in enumerate(h.units[x]) if c != 0]
 
@@ -217,6 +228,7 @@ def retraction_system(h: HopfCategoryPresentation, x: int,
 
 def solve_retraction_family(h: HopfCategoryPresentation, side: str):
     """One retraction per object, solved independently; None if any fails."""
+    _check_side(side)
     _require_valid(h)
     table = {}
     for x in range(h.n_objects):
@@ -247,23 +259,21 @@ def _offsets(h: HopfCategoryPresentation, keys, sizes):
 
 def integral_family_system(h: HopfCategoryPresentation, side: str) -> ConstraintSystem:
     """One coupled affine system over all family vectors theta_{x,y}."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be left or right")
-    f = h.field
+    _check_side(side)
+    f, tables = h.field, _composition_tables(h)
     pairs = h.hom_pairs()
     offsets, total = _offsets(h, pairs, lambda p: h.dim(*p))
 
     def products():
         for x, y, z in itertools.product(range(h.n_objects), repeat=3):
-            cols = h.comps[(x, y, z)].columns()
-            dyz = h.dim(y, z)
+            table = tables[(x, y, z)]
             # left: mu(h (x) theta_{y,z}) = eps(h) theta_{x,z}, h in a(x,y);
             # right: mu(theta_{x,y} (x) h) = eps(h) theta_{x,z}, h in a(y,z)
             fixed, free = ((x, y), (y, z)) if side == "left" else ((y, z), (x, y))
             eps = h.homs[fixed].counit
             for i in range(h.dim(*fixed)):
                 for c in range(h.dim(*free)):
-                    for out, t in cols[i * dyz + c] if side == "left" else cols[c * dyz + i]:
+                    for out, t in table[i][c] if side == "left" else table[c][i]:
                         yield 0, (x, y, z, i), out, offsets[free] + c, t
                 if eps[i] != 0:
                     for out in range(h.dim(x, z)):
@@ -277,6 +287,7 @@ def integral_family_system(h: HopfCategoryPresentation, side: str) -> Constraint
 
 def solve_integral_family(h: HopfCategoryPresentation, side: str):
     """A normalized integral family, or None when infeasible."""
+    _check_side(side)
     _require_valid(h)
     if h.n_objects == 0:
         return IntegralFamily(side, {})
@@ -301,30 +312,30 @@ def _family_terms(h: HopfCategoryPresentation):
     basis element of a(x,z) has g = ((x, v, z), i), and out indexes
     a(x,v) (x) a(v,z)."""
     offsets, _ = _element_offsets(h)
+    tables = _composition_tables(h)
     norm, rhs = [], []
     for x, v in h.hom_pairs():
-        for c, col in enumerate(h.comps[(x, v, x)].columns()):
+        for c, col in enumerate(itertools.chain(*tables[(x, v, x)])):
             norm += [(len(rhs) + m, offsets[(x, v)] + c, t) for m, t in col]
         rhs += h.units[x]
 
     def products():
         for x, v, z in itertools.product(range(h.n_objects), repeat=3):
-            dxv, dvx, dvz, dzv, dxz = (h.dim(x, v), h.dim(v, x), h.dim(v, z),
-                                       h.dim(z, v), h.dim(x, z))
+            dxv, dvx, dvz = h.dim(x, v), h.dim(v, x), h.dim(v, z)
             # e_{x,v} h: (p (x) q) h = p (x) qh, at out p * dvz + w
-            for c, col in enumerate(h.comps[(v, x, z)].columns()):
-                q, i = divmod(c, dxz)
-                for w, t in col:
-                    for p in range(dxv):
-                        yield (0, ((x, v, z), i), p * dvz + w,
-                               offsets[(x, v)] + p * dvx + q, t)
+            for q, row in enumerate(tables[(v, x, z)]):
+                for i, col in enumerate(row):
+                    for w, t in col:
+                        for p in range(dxv):
+                            yield (0, ((x, v, z), i), p * dvz + w,
+                                   offsets[(x, v)] + p * dvx + q, t)
             # h e_{z,v}: h (a (x) w) = ha (x) w
-            for c, col in enumerate(h.comps[(x, z, v)].columns()):
-                i, a = divmod(c, dzv)
-                for p, t in col:
-                    for w in range(dvz):
-                        yield (1, ((x, v, z), i), p * dvz + w,
-                               offsets[(z, v)] + a * dvz + w, t)
+            for i, row in enumerate(tables[(x, z, v)]):
+                for a, col in enumerate(row):
+                    for p, t in col:
+                        for w in range(dvz):
+                            yield (1, ((x, v, z), i), p * dvz + w,
+                                   offsets[(z, v)] + a * dvz + w, t)
 
     return norm, rhs, products()
 

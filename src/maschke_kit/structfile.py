@@ -282,6 +282,8 @@ def _hopfcat_parse(field, obj, path) -> HopfCategoryPresentation:
         x, y = _get(entry, "source", p, int), _get(entry, "target", p, int)
         if not (0 <= x < nobj and 0 <= y < nobj):
             _fail(p, "object index out of range")
+        if (x, y) in homs:
+            _fail(p, f"repeats the hom ({x}, {y})")
         d = _dim_in(entry, p)
         comult = _tensor_in(field, _get(entry, "comult", p), d, d, d, f"{p}.comult")
         counit = _vector_in(field, _get(entry, "counit", p), d, f"{p}.counit")
@@ -295,6 +297,8 @@ def _hopfcat_parse(field, obj, path) -> HopfCategoryPresentation:
         x, y, z = key
         if (x, y) not in homs or (y, z) not in homs or (x, z) not in homs:
             _fail(f"{p}.path", "refers to a missing hom")
+        if (x, y, z) in comps:
+            _fail(f"{p}.path", f"repeats the composition ({x}, {y}, {z})")
         comps[(x, y, z)] = _matrix_in(
             field, _get(entry, "matrix", p),
             homs[(x, z)].dim, homs[(x, y)].dim * homs[(y, z)].dim, f"{p}.matrix")
@@ -304,6 +308,8 @@ def _hopfcat_parse(field, obj, path) -> HopfCategoryPresentation:
         x = _get(entry, "object", p, int)
         if (x, x) not in homs:
             _fail(p, "unit object has no hom")
+        if x in units:
+            _fail(f"{p}.object", f"repeats the unit of object {x}")
         units[x] = _vector_in(field, _get(entry, "vector", p),
                               homs[(x, x)].dim, f"{p}.vector")
     antipode = None
@@ -314,6 +320,8 @@ def _hopfcat_parse(field, obj, path) -> HopfCategoryPresentation:
             x, y = _get(entry, "source", p, int), _get(entry, "target", p, int)
             if (x, y) not in homs or (y, x) not in homs:
                 _fail(p, "refers to a missing hom")
+            if (x, y) in antipode:
+                _fail(p, f"repeats the antipode ({x}, {y})")
             antipode[(x, y)] = _matrix_in(
                 field, _get(entry, "matrix", p),
                 homs[(y, x)].dim, homs[(x, y)].dim, f"{p}.matrix")
@@ -371,6 +379,8 @@ def _groupoid_parse(obj, path) -> GroupoidPresentation:
         if not (isinstance(item, list) and len(item) == 3 and
                 all(_is_int(m) for m in item)):
             _fail(f"{path}.compose[{i}]", "expected [f, h, composite]")
+        if (item[0], item[1]) in compose:
+            _fail(f"{path}.compose[{i}]", f"repeats the pair ({item[0]}, {item[1]})")
         compose[(item[0], item[1])] = item[2]
     identity = _ints(obj, "identity", path)
     inverse = _ints(obj, "inverse", path)

@@ -35,13 +35,15 @@ from .finalg import (
     MaschkeReport,
     _apply_sparse,
     _balanced_system,
+    _by_leg,
+    _comult_by_leg,
     _comult_by_source,
     _comult_products,
     _comult_sum,
     _convolution,
     _dot,
-    _grouped,
     _mult_cols,
+    _nonzero_rows,
     _once,
     _product,
     _require_antipode,
@@ -128,10 +130,13 @@ class CointegralSolution(Frozen):
 
 @_once
 def _counit_pairing(w: WeakHopfPresentation) -> tuple:
-    """eps2[i][j] = eps(e_i e_j)."""
+    """(rows, cols): rows[x] = ((h, eps(e_x e_h)), ...) and cols[x] = ((h,
+    eps(e_h e_x)), ...) over the nonzero values."""
     eps = w.coalgebra.counit
-    return tuple(tuple(_dot(w.field, eps, terms) for terms in row)
-                 for row in _sparse_products(w.algebra))
+    pairing = [[_dot(w.field, eps, terms) for terms in row]
+               for row in _sparse_products(w.algebra)]
+    return tuple(tuple(_terms(v)) for v in pairing), \
+        tuple(tuple(_terms(v)) for v in zip(*pairing))
 
 
 @_once
@@ -164,14 +169,14 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     by_source = _comult_by_source(coa)
     # right[a] = ((c, terms of e_a e_c), ...) and left[b] = ((c, terms of
     # e_c e_b), ...) over the nonzero products
-    right = [tuple((c, terms) for c, terms in enumerate(row) if terms) for row in prod]
-    left = [tuple((c, prod[c][b]) for c in range(n) if prod[c][b]) for b in range(n)]
+    right = _nonzero_rows(prod)
+    left = _nonzero_rows(zip(*prod))
     # Delta(e_j) = sum e_a (x) e_b grouped by its first and by its second leg
-    by_first = [_grouped(terms) for terms in by_source]
-    by_second = [_grouped((b, a, s) for a, b, s in terms) for terms in by_source]
+    by_first = _comult_by_leg(coa, "first")
+    by_second = _comult_by_leg(coa, "second")
 
     # comultiplication is multiplicative: delta(hk) = delta(h) delta(k)
-    for i, j, rhs in _comult_products(by_source, by_source, prod, n):
+    for i, j, rhs in _comult_products(by_source, by_first, prod, right, n):
         lhs = [0] * (n * n)
         for m, t in prod[i][j]:
             for a, b, s in by_source[m]:
@@ -189,11 +194,11 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
             d2[idx] = add(d2[idx], mul(c0, s))
     v_straight = [zero] * (n ** 3)
     v_twisted = [zero] * (n ** 3)
-    u_first = _grouped(nz_u)
+    u_first = _by_leg((nz_u,), n, True)[0]
     for a, b, c1 in nz_u:
         for v, sides in ((v_straight, right[b]), (v_twisted, left[b])):
             for c, terms in sides:
-                cd = u_first.get(c, ())
+                cd = u_first[c]
                 for k, t in terms:
                     c1t = mul(c1, t)
                     base = (a * n + k) * n
@@ -205,7 +210,7 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
         failures.append(AxiomFailure("weak unit (twisted)", ()))
 
     # weak counit: eps(fgh) = sum eps(f g1) eps(g2 h) = sum eps(f g2) eps(g1 h)
-    eps2 = tuple(_terms(row) for row in _counit_pairing(w))
+    eps2 = _counit_pairing(w)[0]
     for i in range(n):
         for j in range(n):
             lhs = [zero] * n
@@ -219,7 +224,7 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
             for legs in (by_first[j], by_second[j]):
                 coeff = {}
                 for a, x in eps2[i]:
-                    for b, s in legs.get(a, ()):
+                    for b, s in legs[a]:
                         coeff[b] = add(coeff.get(b, zero), mul(s, x))
                 side = [zero] * n
                 for b, cb in coeff.items():
@@ -253,10 +258,7 @@ def projections(w: WeakHopfPresentation) -> ProjectionMaps:
     f = w.field
     n = w.dim
     add, mul = f.add, f.mul
-    eps2 = _counit_pairing(w)
-    # the nonzero (h, eps(e_x e_h)) and (h, eps(e_h e_x)) of each x
-    rows = [_terms(row) for row in eps2]
-    cols = [_terms(col) for col in zip(*eps2)]
+    rows, cols = _counit_pairing(w)
     piR, piR_bar, piL, piL_bar = ([f.zero()] * (n * n) for _ in range(4))
     for a, b, c in _unit_comult(w):
         for out, base, terms in ((piR, a * n, cols[b]), (piR_bar, a * n, rows[b]),

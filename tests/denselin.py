@@ -1,6 +1,7 @@
 """Dense linear algebra that only the tests use.
 
-Vector sums, scalings and zeros, a matrix from dense rows and their span,
+Vector sums, scalings and zeros, the zero matrix and tensor, one column
+of a matrix as a dense vector, a matrix from dense rows and their span,
 Kronecker products, the flip of a tensor product, the identity and the difference of matrices,
 a matrix applied to a dense vector and its transpose, the sparse columns of
 a matrix, the product of two dense vectors of an algebra, membership in a
@@ -34,6 +35,18 @@ from maschke_kit.weakhopf import WeakHopfPresentation
 
 def zero_vec(field: FieldSpec, n: int) -> tuple:
     return (field.zero(),) * n
+
+
+def zero_matrix(field: FieldSpec, rows: int, cols: int) -> Matrix:
+    return Matrix(field, rows, cols, (field.zero(),) * (rows * cols))
+
+
+def zero_tensor(field: FieldSpec, d0: int, d1: int, d2: int) -> Tensor3:
+    return Tensor3(field, d0, d1, d2, (field.zero(),) * (d0 * d1 * d2))
+
+
+def dense_col(m: Matrix, j: int) -> tuple:
+    return m.entries[j::m.cols] if m.cols else ()
 
 
 def vec_add(field: FieldSpec, u, v) -> tuple:

@@ -25,7 +25,7 @@ from maschke_kit.exactlin import ConstraintSystem, unit_vec
 from maschke_kit.finalg import (AxiomFailure, AxiomReport, _apply_sparse,
                                 _comult_by_source, _comult_sum, _nonzero_entries,
                                 _sparse_products, _terms)
-from maschke_kit.weakhopf import WeakHopfPresentation, _counit_pairing
+from maschke_kit.weakhopf import WeakHopfPresentation
 
 from denselin import comult_vec, sparse_cols
 
@@ -221,8 +221,11 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     if v_twisted != d2:
         failures.append(AxiomFailure("weak unit (twisted)", ()))
 
-    # weak counit: eps(fgh) = sum eps(f g1) eps(g2 h) = sum eps(f g2) eps(g1 h)
-    eps2 = _counit_pairing(w)
+    # weak counit: eps(fgh) = sum eps(f g1) eps(g2 h) = sum eps(f g2) eps(g1 h),
+    # with eps2[i][j] = eps(e_i e_j)
+    eps2 = [[zero] * n for _ in range(n)]
+    for i, j, k, t in alg.mult.nonzeros():
+        eps2[i][j] = add(eps2[i][j], mul(t, coa.counit[k]))
     for i in range(n):
         eps2_i = eps2[i]
         for j in range(n):

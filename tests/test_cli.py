@@ -45,6 +45,9 @@ def run(tmp_path, *argv, expect=0):
     return out.read_text() if out.exists() else ""
 
 
+HOPFCAT = ("hopf-category", "--groupoid", "pair:2", "--field", "Q")
+
+
 def gen(tmp_path, name, *argv):
     path = tmp_path / name
     assert main(["generate", *argv, "--out", str(path)]) == 0
@@ -471,6 +474,29 @@ class TestCommands:
         capsys.readouterr()
         assert main(["maschke", "--structure", str(path)]) == 3
         assert capsys.readouterr().err.startswith("invalid input:")
+
+    @pytest.mark.parametrize("argv, key, message", [
+        (HOPFCAT, "homs", "$.payload.homs[4]: repeats the hom (0, 0)"),
+        (HOPFCAT, "comps", "$.payload.comps[8].path: repeats the composition (0, 0, 0)"),
+        (HOPFCAT, "units", "$.payload.units[2].object: repeats the unit of object 0"),
+        (HOPFCAT, "antipode", "$.payload.antipode[4]: repeats the antipode (0, 0)"),
+        (("groupoid", "--groupoid", "pair:2"), "compose",
+         "$.payload.compose[8]: repeats the pair (0, 0)"),
+    ], ids=["hopfcat-homs", "hopfcat-comps", "hopfcat-units", "hopfcat-antipode",
+            "groupoid-compose"])
+    def test_repeated_entry_exits_three(self, tmp_path, capsys, argv, key, message):
+        # a second entry for the same key would silently replace the first
+        path = gen(tmp_path, "s.json", *argv)
+        doc = json.loads(path.read_text())
+        entries = doc["payload"][key]
+        entries.append(entries[0])
+        path.write_text(json.dumps(doc))
+        report = json.loads(run(tmp_path, "validate", "--structure", str(path),
+                                expect=3))
+        assert report["failures"] == [message]
+        capsys.readouterr()
+        assert main(["maschke", "--structure", str(path)]) == 3
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
 
     @pytest.mark.parametrize("command", ["maschke", "validate"])
     def test_non_utf8_structure_file_exits_three(self, tmp_path, capsys, command):

@@ -43,10 +43,10 @@ from maschke_kit.hopfalgd import (
 )
 
 from denselin import (add_matrix_rows, add_row, apply, comult_matrix, counit_matrix,
-                      generated_dim, identity, kron, left_mult_matrix, mat_sub, membership,
-                      mult_matrix, mult_vec, on_leg, project, rebased, right_mult_matrix,
-                      row_multiset, section, sparse_cols, subspace_from_rows, to_rows,
-                      unit_matrix)
+                      dense_col, generated_dim, identity, kron, left_mult_matrix, mat_sub,
+                      membership, mult_matrix, mult_vec, on_leg, project, rebased,
+                      right_mult_matrix, row_multiset, section, sparse_cols,
+                      subspace_from_rows, to_rows, unit_matrix)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -196,7 +196,7 @@ def assert_element_system_agrees(h, q, section_system) -> bool:
 def _oracle_base_images(h: HopfAlgebroidPresentation):
     """s(x) and t(x) for every base basis element, as total-algebra vectors."""
     dr = h.base.dim
-    return ([h.src.col(x) for x in range(dr)], [h.tgt.col(x) for x in range(dr)])
+    return ([dense_col(h.src, x) for x in range(dr)], [dense_col(h.tgt, x) for x in range(dr)])
 
 
 def oracle_circ_relations(h: HopfAlgebroidPresentation) -> Subspace:
@@ -467,7 +467,7 @@ def oracle_coseparability_system_hgd(h: HopfAlgebroidPresentation,
     dq = q.projection @ h.comult_lift          # delta into quotient coordinates
     # retraction: P . delta = id
     for i in range(n):
-        col = dq.col(i)
+        col = dense_col(dq, i)
         for m in range(n):
             coeffs = {m * qd + r: col[r] for r in range(qd) if col[r] != 0}
             add_row(sys, coeffs, f.one() if m == i else f.zero())
@@ -511,7 +511,7 @@ def oracle_coseparability_system_hgd(h: HopfAlgebroidPresentation,
             # common middle: delta(P(u)) in quotient coordinates
             mid = {}
             for m in range(n):
-                col = dq.col(m)
+                col = dense_col(dq, m)
                 for r, ur in enumerate(u):
                     if ur == 0:
                         continue
@@ -612,9 +612,9 @@ def oracle_integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     for i in range(n):
         e_i = unit_vec(f, n, i)
         if side == "left":
-            diff = left_mult_matrix(alg, vec_sub(f, e_i, sc.col(i)))
+            diff = left_mult_matrix(alg, vec_sub(f, e_i, dense_col(sc, i)))
         else:
-            diff = mat_sub(right_mult_matrix(alg, e_i), left_mult_matrix(alg, sc.col(i)))
+            diff = mat_sub(right_mult_matrix(alg, e_i), left_mult_matrix(alg, dense_col(sc, i)))
         add_matrix_rows(sys, q.projection @ diff)
     if normalized:
         add_matrix_rows(sys, h.counit, h.base.algebra.unit)
@@ -641,7 +641,7 @@ def oracle_cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
         moved = left_mult_matrix(alg, anchor[x])
         for j in range(n):
             for r in range(dr):
-                coeffs = {r * n + jp: c for jp, c in enumerate(moved.col(j)) if c != 0}
+                coeffs = {r * n + jp: c for jp, c in enumerate(dense_col(moved, j)) if c != 0}
                 for rp in range(dr):
                     c = base.mult.at(x, rp, r)
                     if c != 0:

@@ -266,6 +266,13 @@ class TestCheck:
         assert check_hopf_category(empty).ok()
         assert check_hom_coseparability(empty).all_coseparable
 
+    def test_side_is_checked_before_the_empty_category_shortcut(self):
+        empty = HopfCategoryPresentation((), {}, {}, {}, None)
+        for solve in (solve_integral_family, solve_retraction_family):
+            assert solve(empty, "left").side == "left"
+            with pytest.raises(ValueError, match="^side must be left or right$"):
+                solve(empty, "up")
+
 
 def raw_sum_categories():
     """The oracle categories, then damaged rebased copies whose structure

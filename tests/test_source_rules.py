@@ -162,31 +162,34 @@ def test_only_exactlin_owns_the_rational_type():
 DENSE_MULTIPLICATION = ("left_mult_matrix", "right_mult_matrix", "mult_matrix", "comult_vec")
 
 
-DENSE_MATRIX_METHODS = ("identity", "__sub__", "from_rows")
+DENSE_MATRIX_METHODS = ("identity", "__sub__", "from_rows", "zeros", "col")
 
 
 def test_no_dense_multiplication_matrix():
     # validation and systems read the sparse product tables and Delta grouped
     # by source; the dense multiplication matrices, the dense comultiplication
     # of a vector, the identity, the matrix difference and the matrix from
-    # dense rows live in tests/denselin.py as oracles only
-    from maschke_kit.exactlin import Matrix
+    # dense rows, the zero matrix and tensor and one dense column live in
+    # tests/denselin.py as oracles only
+    from maschke_kit.exactlin import Matrix, Tensor3
     from maschke_kit.finalg import CoalgebraPresentation
     defined = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.FunctionDef) and node.name in DENSE_MULTIPLICATION:
                 defined.add(f"{path.stem}.{node.name}")
-            if isinstance(node, ast.ClassDef) and node.name == "Matrix":
-                defined |= {f"{path.stem}.Matrix.{item.name}" for item in node.body
+            if isinstance(node, ast.ClassDef) and node.name in ("Matrix", "Tensor3"):
+                defined |= {f"{path.stem}.{node.name}.{item.name}" for item in node.body
                             if isinstance(item, ast.FunctionDef)
                             and item.name in DENSE_MATRIX_METHODS}
     assert defined == set()
-    assert _call_sites(_named(*DENSE_MULTIPLICATION, "__sub__")) == set()
+    assert _call_sites(_named(*DENSE_MULTIPLICATION, "__sub__", "col")) == set()
     assert _call_sites(lambda f: isinstance(f, ast.Attribute)
-                       and f.attr in ("identity", "from_rows")
-                       and isinstance(f.value, ast.Name) and f.value.id == "Matrix") == set()
+                       and f.attr in ("identity", "from_rows", "zeros")
+                       and isinstance(f.value, ast.Name)
+                       and f.value.id in ("Matrix", "Tensor3")) == set()
     assert not any(hasattr(Matrix, name) for name in DENSE_MATRIX_METHODS)
+    assert not hasattr(Tensor3, "zeros")
     assert not hasattr(CoalgebraPresentation, "comult_vec")
     # the benchmark's tracer wraps Matrix.__matmul__ by name, so it stays
     assert callable(Matrix.__matmul__)
@@ -334,3 +337,52 @@ def test_one_comultiplicativity_walk_and_one_associativity_walk():
         "hopfcat.check_hopf_category"}
     assert _call_sites(_named("_associativity_failures")) == {
         "finalg.check_algebra", "hopfcat.check_hopf_category"}
+
+
+def _attribute_reads(attr) -> set:
+    found = set()
+    for path in SOURCES:
+        visitor = _AttributeReads(path.stem, attr)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        found |= visitor.found
+    return found
+
+
+def test_each_derived_view_has_one_builder():
+    # the sparse views that the checks, walks and system builders read are
+    # built in one place each, and each reader takes the built view
+    defined = {f"{path.stem}.{node.name}"
+               for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.FunctionDef)}
+    assert "finalg._grouped" not in defined
+    # Delta grouped by leg: stored on the coalgebra, or, for the unit's
+    # comultiplication and the algebroid's lift, built once by its stored check
+    assert _call_sites(_named("_by_leg")) == {
+        "finalg._comult_by_leg", "weakhopf.check_weak_bialgebra",
+        "hopfalgd.check_hopf_algebroid"}
+    assert _call_sites(_named("_comult_by_leg")) == {
+        "weakhopf.check_weak_bialgebra", "hopfcat.check_hopf_category"}
+    # the nonzero product rows, passed to the comultiplicativity walk
+    assert _call_sites(_named("_nonzero_rows")) == {
+        "weakhopf.check_weak_bialgebra", "hopfalgd.check_hopf_algebroid",
+        "hopfcat.check_hopf_category"}
+    # eps(e_i e_j) as sparse rows and columns
+    assert _call_sites(_named("_counit_pairing")) == {
+        "weakhopf.check_weak_bialgebra", "weakhopf.projections"}
+    # s(x) e_j, t(x) e_j, e_j s(x) and e_j t(x): the only product-table
+    # columns of a source or target image; the other _mult_cols calls act
+    # with s(x)t(y), s(x) - t(x), s(eps(e_i)) and a solved integral
+    assert {site for site in _call_sites(_named("_mult_cols"))
+            if site.startswith("hopfalgd.")} == {
+        "hopfalgd._actions", "hopfalgd.bullet_relations", "hopfalgd.ideal_subspace",
+        "hopfalgd.integral_system_hgd.products", "hopfalgd.solve_integral_hgd"}
+    sources = _attribute_reads("src") | _attribute_reads("tgt")
+    assert {site for site in sources if site.startswith("hopfalgd.")} == {
+        "hopfalgd.HopfAlgebroidPresentation.__post_init__", "hopfalgd._counit_images",
+        "hopfalgd._actions", "hopfalgd.bullet_relations", "hopfalgd.ideal_subspace",
+        "hopfalgd.check_hopf_algebroid", "hopfalgd.cointegral_system_hgd"}
+    # the composition tables: no other function of hopfcat slices or indexes
+    # the composition matrices' columns
+    assert {site for site in _attribute_reads("comps") if site.startswith("hopfcat.")} == {
+        "hopfcat.HopfCategoryPresentation.__post_init__", "hopfcat._composition_tables"}

@@ -64,8 +64,8 @@ from maschke_kit.weakhopf import (
     solve_integral,
 )
 
-from denselin import (NON_SCALAR_Q, add_matrix_rows, add_row, apply, comult_vec, identity,
-                      left_mult_matrix, matrix_pair_weak_hopf, mult_vec, rebased,
+from denselin import (NON_SCALAR_Q, add_matrix_rows, add_row, apply, comult_vec, dense_col,
+                      identity, left_mult_matrix, matrix_pair_weak_hopf, mult_vec, rebased,
                       right_mult_matrix, row_multiset, sparse_cols,
                       subspace_from_rows, transpose, vec_add, vec_scale, zero_vec)
 
@@ -166,13 +166,13 @@ def oracle_integral_system(w, side, variant, normalized) -> ConstraintSystem:
     if side == "left":
         for i in range(n):
             add_matrix_rows(sys, left_mult_matrix(alg, vec_sub(f, basis[i],
-                                                               maps.piL.col(i))))
+                                                               dense_col(maps.piL, i))))
         if normalized:
             add_matrix_rows(sys, maps.piR_bar, alg.unit)
     else:
         for i in range(n):
             add_matrix_rows(sys, right_mult_matrix(alg, vec_sub(f, basis[i],
-                                                                maps.piR.col(i))))
+                                                                dense_col(maps.piR, i))))
         if normalized:
             add_matrix_rows(sys, maps.piR, alg.unit)
     if variant == "duoidal":
@@ -255,7 +255,7 @@ def oracle_cointegral_system(w, side, variant, normalized) -> ConstraintSystem:
 
 
 def _oracle_image(field, m: Matrix):
-    return subspace_from_rows(field, m.rows, [m.col(j) for j in range(m.cols)])
+    return subspace_from_rows(field, m.rows, [dense_col(m, j) for j in range(m.cols)])
 
 
 def oracle_base_algebra(w) -> BaseAlgebraInfo:
@@ -315,7 +315,7 @@ def oracle_base_algebra(w) -> BaseAlgebraInfo:
         if c == 0:
             continue
         a, b = divmod(ab, n)
-        col = maps.piR.col(b)
+        col = dense_col(maps.piR, b)
         for k in range(n):
             if col[k] != 0:
                 fe[a * n + k] = f.add(fe[a * n + k], f.mul(c, col[k]))
@@ -351,9 +351,9 @@ def oracle_convert_integral(w, t_prime, side) -> tuple:
         a, b = divmod(ab, n)
         if side == "left":
             term = oracle_mult_vec(alg, oracle_mult_vec(alg, t_prime, basis[a]),
-                                   comp.col(b))
+                                   dense_col(comp, b))
         else:
-            term = oracle_mult_vec(alg, oracle_mult_vec(alg, comp.col(a), basis[b]),
+            term = oracle_mult_vec(alg, oracle_mult_vec(alg, dense_col(comp, a), basis[b]),
                                    t_prime)
         out = vec_add(f, out, vec_scale(f, c, term))
     return out
@@ -376,9 +376,9 @@ def oracle_convert_cointegral(w, tau_prime, side) -> tuple:
             a, b = divmod(ab, n)
             if side == "left":
                 vec = oracle_mult_vec(alg, oracle_mult_vec(alg, basis[a], basis[j]),
-                                      maps.piR.col(b))
+                                      dense_col(maps.piR, b))
             else:
-                vec = oracle_mult_vec(alg, oracle_mult_vec(alg, maps.piL.col(a), basis[j]),
+                vec = oracle_mult_vec(alg, oracle_mult_vec(alg, dense_col(maps.piL, a), basis[j]),
                                       basis[b])
             dot = f.zero()
             for x, y in zip(tau_prime, vec):

@@ -9,7 +9,9 @@ too large for the available memory included), 4 usage error.
 
 The argv is read against one table of flags per command (``COMMANDS``) by a
 small parser with argparse's rules, so a one-shot process does not import
-argparse or build a parser tree.
+argparse or build a parser tree.  A command imports the module of the one
+structure kind it reads (``generate`` imports ``examples``), and the process
+entry point ``console_main`` ends without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import re
 import sys
 import time
 
-from . import examples, finalg, hopfalgd, hopfcat, weakhopf
+from . import finalg
 from .exactlin import FieldSpec
-from .finalg import InvalidPresentationError
+from .finalg import InvalidPresentationError, StructureDefectError
 from .structfile import (
     FORMAT_VERSION,
     StructureFileError,
@@ -91,6 +93,7 @@ def _run_integrals(presentation, kind, args, report):
     report["side"] = side
     f = presentation_field(presentation)
     if kind == "weakhopf":
+        from . import weakhopf
         report["variant"] = args["variant"]
         report["normalized"] = args["normalized"]
         sol = weakhopf.solve_integral(presentation, side, args["variant"],
@@ -99,6 +102,7 @@ def _run_integrals(presentation, kind, args, report):
         if sol is not None:
             report.update(_affine_doc(f, list(presentation.labels), sol.solutions))
     elif kind == "algebroid":
+        from . import hopfalgd
         report["normalized"] = args["normalized"]
         sol = hopfalgd.solve_integral_hgd(presentation, side, args["normalized"])
         report["feasible"] = sol is not None
@@ -106,6 +110,7 @@ def _run_integrals(presentation, kind, args, report):
             report.update(_affine_doc(f, list(presentation.total.labels),
                                       sol.solutions))
     elif kind == "hopfcat":
+        from . import hopfcat
         fam = hopfcat.solve_integral_family(presentation, side)
         report["feasible"] = fam is not None
         if fam is not None:
@@ -120,6 +125,7 @@ def _run_cointegrals(presentation, kind, args, report):
     report["side"] = side
     f = presentation_field(presentation)
     if kind == "weakhopf":
+        from . import weakhopf
         report["variant"] = args["variant"]
         report["normalized"] = args["normalized"]
         sol = weakhopf.solve_cointegral(presentation, side, args["variant"],
@@ -128,6 +134,7 @@ def _run_cointegrals(presentation, kind, args, report):
         if sol is not None:
             report.update(_affine_doc(f, list(presentation.labels), sol.solutions))
     elif kind == "algebroid":
+        from . import hopfalgd
         report["normalized"] = args["normalized"]
         sol = hopfalgd.solve_cointegral_hgd(presentation, side, args["normalized"])
         report["feasible"] = sol is not None
@@ -137,6 +144,7 @@ def _run_cointegrals(presentation, kind, args, report):
             doc["solution"]["cols"] = list(presentation.total.labels)
             report.update(doc)
     elif kind == "hopfcat":
+        from . import hopfcat
         fam = hopfcat.solve_retraction_family(presentation, side)
         report["feasible"] = fam is not None
         report["note"] = "per-object counit retractions"
@@ -158,12 +166,14 @@ def _run_separability(presentation, kind, report):
             report["element"] = _vec_out(f, section.element)
             report["coefficients"] = _vec_out(f, section.map.entries)
     elif kind == "algebroid":
+        from . import hopfalgd
         section = hopfalgd.solve_separability_hgd(presentation)
         report["feasible"] = section is not None
         if section is not None:
             report["quotient_dim"] = section.quotient.dim
             report["coefficients"] = _vec_out(f, section.map.entries)
     elif kind == "hopfcat":
+        from . import hopfcat
         fam = hopfcat.solve_separability_family(presentation)
         report["feasible"] = fam is not None
         if fam is not None:
@@ -190,12 +200,14 @@ def _run_coseparability(presentation, kind, report):
         if retraction is not None:
             report["coefficients"] = _vec_out(f, retraction.map.entries)
     elif kind == "algebroid":
+        from . import hopfalgd
         retraction = hopfalgd.solve_coseparability_hgd(presentation)
         report["feasible"] = retraction is not None
         if retraction is not None:
             report["quotient_dim"] = retraction.quotient.dim
             report["coefficients"] = _vec_out(f, retraction.map.entries)
     elif kind == "hopfcat":
+        from . import hopfcat
         verdicts = hopfcat.check_hom_coseparability(presentation)
         report["feasible"] = verdicts.all_coseparable
         report["per_hom"] = [{"source": x, "target": y, "coseparable": v}
@@ -205,19 +217,20 @@ def _run_coseparability(presentation, kind, report):
     return report["feasible"]
 
 
-MASCHKE_SOLVERS = {"weakhopf": weakhopf.maschke_report,
-                   "algebroid": hopfalgd.maschke_report,
-                   "hopfcat": hopfcat.maschke_report}
-
-
 def _run_maschke(presentation, kind, report):
-    if kind not in MASCHKE_SOLVERS:
+    if kind == "weakhopf":
+        from .weakhopf import maschke_report
+    elif kind == "algebroid":
+        from .hopfalgd import maschke_report
+    elif kind == "hopfcat":
+        from .hopfcat import maschke_report
+    else:
         raise StructureFileError(f"maschke does not apply to kind {kind!r}")
     if presentation.antipode is None:
         raise StructureFileError(
             "maschke requires an antipode; the equivalence is only claimed "
             "for Hopf monoids")
-    rep = MASCHKE_SOLVERS[kind](presentation)
+    rep = maschke_report(presentation)
     if kind == "hopfcat":
         report["integral_families"] = rep.integral_flags
         report["separability_family"] = rep.separability is not None
@@ -247,26 +260,42 @@ def _key(key):
     return key if isinstance(key, str) else "/".join(key)
 
 
+# family -> (the flag naming its input, builder(examples module, name, field))
 GENERATORS = {
-    "group-algebra": ("group", lambda a, f: examples.group_algebra(
-        examples.group_by_name(a), f)),
-    "dual-group-algebra": ("group", lambda a, f: examples.dual_group_algebra(
-        examples.group_by_name(a), f)),
-    "groupoid-algebra": ("groupoid", lambda a, f: examples.groupoid_algebra(
-        examples.groupoid_by_name(a), f)),
-    "hopf-category": ("groupoid", lambda a, f: examples.hopf_category_from_groupoid(
-        examples.groupoid_by_name(a), f)),
-    "pair-algebroid": ("base", lambda a, f: examples.pair_hopf_algebroid(
-        examples.base_by_name(a, f))),
-    "group": ("group", lambda a, f: examples.group_by_name(a)),
-    "groupoid": ("groupoid", lambda a, f: examples.groupoid_by_name(a)),
-    "commalgebra": ("base", lambda a, f: examples.base_by_name(a, f)),
+    "group-algebra": ("group", lambda ex, a, f: ex.group_algebra(
+        ex.group_by_name(a), f)),
+    "dual-group-algebra": ("group", lambda ex, a, f: ex.dual_group_algebra(
+        ex.group_by_name(a), f)),
+    "groupoid-algebra": ("groupoid", lambda ex, a, f: ex.groupoid_algebra(
+        ex.groupoid_by_name(a), f)),
+    "hopf-category": ("groupoid", lambda ex, a, f: ex.hopf_category_from_groupoid(
+        ex.groupoid_by_name(a), f)),
+    "pair-algebroid": ("base", lambda ex, a, f: ex.pair_hopf_algebroid(
+        ex.base_by_name(a, f))),
+    "group": ("group", lambda ex, a, f: ex.group_by_name(a)),
+    "groupoid": ("groupoid", lambda ex, a, f: ex.groupoid_by_name(a)),
+    "commalgebra": ("base", lambda ex, a, f: ex.base_by_name(a, f)),
 }
+
+
+def _stdout_error(exc: OSError) -> UsageError:
+    return UsageError(f"cannot write <stdout>: {exc}")
+
+
+def _write_stdout(text):
+    """Write text to standard output; a failed write, or a process started
+    with standard output closed, is a UsageError like a failed --out."""
+    try:
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _stdout_error(exc) from exc
 
 
 def _emit(text, out):
     if out in (None, "-"):
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -515,7 +544,7 @@ def execute_command(argv) -> int:
     """Dispatch one CLI invocation; returns the exit code."""
     args = parse_argv(argv)
     if args is None:
-        sys.stdout.write(usage_text())
+        _write_stdout(usage_text())
         return EXIT_OK
     if args["command"] == "generate":
         family = args["family"]
@@ -528,8 +557,9 @@ def execute_command(argv) -> int:
             if args["field"] is None:
                 raise UsageError(f"generate {family} needs --field")
             field = parse_field_flag(args["field"])
+        from . import examples
         try:
-            presentation = builder(value, field)
+            presentation = builder(examples, value, field)
         except ValueError as exc:
             raise UsageError(str(exc))
         _emit(serialize_structure(presentation), args["out"])
@@ -598,10 +628,9 @@ def main(argv=None) -> int:
     try:
         return execute_command(argv)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     except (StructureFileError, InvalidPresentationError,
-            weakhopf.StructureDefectError) as exc:
+            StructureDefectError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError:
@@ -611,8 +640,32 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
+def _usage_error(exc: UsageError) -> int:
+    print(f"usage error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def console_main():
-    sys.exit(main())
+    """The process entry point (``python -m maschke_kit.cli`` and the
+    ``maschke-kit`` script): run main(), flush standard output and error, and
+    end the process with os._exit, skipping the interpreter's teardown of
+    every loaded module.  A failed flush of standard output is reported as a
+    failed write is.  If standard error cannot be flushed, the process exits
+    through sys.exit, whose teardown reports the failure.  In-process callers
+    use main(), which returns.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = _usage_error(_stdout_error(exc))
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

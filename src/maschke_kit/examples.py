@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .exactlin import FieldSpec, Frozen, Matrix, Tensor3
-from .finalg import AlgebraPresentation, CoalgebraPresentation
+from .finalg import MAX_GENERATED_ORDER, AlgebraPresentation, CoalgebraPresentation
 from .hopfalgd import CommAlgebraPresentation, HopfAlgebroidPresentation
 from .hopfcat import HopfCategoryPresentation
 from .weakhopf import WeakHopfPresentation
@@ -24,6 +24,8 @@ class GroupPresentation(Frozen):
     identity: int
     inverse: tuple
     labels: tuple
+
+    FILE_KIND = "group"   # the kind tag of its structure file
 
     def __post_init__(self):
         n = self.order
@@ -100,11 +102,6 @@ def dihedral_group(n: int) -> GroupPresentation:
     return GroupPresentation.from_table(table)
 
 
-# Largest order of a group or groupoid built from its name.  Its algebra has
-# order^3 structure constants, so the order is checked before any table exists.
-MAX_GENERATED_ORDER = 64
-
-
 def _check_order(order: int, name: str):
     if order > MAX_GENERATED_ORDER:
         raise ValueError(f"{name!r} has order {order}, above the limit "
@@ -135,6 +132,8 @@ class GroupoidPresentation(Frozen):
     identity: tuple        # per object, the identity morphism index
     inverse: tuple
     labels: tuple
+
+    FILE_KIND = "groupoid"   # the kind tag of its structure file
 
     def __post_init__(self):
         nm = len(self.source)

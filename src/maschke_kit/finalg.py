@@ -67,6 +67,16 @@ class InvalidPresentationError(ValueError):
         super().__init__(f"invalid {what}:\n{report.render()}")
 
 
+class StructureDefectError(RuntimeError):
+    """An identity that must hold for valid input failed; internal inconsistency."""
+
+
+# Largest dimension a structure file may declare, and largest order of a group
+# or groupoid built from its name.  An algebra has dim^3 structure constants,
+# so the limit is checked before any table exists.
+MAX_GENERATED_ORDER = 64
+
+
 _MISSING = object()
 
 

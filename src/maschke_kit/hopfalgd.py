@@ -60,6 +60,8 @@ class CommAlgebraPresentation(Frozen):
 
     algebra: AlgebraPresentation
 
+    FILE_KIND = "commalgebra"   # the kind tag of its structure file
+
     def __post_init__(self):
         prod = _sparse_products(self.algebra)
         for i in range(self.algebra.dim):
@@ -89,6 +91,8 @@ class HopfAlgebroidPresentation(Frozen):
     counit: Matrix       # A -> R
     antipode: Matrix | None = None
 
+    FILE_KIND = "algebroid"   # the kind tag of its structure file
+
     def __post_init__(self):
         f = self.base.field
         dr, da = self.base.dim, self.total.dim
@@ -115,6 +119,15 @@ def _counit_images(h: HopfAlgebroidPresentation) -> tuple:
     ecols = h.counit.columns()
     return tuple(tuple(tuple(sorted(_apply_sparse(h.field, m.columns(), col).items()))
                        for col in ecols) for m in (h.src, h.tgt))
+
+
+@_once
+def _counit_actions(h: HopfAlgebroidPresentation) -> tuple:
+    """cols[i][j] = ((k, value), ...): the terms of s(eps(e_i)) e_j, in the
+    order the product table yields them; values may be zero."""
+    f, prod = h.field, _sparse_products(h.total)
+    return tuple(tuple(tuple(col.items()) for col in _mult_cols(f, prod, s, True))
+                 for s in _counit_images(h)[0])
 
 
 @_once
@@ -356,13 +369,13 @@ def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
     f, n, left = h.field, h.total.dim, side == "left"
     prod = _sparse_products(h.total)
     pcols = _ideal_quotient(h).projection.columns()
-    sc = _counit_images(h)[0]
+    actions = _counit_actions(h)
 
     def products():
         # pi(e_i e_j) (left) or pi(e_j e_i) (right) against pi(s(eps(e_i)) e_j)
         for i in range(n):
             for which, cols in ((0, [prod[i][j] if left else prod[j][i] for j in range(n)]),
-                                (1, [c.items() for c in _mult_cols(f, prod, sc[i], True)])):
+                                (1, actions[i])):
                 for j, col in enumerate(cols):
                     for k, v in col:
                         for r, p in pcols[k]:

@@ -47,6 +47,8 @@ class HopfCategoryPresentation(Frozen):
     units: dict                    # x -> vector in a(x,x)
     antipode: dict | None = None   # (x, y) -> Matrix a(x,y) -> a(y,x)
 
+    FILE_KIND = "hopfcat"   # the kind tag of its structure file
+
     def __post_init__(self):
         nobj = len(self.objects)
         pairs = [(x, y) for x in range(nobj) for y in range(nobj)]

@@ -4,19 +4,19 @@ Files carry a format version, a field descriptor, a kind tag and a
 kind-specific payload of structure constants.  Scalars are text tokens
 ("3/2", "-1", "4"), so files stay exact and human-diffable.  Serialization
 is canonical: parse-then-serialize is byte-stable.
+
+A kind's module (``weakhopf``, ``hopfalgd``, ``hopfcat``, or ``examples`` for
+groups and groupoids) is imported only once a file of that kind is read, so a
+one-shot process loads only the kind it reads.
 """
 
 from __future__ import annotations
 
 import json
 
-from .examples import MAX_GENERATED_ORDER, GroupPresentation, GroupoidPresentation
 from .exactlin import MAX_AXIS, FieldSpec, Matrix, Tensor3
-from .finalg import AlgebraPresentation, AxiomReport, CoalgebraPresentation
-from .hopfalgd import CommAlgebraPresentation, HopfAlgebroidPresentation, \
-    check_hopf_algebroid
-from .hopfcat import HopfCategoryPresentation, check_hopf_category
-from .weakhopf import WeakHopfPresentation, check_antipode, check_weak_bialgebra
+from .finalg import MAX_GENERATED_ORDER, AlgebraPresentation, AxiomReport, \
+    CoalgebraPresentation
 
 FORMAT_VERSION = "maschke-kit/1"
 KINDS = ("weakhopf", "algebroid", "hopfcat", "group", "groupoid", "commalgebra")
@@ -190,7 +190,7 @@ def _algebra_in(field, obj, path) -> AlgebraPresentation:
         _fail(path, str(exc))
 
 
-def _weakhopf_payload(w: WeakHopfPresentation) -> dict:
+def _weakhopf_payload(w) -> dict:
     f = w.field
     payload = _algebra_out(f, w.algebra)
     payload["comult"] = _tensor_out(f, w.coalgebra.comult)
@@ -199,7 +199,8 @@ def _weakhopf_payload(w: WeakHopfPresentation) -> dict:
     return payload
 
 
-def _weakhopf_parse(field, obj, path) -> WeakHopfPresentation:
+def _weakhopf_parse(field, obj, path):
+    from .weakhopf import WeakHopfPresentation
     algebra = _algebra_in(field, obj, path)
     n = algebra.dim
     comult = _tensor_in(field, _get(obj, "comult", path), n, n, n, f"{path}.comult")
@@ -211,7 +212,7 @@ def _weakhopf_parse(field, obj, path) -> WeakHopfPresentation:
     return WeakHopfPresentation(algebra, coalgebra, antipode)
 
 
-def _algebroid_payload(h: HopfAlgebroidPresentation) -> dict:
+def _algebroid_payload(h) -> dict:
     f = h.field
     return {
         "base": _algebra_out(f, h.base.algebra),
@@ -224,7 +225,8 @@ def _algebroid_payload(h: HopfAlgebroidPresentation) -> dict:
     }
 
 
-def _algebroid_parse(field, obj, path) -> HopfAlgebroidPresentation:
+def _algebroid_parse(field, obj, path):
+    from .hopfalgd import CommAlgebraPresentation, HopfAlgebroidPresentation
     base_alg = _algebra_in(field, _get(obj, "base", path), f"{path}.base")
     try:
         base = CommAlgebraPresentation(base_alg)
@@ -246,7 +248,7 @@ def _algebroid_parse(field, obj, path) -> HopfAlgebroidPresentation:
     return HopfAlgebroidPresentation(base, total, src, tgt, lift, counit, antipode)
 
 
-def _hopfcat_payload(h: HopfCategoryPresentation) -> dict:
+def _hopfcat_payload(h) -> dict:
     f = h.field if h.n_objects else FieldSpec.rationals()
     homs = []
     for (x, y) in sorted(h.homs):
@@ -271,7 +273,8 @@ def _hopfcat_payload(h: HopfCategoryPresentation) -> dict:
             "units": units, "antipode": antipode}
 
 
-def _hopfcat_parse(field, obj, path) -> HopfCategoryPresentation:
+def _hopfcat_parse(field, obj, path):
+    from .hopfcat import HopfCategoryPresentation
     objects = _get(obj, "objects", path, list)
     if not all(isinstance(x, str) for x in objects):
         _fail(f"{path}.objects", "object labels must be text")
@@ -331,7 +334,7 @@ def _hopfcat_parse(field, obj, path) -> HopfCategoryPresentation:
         _fail(path, str(exc))
 
 
-def _group_payload(g: GroupPresentation) -> dict:
+def _group_payload(g) -> dict:
     return {
         "order": g.order,
         "identity": g.identity,
@@ -341,7 +344,8 @@ def _group_payload(g: GroupPresentation) -> dict:
     }
 
 
-def _group_parse(obj, path) -> GroupPresentation:
+def _group_parse(obj, path):
+    from .examples import GroupPresentation
     order = _get(obj, "order", path, int)
     table = _get(obj, "table", path, list)
     if not all(isinstance(row, list) and all(_is_int(x) for x in row) for row in table):
@@ -358,7 +362,7 @@ def _group_parse(obj, path) -> GroupPresentation:
     return g
 
 
-def _groupoid_payload(g: GroupoidPresentation) -> dict:
+def _groupoid_payload(g) -> dict:
     return {
         "objects": list(g.objects),
         "source": list(g.source),
@@ -370,7 +374,8 @@ def _groupoid_payload(g: GroupoidPresentation) -> dict:
     }
 
 
-def _groupoid_parse(obj, path) -> GroupoidPresentation:
+def _groupoid_parse(obj, path):
+    from .examples import GroupoidPresentation
     objects = tuple(_get(obj, "objects", path, list))
     source = _ints(obj, "source", path)
     target = _ints(obj, "target", path)
@@ -392,7 +397,8 @@ def _groupoid_parse(obj, path) -> GroupoidPresentation:
         _fail(path, str(exc))
 
 
-def _commalgebra_parse(field, obj, path) -> CommAlgebraPresentation:
+def _commalgebra_parse(field, obj, path):
+    from .hopfalgd import CommAlgebraPresentation
     algebra = _algebra_in(field, obj, path)
     try:
         return CommAlgebraPresentation(algebra)
@@ -405,19 +411,11 @@ def _commalgebra_parse(field, obj, path) -> CommAlgebraPresentation:
 
 
 def kind_of(presentation) -> str:
-    if isinstance(presentation, WeakHopfPresentation):
-        return "weakhopf"
-    if isinstance(presentation, HopfAlgebroidPresentation):
-        return "algebroid"
-    if isinstance(presentation, HopfCategoryPresentation):
-        return "hopfcat"
-    if isinstance(presentation, GroupPresentation):
-        return "group"
-    if isinstance(presentation, GroupoidPresentation):
-        return "groupoid"
-    if isinstance(presentation, CommAlgebraPresentation):
-        return "commalgebra"
-    raise TypeError(f"not a serializable presentation: {type(presentation)!r}")
+    """The kind tag of the presentation's structure file, read from its class."""
+    kind = getattr(type(presentation), "FILE_KIND", None)
+    if kind is None:
+        raise TypeError(f"not a serializable presentation: {type(presentation)!r}")
+    return kind
 
 
 def presentation_field(presentation):
@@ -458,13 +456,16 @@ def check_presentation(presentation) -> AxiomReport:
     """Every axiom check that applies to the presentation's kind."""
     kind = kind_of(presentation)
     if kind == "weakhopf":
+        from .weakhopf import check_antipode, check_weak_bialgebra
         report = check_weak_bialgebra(presentation)
         if report.ok() and presentation.antipode is not None:
             report = report.merged(check_antipode(presentation))
         return report
     if kind == "algebroid":
+        from .hopfalgd import check_hopf_algebroid
         return check_hopf_algebroid(presentation)
     if kind == "hopfcat":
+        from .hopfcat import check_hopf_category
         return check_hopf_category(presentation)
     # group/groupoid/commalgebra constructors already verified their axioms
     return AxiomReport()
@@ -496,13 +497,51 @@ def parse_structure_file(path):
 
 def parse_structure_text_unvalidated(text: str):
     """Parse without running axiom validators (version, kind and shape checks)."""
+    return _parse_doc(_load_json(text))
+
+
+def _load_json(text: str):
+    """The JSON document of text; StructureFileError when it is not JSON or
+    an object in it repeats a key, which plain json.loads would let the last
+    value win."""
+    repeats = []
+
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs) and not repeats:
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    repeats.append((obj, key))
+                    break
+                seen.add(key)
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=pairs_hook)
     except ValueError as exc:
         raise StructureFileError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise StructureFileError("not valid JSON: nested too deeply") from exc
-    return _parse_doc(doc)
+    if repeats:
+        obj, key = repeats[0]
+        _fail(_path_of(doc, obj), f"repeats the key {key!r}")
+    return doc
+
+
+def _path_of(doc, target) -> str:
+    """The path of the node target (by identity) in doc.  The walk does not
+    recurse: from Python 3.12 the parser's nesting limit is the C recursion
+    limit, above the limit on nested Python calls."""
+    stack = [("$", doc)]
+    while stack:
+        path, node = stack.pop()
+        if node is target:
+            return path
+        if isinstance(node, dict):
+            stack.extend((f"{path}.{k}", v) for k, v in node.items())
+        elif isinstance(node, list):
+            stack.extend((f"{path}[{i}]", v) for i, v in enumerate(node))
 
 
 def _parse_doc(doc):

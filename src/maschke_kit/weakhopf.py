@@ -33,6 +33,7 @@ from .finalg import (
     CoalgebraPresentation,
     InvalidPresentationError,
     MaschkeReport,
+    StructureDefectError,
     _apply_sparse,
     _balanced_system,
     _by_leg,
@@ -60,14 +61,12 @@ SIDES = ("left", "right")
 VARIANTS = ("primed", "duoidal")
 
 
-class StructureDefectError(RuntimeError):
-    """An identity that must hold for valid input failed; internal inconsistency."""
-
-
 class WeakHopfPresentation(Frozen):
     algebra: AlgebraPresentation
     coalgebra: CoalgebraPresentation
     antipode: Matrix | None = None
+
+    FILE_KIND = "weakhopf"   # the kind tag of its structure file
 
     def __post_init__(self):
         a, c = self.algebra, self.coalgebra

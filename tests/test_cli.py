@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -136,6 +137,25 @@ class TestParsingErrors:
                 "kind": "weakhopf",
                 "payload": {"dim": 1},
             }))
+
+    def test_repeated_key_deep_in_the_document_is_named(self):
+        # a repeat nested as deep as the parser allows is reported with its
+        # path, not as a RecursionError of the walk that finds the path
+        def message(depth):
+            text = '{"a": ' + "[" * depth + '{"k": 1, "k": 2}' + "]" * depth + "}"
+            with pytest.raises(StructureFileError) as caught:
+                parse_structure_text(text)
+            return str(caught.value)
+
+        deep, too_deep = 1, 5000
+        while too_deep - deep > 1:
+            mid = (deep + too_deep) // 2
+            if message(mid) == "not valid JSON: nested too deeply":
+                too_deep = mid
+            else:
+                deep = mid
+        assert deep > 100
+        assert message(deep) == "$.a" + "[0]" * deep + ": repeats the key 'k'"
 
     def test_wrong_version(self):
         with pytest.raises(StructureFileError, match="version"):
@@ -498,6 +518,30 @@ class TestCommands:
         assert main(["maschke", "--structure", str(path)]) == 3
         assert capsys.readouterr().err == f"invalid input: {message}\n"
 
+    @pytest.mark.parametrize("argv, damage, message", [
+        (("group-algebra", "--group", "C2", "--field", "Q"),
+         ('"antipode":', '"counit": ["1", "1"],\n    "antipode":'),
+         "$.payload: repeats the key 'counit'"),
+        (HOPFCAT, ('"dim":', '"dim": 1,\n      "dim":'),
+         "$.payload.homs[0]: repeats the key 'dim'"),
+        (("group-algebra", "--group", "C2", "--field", "Q"),
+         ('"format_version":', '"format_version": "maschke-kit/1",\n  "format_version":'),
+         "$: repeats the key 'format_version'"),
+    ], ids=["payload", "nested", "top-level"])
+    def test_repeated_json_key_exits_three(self, tmp_path, capsys, argv, damage, message):
+        # json.loads keeps the last of two values for one key, so a second
+        # "counit" would silently replace the first
+        path = gen(tmp_path, "s.json", *argv)
+        text = path.read_text()
+        assert damage[0] in text
+        path.write_text(text.replace(*damage, 1))
+        report = json.loads(run(tmp_path, "validate", "--structure", str(path),
+                                expect=3))
+        assert report["failures"] == [message]
+        capsys.readouterr()
+        assert main(["maschke", "--structure", str(path)]) == 3
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
     @pytest.mark.parametrize("command", ["maschke", "validate"])
     def test_non_utf8_structure_file_exits_three(self, tmp_path, capsys, command):
         path = tmp_path / "bad.json"
@@ -797,15 +841,49 @@ def _loaded_by(body, *argv):
     return set(run.stdout.split())
 
 
+RUN_MAIN = ("from maschke_kit.cli import main\n"
+            "code = main(sys.argv[1:])")
+# what every command loads of the package: the CLI, the structure-file layer
+# and the two modules that all kinds share
+CORE = {"maschke_kit.cli", "maschke_kit.structfile", "maschke_kit.exactlin",
+        "maschke_kit.finalg"}
+
+
+def _package(loaded) -> set:
+    return {name for name in loaded if name.startswith("maschke_kit.")}
+
+
 class TestStartup:
     def test_importing_the_cli_loads_no_parser_or_rational_modules(self):
         loaded = _loaded_by("import maschke_kit.cli")
         assert "maschke_kit.cli" in loaded
         assert not loaded & HEAVY
 
+    def test_importing_the_cli_loads_no_structure_kind(self):
+        assert _package(_loaded_by("import maschke_kit.cli")) == CORE
+
+    def test_a_command_loads_only_the_kind_it_reads(self, tmp_path):
+        # hopfcat and weakhopf import only exactlin and finalg of the package,
+        # and the examples are loaded by generate alone
+        out = tmp_path / "report.json"
+        for name, argv, module in (
+                ("weak.json", ("group-algebra", "--group", "C2", "--field", "Q"),
+                 "maschke_kit.weakhopf"),
+                ("cat.json", HOPFCAT, "maschke_kit.hopfcat")):
+            path = gen(tmp_path, name, *argv)
+            loaded = _loaded_by(RUN_MAIN, "validate", "--structure", str(path),
+                                "--out", str(out))
+            assert json.loads(out.read_text())["valid"] is True
+            assert _package(loaded) == CORE | {module}, name
+
+    def test_generate_loads_the_examples(self, tmp_path):
+        out = tmp_path / "c2.json"
+        loaded = _loaded_by(RUN_MAIN, "generate", "group", "--group", "C2",
+                            "--out", str(out))
+        assert json.loads(out.read_text())["kind"] == "group"
+        assert "maschke_kit.examples" in loaded
+
     def test_fractions_load_only_for_a_rational(self, tmp_path):
-        run_main = ("from maschke_kit.cli import main\n"
-                    "code = main(sys.argv[1:])")
         # kC4/F2 is not separable (2 divides 4); the separability element of
         # kS3/Q has the coefficient 1/6
         for name, field, group, rational in (
@@ -813,8 +891,141 @@ class TestStartup:
             path = gen(tmp_path, name, "group-algebra", "--group", group,
                        "--field", field)
             out = tmp_path / f"{name}.report"
-            loaded = _loaded_by(run_main, "separability", "--structure", str(path),
+            loaded = _loaded_by(RUN_MAIN, "separability", "--structure", str(path),
                                 "--out", str(out))
             assert json.loads(out.read_text())["feasible"] is rational
             assert ("fractions" in loaded) == rational, name
             assert not loaded & {"argparse", "gettext"}
+
+
+def _entry(*argv, unbuffered=False, **kwargs):
+    """One ``python -m maschke_kit.cli`` process, the real entry point.
+
+    Standard output is block-buffered unless unbuffered, so that a report
+    still sits in the buffer when the entry point flushes it before exiting.
+    """
+    src = os.path.dirname(os.path.dirname(maschke_kit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "maschke_kit.cli", *argv],
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+                          **kwargs)
+
+
+def _in_process(*argv):
+    """(exit code, standard output, standard error) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+TIMING = re.compile(r'("?timing_ms"?: )\d+')
+
+
+def _untimed(text: str) -> str:
+    return TIMING.sub(r"\g<1>0", text)
+
+
+@pytest.fixture(scope="module")
+def entry_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("entry")
+    w = group_algebra(cyclic_group(2), QQ)
+    from maschke_kit.finalg import CoalgebraPresentation
+    # the counit (1, 0) breaks the counit law
+    defect = WeakHopfPresentation(
+        w.algebra, CoalgebraPresentation(QQ, 2, w.coalgebra.comult, (1, 0)), w.antipode)
+    (root / "defect.json").write_text(serialize_structure(defect))
+    return {
+        "c2": str(gen(root, "c2.json", "group-algebra", "--group", "C2", "--field", "Fp:2")),
+        "cat": str(gen(root, "cat.json", *HOPFCAT)),
+        "pair": str(gen(root, "pair.json", "pair-algebroid", "--base", "kxk",
+                        "--field", "Q")),
+        "defect": str(root / "defect.json"),
+        "root": root,
+    }
+
+
+class TestEntryPoint:
+    """``python -m maschke_kit.cli`` ends with os._exit after flushing its
+    streams; its output and exit codes are those of main() in process."""
+
+    @pytest.mark.parametrize("argv, code, stream", [
+        (("validate", "--structure", "{c2}"), 0, None),
+        (("integrals", "--structure", "{c2}", "--side", "left", "--format", "text"),
+         0, None),
+        (("separability", "--structure", "{c2}", "--assert", "feasible"), 2, None),
+        (("maschke", "--structure", "{cat}"), 0, None),
+        (("cointegrals", "--structure", "{pair}", "--side", "right"), 0, None),
+        (("generate", "group", "--group", "S3"), 0, None),
+        (("-h",), 0, None),
+        (("validate", "--structure", "{defect}"), 3, None),
+        (("integrals", "--structure", "{defect}", "--side", "left"), 3, "invalid input: "),
+        (("integrals", "--structure", "{c2}"), 4, "usage error: "),
+    ], ids=["validate", "text", "assert", "maschke", "algebroid", "generate", "help",
+            "defect-report", "defect", "usage"])
+    def test_output_and_exit_code_match_main(self, entry_files, argv, code, stream):
+        argv = [a.format(**entry_files) for a in argv]
+        run = _entry(*argv)
+        expected = _in_process(*argv)
+        assert (run.returncode, _untimed(run.stdout), run.stderr) == \
+            (expected[0], _untimed(expected[1]), expected[2])
+        assert run.returncode == code
+        if stream is None:
+            assert run.stdout and run.stderr == ""
+        else:
+            assert run.stdout == "" and run.stderr.startswith(stream)
+
+    def test_out_file_is_complete(self, entry_files, tmp_path):
+        argv = ["maschke", "--structure", entry_files["cat"], "--out"]
+        run = _entry(*argv, str(tmp_path / "process.json"))
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+        assert _in_process(*argv, str(tmp_path / "main.json")) == (0, "", "")
+        text = (tmp_path / "process.json").read_text()
+        assert _untimed(text) == _untimed((tmp_path / "main.json").read_text())
+        assert json.loads(text)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["at-exit", "at-write"])
+    @pytest.mark.parametrize("argv", [("validate", "--structure", "{c2}"), ("-h",)],
+                             ids=["report", "help"])
+    def test_broken_pipe_exits_four(self, entry_files, argv, unbuffered):
+        # a buffered report meets the closed pipe when the entry point flushes
+        # it; an unbuffered one when it is written
+        argv = [a.format(**entry_files) for a in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = _entry(*argv, stdout=write_end, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        assert run.returncode == 4
+        assert run.stderr == "usage error: cannot write <stdout>: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["at-exit", "at-write"])
+    def test_full_device_exits_four(self, entry_files, unbuffered):
+        with open("/dev/full", "w") as full:
+            run = _entry("validate", "--structure", entry_files["c2"], stdout=full,
+                         unbuffered=unbuffered)
+        assert run.returncode == 4
+        assert run.stderr == \
+            "usage error: cannot write <stdout>: [Errno 28] No space left on device\n"
+
+    def test_closed_stdout_exits_four(self, entry_files, tmp_path):
+        # started with descriptor 1 closed, the process has no sys.stdout
+        def closed_stdout():
+            os.close(1)
+
+        run = _entry("validate", "--structure", entry_files["c2"],
+                     stdout=subprocess.DEVNULL, preexec_fn=closed_stdout)
+        assert run.returncode == 4
+        assert run.stderr == "usage error: cannot write <stdout>: [Errno 9] Bad file descriptor\n"
+        # a report to --out needs no standard output
+        out = tmp_path / "report.json"
+        run = _entry("validate", "--structure", entry_files["c2"], "--out", str(out),
+                     stdout=subprocess.DEVNULL, preexec_fn=closed_stdout)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert json.loads(out.read_text())["valid"] is True

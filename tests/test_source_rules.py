@@ -372,11 +372,14 @@ def test_each_derived_view_has_one_builder():
         "weakhopf.check_weak_bialgebra", "weakhopf.projections"}
     # s(x) e_j, t(x) e_j, e_j s(x) and e_j t(x): the only product-table
     # columns of a source or target image; the other _mult_cols calls act
-    # with s(x)t(y), s(x) - t(x), s(eps(e_i)) and a solved integral
+    # with s(x)t(y), s(x) - t(x), s(eps(e_i)) and a solved integral.  The
+    # columns of s(eps(e_i)) are stored once per presentation, for both sides
+    # of the integral system
     assert {site for site in _call_sites(_named("_mult_cols"))
             if site.startswith("hopfalgd.")} == {
         "hopfalgd._actions", "hopfalgd.bullet_relations", "hopfalgd.ideal_subspace",
-        "hopfalgd.integral_system_hgd.products", "hopfalgd.solve_integral_hgd"}
+        "hopfalgd._counit_actions", "hopfalgd.solve_integral_hgd"}
+    assert _call_sites(_named("_counit_actions")) == {"hopfalgd.integral_system_hgd"}
     sources = _attribute_reads("src") | _attribute_reads("tgt")
     assert {site for site in sources if site.startswith("hopfalgd.")} == {
         "hopfalgd.HopfAlgebroidPresentation.__post_init__", "hopfalgd._counit_images",
@@ -386,3 +389,25 @@ def test_each_derived_view_has_one_builder():
     # the composition matrices' columns
     assert {site for site in _attribute_reads("comps") if site.startswith("hopfcat.")} == {
         "hopfcat.HopfCategoryPresentation.__post_init__", "hopfcat._composition_tables"}
+
+
+def test_only_the_process_entry_point_skips_teardown():
+    # os._exit ends the process without the interpreter's teardown, so only
+    # cli.console_main, which flushes the standard streams first, may call
+    # it; main() and every library call return normally.  Under os._exit no
+    # atexit handler runs, so the package registers none.
+    exits = [(path.stem, node.lineno)
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "_exit"]
+    assert len(exits) == 1, exits
+    assert _call_sites(lambda f: isinstance(f, ast.Attribute) and f.attr == "_exit") \
+        == {"cli.console_main"}
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+    assert "os" in imported and "atexit" not in imported

@@ -5,11 +5,14 @@ Delta grouped by leg (``finalg._comult_by_leg``, stored on the coalgebra),
 the nonzero rows of a product table (``finalg._nonzero_rows``), the counit
 pairing eps(e_i e_j) as sparse rows and columns
 (``weakhopf._counit_pairing``), the algebroid's actions s(x) e_j, t(x) e_j,
-e_j s(x) and e_j t(x) (``hopfalgd._actions``) and the Hopf-category
-composition tables (``hopfcat._composition_tables``).  Each is compared with
-the construction that its readers made for themselves before, and the
-number of builds is counted.
+e_j s(x) and e_j t(x) (``hopfalgd._actions``), the columns s(eps(e_i)) e_j
+of the algebroid's integral system (``hopfalgd._counit_actions``) and the
+Hopf-category composition tables (``hopfcat._composition_tables``).  Each is
+compared with the construction that its readers made for themselves before,
+or with the dense tables, and the number of builds is counted.
 """
+
+import functools
 
 from maschke_kit import finalg, hopfalgd, weakhopf
 from maschke_kit.examples import (
@@ -23,7 +26,7 @@ from maschke_kit.examples import (
 from maschke_kit.exactlin import FieldSpec
 from maschke_kit.finalg import (_comult_by_leg, _comult_by_source, _dot, _mult_cols,
                                 _nonzero_entries, _nonzero_rows, _sparse_products, _terms)
-from maschke_kit.hopfalgd import _actions, maschke_report
+from maschke_kit.hopfalgd import _actions, _counit_actions, _counit_images, maschke_report
 from maschke_kit.hopfcat import _composition_tables, check_hopf_category
 from maschke_kit.weakhopf import _counit_pairing, check_weak_bialgebra
 
@@ -79,6 +82,19 @@ def test_algebroid_actions_match_the_per_call_constructions():
             assert got == tuple(tuple(tuple(_nonzero_entries(col).items())
                                       for col in _mult_cols(f, prod, v, u_first))
                                 for v in m.columns())
+        # s(eps(e_i)) e_j, from the dense tables
+        n, dr = h.total.dim, h.base.dim
+
+        def total(values):
+            return functools.reduce(f.add, values, f.zero())
+
+        for i, cols in enumerate(_counit_actions(h)):
+            s = [total(f.mul(h.src.at(k, r), h.counit.at(r, i)) for r in range(dr))
+                 for k in range(n)]
+            for j, col in enumerate(cols):
+                want = {k: total(f.mul(s[a], h.total.mult.at(a, j, k)) for a in range(n))
+                        for k in range(n)}
+                assert _nonzero_entries(dict(col)) == _nonzero_entries(want)
         count += 1
     assert count > 100
 
@@ -99,14 +115,19 @@ def test_composition_tables_match_the_composition_columns():
 def test_algebroid_actions_are_built_once_per_presentation(monkeypatch):
     # before, one report on the dual-numbers pair algebroid made 56 _mult_cols
     # calls, 28 of them on a source or target column; now each of s(x) e_j,
-    # t(x) e_j, e_j s(x) and e_j t(x) is built once, 4 dim R calls
+    # t(x) e_j, e_j s(x) and e_j t(x) is built once, 4 dim R calls, and the
+    # columns of s(eps(e_i)) e_j once for both sides of the integral system,
+    # dim A calls (24 calls in all before, 2 dim A of them for s(eps(e_i)))
     h = pair_hopf_algebroid(dual_number_algebra(QQ))
     columns = h.src.columns() + h.tgt.columns()
     calls = counting(monkeypatch, hopfalgd, "_mult_cols")
     assert maschke_report(h).verdict
     on_columns = [args for args in calls if any(args[2] is col for col in columns)]
     assert len(on_columns) == 4 * h.base.dim == 8
-    assert len(calls) == 24
+    counit_images = _counit_images(h)[0]
+    on_counit = [args for args in calls if any(args[2] is s for s in counit_images)]
+    assert len(on_counit) == h.total.dim == 4
+    assert len(calls) == 20
 
 
 def test_each_hom_is_grouped_by_leg_once(monkeypatch):

@@ -9,26 +9,31 @@ too large for the available memory included), 4 usage error.
 
 The argv is read against one table of flags per command (``COMMANDS``) by a
 small parser with argparse's rules, so a one-shot process does not import
-argparse or build a parser tree.  A command imports the module of the one
-structure kind it reads (``generate`` imports ``examples``), and the process
+argparse or build a parser tree.  One table keyed by (command, kind),
+``SOLVERS``, names the module and the solver that answer a command on a
+structure kind, the options the solver takes and the writer of its report; a
+pair with no entry is invalid input.  A command imports only the module its
+entry names, which is the kind's module that reading the file loaded or one
+every command loads (``generate`` imports ``examples``), and the process
 entry point ``console_main`` ends without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import errno
+import importlib
 import json
 import os
 import re
 import sys
 import time
 
-from . import finalg
 from .exactlin import FieldSpec
 from .finalg import InvalidPresentationError, StructureDefectError
 from .structfile import (
     FORMAT_VERSION,
     StructureFileError,
+    array_to_json,
     check_presentation,
     field_to_json,
     kind_of,
@@ -63,201 +68,181 @@ def parse_field_flag(text: str) -> FieldSpec:
     raise UsageError(f"bad --field value {text!r} (use Q or Fp:<p>)")
 
 
-def _vec_out(field, vec):
-    return [field.format_scalar(v) for v in vec]
-
-
-def _solution_doc(field, labels, vec):
-    doc = {"coefficients": _vec_out(field, vec)}
-    if labels is not None:
-        doc["labels"] = labels
-    return doc
-
-
 def _affine_doc(field, labels, afs):
-    basis = afs.homogeneous.basis
-    return {
-        "solution": _solution_doc(field, labels, afs.particular),
-        "homogeneous_basis": [_vec_out(field, basis.row(i)) for i in range(basis.rows)],
-    }
+    solution = {"coefficients": array_to_json(field, afs.particular)}
+    if labels is not None:
+        solution["labels"] = labels
+    return {"solution": solution,
+            "homogeneous_basis": array_to_json(field, afs.homogeneous.basis)}
 
 
-def _hopfcat_table_doc(field, h, table):
-    return [{"source": x, "target": y,
-             "coefficients": _vec_out(field, table[(x, y)])}
-            for (x, y) in sorted(table)]
+# A report writer, write(report, field, presentation, solver result), adds
+# the verdict and the witness of a solver to the report.
+
+def _feasible(report, result) -> bool:
+    report["feasible"] = result is not None
+    return result is not None
 
 
-def _run_integrals(presentation, kind, args, report):
-    side = args["side"]
-    report["side"] = side
-    f = presentation_field(presentation)
-    if kind == "weakhopf":
-        from . import weakhopf
-        report["variant"] = args["variant"]
-        report["normalized"] = args["normalized"]
-        sol = weakhopf.solve_integral(presentation, side, args["variant"],
-                                      args["normalized"])
-        report["feasible"] = sol is not None
-        if sol is not None:
-            report.update(_affine_doc(f, list(presentation.labels), sol.solutions))
-    elif kind == "algebroid":
-        from . import hopfalgd
-        report["normalized"] = args["normalized"]
-        sol = hopfalgd.solve_integral_hgd(presentation, side, args["normalized"])
-        report["feasible"] = sol is not None
-        if sol is not None:
-            report.update(_affine_doc(f, list(presentation.total.labels),
-                                      sol.solutions))
-    elif kind == "hopfcat":
-        from . import hopfcat
-        fam = hopfcat.solve_integral_family(presentation, side)
-        report["feasible"] = fam is not None
-        if fam is not None:
-            report["family"] = _hopfcat_table_doc(f, presentation, fam.table)
-    else:
-        raise StructureFileError(f"integrals does not apply to kind {kind!r}")
-    return report["feasible"]
+def _basis_solution(report, f, w, sol):
+    """A weak Hopf (co)integral, over the basis labels."""
+    if _feasible(report, sol):
+        report.update(_affine_doc(f, list(w.labels), sol.solutions))
 
 
-def _run_cointegrals(presentation, kind, args, report):
-    side = args["side"]
-    report["side"] = side
-    f = presentation_field(presentation)
-    if kind == "weakhopf":
-        from . import weakhopf
-        report["variant"] = args["variant"]
-        report["normalized"] = args["normalized"]
-        sol = weakhopf.solve_cointegral(presentation, side, args["variant"],
-                                        args["normalized"])
-        report["feasible"] = sol is not None
-        if sol is not None:
-            report.update(_affine_doc(f, list(presentation.labels), sol.solutions))
-    elif kind == "algebroid":
-        from . import hopfalgd
-        report["normalized"] = args["normalized"]
-        sol = hopfalgd.solve_cointegral_hgd(presentation, side, args["normalized"])
-        report["feasible"] = sol is not None
-        if sol is not None:
-            doc = _affine_doc(f, None, sol.solutions)
-            doc["solution"]["rows"] = list(presentation.base.labels)
-            doc["solution"]["cols"] = list(presentation.total.labels)
-            report.update(doc)
-    elif kind == "hopfcat":
-        from . import hopfcat
-        fam = hopfcat.solve_retraction_family(presentation, side)
-        report["feasible"] = fam is not None
-        report["note"] = "per-object counit retractions"
-        if fam is not None:
-            report["family"] = [{"object": x,
-                                 "coefficients": _vec_out(f, fam.table[x])}
-                                for x in sorted(fam.table)]
-    else:
-        raise StructureFileError(f"cointegrals does not apply to kind {kind!r}")
-    return report["feasible"]
+def _total_solution(report, f, h, sol):
+    """An algebroid integral, over the labels of the total algebra."""
+    if _feasible(report, sol):
+        report.update(_affine_doc(f, list(h.total.labels), sol.solutions))
 
 
-def _run_separability(presentation, kind, report):
-    f = presentation_field(presentation)
-    if kind == "weakhopf":
-        section = finalg.solve_separability(presentation.algebra)
-        report["feasible"] = section is not None
-        if section is not None:
-            report["element"] = _vec_out(f, section.element)
-            report["coefficients"] = _vec_out(f, section.map.entries)
-    elif kind == "algebroid":
-        from . import hopfalgd
-        section = hopfalgd.solve_separability_hgd(presentation)
-        report["feasible"] = section is not None
-        if section is not None:
-            report["quotient_dim"] = section.quotient.dim
-            report["coefficients"] = _vec_out(f, section.map.entries)
-    elif kind == "hopfcat":
-        from . import hopfcat
-        fam = hopfcat.solve_separability_family(presentation)
-        report["feasible"] = fam is not None
-        if fam is not None:
-            report["family"] = [
-                {"path": list(key),
-                 "entries": [_vec_out(f, fam.table[key].row(i))
-                             for i in range(fam.table[key].rows)]}
-                for key in sorted(fam.table)]
-    elif kind == "commalgebra":
-        section = finalg.solve_separability(presentation.algebra)
-        report["feasible"] = section is not None
-        if section is not None:
-            report["element"] = _vec_out(f, section.element)
-    else:
-        raise StructureFileError(f"separability does not apply to kind {kind!r}")
-    return report["feasible"]
+def _base_by_total_solution(report, f, h, sol):
+    """An algebroid cointegral, a table over the base and total labels."""
+    if _feasible(report, sol):
+        report.update(_affine_doc(f, None, sol.solutions))
+        report["solution"].update(rows=list(h.base.labels), cols=list(h.total.labels))
 
 
-def _run_coseparability(presentation, kind, report):
-    f = presentation_field(presentation)
-    if kind == "weakhopf":
-        retraction = finalg.solve_coseparability(presentation.coalgebra)
-        report["feasible"] = retraction is not None
-        if retraction is not None:
-            report["coefficients"] = _vec_out(f, retraction.map.entries)
-    elif kind == "algebroid":
-        from . import hopfalgd
-        retraction = hopfalgd.solve_coseparability_hgd(presentation)
-        report["feasible"] = retraction is not None
-        if retraction is not None:
-            report["quotient_dim"] = retraction.quotient.dim
-            report["coefficients"] = _vec_out(f, retraction.map.entries)
-    elif kind == "hopfcat":
-        from . import hopfcat
-        verdicts = hopfcat.check_hom_coseparability(presentation)
-        report["feasible"] = verdicts.all_coseparable
-        report["per_hom"] = [{"source": x, "target": y, "coseparable": v}
-                             for (x, y), v in sorted(verdicts.table.items())]
-    else:
-        raise StructureFileError(f"coseparability does not apply to kind {kind!r}")
-    return report["feasible"]
+def _integral_family(report, f, h, fam):
+    if _feasible(report, fam):
+        report["family"] = [{"source": x, "target": y, "coefficients": array_to_json(f, v)}
+                            for (x, y), v in sorted(fam.table.items())]
 
 
-def _run_maschke(presentation, kind, report):
-    if kind == "weakhopf":
-        from .weakhopf import maschke_report
-    elif kind == "algebroid":
-        from .hopfalgd import maschke_report
-    elif kind == "hopfcat":
-        from .hopfcat import maschke_report
-    else:
-        raise StructureFileError(f"maschke does not apply to kind {kind!r}")
-    if presentation.antipode is None:
+def _retraction_family(report, f, h, fam):
+    _feasible(report, fam)
+    report["note"] = "per-object counit retractions"
+    if fam is not None:
+        report["family"] = [{"object": x, "coefficients": array_to_json(f, v)}
+                            for x, v in sorted(fam.table.items())]
+
+
+def _element(report, f, c, section):
+    """A commutative algebra's separability element."""
+    if _feasible(report, section):
+        report["element"] = array_to_json(f, section.element)
+
+
+def _section(report, f, w, section):
+    if _feasible(report, section):
+        report["element"] = array_to_json(f, section.element)
+        report["coefficients"] = array_to_json(f, section.map.entries)
+
+
+def _retraction(report, f, w, retraction):
+    if _feasible(report, retraction):
+        report["coefficients"] = array_to_json(f, retraction.map.entries)
+
+
+def _quotient_map(report, f, h, result):
+    """An algebroid section or retraction, through its quotient."""
+    if _feasible(report, result):
+        report["quotient_dim"] = result.quotient.dim
+        report["coefficients"] = array_to_json(f, result.map.entries)
+
+
+def _separability_family(report, f, h, fam):
+    if _feasible(report, fam):
+        report["family"] = [{"path": list(key), "entries": array_to_json(f, m)}
+                            for key, m in sorted(fam.table.items())]
+
+
+def _hom_coseparability(report, f, h, verdicts):
+    report["feasible"] = verdicts.all_coseparable
+    report["per_hom"] = [{"source": x, "target": y, "coseparable": v}
+                         for (x, y), v in sorted(verdicts.table.items())]
+
+
+def _maschke_flags(report, f, p, rep, witnesses=None):
+    """A weak Hopf or algebroid Maschke report: a flag per solver and side
+    ("left", or "left/primed" for a weak Hopf variant)."""
+    for name, flags in (("integrals", rep.integral_flags),
+                        ("cointegrals", rep.cointegral_flags)):
+        report[name] = {k if isinstance(k, str) else "/".join(k): v
+                        for k, v in flags.items()}
+    report["separability"] = rep.separability is not None
+    report["coseparability"] = rep.coseparability is not None
+    if witnesses is not None:
+        report["witnesses"] = witnesses
+    report["verdict"] = "pass" if rep.verdict else "fail"
+
+
+def _weak_maschke(report, f, w, rep):
+    witnesses = {}
+    for name, sols, part in (("integral", rep.integrals, "element"),
+                             ("cointegral", rep.cointegrals, "functional")):
+        for key, sol in sols.items():
+            witnesses["%s %s/%s" % (name, *key)] = \
+                None if sol is None else array_to_json(f, getattr(sol, part))
+    _maschke_flags(report, f, w, rep, witnesses)
+
+
+def _family_maschke(report, f, h, rep):
+    report["integral_families"] = rep.integral_flags
+    report["separability_family"] = rep.separability is not None
+    report["retraction_families"] = rep.cointegral_flags
+    report["hom_coseparability"] = rep.coseparability is not None
+    report["verdict"] = "pass" if rep.verdict else "fail"
+
+
+# the options of the weak Hopf and of the algebroid (co)integral solvers
+_WEAK = ("side", "variant", "normalized")
+_ALGEBROID = ("side", "normalized")
+
+# (command, kind) -> (the solver's module, the solver, the part of the
+# presentation it solves (None: all of it), the options it takes after that,
+# in report order, and the report writer).  A pair with no entry is refused.
+SOLVERS = {
+    ("integrals", "weakhopf"): ("weakhopf", "solve_integral", None, _WEAK, _basis_solution),
+    ("integrals", "algebroid"):
+        ("hopfalgd", "solve_integral_hgd", None, _ALGEBROID, _total_solution),
+    ("integrals", "hopfcat"):
+        ("hopfcat", "solve_integral_family", None, ("side",), _integral_family),
+    ("cointegrals", "weakhopf"):
+        ("weakhopf", "solve_cointegral", None, _WEAK, _basis_solution),
+    ("cointegrals", "algebroid"):
+        ("hopfalgd", "solve_cointegral_hgd", None, _ALGEBROID, _base_by_total_solution),
+    ("cointegrals", "hopfcat"):
+        ("hopfcat", "solve_retraction_family", None, ("side",), _retraction_family),
+    ("separability", "weakhopf"): ("finalg", "solve_separability", "algebra", (), _section),
+    ("separability", "algebroid"):
+        ("hopfalgd", "solve_separability_hgd", None, (), _quotient_map),
+    ("separability", "hopfcat"):
+        ("hopfcat", "solve_separability_family", None, (), _separability_family),
+    ("separability", "commalgebra"):
+        ("finalg", "solve_separability", "algebra", (), _element),
+    ("coseparability", "weakhopf"):
+        ("finalg", "solve_coseparability", "coalgebra", (), _retraction),
+    ("coseparability", "algebroid"):
+        ("hopfalgd", "solve_coseparability_hgd", None, (), _quotient_map),
+    ("coseparability", "hopfcat"):
+        ("hopfcat", "check_hom_coseparability", None, (), _hom_coseparability),
+    ("maschke", "weakhopf"): ("weakhopf", "maschke_report", None, (), _weak_maschke),
+    ("maschke", "algebroid"): ("hopfalgd", "maschke_report", None, (), _maschke_flags),
+    ("maschke", "hopfcat"): ("hopfcat", "maschke_report", None, (), _family_maschke),
+}
+
+
+def _run_solver(presentation, kind, args, report):
+    """Run the solver that SOLVERS names for the command and the kind, and
+    write its result into the report; returns the feasibility verdict (None
+    for maschke)."""
+    command = args["command"]
+    entry = SOLVERS.get((command, kind))
+    if entry is None:
+        raise StructureFileError(f"{command} does not apply to kind {kind!r}")
+    module, solver, part, options, write = entry
+    if command == "maschke" and presentation.antipode is None:
         raise StructureFileError(
             "maschke requires an antipode; the equivalence is only claimed "
             "for Hopf monoids")
-    rep = maschke_report(presentation)
-    if kind == "hopfcat":
-        report["integral_families"] = rep.integral_flags
-        report["separability_family"] = rep.separability is not None
-        report["retraction_families"] = rep.cointegral_flags
-        report["hom_coseparability"] = rep.coseparability is not None
-    else:
-        report["integrals"] = {_key(k): v for k, v in rep.integral_flags.items()}
-        report["cointegrals"] = {_key(k): v for k, v in rep.cointegral_flags.items()}
-        report["separability"] = rep.separability is not None
-        report["coseparability"] = rep.coseparability is not None
-    if kind == "weakhopf":
-        f = presentation.field
-        witnesses = {}
-        for key, sol in rep.integrals.items():
-            witnesses["integral %s/%s" % key] = \
-                None if sol is None else _vec_out(f, sol.element)
-        for key, sol in rep.cointegrals.items():
-            witnesses["cointegral %s/%s" % key] = \
-                None if sol is None else _vec_out(f, sol.functional)
-        report["witnesses"] = witnesses
-    report["verdict"] = "pass" if rep.verdict else "fail"
-    return rep.verdict
-
-
-def _key(key):
-    """Report key of a solver: "left", or "left/primed" for weak Hopf variants."""
-    return key if isinstance(key, str) else "/".join(key)
+    for name in options:
+        report[name] = args[name]
+    solve = getattr(importlib.import_module(f".{module}", __package__), solver)
+    result = solve(presentation if part is None else getattr(presentation, part),
+                   *(args[name] for name in options))
+    write(report, presentation_field(presentation), presentation, result)
+    return report.get("feasible")
 
 
 # family -> (the flag naming its input, builder(examples module, name, field))
@@ -583,23 +568,11 @@ def execute_command(argv) -> int:
     field = presentation_field(presentation)
     report["field"] = None if field is None else field_to_json(field)
 
-    if args["command"] == "maschke":
-        _run_maschke(presentation, kind, report)
-        _emit_report(report, args)
-        return EXIT_OK
-
-    runner = {
-        "integrals": lambda: _run_integrals(presentation, kind, args, report),
-        "cointegrals": lambda: _run_cointegrals(presentation, kind, args, report),
-        "separability": lambda: _run_separability(presentation, kind, report),
-        "coseparability": lambda: _run_coseparability(presentation, kind, report),
-    }[args["command"]]
-    feasible = runner()
+    feasible = _run_solver(presentation, kind, args, report)
     _emit_report(report, args)
     assertion = args.get("assertion")
-    if assertion is not None:
-        if feasible != (assertion == "feasible"):
-            return EXIT_ASSERT
+    if assertion is not None and feasible != (assertion == "feasible"):
+        return EXIT_ASSERT
     return EXIT_OK
 
 
@@ -631,18 +604,27 @@ def main(argv=None) -> int:
         return _usage_error(exc)
     except (StructureFileError, InvalidPresentationError,
             StructureDefectError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _error(f"invalid input: {exc}", EXIT_INVALID)
     except MemoryError:
         # the failed allocation's frames are gone by now, so printing works
-        print("out of memory: the input needs more memory than this process "
-              "may use", file=sys.stderr)
-        return EXIT_INVALID
+        return _error("out of memory: the input needs more memory than this "
+                      "process may use", EXIT_INVALID)
 
 
 def _usage_error(exc: UsageError) -> int:
-    print(f"usage error: {exc}", file=sys.stderr)
-    return EXIT_USAGE
+    return _error(f"usage error: {exc}", EXIT_USAGE)
+
+
+def _error(message: str, code: int) -> int:
+    """Print message to standard error and return code.  A process started
+    with standard error closed (no sys.stderr), or one whose standard error
+    cannot be written, loses the message but keeps the exit code."""
+    if sys.stderr is not None:
+        try:
+            print(message, file=sys.stderr)
+        except OSError:
+            pass
+    return code
 
 
 def console_main():
@@ -650,9 +632,9 @@ def console_main():
     ``maschke-kit`` script): run main(), flush standard output and error, and
     end the process with os._exit, skipping the interpreter's teardown of
     every loaded module.  A failed flush of standard output is reported as a
-    failed write is.  If standard error cannot be flushed, the process exits
-    through sys.exit, whose teardown reports the failure.  In-process callers
-    use main(), which returns.
+    failed write is.  A message that standard error cannot take is lost, as in
+    _error, and the exit code stays.  In-process callers use main(), which
+    returns.
     """
     code = main()
     try:
@@ -664,7 +646,7 @@ def console_main():
         if sys.stderr is not None:
             sys.stderr.flush()
     except OSError:
-        sys.exit(code)
+        pass
     os._exit(code)
 
 

@@ -78,6 +78,8 @@ class HopfCategoryPresentation(Frozen):
 
     @property
     def field(self) -> FieldSpec:
+        if not self.homs:
+            raise ValueError("a Hopf category with no objects has no field")
         return next(iter(self.homs.values())).field
 
     @property

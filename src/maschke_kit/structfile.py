@@ -5,21 +5,24 @@ kind-specific payload of structure constants.  Scalars are text tokens
 ("3/2", "-1", "4"), so files stay exact and human-diffable.  Serialization
 is canonical: parse-then-serialize is byte-stable.
 
-A kind's module (``weakhopf``, ``hopfalgd``, ``hopfcat``, or ``examples`` for
-groups and groupoids) is imported only once a file of that kind is read, so a
-one-shot process loads only the kind it reads.
+One table, ``KINDS``, describes each kind tag: whether its file carries a
+field, and the functions that parse its payload, write it and validate the
+presentation.  Reading, writing and validating look the kind up there.  A
+kind's module (``weakhopf``, ``hopfalgd``, ``hopfcat``, or ``examples`` for
+groups and groupoids) is imported only inside those functions, so a one-shot
+process loads only the kind it reads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
-from .exactlin import MAX_AXIS, FieldSpec, Matrix, Tensor3
+from .exactlin import MAX_AXIS, FieldSpec, Frozen, Matrix, Tensor3
 from .finalg import MAX_GENERATED_ORDER, AlgebraPresentation, AxiomReport, \
     CoalgebraPresentation
 
 FORMAT_VERSION = "maschke-kit/1"
-KINDS = ("weakhopf", "algebroid", "hopfcat", "group", "groupoid", "commalgebra")
 
 
 class StructureFileError(ValueError):
@@ -70,22 +73,21 @@ def field_from_json(obj, path="field") -> FieldSpec:
     _fail(f"{path}.kind", f"unknown field kind {kind!r}")
 
 
-def _scalar_out(field, v):
-    return field.format_scalar(v)
-
-
-def _vector_out(field, vec):
-    return [_scalar_out(field, v) for v in vec]
-
-
-def _matrix_out(field, m: Matrix):
-    return [[_scalar_out(field, m.at(i, j)) for j in range(m.cols)]
-            for i in range(m.rows)]
-
-
-def _tensor_out(field, t: Tensor3):
-    return [[[_scalar_out(field, t.at(i, j, k)) for k in range(t.d2)]
-             for j in range(t.d1)] for i in range(t.d0)]
+def array_to_json(field, value):
+    """The text tokens of a vector, of a Matrix by rows or of a Tensor3 by
+    planes of rows, as nested JSON lists; structure files and reports write
+    every scalar through it."""
+    if isinstance(value, Matrix):
+        shape, value = (value.rows, value.cols), value.entries
+    elif isinstance(value, Tensor3):
+        shape, value = (value.d0, value.d1, value.d2), value.entries
+    else:
+        shape = (len(value),)
+    nested = [field.format_scalar(v) for v in value]
+    for axis in range(len(shape) - 1, 0, -1):
+        size = shape[axis]
+        nested = [nested[i * size:(i + 1) * size] for i in range(math.prod(shape[:axis]))]
+    return nested
 
 
 def _token_parser(field):
@@ -107,46 +109,34 @@ def _token_parser(field):
     return parse
 
 
-def _vector_in(field, obj, length, path):
-    if not isinstance(obj, list) or len(obj) != length:
-        _fail(path, f"expected a list of {length} scalars")
-    try:
-        return tuple(map(_token_parser(field), obj))
-    except (ValueError, TypeError) as exc:
-        _fail(path, str(exc))
+# what each list of an array of 1, 2 or 3 axes must hold, outermost first
+_EXPECTED = {1: ("a list of {} scalars",), 2: ("{} rows", "{} entries"),
+             3: ("{} planes", "{} rows", "{} entries")}
 
 
-def _matrix_in(field, obj, rows, cols, path):
-    if not isinstance(obj, list) or len(obj) != rows:
-        _fail(path, f"expected {rows} rows")
-    parse = _token_parser(field)
-    ent = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != cols:
-            _fail(f"{path}[{i}]", f"expected {cols} entries")
+def _array_in(field, obj, shape, path):
+    """The nested JSON array obj of the given shape: a vector (a tuple) for
+    one axis, a Matrix for two, a Tensor3 for three.  A list of the wrong
+    length, or a token that does not parse, fails at the path of its list."""
+    parse, entries, last = _token_parser(field), [], len(shape) - 1
+    expected = _EXPECTED[len(shape)]
+
+    def read(node, axis, path):
+        if not isinstance(node, list) or len(node) != shape[axis]:
+            _fail(path, "expected " + expected[axis].format(shape[axis]))
+        if axis < last:
+            for i, item in enumerate(node):
+                read(item, axis + 1, f"{path}[{i}]")
+            return
         try:
-            ent.extend(map(parse, row))
+            entries.extend(map(parse, node))
         except (ValueError, TypeError) as exc:
-            _fail(f"{path}[{i}]", str(exc))
-    return Matrix(field, rows, cols, tuple(ent))
+            _fail(path, str(exc))
 
-
-def _tensor_in(field, obj, d0, d1, d2, path):
-    if not isinstance(obj, list) or len(obj) != d0:
-        _fail(path, f"expected {d0} planes")
-    parse = _token_parser(field)
-    ent = []
-    for i, plane in enumerate(obj):
-        if not isinstance(plane, list) or len(plane) != d1:
-            _fail(f"{path}[{i}]", f"expected {d1} rows")
-        for j, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != d2:
-                _fail(f"{path}[{i}][{j}]", f"expected {d2} entries")
-            try:
-                ent.extend(map(parse, row))
-            except (ValueError, TypeError) as exc:
-                _fail(f"{path}[{i}][{j}]", str(exc))
-    return Tensor3(field, d0, d1, d2, tuple(ent))
+    read(obj, 0, path)
+    if last == 0:
+        return tuple(entries)
+    return (Matrix if last == 1 else Tensor3)(field, *shape, tuple(entries))
 
 
 def _dim_in(obj, path) -> int:
@@ -174,16 +164,16 @@ def _algebra_out(field, a: AlgebraPresentation) -> dict:
     return {
         "dim": a.dim,
         "labels": list(a.labels),
-        "mult": _tensor_out(field, a.mult),
-        "unit": _vector_out(field, a.unit),
+        "mult": array_to_json(field, a.mult),
+        "unit": array_to_json(field, a.unit),
     }
 
 
 def _algebra_in(field, obj, path) -> AlgebraPresentation:
     dim = _dim_in(obj, path)
     labels = _labels_in(_get(obj, "labels", path), dim, f"{path}.labels")
-    mult = _tensor_in(field, _get(obj, "mult", path), dim, dim, dim, f"{path}.mult")
-    unit = _vector_in(field, _get(obj, "unit", path), dim, f"{path}.unit")
+    mult = _array_in(field, _get(obj, "mult", path), (dim, dim, dim), f"{path}.mult")
+    unit = _array_in(field, _get(obj, "unit", path), (dim,), f"{path}.unit")
     try:
         return AlgebraPresentation(field, dim, labels, mult, unit)
     except ValueError as exc:
@@ -193,9 +183,9 @@ def _algebra_in(field, obj, path) -> AlgebraPresentation:
 def _weakhopf_payload(w) -> dict:
     f = w.field
     payload = _algebra_out(f, w.algebra)
-    payload["comult"] = _tensor_out(f, w.coalgebra.comult)
-    payload["counit"] = _vector_out(f, w.coalgebra.counit)
-    payload["antipode"] = None if w.antipode is None else _matrix_out(f, w.antipode)
+    payload["comult"] = array_to_json(f, w.coalgebra.comult)
+    payload["counit"] = array_to_json(f, w.coalgebra.counit)
+    payload["antipode"] = None if w.antipode is None else array_to_json(f, w.antipode)
     return payload
 
 
@@ -203,12 +193,12 @@ def _weakhopf_parse(field, obj, path):
     from .weakhopf import WeakHopfPresentation
     algebra = _algebra_in(field, obj, path)
     n = algebra.dim
-    comult = _tensor_in(field, _get(obj, "comult", path), n, n, n, f"{path}.comult")
-    counit = _vector_in(field, _get(obj, "counit", path), n, f"{path}.counit")
+    comult = _array_in(field, _get(obj, "comult", path), (n, n, n), f"{path}.comult")
+    counit = _array_in(field, _get(obj, "counit", path), (n,), f"{path}.counit")
     coalgebra = CoalgebraPresentation(field, n, comult, counit)
     anti = obj.get("antipode")
-    antipode = None if anti is None else _matrix_in(field, anti, n, n,
-                                                    f"{path}.antipode")
+    antipode = None if anti is None else _array_in(field, anti, (n, n),
+                                                   f"{path}.antipode")
     return WeakHopfPresentation(algebra, coalgebra, antipode)
 
 
@@ -217,11 +207,11 @@ def _algebroid_payload(h) -> dict:
     return {
         "base": _algebra_out(f, h.base.algebra),
         "total": _algebra_out(f, h.total),
-        "src": _matrix_out(f, h.src),
-        "tgt": _matrix_out(f, h.tgt),
-        "comult_lift": _matrix_out(f, h.comult_lift),
-        "counit": _matrix_out(f, h.counit),
-        "antipode": None if h.antipode is None else _matrix_out(f, h.antipode),
+        "src": array_to_json(f, h.src),
+        "tgt": array_to_json(f, h.tgt),
+        "comult_lift": array_to_json(f, h.comult_lift),
+        "counit": array_to_json(f, h.counit),
+        "antipode": None if h.antipode is None else array_to_json(f, h.antipode),
     }
 
 
@@ -237,19 +227,19 @@ def _algebroid_parse(field, obj, path):
     if n ** 3 > MAX_AXIS:
         _fail(f"{path}.total.dim", f"dimension {n} is above the algebroid limit: "
                                    f"A (x) A (x) A has {n}^3 coordinates, over {MAX_AXIS}")
-    src = _matrix_in(field, _get(obj, "src", path), n, dr, f"{path}.src")
-    tgt = _matrix_in(field, _get(obj, "tgt", path), n, dr, f"{path}.tgt")
-    lift = _matrix_in(field, _get(obj, "comult_lift", path), n * n, n,
-                      f"{path}.comult_lift")
-    counit = _matrix_in(field, _get(obj, "counit", path), dr, n, f"{path}.counit")
+    src = _array_in(field, _get(obj, "src", path), (n, dr), f"{path}.src")
+    tgt = _array_in(field, _get(obj, "tgt", path), (n, dr), f"{path}.tgt")
+    lift = _array_in(field, _get(obj, "comult_lift", path), (n * n, n),
+                     f"{path}.comult_lift")
+    counit = _array_in(field, _get(obj, "counit", path), (dr, n), f"{path}.counit")
     anti = obj.get("antipode")
-    antipode = None if anti is None else _matrix_in(field, anti, n, n,
-                                                    f"{path}.antipode")
+    antipode = None if anti is None else _array_in(field, anti, (n, n),
+                                                   f"{path}.antipode")
     return HopfAlgebroidPresentation(base, total, src, tgt, lift, counit, antipode)
 
 
 def _hopfcat_payload(h) -> dict:
-    f = h.field if h.n_objects else FieldSpec.rationals()
+    f = h.field
     homs = []
     for (x, y) in sorted(h.homs):
         c = h.homs[(x, y)]
@@ -257,17 +247,17 @@ def _hopfcat_payload(h) -> dict:
             "source": x,
             "target": y,
             "dim": c.dim,
-            "comult": _tensor_out(f, c.comult),
-            "counit": _vector_out(f, c.counit),
+            "comult": array_to_json(f, c.comult),
+            "counit": array_to_json(f, c.counit),
         })
-    comps = [{"path": list(key), "matrix": _matrix_out(f, h.comps[key])}
+    comps = [{"path": list(key), "matrix": array_to_json(f, h.comps[key])}
              for key in sorted(h.comps)]
-    units = [{"object": x, "vector": _vector_out(f, h.units[x])}
+    units = [{"object": x, "vector": array_to_json(f, h.units[x])}
              for x in sorted(h.units)]
     antipode = None
     if h.antipode is not None:
         antipode = [{"source": x, "target": y,
-                     "matrix": _matrix_out(f, h.antipode[(x, y)])}
+                     "matrix": array_to_json(f, h.antipode[(x, y)])}
                     for (x, y) in sorted(h.antipode)]
     return {"objects": list(h.objects), "homs": homs, "comps": comps,
             "units": units, "antipode": antipode}
@@ -278,6 +268,8 @@ def _hopfcat_parse(field, obj, path):
     objects = _get(obj, "objects", path, list)
     if not all(isinstance(x, str) for x in objects):
         _fail(f"{path}.objects", "object labels must be text")
+    if not objects:
+        _fail(f"{path}.objects", "a Hopf category needs at least one object")
     nobj = len(objects)
     homs = {}
     for i, entry in enumerate(_get(obj, "homs", path, list)):
@@ -288,8 +280,8 @@ def _hopfcat_parse(field, obj, path):
         if (x, y) in homs:
             _fail(p, f"repeats the hom ({x}, {y})")
         d = _dim_in(entry, p)
-        comult = _tensor_in(field, _get(entry, "comult", p), d, d, d, f"{p}.comult")
-        counit = _vector_in(field, _get(entry, "counit", p), d, f"{p}.counit")
+        comult = _array_in(field, _get(entry, "comult", p), (d, d, d), f"{p}.comult")
+        counit = _array_in(field, _get(entry, "counit", p), (d,), f"{p}.counit")
         homs[(x, y)] = CoalgebraPresentation(field, d, comult, counit)
     comps = {}
     for i, entry in enumerate(_get(obj, "comps", path, list)):
@@ -302,9 +294,9 @@ def _hopfcat_parse(field, obj, path):
             _fail(f"{p}.path", "refers to a missing hom")
         if (x, y, z) in comps:
             _fail(f"{p}.path", f"repeats the composition ({x}, {y}, {z})")
-        comps[(x, y, z)] = _matrix_in(
+        comps[(x, y, z)] = _array_in(
             field, _get(entry, "matrix", p),
-            homs[(x, z)].dim, homs[(x, y)].dim * homs[(y, z)].dim, f"{p}.matrix")
+            (homs[(x, z)].dim, homs[(x, y)].dim * homs[(y, z)].dim), f"{p}.matrix")
     units = {}
     for i, entry in enumerate(_get(obj, "units", path, list)):
         p = f"{path}.units[{i}]"
@@ -313,8 +305,8 @@ def _hopfcat_parse(field, obj, path):
             _fail(p, "unit object has no hom")
         if x in units:
             _fail(f"{p}.object", f"repeats the unit of object {x}")
-        units[x] = _vector_in(field, _get(entry, "vector", p),
-                              homs[(x, x)].dim, f"{p}.vector")
+        units[x] = _array_in(field, _get(entry, "vector", p),
+                             (homs[(x, x)].dim,), f"{p}.vector")
     antipode = None
     if obj.get("antipode") is not None:
         antipode = {}
@@ -325,9 +317,9 @@ def _hopfcat_parse(field, obj, path):
                 _fail(p, "refers to a missing hom")
             if (x, y) in antipode:
                 _fail(p, f"repeats the antipode ({x}, {y})")
-            antipode[(x, y)] = _matrix_in(
+            antipode[(x, y)] = _array_in(
                 field, _get(entry, "matrix", p),
-                homs[(y, x)].dim, homs[(x, y)].dim, f"{p}.matrix")
+                (homs[(y, x)].dim, homs[(x, y)].dim), f"{p}.matrix")
     try:
         return HopfCategoryPresentation(tuple(objects), homs, comps, units, antipode)
     except ValueError as exc:
@@ -344,7 +336,7 @@ def _group_payload(g) -> dict:
     }
 
 
-def _group_parse(obj, path):
+def _group_parse(field, obj, path):
     from .examples import GroupPresentation
     order = _get(obj, "order", path, int)
     table = _get(obj, "table", path, list)
@@ -374,7 +366,7 @@ def _groupoid_payload(g) -> dict:
     }
 
 
-def _groupoid_parse(obj, path):
+def _groupoid_parse(field, obj, path):
     from .examples import GroupoidPresentation
     objects = tuple(_get(obj, "objects", path, list))
     source = _ints(obj, "source", path)
@@ -397,6 +389,10 @@ def _groupoid_parse(obj, path):
         _fail(path, str(exc))
 
 
+def _commalgebra_payload(c) -> dict:
+    return _algebra_out(c.field, c.algebra)
+
+
 def _commalgebra_parse(field, obj, path):
     from .hopfalgd import CommAlgebraPresentation
     algebra = _algebra_in(field, obj, path)
@@ -404,6 +400,44 @@ def _commalgebra_parse(field, obj, path):
         return CommAlgebraPresentation(algebra)
     except ValueError as exc:
         _fail(path, str(exc))
+
+
+def _weakhopf_check(w) -> AxiomReport:
+    from .weakhopf import check_antipode, check_weak_bialgebra
+    report = check_weak_bialgebra(w)
+    if report.ok() and w.antipode is not None:
+        report = report.merged(check_antipode(w))
+    return report
+
+
+def _algebroid_check(h) -> AxiomReport:
+    from .hopfalgd import check_hopf_algebroid
+    return check_hopf_algebroid(h)
+
+
+def _hopfcat_check(h) -> AxiomReport:
+    from .hopfcat import check_hopf_category
+    return check_hopf_category(h)
+
+
+class FileKind(Frozen):
+    """How the structure file of one kind is read, written and validated."""
+
+    fielded: bool    # whether the file carries a field descriptor
+    parse: object    # parse(field, payload, path), field None when not fielded
+    payload: object  # payload(presentation) -> the JSON payload
+    check: object    # check(presentation) -> AxiomReport; None when the
+                     # constructor checked every axiom
+
+
+KINDS = {
+    "weakhopf": FileKind(True, _weakhopf_parse, _weakhopf_payload, _weakhopf_check),
+    "algebroid": FileKind(True, _algebroid_parse, _algebroid_payload, _algebroid_check),
+    "hopfcat": FileKind(True, _hopfcat_parse, _hopfcat_payload, _hopfcat_check),
+    "group": FileKind(False, _group_parse, _group_payload, None),
+    "groupoid": FileKind(False, _groupoid_parse, _groupoid_payload, None),
+    "commalgebra": FileKind(True, _commalgebra_parse, _commalgebra_payload, None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -419,56 +453,27 @@ def kind_of(presentation) -> str:
 
 
 def presentation_field(presentation):
-    kind = kind_of(presentation)
-    if kind in ("group", "groupoid"):
-        return None
-    if kind == "hopfcat" and presentation.n_objects == 0:
-        return FieldSpec.rationals()
-    return presentation.field
+    """The field of the presentation; None for a kind whose file has none."""
+    return presentation.field if KINDS[kind_of(presentation)].fielded else None
 
 
 def serialize_structure(presentation) -> str:
     """Canonical JSON text for any presentation kind."""
     kind = kind_of(presentation)
     field = presentation_field(presentation)
-    if kind == "weakhopf":
-        payload = _weakhopf_payload(presentation)
-    elif kind == "algebroid":
-        payload = _algebroid_payload(presentation)
-    elif kind == "hopfcat":
-        payload = _hopfcat_payload(presentation)
-    elif kind == "group":
-        payload = _group_payload(presentation)
-    elif kind == "groupoid":
-        payload = _groupoid_payload(presentation)
-    else:
-        payload = _algebra_out(field, presentation.algebra)
     doc = {
         "format_version": FORMAT_VERSION,
         "field": None if field is None else field_to_json(field),
         "kind": kind,
-        "payload": payload,
+        "payload": KINDS[kind].payload(presentation),
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def check_presentation(presentation) -> AxiomReport:
     """Every axiom check that applies to the presentation's kind."""
-    kind = kind_of(presentation)
-    if kind == "weakhopf":
-        from .weakhopf import check_antipode, check_weak_bialgebra
-        report = check_weak_bialgebra(presentation)
-        if report.ok() and presentation.antipode is not None:
-            report = report.merged(check_antipode(presentation))
-        return report
-    if kind == "algebroid":
-        from .hopfalgd import check_hopf_algebroid
-        return check_hopf_algebroid(presentation)
-    if kind == "hopfcat":
-        from .hopfcat import check_hopf_category
-        return check_hopf_category(presentation)
-    # group/groupoid/commalgebra constructors already verified their axioms
-    return AxiomReport()
+    check = KINDS[kind_of(presentation)].check
+    return AxiomReport() if check is None else check(presentation)
 
 
 def parse_structure_text(text: str):
@@ -550,21 +555,10 @@ def _parse_doc(doc):
     version = _get(doc, "format_version", "$", str)
     if version != FORMAT_VERSION:
         _fail("$.format_version", f"unsupported version {version!r}")
-    kind = _get(doc, "kind", "$", str)
-    if kind not in KINDS:
-        _fail("$.kind", f"unknown kind {kind!r}")
+    tag = _get(doc, "kind", "$", str)
+    kind = KINDS.get(tag)
+    if kind is None:
+        _fail("$.kind", f"unknown kind {tag!r}")
     payload = _get(doc, "payload", "$", dict)
-    field = None
-    if kind not in ("group", "groupoid"):
-        field = field_from_json(_get(doc, "field", "$", dict))
-    if kind == "weakhopf":
-        return _weakhopf_parse(field, payload, "$.payload")
-    if kind == "algebroid":
-        return _algebroid_parse(field, payload, "$.payload")
-    if kind == "hopfcat":
-        return _hopfcat_parse(field, payload, "$.payload")
-    if kind == "group":
-        return _group_parse(payload, "$.payload")
-    if kind == "groupoid":
-        return _groupoid_parse(payload, "$.payload")
-    return _commalgebra_parse(field, payload, "$.payload")
+    field = field_from_json(_get(doc, "field", "$", dict)) if kind.fielded else None
+    return kind.parse(field, payload, "$.payload")

@@ -7,11 +7,12 @@ tree stores.
 """
 
 import importlib.util
+import json
 import pathlib
 import sys
 
 import maschke_kit
-from maschke_kit.examples import cyclic_group, group_algebra
+from maschke_kit.examples import cyclic_group, group_algebra, group_by_name
 from maschke_kit.exactlin import FieldSpec
 from maschke_kit.structfile import serialize_structure
 
@@ -52,6 +53,28 @@ def test_results_of_two_trees_compare_by_value():
         assert other != s
         assert ab.normalize(Subspace(s, other.row_terms)) != ab.normalize(s)
         assert ab.normalize(other) != ab.normalize(s)
+    finally:
+        for name in list(sys.modules):
+            if name.split(".")[0] in names:
+                del sys.modules[name]
+
+
+def test_generate_jobs_of_a_cli_manifest_are_run_and_compared(tmp_path):
+    # a generate job has no structure file; it writes the file it makes to
+    # standard output, which both trees must write byte for byte
+    ab = _ab_sweep()
+    names = ("ab_test_old", "ab_test_new")
+    job = {"args": ["generate", "group-algebra", "--group", "S3", "--field", "Fp:5"],
+           "expect": 0}
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"workload": "cli-oneshot", "jobs": [job]}))
+    try:
+        trees = [ab.load_tree(SRC, name) for name in names]
+        (name, run), = ab.load_items(str(tmp_path / "manifest.json"))
+        assert name == "job 0 (generate group-algebra --group S3 --field Fp:5)"
+        old, new = (run(tree) for tree in trees)
+        expected = serialize_structure(group_algebra(group_by_name("S3"), FieldSpec.gf(5)))
+        assert old == new == (0, expected, "")
     finally:
         for name in list(sys.modules):
             if name.split(".")[0] in names:

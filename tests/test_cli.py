@@ -565,9 +565,7 @@ class TestCommands:
         from maschke_kit import cli
         path = gen(tmp_path, "c3.json", "group-algebra", "--group", "C3", "--field", "Q")
         ran = []
-        for name in ("parse_structure_file", "read_structure_text", "_run_maschke",
-                     "_run_integrals", "_run_cointegrals", "_run_separability",
-                     "_run_coseparability"):
+        for name in ("parse_structure_file", "read_structure_text", "_run_solver"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
         os.mkdir(tmp_path / "folder")
         for out in (tmp_path / "missing" / "x.json", tmp_path / "folder"):
@@ -625,12 +623,50 @@ class TestCommands:
         assert doc["feasible"] is True
         assert doc["solution"]["labels"] == ["p(x)p", "p(x)q", "q(x)p", "q(x)q"]
 
-    def test_maschke_refuses_missing_antipode(self, tmp_path):
+    def test_maschke_refuses_missing_antipode(self, tmp_path, capsys):
         w = group_algebra(cyclic_group(2), QQ)
         path = tmp_path / "noanti.json"
         path.write_text(serialize_structure(
             WeakHopfPresentation(w.algebra, w.coalgebra, None)))
         assert main(["maschke", "--structure", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "invalid input: maschke requires an antipode; the equivalence is "
+            "only claimed for Hopf monoids\n")
+
+    @pytest.mark.parametrize("kind, argv", [
+        ("group", ("group", "--group", "S3")),
+        ("groupoid", ("groupoid", "--groupoid", "pair:2")),
+        ("commalgebra", ("commalgebra", "--base", "kxk", "--field", "Q")),
+    ], ids=["group", "groupoid", "commalgebra"])
+    def test_command_without_a_solver_for_the_kind_exits_three(self, tmp_path, capsys,
+                                                               kind, argv):
+        path = gen(tmp_path, "s.json", *argv)
+        for command in (("integrals", "--side", "left"), ("cointegrals", "--side", "right"),
+                        ("separability",), ("coseparability",), ("maschke",)):
+            if (command[0], kind) == ("separability", "commalgebra"):
+                continue   # the one solver of these kinds
+            capsys.readouterr()
+            assert main([*command, "--structure", str(path)]) == 3, command
+            assert capsys.readouterr().err == \
+                f"invalid input: {command[0]} does not apply to kind '{kind}'\n"
+
+    def test_hopfcat_without_objects_exits_three(self, tmp_path, capsys):
+        # an empty category has no hom to carry the file's field, so neither
+        # the file nor the round trip could keep it
+        from maschke_kit.hopfcat import HopfCategoryPresentation
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({
+            "format_version": "maschke-kit/1", "field": {"kind": "Fp", "p": 5},
+            "kind": "hopfcat", "payload": {"objects": [], "homs": [], "comps": [],
+                                           "units": [], "antipode": None}}))
+        message = "$.payload.objects: a Hopf category needs at least one object"
+        report = json.loads(run(tmp_path, "validate", "--structure", str(path), expect=3))
+        assert report["failures"] == [message]
+        capsys.readouterr()
+        assert main(["separability", "--structure", str(path)]) == 3
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+        with pytest.raises(ValueError, match="no objects"):
+            serialize_structure(HopfCategoryPresentation((), {}, {}, {}, None))
 
     def test_text_format(self, tmp_path):
         path = gen(tmp_path, "c2.json", "group-algebra", "--group", "C2",
@@ -1013,6 +1049,24 @@ class TestEntryPoint:
         assert run.returncode == 4
         assert run.stderr == \
             "usage error: cannot write <stdout>: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("damage", ["closed", "read-only"])
+    @pytest.mark.parametrize("argv, code", [
+        (("integrals", "--structure", "{c2}"), 4),
+        (("integrals", "--structure", "{defect}", "--side", "left"), 3),
+    ], ids=["usage", "invalid"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, entry_files, argv, code, damage):
+        # started with descriptor 2 closed, the process has no sys.stderr; on
+        # a descriptor open only for reading, writing the message fails
+        def unwritable_stderr():
+            if damage == "closed":
+                os.close(2)
+            else:
+                os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+        run = _entry(*[a.format(**entry_files) for a in argv],
+                     preexec_fn=unwritable_stderr)
+        assert (run.returncode, run.stdout, run.stderr) == (code, "", "")
 
     def test_closed_stdout_exits_four(self, entry_files, tmp_path):
         # started with descriptor 1 closed, the process has no sys.stdout

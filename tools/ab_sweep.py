@@ -17,9 +17,9 @@ a weakhopf-sweep manifest an item is a file: both trees parse the text and
 run the sweep's library jobs (every normalized integral and cointegral,
 separability, coseparability and the primed-to-duoidal conversions of a
 corpus file; the weak bialgebra and antipode checks and the Maschke report of
-a mutant).  For a CLI manifest an item is a job on a structure file (the
-``generate`` jobs are left out): both trees run it through ``cli.main``, with
-standard output and error captured.  A tree's time in a pass is the sum of
+a mutant).  For a CLI manifest an item is a job, a command on a structure
+file or a ``generate`` job, which writes its file to standard output: both
+trees run it through ``cli.main``, with standard output and error captured.  A tree's time in a pass is the sum of
 its per-item times, parse included.
 
 Prints one line per pass (old and new seconds, their ratio new/old) and then
@@ -159,10 +159,11 @@ def load_items(manifest: str) -> list:
                           run_file(tree, family, text)))
         return items
     for i, job in enumerate(plan["jobs"]):
+        argv, name = list(job["args"]), " ".join(job["args"])
         if "file" in job:
-            argv = job["args"] + ["--structure", os.path.join(folder, job["file"])]
-            items.append((f"job {i} ({' '.join(job['args'])} {job['file']})",
-                          lambda tree, argv=argv: run_cli_job(tree, argv)))
+            argv += ["--structure", os.path.join(folder, job["file"])]
+            name += f" {job['file']}"
+        items.append((f"job {i} ({name})", lambda tree, argv=argv: run_cli_job(tree, argv)))
     return items
 
 

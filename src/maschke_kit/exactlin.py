@@ -19,6 +19,7 @@ Conventions, fixed globally:
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from math import lcm
 
 # fractions.Fraction once _load_fractions has run: a process whose scalars all
@@ -306,6 +307,11 @@ class FieldSpec(Frozen):
             raise ValueError(f"scalar token {text!r} has a zero denominator") from None
 
     def format_scalar(self, value) -> str:
+        # a canonical int is its own text; bool and the rest go through coerce
+        if type(value) is int:
+            p = self.characteristic
+            if p == 0 or 0 <= value < p:
+                return str(value)
         return str(self.coerce(value))
 
 
@@ -417,13 +423,9 @@ class Tensor3(Frozen):
             _check_axis(d, "tensor axis")
         if len(self.entries) != self.d0 * self.d1 * self.d2:
             raise ValueError("entry count does not match d0*d1*d2")
-        nz = tuple(
-            (idx // (self.d1 * self.d2),
-             idx // self.d2 % self.d1,
-             idx % self.d2,
-             v)
-            for idx, v in enumerate(self.entries) if v != 0
-        )
+        d1, d2, ent = self.d1, self.d2, self.entries
+        nz = tuple((idx // (d1 * d2), idx // d2 % d1, idx % d2, ent[idx])
+                   for idx in compress(range(len(ent)), ent))
         object.__setattr__(self, "_nonzeros", nz)
 
     @staticmethod

@@ -23,7 +23,6 @@ from .exactlin import (
     Matrix,
     Tensor3,
     _reduce_on_arrival,
-    unit_vec,
     vec_is_zero,
 )
 
@@ -287,20 +286,20 @@ def _convolution(field: FieldSpec, comult, f, g, prod) -> list:
     return [_nonzero_entries(col) for col in out]
 
 
-def _by_leg(delta, n: int, first: bool) -> tuple:
+def _by_leg(delta, n: int) -> tuple:
     """groups[i][a] = ((b, value), ...) of the terms (a, b, value) of delta[i]
-    in k^n (x) k^n by first leg a, or (not first) of (b, a, value) by second leg a."""
+    in k^n (x) k^n, grouped by first leg a."""
     groups = [[[] for _ in range(n)] for _ in delta]
     for i, terms in enumerate(delta):
         for a, b, t in terms:
-            groups[i][a if first else b].append((b if first else a, t))
+            groups[i][a].append((b, t))
     return tuple(tuple(map(tuple, g)) for g in groups)
 
 
 @_once
-def _comult_by_leg(c: CoalgebraPresentation, leg: str) -> tuple:
-    """Delta(e_i) grouped by its "first" or "second" leg (_by_leg)."""
-    return _by_leg(_comult_by_source(c), c.dim, leg == "first")
+def _comult_by_leg(c: CoalgebraPresentation) -> tuple:
+    """Delta(e_i) grouped by its first leg (_by_leg)."""
+    return _by_leg(_comult_by_source(c), c.dim)
 
 
 def _nonzero_rows(prod) -> tuple:
@@ -342,24 +341,34 @@ def _associativity_failures(f: FieldSpec, ab, ab_c, bc, a_bc, dim):
     Each table maps [x][y] to the terms (m, value) of a product: ab of the
     first two factors, ab_c of that with the third, bc of the last two, a_bc
     of the first with that; both sides lie in a space of dimension dim.
-    They are raw int or Fraction sums, reduced only when they differ (over
-    GF(p) they may still agree mod p).
+    They are raw int or Fraction sums, taken for every k of one pair (i, j)
+    at once, at k * dim + c, and reduced only when they differ (over GF(p)
+    they may still agree mod p).
     """
     reduce = f.reduce
     for i, ab_i in enumerate(ab):
         a_bc_i = a_bc[i]
         for j, bc_j in enumerate(bc):
-            ab_ij = ab_i[j]
-            for k, bc_jk in enumerate(bc_j):
-                lhs = [0] * dim
-                for m, t in ab_ij:
-                    for c, s in ab_c[m][k]:
-                        lhs[c] += t * s
-                rhs = [0] * dim
+            size = len(bc_j) * dim
+            lhs = [0] * size
+            for m, t in ab_i[j]:
+                base = 0
+                for terms in ab_c[m]:
+                    for c, s in terms:
+                        lhs[base + c] += t * s
+                    base += dim
+            rhs = [0] * size
+            base = 0
+            for bc_jk in bc_j:
                 for m, t in bc_jk:
                     for c, s in a_bc_i[m]:
-                        rhs[c] += t * s
-                if lhs != rhs and list(map(reduce, lhs)) != list(map(reduce, rhs)):
+                        rhs[base + c] += t * s
+                base += dim
+            if lhs == rhs:
+                continue
+            for k, base in enumerate(range(0, size, dim)):
+                left, right = lhs[base:base + dim], rhs[base:base + dim]
+                if left != right and list(map(reduce, left)) != list(map(reduce, right)):
                     yield i, j, k
 
 
@@ -431,25 +440,26 @@ class CoalgebraPresentation(Frozen):
 @_once
 def check_algebra(a: AlgebraPresentation) -> AxiomReport:
     """Associativity on all basis triples (_associativity_failures) plus
-    two-sided unitality."""
+    two-sided unitality, each a raw sum reduced only when it differs."""
     f, n = a.field, a.dim
-    add, mul, zero = f.add, f.mul, f.zero()
+    reduce = f.reduce
     prod = _sparse_products(a)
     unit = [(m, u) for m, u in enumerate(a.unit) if u != 0]
     failures = []
     for i in range(n):
-        # 1 e_i and e_i 1, summed over the unit's nonzeros
-        left = [zero] * n
-        right = [zero] * n
+        # 1 e_i and e_i 1, raw sums over the unit's nonzeros
+        left = [0] * n
+        right = [0] * n
         for m, u in unit:
             for k, t in prod[m][i]:
-                left[k] = add(left[k], mul(u, t))
+                left[k] += u * t
             for k, t in prod[i][m]:
-                right[k] = add(right[k], mul(u, t))
-        e = list(unit_vec(f, n, i))
-        if left != e:
+                right[k] += u * t
+        e = [0] * n
+        e[i] = 1
+        if left != e and list(map(reduce, left)) != e:
             failures.append(AxiomFailure("left unit", (i,), a.labels[i]))
-        if right != e:
+        if right != e and list(map(reduce, right)) != e:
             failures.append(AxiomFailure("right unit", (i,), a.labels[i]))
     failures += [AxiomFailure("associativity", (i, j, k),
                               f"({a.labels[i]}*{a.labels[j]})*{a.labels[k]}")
@@ -475,21 +485,22 @@ def check_coalgebra(c: CoalgebraPresentation) -> AxiomReport:
     differ, as in check_algebra.
     """
     f, n = c.field, c.dim
-    add, mul, zero = f.add, f.mul, f.zero()
+    reduce = f.reduce
     eps = c.counit
     delta = _comult_by_source(c)
     failures = []
     for i in range(n):
-        # counit laws: (eps (x) 1) delta = id = (1 (x) eps) delta
-        left = [zero] * n
-        right = [zero] * n
+        # counit laws: (eps (x) 1) delta = id = (1 (x) eps) delta, raw sums
+        left = [0] * n
+        right = [0] * n
         for j, k, t in delta[i]:
-            left[k] = add(left[k], mul(t, eps[j]))
-            right[j] = add(right[j], mul(t, eps[k]))
-        e = list(unit_vec(f, n, i))
-        if left != e:
+            left[k] += t * eps[j]
+            right[j] += t * eps[k]
+        e = [0] * n
+        e[i] = 1
+        if left != e and list(map(reduce, left)) != e:
             failures.append(AxiomFailure("left counit", (i,)))
-        if right != e:
+        if right != e and list(map(reduce, right)) != e:
             failures.append(AxiomFailure("right counit", (i,)))
     for i in range(n):
         # (delta (x) 1) delta and (1 (x) delta) delta, keyed by (p * n + q) * n + r

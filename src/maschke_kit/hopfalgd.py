@@ -277,7 +277,7 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
 
     # multiplicativity of delta w.r.t. the factorwise product, in the quotient:
     # delta(e_i e_j) = delta(e_i) delta(e_j)
-    for i, j, raw in _comult_products(terms, _by_leg(terms, n, True), prod,
+    for i, j, raw in _comult_products(terms, _by_leg(terms, n), prod,
                                       _nonzero_rows(prod), n):
         factorwise = [(pq, r) for pq, v in enumerate(raw) if v and (r := f.reduce(v))]
         if _apply_sparse(f, dq, prod[i][j]) != _apply_sparse(f, pcols, factorwise):

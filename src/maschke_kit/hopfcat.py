@@ -142,7 +142,7 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
         delta_xz = _comult_by_source(cxz)
         comultiplicative = counital = True
         for p, q, rhs in _comult_products(_comult_by_source(cxy),
-                                          _comult_by_leg(cyz, "first"), table,
+                                          _comult_by_leg(cyz), table,
                                           _nonzero_rows(table), dxz):
             lhs = [0] * (dxz * dxz)
             for m, t in table[p][q]:

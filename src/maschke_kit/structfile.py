@@ -15,6 +15,7 @@ process loads only the kind it reads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -90,25 +91,6 @@ def array_to_json(field, value):
     return nested
 
 
-def _token_parser(field):
-    """field.parse_scalar that parses each distinct text token once.
-
-    Anything but text goes straight to parse_scalar, which refuses it; a
-    failing token raises before it is stored.
-    """
-    parsed = {}
-
-    def parse(x):
-        if type(x) is not str:
-            return field.parse_scalar(x)
-        value = parsed.get(x)
-        if value is None:
-            value = parsed[x] = field.parse_scalar(x)
-        return value
-
-    return parse
-
-
 # what each list of an array of 1, 2 or 3 axes must hold, outermost first
 _EXPECTED = {1: ("a list of {} scalars",), 2: ("{} rows", "{} entries"),
              3: ("{} planes", "{} rows", "{} entries")}
@@ -117,32 +99,60 @@ _EXPECTED = {1: ("a list of {} scalars",), 2: ("{} rows", "{} entries"),
 def _array_in(field, obj, shape, path):
     """The nested JSON array obj of the given shape: a vector (a tuple) for
     one axis, a Matrix for two, a Tensor3 for three.  A list of the wrong
-    length, or a token that does not parse, fails at the path of its list."""
-    parse, entries, last = _token_parser(field), [], len(shape) - 1
-    expected = _EXPECTED[len(shape)]
+    length, or a token that does not parse, fails at the path of its list.
 
-    def read(node, axis, path):
+    The table is flattened one axis at a time, with every list of the axis
+    checked at once, and each distinct token is parsed once.  On any fault
+    _raise_first_fault walks the table in document order, so the message
+    names the first faulty list.
+    """
+    nodes = [obj]
+    try:
+        for size in shape:
+            if not (set(map(type, nodes)) <= {list} and
+                    set(map(len, nodes)) <= {size}):
+                raise ValueError("misshapen")
+            nodes = list(itertools.chain.from_iterable(nodes))
+        tokens = dict.fromkeys(nodes)   # TypeError on a list or object token
+        parse = field.parse_scalar
+        for token in tokens:
+            tokens[token] = parse(token)
+    except (ValueError, TypeError):
+        _raise_first_fault(field, obj, shape, path)
+        raise
+    entries = tuple(map(tokens.__getitem__, nodes))
+    if len(shape) == 1:
+        return entries
+    return (Matrix if len(shape) == 2 else Tensor3)(field, *shape, entries)
+
+
+def _raise_first_fault(field, obj, shape, path):
+    """Raise StructureFileError at the first list of obj, in document order,
+    that has the wrong length or holds a token that does not parse."""
+    last, expected = len(shape) - 1, _EXPECTED[len(shape)]
+
+    def walk(node, axis, path):
         if not isinstance(node, list) or len(node) != shape[axis]:
             _fail(path, "expected " + expected[axis].format(shape[axis]))
         if axis < last:
             for i, item in enumerate(node):
-                read(item, axis + 1, f"{path}[{i}]")
+                walk(item, axis + 1, f"{path}[{i}]")
             return
         try:
-            entries.extend(map(parse, node))
+            for token in node:
+                field.parse_scalar(token)
         except (ValueError, TypeError) as exc:
             _fail(path, str(exc))
 
-    read(obj, 0, path)
-    if last == 0:
-        return tuple(entries)
-    return (Matrix if last == 1 else Tensor3)(field, *shape, tuple(entries))
+    walk(obj, 0, path)
 
 
 def _dim_in(obj, path) -> int:
-    """The declared dimension, refused above the limit on generated orders
-    before any table of that size is read."""
+    """The declared dimension, refused below 1, and above the limit on
+    generated orders before any table of that size is read."""
     dim = _get(obj, "dim", path, int)
+    if dim < 1:
+        _fail(f"{path}.dim", f"dimension {dim} is below 1")
     if dim > MAX_GENERATED_ORDER:
         _fail(f"{path}.dim", f"dimension {dim} is above the limit of "
                              f"{MAX_GENERATED_ORDER}")

@@ -13,7 +13,12 @@ it made its rows in one pass, with one dictionary per side;
 two compositions through the field operations per basis triple, and
 ``composition_comultiplicativity`` is its loop for Delta(pq) = p1 q1 (x)
 p2 q2 before both sides were taken as raw sums through
-``finalg._comult_products``.  The tests run both forms on the same inputs and
+``finalg._comult_products``; ``read_array`` is ``structfile._array_in``
+before it flattened a table one axis at a time, a recursive walk in document
+order that parses each token through a cache of the distinct tokens; and
+``convert_cointegral`` is the sum of ``weakhopf.convert_cointegral`` before
+it made one covector per unit leg, one ``finalg._product`` per basis element
+and term of Delta(1).  The tests run both forms on the same inputs and
 compare.
 """
 
@@ -21,11 +26,12 @@ import argparse
 import itertools
 
 from maschke_kit.cli import GENERATORS, UsageError
-from maschke_kit.exactlin import ConstraintSystem, unit_vec
+from maschke_kit.exactlin import ConstraintSystem, Matrix, Tensor3, unit_vec
 from maschke_kit.finalg import (AxiomFailure, AxiomReport, _apply_sparse,
-                                _comult_by_source, _comult_sum, _nonzero_entries,
-                                _sparse_products, _terms)
-from maschke_kit.weakhopf import WeakHopfPresentation
+                                _comult_by_source, _comult_sum, _dot, _nonzero_entries,
+                                _product, _sparse_products, _terms)
+from maschke_kit.structfile import _EXPECTED, _fail
+from maschke_kit.weakhopf import WeakHopfPresentation, _unit_comult, projections
 
 from denselin import comult_vec, sparse_cols
 
@@ -345,3 +351,67 @@ def composition_comultiplicativity(h) -> list:
                 found.append((x, y, z))
                 break
     return found
+
+
+def _token_parser(field):
+    """field.parse_scalar that parses each distinct text token once.
+
+    Anything but text goes straight to parse_scalar, which refuses it; a
+    failing token raises before it is stored.
+    """
+    parsed = {}
+
+    def parse(x):
+        if type(x) is not str:
+            return field.parse_scalar(x)
+        value = parsed.get(x)
+        if value is None:
+            value = parsed[x] = field.parse_scalar(x)
+        return value
+
+    return parse
+
+
+def read_array(field, obj, shape, path):
+    """The nested JSON array obj of the given shape: a vector (a tuple) for
+    one axis, a Matrix for two, a Tensor3 for three.  A list of the wrong
+    length, or a token that does not parse, fails at the path of its list."""
+    parse, entries, last = _token_parser(field), [], len(shape) - 1
+    expected = _EXPECTED[len(shape)]
+
+    def read(node, axis, path):
+        if not isinstance(node, list) or len(node) != shape[axis]:
+            _fail(path, "expected " + expected[axis].format(shape[axis]))
+        if axis < last:
+            for i, item in enumerate(node):
+                read(item, axis + 1, f"{path}[{i}]")
+            return
+        try:
+            entries.extend(map(parse, node))
+        except (ValueError, TypeError) as exc:
+            _fail(path, str(exc))
+
+    read(obj, 0, path)
+    if last == 0:
+        return tuple(entries)
+    return (Matrix if last == 1 else Tensor3)(field, *shape, tuple(entries))
+
+
+def convert_cointegral(w, tau_prime, side) -> tuple:
+    """The duoidal cointegral of the primed tau_prime, without the membership
+    tests: out[j] = sum over the terms c e_a (x) e_b of Delta(1) of
+    c tau'((e_a e_j) piR(e_b)) (left) or c tau'(piL(e_a) (e_j e_b)) (right),
+    one finalg._product per j and term."""
+    f, maps, left = w.field, projections(w), side == "left"
+    pi_cols = (maps.piR if left else maps.piL).columns()
+    prod = _sparse_products(w.algebra)
+    tau_prime = tuple(f.coerce(x) for x in tau_prime)
+    out = []
+    for j in range(w.dim):
+        acc = f.zero()
+        for a, b, c in _unit_comult(w):
+            vec = _product(f, prod, prod[a][j], pi_cols[b]) if left else \
+                _product(f, prod, pi_cols[a], prod[j][b])
+            acc = f.add(acc, f.mul(c, _dot(f, tau_prime, vec.items())))
+        out.append(acc)
+    return tuple(out)

@@ -79,3 +79,41 @@ def test_generate_jobs_of_a_cli_manifest_are_run_and_compared(tmp_path):
         for name in list(sys.modules):
             if name.split(".")[0] in names:
                 del sys.modules[name]
+
+
+def test_gain_is_shown_only_when_it_beats_the_old_trees_spread():
+    ab = _ab_sweep()
+    steady = [1.00, 1.01, 0.99, 1.00, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00]
+    # faster in 10/10 and in 9/10 passes by 5%, above a spread of about 2%
+    assert ab.gain_shown(steady, [0.95] * 10)
+    assert ab.gain_shown(steady, [0.95] * 9 + [1.01])
+    # faster in 8/10 passes only, or never
+    assert not ab.gain_shown(steady, [0.95] * 8 + [1.01] * 2)
+    assert not ab.gain_shown(steady, [1.0] * 10)
+    # faster in every pass, but by less than the old tree's own spread
+    assert not ab.gain_shown(steady, [0.99] * 10)
+    noisy = [1.0, 1.2, 0.8, 1.1, 0.9, 1.0, 1.3, 0.7, 1.0, 1.0]
+    assert not ab.gain_shown(noisy, [0.95] * 10)
+
+
+def test_main_prints_whether_a_gain_is_shown(tmp_path, capsys):
+    # an A/A control of one small file: no result differs, and the last line
+    # says whether the timings show a gain
+    ab = _ab_sweep()
+    text = serialize_structure(group_algebra(cyclic_group(2), FieldSpec.gf(3)))
+    (tmp_path / "c2.json").write_text(text)
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"workload": "weakhopf-sweep", "files": [{"file": "c2.json", "family": "corpus"}]}))
+    dont_write = sys.dont_write_bytecode
+    try:
+        assert ab.main([SRC, SRC, str(tmp_path / "manifest.json"), "--passes", "3"]) == 0
+    finally:
+        sys.dont_write_bytecode = dont_write
+        for name in list(sys.modules):
+            if name.split(".")[0] in ("ab_old", "ab_new"):
+                del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == ["pass 1", "pass 2", "pass 3"]
+    assert lines[3].startswith("median ratio ")
+    assert lines[4] in ("gain shown: yes", "gain shown: no")
+    assert len(lines) == 5

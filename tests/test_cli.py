@@ -336,6 +336,28 @@ class TestCommands:
         assert err.count("above the limit") == len(argvs)
         assert not os.path.exists(out)
 
+    def test_dimension_below_one_is_named_at_its_dim_key(self, tmp_path, capsys):
+        # a negative dim with no labels was refused at the labels, and a hom of
+        # dim 0 with empty tables reached CoalgebraPresentation, whose
+        # ValueError left maschke and separability with exit 1
+        ca = gen(tmp_path, "ca.json", "commalgebra", "--base", "kxk", "--field", "Fp:3")
+        doc = json.loads(ca.read_text())
+        doc["payload"].update(dim=-1, labels=[])
+        ca.write_text(json.dumps(doc))
+        hc = gen(tmp_path, "hc.json", *HOPFCAT)
+        doc = json.loads(hc.read_text())
+        doc["payload"]["homs"][0].update(dim=0, comult=[], counit=[])
+        hc.write_text(json.dumps(doc))
+        for path, message in ((ca, "$.payload.dim: dimension -1 is below 1"),
+                              (hc, "$.payload.homs[0].dim: dimension 0 is below 1")):
+            report = json.loads(run(tmp_path, "validate", "--structure", str(path),
+                                    expect=3))
+            assert report["failures"] == [message]
+            for command in ("maschke", "separability"):
+                capsys.readouterr()
+                assert main([command, "--structure", str(path)]) == 3
+                assert capsys.readouterr().err == f"invalid input: {message}\n"
+
     def test_dimension_above_limit_exits_three(self, tmp_path):
         # kC65 parses as JSON, but its dimension is refused before any table is
         # read; the dims of the other kinds are raised in small files

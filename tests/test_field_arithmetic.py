@@ -120,3 +120,29 @@ def test_coerce_refuses_bool(field):
     for value in (True, False):
         with pytest.raises(TypeError, match="bool is not a scalar"):
             field.coerce(value)
+
+
+@given(field_and(1))
+@settings(max_examples=300, deadline=None)
+def test_format_scalar_of_a_canonical_scalar(drawn):
+    # a canonical int is written without coerce; the text is the same
+    field, (a,) = drawn
+    assert field.format_scalar(a) == str(field.coerce(a)) == str(a)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_format_scalar_of_other_values_goes_through_coerce(field):
+    p = field.characteristic
+    for value in (True, False):
+        with pytest.raises(TypeError, match="bool is not a scalar"):
+            field.format_scalar(value)
+    for value in (-1, -(2**40), p, p + 3, 2**40):
+        assert field.format_scalar(value) == str(value if p == 0 else value % p)
+    for value in (Fraction(1, 7), Fraction(-11, 49), Fraction(4, 2)):
+        assert field.format_scalar(value) == str(expected(field, value))
+    if p == 0:
+        assert QQ.format_scalar(Fraction(3, 2)) == "3/2"
+        assert QQ.format_scalar(Fraction(4, 2)) == "2"
+    else:
+        with pytest.raises(ValueError, match=f"vanishes mod {p}"):
+            field.format_scalar(Fraction(1, p))

@@ -68,6 +68,7 @@ from denselin import (NON_SCALAR_Q, add_matrix_rows, add_row, apply, comult_vec,
                       identity, left_mult_matrix, matrix_pair_weak_hopf, mult_vec, rebased,
                       right_mult_matrix, row_multiset, sparse_cols,
                       subspace_from_rows, transpose, vec_add, vec_scale, zero_vec)
+from oracles import convert_cointegral as product_form_convert_cointegral
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -617,6 +618,27 @@ class TestWeakHopfMatchesOracles:
                         oracle_convert_cointegral(w, csol.functional, side)
                     conversions += 1
         assert conversions > 400
+
+    def test_cointegral_conversion_matches_the_product_form(self):
+        # one covector per unit leg gives what one _product per basis element
+        # and term of Delta(1) gave, on both sides
+        converted = set()
+        for w in valid_corpus():
+            for side in SIDES:
+                csol = solve_cointegral(w, side, "primed", True)
+                if csol is not None:
+                    assert convert_cointegral(w, csol.functional, side) == \
+                        product_form_convert_cointegral(w, csol.functional, side)
+                    converted.add((w, side))
+        # H_Q, and dual group algebras in a characteristic prime to the order
+        # of the group (the others have no normalized cointegral)
+        wanted = [matrix_pair_weak_hopf(2, f, q) for f in (QQ, F3, F5)
+                  for q in (None, NON_SCALAR_Q[f.characteristic])] + \
+            [dual_group_algebra(g, f) for g, fields in ((cyclic_group(4), (QQ, F3, F5)),
+                                                        (symmetric_group_s3(), (QQ, F5)))
+             for f in fields]
+        assert {(w, side) for w in wanted for side in SIDES} <= converted
+        assert len(converted) > 200
 
 
 def counting(monkeypatch, owner, name):

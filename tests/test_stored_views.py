@@ -1,7 +1,7 @@
 """The sparse views that checks, walks and system builders read are built
 once per presentation, each by one builder.
 
-Delta grouped by leg (``finalg._comult_by_leg``, stored on the coalgebra),
+Delta grouped by first leg (``finalg._comult_by_leg``, stored on the coalgebra),
 the nonzero rows of a product table (``finalg._nonzero_rows``), the counit
 pairing eps(e_i e_j) as sparse rows and columns
 (``weakhopf._counit_pairing``), the algebroid's actions s(x) e_j, t(x) e_j,
@@ -60,10 +60,8 @@ def test_weak_hopf_views_match_the_per_call_constructions():
         n = w.dim
         assert _nonzero_rows(zip(*prod)) == tuple(
             tuple((c, prod[c][b]) for c in range(n) if prod[c][b]) for b in range(n))
-        assert [as_dict(g) for g in _comult_by_leg(coa, "first")] == \
+        assert [as_dict(g) for g in _comult_by_leg(coa)] == \
             [old_grouped(terms) for terms in by_source]
-        assert [as_dict(g) for g in _comult_by_leg(coa, "second")] == \
-            [old_grouped((b, a, s) for a, b, s in terms) for terms in by_source]
         eps2 = [[_dot(w.field, coa.counit, terms) for terms in row] for row in prod]
         rows, cols = _counit_pairing(w)
         assert rows == tuple(tuple(_terms(row)) for row in eps2)
@@ -137,8 +135,7 @@ def test_each_hom_is_grouped_by_leg_once(monkeypatch):
     calls = counting(monkeypatch, finalg, "_by_leg")
     assert check_hopf_category(h).ok()
     assert len(calls) == len(h.homs) == 4
-    assert sum(len(delta) for delta, n, first in calls) == 24
-    assert all(first for delta, n, first in calls)
+    assert sum(len(delta) for delta, n in calls) == 24
 
 
 def test_weak_hopf_check_builds_each_view_once(monkeypatch):
@@ -151,6 +148,6 @@ def test_weak_hopf_check_builds_each_view_once(monkeypatch):
     # the rows, and the columns for the twisted weak unit
     assert len(rows) == 2
     assert sum(args[0] is _sparse_products(w.algebra) for args in rows) == 1
-    # Delta by first and by second leg, and Delta(1) by first leg
-    assert sorted((len(delta), first) for calls in legs for delta, n, first in calls) == \
-        [(1, True), (w.dim, False), (w.dim, True)]
+    # Delta by first leg, and Delta(1) by first leg; the weak counit sums over
+    # Delta by source, so Delta is not grouped by its second leg
+    assert sorted(len(delta) for calls in legs for delta, n in calls) == [1, w.dim]

@@ -24,7 +24,8 @@ its per-item times, parse included.
 
 Prints one line per pass (old and new seconds, their ratio new/old) and then
 the median ratio, its quartiles and the passes in which the new tree was
-faster.  The two trees' results are compared by value on every item (see
+faster, and last ``gain shown: yes`` or ``gain shown: no`` (see
+``gain_shown``).  The two trees' results are compared by value on every item (see
 ``normalize``): the sweep's results, or a CLI job's exit code, output and
 error text with the ``timing_ms`` value set to 0.  A difference is printed
 and makes the exit status 1.
@@ -167,6 +168,16 @@ def load_items(manifest: str) -> list:
     return items
 
 
+def gain_shown(old_times, ratios) -> bool:
+    """True when the new tree was faster (ratio below 1) in at least nine of
+    every ten passes and its median gain, 1 - median ratio, exceeds the
+    spread between the quartiles of the old tree's pass times over their
+    median: a gain larger than the old tree's own noise."""
+    q1, _, q3 = statistics.quantiles(old_times, n=4)
+    return 10 * sum(r < 1 for r in ratios) >= 9 * len(ratios) and \
+        1 - statistics.median(ratios) > (q3 - q1) / statistics.median(old_times)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
@@ -178,7 +189,7 @@ def main(argv=None) -> int:
     trees = (load_tree(args.old_src, "ab_old"), load_tree(args.new_src, "ab_new"))
     items = load_items(args.manifest)
     clock = time.perf_counter
-    ratios, differ = [], 0
+    ratios, old_times, differ = [], [], 0
     for rnd in range(args.passes):
         gc.collect()
         spent = [0.0, 0.0]
@@ -192,6 +203,7 @@ def main(argv=None) -> int:
                 differ += 1
                 print(f"results differ on {name}")
         ratios.append(spent[1] / spent[0])
+        old_times.append(spent[0])
         print(f"pass {rnd + 1}: old {spent[0]:.3f} s  new {spent[1]:.3f} s  "
               f"ratio {ratios[-1]:.3f}", flush=True)
     if len(ratios) > 1:
@@ -199,6 +211,7 @@ def main(argv=None) -> int:
         print(f"median ratio {statistics.median(ratios):.3f} "
               f"(quartiles {q1:.3f}-{q3:.3f}); new faster in "
               f"{sum(r < 1 for r in ratios)}/{len(ratios)} passes")
+        print(f"gain shown: {'yes' if gain_shown(old_times, ratios) else 'no'}")
     if differ:
         print(f"{differ} items gave different results")
     return 1 if differ else 0

@@ -1,8 +1,9 @@
 """Deterministic generators for the test corpus, and a mutation harness.
 
-Groups and groupoids are given by verified multiplication tables; the
-generators assemble group algebras, dual group algebras, groupoid algebras,
-groupoid-linearized Hopf categories and pair Hopf algebroids from them.
+Groups and groupoids are given by verified multiplication tables.  One
+linearization of a product table builds group and groupoid algebras and, as
+their dual, the dual group algebras; a groupoid's hom-sets span a Hopf
+category; pair Hopf algebroids come from commutative base algebras.
 Composition convention for groupoids: f*h means "apply h first" and is
 defined when target(h) = source(f).
 """
@@ -10,6 +11,7 @@ defined when target(h) = source(f).
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .exactlin import FieldSpec, Frozen, Matrix, Tensor3
 from .finalg import MAX_GENERATED_ORDER, AlgebraPresentation, CoalgebraPresentation
@@ -108,6 +110,15 @@ def _check_order(order: int, name: str):
                          f"of {MAX_GENERATED_ORDER}")
 
 
+def _order(text: str, name: str) -> int:
+    """The order written in text: ASCII digits, at least 1."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise ValueError(f"bad order {text!r} in {name!r}: expected ASCII digits, "
+                         "at least 1")
+    return int(text)
+
+
 def group_by_name(name: str) -> GroupPresentation:
     """Names: C<n>, K4/V4, S3, D<n> (dihedral of order 2n)."""
     name = name.strip().upper()
@@ -115,12 +126,11 @@ def group_by_name(name: str) -> GroupPresentation:
         return klein_four_group()
     if name == "S3":
         return symmetric_group_s3()
-    if name.startswith("C") and name[1:].isdigit():
-        _check_order(int(name[1:]), name)
-        return cyclic_group(int(name[1:]))
-    if name.startswith("D") and name[1:].isdigit():
-        _check_order(2 * int(name[1:]), name)
-        return dihedral_group(int(name[1:]))
+    if name[:1] in ("C", "D") and name[1:].isdigit():
+        n = _order(name[1:], name)
+        cyclic = name[0] == "C"
+        _check_order(n if cyclic else 2 * n, name)
+        return cyclic_group(n) if cyclic else dihedral_group(n)
     raise ValueError(f"unknown group name {name!r}")
 
 
@@ -188,35 +198,6 @@ def _groupoid_labels(objects, source, target):
                  for i in range(len(source)))
 
 
-def pair_groupoid(n: int) -> GroupoidPresentation:
-    """Objects 0..n-1 with exactly one morphism between any ordered pair."""
-    if n < 1:
-        raise ValueError("need at least one object")
-    objects = tuple(f"x{i}" for i in range(n))
-    morphs = [(s, t) for s in range(n) for t in range(n)]
-    index = {m: i for i, m in enumerate(morphs)}
-    source = tuple(s for s, _ in morphs)
-    target = tuple(t for _, t in morphs)
-    compose = {}
-    for f, (sf, tf) in enumerate(morphs):
-        for h, (sh, th) in enumerate(morphs):
-            if sf == th:
-                compose[(f, h)] = index[(sh, tf)]
-    identity = tuple(index[(x, x)] for x in range(n))
-    inverse = tuple(index[(t, s)] for (s, t) in morphs)
-    return GroupoidPresentation(objects, source, target, compose, identity,
-                                inverse, _groupoid_labels(objects, source, target))
-
-
-def one_object_groupoid(g: GroupPresentation) -> GroupoidPresentation:
-    objects = ("x0",)
-    n = g.order
-    compose = {(f, h): g.table[f][h] for f in range(n) for h in range(n)}
-    return GroupoidPresentation(objects, (0,) * n, (0,) * n, compose,
-                                (g.identity,), g.inverse,
-                                tuple(f"f{i}:x0>x0" for i in range(n)))
-
-
 def disjoint_union(a: GroupoidPresentation, b: GroupoidPresentation) -> GroupoidPresentation:
     objects = tuple(f"L{x}" for x in a.objects) + tuple(f"R{x}" for x in b.objects)
     no, nm = len(a.objects), a.n_morphisms
@@ -231,24 +212,34 @@ def disjoint_union(a: GroupoidPresentation, b: GroupoidPresentation) -> Groupoid
 
 
 def connected_groupoid(g: GroupPresentation, n_objects: int) -> GroupoidPresentation:
-    """Every hom-set a torsor over g: morphisms are (src, tgt, group element)."""
+    """Every hom-set a torsor over g: morphism (s, t, a) from s to t with
+    group element a has index (s * n_objects + t) * |g| + a."""
     if n_objects < 1:
         raise ValueError("need at least one object")
-    objects = tuple(f"x{i}" for i in range(n_objects))
-    morphs = [(s, t, a) for s in range(n_objects) for t in range(n_objects)
-              for a in range(g.order)]
-    index = {m: i for i, m in enumerate(morphs)}
+    n, order = n_objects, g.order
+    objects = tuple(f"x{i}" for i in range(n))
+    morphs = [(s, t, a) for s in range(n) for t in range(n) for a in range(order)]
     source = tuple(m[0] for m in morphs)
     target = tuple(m[1] for m in morphs)
     compose = {}
-    for f, (sf, tf, af) in enumerate(morphs):
-        for h, (sh, th, ah) in enumerate(morphs):
-            if sf == th:
-                compose[(f, h)] = index[(sh, tf, g.table[af][ah])]
-    identity = tuple(index[(x, x, g.identity)] for x in range(n_objects))
-    inverse = tuple(index[(t, s, g.inverse[a])] for (s, t, a) in morphs)
+    for f, (y, z, a) in enumerate(morphs):   # f after each h: x -> y
+        for x in range(n):
+            h, fh, row = (x * n + y) * order, (x * n + z) * order, g.table[a]
+            for b in range(order):
+                compose[(f, h + b)] = fh + row[b]
+    identity = tuple((x * n + x) * order + g.identity for x in range(n))
+    inverse = tuple((t * n + s) * order + g.inverse[a] for s, t, a in morphs)
     return GroupoidPresentation(objects, source, target, compose, identity,
                                 inverse, _groupoid_labels(objects, source, target))
+
+
+def pair_groupoid(n: int) -> GroupoidPresentation:
+    """Objects 0..n-1 with exactly one morphism between any ordered pair."""
+    return connected_groupoid(cyclic_group(1), n)
+
+
+def one_object_groupoid(g: GroupPresentation) -> GroupoidPresentation:
+    return connected_groupoid(g, 1)
 
 
 def groupoid_by_name(name: str) -> GroupoidPresentation:
@@ -256,7 +247,7 @@ def groupoid_by_name(name: str) -> GroupoidPresentation:
     name = name.strip()
     kind, _, rest = name.partition(":")
     if kind == "pair":
-        n = int(rest)
+        n = _order(rest, name)
         _check_order(n * n, name)
         return pair_groupoid(n)
     if kind == "one":
@@ -268,130 +259,108 @@ def groupoid_by_name(name: str) -> GroupoidPresentation:
         return disjoint_union(one_object_groupoid(left), one_object_groupoid(right))
     if kind == "conn":
         gname, _, n = rest.partition(":")
-        g, n = group_by_name(gname), int(n)
+        g, n = group_by_name(gname), _order(n, name)
         _check_order(g.order * n * n, name)
         return connected_groupoid(g, n)
     raise ValueError(f"unknown groupoid name {name!r}")
 
 
 # ---------------------------------------------------------------------------
-# weak Hopf presentations
+# linearizations: weak Hopf presentations and Hopf categories
+
+
+def _ones(field: FieldSpec, size: int, places) -> tuple:
+    """A table of size entries: one at each of places, zero elsewhere."""
+    ent = [field.zero()] * size
+    one = field.one()
+    for i in places:
+        ent[i] = one
+    return tuple(ent)
+
+
+def _grouplike(field: FieldSpec, d: int) -> tuple:
+    """(Delta, eps) of the coalgebra on d grouplike basis elements:
+    Delta(e) = e (x) e and eps(e) = 1."""
+    diagonal = _ones(field, d ** 3, range(0, d ** 3, d * d + d + 1))
+    return Tensor3(field, d, d, d, diagonal), (field.one(),) * d
+
+
+def _linearization(field: FieldSpec, labels: tuple, products, identities,
+                   inverse: tuple, dual: bool = False) -> WeakHopfPresentation:
+    """The span of a groupoid's morphisms (a group's elements): products
+    (((f, h), fh) over the composable pairs) extended by zero, the sum of the
+    identities as unit, grouplike comultiplication and antipode f -> f^-1.
+    With dual, the dual on the dual basis d<label>, written from the same
+    data: product and coproduct swap, unit and counit swap, S is transposed."""
+    n = len(labels)
+    if dual:
+        places = [(fh * n + f) * n + h for (f, h), fh in products]
+        flips = [i * n + inverse[i] for i in range(n)]
+    else:
+        places = [(f * n + h) * n + fh for (f, h), fh in products]
+        flips = [inverse[i] * n + i for i in range(n)]
+    mult = Tensor3(field, n, n, n, _ones(field, n ** 3, places))
+    unit = _ones(field, n, identities)
+    comult, counit = _grouplike(field, n)
+    if dual:
+        mult, unit, comult, counit = comult, counit, mult, unit
+        labels = tuple(f"d{l}" for l in labels)
+    return WeakHopfPresentation(AlgebraPresentation(field, n, labels, mult, unit),
+                                CoalgebraPresentation(field, n, comult, counit),
+                                Matrix(field, n, n, _ones(field, n * n, flips)))
+
+
+def _group_products(g: GroupPresentation):
+    return [((i, j), k) for i, row in enumerate(g.table) for j, k in enumerate(row)]
 
 
 def group_algebra(g: GroupPresentation, field: FieldSpec) -> WeakHopfPresentation:
     """kG with grouplike comultiplication and inversion antipode."""
-    n = g.order
-    z, o = field.zero(), field.one()
-    mult = [z] * (n ** 3)
-    comult = [z] * (n ** 3)
-    anti = [z] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            mult[(i * n + j) * n + g.table[i][j]] = o
-        comult[(i * n + i) * n + i] = o
-        anti[g.inverse[i] * n + i] = o
-    unit = tuple(o if i == g.identity else z for i in range(n))
-    algebra = AlgebraPresentation(field, n, g.labels,
-                                  Tensor3(field, n, n, n, tuple(mult)), unit)
-    coalgebra = CoalgebraPresentation(field, n,
-                                      Tensor3(field, n, n, n, tuple(comult)),
-                                      (o,) * n)
-    return WeakHopfPresentation(algebra, coalgebra, Matrix(field, n, n, tuple(anti)))
+    return _linearization(field, g.labels, _group_products(g), (g.identity,), g.inverse)
 
 
 def dual_group_algebra(g: GroupPresentation, field: FieldSpec) -> WeakHopfPresentation:
-    """Functions on G: pointwise product, convolution-dual comultiplication."""
-    n = g.order
-    z, o = field.zero(), field.one()
-    mult = [z] * (n ** 3)
-    comult = [z] * (n ** 3)
-    anti = [z] * (n * n)
-    for i in range(n):
-        mult[(i * n + i) * n + i] = o
-        anti[g.inverse[i] * n + i] = o
-        for j in range(n):
-            # delta(d_i) = sum over factorizations j * (j^-1 i) = i
-            comult[(i * n + j) * n + g.table[g.inverse[j]][i]] = o
-    counit = tuple(o if i == g.identity else z for i in range(n))
-    algebra = AlgebraPresentation(field, n, tuple(f"d{l}" for l in g.labels),
-                                  Tensor3(field, n, n, n, tuple(mult)), (o,) * n)
-    coalgebra = CoalgebraPresentation(field, n,
-                                      Tensor3(field, n, n, n, tuple(comult)), counit)
-    return WeakHopfPresentation(algebra, coalgebra, Matrix(field, n, n, tuple(anti)))
+    """k^G, the dual of kG: pointwise product, Delta(d_i) = sum of d_j (x) d_k
+    over jk = i."""
+    return _linearization(field, g.labels, _group_products(g), (g.identity,),
+                          g.inverse, dual=True)
 
 
 def groupoid_algebra(gd: GroupoidPresentation, field: FieldSpec) -> WeakHopfPresentation:
     """Basis = morphisms, f*h = composite when composable else 0; unit sums ids."""
-    n = gd.n_morphisms
-    z, o = field.zero(), field.one()
-    mult = [z] * (n ** 3)
-    comult = [z] * (n ** 3)
-    anti = [z] * (n * n)
-    for f in range(n):
-        comult[(f * n + f) * n + f] = o
-        anti[gd.inverse[f] * n + f] = o
-        for h in range(n):
-            fh = gd.compose.get((f, h))
-            if fh is not None:
-                mult[(f * n + h) * n + fh] = o
-    unit = [z] * n
-    for e in gd.identity:
-        unit[e] = o
-    algebra = AlgebraPresentation(field, n, gd.labels,
-                                  Tensor3(field, n, n, n, tuple(mult)), tuple(unit))
-    coalgebra = CoalgebraPresentation(field, n,
-                                      Tensor3(field, n, n, n, tuple(comult)),
-                                      (o,) * n)
-    return WeakHopfPresentation(algebra, coalgebra, Matrix(field, n, n, tuple(anti)))
+    return _linearization(field, gd.labels, gd.compose.items(), gd.identity, gd.inverse)
 
 
 def hopf_category_from_groupoid(gd: GroupoidPresentation,
                                 field: FieldSpec) -> HopfCategoryPresentation:
     """Hom spans linearized: a(x,y) = span of morphisms x -> y, grouplike."""
-    nobj = len(gd.objects)
-    z, o = field.zero(), field.one()
-    hom_elems = {}
-    for x in range(nobj):
-        for y in range(nobj):
-            elems = gd.hom(x, y)
-            if not elems:
-                raise ValueError(f"empty hom-set {gd.objects[x]} -> {gd.objects[y]}; "
-                                 "every hom must carry a counit")
-            hom_elems[(x, y)] = elems
-    objects = gd.objects
-    homs = {}
-    for (x, y), elems in hom_elems.items():
-        d = len(elems)
-        comult = [z] * (d ** 3)
-        for i in range(d):
-            comult[(i * d + i) * d + i] = o
-        homs[(x, y)] = CoalgebraPresentation(field, d,
-                                             Tensor3(field, d, d, d, tuple(comult)),
-                                             (o,) * d)
+    objs = range(len(gd.objects))
+    hom_elems, slot = {}, {}   # slot[f] = the place of f in its hom-set
+    for x, y in product(objs, repeat=2):
+        elems = hom_elems[(x, y)] = gd.hom(x, y)
+        if not elems:
+            raise ValueError(f"empty hom-set {gd.objects[x]} -> {gd.objects[y]}; "
+                             "every hom must carry a counit")
+        slot.update((f, i) for i, f in enumerate(elems))
+    grouplike = {d: _grouplike(field, d) for d in set(map(len, hom_elems.values()))}
+    # one table per dimension, but a record per hom, so views are stored per hom
+    homs = {xy: CoalgebraPresentation(field, len(elems), *grouplike[len(elems)])
+            for xy, elems in hom_elems.items()}
     comps = {}
-    for x in range(nobj):
-        for y in range(nobj):
-            for zz in range(nobj):
-                exy, eyz, exz = hom_elems[(x, y)], hom_elems[(y, zz)], hom_elems[(x, zz)]
-                dxy, dyz, dxz = len(exy), len(eyz), len(exz)
-                ent = [z] * (dxz * dxy * dyz)
-                for i, fi in enumerate(exy):
-                    for j, gj in enumerate(eyz):
-                        m = exz.index(gd.compose[(gj, fi)])
-                        ent[m * (dxy * dyz) + i * dyz + j] = o
-                comps[(x, y, zz)] = Matrix(field, dxz, dxy * dyz, tuple(ent))
-    units = {}
-    for x in range(nobj):
-        exx = hom_elems[(x, x)]
-        units[x] = tuple(o if m == gd.identity[x] else z for m in exx)
+    for x, y, z in product(objs, repeat=3):
+        exy, eyz, dxz = hom_elems[(x, y)], hom_elems[(y, z)], homs[(x, z)].dim
+        dxy, dyz = len(exy), len(eyz)
+        places = [slot[gd.compose[(g, f)]] * (dxy * dyz) + i * dyz + j
+                  for i, f in enumerate(exy) for j, g in enumerate(eyz)]
+        comps[(x, y, z)] = Matrix(field, dxz, dxy * dyz,
+                                  _ones(field, dxz * dxy * dyz, places))
+    units = {x: _ones(field, homs[(x, x)].dim, (slot[gd.identity[x]],)) for x in objs}
     antipode = {}
     for (x, y), elems in hom_elems.items():
-        eyx = hom_elems[(y, x)]
-        ent = [z] * (len(eyx) * len(elems))
-        for j, fj in enumerate(elems):
-            ent[eyx.index(gd.inverse[fj]) * len(elems) + j] = o
-        antipode[(x, y)] = Matrix(field, len(eyx), len(elems), tuple(ent))
-    return HopfCategoryPresentation(objects, homs, comps, units, antipode)
+        d, dyx = len(elems), homs[(y, x)].dim
+        places = [slot[gd.inverse[f]] * d + j for j, f in enumerate(elems)]
+        antipode[(x, y)] = Matrix(field, dyx, d, _ones(field, dyx * d, places))
+    return HopfCategoryPresentation(gd.objects, homs, comps, units, antipode)
 
 
 GROUND_FIELD_BASE = "k"
@@ -487,75 +456,38 @@ def pair_hopf_algebroid(r: CommAlgebraPresentation) -> HopfAlgebroidPresentation
 # mutation harness
 
 
-def _mutant_value(field, rng, old):
-    if field.characteristic == 0:
-        pool = [-2, -1, 0, 1, 2, 3]
-        new = field.coerce(rng.choice(pool))
-    else:
-        new = rng.randrange(field.characteristic)
-    return new
-
-
 def mutate(w: WeakHopfPresentation, seed: int) -> WeakHopfPresentation:
     """Perturb one structure-constant entry, chosen deterministically by seed.
 
     Dimensions never change; validity of the result is not guaranteed, by
-    design.  A draw that would leave the entry unchanged is redrawn from
-    seed + 1.
+    design.  A draw that would leave the entry unchanged, or make the unit
+    zero, is redrawn from seed + 1.
     """
     if not isinstance(w, WeakHopfPresentation):
         raise TypeError("mutate expects a WeakHopfPresentation")
+    f, n, alg, coa, s = w.field, w.dim, w.algebra, w.coalgebra, w.antipode
+    # the sites, every entry of each table in draw order
+    tables = (alg.mult.entries, alg.unit, coa.comult.entries, coa.counit,
+              () if s is None else s.entries)
     rng = random.Random(seed)
-    f = w.field
-    n = w.dim
-    sites = [("mult", n ** 3), ("unit", n), ("comult", n ** 3), ("counit", n)]
-    if w.antipode is not None:
-        sites.append(("antipode", n * n))
-    total = sum(c for _, c in sites)
-    pick = rng.randrange(total)
-    for name, count in sites:
-        if pick < count:
-            break
-        pick -= count
-    new = _mutant_value(f, rng, None)
-
-    def redraw():
+    pick, site = rng.randrange(sum(map(len, tables))), 0
+    while pick >= len(tables[site]):
+        pick -= len(tables[site])
+        site += 1
+    new = f.coerce(rng.choice([-2, -1, 0, 1, 2, 3])) if f.characteristic == 0 \
+        else rng.randrange(f.characteristic)
+    entries = tables[site]
+    if entries[pick] == new:
         return mutate(w, seed + 1)
-
-    alg, coa = w.algebra, w.coalgebra
-    if name == "mult":
-        i, rest = divmod(pick, n * n)
-        j, k = divmod(rest, n)
-        if alg.mult.at(i, j, k) == new:
-            return redraw()
-        alg = AlgebraPresentation(f, n, alg.labels,
-                                  alg.mult.with_entry(i, j, k, new), alg.unit)
-    elif name == "unit":
-        if alg.unit[pick] == new:
-            return redraw()
-        unit = list(alg.unit)
-        unit[pick] = new
-        if all(x == 0 for x in unit):
-            return redraw()
-        alg = AlgebraPresentation(f, n, alg.labels, alg.mult, tuple(unit))
-    elif name == "comult":
-        i, rest = divmod(pick, n * n)
-        j, k = divmod(rest, n)
-        if coa.comult.at(i, j, k) == new:
-            return redraw()
-        coa = CoalgebraPresentation(f, n, coa.comult.with_entry(i, j, k, new),
-                                    coa.counit)
-    elif name == "counit":
-        if coa.counit[pick] == new:
-            return redraw()
-        counit = list(coa.counit)
-        counit[pick] = new
-        coa = CoalgebraPresentation(f, n, coa.comult, tuple(counit))
-    else:
-        i, j = divmod(pick, n)
-        if w.antipode.at(i, j) == new:
-            return redraw()
-        ent = list(w.antipode.entries)
-        ent[i * n + j] = new
-        return WeakHopfPresentation(alg, coa, Matrix(f, n, n, tuple(ent)))
-    return WeakHopfPresentation(alg, coa, w.antipode)
+    e = entries[:pick] + (new,) + entries[pick + 1:]
+    if site == 1 and not any(e):   # the unit may not become zero
+        return mutate(w, seed + 1)
+    parts = (   # (algebra, coalgebra, antipode) with table number site replaced by e
+        lambda: (AlgebraPresentation(f, n, alg.labels, Tensor3(f, n, n, n, e), alg.unit),
+                 coa, s),
+        lambda: (AlgebraPresentation(f, n, alg.labels, alg.mult, e), coa, s),
+        lambda: (alg, CoalgebraPresentation(f, n, Tensor3(f, n, n, n, e), coa.counit), s),
+        lambda: (alg, CoalgebraPresentation(f, n, coa.comult, e), s),
+        lambda: (alg, coa, Matrix(f, n, n, e)),
+    )[site]()
+    return WeakHopfPresentation(*parts)

@@ -18,18 +18,28 @@ before it flattened a table one axis at a time, a recursive walk in document
 order that parses each token through a cache of the distinct tokens; and
 ``convert_cointegral`` is the sum of ``weakhopf.convert_cointegral`` before
 it made one covector per unit leg, one ``finalg._product`` per basis element
-and term of Delta(1).  The tests run both forms on the same inputs and
-compare.
+and term of Delta(1).  ``group_algebra``, ``dual_group_algebra``,
+``groupoid_algebra``, ``hopf_category_from_groupoid``, ``pair_groupoid``,
+``one_object_groupoid``, ``connected_groupoid`` and ``mutate`` are the
+generators of ``examples`` before one groupoid linearization built the weak
+Hopf families and the pair and one-object groupoids became connected
+groupoids: a hand-written builder per family, a connected groupoid that
+tested every pair of morphisms for composability, and a five-branch
+mutation.  The tests run both forms on the same inputs and compare.
 """
 
 import argparse
 import itertools
+import random
 
 from maschke_kit.cli import GENERATORS, UsageError
-from maschke_kit.exactlin import ConstraintSystem, Matrix, Tensor3, unit_vec
-from maschke_kit.finalg import (AxiomFailure, AxiomReport, _apply_sparse,
+from maschke_kit.examples import GroupoidPresentation, GroupPresentation
+from maschke_kit.exactlin import ConstraintSystem, FieldSpec, Matrix, Tensor3, unit_vec
+from maschke_kit.finalg import (AlgebraPresentation, AxiomFailure, AxiomReport,
+                                CoalgebraPresentation, _apply_sparse,
                                 _comult_by_source, _comult_sum, _dot, _nonzero_entries,
                                 _product, _sparse_products, _terms)
+from maschke_kit.hopfcat import HopfCategoryPresentation
 from maschke_kit.structfile import _EXPECTED, _fail
 from maschke_kit.weakhopf import WeakHopfPresentation, _unit_comult, projections
 
@@ -415,3 +425,250 @@ def convert_cointegral(w, tau_prime, side) -> tuple:
             acc = f.add(acc, f.mul(c, _dot(f, tau_prime, vec.items())))
         out.append(acc)
     return tuple(out)
+
+
+# the generators before one linearization built them all
+
+
+def connected_groupoid(g: GroupPresentation, n_objects: int) -> GroupoidPresentation:
+    """Every hom-set a torsor over g: morphisms are (src, tgt, group element)."""
+    if n_objects < 1:
+        raise ValueError("need at least one object")
+    objects = tuple(f"x{i}" for i in range(n_objects))
+    morphs = [(s, t, a) for s in range(n_objects) for t in range(n_objects)
+              for a in range(g.order)]
+    index = {m: i for i, m in enumerate(morphs)}
+    source = tuple(m[0] for m in morphs)
+    target = tuple(m[1] for m in morphs)
+    compose = {}
+    for f, (sf, tf, af) in enumerate(morphs):
+        for h, (sh, th, ah) in enumerate(morphs):
+            if sf == th:
+                compose[(f, h)] = index[(sh, tf, g.table[af][ah])]
+    identity = tuple(index[(x, x, g.identity)] for x in range(n_objects))
+    inverse = tuple(index[(t, s, g.inverse[a])] for (s, t, a) in morphs)
+    labels = tuple(f"f{i}:{objects[source[i]]}>{objects[target[i]]}"
+                   for i in range(len(source)))
+    return GroupoidPresentation(objects, source, target, compose, identity,
+                                inverse, labels)
+
+
+def pair_groupoid(n: int) -> GroupoidPresentation:
+    """Objects 0..n-1 with exactly one morphism between any ordered pair."""
+    if n < 1:
+        raise ValueError("need at least one object")
+    objects = tuple(f"x{i}" for i in range(n))
+    morphs = [(s, t) for s in range(n) for t in range(n)]
+    index = {m: i for i, m in enumerate(morphs)}
+    source = tuple(s for s, _ in morphs)
+    target = tuple(t for _, t in morphs)
+    compose = {}
+    for f, (sf, tf) in enumerate(morphs):
+        for h, (sh, th) in enumerate(morphs):
+            if sf == th:
+                compose[(f, h)] = index[(sh, tf)]
+    identity = tuple(index[(x, x)] for x in range(n))
+    inverse = tuple(index[(t, s)] for (s, t) in morphs)
+    labels = tuple(f"f{i}:{objects[source[i]]}>{objects[target[i]]}"
+                   for i in range(len(source)))
+    return GroupoidPresentation(objects, source, target, compose, identity,
+                                inverse, labels)
+
+
+def one_object_groupoid(g: GroupPresentation) -> GroupoidPresentation:
+    objects = ("x0",)
+    n = g.order
+    compose = {(f, h): g.table[f][h] for f in range(n) for h in range(n)}
+    return GroupoidPresentation(objects, (0,) * n, (0,) * n, compose,
+                                (g.identity,), g.inverse,
+                                tuple(f"f{i}:x0>x0" for i in range(n)))
+
+
+def group_algebra(g: GroupPresentation, field: FieldSpec) -> WeakHopfPresentation:
+    """kG with grouplike comultiplication and inversion antipode."""
+    n = g.order
+    z, o = field.zero(), field.one()
+    mult = [z] * (n ** 3)
+    comult = [z] * (n ** 3)
+    anti = [z] * (n * n)
+    for i in range(n):
+        for j in range(n):
+            mult[(i * n + j) * n + g.table[i][j]] = o
+        comult[(i * n + i) * n + i] = o
+        anti[g.inverse[i] * n + i] = o
+    unit = tuple(o if i == g.identity else z for i in range(n))
+    algebra = AlgebraPresentation(field, n, g.labels,
+                                  Tensor3(field, n, n, n, tuple(mult)), unit)
+    coalgebra = CoalgebraPresentation(field, n,
+                                      Tensor3(field, n, n, n, tuple(comult)),
+                                      (o,) * n)
+    return WeakHopfPresentation(algebra, coalgebra, Matrix(field, n, n, tuple(anti)))
+
+
+def dual_group_algebra(g: GroupPresentation, field: FieldSpec) -> WeakHopfPresentation:
+    """Functions on G: pointwise product, convolution-dual comultiplication."""
+    n = g.order
+    z, o = field.zero(), field.one()
+    mult = [z] * (n ** 3)
+    comult = [z] * (n ** 3)
+    anti = [z] * (n * n)
+    for i in range(n):
+        mult[(i * n + i) * n + i] = o
+        anti[g.inverse[i] * n + i] = o
+        for j in range(n):
+            # delta(d_i) = sum over factorizations j * (j^-1 i) = i
+            comult[(i * n + j) * n + g.table[g.inverse[j]][i]] = o
+    counit = tuple(o if i == g.identity else z for i in range(n))
+    algebra = AlgebraPresentation(field, n, tuple(f"d{l}" for l in g.labels),
+                                  Tensor3(field, n, n, n, tuple(mult)), (o,) * n)
+    coalgebra = CoalgebraPresentation(field, n,
+                                      Tensor3(field, n, n, n, tuple(comult)), counit)
+    return WeakHopfPresentation(algebra, coalgebra, Matrix(field, n, n, tuple(anti)))
+
+
+def groupoid_algebra(gd: GroupoidPresentation, field: FieldSpec) -> WeakHopfPresentation:
+    """Basis = morphisms, f*h = composite when composable else 0; unit sums ids."""
+    n = gd.n_morphisms
+    z, o = field.zero(), field.one()
+    mult = [z] * (n ** 3)
+    comult = [z] * (n ** 3)
+    anti = [z] * (n * n)
+    for f in range(n):
+        comult[(f * n + f) * n + f] = o
+        anti[gd.inverse[f] * n + f] = o
+        for h in range(n):
+            fh = gd.compose.get((f, h))
+            if fh is not None:
+                mult[(f * n + h) * n + fh] = o
+    unit = [z] * n
+    for e in gd.identity:
+        unit[e] = o
+    algebra = AlgebraPresentation(field, n, gd.labels,
+                                  Tensor3(field, n, n, n, tuple(mult)), tuple(unit))
+    coalgebra = CoalgebraPresentation(field, n,
+                                      Tensor3(field, n, n, n, tuple(comult)),
+                                      (o,) * n)
+    return WeakHopfPresentation(algebra, coalgebra, Matrix(field, n, n, tuple(anti)))
+
+
+def hopf_category_from_groupoid(gd: GroupoidPresentation,
+                                field: FieldSpec) -> HopfCategoryPresentation:
+    """Hom spans linearized: a(x,y) = span of morphisms x -> y, grouplike."""
+    nobj = len(gd.objects)
+    z, o = field.zero(), field.one()
+    hom_elems = {}
+    for x in range(nobj):
+        for y in range(nobj):
+            elems = gd.hom(x, y)
+            if not elems:
+                raise ValueError(f"empty hom-set {gd.objects[x]} -> {gd.objects[y]}; "
+                                 "every hom must carry a counit")
+            hom_elems[(x, y)] = elems
+    objects = gd.objects
+    homs = {}
+    for (x, y), elems in hom_elems.items():
+        d = len(elems)
+        comult = [z] * (d ** 3)
+        for i in range(d):
+            comult[(i * d + i) * d + i] = o
+        homs[(x, y)] = CoalgebraPresentation(field, d,
+                                             Tensor3(field, d, d, d, tuple(comult)),
+                                             (o,) * d)
+    comps = {}
+    for x in range(nobj):
+        for y in range(nobj):
+            for zz in range(nobj):
+                exy, eyz, exz = hom_elems[(x, y)], hom_elems[(y, zz)], hom_elems[(x, zz)]
+                dxy, dyz, dxz = len(exy), len(eyz), len(exz)
+                ent = [z] * (dxz * dxy * dyz)
+                for i, fi in enumerate(exy):
+                    for j, gj in enumerate(eyz):
+                        m = exz.index(gd.compose[(gj, fi)])
+                        ent[m * (dxy * dyz) + i * dyz + j] = o
+                comps[(x, y, zz)] = Matrix(field, dxz, dxy * dyz, tuple(ent))
+    units = {}
+    for x in range(nobj):
+        exx = hom_elems[(x, x)]
+        units[x] = tuple(o if m == gd.identity[x] else z for m in exx)
+    antipode = {}
+    for (x, y), elems in hom_elems.items():
+        eyx = hom_elems[(y, x)]
+        ent = [z] * (len(eyx) * len(elems))
+        for j, fj in enumerate(elems):
+            ent[eyx.index(gd.inverse[fj]) * len(elems) + j] = o
+        antipode[(x, y)] = Matrix(field, len(eyx), len(elems), tuple(ent))
+    return HopfCategoryPresentation(objects, homs, comps, units, antipode)
+
+
+def _mutant_value(field, rng, old):
+    if field.characteristic == 0:
+        pool = [-2, -1, 0, 1, 2, 3]
+        new = field.coerce(rng.choice(pool))
+    else:
+        new = rng.randrange(field.characteristic)
+    return new
+
+
+def mutate(w: WeakHopfPresentation, seed: int) -> WeakHopfPresentation:
+    """Perturb one structure-constant entry, chosen deterministically by seed.
+
+    Dimensions never change; validity of the result is not guaranteed, by
+    design.  A draw that would leave the entry unchanged is redrawn from
+    seed + 1.
+    """
+    if not isinstance(w, WeakHopfPresentation):
+        raise TypeError("mutate expects a WeakHopfPresentation")
+    rng = random.Random(seed)
+    f = w.field
+    n = w.dim
+    sites = [("mult", n ** 3), ("unit", n), ("comult", n ** 3), ("counit", n)]
+    if w.antipode is not None:
+        sites.append(("antipode", n * n))
+    total = sum(c for _, c in sites)
+    pick = rng.randrange(total)
+    for name, count in sites:
+        if pick < count:
+            break
+        pick -= count
+    new = _mutant_value(f, rng, None)
+
+    def redraw():
+        return mutate(w, seed + 1)
+
+    alg, coa = w.algebra, w.coalgebra
+    if name == "mult":
+        i, rest = divmod(pick, n * n)
+        j, k = divmod(rest, n)
+        if alg.mult.at(i, j, k) == new:
+            return redraw()
+        alg = AlgebraPresentation(f, n, alg.labels,
+                                  alg.mult.with_entry(i, j, k, new), alg.unit)
+    elif name == "unit":
+        if alg.unit[pick] == new:
+            return redraw()
+        unit = list(alg.unit)
+        unit[pick] = new
+        if all(x == 0 for x in unit):
+            return redraw()
+        alg = AlgebraPresentation(f, n, alg.labels, alg.mult, tuple(unit))
+    elif name == "comult":
+        i, rest = divmod(pick, n * n)
+        j, k = divmod(rest, n)
+        if coa.comult.at(i, j, k) == new:
+            return redraw()
+        coa = CoalgebraPresentation(f, n, coa.comult.with_entry(i, j, k, new),
+                                    coa.counit)
+    elif name == "counit":
+        if coa.counit[pick] == new:
+            return redraw()
+        counit = list(coa.counit)
+        counit[pick] = new
+        coa = CoalgebraPresentation(f, n, coa.comult, tuple(counit))
+    else:
+        i, j = divmod(pick, n)
+        if w.antipode.at(i, j) == new:
+            return redraw()
+        ent = list(w.antipode.entries)
+        ent[i * n + j] = new
+        return WeakHopfPresentation(alg, coa, Matrix(f, n, n, tuple(ent)))
+    return WeakHopfPresentation(alg, coa, w.antipode)

@@ -614,6 +614,28 @@ class TestCommands:
         assert main(["generate", "group-algebra", "--group", "E8",
                      "--field", "Q"]) == 4
 
+    @pytest.mark.parametrize("family,flag,name,message", [
+        ("group", "--group", "C0", "bad order '0' in 'C0'"),
+        ("group", "--group", "D0", "bad order '0' in 'D0'"),
+        ("group", "--group", "C\u00b2", "bad order '\u00b2' in 'C\u00b2'"),  # superscript 2
+        ("group", "--group", "C\u0663", "bad order '\u0663' in 'C\u0663'"),  # Arabic-Indic 3
+        ("group-algebra", "--group", "d\u0663", "bad order '\u0663' in 'D\u0663'"),
+        ("groupoid", "--groupoid", "pair:x", "bad order 'x' in 'pair:x'"),
+        ("groupoid", "--groupoid", "pair:0", "bad order '0' in 'pair:0'"),
+        ("groupoid-algebra", "--groupoid", "conn:C2", "bad order '' in 'conn:C2'"),
+        ("hopf-category", "--groupoid", "conn:C2:\u00b2",
+         "bad order '\u00b2' in 'conn:C2:\u00b2'"),
+        ("groupoid", "--groupoid", "one:C0", "bad order '0' in 'C0'"),
+    ])
+    def test_bad_order_in_a_name_exits_four_naming_it(self, tmp_path, capsys,
+                                                      family, flag, name, message):
+        out = tmp_path / "never.json"
+        field = () if family in ("group", "groupoid") else ("--field", "Q")
+        assert main(["generate", family, flag, name, *field, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"{message}: expected ASCII digits, at least 1" in err
+        assert not out.exists()
+
     def test_reports_deterministic_modulo_timing(self, tmp_path):
         path = gen(tmp_path, "k4.json", "group-algebra", "--group", "K4",
                    "--field", "Fp:2")

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from maschke_kit.exactlin import FieldSpec
 from maschke_kit.examples import (
     MAX_GENERATED_ORDER,
@@ -25,6 +26,7 @@ from maschke_kit.examples import (
 from maschke_kit.finalg import solve_separability
 from maschke_kit.hopfalgd import check_hopf_algebroid
 from maschke_kit.hopfcat import check_hopf_category
+from maschke_kit.structfile import serialize_structure
 from maschke_kit.weakhopf import check_antipode, check_weak_bialgebra, maschke_report
 
 QQ = FieldSpec.rationals()
@@ -199,3 +201,79 @@ class TestMutation:
                     assert anti.failures
                     continue
                 assert maschke_report(m).verdict
+
+
+GROUPS = ("C1", "C2", "C3", "C4", "C5", "C6", "V4", "S3", "D4")
+GROUPOIDS = ("pair:1", "pair:2", "pair:3", "one:S3", "sum:C2,C3", "conn:C2:2",
+             "conn:S3:2")
+
+
+def oracle_groupoid(name):
+    """The groupoid of a name, built by the oracle constructors."""
+    kind, _, rest = name.partition(":")
+    if kind == "pair":
+        return oracles.pair_groupoid(int(rest))
+    if kind == "one":
+        return oracles.one_object_groupoid(group_by_name(rest))
+    if kind == "sum":
+        left, right = (group_by_name(g) for g in rest.split(","))
+        return disjoint_union(oracles.one_object_groupoid(left),
+                              oracles.one_object_groupoid(right))
+    gname, n = rest.split(":")
+    return oracles.connected_groupoid(group_by_name(gname), int(n))
+
+
+def oracle_outcome(build, *args) -> str:
+    """The serialized structure that build makes, or its ValueError's text."""
+    try:
+        return serialize_structure(build(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestAgainstTheHandWrittenBuilders:
+    """Every family and mutant serializes to the bytes that the hand-written
+    builders of tests/oracles.py give."""
+
+    def test_groupoids_equal(self):
+        for name in GROUPOIDS:
+            gd, old = groupoid_by_name(name), oracle_groupoid(name)
+            assert gd == old, name
+            assert serialize_structure(gd) == serialize_structure(old), name
+        assert pair_groupoid(4) == oracles.pair_groupoid(4)
+        for g, n in ((cyclic_group(1), 1), (klein_four_group(), 3), (dihedral_group(3), 2)):
+            assert connected_groupoid(g, n) == oracles.connected_groupoid(g, n)
+        assert one_object_groupoid(dihedral_group(3)) == \
+            oracles.one_object_groupoid(dihedral_group(3))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_every_family_serializes_the_same(self, field):
+        for name in GROUPS:
+            g = group_by_name(name)
+            for new, old in ((group_algebra, oracles.group_algebra),
+                             (dual_group_algebra, oracles.dual_group_algebra)):
+                assert serialize_structure(new(g, field)) == \
+                    serialize_structure(old(g, field)), (new.__name__, name)
+        for name in GROUPOIDS:
+            gd, old_gd = groupoid_by_name(name), oracle_groupoid(name)
+            for new, old in ((groupoid_algebra, oracles.groupoid_algebra),
+                             (hopf_category_from_groupoid,
+                              oracles.hopf_category_from_groupoid)):
+                assert oracle_outcome(new, gd, field) == \
+                    oracle_outcome(old, old_gd, field), (new.__name__, name)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_mutants_serialize_the_same(self, field):
+        bases = (group_algebra(cyclic_group(3), field),
+                 dual_group_algebra(symmetric_group_s3(), field),
+                 groupoid_algebra(pair_groupoid(2), field))
+        for base in bases:
+            for seed in range(100):
+                assert serialize_structure(mutate(base, seed)) == \
+                    serialize_structure(oracles.mutate(base, seed)), (base.labels, seed)
+
+    def test_mutant_without_antipode(self):
+        w = group_algebra(cyclic_group(2), F3)
+        bare = type(w)(w.algebra, w.coalgebra)
+        for seed in range(100):
+            assert mutate(bare, seed) == oracles.mutate(bare, seed)

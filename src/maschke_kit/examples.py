@@ -110,12 +110,21 @@ def _check_order(order: int, name: str):
                          f"of {MAX_GENERATED_ORDER}")
 
 
+def _cut(name: str) -> str:
+    """name, cut to its first 32 characters when longer."""
+    return name if len(name) <= 32 else name[:32] + "..."
+
+
 def _order(text: str, name: str) -> int:
-    """The order written in text: ASCII digits, at least 1."""
+    """The order written in text: ASCII digits, at least 1.  More digits
+    than the limit has are refused before int() reads them."""
     text = text.strip()
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    if not (text.isascii() and text.isdigit()) or not text.lstrip("0"):
         raise ValueError(f"bad order {text!r} in {name!r}: expected ASCII digits, "
                          "at least 1")
+    if len(text.lstrip("0")) > len(str(MAX_GENERATED_ORDER)):
+        raise ValueError(f"{_cut(name)!r} has an order above the limit of "
+                         f"{MAX_GENERATED_ORDER}")
     return int(text)
 
 
@@ -242,6 +251,14 @@ def one_object_groupoid(g: GroupPresentation) -> GroupoidPresentation:
     return connected_groupoid(g, 1)
 
 
+def _group_part(text: str, name: str) -> GroupPresentation:
+    """group_by_name(text), its error naming the groupoid name it is part of."""
+    try:
+        return group_by_name(text)
+    except ValueError as err:
+        raise ValueError(f"in groupoid name {_cut(name)!r}: {err}") from None
+
+
 def groupoid_by_name(name: str) -> GroupoidPresentation:
     """Names: pair:<n>, one:<group>, sum:<group>,<group>, conn:<group>:<n>."""
     name = name.strip()
@@ -251,15 +268,15 @@ def groupoid_by_name(name: str) -> GroupoidPresentation:
         _check_order(n * n, name)
         return pair_groupoid(n)
     if kind == "one":
-        return one_object_groupoid(group_by_name(rest))
+        return one_object_groupoid(_group_part(rest, name))
     if kind == "sum":
         left, _, right = rest.partition(",")
-        left, right = group_by_name(left), group_by_name(right)
+        left, right = _group_part(left, name), _group_part(right, name)
         _check_order(left.order + right.order, name)
         return disjoint_union(one_object_groupoid(left), one_object_groupoid(right))
     if kind == "conn":
         gname, _, n = rest.partition(":")
-        g, n = group_by_name(gname), _order(n, name)
+        g, n = _group_part(gname, name), _order(n, name)
         _check_order(g.order * n * n, name)
         return connected_groupoid(g, n)
     raise ValueError(f"unknown groupoid name {name!r}")

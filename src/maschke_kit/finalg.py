@@ -46,6 +46,11 @@ class AxiomReport(Frozen):
     def ok(self) -> bool:
         return not self.failures
 
+    def require(self, what: str):
+        """Raise InvalidPresentationError naming what when any axiom fails."""
+        if self.failures:
+            raise InvalidPresentationError(self, what)
+
     def merged(self, other: "AxiomReport") -> "AxiomReport":
         return AxiomReport(self.failures + other.failures,
                            self.warnings + other.warnings)
@@ -676,9 +681,7 @@ def solve_separability(a: AlgebraPresentation):
     ArithmeticError, never in a wrong verdict.  The kernel of the system is
     certified against its own rows only, and no output reads it.
     """
-    report = check_algebra(a)
-    if not report.ok():
-        raise InvalidPresentationError(report, "algebra")
+    check_algebra(a).require("algebra")
     sol = separability_system(a).solve()
     if sol is None:
         return None
@@ -721,9 +724,7 @@ def solve_coseparability(c: CoalgebraPresentation):
     Certified on the full terms of the dual algebra, as in
     solve_separability; the kernel of the system feeds no output.
     """
-    report = check_coalgebra(c)
-    if not report.ok():
-        raise InvalidPresentationError(report, "coalgebra")
+    check_coalgebra(c).require("coalgebra")
     sol = coseparability_system(c).solve()
     if sol is None:
         return None

@@ -26,7 +26,6 @@ from .finalg import (
     AlgebraPresentation,
     AxiomFailure,
     AxiomReport,
-    InvalidPresentationError,
     MaschkeReport,
     _add_to,
     _apply_sparse,
@@ -336,12 +335,6 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
     return AxiomReport(tuple(failures))
 
 
-def _require_valid(h: HopfAlgebroidPresentation):
-    report = check_hopf_algebroid(h)
-    if not report.ok():
-        raise InvalidPresentationError(report, "Hopf algebroid")
-
-
 class HgdIntegral(Frozen):
     element: tuple
     solutions: "AffineSolution"
@@ -388,7 +381,7 @@ def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
 def solve_integral_hgd(h: HopfAlgebroidPresentation, side: str,
                        normalized: bool = True):
     """A verified HgdIntegral, or None when infeasible."""
-    _require_valid(h)
+    check_hopf_algebroid(h).require("Hopf algebroid")
     sol = integral_system_hgd(h, side, normalized).solve()
     if sol is None:
         return None
@@ -451,7 +444,7 @@ def cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
 def solve_cointegral_hgd(h: HopfAlgebroidPresentation, side: str,
                          normalized: bool = True):
     """A verified HgdCointegral, or None when infeasible."""
-    _require_valid(h)
+    check_hopf_algebroid(h).require("Hopf algebroid")
     sol = cointegral_system_hgd(h, side, normalized).solve()
     if sol is None:
         return None
@@ -499,7 +492,7 @@ def solve_separability_hgd(h: HopfAlgebroidPresentation):
     as in finalg.solve_separability; the kernel of the system feeds no
     output.
     """
-    _require_valid(h)
+    check_hopf_algebroid(h).require("Hopf algebroid")
     q = tensor_over_R(h, BULLET)
     sol = separability_system_hgd(h, q).solve()
     if sol is None:
@@ -570,7 +563,7 @@ def coseparability_system_hgd(h: HopfAlgebroidPresentation,
 def solve_coseparability_hgd(h: HopfAlgebroidPresentation):
     """A verified bicomodule retraction of delta over the circ product, or
     None when infeasible."""
-    _require_valid(h)
+    check_hopf_algebroid(h).require("Hopf algebroid")
     q = tensor_over_R(h, CIRC)
     sol = coseparability_system_hgd(h, q).solve()
     if sol is None:

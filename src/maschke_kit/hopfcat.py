@@ -17,7 +17,6 @@ from .exactlin import ConstraintSystem, FieldSpec, Frozen
 from .finalg import (
     AxiomFailure,
     AxiomReport,
-    InvalidPresentationError,
     MaschkeReport,
     _associativity_failures,
     _balanced_certificate,
@@ -50,12 +49,14 @@ class HopfCategoryPresentation(Frozen):
     FILE_KIND = "hopfcat"   # the kind tag of its structure file
 
     def __post_init__(self):
+        if not self.objects:
+            raise ValueError("a Hopf category needs at least one object")
         nobj = len(self.objects)
         pairs = [(x, y) for x in range(nobj) for y in range(nobj)]
         if set(self.homs) != set(pairs):
             raise ValueError("homs must be a dense table over object pairs")
         fields = {c.field for c in self.homs.values()}
-        if nobj and len(fields) != 1:
+        if len(fields) != 1:
             raise ValueError("all homs must share one field")
         for (x, y, z), m in self.comps.items():
             dxy, dyz, dxz = self.dim(x, y), self.dim(y, z), self.dim(x, z)
@@ -78,8 +79,6 @@ class HopfCategoryPresentation(Frozen):
 
     @property
     def field(self) -> FieldSpec:
-        if not self.homs:
-            raise ValueError("a Hopf category with no objects has no field")
         return next(iter(self.homs.values())).field
 
     @property
@@ -114,8 +113,6 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
             failures.append(AxiomFailure(f"hom({x},{y}) {fail.law}", fail.witness))
     if failures:
         return AxiomReport(tuple(failures))
-    if h.n_objects == 0:
-        return AxiomReport()
     f = h.field
     objs = range(h.n_objects)
     mul, reduce, one = f.mul, f.reduce, f.one()
@@ -183,12 +180,6 @@ def check_hopf_category(h: HopfCategoryPresentation) -> AxiomReport:
     return AxiomReport(tuple(failures))
 
 
-def _require_valid(h: HopfCategoryPresentation):
-    report = check_hopf_category(h)
-    if not report.ok():
-        raise InvalidPresentationError(report, "Hopf category")
-
-
 class RetractionFamily(Frozen):
     side: str
     table: dict    # x -> covector on a(x,x)
@@ -233,7 +224,7 @@ def retraction_system(h: HopfCategoryPresentation, x: int,
 def solve_retraction_family(h: HopfCategoryPresentation, side: str):
     """One retraction per object, solved independently; None if any fails."""
     _check_side(side)
-    _require_valid(h)
+    check_hopf_category(h).require("Hopf category")
     table = {}
     for x in range(h.n_objects):
         sol = retraction_system(h, x, side).solve()
@@ -245,14 +236,14 @@ def solve_retraction_family(h: HopfCategoryPresentation, side: str):
 
 def check_hom_coseparability(h: HopfCategoryPresentation) -> HomCoseparabilityReport:
     """Coseparability of each hom-coalgebra separately."""
-    _require_valid(h)
+    check_hopf_category(h).require("Hopf category")
     table = {}
     for (x, y), c in sorted(h.homs.items()):
         table[(x, y)] = solve_coseparability(c) is not None
     return HomCoseparabilityReport(table)
 
 
-def _offsets(h: HopfCategoryPresentation, keys, sizes):
+def _offsets(keys, sizes):
     offsets = {}
     total = 0
     for k in keys:
@@ -266,7 +257,7 @@ def integral_family_system(h: HopfCategoryPresentation, side: str) -> Constraint
     _check_side(side)
     f, tables = h.field, _composition_tables(h)
     pairs = h.hom_pairs()
-    offsets, total = _offsets(h, pairs, lambda p: h.dim(*p))
+    offsets, total = _offsets(pairs, lambda p: h.dim(*p))
 
     def products():
         for x, y, z in itertools.product(range(h.n_objects), repeat=3):
@@ -292,14 +283,12 @@ def integral_family_system(h: HopfCategoryPresentation, side: str) -> Constraint
 def solve_integral_family(h: HopfCategoryPresentation, side: str):
     """A normalized integral family, or None when infeasible."""
     _check_side(side)
-    _require_valid(h)
-    if h.n_objects == 0:
-        return IntegralFamily(side, {})
+    check_hopf_category(h).require("Hopf category")
     sol = integral_family_system(h, side).solve()
     if sol is None:
         return None
     pairs = h.hom_pairs()
-    offsets, _ = _offsets(h, pairs, lambda p: h.dim(*p))
+    offsets, _ = _offsets(pairs, lambda p: h.dim(*p))
     table = {p: tuple(sol.particular[offsets[p]: offsets[p] + h.dim(*p)])
              for p in pairs}
     return IntegralFamily(side, table)
@@ -307,7 +296,7 @@ def solve_integral_family(h: HopfCategoryPresentation, side: str):
 
 def _element_offsets(h: HopfCategoryPresentation):
     """Offsets of the elements e_{x,v} in a(x,v) (x) a(v,x), keyed (x, v)."""
-    return _offsets(h, h.hom_pairs(), lambda p: h.dim(*p) * h.dim(p[1], p[0]))
+    return _offsets(h.hom_pairs(), lambda p: h.dim(*p) * h.dim(p[1], p[0]))
 
 
 def _family_terms(h: HopfCategoryPresentation):
@@ -359,9 +348,7 @@ def separability_family_system(h: HopfCategoryPresentation) -> ConstraintSystem:
 
 def solve_separability_family(h: HopfCategoryPresentation):
     """A verified separability structure family, or None when infeasible."""
-    _require_valid(h)
-    if h.n_objects == 0:
-        return SeparabilityFamily({})
+    check_hopf_category(h).require("Hopf category")
     sol = separability_family_system(h).solve()
     if sol is None:
         return None

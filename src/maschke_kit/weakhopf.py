@@ -31,7 +31,6 @@ from .finalg import (
     AxiomFailure,
     AxiomReport,
     CoalgebraPresentation,
-    InvalidPresentationError,
     MaschkeReport,
     StructureDefectError,
     _apply_sparse,
@@ -233,12 +232,6 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     return report.merged(AxiomReport(tuple(failures)))
 
 
-def _require_weak_bialgebra(w: WeakHopfPresentation):
-    report = check_weak_bialgebra(w)
-    if not report.ok():
-        raise InvalidPresentationError(report, "weak bialgebra")
-
-
 @_once
 def projections(w: WeakHopfPresentation) -> ProjectionMaps:
     """The four idempotents, as sums over Delta(1) = 1_1 (x) 1_2.
@@ -274,7 +267,7 @@ def base_algebra(w: WeakHopfPresentation) -> BaseAlgebraInfo:
     bialgebra is an internal inconsistency.  Every map is read from the
     sparse columns of the projections and the product table.
     """
-    _require_weak_bialgebra(w)
+    check_weak_bialgebra(w).require("weak bialgebra")
     maps = projections(w)
     f = w.field
     n = w.dim
@@ -344,7 +337,7 @@ def check_antipode(w: WeakHopfPresentation) -> AxiomReport:
     """The three defining antipode axioms; anti-homomorphy as warnings."""
     if w.antipode is None:
         raise ValueError("presentation has no antipode")
-    _require_weak_bialgebra(w)
+    check_weak_bialgebra(w).require("weak bialgebra")
     f = w.field
     n = w.dim
     alg = w.algebra
@@ -453,37 +446,35 @@ def solve_integral(w: WeakHopfPresentation, side: str, variant: str = "primed",
     record.
     """
     _check_side_variant(side, variant)
-    return _integral_solution(w, side, variant, bool(normalized))
+    return _solved(w, "integral", side, variant, bool(normalized))[1]
 
 
 @_once
 def _solved(w: WeakHopfPresentation, kind: str, side: str, variant: str,
             normalized: bool):
-    """(system, its solution set or None) of the (co)integral rows of kind.
+    """(system, IntegralSolution or CointegralSolution, or None) of the
+    (co)integral rows of kind.
 
     The duoidal rows are the primed rows and the rows of one more condition
     over the base, so the duoidal system holds the latter alone and resumes
     the solved primed elimination; after an infeasible primed system nothing
-    is built.  A stored system is not changed after its solve.
+    is built and the system is None.  A stored system is not changed after
+    its solve.
     """
-    _require_weak_bialgebra(w)
+    check_weak_bialgebra(w).require("weak bialgebra")
     if variant == "primed":
         system = (integral_system if kind == "integral" else cointegral_system)(
             w, side, variant, normalized)
-        return system, system.solve()
-    primed, sol = _solved(w, kind, side, "primed", normalized)
-    if sol is None:
-        return None, None
-    extras = _balanced_system(w.field, w.dim, (), (),
-                              _duoidal_products(w, kind, side == "left"))
-    return extras, extras.solve(primed)
-
-
-@_once
-def _integral_solution(w: WeakHopfPresentation, side: str, variant: str,
-                       normalized: bool):
-    sol = _solved(w, "integral", side, variant, normalized)[1]
-    return None if sol is None else IntegralSolution(side, variant, normalized, sol)
+        sol = system.solve()
+    else:
+        primed, solution = _solved(w, kind, side, "primed", normalized)
+        if solution is None:
+            return None, None
+        system = _balanced_system(w.field, w.dim, (), (),
+                                  _duoidal_products(w, kind, side == "left"))
+        sol = system.solve(primed)
+    record = IntegralSolution if kind == "integral" else CointegralSolution
+    return system, None if sol is None else record(side, variant, normalized, sol)
 
 
 def cointegral_system(w: WeakHopfPresentation, side: str, variant: str,
@@ -519,33 +510,31 @@ def solve_cointegral(w: WeakHopfPresentation, side: str, variant: str = "primed"
     record.
     """
     _check_side_variant(side, variant)
-    return _cointegral_solution(w, side, variant, bool(normalized))
+    return _solved(w, "cointegral", side, variant, bool(normalized))[1]
 
 
-@_once
-def _cointegral_solution(w: WeakHopfPresentation, side: str, variant: str,
-                         normalized: bool):
-    sol = _solved(w, "cointegral", side, variant, normalized)[1]
-    return None if sol is None else CointegralSolution(side, variant, normalized, sol)
-
-
-def _solves(w: WeakHopfPresentation, x: tuple, solve, system, side: str,
+def _solves(w: WeakHopfPresentation, x: tuple, kind: str, side: str,
             variant: str) -> bool:
-    """True iff x solves the normalized system(w, side, variant, True).
+    """True iff x solves the normalized (co)integral rows of kind, side and
+    variant.
 
     The test is membership in the stored, certified solution set of
-    solve(w, side, variant, True): x minus the particular solution lies in
-    the kernel.  On a miss the rows are rebuilt once to confirm it, and rows
-    that accept x mean the eliminator missed a solution.
+    _solved(w, kind, side, variant, True): x minus the particular solution
+    lies in the kernel.  A miss is confirmed on the rows _solved stored, the
+    primed system and, when it is feasible, the duoidal extras: rows that
+    accept x mean the eliminator missed a solution.
     """
     if len(x) != w.dim:
         raise ValueError("candidate length mismatch")
-    solution = solve(w, side, variant, True)
+    system, solution = _solved(w, kind, side, variant, True)
     if solution is not None:
         s = solution.solutions
         if s.homogeneous.contains(vec_sub(w.field, x, s.particular)):
             return True
-    if system(w, side, variant, True).satisfied_by(x):
+    systems = [_solved(w, kind, side, "primed", True)[0]]
+    if variant == "duoidal" and system is not None:
+        systems.append(system)
+    if all(rows.satisfied_by(x) for rows in systems):
         raise ArithmeticError("eliminator missed a solution")
     return False
 
@@ -558,11 +547,11 @@ def convert_integral(w: WeakHopfPresentation, t_prime, side: str) -> tuple:
     the stored duoidal one; both sets are certified against every row of
     their systems.
     """
-    _require_weak_bialgebra(w)
+    check_weak_bialgebra(w).require("weak bialgebra")
     f, maps, left = w.field, projections(w), side == "left"
     prod = _sparse_products(w.algebra)
     t_prime = tuple(f.coerce(x) for x in t_prime)
-    if not _solves(w, t_prime, solve_integral, integral_system, side, "primed"):
+    if not _solves(w, t_prime, "integral", side, "primed"):
         raise ValueError("input fails the primed integral conditions")
     # z = 1_1 piL(piR(1_2)) (left) or piR(piL(1_1)) 1_2 (right), as repeated
     # terms; then t = t' z or z t' by associativity
@@ -573,7 +562,7 @@ def convert_integral(w: WeakHopfPresentation, t_prime, side: str) -> tuple:
         _product(f, prod, comp[a], [(b, c)])).items()]
     t = _product(f, prod, _terms(t_prime), z) if left else _product(f, prod, z, _terms(t_prime))
     out = _vector(f, w.dim, t.items())
-    if not _solves(w, out, solve_integral, integral_system, side, "duoidal"):
+    if not _solves(w, out, "integral", side, "duoidal"):
         raise StructureDefectError("converted integral fails the duoidal conditions")
     return out
 
@@ -587,12 +576,12 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
     both certified against every row of their systems, so a wrong slot
     reading raises instead of passing silently.
     """
-    _require_weak_bialgebra(w)
+    check_weak_bialgebra(w).require("weak bialgebra")
     f, maps, left = w.field, projections(w), side == "left"
     pi_cols = (maps.piR if left else maps.piL).columns()
     prod = _sparse_products(w.algebra)
     tau_prime = tuple(f.coerce(x) for x in tau_prime)
-    if not _solves(w, tau_prime, solve_cointegral, cointegral_system, side, "primed"):
+    if not _solves(w, tau_prime, "cointegral", side, "primed"):
         raise ValueError("input fails the primed cointegral conditions")
     # table[x][y] holds the terms of e_x e_y (left) or e_y e_x (right), and
     # each term of Delta(1) is (x, u, c): the leg x multiplies the argument,
@@ -610,7 +599,7 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
                                    for k, s in row[r])) for row in table]
     out = tuple(reduce(sum(c * t * sigma[u][m] for x, u, c in unit
                            for m, t in table[x][j])) for j in range(w.dim))
-    if not _solves(w, out, solve_cointegral, cointegral_system, side, "duoidal"):
+    if not _solves(w, out, "cointegral", side, "duoidal"):
         raise StructureDefectError("converted cointegral fails the duoidal conditions")
     return out
 
@@ -618,9 +607,7 @@ def convert_cointegral(w: WeakHopfPresentation, tau_prime, side: str) -> tuple:
 def maschke_report(w: WeakHopfPresentation) -> MaschkeReport:
     """Run every solver and assert the two equivalence families."""
     _require_antipode(w)
-    report = check_antipode(w)   # also validates the weak bialgebra
-    if not report.ok():
-        raise InvalidPresentationError(report, "weak Hopf algebra")
+    check_antipode(w).require("weak Hopf algebra")   # also validates the weak bialgebra
     integrals = {}
     cointegrals = {}
     for side in SIDES:

@@ -636,6 +636,35 @@ class TestCommands:
         assert f"{message}: expected ASCII digits, at least 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family,flag,prefix", [
+        ("group", "--group", "C"),
+        ("group", "--group", "D"),
+        ("groupoid", "--groupoid", "pair:"),
+        ("groupoid", "--groupoid", "conn:C2:"),
+    ])
+    def test_order_of_thousands_of_digits_exits_four_naming_the_limit(
+            self, tmp_path, capsys, family, flag, prefix):
+        # int() refuses strings of more than 4300 digits; the count of digits
+        # is refused first, and the message shows the start of the name only
+        out = tmp_path / "never.json"
+        name = prefix + "9" * 5000
+        assert main(["generate", family, flag, name, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"'{name[:32]}...' has an order above the limit of 64" in err
+        assert "4300" not in err and len(err) < 200
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,message", [
+        ("sum:C2", "in groupoid name 'sum:C2': unknown group name ''"),
+        ("one:", "in groupoid name 'one:': unknown group name ''"),
+        ("conn::2", "in groupoid name 'conn::2': unknown group name ''"),
+    ])
+    def test_bad_group_part_names_the_groupoid(self, tmp_path, capsys, name, message):
+        out = tmp_path / "never.json"
+        assert main(["generate", "groupoid", "--groupoid", name, "--out", str(out)]) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reports_deterministic_modulo_timing(self, tmp_path):
         path = gen(tmp_path, "k4.json", "group-algebra", "--group", "K4",
                    "--field", "Fp:2")
@@ -695,8 +724,8 @@ class TestCommands:
                 f"invalid input: {command[0]} does not apply to kind '{kind}'\n"
 
     def test_hopfcat_without_objects_exits_three(self, tmp_path, capsys):
-        # an empty category has no hom to carry the file's field, so neither
-        # the file nor the round trip could keep it
+        # an empty category has no hom to carry the file's field, so the file
+        # is refused at its objects and the presentation at construction
         from maschke_kit.hopfcat import HopfCategoryPresentation
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({
@@ -709,8 +738,8 @@ class TestCommands:
         capsys.readouterr()
         assert main(["separability", "--structure", str(path)]) == 3
         assert capsys.readouterr().err == f"invalid input: {message}\n"
-        with pytest.raises(ValueError, match="no objects"):
-            serialize_structure(HopfCategoryPresentation((), {}, {}, {}, None))
+        with pytest.raises(ValueError, match="^a Hopf category needs at least one object$"):
+            HopfCategoryPresentation((), {}, {}, {}, None)
 
     def test_text_format(self, tmp_path):
         path = gen(tmp_path, "c2.json", "group-algebra", "--group", "C2",

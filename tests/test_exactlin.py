@@ -848,9 +848,9 @@ class TestFrozenRecords:
     def test_stored_results_keyed_by_arguments(self):
         w = group_algebra(cyclic_group(2), QQ)
         sol = solve_integral(w, "left", "primed", True)
-        stored = vars(w)["_once__integral_solution"]
-        assert stored[("left", "primed", True)] is sol
-        assert ("right", "primed", True) not in stored
+        stored = vars(w)["_once__solved"]
+        assert stored[("integral", "left", "primed", True)][1] is sol
+        assert ("integral", "right", "primed", True) not in stored
         with pytest.raises(TypeError, match="str or bool"):
             _once(lambda presentation, arg: arg)(w, 1)
 

@@ -261,17 +261,21 @@ class TestCheck:
             with pytest.raises(InvalidPresentationError):
                 solve_integral_family(bad, "left")
 
-    def test_empty_category_vacuously_valid(self):
-        empty = HopfCategoryPresentation((), {}, {}, {}, None)
-        assert check_hopf_category(empty).ok()
-        assert check_hom_coseparability(empty).all_coseparable
+    def test_empty_category_is_refused_at_construction(self):
+        # no hom could carry the field, and no solver handles zero objects
+        with pytest.raises(ValueError, match="^a Hopf category needs at least one object$"):
+            HopfCategoryPresentation((), {}, {}, {}, None)
 
-    def test_side_is_checked_before_the_empty_category_shortcut(self):
-        empty = HopfCategoryPresentation((), {}, {}, {}, None)
+    def test_side_is_checked_before_the_category(self):
+        h = hopf_category_from_groupoid(pair_groupoid(2), QQ)
+        units = dict(h.units)
+        units[0] = tuple(QQ.mul(QQ.coerce(2), c) for c in units[0])
+        bad = HopfCategoryPresentation(h.objects, h.homs, h.comps, units, h.antipode)
         for solve in (solve_integral_family, solve_retraction_family):
-            assert solve(empty, "left").side == "left"
-            with pytest.raises(ValueError, match="^side must be left or right$"):
-                solve(empty, "up")
+            assert solve(h, "left").side == "left"
+            for category in (h, bad):
+                with pytest.raises(ValueError, match="^side must be left or right$"):
+                    solve(category, "up")
 
 
 def raw_sum_categories():
@@ -506,7 +510,7 @@ def oracle_integral_family_system(h: HopfCategoryPresentation,
         raise ValueError("side must be left or right")
     f = h.field
     pairs = h.hom_pairs()
-    offsets, total = _offsets(h, pairs, lambda p: h.dim(*p))
+    offsets, total = _offsets(pairs, lambda p: h.dim(*p))
     sys = ConstraintSystem(f, total)
     nobj = h.n_objects
     for x in range(nobj):
@@ -563,7 +567,7 @@ def oracle_separability_family_system(h: HopfCategoryPresentation) -> Constraint
     triples = [(x, v, y) for x in range(nobj) for v in range(nobj)
                for y in range(nobj)]
     offsets, total = _offsets(
-        h, triples, lambda t: h.dim(t[0], t[1]) * h.dim(t[1], t[2]) * h.dim(t[0], t[2]))
+        triples, lambda t: h.dim(t[0], t[1]) * h.dim(t[1], t[2]) * h.dim(t[0], t[2]))
     sys = ConstraintSystem(f, total)
 
     def var(x, v, y, p, q, j):

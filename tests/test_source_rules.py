@@ -108,14 +108,36 @@ def test_every_system_comes_from_one_row_builder():
 
 def test_solutions_are_checked_by_membership_not_by_rebuilt_rows():
     # solve() certifies each solution set against its rows once; every later
-    # check is membership in that set, and the rows are rebuilt and checked
-    # only to confirm a miss
+    # check is membership in that set, and a miss is confirmed on the rows
+    # stored with the set, which are never rebuilt
     sites = _call_sites(lambda f: isinstance(f, ast.Attribute) and f.attr == "satisfied_by")
     assert {site for site in sites if not site.startswith("exactlin.")} == {"weakhopf._solves"}
     # solve() certifies through the public satisfied_by, which the
     # benchmark's tracer wraps by name as the verify layer
     assert {site for site in sites if site.startswith("exactlin.")} == \
         {"exactlin.ConstraintSystem.solve"}
+
+
+def test_one_validity_gate():
+    # every invalid presentation is refused by AxiomReport.require, the one
+    # call of InvalidPresentationError, and no module keeps a gate of its own
+    assert _call_sites(lambda f: isinstance(f, ast.Name) and f.id == "InvalidPresentationError") \
+        == {"finalg.AxiomReport.require"}
+    gates = {f"{path.stem}.{node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("_require_valid", "_require_weak_bialgebra")}
+    assert gates == set()
+
+
+def test_no_hopf_category_code_handles_zero_objects():
+    # a Hopf category without objects is refused at construction
+    path = next(path for path in SOURCES if path.name == "hopfcat.py")
+    tests = [ast.unparse(node)
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Compare)]
+    assert not any("n_objects == 0" in test for test in tests)
 
 
 def _named(*names):

@@ -262,7 +262,7 @@ def _oracle_image(field, m: Matrix):
 def oracle_base_algebra(w) -> BaseAlgebraInfo:
     """The base algebra with dense matrices and products.  It reads the
     projections through the module, so a test may replace them."""
-    weakhopf._require_weak_bialgebra(w)
+    weakhopf.check_weak_bialgebra(w).require("weak bialgebra")
     maps = weakhopf.projections(w)
     f = w.field
     n = w.dim

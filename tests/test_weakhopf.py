@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from maschke_kit import weakhopf
-from maschke_kit.exactlin import AffineSolution, FieldSpec, Subspace, unit_vec
+from maschke_kit.exactlin import AffineSolution, ConstraintSystem, FieldSpec, Subspace, \
+    unit_vec
 from maschke_kit.examples import (
     connected_groupoid,
     cyclic_group,
@@ -550,7 +551,7 @@ class TestConversions:
             convert_cointegral(w, (1, 7), "left")
 
     def test_input_without_a_primed_solution_rejected(self):
-        # no stored solution set: the rows are rebuilt once and refuse the input
+        # no stored solution set: the stored primed rows refuse the input
         w = group_algebra(cyclic_group(2), F2)
         assert solve_integral(w, "left", "primed") is None
         with pytest.raises(ValueError, match="fails the primed integral conditions"):
@@ -588,7 +589,7 @@ class TestConversions:
 
     def test_shrunken_stored_kernel_raises(self):
         # t' = particular + kernel vector is a primed integral; a stored
-        # solution set that lost the kernel misses it, and the rebuilt rows
+        # solution set that lost the kernel misses it, and the stored rows
         # accept it, so the eliminator is at fault
         w = groupoid_algebra(pair_groupoid(2), QQ)
         for side in SIDES:
@@ -600,10 +601,59 @@ class TestConversions:
                 convert_integral(w, t, side))
             shrunk = IntegralSolution(side, "primed", True, AffineSolution(
                 sol.element, Subspace(QQ, w.dim, ())))
-            vars(w)["_once__integral_solution"][side, "primed", True] = shrunk
+            stored = vars(w)["_once__solved"]
+            system, _ = stored["integral", side, "primed", True]
+            stored["integral", side, "primed", True] = system, shrunk
             assert solve_integral(w, side, "primed") is shrunk
             with pytest.raises(ArithmeticError, match="missed a solution"):
                 convert_integral(w, t, side)
+
+    def test_a_miss_is_confirmed_on_the_stored_rows(self, monkeypatch):
+        # on M_2 (x) M_2^op a primed (co)integral off the particular one is not
+        # duoidal: the miss is confirmed on the stored primed rows, which
+        # accept it, and the stored duoidal extras, which refuse it, and no
+        # system is built
+        w = matrix_pair_weak_hopf(2, QQ)
+        built, checked = [], []
+
+        def counted(*args):
+            built.append(args[1])
+            return _balanced_system(*args)
+
+        check = ConstraintSystem.satisfied_by
+
+        def recorded(system, x, homogeneous=False):
+            checked.append(system)
+            return check(system, x, homogeneous)
+
+        monkeypatch.setattr(weakhopf, "_balanced_system", counted)
+        monkeypatch.setattr(ConstraintSystem, "satisfied_by", recorded)
+        for kind, solve in (("integral", solve_integral), ("cointegral", solve_cointegral)):
+            for side in SIDES:
+                sol = solve(w, side, "primed").solutions
+                assert solve(w, side, "duoidal").solutions.homogeneous.dim == 0
+                x = vec_add(QQ, sol.particular, sol.homogeneous.basis.row(0))
+                built.clear()
+                checked.clear()
+                assert weakhopf._solves(w, x, kind, side, "primed")
+                assert not weakhopf._solves(w, x, kind, side, "duoidal")
+                stored = [weakhopf._solved(w, kind, side, variant, True)[0]
+                          for variant in VARIANTS]
+                assert list(map(id, checked)) == list(map(id, stored))
+                assert built == []
+
+    def test_stored_rows_that_accept_a_non_member_raise(self, monkeypatch):
+        # a stored set that misses its own particular solution: the stored
+        # primed rows and duoidal extras both accept it
+        w = matrix_pair_weak_hopf(2, QQ)
+        sols = [(kind, side, solve(w, side, variant))
+                for kind, solve in (("integral", solve_integral),
+                                    ("cointegral", solve_cointegral))
+                for side in SIDES for variant in VARIANTS]
+        monkeypatch.setattr(Subspace, "contains", lambda self, v: False)
+        for kind, side, sol in sols:
+            with pytest.raises(ArithmeticError, match="missed a solution"):
+                weakhopf._solves(w, sol.solutions.particular, kind, side, sol.variant)
 
 
 class TestMaschkeReport:

@@ -60,12 +60,16 @@ def parse_field_flag(text: str) -> FieldSpec:
     text = text.strip()
     if text in ("Q", "q"):
         return FieldSpec.rationals()
+    from .examples import _cut
     if text.lower().startswith("fp:"):
+        p = text[3:].strip()
         try:
-            return FieldSpec.gf(int(text[3:]))
+            if not (p.isascii() and p.isdigit() and len(p) <= 10):
+                raise ValueError("p must be 1 to 10 ASCII digits")
+            return FieldSpec.gf(int(p))
         except ValueError as exc:
-            raise UsageError(f"bad --field value {text!r}: {exc}")
-    raise UsageError(f"bad --field value {text!r} (use Q or Fp:<p>)")
+            raise UsageError(f"bad --field value {_cut(text)!r}: {exc}")
+    raise UsageError(f"bad --field value {_cut(text)!r} (use Q or Fp:<p>)")
 
 
 def _affine_doc(field, labels, afs):

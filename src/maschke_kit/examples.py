@@ -106,7 +106,7 @@ def dihedral_group(n: int) -> GroupPresentation:
 
 def _check_order(order: int, name: str):
     if order > MAX_GENERATED_ORDER:
-        raise ValueError(f"{name!r} has order {order}, above the limit "
+        raise ValueError(f"{_cut(name)!r} has order {order}, above the limit "
                          f"of {MAX_GENERATED_ORDER}")
 
 
@@ -120,12 +120,12 @@ def _order(text: str, name: str) -> int:
     than the limit has are refused before int() reads them."""
     text = text.strip()
     if not (text.isascii() and text.isdigit()) or not text.lstrip("0"):
-        raise ValueError(f"bad order {text!r} in {name!r}: expected ASCII digits, "
-                         "at least 1")
+        raise ValueError(f"bad order {_cut(text)!r} in {_cut(name)!r}: expected ASCII "
+                         "digits, at least 1")
     if len(text.lstrip("0")) > len(str(MAX_GENERATED_ORDER)):
         raise ValueError(f"{_cut(name)!r} has an order above the limit of "
                          f"{MAX_GENERATED_ORDER}")
-    return int(text)
+    return int(text.lstrip("0"))
 
 
 def group_by_name(name: str) -> GroupPresentation:
@@ -140,7 +140,7 @@ def group_by_name(name: str) -> GroupPresentation:
         cyclic = name[0] == "C"
         _check_order(n if cyclic else 2 * n, name)
         return cyclic_group(n) if cyclic else dihedral_group(n)
-    raise ValueError(f"unknown group name {name!r}")
+    raise ValueError(f"unknown group name {_cut(name)!r}")
 
 
 class GroupoidPresentation(Frozen):
@@ -279,7 +279,7 @@ def groupoid_by_name(name: str) -> GroupoidPresentation:
         g, n = _group_part(gname, name), _order(n, name)
         _check_order(g.order * n * n, name)
         return connected_groupoid(g, n)
-    raise ValueError(f"unknown groupoid name {name!r}")
+    raise ValueError(f"unknown groupoid name {_cut(name)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +411,7 @@ def base_by_name(name: str, field: FieldSpec) -> CommAlgebraPresentation:
         return dual_number_algebra(field)
     if name == SPLIT_PAIR_BASE:
         return split_pair_algebra(field)
-    raise ValueError(f"unknown base algebra name {name!r}")
+    raise ValueError(f"unknown base algebra name {_cut(name)!r}")
 
 
 def pair_hopf_algebroid(r: CommAlgebraPresentation) -> HopfAlgebroidPresentation:

@@ -313,18 +313,24 @@ def _nonzero_rows(prod) -> tuple:
     return tuple(tuple((c, terms) for c, terms in enumerate(row) if terms) for row in prod)
 
 
-def _comult_products(left, right, prod, nonzero, dim):
-    """Yield (i, j, raw) in row-major order, raw[p * dim + q] the raw int or
-    Fraction coefficient of e_p (x) e_q in Delta(e_i) Delta(e_j).
+def _comult_products(left, right, prod, nonzero, delta, dim):
+    """Yield (i, j, lhs, rhs) in row-major order, raw int or Fraction lists
+    with lhs[p * dim + q] the coefficient of e_p (x) e_q in Delta(e_i e_j)
+    and rhs[p * dim + q] that in Delta(e_i) Delta(e_j).
 
     left[i] are the terms (a, b, value) of Delta(e_i) by source, and right[j]
     is Delta(e_j) grouped by its first leg (_by_leg); prod[a][c] = ((p,
-    value), ...) is the product of their targets, in a space of dimension
-    dim, and nonzero = _nonzero_rows(prod): only nonzero products are visited.
-    """
+    value), ...) is the product of their targets, in a space of dimension dim
+    with Delta by source delta; only the products in nonzero =
+    _nonzero_rows(prod) are visited."""
     for i, terms_i in enumerate(left):
+        prod_i = prod[i]
         for j, first_j in enumerate(right):
-            raw = [0] * (dim * dim)
+            lhs = [0] * (dim * dim)
+            for m, t in prod_i[j]:
+                for a, b, s in delta[m]:
+                    lhs[a * dim + b] += t * s
+            rhs = [0] * (dim * dim)
             for a, b, s1 in terms_i:
                 prod_b = prod[b]
                 for c, ac in nonzero[a]:
@@ -336,8 +342,45 @@ def _comult_products(left, right, prod, nonzero, dim):
                         for p, t1 in ac:
                             s12t1, base = s12 * t1, p * dim
                             for q, t2 in bd:
-                                raw[base + q] += s12t1 * t2
-            yield i, j, raw
+                                rhs[base + q] += s12t1 * t2
+            yield i, j, lhs, rhs
+
+
+def _unit_failures(f: FieldSpec, left, left_unit, right, right_unit, dim):
+    """Yield, in order, (i, "left") when u e_i != e_i and (i, "right") when
+    e_i v != e_i, for u and v the terms (m, c) of left_unit and right_unit and
+    left[m][i], right[i][m] the terms (k, value) of the products in a space of
+    dimension dim: raw sums in one pass over i, reduced only when not e_i."""
+    reduce = f.reduce
+    for i in range(dim):
+        lhs, rhs = [0] * dim, [0] * dim
+        for m, u in left_unit:
+            for k, t in left[m][i]:
+                lhs[k] += u * t
+        for m, u in right_unit:
+            for k, t in right[i][m]:
+                rhs[k] += u * t
+        e = [0] * dim
+        e[i] = 1
+        for side, got in (("left", lhs), ("right", rhs)):
+            if got != e and list(map(reduce, got)) != e:
+                yield i, side
+
+
+def _coassociativity_sides(delta, n: int):
+    """Yield (i, lhs, rhs): (Delta (x) 1) Delta(e_i) and (1 (x) Delta)
+    Delta(e_i) as raw int or Fraction sums {(p * n + q) * n + r: value}, for
+    delta[i] the terms (a, b, value) of Delta(e_i) by source."""
+    for i, terms in enumerate(delta):
+        lhs, rhs = {}, {}
+        for j, k, t in terms:
+            for p, q, s in delta[j]:
+                idx = (p * n + q) * n + k
+                lhs[idx] = lhs.get(idx, 0) + t * s
+            for p, q, s in delta[k]:
+                idx = (j * n + p) * n + q
+                rhs[idx] = rhs.get(idx, 0) + t * s
+        yield i, lhs, rhs
 
 
 def _associativity_failures(f: FieldSpec, ab, ab_c, bc, a_bc, dim):
@@ -447,25 +490,9 @@ def check_algebra(a: AlgebraPresentation) -> AxiomReport:
     """Associativity on all basis triples (_associativity_failures) plus
     two-sided unitality, each a raw sum reduced only when it differs."""
     f, n = a.field, a.dim
-    reduce = f.reduce
-    prod = _sparse_products(a)
-    unit = [(m, u) for m, u in enumerate(a.unit) if u != 0]
-    failures = []
-    for i in range(n):
-        # 1 e_i and e_i 1, raw sums over the unit's nonzeros
-        left = [0] * n
-        right = [0] * n
-        for m, u in unit:
-            for k, t in prod[m][i]:
-                left[k] += u * t
-            for k, t in prod[i][m]:
-                right[k] += u * t
-        e = [0] * n
-        e[i] = 1
-        if left != e and list(map(reduce, left)) != e:
-            failures.append(AxiomFailure("left unit", (i,), a.labels[i]))
-        if right != e and list(map(reduce, right)) != e:
-            failures.append(AxiomFailure("right unit", (i,), a.labels[i]))
+    prod, unit = _sparse_products(a), _terms(a.unit)
+    failures = [AxiomFailure(f"{side} unit", (i,), a.labels[i])
+                for i, side in _unit_failures(f, prod, unit, prod, unit, n)]
     failures += [AxiomFailure("associativity", (i, j, k),
                               f"({a.labels[i]}*{a.labels[j]})*{a.labels[k]}")
                  for i, j, k in _associativity_failures(f, prod, prod, prod, prod, n)]
@@ -484,40 +511,24 @@ def _reduced_entries(f: FieldSpec, d: dict) -> dict:
 
 @_once
 def check_coalgebra(c: CoalgebraPresentation) -> AxiomReport:
-    """Coassociativity on all basis elements plus two-sided counitality.
-
-    Both sides of coassociativity are raw sums, reduced only when they
-    differ, as in check_algebra.
-    """
+    """Two-sided counitality plus coassociativity on all basis elements
+    (_coassociativity_sides), each a raw sum reduced only when it differs."""
     f, n = c.field, c.dim
     reduce = f.reduce
-    eps = c.counit
-    delta = _comult_by_source(c)
+    eps, delta = c.counit, _comult_by_source(c)
     failures = []
     for i in range(n):
         # counit laws: (eps (x) 1) delta = id = (1 (x) eps) delta, raw sums
-        left = [0] * n
-        right = [0] * n
+        left, right = [0] * n, [0] * n
         for j, k, t in delta[i]:
             left[k] += t * eps[j]
             right[j] += t * eps[k]
         e = [0] * n
         e[i] = 1
-        if left != e and list(map(reduce, left)) != e:
-            failures.append(AxiomFailure("left counit", (i,)))
-        if right != e and list(map(reduce, right)) != e:
-            failures.append(AxiomFailure("right counit", (i,)))
-    for i in range(n):
-        # (delta (x) 1) delta and (1 (x) delta) delta, keyed by (p * n + q) * n + r
-        lhs = {}
-        rhs = {}
-        for j, k, t in delta[i]:
-            for p, q, s in delta[j]:
-                idx = (p * n + q) * n + k
-                lhs[idx] = lhs.get(idx, 0) + t * s
-            for p, q, s in delta[k]:
-                idx = (j * n + p) * n + q
-                rhs[idx] = rhs.get(idx, 0) + t * s
+        for side, got in (("left", left), ("right", right)):
+            if got != e and list(map(reduce, got)) != e:
+                failures.append(AxiomFailure(f"{side} counit", (i,)))
+    for i, lhs, rhs in _coassociativity_sides(delta, n):
         if lhs != rhs and _reduced_entries(f, lhs) != _reduced_entries(f, rhs):
             failures.append(AxiomFailure("coassociativity", (i,)))
     return AxiomReport(tuple(failures))

@@ -147,15 +147,15 @@ def _raise_first_fault(field, obj, shape, path):
     walk(obj, 0, path)
 
 
-def _dim_in(obj, path) -> int:
-    """The declared dimension, refused below 1, and above the limit on
-    generated orders before any table of that size is read."""
-    dim = _get(obj, "dim", path, int)
+def _dim_in(obj, path, key="dim", what="dimension") -> int:
+    """The declared dimension (or a group order), refused below 1, and above
+    the limit on generated orders before any table of that size is read."""
+    dim = _get(obj, key, path, int)
     if dim < 1:
-        _fail(f"{path}.dim", f"dimension {dim} is below 1")
+        _fail(f"{path}.{key}", f"{what} {dim} is below 1")
     if dim > MAX_GENERATED_ORDER:
-        _fail(f"{path}.dim", f"dimension {dim} is above the limit of "
-                             f"{MAX_GENERATED_ORDER}")
+        _fail(f"{path}.{key}", f"{what} {dim} is above the limit of "
+                               f"{MAX_GENERATED_ORDER}")
     return dim
 
 
@@ -348,10 +348,12 @@ def _group_payload(g) -> dict:
 
 def _group_parse(field, obj, path):
     from .examples import GroupPresentation
-    order = _get(obj, "order", path, int)
+    order = _dim_in(obj, path, "order", "order")
     table = _get(obj, "table", path, list)
     if not all(isinstance(row, list) and all(_is_int(x) for x in row) for row in table):
         _fail(f"{path}.table", "expected rows of integers")
+    if len(table) != order or any(len(row) != order for row in table):
+        _fail(f"{path}.table", "table must be order x order")
     labels = _labels_in(_get(obj, "labels", path), order, f"{path}.labels")
     try:
         g = GroupPresentation.from_table(table, labels)
@@ -380,6 +382,8 @@ def _groupoid_parse(field, obj, path):
     from .examples import GroupoidPresentation
     objects = tuple(_get(obj, "objects", path, list))
     source = _ints(obj, "source", path)
+    if len(source) > MAX_GENERATED_ORDER:
+        _fail(f"{path}.source", f"more than {MAX_GENERATED_ORDER} morphisms")
     target = _ints(obj, "target", path)
     compose = {}
     for i, item in enumerate(_get(obj, "compose", path, list)):

@@ -156,8 +156,7 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     report = check_algebra(w.algebra).merged(check_coalgebra(w.coalgebra))
     if not report.ok():
         return report
-    f = w.field
-    n = w.dim
+    f, n = w.field, w.dim
     alg, coa = w.algebra, w.coalgebra
     reduce = f.reduce
     failures = []
@@ -171,11 +170,7 @@ def check_weak_bialgebra(w: WeakHopfPresentation) -> AxiomReport:
     by_first = _comult_by_leg(coa)
 
     # comultiplication is multiplicative: delta(hk) = delta(h) delta(k)
-    for i, j, rhs in _comult_products(by_source, by_first, prod, right, n):
-        lhs = [0] * (n * n)
-        for m, t in prod[i][j]:
-            for a, b, s in by_source[m]:
-                lhs[a * n + b] += t * s
+    for i, j, lhs, rhs in _comult_products(by_source, by_first, prod, right, by_source, n):
         if lhs != rhs and list(map(reduce, lhs)) != list(map(reduce, rhs)):
             failures.append(AxiomFailure("comultiplicativity", (i, j)))
 

@@ -13,7 +13,15 @@ it made its rows in one pass, with one dictionary per side;
 two compositions through the field operations per basis triple, and
 ``composition_comultiplicativity`` is its loop for Delta(pq) = p1 q1 (x)
 p2 q2 before both sides were taken as raw sums through
-``finalg._comult_products``; ``read_array`` is ``structfile._array_in``
+``finalg._comult_products``; ``category_unit_laws`` is its unit-law loop
+before both sides were taken as raw sums through ``finalg._unit_failures``,
+one ``finalg._product`` per basis element and side;
+``algebroid_coassociativity`` and ``algebroid_comult_multiplicative`` are
+the coassociativity and "Delta is multiplicative" loops of
+``hopfalgd.check_hopf_algebroid`` before they read the raw walks
+``finalg._coassociativity_sides`` and ``finalg._comult_products``: a gap
+added up through FieldSpec.add and FieldSpec.sub, and the lift in
+circ-quotient coordinates applied to each product e_i e_j; ``read_array`` is ``structfile._array_in``
 before it flattened a table one axis at a time, a recursive walk in document
 order that parses each token through a cache of the distinct tokens; and
 ``convert_cointegral`` is the sum of ``weakhopf.convert_cointegral`` before
@@ -34,12 +42,14 @@ import random
 
 from maschke_kit.cli import GENERATORS, UsageError
 from maschke_kit.examples import GroupoidPresentation, GroupPresentation
-from maschke_kit.exactlin import ConstraintSystem, FieldSpec, Matrix, Tensor3, unit_vec
+from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, Tensor3, _row_space,
+                                   unit_vec)
 from maschke_kit.finalg import (AlgebraPresentation, AxiomFailure, AxiomReport,
-                                CoalgebraPresentation, _apply_sparse,
+                                CoalgebraPresentation, _add_to, _apply_sparse,
                                 _comult_by_source, _comult_sum, _dot, _nonzero_entries,
                                 _product, _sparse_products, _terms)
-from maschke_kit.hopfcat import HopfCategoryPresentation
+from maschke_kit.hopfalgd import CIRC, _comult_terms, circ_relations, tensor_over_R
+from maschke_kit.hopfcat import HopfCategoryPresentation, _composition_tables
 from maschke_kit.structfile import _EXPECTED, _fail
 from maschke_kit.weakhopf import WeakHopfPresentation, _unit_comult, projections
 
@@ -360,6 +370,72 @@ def composition_comultiplicativity(h) -> list:
             if _comult_sum(f, delta_xz, col[p * dyz + q]) != dict(_terms(rhs)):
                 found.append((x, y, z))
                 break
+    return found
+
+
+def category_unit_laws(h) -> list:
+    """The unit-law failures of a Hopf category, in order: (x, y) fails the
+    left law when u_x p != p and the right law when p u_y != p for some
+    basis element p of a(x,y), each product through finalg._product."""
+    f = h.field
+    one = f.one()
+    tables = _composition_tables(h)
+    failures = []
+    for x, y in itertools.product(range(h.n_objects), repeat=2):
+        ux, uy, basis = _terms(h.units[x]), _terms(h.units[y]), range(h.dim(x, y))
+        if any(_product(f, tables[(x, x, y)], ux, [(p, one)]) != {p: one} for p in basis):
+            failures.append(AxiomFailure("left unit law", (x, y)))
+        if any(_product(f, tables[(x, y, y)], [(p, one)], uy) != {p: one} for p in basis):
+            failures.append(AxiomFailure("right unit law", (x, y)))
+    return failures
+
+
+def algebroid_coassociativity(h) -> list:
+    """The witnesses (i,), in order, at which (Delta (x) 1) Delta(e_i) -
+    (1 (x) Delta) Delta(e_i), summed through FieldSpec.add and FieldSpec.sub
+    over the terms of the lift, is not in the relations of the double circ
+    quotient."""
+    f, n = h.field, h.total.dim
+    n2 = n * n
+    terms = _comult_terms(h)
+    rows3 = []
+    for r in circ_relations(h).row_terms:
+        for k in range(n):
+            rows3.append({ab * n + k: c for ab, c in r})
+            rows3.append({k * n2 + ab: c for ab, c in r})
+    rel3 = _row_space(f, n2 * n, rows3)
+    found = []
+    for i in range(n):
+        gap = [f.zero()] * (n2 * n)
+        for a, b, c in terms[i]:
+            for p, q, c2 in terms[a]:
+                idx = (p * n + q) * n + b
+                gap[idx] = f.add(gap[idx], f.mul(c, c2))
+            for p, q, c2 in terms[b]:
+                idx = (a * n + p) * n + q
+                gap[idx] = f.sub(gap[idx], f.mul(c, c2))
+        if not rel3.contains(tuple(gap)):
+            found.append((i,))
+    return found
+
+
+def algebroid_comult_multiplicative(h) -> list:
+    """The witnesses (i, j), in order, at which the lift in circ-quotient
+    coordinates applied to e_i e_j differs from the projection of Delta(e_i)
+    Delta(e_j), the factorwise product summed through the field operations."""
+    f, n = h.field, h.total.dim
+    prod, terms = _sparse_products(h.total), _comult_terms(h)
+    pcols = tensor_over_R(h, CIRC).projection.columns()
+    dq = [_apply_sparse(f, pcols, lift).items() for lift in h.comult_lift.columns()]
+    found = []
+    for i, j in itertools.product(range(n), repeat=2):
+        factorwise = {}
+        for (a, b, s1), (c, d, s2) in itertools.product(terms[i], terms[j]):
+            for p, t1 in prod[a][c]:
+                for q, t2 in prod[b][d]:
+                    _add_to(factorwise, p * n + q, f.mul(f.mul(s1, s2), f.mul(t1, t2)), f)
+        if _apply_sparse(f, dq, prod[i][j]) != _apply_sparse(f, pcols, factorwise.items()):
+            found.append((i, j))
     return found
 
 

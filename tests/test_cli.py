@@ -403,6 +403,44 @@ class TestCommands:
         assert "total.dim: dimension 17 is above the algebroid limit" in \
             report["failures"][0]
 
+    def test_group_and_groupoid_files_are_capped(self, tmp_path, capsys):
+        # the group check is cubic in the order: an order above the limit, a
+        # table of another shape than the declared order and a groupoid with
+        # more morphisms than the limit are refused at their key, before any
+        # group or groupoid is built
+        c3 = gen(tmp_path, "c3.json", "group", "--group", "C3")
+        doc = json.loads(c3.read_text())
+        doc["payload"]["order"] = MAX_GENERATED_ORDER + 1
+        order = tmp_path / "order.json"
+        order.write_text(json.dumps(doc))
+        # the table of C300 under its own order, and under the order 3
+        doc["payload"]["table"] = [[(i + j) % 300 for j in range(300)] for i in range(300)]
+        doc["payload"]["order"] = 300
+        big = tmp_path / "c300.json"
+        big.write_text(json.dumps(doc))
+        doc["payload"]["order"] = 3
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        pair9 = tmp_path / "pair9.json"
+        pair9.write_text(serialize_structure(pair_groupoid(9)))
+        for path, message in (
+                (order, "$.payload.order: order 65 is above the limit of 64"),
+                (big, "$.payload.order: order 300 is above the limit of 64"),
+                (table, "$.payload.table: table must be order x order"),
+                (pair9, "$.payload.source: more than 64 morphisms")):
+            report = json.loads(run(tmp_path, "validate", "--structure", str(path),
+                                    expect=3))
+            assert report["failures"] == [message]
+            capsys.readouterr()
+            assert main(["maschke", "--structure", str(path)]) == 3
+            assert capsys.readouterr().err == f"invalid input: {message}\n"
+        # the largest generated group and groupoid still validate
+        for name, argv in (("c64.json", ("group", "--group", f"C{MAX_GENERATED_ORDER}")),
+                           ("pair8.json", ("groupoid", "--groupoid", "pair:8"))):
+            path = gen(tmp_path, name, *argv)
+            report = json.loads(run(tmp_path, "validate", "--structure", str(path)))
+            assert report["valid"] is True
+
     def test_cap_sized_group_algebra_solves_under_the_memory_cap(self, tmp_path):
         # kC64 is at the dimension cap; with separability rows for its one
         # generator the 4096-unknown systems fit in 256 MB
@@ -663,6 +701,62 @@ class TestCommands:
         out = tmp_path / "never.json"
         assert main(["generate", "groupoid", "--groupoid", name, "--out", str(out)]) == 4
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family,flag,name,message", [
+        ("groupoid", "--groupoid", "pair:" + "x" * 5000, "bad order '{x}...' in '{name}...'"),
+        ("group", "--group", "E" * 5000, "unknown group name '{name}...'"),
+        ("groupoid", "--groupoid", "q" * 5000, "unknown groupoid name '{name}...'"),
+        ("commalgebra", "--base", "q" * 5000, "unknown base algebra name '{name}...'"),
+        ("pair-algebroid", "--base", "q" * 5000, "unknown base algebra name '{name}...'"),
+        ("group", "--group", "C" + "0" * 5000 + "65", "'{name}...' has order 65, above"),
+    ], ids=["bad-order", "group", "groupoid", "base", "algebroid-base", "leading-zeros"])
+    def test_long_names_are_cut_in_usage_errors(self, tmp_path, capsys, family, flag,
+                                                name, message):
+        # each usage error shows the first 32 characters of the name and of a
+        # bad order, not the whole text
+        out = tmp_path / "never.json"
+        field = () if family in ("group", "groupoid") else ("--field", "Q")
+        assert main(["generate", family, flag, name, *field, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert message.format(name=name[:32], x="x" * 32) in err
+        assert len(err.encode()) < 200
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [
+        "Fp:\u0663",           # Arabic-Indic 3
+        "Fp:\uff17",           # fullwidth 7
+        "Fp:0_7", "Fp:+7", "Fp:-3", "Fp:", "Fp:7 7",
+        "Fp:00000000007",      # 11 digits
+    ], ids=["arabic-indic", "fullwidth", "underscore", "plus", "minus", "empty", "space",
+            "eleven-digits"])
+    def test_field_prime_must_be_ascii_digits(self, tmp_path, capsys, value):
+        out = tmp_path / "never.json"
+        assert main(["generate", "group-algebra", "--group", "C2", "--field", value,
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"bad --field value {value!r}: p must be 1 to 10 ASCII digits" in err
+        assert not out.exists()
+
+    def test_field_prime_of_thousands_of_digits_exits_four_cut(self, tmp_path, capsys):
+        # int() refuses strings of more than 4300 digits; the count of digits
+        # is refused first, and the message shows the start of the value only
+        out = tmp_path / "never.json"
+        value = "Fp:" + "7" * 5000
+        assert main(["generate", "group-algebra", "--group", "C2", "--field", value,
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"bad --field value '{value[:32]}...': p must be 1 to 10 ASCII digits" in err
+        assert "4300" not in err and len(err.encode()) < 200
+        assert not out.exists()
+
+    def test_field_prime_of_ten_ascii_digits_is_read(self, tmp_path):
+        path = gen(tmp_path, "c2.json", "group-algebra", "--group", "C2",
+                   "--field", "fp: 0000000007 ")
+        assert json.loads(path.read_text())["field"] == {"kind": "Fp", "p": 7}
+        out = tmp_path / "never.json"
+        assert main(["generate", "group-algebra", "--group", "C2", "--field",
+                     "Fp:2147483659", "--out", str(out)]) == 4
         assert not out.exists()
 
     def test_reports_deterministic_modulo_timing(self, tmp_path):

@@ -47,6 +47,7 @@ from denselin import (add_matrix_rows, add_row, apply, comult_matrix, counit_mat
                       membership, mult_matrix, mult_vec, on_leg, project, rebased,
                       right_mult_matrix, row_multiset, section, sparse_cols,
                       subspace_from_rows, to_rows, unit_matrix)
+from oracles import algebroid_coassociativity, algebroid_comult_multiplicative
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -716,6 +717,30 @@ def oracle_cases():
         for name in ("src", "tgt", "comult_lift", "counit", "antipode", "mult"):
             t = h.total.mult if name == "mult" else getattr(h, name)
             yield raised(h, name, rng.randrange(len(t.entries)))
+
+
+class TestRawSumWalks:
+    """check_hopf_algebroid reads coassociativity and Delta(e_i e_j) from the
+    raw walks of finalg (_coassociativity_sides, _comult_products) and
+    reduces only where the sides differ; the gap summed through the field
+    operations and the lift in quotient coordinates applied to e_i e_j are
+    the oracles."""
+
+    def test_matches_field_operation_forms_on_damaged_lifts(self):
+        rng = random.Random(5)
+        failing = {"coassociativity": 0, "comult multiplicative": 0}
+        for h in oracle_corpus():
+            entries = len(h.comult_lift.entries)
+            for g in [h, *(raised(h, "comult_lift", rng.randrange(entries))
+                           for _ in range(4))]:
+                report = check_hopf_algebroid(g)
+                for law, oracle in (("coassociativity", algebroid_coassociativity),
+                                    ("comult multiplicative",
+                                     algebroid_comult_multiplicative)):
+                    got = [fail.witness for fail in report.failures if fail.law == law]
+                    assert got == oracle(g), law
+                    failing[law] += bool(got)
+        assert min(failing.values()) >= 100, failing
 
 
 class TestOracle:

@@ -42,7 +42,8 @@ from maschke_kit.weakhopf import solve_cointegral, solve_integral
 from denselin import (add_matrix_rows, add_row, apply, comult_matrix, counit_matrix,
                       flip_matrix, identity, kron, matrix_from_rows, mult_matrix, rebased,
                       row_multiset, solve_affine, transpose)
-from oracles import composition_associativity, composition_comultiplicativity
+from oracles import category_unit_laws, composition_associativity, \
+    composition_comultiplicativity
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -339,6 +340,21 @@ class TestComultiplicativityRawSums:
             assert got == composition_comultiplicativity(h)
             failing += bool(got)
         assert failing >= 50
+
+
+class TestUnitLawRawSums:
+    """check_hopf_category compares u_x p with p and p u_y with p as raw sums
+    (finalg._unit_failures) and reduces only when they differ; the loop with
+    one finalg._product per basis element is the oracle."""
+
+    def test_matches_field_operation_loop(self):
+        failing = 0
+        for h in raw_sum_categories():
+            got = [fail for fail in check_hopf_category(h).failures
+                   if fail.law in ("left unit law", "right unit law")]
+            assert got == category_unit_laws(h)
+            failing += bool(got)
+        assert failing >= 80
 
 
 class TestSparseReads:

@@ -1,8 +1,9 @@
 """Validation compares raw sums and reduces only on a mismatch.
 
-Associativity (``check_algebra``), coassociativity (``check_coalgebra``),
-comultiplicativity (``check_weak_bialgebra``) and the composition
-associativity and comultiplicativity of ``check_hopf_category`` add up raw
+Associativity and the unit laws (``check_algebra``), coassociativity and
+the counit laws (``check_coalgebra``), comultiplicativity
+(``check_weak_bialgebra``) and the composition associativity,
+comultiplicativity and unit laws of ``check_hopf_category`` add up raw
 int and Fraction products and call ``FieldSpec.reduce`` only when the raw
 sums differ.  Over
 GF(p) raw sums may differ and still agree mod p: such inputs must pass.  On
@@ -26,7 +27,7 @@ from maschke_kit.hopfcat import check_hopf_category
 from maschke_kit.weakhopf import WeakHopfPresentation, check_antipode, check_weak_bialgebra
 
 from denselin import rebased
-from test_hopfcat import rebased_category
+from test_hopfcat import one_object_category, rebased_category
 
 QQ = FieldSpec.rationals()
 
@@ -95,13 +96,26 @@ class TestSumsThatAgreeModP:
 
 
 def mismatched_entries(h) -> tuple:
-    """(associativity, comultiplicativity): the entries of the raw sums of
-    each composition law of h that belong to a mismatched pair of sides,
+    """(associativity, comultiplicativity, unit): the entries of the raw sums
+    of each composition law of h that belong to a mismatched pair of sides,
     both sides summed here over the composition columns and Delta by source,
-    unreduced."""
+    unreduced; for the unit laws, the entries of u_x p and p u_y that differ
+    raw from p, the only side that is reduced."""
     objs = range(h.n_objects)
     cols = {key: m.columns() for key, m in h.comps.items()}
-    assoc = comult = 0
+    assoc = comult = unit = 0
+    for x, y in itertools.product(objs, repeat=2):
+        dxx, dxy, dyy = h.dim(x, x), h.dim(x, y), h.dim(y, y)
+        for p in range(dxy):
+            e = [int(k == p) for k in range(dxy)]
+            lhs, rhs = [0] * dxy, [0] * dxy
+            for m, u in enumerate(h.units[x]):
+                for k, t in cols[(x, x, y)][m * dxy + p]:
+                    lhs[k] += u * t
+            for m, u in enumerate(h.units[y]):
+                for k, t in cols[(x, y, y)][p * dyy + m]:
+                    rhs[k] += u * t
+            unit += dxy * ((lhs != e) + (rhs != e))
     for x, y, z, w in itertools.product(objs, repeat=4):
         dyz, dzw, dyw, dxw = h.dim(y, z), h.dim(z, w), h.dim(y, w), h.dim(x, w)
         for p, q, r in itertools.product(range(h.dim(x, y)), range(dyz), range(dzw)):
@@ -127,31 +141,38 @@ def mismatched_entries(h) -> tuple:
                     for m2, t2 in col[p2 * dyz + q2]:
                         rhs[m1 * dxz + m2] += s * t * t1 * t2
             comult += dxz * dxz if lhs != rhs else 0
-    return assoc, comult
+    return assoc, comult, unit
 
 
 class TestHopfCategoryLaws:
     def test_reductions_only_on_raw_mismatches(self):
-        # each side of a mismatch is reduced entry by entry, and nothing else
-        # in the check reduces: the plain groupoid categories have 0 and 1
-        # constants and make no reduce call; their rebased copies have raw
-        # sums that differ in both laws and still agree mod p, and must pass
-        seen = [0, 0]
+        # each side of a mismatch is reduced entry by entry (the unit laws
+        # reduce u_x p or p u_y only, never p), and nothing else in the check
+        # reduces: the plain groupoid categories have 0 and 1 constants and
+        # make no reduce call; their rebased copies have raw sums that differ
+        # in the associativity and comultiplicativity laws and still agree
+        # mod p, and so do the unit laws of the functions on C2 with the
+        # constant p - 1 as a one-object category; all must pass
+        seen = [0, 0, 0]
         for p in (3, 5):
-            for name in ("pair:2", "conn:C2:2"):
-                for seed in (None, 1, 2):
-                    f = counting_field(p)
+            f = counting_field(p)
+            cases = [(name, seed) for name in ("pair:2", "conn:C2:2") for seed in (None, 1, 2)]
+            for name, seed in [*cases, ("functions on C2", None)]:
+                if name == "functions on C2":
+                    h = one_object_category(functions_on_c2(f, p - 1))
+                else:
                     h = hopf_category_from_groupoid(groupoid_by_name(name), f)
                     if seed is not None:
                         h = rebased_category(h, seed)
-                    assert h.field is f
-                    assert all(check_coalgebra(c).ok() for c in h.homs.values())
-                    assoc, comult = mismatched_entries(h)
-                    f.reductions[0] = 0
-                    assert check_hopf_category(h).ok(), (p, name, seed)
-                    assert f.reductions[0] == 2 * (assoc + comult), (p, name, seed)
-                    if seed is None:
-                        assert assoc == comult == 0
-                    seen[0] += assoc
-                    seen[1] += comult
-        assert seen[0] > 0 and seen[1] > 0
+                assert h.field is f
+                assert all(check_coalgebra(c).ok() for c in h.homs.values())
+                assoc, comult, unit = mismatched_entries(h)
+                f.reductions[0] = 0
+                assert check_hopf_category(h).ok(), (p, name, seed)
+                assert f.reductions[0] == 2 * (assoc + comult) + unit, (p, name, seed)
+                if seed is None and name != "functions on C2":
+                    assert assoc == comult == unit == 0
+                seen[0] += assoc
+                seen[1] += comult
+                seen[2] += unit
+        assert all(seen), seen

@@ -343,22 +343,32 @@ def test_a_subspace_is_its_sparse_echelon_rows():
 
 
 def test_one_comultiplicativity_walk_and_one_associativity_walk():
-    # "Delta is multiplicative" and associativity are one concept each: the
-    # weak Hopf, Hopf-algebroid and Hopf-category checks share the walks in
-    # finalg, and hopfcat keeps no composition or associativity helper of its own
+    # "Delta is multiplicative", associativity, the unit laws and
+    # coassociativity are one concept each: the weak Hopf, Hopf-algebroid and
+    # Hopf-category checks share the walks in finalg, and hopfcat keeps no
+    # composition or associativity helper of its own
     defined = {}
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.FunctionDef):
                 defined.setdefault(node.name, set()).add(path.stem)
-    assert defined["_comult_products"] == {"finalg"}
-    assert defined["_associativity_failures"] == {"finalg"}
+    walks = {"_comult_products": {"weakhopf.check_weak_bialgebra",
+                                  "hopfalgd.check_hopf_algebroid",
+                                  "hopfcat.check_hopf_category"},
+             "_associativity_failures": {"finalg.check_algebra",
+                                         "hopfcat.check_hopf_category"},
+             "_unit_failures": {"finalg.check_algebra", "hopfcat.check_hopf_category"},
+             "_coassociativity_sides": {"finalg.check_coalgebra",
+                                        "hopfalgd.check_hopf_algebroid"}}
+    for walk, sites in walks.items():
+        assert defined[walk] == {"finalg"}, walk
+        assert _call_sites(_named(walk)) == sites, walk
     assert "hopfcat" not in defined.get("associative", set()) | defined.get("compose", set())
-    assert _call_sites(_named("_comult_products")) == {
-        "weakhopf.check_weak_bialgebra", "hopfalgd.check_hopf_algebroid",
-        "hopfcat.check_hopf_category"}
-    assert _call_sites(_named("_associativity_failures")) == {
-        "finalg.check_algebra", "hopfcat.check_hopf_category"}
+    # no check sums a side of these laws a second way: the Hopf-category unit
+    # law composes no product of its own, and the algebroid coassociativity
+    # gap is a raw sum, reduced once, with no field addition
+    assert "hopfcat.check_hopf_category" not in _call_sites(_named("_product"))
+    assert "hopfalgd.check_hopf_algebroid" not in _call_sites(_named("add", "sub"))
 
 
 def _attribute_reads(attr) -> set:

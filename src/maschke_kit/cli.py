@@ -319,7 +319,7 @@ def _render_text(report) -> str:
                 walk(f"{prefix}{k}.", value[k]) if isinstance(value[k], (dict, list)) \
                     else lines.append(f"{prefix}{k}: {value[k]}")
         elif isinstance(value, list):
-            lines.append(f"{prefix[:-1]}: {json.dumps(value)}")
+            lines.append(f"{prefix[:-1]}: {json.dumps(value, ensure_ascii=False)}")
         else:
             lines.append(f"{prefix[:-1]}: {value}")
 

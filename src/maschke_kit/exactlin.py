@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from itertools import compress
-from math import lcm
+from math import isqrt, lcm
 
 # fractions.Fraction once _load_fractions has run: a process whose scalars all
 # stay integral (every GF(p) run, most Q runs) never imports fractions.
@@ -68,27 +68,10 @@ def _canonical(q: Fraction):
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n < 3_215_031_751 (covers 2**31)."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by 2 and the odd numbers up to sqrt(n), for n < 2**31."""
+    if n < 3:
+        return n == 2
+    return n % 2 != 0 and all(n % q for q in range(3, isqrt(n) + 1, 2))
 
 
 class FrozenInstanceError(AttributeError):
@@ -156,55 +139,20 @@ class Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _q_add(a, b):
-    c = a + b
-    return c if type(c) is int else _canonical(c)
-
-
-def _q_sub(a, b):
-    c = a - b
-    return c if type(c) is int else _canonical(c)
-
-
-def _q_mul(a, b):
-    c = a * b
-    return c if type(c) is int else _canonical(c)
-
-
 def _q_reduce(x):
     return x if type(x) is int else _canonical(x)
-
-
-def _gf_ops(p: int) -> tuple:
-    """add, sub, mul, neg and reduce of GF(p), as closures over p."""
-
-    def add(a, b):
-        return (a + b) % p
-
-    def sub(a, b):
-        return (a - b) % p
-
-    def mul(a, b):
-        return a * b % p
-
-    def neg(a):
-        return -a % p
-
-    def reduce(x):
-        return x % p
-
-    return add, sub, mul, neg, reduce
 
 
 class FieldSpec(Frozen):
     """An exact coefficient field: Q (characteristic 0) or GF(p).
 
-    ``add``, ``sub``, ``mul``, ``neg`` and ``reduce`` are bound once per
-    field when it is made, so a call tests no characteristic: over Q they
-    return an ``int`` when the value is integral and otherwise a ``Fraction``
-    in lowest terms, over GF(p) a residue in [0, p).  ``reduce(x)`` gives the
-    canonical scalar of x, an exact int or Fraction sum of products of
-    canonical scalars: one reduction for the whole sum.
+    ``reduce`` is the one field operation, bound once per field when it is
+    made, so a call tests no characteristic: ``reduce(x)`` gives the
+    canonical scalar of x, an exact int or Fraction expression in canonical
+    scalars (``x + a * b``, ``x - t``, ``-t``); over Q an ``int`` when the
+    value is integral and otherwise a ``Fraction`` in lowest terms, over
+    GF(p) a residue in [0, p).  ``add``, ``sub``, ``mul`` and ``neg`` are
+    that reduction of the native expression.
     """
 
     characteristic: int
@@ -212,15 +160,29 @@ class FieldSpec(Frozen):
     def __post_init__(self):
         p = self.characteristic
         if p == 0:
-            ops = (_q_add, _q_sub, _q_mul, operator.neg, _q_reduce)
+            reduce = _q_reduce
         else:
             if p >= _MAX_PRIME:
                 raise ValueError(f"prime field modulus {p} exceeds 2**31")
             if not _is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            ops = _gf_ops(p)
-        for name, op in zip(("add", "sub", "mul", "neg", "reduce"), ops):
-            _setattr(self, name, op)
+
+            def reduce(x):
+                return x % p
+
+        _setattr(self, "reduce", reduce)
+
+    def add(self, a, b):
+        return self.reduce(a + b)
+
+    def sub(self, a, b):
+        return self.reduce(a - b)
+
+    def mul(self, a, b):
+        return self.reduce(a * b)
+
+    def neg(self, a):
+        return self.reduce(-a)
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -335,7 +297,8 @@ def unit_vec(field: FieldSpec, n: int, i: int) -> tuple:
 
 
 def vec_sub(field: FieldSpec, u, v) -> tuple:
-    return tuple(field.sub(a, b) for a, b in zip(u, v, strict=True))
+    reduce = field.reduce
+    return tuple(reduce(a - b) for a, b in zip(u, v, strict=True))
 
 
 def vec_is_zero(v) -> bool:
@@ -369,7 +332,7 @@ class Matrix(Frozen):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         f = self.field
-        add, mul, zero = f.add, f.mul, f.zero()
+        reduce, zero = f.reduce, f.zero()
         bc = other.cols
         brows = [other.row(k) for k in range(other.rows)]
         out = [zero] * (self.rows * bc)
@@ -383,7 +346,7 @@ class Matrix(Frozen):
                 for j, b in enumerate(brow):
                     if b == 0:
                         continue
-                    out[base + j] = add(out[base + j], mul(a, b))
+                    out[base + j] = reduce(out[base + j] + a * b)
         return Matrix(f, self.rows, bc, tuple(out))
 
     def nonzeros(self):
@@ -569,7 +532,7 @@ def quotient_space(ambient_dim: int, relations: Subspace) -> QuotientSpace:
     # a reduced row is 1 at its pivot and otherwise nonzero on free columns only
     for p, row in zip(pivots, relations.row_terms):
         for c, v in row[1:]:
-            proj[coord[c] * ambient_dim + p] = f.neg(v)
+            proj[coord[c] * ambient_dim + p] = f.reduce(-v)
     return QuotientSpace(ambient_dim, relations,
                          Matrix(f, len(free), ambient_dim, tuple(proj)), free)
 
@@ -587,15 +550,15 @@ def _reduce_on_arrival(f: FieldSpec, pivots: dict, row: dict, rhs):
     right-hand side is returned (nonzero: the row is inconsistent).  row is
     consumed.
     """
-    mul, reduce = f.mul, f.reduce
+    reduce = f.reduce
     while row:
         c = min(row)
         hit = pivots.get(c)
         if hit is None:
             s = f.inv(row.pop(c))
             if s != 1:
-                row = {k: mul(s, v) for k, v in row.items()}
-                rhs = mul(s, rhs)
+                row = {k: reduce(s * v) for k, v in row.items()}
+                rhs = reduce(s * rhs)
             pivots[c] = (row, rhs)
             return None
         t = row.pop(c)
@@ -634,15 +597,22 @@ class ConstraintSystem:
         """Exact residual check of every stored row at x, against right-hand
         side zero when homogeneous.
 
-        Each row is one native integer sum: over GF(p) reduced once mod p;
-        over Q taken at D x, for D the least common multiple of the
+        Int entries, and Fraction entries over Q, are read as they are, in
+        any form; the rest go through coerce, which refuses a bool or a
+        float.  Each row is one native integer sum: over GF(p) reduced once
+        mod p; over Q taken at D x, for D the least common multiple of the
         denominators of x, and compared with D times the right-hand side.
         """
         if len(x) != self.nvars:
             raise ValueError("candidate length mismatch")
         f = self.field
-        xs = list(map(f.coerce, x))
         p = f.characteristic
+        xs = x
+        types = set(map(type, x))
+        if not types <= {int}:
+            _load_fractions()
+            if p or not types <= {int, Fraction}:
+                xs = list(map(f.coerce, x))
         if p:
             for coeffs, rhs in self.rows:
                 acc = 0
@@ -718,9 +688,10 @@ class ConstraintSystem:
         particular = tuple(x)
         # one null-space vector per free column; pivot rows hold free columns only
         kern_rows = {fc: {fc: one} for fc in range(self.nvars) if fc not in pivots}
+        reduce = f.reduce
         for c, (row, _) in pivots.items():
             for fc, coef in row.items():
-                kern_rows[fc][c] = f.neg(coef)
+                kern_rows[fc][c] = reduce(-coef)
         homogeneous = _row_space(f, self.nvars, kern_rows.values())
         systems = (self,) if primed is None else (primed, self)
         if not all(s.satisfied_by(particular) for s in systems):

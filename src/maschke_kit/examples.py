@@ -427,13 +427,12 @@ def pair_hopf_algebroid(r: CommAlgebraPresentation) -> HopfAlgebroidPresentation
             i = a * d + b
             j = c * d + dd
             k = p * d + q
-            mult[(i * n + j) * n + k] = field.add(mult[(i * n + j) * n + k],
-                                                  field.mul(t1, t2))
+            mult[(i * n + j) * n + k] = field.reduce(mult[(i * n + j) * n + k] + t1 * t2)
     u = r.algebra.unit
     unit = [z] * n
     for a in range(d):
         for b in range(d):
-            unit[a * d + b] = field.mul(u[a], u[b])
+            unit[a * d + b] = field.reduce(u[a] * u[b])
     labels = tuple(f"{r.labels[a]}(x){r.labels[b]}" for a in range(d) for b in range(d))
     total = AlgebraPresentation(field, n, labels,
                                 Tensor3(field, n, n, n, tuple(mult)), tuple(unit))
@@ -441,8 +440,8 @@ def pair_hopf_algebroid(r: CommAlgebraPresentation) -> HopfAlgebroidPresentation
     tgt = [z] * (n * d)
     for x in range(d):
         for b in range(d):
-            src[(x * d + b) * d + x] = field.mul(u[b], field.one())
-            tgt[(b * d + x) * d + x] = field.mul(u[b], field.one())
+            src[(x * d + b) * d + x] = u[b]
+            tgt[(b * d + x) * d + x] = u[b]
     comult_lift = [z] * (n * n * n)
     for a in range(d):
         for b in range(d):
@@ -450,10 +449,10 @@ def pair_hopf_algebroid(r: CommAlgebraPresentation) -> HopfAlgebroidPresentation
             for bp in range(d):
                 for ap in range(d):
                     row = (a * d + bp) * n + (ap * d + b)
-                    comult_lift[row * n + col] = field.mul(u[bp], u[ap])
+                    comult_lift[row * n + col] = field.reduce(u[bp] * u[ap])
     counit = [z] * (d * n)
     for a, b, k, t in multR.nonzeros():
-        counit[k * n + (a * d + b)] = field.add(counit[k * n + (a * d + b)], t)
+        counit[k * n + (a * d + b)] = field.reduce(counit[k * n + (a * d + b)] + t)
     anti = [z] * (n * n)
     for a in range(d):
         for b in range(d):

@@ -137,21 +137,21 @@ def _comult_sum(f: FieldSpec, delta: tuple, terms) -> dict:
     """The comultiplication of the sum of t e_i over the terms (i, t), as
     {j * n + k: coefficient of e_j (x) e_k} without zeros, for delta =
     _comult_by_source(c) and n = c.dim."""
-    add, mul, n = f.add, f.mul, len(delta)
+    reduce, n = f.reduce, len(delta)
     out = {}
     for i, t in terms:
         for j, k, s in delta[i]:
             idx = j * n + k
-            out[idx] = add(out[idx], mul(t, s)) if idx in out else mul(t, s)
+            out[idx] = reduce(out.get(idx, 0) + t * s)
     return _nonzero_entries(out)
 
 
 def _dot(f: FieldSpec, u, terms):
     """The sum of u[k] t over the terms (k, t): the pairing of the covector u
     with a sparse vector."""
-    acc = f.zero()
+    reduce, acc = f.reduce, 0
     for k, t in terms:
-        acc = f.add(acc, f.mul(u[k], t))
+        acc = reduce(acc + u[k] * t)
     return acc
 
 
@@ -230,12 +230,12 @@ def _mult_cols(f: FieldSpec, prod: tuple, terms, u_first: bool) -> list:
     Read from the product table, for u the sum of c e_a over the (a, c) in
     terms.  Entries may sum to zero.
     """
-    add, mul, zero = f.add, f.mul, f.zero()
+    reduce = f.reduce
     cols = [{} for _ in prod]
     for a, c in terms:
         for j, col in enumerate(cols):
             for k, t in (prod[a][j] if u_first else prod[j][a]):
-                col[k] = add(col.get(k, zero), mul(c, t))
+                col[k] = reduce(col.get(k, 0) + c * t)
     return cols
 
 
@@ -243,24 +243,23 @@ def _apply_sparse(f: FieldSpec, cols, terms) -> dict:
     """The image of the sum of t e_k over the (k, t) in terms under the map
     whose column k yields the (row, value) of cols[k], as {row: value}
     without zeros."""
-    out = {}
+    reduce, out = f.reduce, {}
     for k, t in terms:
         for r, v in cols[k]:
-            _add_to(out, r, f.mul(t, v), f)
+            out[r] = reduce(out.get(r, 0) + t * v)
     return _nonzero_entries(out)
 
 
 def _product(f: FieldSpec, prod: tuple, u, v) -> dict:
     """u v as {k: value} without zeros, for u and v the sums of c e_a over
     their terms (a, c), which may repeat an index."""
-    add, mul = f.add, f.mul
-    out = {}
+    reduce, out = f.reduce, {}
     for a, c in u:
         row = prod[a]
         for b, d in v:
-            cd = mul(c, d)
+            cd = reduce(c * d)
             for k, t in row[b]:
-                out[k] = add(out[k], mul(cd, t)) if k in out else mul(cd, t)
+                out[k] = reduce(out.get(k, 0) + cd * t)
     return _nonzero_entries(out)
 
 
@@ -273,7 +272,7 @@ def _convolution(field: FieldSpec, comult, f, g, prod) -> list:
     (a, value) of f(e_j)), or are None for the identity; ``prod[a][b] =
     ((m, value), ...)`` is the product of the targets of f and g.
     """
-    add, mul, one = field.add, field.mul, field.one()
+    reduce, one = field.reduce, field.one()
     identity = [((j, one),) for j in range(len(comult))]
     fcols = identity if f is None else f
     gcols = identity if g is None else g
@@ -283,11 +282,11 @@ def _convolution(field: FieldSpec, comult, f, g, prod) -> list:
         out.append(col)
         for j, k, t in terms:
             for a, fa in fcols[j]:
-                tf = mul(t, fa)
+                tf = reduce(t * fa)
                 for b, gb in gcols[k]:
-                    c = mul(tf, gb)
+                    c = reduce(tf * gb)
                     for m, p in prod[a][b]:
-                        col[m] = add(col[m], mul(c, p)) if m in col else mul(c, p)
+                        col[m] = reduce(col.get(m, 0) + c * p)
     return [_nonzero_entries(col) for col in out]
 
 
@@ -559,10 +558,6 @@ class CoseparabilityRetraction(Frozen):
         return self.map.rows
 
 
-def _add_to(row: dict, var: int, value, f: FieldSpec):
-    row[var] = f.add(row.get(var, f.zero()), value)
-
-
 def _balanced_system(f: FieldSpec, nvars: int, norm, rhs, products) -> ConstraintSystem:
     """Rows of a balanced element x: g x = x g for every g that the terms
     supply, and a normalization, from the terms that each solver supplies.
@@ -574,21 +569,21 @@ def _balanced_system(f: FieldSpec, nvars: int, norm, rhs, products) -> Constrain
     must be rhs[out].  Rows: side 0 minus side 1 per (g, out), then the
     normalization, last because its dense rows fill in the others as pivots.
     """
-    add, sub, neg = f.add, f.sub, f.neg
+    reduce = f.reduce
     # one row per (g, out): side-1 terms are subtracted as they arrive
     rows = {}
     for side, g, out, var, t in products:
         row = rows.get((g, out))
         if row is None:
-            rows[g, out] = {var: neg(t) if side else t}
+            rows[g, out] = {var: reduce(-t) if side else t}
         elif var in row:
-            row[var] = sub(row[var], t) if side else add(row[var], t)
+            row[var] = reduce(row[var] - t if side else row[var] + t)
         else:
-            row[var] = neg(t) if side else t
+            row[var] = reduce(-t) if side else t
     last = [{} for _ in rhs]
     for out, var, t in norm:
         row = last[out]
-        row[var] = add(row[var], t) if var in row else t
+        row[var] = reduce(row[var] + t) if var in row else t
     zero = f.zero()
     finished = [(row, zero) for row in rows.values()]
     finished += zip(last, rhs)

@@ -27,7 +27,6 @@ from .finalg import (
     AxiomFailure,
     AxiomReport,
     MaschkeReport,
-    _add_to,
     _apply_sparse,
     _balanced_certificate,
     _balanced_system,
@@ -159,7 +158,7 @@ def _tensor_relations(h: HopfAlgebroidPresentation, pairs) -> Subspace:
             for k in range(n):
                 row = {m * n + k: c for m, c in ucols[j]}
                 for m, c in vcols[k]:
-                    _add_to(row, j * n + m, f.neg(c), f)
+                    row[j * n + m] = f.reduce(row.get(j * n + m, 0) - c)
                 rows.append(_nonzero_entries(row))
     return _row_space(f, n * n, rows)
 
@@ -196,7 +195,7 @@ def ideal_subspace(h: HopfAlgebroidPresentation) -> Subspace:
     prod = _sparse_products(h.total)
     rows = []
     for s, t in zip(h.src.columns(), h.tgt.columns()):
-        diff = [*s, *((k, f.neg(v)) for k, v in t)]
+        diff = [*s, *((k, f.reduce(-v)) for k, v in t)]
         rows += map(_nonzero_entries, _mult_cols(f, prod, diff, True))
     return _row_space(f, h.total.dim, rows)
 
@@ -266,7 +265,7 @@ def check_hopf_algebroid(h: HopfAlgebroidPresentation) -> AxiomReport:
         for j in range(n):
             for law, moved, leg in (("comult source linearity", smul[x], 0),
                                     ("comult target linearity", tmul[x], 1)):
-                acted = [(m * n + b if leg == 0 else a * n + m, f.mul(c, v))
+                acted = [(m * n + b if leg == 0 else a * n + m, f.reduce(c * v))
                          for a, b, c in terms[j] for m, v in moved[(a, b)[leg]]]
                 if _apply_sparse(f, dq, moved[j]) != _apply_sparse(f, pcols, acted):
                     failures.append(AxiomFailure(law, (x, j)))
@@ -365,7 +364,7 @@ def integral_system_hgd(h: HopfAlgebroidPresentation, side: str,
                 for j, col in enumerate(cols):
                     for k, v in col:
                         for r, p in pcols[k]:
-                            yield which, i, r, j, f.mul(v, p)
+                            yield which, i, r, j, f.reduce(v * p)
 
     norm, rhs = (h.counit.nonzeros(), h.base.algebra.unit) if normalized else ((), ())
     return _balanced_system(f, n, norm, rhs, products())
@@ -386,7 +385,7 @@ def solve_integral_hgd(h: HopfAlgebroidPresentation, side: str,
     # e_i n (left) or n e_i (right), less s(eps(e_i)) n, must lie in the ideal
     for col, s in zip(_mult_cols(f, prod, element, side == "right"), _counit_images(h)[0]):
         for k, v in _product(f, prod, s, element).items():
-            _add_to(col, k, f.neg(v), f)
+            col[k] = f.reduce(col.get(k, 0) - v)
         if not ideal_subspace(h).contains(_vector(f, n, col.items())):
             raise ArithmeticError("integral escaped the ideal after solving")
     return HgdIntegral(sol.particular, sol)
@@ -425,7 +424,7 @@ def cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
                 carrier, slot = (a, b) if left else (b, a)
                 for r in range(dr):
                     for m, cv in mix[r][carrier]:
-                        yield 0, i, m, r * n + slot, f.mul(c, cv)
+                        yield 0, i, m, r * n + slot, f.reduce(c * cv)
             for m, r, cv in out_map.nonzeros():
                 yield 1, i, m, r * n + i, cv
 
@@ -456,7 +455,7 @@ def _bullet_terms(h: HopfAlgebroidPresentation, q: QuotientSpace, gens=None):
     coord = {c: rp for rp, c in enumerate(q.free)}
     pcols = q.projection.columns()
     return ([(out, coord[var], t) for out, var, t in norm if var in coord], rhs,
-            ((side, g, r, coord[var], f.mul(t, u)) for side, g, out, var, t in products
+            ((side, g, r, coord[var], f.reduce(t * u)) for side, g, out, var, t in products
              if var in coord for r, u in pcols[out]))
 
 
@@ -506,7 +505,7 @@ def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
     gamma(s(x)e_j (x) e_k) or gamma(e_j (x) t(x)e_k) = x gamma(e_j (x) e_k)
     at g = (x, leg, j * n + k)."""
     f, dr, n, qd = h.field, h.base.dim, h.total.dim, q.dim
-    mul = f.mul
+    reduce = f.reduce
     pcols = q.projection.columns()      # pcols[j*n + k] = pi(e_j (x) e_k)
     terms = _comult_terms(h)
     smul, tmul = _actions(h)[:2]
@@ -514,7 +513,7 @@ def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
 
     def gamma(jk, t):
         # (r, var, value): t gamma(e_j (x) e_k) at base coordinate r
-        return [(r, r * qd + qr, mul(t, u)) for qr, u in pcols[jk] for r in range(dr)]
+        return [(r, r * qd + qr, reduce(t * u)) for qr, u in pcols[jk] for r in range(dr)]
 
     def products():
         for g in range(n * n):
@@ -524,7 +523,7 @@ def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
                     arg, jk = (a, b * n + d) if side == 0 else (b, c * n + a)
                     for r, var, tu in gamma(jk, t):
                         for m, v in act[r][arg]:
-                            yield side, g, m, var, mul(tu, v)
+                            yield side, g, m, var, reduce(tu * v)
         for x in range(dr):
             for jk in range(n * n):
                 j, k = divmod(jk, n)
@@ -535,7 +534,7 @@ def _circ_terms(h: HopfAlgebroidPresentation, q: QuotientSpace):
                             yield 0, (x, leg, jk), r, var, vu
                     for rp, var, u in gamma(jk, f.one()):
                         for r, t in bprod[x][rp]:
-                            yield 1, (x, leg, jk), r, var, mul(u, t)
+                            yield 1, (x, leg, jk), r, var, reduce(u * t)
 
     return ([(c * dr + r, var, tu) for c in range(n) for a, b, t in terms[c]
              for r, var, tu in gamma(a * n + b, t)],

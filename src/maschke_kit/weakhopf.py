@@ -236,14 +236,14 @@ def projections(w: WeakHopfPresentation) -> ProjectionMaps:
     """
     f = w.field
     n = w.dim
-    add, mul = f.add, f.mul
+    reduce = f.reduce
     rows, cols = _counit_pairing(w)
     piR, piR_bar, piL, piL_bar = ([f.zero()] * (n * n) for _ in range(4))
     for a, b, c in _unit_comult(w):
         for out, base, terms in ((piR, a * n, cols[b]), (piR_bar, a * n, rows[b]),
                                  (piL, b * n, rows[a]), (piL_bar, b * n, cols[a])):
             for h, v in terms:
-                out[base + h] = add(out[base + h], mul(c, v))
+                out[base + h] = reduce(out[base + h] + c * v)
     maps = ProjectionMaps(*(Matrix(f, n, n, tuple(e))
                             for e in (piR, piR_bar, piL, piL_bar)))
     for name in ProjectionMaps._fields:
@@ -311,17 +311,18 @@ def base_algebra(w: WeakHopfPresentation) -> BaseAlgebraInfo:
     induced = Tensor3(f, d, d, d, tuple(itertools.chain.from_iterable(coords)))
 
     # Frobenius-separability data of the base: 1_1 (x) piR(1_2) and eps
+    reduce = f.reduce
     fe = [f.zero()] * (n * n)
     for a, b, c in _unit_comult(w):
         for k, v in maps.piR.columns()[b]:
-            fe[a * n + k] = f.add(fe[a * n + k], f.mul(c, v))
+            fe[a * n + k] = reduce(fe[a * n + k] + c * v)
     eps = w.coalgebra.counit
     left, right = [f.zero()] * n, [f.zero()] * n
     for ab, c in enumerate(fe):
         if c != 0:
             a, b = divmod(ab, n)
-            left[b] = f.add(left[b], f.mul(c, eps[a]))
-            right[a] = f.add(right[a], f.mul(c, eps[b]))
+            left[b] = reduce(left[b] + c * eps[a])
+            right[a] = reduce(right[a] + c * eps[b])
     if tuple(left) != unit or tuple(right) != unit:
         raise StructureDefectError("Frobenius functional identity fails on the base")
     return BaseAlgebraInfo(base, induced, tuple(fe), eps)
@@ -419,7 +420,7 @@ def integral_system(w: WeakHopfPresentation, side: str, variant: str,
     f, maps, left = w.field, projections(w), side == "left"
     # left: h t = piL(h) t; right: t h = t piR(h); for all basis h = e_i
     pi_cols = (maps.piL if left else maps.piR).columns()
-    gaps = [(i, [(i, f.one())] + [(m, f.neg(v)) for m, v in col])
+    gaps = [(i, [(i, f.one())] + [(m, f.reduce(-v)) for m, v in col])
             for i, col in enumerate(pi_cols)]
     prod = _sparse_products(w.algebra)
     # coordinate k of e_i t - piL(e_i) t (left) or t e_i - t piR(e_i), t = e_j
@@ -487,7 +488,7 @@ def cointegral_system(w: WeakHopfPresentation, side: str, variant: str,
                     a, b = b, a
                 yield 0, i, a, b, t
                 for m, v in pi_cols[a]:
-                    yield 1, i, m, b, f.mul(t, v)
+                    yield 1, i, m, b, f.reduce(t * v)
         if variant == "duoidal":
             yield from _duoidal_products(w, "cointegral", left)
 

@@ -45,7 +45,7 @@ from maschke_kit.examples import GroupoidPresentation, GroupPresentation
 from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, Tensor3, _row_space,
                                    unit_vec)
 from maschke_kit.finalg import (AlgebraPresentation, AxiomFailure, AxiomReport,
-                                CoalgebraPresentation, _add_to, _apply_sparse,
+                                CoalgebraPresentation, _apply_sparse,
                                 _comult_by_source, _comult_sum, _dot, _nonzero_entries,
                                 _product, _sparse_products, _terms)
 from maschke_kit.hopfalgd import CIRC, _comult_terms, circ_relations, tensor_over_R
@@ -54,6 +54,11 @@ from maschke_kit.structfile import _EXPECTED, _fail
 from maschke_kit.weakhopf import WeakHopfPresentation, _unit_comult, projections
 
 from denselin import comult_vec, sparse_cols
+
+
+def add_to(row: dict, var: int, value, f: FieldSpec):
+    """Add value to row[var] through FieldSpec.add, from zero when absent."""
+    row[var] = f.add(row.get(var, f.zero()), value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -433,7 +438,7 @@ def algebroid_comult_multiplicative(h) -> list:
         for (a, b, s1), (c, d, s2) in itertools.product(terms[i], terms[j]):
             for p, t1 in prod[a][c]:
                 for q, t2 in prod[b][d]:
-                    _add_to(factorwise, p * n + q, f.mul(f.mul(s1, s2), f.mul(t1, t2)), f)
+                    add_to(factorwise, p * n + q, f.mul(f.mul(s1, s2), f.mul(t1, t2)), f)
         if _apply_sparse(f, dq, prod[i][j]) != _apply_sparse(f, pcols, factorwise.items()):
             found.append((i, j))
     return found

@@ -121,6 +121,31 @@ class TestAgainstFieldOperations:
         with pytest.raises(ValueError, match="length"):
             ConstraintSystem(QQ, 2).satisfied_by((1,))
 
+    def test_candidates_in_other_int_and_fraction_forms(self):
+        # ints of any size and Q Fractions are read without coercion, and give
+        # the verdicts of their canonical forms; over GF(p) a Fraction is
+        # taken to its residue; a bool or a float is refused
+        f5 = FieldSpec.gf(5)
+        system = ConstraintSystem(f5, 2)
+        add_row(system, {0: 4, 1: 3}, 3)
+        rational = ConstraintSystem(QQ, 2)
+        add_row(rational, {0: Fraction(1, 2), 1: 3}, 4)
+        for s, x, canon in ((system, (-1, 4), (4, 4)), (system, (9, -6), (4, 4)),
+                            (system, (-1, 3), (4, 3)), (system, (Fraction(1, 4), 4), (4, 4)),
+                            (rational, (Fraction(4, 2), 1), (2, 1)),
+                            (rational, (Fraction(4, 2), Fraction(2, 2)), (2, 1)),
+                            (rational, (Fraction(6, 2), 1), (3, 1)),
+                            (rational, (Fraction(4, 2), Fraction(1, 3)), (2, Fraction(1, 3)))):
+            for homogeneous in (False, True):
+                assert s.satisfied_by(x, homogeneous) == s.satisfied_by(canon, homogeneous) \
+                    == holds(s, canon, homogeneous), (x, homogeneous)
+        assert system.satisfied_by((-1, 4)) and not system.satisfied_by((-1, 3))
+        assert rational.satisfied_by((Fraction(4, 2), 1))
+        for s in (system, rational):
+            for bad in ((True, 1), (1, 1.0)):
+                with pytest.raises(TypeError):
+                    s.satisfied_by(bad)
+
 
 class TestBalancedCertificate:
     ERRORS = ("normalization", "sides differ")

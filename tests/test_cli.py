@@ -843,6 +843,19 @@ class TestCommands:
                      "text", "--out", str(out)]) == 0
         assert "feasible: True" in out.read_text()
 
+    def test_non_ascii_labels_are_written_as_they_are(self, tmp_path):
+        path = gen(tmp_path, "c2.json", "group-algebra", "--group", "C2",
+                   "--field", "Q")
+        doc = json.loads(path.read_text())
+        doc["payload"]["labels"] = ["é", "g₁"]
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        argv = ["integrals", "--structure", str(path), "--side", "left", "--normalized"]
+        text = tmp_path / "r.txt"
+        assert main([*argv, "--format", "text", "--out", str(text)]) == 0
+        assert 'solution.labels: ["é", "g₁"]\n' in text.read_text(encoding="utf-8")
+        raw = run(tmp_path, *argv)
+        assert '"é"' in raw and json.loads(raw)["solution"]["labels"] == ["é", "g₁"]
+
 
 class TestReportReverification:
     def test_integral_solutions_reverify(self, tmp_path):

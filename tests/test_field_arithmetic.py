@@ -1,10 +1,11 @@
-"""The field operations that FieldSpec binds once per field.
+"""The one field operation that FieldSpec binds once per field.
 
-``add``, ``sub``, ``mul``, ``neg`` and ``reduce`` are compared with int and
-Fraction arithmetic over Q, GF(2), GF(3), GF(5) and GF(2^31 - 1); every
-result must be canonical (an ``int`` for an integral Q value, a residue in
-[0, p) over GF(p)).  Binding them leaves a FieldSpec's equality, hash and
-repr as they were.
+``reduce``, and ``add``, ``sub``, ``mul`` and ``neg`` over it, are compared
+with int and Fraction arithmetic over Q, GF(2), GF(3), GF(5) and
+GF(2^31 - 1); every result must be canonical (an ``int`` for an integral Q
+value, a residue in [0, p) over GF(p)).  Binding it leaves a FieldSpec's
+equality, hash and repr as they were.  The prime test of ``FieldSpec.gf``
+is compared with a sieve.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maschke_kit.exactlin import FieldSpec, FrozenInstanceError
+from maschke_kit.exactlin import FieldSpec, FrozenInstanceError, _is_prime
 
 QQ = FieldSpec.rationals()
 LARGE_P = 2**31 - 1   # the largest prime modulus FieldSpec takes
@@ -92,6 +93,25 @@ def test_each_field_binds_its_own_operations():
     assert f3.mul(2, 2) == 1 and f5.mul(2, 2) == 4
     assert f3.neg(1) == 2 and f5.neg(1) == 4
     assert f3.reduce(-7) == 2 and f5.reduce(-7) == 3
+
+
+def test_prime_test_against_a_sieve():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, int(limit ** 0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(sieve[q * q::q])
+    assert [n for n in range(limit) if _is_prime(n)] == \
+        [n for n, prime in enumerate(sieve) if prime]
+    # Carmichael numbers pass Fermat tests to every coprime base, and the
+    # product of the two largest primes below the square root of 2**31 is found by
+    # the last divisors tried
+    composites = (561, 41041, 825265, 46327 * 46337)
+    assert not any(map(_is_prime, composites))
+    assert _is_prime(LARGE_P) and not _is_prime(-7)
+    for n in composites:
+        with pytest.raises(ValueError, match="is not prime"):
+            FieldSpec.gf(n)
 
 
 def test_equality_hash_and_repr_are_those_of_the_characteristic():

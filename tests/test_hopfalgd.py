@@ -7,7 +7,7 @@ from maschke_kit import hopfalgd
 from maschke_kit.exactlin import (ConstraintSystem, FieldSpec, Matrix, QuotientSpace,
                                    Subspace, Tensor3, quotient_space, unit_vec, vec_sub)
 from maschke_kit.finalg import (AlgebraPresentation, AxiomFailure, AxiomReport,
-                                InvalidPresentationError, _add_to, _balanced_system,
+                                InvalidPresentationError, _balanced_system,
                                 _generators, _sparse_products, check_algebra)
 from maschke_kit.examples import (
     cyclic_group,
@@ -47,7 +47,7 @@ from denselin import (add_matrix_rows, add_row, apply, comult_matrix, counit_mat
                       membership, mult_matrix, mult_vec, on_leg, project, rebased,
                       right_mult_matrix, row_multiset, section, sparse_cols,
                       subspace_from_rows, to_rows, unit_matrix)
-from oracles import algebroid_coassociativity, algebroid_comult_multiplicative
+from oracles import add_to, algebroid_coassociativity, algebroid_comult_multiplicative
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -155,7 +155,7 @@ def oracle_separability_system_hgd(h, q) -> ConstraintSystem:
                     coeffs = {rp * n + j: act.at(r, c) for rp, c in enumerate(free)
                               if act.at(r, c) != 0}
                     for m, c in target:
-                        _add_to(coeffs, r * n + m, f.neg(c), f)
+                        add_to(coeffs, r * n + m, f.neg(c), f)
                     add_row(sys, coeffs, f.zero())
     return sys
 
@@ -646,7 +646,7 @@ def oracle_cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
                 for rp in range(dr):
                     c = base.mult.at(x, rp, r)
                     if c != 0:
-                        _add_to(coeffs, rp * n + j, f.neg(c), f)
+                        add_to(coeffs, rp * n + j, f.neg(c), f)
                 add_row(sys, coeffs, f.zero())
 
     terms = _comult_terms(h)
@@ -660,9 +660,9 @@ def oracle_cointegral_system_hgd(h: HopfAlgebroidPresentation, side: str,
             carrier, slot = (a, b) if side == "left" else (b, a)
             for r in range(dr):
                 for m, cv in mix[r][carrier]:
-                    _add_to(rows[m], r * n + slot, f.mul(c, cv), f)
+                    add_to(rows[m], r * n + slot, f.mul(c, cv), f)
         for m, r, cv in out_map.nonzeros():
-            _add_to(rows[m], r * n + i, f.neg(cv), f)
+            add_to(rows[m], r * n + i, f.neg(cv), f)
         for row in rows:
             add_row(sys, row, f.zero())
 

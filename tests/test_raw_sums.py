@@ -14,7 +14,9 @@ algebra/coalgebra pairs, and ``tests/test_sparse_tables.py`` on mutants of
 rebased copies over F3 and F5.
 """
 
+import inspect
 import itertools
+import sys
 
 from maschke_kit.examples import (connected_groupoid, cyclic_group, dual_group_algebra,
                                   group_algebra, groupoid_algebra, groupoid_by_name,
@@ -40,6 +42,32 @@ def counting_field(p):
 
     def reduce(x):
         calls[0] += 1
+        return plain(x)
+
+    object.__setattr__(f, "reduce", reduce)
+    object.__setattr__(f, "reductions", calls)
+    return f
+
+
+def law_walk_field(p):
+    """A fresh GF(p) whose reduce counts in .reductions[0] only the calls that
+    the three law walks of check_hopf_category make: the associativity and
+    unit-law walks of finalg, and the comparison of the two raw sides of
+    comultiplicativity (the lines of the check that reduce lhs and rhs).
+    Every other sum of the check reduces through the same reduce."""
+    f = FieldSpec.gf(p)
+    plain = f.reduce
+    source, first = inspect.getsourcelines(check_hopf_category)
+    check = inspect.unwrap(check_hopf_category).__code__
+    sides = {first + k for k, line in enumerate(source) if "map(reduce, lhs)" in line}
+    assert sides
+    calls = [0]
+
+    def reduce(x):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name in ("_associativity_failures", "_unit_failures") or \
+                (caller.f_code is check and caller.f_lineno in sides):
+            calls[0] += 1
         return plain(x)
 
     object.__setattr__(f, "reduce", reduce)
@@ -147,15 +175,15 @@ def mismatched_entries(h) -> tuple:
 class TestHopfCategoryLaws:
     def test_reductions_only_on_raw_mismatches(self):
         # each side of a mismatch is reduced entry by entry (the unit laws
-        # reduce u_x p or p u_y only, never p), and nothing else in the check
-        # reduces: the plain groupoid categories have 0 and 1 constants and
-        # make no reduce call; their rebased copies have raw sums that differ
-        # in the associativity and comultiplicativity laws and still agree
-        # mod p, and so do the unit laws of the functions on C2 with the
-        # constant p - 1 as a one-object category; all must pass
+        # reduce u_x p or p u_y only, never p), and the law walks reduce
+        # nothing else: on the plain groupoid categories, with 0 and 1
+        # constants, they make no reduce call; their rebased copies have raw
+        # sums that differ in the associativity and comultiplicativity laws
+        # and still agree mod p, and so do the unit laws of the functions on
+        # C2 with the constant p - 1 as a one-object category; all must pass
         seen = [0, 0, 0]
         for p in (3, 5):
-            f = counting_field(p)
+            f = law_walk_field(p)
             cases = [(name, seed) for name in ("pair:2", "conn:C2:2") for seed in (None, 1, 2)]
             for name, seed in [*cases, ("functions on C2", None)]:
                 if name == "functions on C2":

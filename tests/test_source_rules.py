@@ -165,6 +165,25 @@ def test_row_reduction_lives_in_exactlin():
         "exactlin.ConstraintSystem._eliminate", "finalg._closure_generators.enters"}
 
 
+COMPUTING_MODULES = ("exactlin", "finalg", "weakhopf", "hopfalgd", "hopfcat", "examples")
+
+
+def test_reduce_is_the_one_field_operation():
+    # every arithmetic step is a native int or Fraction expression passed to
+    # FieldSpec.reduce: the modules that compute read no add, sub, mul or neg
+    # off a field (no call and no local binding), and a FieldSpec binds
+    # reduce alone; add, sub, mul and neg remain as methods for callers outside
+    from maschke_kit.exactlin import FieldSpec
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.stem in COMPUTING_MODULES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in ("add", "sub", "mul", "neg")]
+    assert set(COMPUTING_MODULES) <= {path.stem for path in SOURCES}
+    assert found == []
+    for field in (FieldSpec.rationals(), FieldSpec.gf(5)):
+        assert set(vars(field)) == {"characteristic", "reduce"}
+
+
 def test_only_exactlin_owns_the_rational_type():
     # FieldSpec alone decides how a Q scalar is held (an int when integral,
     # otherwise a Fraction in lowest terms), so no other module may build one

@@ -14,13 +14,15 @@ Both trees are imported into this one process, under the package names
 machine's drift in speed.  Each pass walks the manifest's items in order,
 and the tree that goes first alternates item by item and pass by pass.  For
 a weakhopf-sweep manifest an item is a file: both trees parse the text and
-run the sweep's library jobs (every normalized integral and cointegral,
-separability, coseparability and the primed-to-duoidal conversions of a
-corpus file; the weak bialgebra and antipode checks and the Maschke report of
-a mutant).  For a CLI manifest an item is a job, a command on a structure
-file or a ``generate`` job, which writes its file to standard output: both
-trees run it through ``cli.main``, with standard output and error captured.  A tree's time in a pass is the sum of
-its per-item times, parse included.
+run the sweep's library jobs through the job list of
+``perfbench/sweep_worker.py``, formatting of the results included (every
+normalized integral and cointegral, separability, coseparability and the
+primed-to-duoidal conversions of a corpus file; the weak bialgebra and
+antipode checks and the Maschke report of a mutant).  For a CLI manifest
+an item is a job, a command on a structure file or a ``generate`` job,
+which writes its file to standard output: both trees run it through
+``cli.main``, with standard output and error captured.  A tree's time in a
+pass is the sum of its per-item times, parse included.
 
 Prints one line per pass (old and new seconds, their ratio new/old) and then
 the median ratio, its quartiles and the passes in which the new tree was
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import importlib
 import importlib.util
@@ -45,9 +48,6 @@ import re
 import statistics
 import sys
 import time
-
-SIDES = ("left", "right")
-VARIANTS = ("primed", "duoidal")
 
 
 def load_tree(src: str, name: str):
@@ -77,34 +77,35 @@ def _attempt(out: list, fn):
     return result
 
 
+@functools.cache
+def _sweep_worker():
+    """perfbench/sweep_worker.py, whose job list the sweep items run, loaded
+    without writing bytecode: a perfbench/__pycache__ changes the
+    benchmark's own resident peak."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "sweep_worker.py")
+    spec = importlib.util.spec_from_file_location("ab_sweep_worker", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
 def run_file(tree, family: str, text: str) -> list:
-    """The results of one file's sweep jobs; an exception as its text."""
+    """The results of one file's sweep jobs, each job's raw result in the
+    order that the sweep runs them (``sweep_worker._corpus_case`` or
+    ``_mutant_case``, with their formatting of the results); an exception as
+    its text."""
     weakhopf, finalg, structfile, _ = tree
+    worker = _sweep_worker()
+    case = worker._mutant_case if family == "mutant" else worker._corpus_case
     out = []
-    w = structfile.parse_structure_text_unvalidated(text)
-    if family == "mutant":
-        def verdict():
-            rep = weakhopf.check_weak_bialgebra(w)
-            if rep.ok():
-                rep = weakhopf.check_antipode(w)
-            return rep if rep.failures else weakhopf.maschke_report(w).verdict
-        _attempt(out, verdict)
-        return out
-    primed = {}
-    for side in SIDES:
-        for variant in VARIANTS:
-            sol = _attempt(out, lambda: weakhopf.solve_integral(w, side, variant, True))
-            csol = _attempt(out, lambda: weakhopf.solve_cointegral(w, side, variant, True))
-            if variant == "primed":
-                primed[side] = (sol, csol)
-    _attempt(out, lambda: finalg.solve_separability(w.algebra))
-    _attempt(out, lambda: finalg.solve_coseparability(w.coalgebra))
-    for side in SIDES:
-        sol, csol = primed[side]
-        if sol is not None:
-            _attempt(out, lambda: weakhopf.convert_integral(w, sol.element, side))
-        if csol is not None:
-            _attempt(out, lambda: weakhopf.convert_cointegral(w, csol.functional, side))
+    case((weakhopf, finalg), structfile.parse_structure_text_unvalidated(text),
+         lambda label, fn: _attempt(out, fn))
     return out
 
 

@@ -20,6 +20,46 @@ from .hopfcat import HopfCategoryPresentation
 from .weakhopf import WeakHopfPresentation
 
 
+def _check_groupoid(n_objects, source, target, table, identity, inverse):
+    """Refuse the data unless it is a groupoid.  Morphism f goes from object
+    source[f] to object target[f]; table[f][h] is f after h, None exactly
+    when source(f) != target(h); identity[x] is the identity of object x and
+    inverse[f] the inverse of f.  A group is the groupoid of one object.
+    Every index is checked against its range before the table is read."""
+    m = len(table)
+    if len(source) != m or len(target) != m or len(inverse) != m:
+        raise ValueError("morphism table lengths differ")
+    if any(not 0 <= x < n_objects for x in (*source, *target)):
+        raise ValueError("object index out of range")
+    if len(identity) != n_objects:
+        raise ValueError(f"{len(identity)} identities for {n_objects} objects")
+    if any(not 0 <= f < m for f in (*identity, *inverse)) or \
+            any(fh is not None and not 0 <= fh < m for row in table for fh in row):
+        raise ValueError("morphism index out of range")
+    for f, row in enumerate(table):
+        for h, fh in enumerate(row):
+            if (fh is None) == (source[f] == target[h]):
+                raise ValueError(f"composition partiality wrong at {(f, h)}")
+            if fh is not None and (source[fh] != source[h] or target[fh] != target[f]):
+                raise ValueError(f"composite {(f, h)} has wrong endpoints")
+    for x, e in enumerate(identity):
+        if source[e] != x or target[e] != x:
+            raise ValueError(f"identity of object {x} has wrong endpoints")
+    for f, g in enumerate(inverse):
+        if table[f][identity[source[f]]] != f or table[identity[target[f]]][f] != f:
+            raise ValueError(f"identity law fails at {f}")
+        if table[g][f] != identity[source[f]] or table[f][g] != identity[target[f]]:
+            raise ValueError(f"inverse law fails at {f}")
+    for f, row in enumerate(table):
+        for h, fh in enumerate(row):
+            if fh is None:
+                continue
+            after = table[fh]
+            for k, hk in enumerate(table[h]):
+                if hk is not None and after[k] != row[hk]:
+                    raise ValueError(f"associativity fails at {(f, h, k)}")
+
+
 class GroupPresentation(Frozen):
     order: int
     table: tuple           # table[i][j] = index of g_i g_j
@@ -33,22 +73,10 @@ class GroupPresentation(Frozen):
         n = self.order
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise ValueError("table must be order x order")
-        if any(not 0 <= x < n for r in self.table for x in r):
-            raise ValueError("table entries out of range")
-        e = self.identity
-        t = self.table
-        for i in range(n):
-            if t[e][i] != i or t[i][e] != i:
-                raise ValueError(f"identity law fails at {i}")
-            if t[i][self.inverse[i]] != e or t[self.inverse[i]][i] != e:
-                raise ValueError(f"inverse law fails at {i}")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[t[i][j]][k] != t[i][t[j][k]]:
-                        raise ValueError(f"associativity fails at {(i, j, k)}")
         if len(self.labels) != n:
             raise ValueError("label count mismatch")
+        ends = (0,) * n
+        _check_groupoid(1, ends, ends, self.table, (self.identity,), self.inverse)
 
     @staticmethod
     def from_table(table, labels=None) -> "GroupPresentation":
@@ -156,41 +184,15 @@ class GroupoidPresentation(Frozen):
 
     def __post_init__(self):
         nm = len(self.source)
-        if len(self.target) != nm or len(self.inverse) != nm or len(self.labels) != nm:
-            raise ValueError("morphism table lengths differ")
+        if len(self.labels) != nm:
+            raise ValueError("label count mismatch")
+        table = [[None] * nm for _ in range(nm)]
         for (f, h), fh in self.compose.items():
-            if self.source[f] != self.target[h]:
-                raise ValueError(f"composite {(f, h)} is not composable")
-            if self.source[fh] != self.source[h] or self.target[fh] != self.target[f]:
-                raise ValueError(f"composite {(f, h)} has wrong endpoints")
-        for f in range(nm):
-            for h in range(nm):
-                defined = self.source[f] == self.target[h]
-                if defined != ((f, h) in self.compose):
-                    raise ValueError(f"composition partiality wrong at {(f, h)}")
-        for x, e in enumerate(self.identity):
-            if self.source[e] != x or self.target[e] != x:
-                raise ValueError(f"identity of object {x} has wrong endpoints")
-        for f in range(nm):
-            if self.compose[(f, self.identity[self.source[f]])] != f:
-                raise ValueError(f"right identity fails at {f}")
-            if self.compose[(self.identity[self.target[f]], f)] != f:
-                raise ValueError(f"left identity fails at {f}")
-            g = self.inverse[f]
-            if self.compose[(g, f)] != self.identity[self.source[f]]:
-                raise ValueError(f"inverse fails at {f}")
-            if self.compose[(f, g)] != self.identity[self.target[f]]:
-                raise ValueError(f"inverse fails at {f}")
-        for f in range(nm):
-            for h in range(nm):
-                if self.source[f] != self.target[h]:
-                    continue
-                fh = self.compose[(f, h)]
-                for k in range(nm):
-                    if self.source[h] != self.target[k]:
-                        continue
-                    if self.compose[(fh, k)] != self.compose[(f, self.compose[(h, k)])]:
-                        raise ValueError(f"associativity fails at {(f, h, k)}")
+            if not (0 <= f < nm and 0 <= h < nm):
+                raise ValueError("morphism index out of range")
+            table[f][h] = fh
+        _check_groupoid(len(self.objects), self.source, self.target, table,
+                        self.identity, self.inverse)
 
     @property
     def n_morphisms(self) -> int:

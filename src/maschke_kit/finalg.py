@@ -543,19 +543,11 @@ class SeparabilitySection(Frozen):
     map: Matrix   # dim^2 x dim
     element: tuple
 
-    @property
-    def dim(self) -> int:
-        return self.map.cols
-
 
 class CoseparabilityRetraction(Frozen):
     """A bicomodule retraction of the comultiplication."""
 
     map: Matrix   # dim x dim^2
-
-    @property
-    def dim(self) -> int:
-        return self.map.rows
 
 
 def _balanced_system(f: FieldSpec, nvars: int, norm, rhs, products) -> ConstraintSystem:

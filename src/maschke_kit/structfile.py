@@ -61,7 +61,7 @@ def field_to_json(field: FieldSpec) -> dict:
     return {"kind": "Fp", "p": field.characteristic}
 
 
-def field_from_json(obj, path="field") -> FieldSpec:
+def field_from_json(obj, path) -> FieldSpec:
     kind = _get(obj, "kind", path, str)
     if kind == "Q":
         return FieldSpec.rationals()
@@ -357,7 +357,7 @@ def _group_parse(field, obj, path):
     labels = _labels_in(_get(obj, "labels", path), order, f"{path}.labels")
     try:
         g = GroupPresentation.from_table(table, labels)
-    except (ValueError, TypeError, IndexError) as exc:
+    except ValueError as exc:
         _fail(f"{path}.table", str(exc))
     if g.identity != _get(obj, "identity", path, int):
         _fail(f"{path}.identity", "does not match the table")
@@ -381,6 +381,8 @@ def _groupoid_payload(g) -> dict:
 def _groupoid_parse(field, obj, path):
     from .examples import GroupoidPresentation
     objects = tuple(_get(obj, "objects", path, list))
+    if not all(isinstance(x, str) for x in objects):
+        _fail(f"{path}.objects", "object labels must be text")
     source = _ints(obj, "source", path)
     if len(source) > MAX_GENERATED_ORDER:
         _fail(f"{path}.source", f"more than {MAX_GENERATED_ORDER} morphisms")
@@ -399,7 +401,7 @@ def _groupoid_parse(field, obj, path):
     try:
         return GroupoidPresentation(objects, source, target, compose,
                                     identity, inverse, labels)
-    except (ValueError, TypeError, IndexError, KeyError) as exc:
+    except ValueError as exc:
         _fail(path, str(exc))
 
 
@@ -574,5 +576,6 @@ def _parse_doc(doc):
     if kind is None:
         _fail("$.kind", f"unknown kind {tag!r}")
     payload = _get(doc, "payload", "$", dict)
-    field = field_from_json(_get(doc, "field", "$", dict)) if kind.fielded else None
+    field = field_from_json(_get(doc, "field", "$", dict), "$.field") if kind.fielded \
+        else None
     return kind.parse(field, payload, "$.payload")

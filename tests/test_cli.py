@@ -1263,3 +1263,123 @@ class TestEntryPoint:
                      stdout=subprocess.DEVNULL, preexec_fn=closed_stdout)
         assert (run.returncode, run.stderr) == (0, "")
         assert json.loads(out.read_text())["valid"] is True
+
+
+def _refused(tmp_path, capsys, doc, failures):
+    """Write doc (JSON text, or a value to dump) as a structure file; validate
+    must exit 3 and report exactly failures, and maschke must exit 3 and
+    print the first of them."""
+    path = tmp_path / "bad.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    report = json.loads(run(tmp_path, "validate", "--structure", str(path), expect=3))
+    assert report["valid"] is False
+    assert report["failures"] == failures
+    capsys.readouterr()
+    assert main(["maschke", "--structure", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and failures[0] in err
+    assert "Traceback" not in err and "Error" not in err
+
+
+PAIR2 = ("groupoid", "--groupoid", "pair:2")
+ONE_C3 = ("groupoid", "--groupoid", "one:C3")
+
+
+class TestGroupAndGroupoidRefusals:
+    """Each refusal of the one groupoid law check, through files: a group is
+    the groupoid of one object.  pair:2 has morphisms f0: x0 -> x0,
+    f1: x0 -> x1, f2: x1 -> x0 and f3: x1 -> x1; one:C3 has f0 = e, f1 = a
+    and f2 = a^2, and the group C3 has the same table."""
+
+    @pytest.mark.parametrize("argv, damage, message", [
+        (PAIR2, lambda p: p["objects"].append("x2"), "2 identities for 3 objects"),
+        (PAIR2, lambda p: p.update(identity=[0]), "1 identities for 2 objects"),
+        (PAIR2, lambda p: p.update(identity=[0, 9]), "morphism index out of range"),
+        (PAIR2, lambda p: p["inverse"].__setitem__(0, 9), "morphism index out of range"),
+        (PAIR2, lambda p: p["compose"].__setitem__(0, [0, 0, 9]),
+         "morphism index out of range"),
+        (PAIR2, lambda p: p["compose"].__setitem__(0, [9, 0, 0]),
+         "morphism index out of range"),
+        (PAIR2, lambda p: p["compose"].__setitem__(0, [0, -1, 0]),
+         "morphism index out of range"),
+        (PAIR2, lambda p: p["source"].__setitem__(0, 5), "object index out of range"),
+        (PAIR2, lambda p: p["target"].pop(), "morphism table lengths differ"),
+        (PAIR2, lambda p: p["compose"].pop(1), "composition partiality wrong at (0, 2)"),
+        (PAIR2, lambda p: p["compose"].append([0, 1, 1]),
+         "composition partiality wrong at (0, 1)"),
+        (PAIR2, lambda p: p["compose"].__setitem__(1, [0, 2, 3]),
+         "composite (0, 2) has wrong endpoints"),
+        (PAIR2, lambda p: p.update(identity=[0, 1]),
+         "identity of object 1 has wrong endpoints"),
+        (ONE_C3, lambda p: p["compose"].__setitem__(0, [0, 0, 1]), "identity law fails at 0"),
+        (ONE_C3, lambda p: p["inverse"].__setitem__(1, 1), "inverse law fails at 1"),
+        (ONE_C3, lambda p: p["compose"].__setitem__(4, [1, 1, 1]),
+         "associativity fails at (1, 1, 2)"),
+    ], ids=["extra-object", "object-without-identity", "identity-index", "inverse-index",
+            "composite-index", "compose-key", "negative-compose-key", "source-index",
+            "lengths", "missing-composite", "extra-composite", "composite-endpoints",
+            "identity-endpoints", "identity-law", "inverse-law", "associativity"])
+    def test_groupoid_file_refusal(self, tmp_path, capsys, argv, damage, message):
+        doc = json.loads(gen(tmp_path, "g.json", *argv).read_text())
+        damage(doc["payload"])
+        _refused(tmp_path, capsys, doc, [f"$.payload: {message}"])
+
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 7]], "morphism index out of range"),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], "table has no two-sided identity"),
+        ([[0, 1, 2], [1, 1, 1], [2, 1, 2]], "element 1 has no inverse"),
+        ([[0, 1, 2], [1, 1, 0], [2, 1, 0]], "inverse law fails at 1"),
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "associativity fails at (1, 1, 2)"),
+    ], ids=["index", "no-identity", "no-inverse", "inverse-law", "associativity"])
+    def test_group_file_refusal(self, tmp_path, capsys, table, message):
+        doc = json.loads(gen(tmp_path, "c3.json", "group", "--group", "C3").read_text())
+        doc["payload"]["table"] = table
+        _refused(tmp_path, capsys, doc, [f"$.payload.table: {message}"])
+
+    @pytest.mark.parametrize("argv", [PAIR2, HOPFCAT], ids=["groupoid", "hopf-category"])
+    def test_object_labels_must_be_text(self, tmp_path, capsys, argv):
+        doc = json.loads(gen(tmp_path, "g.json", *argv).read_text())
+        doc["payload"]["objects"] = [1, {"a": 2}]
+        _refused(tmp_path, capsys, doc, ["$.payload.objects: object labels must be text"])
+
+
+class TestFileRefusals:
+    """Refusals of malformed files that no other test reaches."""
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: p["comps"][0].update(path=[0, 0, 5]),
+         "$.payload.comps[0].path: refers to a missing hom"),
+        (lambda p: p["units"][0].update(object=7),
+         "$.payload.units[0]: unit object has no hom"),
+    ], ids=["missing-hom", "unit-without-hom"])
+    def test_hopf_category_refusal(self, tmp_path, capsys, damage, message):
+        doc = json.loads(gen(tmp_path, "hc.json", *HOPFCAT).read_text())
+        damage(doc["payload"])
+        _refused(tmp_path, capsys, doc, [message])
+
+    def test_hopf_category_hom_that_is_no_coalgebra(self, tmp_path, capsys):
+        # a broken hom coalgebra is reported before any composition law
+        doc = json.loads(gen(tmp_path, "hc.json", *HOPFCAT).read_text())
+        doc["payload"]["homs"][0]["counit"] = ["0"]
+        _refused(tmp_path, capsys, doc, ["hom(0,0) left counit fails at (0,)",
+                                         "hom(0,0) right counit fails at (0,)"])
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        _refused(tmp_path, capsys, "[]", ["$: top level must be an object"])
+
+    def test_unit_vector_must_be_nonzero(self, tmp_path, capsys):
+        doc = json.loads(gen(tmp_path, "c2.json", "group-algebra", "--group", "C2",
+                             "--field", "Q").read_text())
+        doc["payload"]["unit"] = ["0", "0"]
+        _refused(tmp_path, capsys, doc, ["$.payload: unit vector must be nonzero"])
+
+    @pytest.mark.parametrize("field, message", [
+        ({"kind": "R"}, "$.field.kind: unknown field kind 'R'"),
+        ({"kind": "Fp", "p": 4}, "$.field.p: 4 is not prime"),
+    ], ids=["kind", "prime"])
+    def test_field_descriptor_refusals_name_the_root(self, tmp_path, capsys, field,
+                                                     message):
+        doc = json.loads(gen(tmp_path, "c2.json", "group-algebra", "--group", "C2",
+                             "--field", "Q").read_text())
+        doc["field"] = field
+        _refused(tmp_path, capsys, doc, [message])

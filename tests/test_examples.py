@@ -1,6 +1,11 @@
+import ast
+import inspect
+import re
+
 import pytest
 
 import oracles
+from maschke_kit import examples
 from maschke_kit.exactlin import FieldSpec
 from maschke_kit.examples import (
     MAX_GENERATED_ORDER,
@@ -88,6 +93,93 @@ class TestGroupoids:
         for name in ("pair:9", "conn:C2:6", f"sum:C{cap},C1", f"one:C{cap + 1}"):
             with pytest.raises(ValueError, match="above the limit"):
                 groupoid_by_name(name)
+
+
+def _changed(record, **changes):
+    """record rebuilt with some fields replaced, through its own checks."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
+
+
+C3 = cyclic_group(3)
+PAIR2 = pair_groupoid(2)   # f0: x0 -> x0, f1: x0 -> x1, f2: x1 -> x0, f3: x1 -> x1
+ONE_C3 = one_object_groupoid(C3)
+
+
+def _recomposed(gd, changes):
+    """gd.compose with the composites of changes set, or unset where None."""
+    compose = {**gd.compose, **changes}
+    return {pair: fh for pair, fh in compose.items() if fh is not None}
+
+
+# every refusal of the group and groupoid records, with the call that reaches it
+LAW_REFUSALS = [
+    pytest.param(lambda: _changed(C3, table=C3.table[:2]),
+                 "table must be order x order", id="group-shape"),
+    pytest.param(lambda: _changed(C3, labels=("e",)),
+                 "label count mismatch", id="group-labels"),
+    pytest.param(lambda: GroupPresentation.from_table([[0, 0], [0, 0]]),
+                 "table has no two-sided identity", id="no-identity"),
+    pytest.param(lambda: GroupPresentation.from_table([[0, 1], [1, 1]]),
+                 "element 1 has no inverse", id="no-inverse"),
+    pytest.param(lambda: _changed(C3, inverse=(0, 2)),
+                 "morphism table lengths differ", id="group-lengths"),
+    pytest.param(lambda: _changed(C3, identity=3),
+                 "morphism index out of range", id="group-index"),
+    pytest.param(lambda: _changed(C3, identity=1),
+                 "identity law fails at 0", id="group-identity-law"),
+    pytest.param(lambda: _changed(C3, inverse=(0, 1, 2)),
+                 "inverse law fails at 1", id="group-inverse-law"),
+    pytest.param(lambda: _changed(C3, table=((0, 1, 2), (1, 1, 0), (2, 0, 1))),
+                 "associativity fails at (1, 1, 2)", id="group-associativity"),
+    pytest.param(lambda: _changed(PAIR2, labels=PAIR2.labels[:3]),
+                 "label count mismatch", id="groupoid-labels"),
+    pytest.param(lambda: _changed(PAIR2, objects=("x0", "x1", "x2")),
+                 "2 identities for 3 objects", id="identity-count"),
+    pytest.param(lambda: _changed(PAIR2, source=(0, 0, 1, 2)),
+                 "object index out of range", id="object-index"),
+    pytest.param(lambda: _changed(PAIR2, compose=_recomposed(PAIR2, {(4, 0): 0})),
+                 "morphism index out of range", id="compose-key"),
+    pytest.param(lambda: _changed(PAIR2, compose=_recomposed(PAIR2, {(0, 2): None})),
+                 "composition partiality wrong at (0, 2)", id="partiality"),
+    pytest.param(lambda: _changed(PAIR2, compose=_recomposed(PAIR2, {(0, 2): 3})),
+                 "composite (0, 2) has wrong endpoints", id="composite-endpoints"),
+    pytest.param(lambda: _changed(PAIR2, identity=(0, 1)),
+                 "identity of object 1 has wrong endpoints", id="identity-endpoints"),
+    pytest.param(lambda: _changed(ONE_C3, compose=_recomposed(ONE_C3, {(0, 0): 1})),
+                 "identity law fails at 0", id="groupoid-identity-law"),
+    pytest.param(lambda: _changed(ONE_C3, inverse=(0, 1, 2)),
+                 "inverse law fails at 1", id="groupoid-inverse-law"),
+    pytest.param(lambda: _changed(ONE_C3, compose=_recomposed(ONE_C3, {(1, 1): 1})),
+                 "associativity fails at (1, 1, 2)", id="groupoid-associativity"),
+]
+
+
+class TestOneLawCheck:
+    """A group is checked as the groupoid of one object, by one function."""
+
+    @pytest.mark.parametrize("build, message", LAW_REFUSALS)
+    def test_refusal(self, build, message):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    def test_every_refusal_is_reached(self):
+        # each ValueError message of the group and groupoid records and of
+        # the law check, read from the source, matches one case above
+        tree = ast.parse(inspect.getsource(examples))
+        scopes = [node for node in tree.body
+                  if getattr(node, "name", None) in (
+                      "_check_groupoid", "GroupPresentation", "GroupoidPresentation")]
+        patterns = set()
+        for node in (n for scope in scopes for n in ast.walk(scope)):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                [arg] = node.exc.args
+                parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+                patterns.add("".join(re.escape(p.value) if isinstance(p, ast.Constant)
+                                     else ".+" for p in parts))
+        assert len(scopes) == 3 and len(patterns) == 14
+        messages = [case.values[1] for case in LAW_REFUSALS]
+        assert all(any(re.fullmatch(p, m) for m in messages) for p in patterns), patterns
 
 
 class TestGeneratorsAreValid:

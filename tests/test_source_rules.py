@@ -462,3 +462,41 @@ def test_only_the_process_entry_point_skips_teardown():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module)
     assert "os" in imported and "atexit" not in imported
+
+
+LAW_MESSAGES = ("identity law fails", "inverse law fails", "associativity fails",
+                "composition partiality wrong", "has wrong endpoints", "identities for",
+                "index out of range")
+LOOPS = (ast.For, ast.While, ast.comprehension)
+
+
+def _loop_depth(node, depth=0) -> int:
+    """The deepest nesting of loops and comprehension clauses under node."""
+    depth += isinstance(node, LOOPS)
+    return max([depth] + [_loop_depth(child, depth) for child in ast.iter_child_nodes(node)])
+
+
+def test_one_law_check_for_groups_and_groupoids():
+    # a group is the groupoid of one object: every law message of either is
+    # raised in examples._check_groupoid, which both records call, and neither
+    # record walks its table itself (one loop at most, over rows or pairs)
+    path = next(path for path in SOURCES if path.name == "examples.py")
+    raised, posts = {}, {}
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise):
+                text = ast.unparse(node)
+                for message in LAW_MESSAGES:
+                    if message in text:
+                        raised.setdefault(message, set()).add(top.name)
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__" \
+                    and top.name in ("GroupPresentation", "GroupoidPresentation"):
+                posts[top.name] = _loop_depth(node)
+    # the groupoid record also refuses a compose key outside its morphisms
+    # while it builds the table
+    assert raised == {message: {"_check_groupoid"} for message in LAW_MESSAGES} | \
+        {"index out of range": {"_check_groupoid", "GroupoidPresentation"}}
+    assert _call_sites(_named("_check_groupoid")) == {
+        "examples.GroupPresentation.__post_init__",
+        "examples.GroupoidPresentation.__post_init__"}
+    assert posts == {"GroupPresentation": 1, "GroupoidPresentation": 1}

@@ -54,6 +54,7 @@ from maschke_kit.weakhopf import (
     StructureDefectError,
     WeakHopfPresentation,
     base_algebra,
+    check_antipode,
     check_weak_bialgebra,
     cointegral_system,
     convert_cointegral,
@@ -838,3 +839,51 @@ def test_tampered_primed_row_raises_under_optimization():
                          env=dict(os.environ, PYTHONPATH=src))
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["ArithmeticError"] * 4
+
+
+class TestWeakHopfDuality:
+    """The dual of a weak Hopf algebra is an oracle that shares no code path
+    with the cointegral solver: the cointegrals of w are the integrals of its
+    dual, on the same side, in the same variant and with the same
+    normalization, and the dual's projections are w's transposed, with the
+    two barred ones swapped."""
+
+    def test_cointegrals_are_integrals_of_the_dual(self):
+        solved = converted = 0
+        for w in valid_corpus():
+            d = dual(w)
+            p, q = projections(w), projections(d)
+            assert (q.piL, q.piR, q.piL_bar, q.piR_bar) == \
+                (transpose(p.piL), transpose(p.piR), transpose(p.piR_bar),
+                 transpose(p.piL_bar))
+            for side in ("left", "right"):
+                for variant in ("primed", "duoidal"):
+                    for normalized in (True, False):
+                        tau = solve_cointegral(w, side, variant, normalized)
+                        t = solve_integral(d, side, variant, normalized)
+                        assert (tau is None) == (t is None)
+                        assert tau is None or tau.solutions == t.solutions
+                        solved += tau is not None
+                tau = solve_cointegral(w, side, "primed", True)
+                if tau is not None:
+                    assert convert_cointegral(w, tau.functional, side) == \
+                        convert_integral(d, tau.functional, side)
+                    converted += 1
+        assert len(valid_corpus()) == 148 and converted == 274
+        assert 0 < solved < 148 * 8
+
+    def test_a_mutant_and_its_dual_pass_the_same_checks(self):
+        seen = set()
+        for w in valid_corpus():
+            for m in (w, *(mutate(w, seed) for seed in range(8))):
+                try:
+                    d = dual(m)
+                except ValueError:   # the counit became zero: the dual has no unit
+                    continue
+                bialgebra, antipode = check_weak_bialgebra(m).ok(), None
+                assert check_weak_bialgebra(d).ok() == bialgebra, m
+                if bialgebra and m.antipode is not None:
+                    antipode = check_antipode(m).ok()
+                    assert check_antipode(d).ok() == antipode, m
+                seen.add((bialgebra, antipode))
+        assert seen == {(False, None), (True, True), (True, False)}

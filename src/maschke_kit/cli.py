@@ -236,6 +236,8 @@ def _run_solver(presentation, kind, args, report):
     if entry is None:
         raise StructureFileError(f"{command} does not apply to kind {kind!r}")
     module, solver, part, options, write = entry
+    if args.get("variant", "primed") != "primed" and "variant" not in options:
+        raise UsageError(f"--variant does not apply to kind {kind!r}")
     if command == "maschke" and presentation.antipode is None:
         raise StructureFileError(
             "maschke requires an antipode; the equivalence is only claimed "
@@ -318,10 +320,8 @@ def _render_text(report) -> str:
             for k in value:
                 walk(f"{prefix}{k}.", value[k]) if isinstance(value[k], (dict, list)) \
                     else lines.append(f"{prefix}{k}: {value[k]}")
-        elif isinstance(value, list):
+        else:   # a list: walk sees only the report and its dicts and lists
             lines.append(f"{prefix[:-1]}: {json.dumps(value, ensure_ascii=False)}")
-        else:
-            lines.append(f"{prefix[:-1]}: {value}")
 
     walk("", report)
     return "\n".join(lines) + "\n"

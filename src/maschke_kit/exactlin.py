@@ -434,7 +434,8 @@ class Subspace(Frozen):
 
     def __post_init__(self):
         n = self.ambient_dim
-        _check_axis(n, "ambient dimension")
+        if n < 0:
+            raise ValueError(f"ambient dimension {n} is negative")
         pivots = []
         for row in self.row_terms:
             if not row:

@@ -1,11 +1,11 @@
 """Deterministic generators for the test corpus, and a mutation harness.
 
-Groups and groupoids are given by verified multiplication tables.  One
-linearization of a product table builds group and groupoid algebras and, as
-their dual, the dual group algebras; a groupoid's hom-sets span a Hopf
-category; pair Hopf algebroids come from commutative base algebras.
-Composition convention for groupoids: f*h means "apply h first" and is
-defined when target(h) = source(f).
+Groups and groupoids are given by their tables, identities and inverses,
+verified by one law check.  One linearization of a product table builds
+group and groupoid algebras and, as their dual, the dual group algebras; a
+groupoid's hom-sets span a Hopf category; pair Hopf algebroids come from
+commutative base algebras.  Composition convention for groupoids: f*h
+means "apply h first" and is defined when target(h) = source(f).
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ def _check_groupoid(n_objects, source, target, table, identity, inverse):
     when source(f) != target(h); identity[x] is the identity of object x and
     inverse[f] the inverse of f.  A group is the groupoid of one object.
     Every index is checked against its range before the table is read."""
+    if n_objects < 1:
+        raise ValueError("a groupoid needs at least one object")
     m = len(table)
     if len(source) != m or len(target) != m or len(inverse) != m:
         raise ValueError("morphism table lengths differ")
@@ -78,42 +80,29 @@ class GroupPresentation(Frozen):
         ends = (0,) * n
         _check_groupoid(1, ends, ends, self.table, (self.identity,), self.inverse)
 
-    @staticmethod
-    def from_table(table, labels=None) -> "GroupPresentation":
-        table = tuple(tuple(r) for r in table)
-        n = len(table)
-        identity = next((e for e in range(n)
-                         if all(table[e][i] == i and table[i][e] == i
-                                for i in range(n))), None)
-        if identity is None:
-            raise ValueError("table has no two-sided identity")
-        inverse = []
-        for i in range(n):
-            j = next((j for j in range(n) if table[i][j] == identity), None)
-            if j is None:
-                raise ValueError(f"element {i} has no inverse")
-            inverse.append(j)
-        inverse = tuple(inverse)
-        if labels is None:
-            labels = tuple("e" if i == identity else f"g{i}" for i in range(n))
-        return GroupPresentation(n, table, identity, inverse, tuple(labels))
+
+def _labels(n: int) -> tuple:
+    """e for the identity 0, then g1, g2, ..."""
+    return ("e", *(f"g{i}" for i in range(1, n)))
 
 
 def cyclic_group(n: int) -> GroupPresentation:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return GroupPresentation.from_table(table)
+    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return GroupPresentation(n, table, 0, tuple(-i % n for i in range(n)), _labels(n))
 
 
 def klein_four_group() -> GroupPresentation:
-    table = [[i ^ j for j in range(4)] for i in range(4)]
-    return GroupPresentation.from_table(table, ("e", "a", "b", "ab"))
+    table = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
+    return GroupPresentation(4, table, 0, tuple(range(4)), ("e", "a", "b", "ab"))
 
 
 def symmetric_group_s3() -> GroupPresentation:
     perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
     index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[x]] for x in range(3))] for q in perms] for p in perms]
-    return GroupPresentation.from_table(table)
+    table = tuple(tuple(index[tuple(p[q[x]] for x in range(3))] for q in perms)
+                  for p in perms)
+    inverse = tuple(index[tuple(p.index(x) for x in range(3))] for p in perms)
+    return GroupPresentation(6, table, 0, inverse, _labels(6))
 
 
 def dihedral_group(n: int) -> GroupPresentation:
@@ -128,8 +117,10 @@ def dihedral_group(n: int) -> GroupPresentation:
         i = (ib + ia) % n if sa == 0 else (ib * -1 + ia) % n
         return i + n * (sa ^ sb)
 
-    table = [[mul(a, b) for b in range(order)] for a in range(order)]
-    return GroupPresentation.from_table(table)
+    table = tuple(tuple(mul(a, b) for b in range(order)) for a in range(order))
+    # a rotation r^a has inverse r^-a; a reflection is its own inverse
+    inverse = tuple(-a % n if a < n else a for a in range(order))
+    return GroupPresentation(order, table, 0, inverse, _labels(order))
 
 
 def _check_order(order: int, name: str):
@@ -225,8 +216,6 @@ def disjoint_union(a: GroupoidPresentation, b: GroupoidPresentation) -> Groupoid
 def connected_groupoid(g: GroupPresentation, n_objects: int) -> GroupoidPresentation:
     """Every hom-set a torsor over g: morphism (s, t, a) from s to t with
     group element a has index (s * n_objects + t) * |g| + a."""
-    if n_objects < 1:
-        raise ValueError("need at least one object")
     n, order = n_objects, g.order
     objects = tuple(f"x{i}" for i in range(n))
     morphs = [(s, t, a) for s in range(n) for t in range(n) for a in range(order)]

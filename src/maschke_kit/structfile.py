@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 
 from .exactlin import MAX_AXIS, FieldSpec, Frozen, Matrix, Tensor3
 from .finalg import MAX_GENERATED_ORDER, AlgebraPresentation, AxiomReport, \
@@ -77,14 +78,22 @@ def field_from_json(obj, path) -> FieldSpec:
 def array_to_json(field, value):
     """The text tokens of a vector, of a Matrix by rows or of a Tensor3 by
     planes of rows, as nested JSON lists; structure files and reports write
-    every scalar through it."""
+    every scalar through it.  An integer of more digits than the interpreter
+    writes as text is refused as invalid input."""
     if isinstance(value, Matrix):
         shape, value = (value.rows, value.cols), value.entries
     elif isinstance(value, Tensor3):
         shape, value = (value.d0, value.d1, value.d2), value.entries
     else:
         shape = (len(value),)
-    nested = [field.format_scalar(v) for v in value]
+    try:
+        nested = [field.format_scalar(v) for v in value]
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise StructureFileError(f"an output scalar has more than {limit} digits, the "
+                                 "limit of sys.get_int_max_str_digits()") from None
     for axis in range(len(shape) - 1, 0, -1):
         size = shape[axis]
         nested = [nested[i * size:(i + 1) * size] for i in range(math.prod(shape[:axis]))]
@@ -355,15 +364,13 @@ def _group_parse(field, obj, path):
     if len(table) != order or any(len(row) != order for row in table):
         _fail(f"{path}.table", "table must be order x order")
     labels = _labels_in(_get(obj, "labels", path), order, f"{path}.labels")
+    identity = _get(obj, "identity", path, int)
+    inverse = _ints(obj, "inverse", path)
     try:
-        g = GroupPresentation.from_table(table, labels)
+        return GroupPresentation(order, tuple(map(tuple, table)), identity, inverse,
+                                 labels)
     except ValueError as exc:
         _fail(f"{path}.table", str(exc))
-    if g.identity != _get(obj, "identity", path, int):
-        _fail(f"{path}.identity", "does not match the table")
-    if g.inverse != _ints(obj, "inverse", path):
-        _fail(f"{path}.inverse", "does not match the table")
-    return g
 
 
 def _groupoid_payload(g) -> dict:

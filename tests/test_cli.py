@@ -26,6 +26,7 @@ from maschke_kit.exactlin import FieldSpec
 from maschke_kit.hopfalgd import HopfAlgebroidPresentation
 from maschke_kit.structfile import (
     StructureFileError,
+    array_to_json,
     parse_structure_file,
     parse_structure_text,
     serialize_structure,
@@ -759,6 +760,78 @@ class TestCommands:
                      "Fp:2147483659", "--out", str(out)]) == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["R", "F7", "GF(7)", "p:7", "x" * 5000])
+    def test_field_without_fp_prefix_is_refused(self, tmp_path, capsys, value):
+        out = tmp_path / "never.json"
+        assert main(["generate", "group-algebra", "--group", "C2", "--field", value,
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        cut = value if len(value) <= 32 else value[:32] + "..."
+        assert err == f"usage error: bad --field value {cut!r} (use Q or Fp:<p>)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base, command, quotient_dim", [
+        ("k", "separability", 1), ("k", "coseparability", 1),
+        ("kxk", "separability", 4), ("kxk", "coseparability", 8),
+    ])
+    def test_algebroid_quotient_maps_are_reported(self, tmp_path, base, command,
+                                                  quotient_dim):
+        # a feasible algebroid section or retraction is written through its
+        # quotient: the quotient's dimension and the map's coefficients
+        path = gen(tmp_path, "pa.json", "pair-algebroid", "--base", base, "--field", "Q")
+        total_dim = parse_structure_file(path).total.dim
+        report = json.loads(run(tmp_path, command, "--structure", str(path)))
+        assert report["feasible"] is True and report["quotient_dim"] == quotient_dim
+        assert len(report["coefficients"]) == quotient_dim * total_dim
+
+    @pytest.mark.parametrize("command", ["integrals", "cointegrals"])
+    @pytest.mark.parametrize("argv, kind", [
+        (("pair-algebroid", "--base", "kxk", "--field", "Q"), "algebroid"),
+        (HOPFCAT, "hopfcat"),
+    ], ids=["algebroid", "hopf-category"])
+    def test_variant_is_refused_where_no_solver_takes_it(self, tmp_path, capsys,
+                                                          command, argv, kind):
+        # only the weak Hopf solvers have a duoidal variant; the default,
+        # primed, may still be named
+        path = str(gen(tmp_path, "s.json", *argv))
+        out = tmp_path / "never.json"
+        assert main([command, "--structure", path, "--side", "left",
+                     "--variant", "duoidal", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == \
+            f"usage error: --variant does not apply to kind {kind!r}\n"
+        assert not out.exists()
+        report = json.loads(run(tmp_path, command, "--structure", path, "--side", "left",
+                                "--variant", "primed"))
+        assert report["kind"] == kind and "variant" not in report
+
+    def test_scalar_beyond_the_digit_limit_exits_three(self, tmp_path, capsys):
+        # the file's scalars are under MAX_SCALAR_DIGITS, but the separability
+        # element 1/c^2 has about 6000 digits, more than str() writes
+        c = 10 ** 3000 + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "format_version": "maschke-kit/1", "field": {"kind": "Q"},
+            "kind": "commalgebra",
+            "payload": {"dim": 1, "labels": ["1"], "mult": [[[str(c)]]],
+                        "unit": [f"1/{c}"]}}))
+        assert json.loads(run(tmp_path, "validate", "--structure", str(path)))["valid"]
+        capsys.readouterr()
+        out = tmp_path / "never.json"
+        assert main(["separability", "--structure", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"invalid input: an output scalar has more than {sys.get_int_max_str_digits()} "
+            "digits, the limit of sys.get_int_max_str_digits()\n")
+        assert not out.exists()
+
+    def test_other_value_errors_of_the_scalar_writer_pass_through(self, monkeypatch):
+        def refuse(field, value):
+            raise ValueError("not a scalar")
+
+        monkeypatch.setattr(FieldSpec, "format_scalar", refuse)
+        with pytest.raises(ValueError, match="not a scalar") as caught:
+            array_to_json(QQ, (1,))
+        assert type(caught.value) is ValueError
+
     def test_reports_deterministic_modulo_timing(self, tmp_path):
         path = gen(tmp_path, "k4.json", "group-algebra", "--group", "K4",
                    "--field", "Fp:2")
@@ -1315,10 +1388,13 @@ class TestGroupAndGroupoidRefusals:
         (ONE_C3, lambda p: p["inverse"].__setitem__(1, 1), "inverse law fails at 1"),
         (ONE_C3, lambda p: p["compose"].__setitem__(4, [1, 1, 1]),
          "associativity fails at (1, 1, 2)"),
+        (PAIR2, lambda p: p.update({key: [] for key in p}),
+         "a groupoid needs at least one object"),
     ], ids=["extra-object", "object-without-identity", "identity-index", "inverse-index",
             "composite-index", "compose-key", "negative-compose-key", "source-index",
             "lengths", "missing-composite", "extra-composite", "composite-endpoints",
-            "identity-endpoints", "identity-law", "inverse-law", "associativity"])
+            "identity-endpoints", "identity-law", "inverse-law", "associativity",
+            "no-object"])
     def test_groupoid_file_refusal(self, tmp_path, capsys, argv, damage, message):
         doc = json.loads(gen(tmp_path, "g.json", *argv).read_text())
         damage(doc["payload"])
@@ -1326,14 +1402,27 @@ class TestGroupAndGroupoidRefusals:
 
     @pytest.mark.parametrize("table, message", [
         ([[0, 1, 2], [1, 2, 0], [2, 0, 7]], "morphism index out of range"),
-        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], "table has no two-sided identity"),
-        ([[0, 1, 2], [1, 1, 1], [2, 1, 2]], "element 1 has no inverse"),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], "identity law fails at 1"),
+        ([[0, 1, 2], [1, 1, 1], [2, 1, 2]], "inverse law fails at 1"),
         ([[0, 1, 2], [1, 1, 0], [2, 1, 0]], "inverse law fails at 1"),
         ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "associativity fails at (1, 1, 2)"),
     ], ids=["index", "no-identity", "no-inverse", "inverse-law", "associativity"])
     def test_group_file_refusal(self, tmp_path, capsys, table, message):
         doc = json.loads(gen(tmp_path, "c3.json", "group", "--group", "C3").read_text())
         doc["payload"]["table"] = table
+        _refused(tmp_path, capsys, doc, [f"$.payload.table: {message}"])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("identity", 1, "identity law fails at 0"),
+        ("identity", 3, "morphism index out of range"),
+        ("inverse", [0, 1, 2], "inverse law fails at 1"),
+        ("inverse", [0, 2], "morphism table lengths differ"),
+    ], ids=["identity", "identity-index", "inverse", "inverse-length"])
+    def test_group_identity_and_inverses_are_taken_as_written(self, tmp_path, capsys,
+                                                              field, value, message):
+        # the law check refuses an identity or inverses that do not fit the table
+        doc = json.loads(gen(tmp_path, "c3.json", "group", "--group", "C3").read_text())
+        doc["payload"][field] = value
         _refused(tmp_path, capsys, doc, [f"$.payload.table: {message}"])
 
     @pytest.mark.parametrize("argv", [PAIR2, HOPFCAT], ids=["groupoid", "hopf-category"])

@@ -268,6 +268,16 @@ class TestMatrix:
         assert repr(a) == repr(b)
         assert a != matrix_from_rows(QQ, [[1, 0], [0, -3]])
 
+    def test_dense_tables_keep_the_axis_cap(self):
+        # Matrix and Tensor3 store every entry, so their axes stay capped;
+        # a Subspace, which stores sparse rows, has no cap
+        cap = exactlin.MAX_AXIS
+        with pytest.raises(ValueError, match=f"column count {cap + 1} outside supported"):
+            Matrix(QQ, 0, cap + 1, ())
+        with pytest.raises(ValueError, match=f"tensor axis {cap + 1} outside supported"):
+            Tensor3(QQ, 1, 0, cap + 1, ())
+        assert Subspace(QQ, cap + 1, ()).dim == 0
+
     def test_empty_shapes(self):
         a = zero_matrix(QQ, 0, 3)
         b = zero_matrix(QQ, 3, 0)
@@ -520,6 +530,17 @@ class TestConstraintSystem:
         add_row(sys2, {}, 1)
         assert sys2.solve() is None
 
+    def test_unknowns_beyond_the_dense_cap(self):
+        # a subspace holds sparse rows, so the solution set of a system with
+        # more unknowns than a dense table may have is built all the same
+        n = exactlin.MAX_AXIS + 4
+        sys = ConstraintSystem(F5, n)
+        for c in range(n):
+            add_row(sys, {c: 1}, c % 5)
+        sol = sys.solve()
+        assert sol.particular == tuple(c % 5 for c in range(n))
+        assert sol.homogeneous.ambient_dim == n and sol.homogeneous.row_terms == ()
+
     def test_satisfied_by(self):
         sys = ConstraintSystem(QQ, 2)
         add_row(sys, {0: 1, 1: 1}, 3)
@@ -730,8 +751,8 @@ class TestSubspace:
         for rows in ((((0, 1), (2, 1)),), (((-1, 1),),), (((0, 1),), ((2, 1),))):
             with pytest.raises(ValueError, match="outside ambient_dim"):
                 Subspace(QQ, 2, rows)
-        with pytest.raises(ValueError, match="ambient dimension"):
-            Subspace(QQ, exactlin.MAX_AXIS + 1, ())
+        with pytest.raises(ValueError, match="ambient dimension -1 is negative"):
+            Subspace(QQ, -1, ())
 
     @given(st.integers(0, 5), st.integers(0, 6), st.data())
     @settings(max_examples=200, deadline=None)

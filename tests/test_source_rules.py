@@ -500,3 +500,19 @@ def test_one_law_check_for_groups_and_groupoids():
         "examples.GroupPresentation.__post_init__",
         "examples.GroupoidPresentation.__post_init__"}
     assert posts == {"GroupPresentation": 1, "GroupoidPresentation": 1}
+
+
+def test_every_group_is_built_from_its_table_identity_and_inverses():
+    # a group record is made only by calling GroupPresentation with all of
+    # its data, in the four builders and the group file reader: no
+    # constructor searches a table for the identity or the inverses, so the
+    # law check in __post_init__ is a group's only check
+    path = next(path for path in SOURCES if path.name == "examples.py")
+    [record] = [node for node in ast.parse(path.read_text(), str(path)).body
+                if isinstance(node, ast.ClassDef) and node.name == "GroupPresentation"]
+    assert [node.name for node in record.body if isinstance(node, ast.FunctionDef)] \
+        == ["__post_init__"]
+    assert _call_sites(_named("GroupPresentation")) == {
+        "examples.cyclic_group", "examples.klein_four_group",
+        "examples.symmetric_group_s3", "examples.dihedral_group",
+        "structfile._group_parse"}
